@@ -16,7 +16,7 @@ from hoif.functionals import (
     expected_cond_cov_spec,
     mar_mean_spec,
 )
-from hoif.estimator import EstimatorConfig, EstimateReport, estimate, cross_fit
+from hoif.estimator import EstimatorConfig, EstimateReport, estimate
 from hoif.sim import SCENARIOS, generate, true_psi, efficiency_bound, run_study
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "EstimatorConfig",
     "EstimateReport",
     "estimate",
-    "cross_fit",
     "SCENARIOS",
     "generate",
     "true_psi",

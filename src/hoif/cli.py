@@ -25,10 +25,9 @@ from hoif.basis import BasisSpec, basis_from_preset, build_basis
 from hoif.data import ValidationError, dataset_from_csv
 from hoif.estimator import (
     EstimatorConfig,
-    cross_fit,
     default_tuning,
     estimate,
-    realizable_k,
+    estimation_size,
 )
 from hoif.gram import invert_checked, quadrature_gram, save_gram
 from hoif.quadrature import QuadratureSpec, default_nodes_per_dim
@@ -38,6 +37,14 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_ZERO_CONVENTION = 3
 EXIT_INTERNAL = 4
+
+
+def _nuisance_method(value: str) -> str:
+    # plugin stays library-only: it needs nuisance sets passed in as objects
+    if value not in ("series", "zero"):
+        raise ValueError(f"expected series|zero, got {value!r}")
+    return value
+
 
 # every accepted config key with its parser; unknown keys are rejected
 _KEY_PARSERS = {
@@ -54,7 +61,7 @@ _KEY_PARSERS = {
     "basis.dimension": int,
     "basis.per_dim_size": int,
     "basis.order": int,
-    "nuisance.method": str,
+    "nuisance.method": _nuisance_method,
     "nuisance.k_grid": lambda v: tuple(int(t) for t in v.split(";")),
     "nuisance.folds": int,
     "nuisance.sigma_floor": float,
@@ -137,7 +144,7 @@ def estimator_config(cfg: dict, dimension: int, n: int | None = None) -> Estimat
     if cfg.get("tuning", "manual") == "default":
         if n is None:
             raise ValidationError("default tuning needs the sample size")
-        n_est = max(int(cfg.get("split_fraction", 0.5) * n), 8)
+        n_est = max(estimation_size(n, cfg.get("split_fraction", 0.5)), 8)
         k, m = default_tuning(n_est, variant, spec.dimension, spec.family)
         q = round(k ** (1.0 / spec.dimension))
         spec = replace(spec, per_dim_size=max(q, spec.order + 1))
@@ -169,10 +176,7 @@ def cmd_estimate(args) -> int:
     cfg.setdefault("m", run_cfg.m)
     cfg.setdefault("seed", run_cfg.seed)
     write_resolved_config(cfg, out_dir)
-    if run_cfg.cross_fit:
-        report = cross_fit(data, run_cfg)
-    else:
-        report = estimate(data, run_cfg)
+    report = estimate(data, run_cfg)
     head = "".join(f"# {h}\n" for h in header_lines(cfg))
     (out_dir / "report.csv").write_text(
         head + report.CSV_COLUMNS + "\n" + report.csv_row() + "\n")

@@ -93,8 +93,7 @@ def dataset_from_csv(path, d: int | None = None) -> Dataset:
     if np.any(x < 0.0) or np.any(x > 1.0):
         bad = int(np.argwhere((x < 0.0) | (x > 1.0))[0][0]) + 2
         raise ValidationError(f"row {bad}: X coordinate outside [0,1]")
-    # store A*Y so downstream code never touches unobserved outcomes
-    return Dataset(x=x, a=a, y=np.where(a > 0, y, y))
+    return Dataset(x=x, a=a, y=y)
 
 
 def dataset_to_csv(data: Dataset, path, header_lines: list[str] | None = None):

@@ -4,14 +4,15 @@ The full estimate is the one-step (first-order) estimator plus the
 higher-order U-statistic corrections of orders 2..m, with the inverse Gram
 taken either from the empirical training-sample covariance (variant
 ``emp``, the main path) or from quadrature against an estimated density
-(variant ``ac``).  A Gram that fails the invertibility check maps the
-whole estimate to zero by convention.
+(variant ``ac``).  The average treatment effect is the difference of two
+arm estimates, and cross-fitting averages the estimate over the two ways
+of assigning the halves of the split.  A Gram that fails the
+invertibility check maps the whole estimate to zero by convention.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -40,8 +41,7 @@ from hoif.nuisance import (
 from hoif.quadrature import QuadratureSpec, default_nodes_per_dim
 from hoif.ustat import M_MAX_HARD, ChainInputs, if22, ifjj
 
-VARIANTS = ("emp", "ac", "first_order")
-FUNCTIONALS = ("mar_mean", "ate", "ecc")
+VARIANTS = ("emp", "ac")
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class EstimatorConfig:
     eigen_floor: float = DEFAULT_EIGEN_FLOOR
     cross_fit: bool = False
     m_max: int = 4
-    nuisance_method: str = "series"  # series | zero | plugin
+    nuisance_method: str = "series"  # series | zero | plugin (needs an override)
     nuisance_k_grid: tuple[int, ...] = (1, 2, 4)
     nuisance_folds: int = 2
     sigma_floor: float = DEFAULT_SIGMA_FLOOR
@@ -65,8 +65,7 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValidationError(f"unknown variant {self.variant!r}")
-        if self.functional not in FUNCTIONALS:
-            raise ValidationError(f"unknown functional {self.functional!r}")
+        fn.arm_specs(self.functional)  # rejects an unknown functional
         if not 0.0 < self.split_fraction < 1.0:
             raise ValidationError("split_fraction must be in (0, 1)")
         if self.m < 1 or self.m > min(self.m_max, M_MAX_HARD):
@@ -89,6 +88,7 @@ class EstimateReport:
     variance_est: float
     ci_low: float
     ci_high: float
+    ci_level: float
     gram_diag: InverseReport | None
     zero_convention_applied: bool
     n_est: int
@@ -98,13 +98,11 @@ class EstimateReport:
     variant: str
     functional: str
     seed: int
-    elapsed_s: float = 0.0
-    if1_values: np.ndarray | None = None  # estimated IF1 summands (diagnostic)
 
     CSV_COLUMNS = (
         "functional,variant,n_est,n_tr,k,m,seed,psi_hat,psi_1,"
         "per_order_2,per_order_3,per_order_4,per_order_5,per_order_6,"
-        "variance_est,ci_low,ci_high,zero_convention,op_dist,elapsed_s"
+        "variance_est,ci_low,ci_high,zero_convention,op_dist"
     )
 
     def csv_row(self) -> str:
@@ -116,7 +114,7 @@ class EstimateReport:
             self.functional, self.variant, self.n_est, self.n_tr, self.k,
             self.m, self.seed, self.psi_hat, self.psi_1, *per[:5],
             self.variance_est, self.ci_low, self.ci_high,
-            int(self.zero_convention_applied), op, self.elapsed_s,
+            int(self.zero_convention_applied), op,
         ]
         return ",".join(_fmt(v) for v in vals)
 
@@ -131,7 +129,8 @@ class EstimateReport:
         for j, v in enumerate(self.per_order, start=2):
             lines.append(f"order-{j} term    : {v:.10g}")
         lines.append(f"variance est    : {self.variance_est:.10g}")
-        lines.append(f"95% CI          : [{self.ci_low:.10g}, {self.ci_high:.10g}]")
+        ci_label = f"{100 * self.ci_level:g}% CI"
+        lines.append(f"{ci_label:<16}: [{self.ci_low:.10g}, {self.ci_high:.10g}]")
         if self.zero_convention_applied:
             lines.append("zero convention : applied (Gram not invertible)")
         return "\n".join(lines)
@@ -143,15 +142,19 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def estimation_size(n: int, fraction: float) -> int:
+    """Records that ``split_sample`` puts in the estimation sample of n."""
+    n_est = math.ceil(fraction * n)
+    return n_est - 1 if n_est == n else n_est
+
+
 def split_sample(data: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Uniformly random partition into estimation and training samples."""
     if not 0.0 < fraction < 1.0:
         raise ValidationError("fraction must be in (0, 1)")
     if data.n < 4:
         raise ValidationError("need at least 4 records to split")
-    n_est = math.ceil(fraction * data.n)
-    if n_est == data.n:
-        n_est -= 1
+    n_est = estimation_size(data.n, fraction)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(data.n)
     return data.subset(perm[:n_est]), data.subset(perm[n_est:])
@@ -205,18 +208,8 @@ def confidence_interval(psi_hat: float, variance_est: float, level: float) -> tu
     return psi_hat - half, psi_hat + half
 
 
-def _resolve_spec(functional: str) -> FunctionalSpec:
-    if functional == "mar_mean":
-        return fn.mar_mean_spec()
-    if functional == "ecc":
-        return fn.expected_cond_cov_spec()
-    raise ValidationError(f"unknown functional {functional!r}")
-
-
-def _fit_or_default(spec: FunctionalSpec, training: Dataset, cfg: EstimatorConfig,
-                    basis: Basis, nuisance_override: NuisanceSet | None) -> NuisanceSet:
-    if nuisance_override is not None:
-        return nuisance_override
+def _fit_nuisance(spec: FunctionalSpec, training: Dataset, cfg: EstimatorConfig,
+                  basis: Basis) -> NuisanceSet:
     if cfg.nuisance_method == "zero":
         return zero_nuisance()
     if cfg.nuisance_method == "series":
@@ -227,49 +220,32 @@ def _fit_or_default(spec: FunctionalSpec, training: Dataset, cfg: EstimatorConfi
     raise ValidationError(f"nuisance method {cfg.nuisance_method!r} needs an override")
 
 
-def _estimate_spec(spec: FunctionalSpec, est: Dataset, training: Dataset,
-                   cfg: EstimatorConfig, basis: Basis,
-                   nuisance_override: NuisanceSet | None = None,
-                   omega_inv_override: np.ndarray | None = None,
-                   reference_gram: GramMatrix | None = None) -> EstimateReport:
-    t0 = time.perf_counter()
+def _run_arm(spec: FunctionalSpec, est: Dataset, training: Dataset,
+             cfg: EstimatorConfig, basis: Basis, nuisance: NuisanceSet | None,
+             reference_gram: GramMatrix | None
+             ) -> tuple[np.ndarray, list[float] | None, InverseReport | None]:
+    """One arm on one fold: IF1 summands, IFjj terms for j = 2..m, Gram report.
+
+    The terms are None when the Gram fails the invertibility check (the
+    zero convention); with m = 1 no Gram is formed and the report is None.
+    """
     spec.check_h1_sign(est)
     spec.check_h1_sign(training)
-    nuis = _fit_or_default(spec, training, cfg, basis, nuisance_override)
-
-    if1 = fn.h_values(spec, est, nuis.b_hat, nuis.p_hat)
-    psi_1 = float(np.mean(if1))
-    n = est.n
-    variance_est = float(np.var(if1, ddof=1)) / n if n > 1 else float("nan")
-
-    def report(psi_hat, per_order, diag, zero_applied):
-        if variance_est > 0.0 and np.isfinite(variance_est):
-            lo, hi = confidence_interval(psi_hat, variance_est, cfg.ci_level)
-        else:
-            lo = hi = float("nan")
-        return EstimateReport(
-            psi_hat=psi_hat, psi_1=psi_1 if not zero_applied else 0.0,
-            per_order=per_order, variance_est=variance_est,
-            ci_low=lo, ci_high=hi, gram_diag=diag,
-            zero_convention_applied=zero_applied,
-            n_est=n, n_tr=training.n, k=basis.k, m=cfg.m,
-            variant=cfg.variant, functional=spec.id, seed=cfg.seed,
-            elapsed_s=time.perf_counter() - t0,
-            if1_values=if1,
-        )
-
-    if cfg.variant == "first_order" or cfg.m == 1:
-        return report(psi_1, [], None, False)
+    if nuisance is None:
+        nuisance = _fit_nuisance(spec, training, cfg, basis)
+    if1 = fn.h_values(spec, est, nuisance.b_hat, nuisance.p_hat)
+    if cfg.m == 1:
+        return if1, [], None
 
     if cfg.variant == "emp":
-        if basis.k > n:
+        if basis.k > est.n:
             raise ValidationError(
                 "basis size exceeds the estimation sample; the empirical "
                 "inverse covariance matrix does not exist"
             )
         gram = empirical_gram(basis, training, spec)
     else:  # ac
-        g_hat = nuis.g_hat
+        g_hat = nuisance.g_hat
         if g_hat is None:
             g_hat = density_series(training, basis, spec, cfg.sigma_floor)
         gram = quadrature_gram(basis, g_hat, cfg.quadrature())
@@ -277,134 +253,88 @@ def _estimate_spec(spec: FunctionalSpec, est: Dataset, training: Dataset,
     diag = invert_checked(gram, cfg.eigen_floor)
     if reference_gram is not None:
         diag = replace(diag, op_distance_to_reference=op_norm_distance(gram, reference_gram))
+    if not diag.invertible:
+        return if1, None, diag
 
-    omega_inv = diag.inverse
-    if omega_inv_override is not None:
-        omega_inv = omega_inv_override
-    elif not diag.invertible:
-        # estimator defined to be zero when the Gram fails invertibility
-        return report(0.0, [0.0] * (cfg.m - 1), diag, True)
-
-    res = fn.residuals(spec, est, nuis.b_hat, nuis.p_hat)
+    res = fn.residuals(spec, est, nuisance.b_hat, nuisance.p_hat)
     inputs = ChainInputs(
         eps_p=res.eps_p, eps_b=res.eps_b, abs_h1=res.abs_h1,
-        zmat=basis.evaluate_many(est.x), omega_inv=omega_inv,
+        zmat=basis.evaluate_many(est.x), omega_inv=diag.inverse,
         sign_flag=spec.sign_flag,
     )
-    per_order = [if22(inputs)]
+    terms = [if22(inputs)]
     for j in range(3, cfg.m + 1):
-        per_order.append(ifjj(j, inputs, m_max=cfg.m_max))
-    return report(psi_1 + float(np.sum(per_order)), per_order, diag, False)
+        terms.append(ifjj(j, inputs, m_max=cfg.m_max))
+    return if1, terms, diag
 
 
-def _combine_arm_reports(r1: EstimateReport, r0: EstimateReport,
-                         cfg: EstimatorConfig) -> EstimateReport:
-    zero = r1.zero_convention_applied or r0.zero_convention_applied
-    if zero:
-        psi_hat, psi_1 = 0.0, 0.0
-        per_order = [0.0] * max(len(r1.per_order), len(r0.per_order))
-        if1 = None
-        variance = float("nan")
-        lo = hi = float("nan")
-    else:
-        psi_1 = r1.psi_1 - r0.psi_1
-        per_order = [a - b for a, b in zip(r1.per_order, r0.per_order)] \
-            if r1.per_order else []
-        psi_hat = r1.psi_hat - r0.psi_hat
-        if1 = r1.if1_values - r0.if1_values
-        n = len(if1)
-        variance = float(np.var(if1, ddof=1)) / n if n > 1 else float("nan")
-        if variance > 0:
-            lo, hi = confidence_interval(psi_hat, variance, cfg.ci_level)
-        else:
-            lo = hi = float("nan")
-    return EstimateReport(
-        psi_hat=psi_hat, psi_1=psi_1, per_order=per_order,
-        variance_est=variance, ci_low=lo, ci_high=hi,
-        gram_diag=r1.gram_diag, zero_convention_applied=zero,
-        n_est=r1.n_est, n_tr=r1.n_tr, k=r1.k, m=r1.m,
-        variant=cfg.variant, functional="ate", seed=cfg.seed,
-        elapsed_s=r1.elapsed_s + r0.elapsed_s, if1_values=if1,
-    )
+def _contrast(arm_values: list):
+    """Arm 1 minus arm 0 for a two-arm functional; the single arm's value otherwise."""
+    return arm_values[0] if len(arm_values) == 1 else arm_values[0] - arm_values[1]
+
+
+def _arm_summary(if1: np.ndarray, terms: list[float]) -> np.ndarray:
+    """(psi_1, psi_hat, IF22, ..., IFmm) of one arm on one fold."""
+    psi_1 = float(np.mean(if1))
+    return np.array([psi_1, psi_1 + float(np.sum(terms)), *terms])
 
 
 def estimate_split(est: Dataset, training: Dataset, cfg: EstimatorConfig,
-                   nuisance_override: NuisanceSet | None = None,
-                   omega_inv_override: np.ndarray | None = None,
+                   nuisance_override: NuisanceSet | tuple[NuisanceSet, ...] | None = None,
                    reference_gram: GramMatrix | None = None) -> EstimateReport:
     """Run the pipeline on caller-supplied estimation/training samples.
 
-    Used by conditional-on-training studies, where one training sample is
-    fixed and only the estimation sample is replicated.
+    Each arm's estimate is psi_1 plus its IFjj terms; ``ate`` is arm 1 minus
+    arm 0.  ``cfg.cross_fit`` averages over both assignments of the two
+    samples and pools their first-order influence values for the variance.
+    ``nuisance_override`` holds one NuisanceSet per arm (a pair for ``ate``)
+    and serves every fold.  Conditional-on-training studies call this with
+    one fixed training sample.
     """
+    specs = fn.arm_specs(cfg.functional)
+    overrides = [None] * len(specs)
+    if nuisance_override is not None:
+        overrides = [nuisance_override] if isinstance(nuisance_override, NuisanceSet) \
+            else list(nuisance_override)
+        if len(overrides) != len(specs):
+            raise ValidationError(
+                f"{cfg.functional} needs {len(specs)} nuisance override(s), "
+                f"got {len(overrides)}")
     basis = build_basis(cfg.basis)
-    if cfg.functional == "ate":
-        arm1, arm0 = fn.ate_spec()
-        r1 = _estimate_spec(arm1, est, training, cfg, basis,
-                            nuisance_override, omega_inv_override, reference_gram)
-        r0 = _estimate_spec(arm0, est, training, cfg, basis,
-                            None, omega_inv_override, None)
-        return _combine_arm_reports(r1, r0, cfg)
-    spec = _resolve_spec(cfg.functional)
-    return _estimate_spec(spec, est, training, cfg, basis,
-                          nuisance_override, omega_inv_override, reference_gram)
+    folds = [(est, training), (training, est)] if cfg.cross_fit else [(est, training)]
+    runs = [[_run_arm(spec, f_est, f_tr, cfg, basis, nuis, reference_gram)
+             for spec, nuis in zip(specs, overrides)]
+            for f_est, f_tr in folds]
+
+    zero = any(terms is None for fold in runs for _, terms, _ in fold)
+    if zero:  # the estimate is zero by convention and carries no variance
+        psi_1 = psi_hat = 0.0
+        per_order = [0.0] * (cfg.m - 1)
+        variance = float("nan")
+    else:
+        fold_summaries = [_contrast([_arm_summary(v, t) for v, t, _ in fold]) for fold in runs]
+        psi_1, psi_hat, *per_order = np.mean(fold_summaries, axis=0).tolist()
+        pooled = np.concatenate([_contrast([v for v, _, _ in fold]) for fold in runs])
+        n = len(pooled)
+        variance = float(np.var(pooled, ddof=1)) / n if n > 1 else float("nan")
+
+    lo = hi = float("nan")
+    if variance > 0.0 and np.isfinite(variance):
+        lo, hi = confidence_interval(psi_hat, variance, cfg.ci_level)
+    return EstimateReport(
+        psi_hat=psi_hat, psi_1=psi_1, per_order=per_order,
+        variance_est=variance, ci_low=lo, ci_high=hi, ci_level=cfg.ci_level,
+        gram_diag=runs[0][0][2], zero_convention_applied=zero,
+        n_est=sum(f_est.n for f_est, _ in folds),
+        n_tr=sum(f_tr.n for _, f_tr in folds),
+        k=basis.k, m=cfg.m, variant=cfg.variant, functional=cfg.functional,
+        seed=cfg.seed,
+    )
 
 
 def estimate(data: Dataset, cfg: EstimatorConfig,
-             nuisance_override: NuisanceSet | None = None,
-             nuisance_override_arm0: NuisanceSet | None = None,
-             omega_inv_override: np.ndarray | None = None,
-             reference_gram: GramMatrix | None = None,
-             _swap_halves: bool = False) -> EstimateReport:
+             nuisance_override: NuisanceSet | tuple[NuisanceSet, ...] | None = None,
+             reference_gram: GramMatrix | None = None) -> EstimateReport:
     """Run the full pipeline on one random split of ``data``."""
-    basis = build_basis(cfg.basis)
     est, training = split_sample(data, cfg.split_fraction, cfg.seed)
-    if _swap_halves:
-        est, training = training, est
-    if cfg.functional == "ate":
-        arm1, arm0 = fn.ate_spec()
-        r1 = _estimate_spec(arm1, est, training, cfg, basis,
-                            nuisance_override, omega_inv_override, reference_gram)
-        r0 = _estimate_spec(arm0, est, training, cfg, basis,
-                            nuisance_override_arm0, omega_inv_override, None)
-        return _combine_arm_reports(r1, r0, cfg)
-    spec = _resolve_spec(cfg.functional)
-    return _estimate_spec(spec, est, training, cfg, basis,
-                          nuisance_override, omega_inv_override, reference_gram)
-
-
-def cross_fit(data: Dataset, cfg: EstimatorConfig,
-              reference_gram: GramMatrix | None = None) -> EstimateReport:
-    """Average the estimate with the roles of the two halves exchanged.
-
-    The variance estimate pools the estimated first-order influence
-    function values over all N records and divides by N.
-    """
-    if not cfg.cross_fit:
-        raise ValidationError("cross_fit called with cfg.cross_fit=False")
-    r_a = estimate(data, cfg, reference_gram=reference_gram)
-    r_b = estimate(data, cfg, reference_gram=reference_gram, _swap_halves=True)
-    psi_hat = 0.5 * (r_a.psi_hat + r_b.psi_hat)
-    psi_1 = 0.5 * (r_a.psi_1 + r_b.psi_1)
-    per_order = [0.5 * (x + y) for x, y in zip(r_a.per_order, r_b.per_order)]
-    zero = r_a.zero_convention_applied or r_b.zero_convention_applied
-    if zero:
-        psi_hat = psi_1 = 0.0
-        per_order = [0.0 for _ in per_order]
-    if r_a.if1_values is not None and r_b.if1_values is not None:
-        pooled = np.concatenate([r_a.if1_values, r_b.if1_values])
-        variance = float(np.var(pooled, ddof=1)) / len(pooled)
-    else:
-        variance = float("nan")
-    if variance > 0 and not zero:
-        lo, hi = confidence_interval(psi_hat, variance, cfg.ci_level)
-    else:
-        lo = hi = float("nan")
-    return EstimateReport(
-        psi_hat=psi_hat, psi_1=psi_1, per_order=per_order,
-        variance_est=variance, ci_low=lo, ci_high=hi,
-        gram_diag=r_a.gram_diag, zero_convention_applied=zero,
-        n_est=r_a.n_est + r_b.n_est, n_tr=0, k=r_a.k, m=r_a.m,
-        variant=cfg.variant, functional=r_a.functional, seed=cfg.seed,
-        elapsed_s=r_a.elapsed_s + r_b.elapsed_s, if1_values=None,
-    )
+    return estimate_split(est, training, cfg, nuisance_override, reference_gram)

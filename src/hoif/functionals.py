@@ -117,10 +117,15 @@ def expected_cond_cov_spec() -> FunctionalSpec:
     )
 
 
-SPEC_BUILDERS = {
-    "mar_mean": mar_mean_spec,
-    "ecc": expected_cond_cov_spec,
-}
+def arm_specs(functional: str) -> tuple[FunctionalSpec, ...]:
+    """The arms whose estimates make up ``functional``; ``ate`` is arm 1 minus arm 0."""
+    if functional == "mar_mean":
+        return (mar_mean_spec(),)
+    if functional == "ate":
+        return ate_spec()
+    if functional == "ecc":
+        return (expected_cond_cov_spec(),)
+    raise ValidationError(f"unknown functional {functional!r}")
 
 
 def residuals(spec: FunctionalSpec, est_sample: Dataset, b_hat, p_hat) -> Residuals:

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from hoif.data import Dataset, ValidationError
-from hoif.estimator import EstimateReport, EstimatorConfig, cross_fit, estimate
+from hoif.estimator import EstimatorConfig, estimate
 from hoif.gram import GramMatrix, quadrature_gram
 from hoif.nuisance import NuisanceSet
 from hoif.quadrature import QuadratureSpec, default_nodes_per_dim, integrate
@@ -373,7 +373,6 @@ class StudyResult:
     seed: int
     rows: list[dict]
     aggregates: list[dict]
-    elapsed_s: float = 0.0
 
     def rows_csv(self, header_lines: tuple[str, ...] = ()) -> str:
         out = [f"# {h}" for h in header_lines]
@@ -416,17 +415,8 @@ def _one_cell(scn: ScenarioSpec, cfg: EstimatorConfig, n: int, master: int,
         data = generate(scn, n, seed)
         run_cfg = replace(cfg, seed=seed, functional=scn.functional)
         override = nuisance_factory(scn, run_cfg) if nuisance_factory else None
-        kwargs = {}
-        if override is not None:
-            if isinstance(override, tuple):
-                kwargs["nuisance_override"] = override[0]
-                kwargs["nuisance_override_arm0"] = override[1]
-            else:
-                kwargs["nuisance_override"] = override
-        if run_cfg.cross_fit:
-            rep_out = cross_fit(data, run_cfg, reference_gram=ref_gram)
-        else:
-            rep_out = estimate(data, run_cfg, reference_gram=ref_gram, **kwargs)
+        rep_out = estimate(data, run_cfg, nuisance_override=override,
+                           reference_gram=ref_gram)
         op = None
         if rep_out.gram_diag is not None:
             op = rep_out.gram_diag.op_distance_to_reference
@@ -454,24 +444,18 @@ def run_study(scn: ScenarioSpec, cfg_grid: list[EstimatorConfig], reps: int,
     configs are compared on identical data) with a seed derived from the
     master seed by position, making the output independent of scheduling.
     """
-    import time as _time
-
-    t0 = _time.perf_counter()
     validate_scenario(scn)
     if reps < 2:
         raise ValidationError("reps must be >= 2")
     psi = true_psi(scn)
     eff = efficiency_bound(scn)
 
-    ref_grams: list[GramMatrix | None] = []
-    for cfg in cfg_grid:
-        ref = None
-        if track_op_dist and cfg.variant != "first_order":
-            from hoif.basis import build_basis
+    ref_grams: list[GramMatrix | None] = [None] * len(cfg_grid)
+    if track_op_dist:
+        from hoif.basis import build_basis
 
-            ref = quadrature_gram(build_basis(cfg.basis), weighted_density(scn),
-                                  cfg.quadrature())
-        ref_grams.append(ref)
+        ref_grams = [quadrature_gram(build_basis(cfg.basis), weighted_density(scn),
+                                     cfg.quadrature()) for cfg in cfg_grid]
 
     tasks = [
         (rep, ci)
@@ -519,5 +503,4 @@ def run_study(scn: ScenarioSpec, cfg_grid: list[EstimatorConfig], reps: int,
     return StudyResult(
         scenario=scn.id, psi_true=psi, eff_bound=eff, reps=reps, n=n,
         seed=seed, rows=rows, aggregates=aggregates,
-        elapsed_s=_time.perf_counter() - t0,
     )

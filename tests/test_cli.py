@@ -57,6 +57,8 @@ def test_estimator_config_default_tuning():
     assert cfg.basis.per_dim_size >= 1
     with pytest.raises(ValidationError):
         estimator_config({"tuning": "default"}, dimension=1)
+    # tuned on the 1611 records split_sample puts in the estimation sample
+    assert estimator_config({"tuning": "default"}, 2, n=3221).k == 4
 
 
 def test_cmd_estimate_writes_artifacts(tmp_path, capsys):
@@ -75,6 +77,17 @@ def test_cmd_estimate_writes_artifacts(tmp_path, capsys):
     assert "psi_hat" in header
     assert (out / "report.txt").exists()
     assert "psi_hat" in capsys.readouterr().out
+
+
+def test_cmd_estimate_report_bytes_reproducible(tmp_path):
+    reports = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        rc = main(["estimate", "--input", str(GOLDEN), "--out", str(out),
+                   "--set", "m=3", "--set", "seed=77"])
+        assert rc == 0
+        reports.append((out / "report.csv").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_cmd_estimate_zero_convention_exit(tmp_path):
@@ -96,6 +109,11 @@ def test_cmd_estimate_validation_exit(tmp_path, capsys):
                "--set", "basis.per_dim_size=1024"])
     assert rc == EXIT_VALIDATION
     assert "error:" in capsys.readouterr().err
+    # plugin nuisances exist only for library callers that pass them in
+    rc = main(["estimate", "--input", str(GOLDEN),
+               "--out", str(tmp_path / "o3"), "--set", "nuisance.method=plugin"])
+    assert rc == EXIT_VALIDATION
+    assert "series|zero" in capsys.readouterr().err
 
 
 def test_cmd_simulate_reproducible(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,6 @@ from hoif.data import Dataset, ValidationError, dataset_from_csv
 from hoif.estimator import (
     EstimatorConfig,
     confidence_interval,
-    cross_fit,
     default_tuning,
     estimate,
     estimate_split,
@@ -99,10 +99,17 @@ def test_zero_convention():
     data = generate(SCENARIOS["s1-smooth-d1"], 400, 7)
     cfg = EstimatorConfig(basis=BasisSpec("haar", 1, 4), m=2, seed=10,
                           eigen_floor=1e30)
-    rep = estimate(data, cfg)
-    assert rep.zero_convention_applied
-    assert rep.psi_hat == 0.0
-    assert not rep.gram_diag.invertible
+    # one policy for a single fold, cross-fitting and the two-arm ATE
+    cases = [(data, cfg), (data, replace(cfg, cross_fit=True)),
+             (generate(SCENARIOS["s4-ate"], 400, 7), replace(cfg, functional="ate"))]
+    for case_data, case_cfg in cases:
+        rep = estimate(case_data, case_cfg)
+        assert rep.zero_convention_applied
+        assert rep.psi_hat == 0.0
+        assert rep.psi_1 == 0.0 and rep.per_order == [0.0]
+        assert math.isnan(rep.variance_est)
+        assert math.isnan(rep.ci_low) and math.isnan(rep.ci_high)
+        assert not rep.gram_diag.invertible
 
 
 def test_k_exceeding_estimation_sample_rejected():
@@ -197,14 +204,15 @@ def test_cross_fit_average_and_variance():
     data = generate(SCENARIOS["s4-span-exact"], 1200, 21)
     cfg = EstimatorConfig(basis=BasisSpec("haar", 1, 4), m=2, seed=5,
                           cross_fit=True)
-    xf = cross_fit(data, cfg)
-    r_a = estimate(data, cfg)
-    r_b = estimate(data, cfg, _swap_halves=True)
+    xf = estimate(data, cfg)
+    single = replace(cfg, cross_fit=False)
+    est, train = split_sample(data, cfg.split_fraction, cfg.seed)
+    r_a = estimate_split(est, train, single)
+    r_b = estimate_split(train, est, single)
+    assert estimate(data, single).psi_hat == r_a.psi_hat
     assert xf.psi_hat == pytest.approx(0.5 * (r_a.psi_hat + r_b.psi_hat))
-    assert xf.n_est == data.n
+    assert xf.n_est == data.n and xf.n_tr == data.n
     assert 0.0 < xf.variance_est < max(r_a.variance_est, r_b.variance_est)
-    with pytest.raises(ValidationError):
-        cross_fit(data, EstimatorConfig(basis=BasisSpec("haar", 1, 4), m=2))
 
 
 def test_ate_pipeline_combines_arms():
@@ -242,3 +250,27 @@ def test_estimate_split_fixed_training():
         vals.append(rep.psi_hat)
         assert rep.n_tr == 1000
     assert vals[0] != vals[1]
+
+
+def test_report_labels_follow_config():
+    data = generate(SCENARIOS["ecc-corr"], 600, 4)
+    cfg = EstimatorConfig(functional="ecc", basis=BasisSpec("haar", 1, 2),
+                          m=2, seed=3, ci_level=0.5)
+    rep = estimate(data, cfg)
+    cols = rep.CSV_COLUMNS.split(",")
+    assert rep.csv_row().split(",")[cols.index("functional")] == "ecc"
+    text = rep.text_block()
+    assert "50% CI" in text and "95% CI" not in text
+
+
+def test_nuisance_override_one_set_per_arm():
+    data = generate(SCENARIOS["s4-ate"], 400, 3)
+    cfg = EstimatorConfig(functional="ate", basis=BasisSpec("haar", 1, 2),
+                          m=2, seed=1, nuisance_method="plugin")
+    zero = zero_nuisance()
+    assert estimate(data, cfg, nuisance_override=(zero, zero)).psi_1 == 0.0
+    with pytest.raises(ValidationError, match="needs 2 nuisance"):
+        estimate(data, cfg, nuisance_override=zero)
+    with pytest.raises(ValidationError, match="needs 1 nuisance"):
+        estimate(data, replace(cfg, functional="mar_mean"),
+                 nuisance_override=(zero, zero))

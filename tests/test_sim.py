@@ -7,6 +7,7 @@ from scipy import stats
 from hoif.basis import BasisSpec
 from hoif.data import ValidationError
 from hoif.estimator import EstimatorConfig
+from hoif.nuisance import zero_nuisance
 from hoif.sim import (
     SCENARIOS,
     ScenarioSpec,
@@ -190,6 +191,14 @@ def test_run_study_thread_invariance():
     r4 = run_study(scn, [study_cfg()], reps=6, seed=2, n=300, threads=4)
     assert r1.rows_csv() == r4.rows_csv()
     assert r1.aggregates_csv() == r4.aggregates_csv()
+
+
+def test_run_study_cross_fit_uses_nuisance_factory():
+    cfg = EstimatorConfig(basis=BasisSpec("haar", 1, 4), m=2, cross_fit=True)
+    result = run_study(SCENARIOS["s1-smooth-d1"], [cfg], reps=3, seed=4, n=400,
+                       nuisance_factory=lambda scn, cfg: zero_nuisance(),
+                       track_op_dist=False)
+    assert [r["psi_1"] for r in result.rows] == [0.0, 0.0, 0.0]
 
 
 def test_run_study_rejects_tiny_rep_count():
