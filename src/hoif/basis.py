@@ -147,27 +147,27 @@ class Basis:
         return self.evaluate_many(x[None, :])[0]
 
 
-def build_basis(spec: BasisSpec, cert_grid: int = CERT_GRID_PER_DIM) -> Basis:
+def build_basis(spec: BasisSpec) -> Basis:
     """Construct a basis and certify its locality constant on a grid.
 
     The supremum of ||z(x)||^2 factorizes over dimensions for tensor
     products, so the certification runs on a univariate grid of
-    ``cert_grid`` points per dimension.
+    ``CERT_GRID_PER_DIM`` points per dimension.
     """
-    if cert_grid * spec.per_dim_size > CERT_MEMORY_CAP:
+    if CERT_GRID_PER_DIM * spec.per_dim_size > CERT_MEMORY_CAP:
         raise ValueError(
-            f"certification grid of {cert_grid} x {spec.per_dim_size} "
+            f"certification grid of {CERT_GRID_PER_DIM} x {spec.per_dim_size} "
             f"exceeds memory cap {CERT_MEMORY_CAP}"
         )
     basis = Basis(spec)
-    xs = np.linspace(0.0, 1.0, cert_grid)
+    xs = np.linspace(0.0, 1.0, CERT_GRID_PER_DIM)
     uni = basis._univariate(xs)
     per_dim_max = float(np.max(np.sum(uni * uni, axis=1)))
     b_loc = per_dim_max ** spec.dimension / spec.k
     return Basis(spec, locality_constant=b_loc)
 
 
-def basis_from_preset(preset: str, cert_grid: int = CERT_GRID_PER_DIM) -> Basis:
+def basis_from_preset(preset: str) -> Basis:
     """Build a basis from a string id.
 
     Formats: ``haar:d=<d>,L=<L>`` and ``bspline:d=<d>,s=<s>,q=<q>``.
@@ -183,7 +183,7 @@ def basis_from_preset(preset: str, cert_grid: int = CERT_GRID_PER_DIM) -> Basis:
             raise ValueError(f"unknown family {family!r}")
     except (KeyError, ValueError) as exc:
         raise ValueError(f"malformed basis preset {preset!r}: {exc}") from exc
-    return build_basis(spec, cert_grid=cert_grid)
+    return build_basis(spec)
 
 
 def bspline_partition_values(q: int, s: int, xs: np.ndarray) -> np.ndarray:

@@ -289,7 +289,7 @@ def cmd_basis_inspect(args) -> int:
     print(f"preset            : {basis.spec.preset_id()}")
     print(f"k                 : {basis.k}")
     print(f"locality constant : {basis.locality_constant:.10g}")
-    print(f"uniform Gram eig  : [{gram.eig_min:.10g}, {gram.eig_max:.10g}]")
+    print(f"uniform Gram eig  : [{rep.eig_min:.10g}, {rep.eig_max:.10g}]")
     print(f"condition number  : {rep.condition_number:.10g}")
     if args.gram_out:
         save_gram(gram, args.gram_out)

@@ -39,9 +39,10 @@ from hoif.nuisance import (
     zero_nuisance,
 )
 from hoif.quadrature import QuadratureSpec, default_nodes_per_dim
-from hoif.ustat import M_MAX_HARD, ChainInputs, if22, ifjj
+from hoif.ustat import ChainInputs, if22, ifjj
 
 VARIANTS = ("emp", "ac")
+M_MAX = 4  # highest order the pipeline runs; IFjj itself goes to ustat.M_MAX_HARD
 
 
 @dataclass(frozen=True)
@@ -54,12 +55,10 @@ class EstimatorConfig:
     variant: str = "emp"
     eigen_floor: float = DEFAULT_EIGEN_FLOOR
     cross_fit: bool = False
-    m_max: int = 4
     nuisance_method: str = "series"  # series | zero | plugin (needs an override)
     nuisance_k_grid: tuple[int, ...] = (1, 2, 4)
     nuisance_folds: int = 2
     sigma_floor: float = DEFAULT_SIGMA_FLOOR
-    quad_nodes: int = 0  # 0 means dimension default
     ci_level: float = 0.95
 
     def __post_init__(self):
@@ -68,16 +67,15 @@ class EstimatorConfig:
         fn.arm_specs(self.functional)  # rejects an unknown functional
         if not 0.0 < self.split_fraction < 1.0:
             raise ValidationError("split_fraction must be in (0, 1)")
-        if self.m < 1 or self.m > min(self.m_max, M_MAX_HARD):
-            raise ValidationError(f"m must be in [1, {min(self.m_max, M_MAX_HARD)}]")
+        if self.m < 1 or self.m > M_MAX:
+            raise ValidationError(f"m must be in [1, {M_MAX}]")
 
     @property
     def k(self) -> int:
         return self.basis.k
 
     def quadrature(self) -> QuadratureSpec:
-        nodes = self.quad_nodes or default_nodes_per_dim(self.basis.dimension)
-        return QuadratureSpec(nodes)
+        return QuadratureSpec(default_nodes_per_dim(self.basis.dimension))
 
 
 @dataclass
@@ -160,17 +158,23 @@ def split_sample(data: Dataset, fraction: float, seed: int) -> tuple[Dataset, Da
     return data.subset(perm[:n_est]), data.subset(perm[n_est:])
 
 
+def _nuisance_values(nuis: NuisanceSet, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """b_hat and p_hat evaluated once at every record of ``data``."""
+    return (np.asarray(nuis.b_hat(data.x), dtype=float),
+            np.asarray(nuis.p_hat(data.x), dtype=float))
+
+
 def one_step(est_sample: Dataset, spec: FunctionalSpec, nuis: NuisanceSet) -> float:
     """Sample mean of H(b_hat, p_hat): plug-in plus first-order correction."""
-    return float(np.mean(fn.h_values(spec, est_sample, nuis.b_hat, nuis.p_hat)))
+    return float(np.mean(fn.h_values(spec, est_sample, *_nuisance_values(nuis, est_sample))))
 
 
 def default_tuning(n: int, variant: str, dimension: int = 1,
-                   family: str = "haar", m_max: int = 4) -> tuple[int, int]:
+                   family: str = "haar") -> tuple[int, int]:
     """Rate-optimal (k, m) for the estimation-sample size n.
 
     emp: k = n/(ln n)^3, m = sqrt(ln n); ac: k = n/(ln n)^2, m = ln n.
-    m is clamped to [2, m_max] and k is rounded down to the nearest
+    m is clamped to [2, M_MAX] and k is rounded down to the nearest
     realizable tensor size q**dimension.
     """
     if n < 8:
@@ -182,7 +186,7 @@ def default_tuning(n: int, variant: str, dimension: int = 1,
     else:
         k_raw = max(1, int(n / ln**3))
         m = math.ceil(math.sqrt(ln))
-    m = min(max(m, 2), min(m_max, M_MAX_HARD))
+    m = min(max(m, 2), M_MAX)
     return realizable_k(k_raw, dimension, family), m
 
 
@@ -233,7 +237,8 @@ def _run_arm(spec: FunctionalSpec, est: Dataset, training: Dataset,
     spec.check_h1_sign(training)
     if nuisance is None:
         nuisance = _fit_nuisance(spec, training, cfg, basis)
-    if1 = fn.h_values(spec, est, nuisance.b_hat, nuisance.p_hat)
+    bx, px = _nuisance_values(nuisance, est)
+    if1 = fn.h_values(spec, est, bx, px)
     if cfg.m == 1:
         return if1, [], None
 
@@ -256,7 +261,7 @@ def _run_arm(spec: FunctionalSpec, est: Dataset, training: Dataset,
     if not diag.invertible:
         return if1, None, diag
 
-    res = fn.residuals(spec, est, nuisance.b_hat, nuisance.p_hat)
+    res = fn.residuals(spec, est, bx, px)
     inputs = ChainInputs(
         eps_p=res.eps_p, eps_b=res.eps_b, abs_h1=res.abs_h1,
         zmat=basis.evaluate_many(est.x), omega_inv=diag.inverse,
@@ -264,7 +269,7 @@ def _run_arm(spec: FunctionalSpec, est: Dataset, training: Dataset,
     )
     terms = [if22(inputs)]
     for j in range(3, cfg.m + 1):
-        terms.append(ifjj(j, inputs, m_max=cfg.m_max))
+        terms.append(ifjj(j, inputs))
     return if1, terms, diag
 
 

@@ -128,10 +128,12 @@ def arm_specs(functional: str) -> tuple[FunctionalSpec, ...]:
     raise ValidationError(f"unknown functional {functional!r}")
 
 
-def residuals(spec: FunctionalSpec, est_sample: Dataset, b_hat, p_hat) -> Residuals:
-    """eps_b = b_hat*h1 + h3, eps_p = h1*p_hat + h2, per estimation record."""
-    bx = np.asarray(b_hat(est_sample.x), dtype=float)
-    px = np.asarray(p_hat(est_sample.x), dtype=float)
+def residuals(spec: FunctionalSpec, est_sample: Dataset, bx: np.ndarray,
+              px: np.ndarray) -> Residuals:
+    """eps_b = b_hat*h1 + h3, eps_p = h1*p_hat + h2, per estimation record.
+
+    ``bx`` and ``px`` are b_hat and p_hat evaluated at the records.
+    """
     if not (np.all(np.isfinite(bx)) and np.all(np.isfinite(px))):
         raise ValidationError("non-finite nuisance value on the estimation sample")
     h1 = spec.h1(est_sample)
@@ -140,10 +142,9 @@ def residuals(spec: FunctionalSpec, est_sample: Dataset, b_hat, p_hat) -> Residu
     return Residuals(eps_b=eps_b, eps_p=eps_p, abs_h1=np.abs(h1))
 
 
-def h_values(spec: FunctionalSpec, data: Dataset, b_hat, p_hat) -> np.ndarray:
-    """H(b_hat, p_hat) evaluated at every record."""
-    bx = np.asarray(b_hat(data.x), dtype=float)
-    px = np.asarray(p_hat(data.x), dtype=float)
+def h_values(spec: FunctionalSpec, data: Dataset, bx: np.ndarray,
+             px: np.ndarray) -> np.ndarray:
+    """H(b_hat, p_hat) at every record, from b_hat and p_hat evaluated there."""
     vals = (
         bx * px * spec.h1(data)
         + bx * spec.h2(data)

@@ -31,8 +31,6 @@ class GramMatrix:
     entries: np.ndarray  # (k, k) symmetric
     source: str  # "empirical" | "quadrature"
     n_used: int
-    eig_min: float
-    eig_max: float
 
     @property
     def k(self) -> int:
@@ -50,15 +48,7 @@ class InverseReport:
 
 
 def _finish(entries: np.ndarray, source: str, n_used: int) -> GramMatrix:
-    entries = 0.5 * (entries + entries.T)
-    eigs = np.linalg.eigvalsh(entries)
-    return GramMatrix(
-        entries=entries,
-        source=source,
-        n_used=n_used,
-        eig_min=float(eigs[0]),
-        eig_max=float(eigs[-1]),
-    )
+    return GramMatrix(entries=0.5 * (entries + entries.T), source=source, n_used=n_used)
 
 
 def empirical_gram(basis: Basis, training: Dataset, spec: FunctionalSpec) -> GramMatrix:

@@ -51,32 +51,50 @@ def _sub_basis(basis: Basis, k: int) -> Basis:
     return build_basis(BasisSpec(basis.spec.family, d, q, order=min(basis.spec.order, max(q - 1, 0))))
 
 
-def _series_fit(x: np.ndarray, response: np.ndarray, basis: Basis,
-                k_grid: list[int], folds: int, seed: int):
+def series_designs(x: np.ndarray, basis: Basis, k_grid: list[int]) -> dict:
+    """Sub-basis and design matrix on ``x`` of each size in ``k_grid``.
+
+    Sizes above half the sample cannot be fit on any subset of it and are
+    left out; sizes that are not a tensor size map to None.
+    """
+    designs = {}
+    for k in k_grid:
+        if k > max(x.shape[0] // 2, 1) or k in designs:
+            continue
+        try:
+            sub = _sub_basis(basis, k)
+        except ValueError:
+            designs[k] = None
+            continue
+        designs[k] = (sub, sub.evaluate_many(x))
+    return designs
+
+
+def series_fit(designs: dict, response: np.ndarray, folds: int, seed: int,
+               rows=slice(None)):
     """Least-squares series fit with fold-averaged squared-error selection.
 
-    Returns (predict, k_chosen).  Sizes in ``k_grid`` that exceed half the
-    sample or hit a singular design are skipped; an error is raised only
-    when every candidate fails.
+    ``designs`` comes from ``series_designs`` on the training points and
+    ``rows`` selects the records to fit.  Returns (predict, k_chosen).
+    Sizes that exceed half the fitted records, are not a tensor size or
+    hit a singular design are skipped; an error is raised only when every
+    candidate fails.
     """
-    n = x.shape[0]
+    response = response[rows]
+    n = response.shape[0]
     if n == 0:
         raise ValidationError("empty fitting sample")
-    usable = [k for k in k_grid if k <= max(n // 2, 1)]
+    usable = [k for k in designs if k <= max(n // 2, 1)]
     if not usable:
         raise ValidationError("no usable series size in k_grid")
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     fold_id = np.arange(n) % folds
     scores = {}
-    sub_bases = {}
     for k in usable:
-        try:
-            sub = _sub_basis(basis, k)
-        except ValueError:
+        if designs[k] is None:
             continue
-        sub_bases[k] = sub
-        z = sub.evaluate_many(x)
+        z = designs[k][1][rows]
         if folds >= 2 and n >= 2 * folds:
             err = 0.0
             ok = True
@@ -99,44 +117,13 @@ def _series_fit(x: np.ndarray, response: np.ndarray, basis: Basis,
     if not scores:
         raise ValidationError("all series sizes produced singular designs")
     k_best = min(scores, key=lambda k: (scores[k], k))
-    sub = sub_bases[k_best]
-    coef, _, _, _ = np.linalg.lstsq(sub.evaluate_many(x), response, rcond=None)
+    sub, z = designs[k_best]
+    coef, _, _, _ = np.linalg.lstsq(z[rows], response, rcond=None)
 
     def predict(pts):
         return sub.evaluate_many(np.asarray(pts)) @ coef
 
     return predict, k_best
-
-
-def series_regression(training: Dataset, basis: Basis, k_grid: list[int],
-                      folds: int, target: str, seed: int = 0,
-                      sigma_floor: float = DEFAULT_SIGMA_FLOOR):
-    """Cross-validated series fit of the outcome regression or propensity.
-
-    ``target='b'`` regresses Y on X among records with A=1; ``target='pi'``
-    regresses A on X over all records, clips the fit to [sigma_floor, 1]
-    and returns its reciprocal (the inverse propensity).
-    """
-    if target == "b":
-        mask = training.a > 0
-        fit, _ = _series_fit(training.x[mask], training.y[mask], basis, k_grid, folds, seed)
-        return fit
-    if target == "pi":
-        fit, _ = _series_fit(training.x, training.a, basis, k_grid, folds, seed)
-
-        def p_hat(pts):
-            pi = np.clip(fit(pts), sigma_floor, 1.0)
-            return 1.0 / pi
-
-        return p_hat
-    raise ValueError(f"unknown target {target!r}")
-
-
-def mean_regression(training: Dataset, response: np.ndarray, basis: Basis,
-                    k_grid: list[int], folds: int, seed: int = 0):
-    """Plain cross-validated series regression of ``response`` on X."""
-    fit, _ = _series_fit(training.x, response, basis, k_grid, folds, seed)
-    return fit
 
 
 def density_series(training: Dataset, basis: Basis, spec: FunctionalSpec,
@@ -177,19 +164,27 @@ def fit_nuisances(functional_id: str, spec: FunctionalSpec, training: Dataset,
                   basis: Basis, k_grid: list[int], folds: int, seed: int = 0,
                   sigma_floor: float = DEFAULT_SIGMA_FLOOR,
                   with_density: bool = False) -> NuisanceSet:
-    """Fit the nuisance pair appropriate to the functional."""
-    if functional_id in ("mar_mean", "mar_mean_arm0"):
-        flipped = functional_id == "mar_mean_arm0"
-        work = training
-        if flipped:
-            work = Dataset(training.x, 1.0 - training.a, training.y)
-        b_hat = series_regression(work, basis, k_grid, folds, "b", seed, sigma_floor)
-        p_hat = series_regression(work, basis, k_grid, folds, "pi", seed + 1, sigma_floor)
-        g_hat = density_series(training, basis, spec, sigma_floor) if with_density else None
-        return NuisanceSet(b_hat, p_hat, g_hat, provenance=f"series:k_grid={k_grid}")
+    """Fit the nuisance pair appropriate to the functional.
+
+    MAR arms regress Y on X among the observed records (A=1, or A=0 for
+    arm 0) and A on X over all records; the fitted propensity is clipped
+    to [sigma_floor, 1] and inverted.  ``expected_cond_cov`` regresses Y
+    and A on X over all records.  Both fits share one evaluation of the
+    candidate designs on the training points.
+    """
+    if functional_id not in ("mar_mean", "mar_mean_arm0", "expected_cond_cov"):
+        raise ValueError(f"unknown functional {functional_id!r}")
+    designs = series_designs(training.x, basis, k_grid)
     if functional_id == "expected_cond_cov":
-        b_hat = mean_regression(training, training.y, basis, k_grid, folds, seed)
-        p_hat = mean_regression(training, training.a, basis, k_grid, folds, seed + 1)
-        g_hat = density_series(training, basis, spec, sigma_floor) if with_density else None
-        return NuisanceSet(b_hat, p_hat, g_hat, provenance=f"series:k_grid={k_grid}")
-    raise ValueError(f"unknown functional {functional_id!r}")
+        b_hat, _ = series_fit(designs, training.y, folds, seed)
+        p_hat, _ = series_fit(designs, training.a, folds, seed + 1)
+    else:
+        a = 1.0 - training.a if functional_id == "mar_mean_arm0" else training.a
+        b_hat, _ = series_fit(designs, training.y, folds, seed, rows=a > 0)
+        pi_hat, _ = series_fit(designs, a, folds, seed + 1)
+
+        def p_hat(pts):
+            return 1.0 / np.clip(pi_hat(pts), sigma_floor, 1.0)
+
+    g_hat = density_series(training, basis, spec, sigma_floor) if with_density else None
+    return NuisanceSet(b_hat, p_hat, g_hat, provenance=f"series:k_grid={k_grid}")

@@ -27,10 +27,6 @@ class QuadratureSpec:
         if self.nodes_per_dim < 1:
             raise ValueError("nodes_per_dim must be positive")
 
-    def nodes_1d(self) -> np.ndarray:
-        n = self.nodes_per_dim
-        return (np.arange(n) + 0.5) / n
-
     def grid(self, d: int) -> tuple[np.ndarray, float]:
         """Return (nodes, cell_weight): nodes is (nodes_per_dim**d, d)."""
         return _grid_cached(self.nodes_per_dim, d)

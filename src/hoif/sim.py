@@ -430,7 +430,9 @@ def _one_cell(scn: ScenarioSpec, cfg: EstimatorConfig, n: int, master: int,
             zero_convention=int(rep_out.zero_convention_applied),
             op_dist=op, covered=covered,
         )
-    except Exception as exc:  # recorded per row, fatal only in bulk
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        # bad data or numerics: recorded per row, fatal only in bulk; any
+        # other exception is a programming error and fails the study
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 

@@ -169,18 +169,18 @@ def distinct_chain_sum(zmat: np.ndarray, zm: np.ndarray,
     return total
 
 
-def ifjj(j: int, inputs: ChainInputs, m_max: int = M_MAX_HARD) -> float:
+def ifjj(j: int, inputs: ChainInputs) -> float:
     """Order-j correction: mean of the chain kernel over distinct tuples.
 
     Expands the j-2 centered middle factors into rank-one chains and sums
     each chain family exactly over distinct indices.  Cost grows with
-    Bell(j) partitions of the active chain, so j is capped at ``m_max``
-    (hard cap 6; the tuning rules never ask for more at desk scale).
+    Bell(j) partitions of the active chain, so j is capped at
+    ``M_MAX_HARD`` (the tuning rules never ask for more at desk scale).
     """
     if j < 2:
         raise ValueError("order must be >= 2")
-    if j > min(m_max, M_MAX_HARD):
-        raise ValueError(f"order {j} exceeds m_max {min(m_max, M_MAX_HARD)}")
+    if j > M_MAX_HARD:
+        raise ValueError(f"order {j} exceeds the cap {M_MAX_HARD}")
     n = inputs.n
     if n < j:
         raise ValueError(f"need at least {j} records, got {n}")

@@ -114,6 +114,11 @@ def test_cmd_estimate_validation_exit(tmp_path, capsys):
                "--out", str(tmp_path / "o3"), "--set", "nuisance.method=plugin"])
     assert rc == EXIT_VALIDATION
     assert "series|zero" in capsys.readouterr().err
+    # the pipeline's order cap is 4
+    rc = main(["estimate", "--input", str(GOLDEN),
+               "--out", str(tmp_path / "o4"), "--set", "m=5"])
+    assert rc == EXIT_VALIDATION
+    assert "m must be in [1, 4]" in capsys.readouterr().err
 
 
 def test_cmd_simulate_reproducible(tmp_path):

@@ -62,31 +62,27 @@ def test_residual_formulas_mar():
     spec = mar_mean_spec()
     data = make_data(a=[1, 0], y=[0.7, 0.0])
     # zero nuisances: eps_b = AY, eps_p = 1
-    res = residuals(spec, data, lambda x: np.zeros(x.shape[0]),
-                    lambda x: np.zeros(x.shape[0]))
+    res = residuals(spec, data, np.zeros(2), np.zeros(2))
     np.testing.assert_allclose(res.eps_b, [0.7, 0.0])
     np.testing.assert_allclose(res.eps_p, [1.0, 1.0])
     np.testing.assert_allclose(res.abs_h1, [1.0, 0.0])
     # true b: eps_b = A(Y - b(X)) up to the h1 sign
-    b = lambda x: np.full(x.shape[0], 0.5)
-    res = residuals(spec, data, b, lambda x: np.zeros(x.shape[0]))
+    res = residuals(spec, data, np.full(2, 0.5), np.zeros(2))
     np.testing.assert_allclose(res.eps_b, [0.7 - 0.5, 0.0])
 
 
 def test_h_values_mar_closed_form():
     spec = mar_mean_spec()
     data = make_data(a=[1, 0], y=[1.0, 0.0])
-    b = lambda x: np.full(x.shape[0], 0.25)
-    p = lambda x: np.full(x.shape[0], 2.0)
     # H = A p (Y - b) + b
-    np.testing.assert_allclose(h_values(spec, data, b, p),
+    np.testing.assert_allclose(h_values(spec, data, np.full(2, 0.25), np.full(2, 2.0)),
                                [2.0 * 0.75 + 0.25, 0.25])
 
 
 def test_non_finite_nuisance_rejected():
     spec = mar_mean_spec()
     data = make_data(a=[1], y=[1])
-    bad = lambda x: np.full(x.shape[0], np.nan)
+    bad = np.full(1, np.nan)
     with pytest.raises(ValidationError):
         residuals(spec, data, bad, bad)
 
@@ -102,7 +98,7 @@ def test_double_robustness_identity_at_truth(sid):
     else:
         spec = mar_mean_spec()
         b, p = scn.b, lambda x: 1.0 / scn.pi(x)
-    res = residuals(spec, data, b, p)
+    res = residuals(spec, data, b(data.x), p(data.x))
     for eps in (res.eps_b, res.eps_p):
         se = np.std(eps, ddof=1) / np.sqrt(data.n)
         assert abs(np.mean(eps)) <= 3.0 * max(se, 1e-12)

@@ -104,7 +104,7 @@ def test_invert_checked_identity():
 
 
 def test_invert_checked_floor():
-    m = GramMatrix(np.diag([1.0, 1e-12]), "quadrature", 0, 1e-12, 1.0)
+    m = GramMatrix(np.diag([1.0, 1e-12]), "quadrature", 0)
     rep = invert_checked(m, eigen_floor=1e-8)
     assert not rep.invertible
     assert rep.inverse is None
@@ -114,19 +114,19 @@ def test_invert_checked_floor():
 def test_invert_checked_residual():
     rng = np.random.default_rng(11)
     a = rng.normal(size=(5, 5))
-    m = GramMatrix(a @ a.T + np.eye(5), "quadrature", 0, 0.0, 0.0)
+    m = GramMatrix(a @ a.T + np.eye(5), "quadrature", 0)
     rep = invert_checked(m)
     resid = np.max(np.abs(m.entries @ rep.inverse - np.eye(5)))
     assert resid < 1e-8
 
 
 def test_op_norm_distance():
-    eye = GramMatrix(np.eye(3), "quadrature", 0, 1.0, 1.0)
-    two = GramMatrix(2.0 * np.eye(3), "quadrature", 0, 2.0, 2.0)
+    eye = GramMatrix(np.eye(3), "quadrature", 0)
+    two = GramMatrix(2.0 * np.eye(3), "quadrature", 0)
     assert op_norm_distance(eye, eye) == 0.0
     assert op_norm_distance(eye, two) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        op_norm_distance(eye, GramMatrix(np.eye(2), "quadrature", 0, 1.0, 1.0))
+        op_norm_distance(eye, GramMatrix(np.eye(2), "quadrature", 0))
 
 
 def test_op_norm_triangle_inequality():
@@ -136,7 +136,7 @@ def test_op_norm_triangle_inequality():
         for _ in range(3):
             a = rng.normal(size=(4, 4))
             m = 0.5 * (a + a.T)
-            mats.append(GramMatrix(m, "quadrature", 0, 0.0, 0.0))
+            mats.append(GramMatrix(m, "quadrature", 0))
         ab = op_norm_distance(mats[0], mats[1])
         bc = op_norm_distance(mats[1], mats[2])
         ac = op_norm_distance(mats[0], mats[2])

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from hoif.basis import BasisSpec, build_basis
+from hoif.basis import Basis, BasisSpec, build_basis
 from hoif.data import Dataset, ValidationError
 from hoif.functionals import expected_cond_cov_spec, mar_mean_spec
 from hoif.nuisance import (
     density_series,
     fit_nuisances,
-    mean_regression,
-    series_regression,
+    series_designs,
+    series_fit,
     zero_nuisance,
 )
 from hoif.quadrature import QuadratureSpec, integrate
@@ -26,6 +26,13 @@ def make_training(n, seed=0, b=None, pi=None):
     return Dataset(x, a, y)
 
 
+def fit_b(data, k_grid, folds, seed=0):
+    """Series fit of Y on X among the records with A=1."""
+    fit, _ = series_fit(series_designs(data.x, BASIS, k_grid), data.y, folds, seed,
+                        rows=data.a > 0)
+    return fit
+
+
 def test_zero_nuisance():
     nuis = zero_nuisance()
     pts = np.array([[0.2], [0.8]])
@@ -39,7 +46,7 @@ def test_series_fit_constant_exact():
     rng = np.random.default_rng(1)
     x = rng.random((200, 1))
     data = Dataset(x, np.ones(200), np.full(200, 0.5))
-    fit = series_regression(data, BASIS, [1], folds=2, target="b")
+    fit = fit_b(data, [1], folds=2)
     np.testing.assert_allclose(fit(x), 0.5, atol=1e-10)
 
 
@@ -49,7 +56,7 @@ def test_series_fit_in_span_exact():
     x = rng.random((400, 1))
     y = np.where(x[:, 0] < 0.5, 0.2, 0.9)
     data = Dataset(x, np.ones(400), y)
-    fit = series_regression(data, BASIS, [2, 4], folds=2, target="b")
+    fit = fit_b(data, [2, 4], folds=2)
     grid = np.linspace(0.01, 0.99, 50)[:, None]
     np.testing.assert_allclose(fit(grid), np.where(grid[:, 0] < 0.5, 0.2, 0.9),
                                atol=1e-10)
@@ -57,17 +64,20 @@ def test_series_fit_in_span_exact():
 
 def test_propensity_fit_constant():
     data = make_training(4000, seed=3)
-    p_hat = series_regression(data, BASIS, [1], folds=2, target="pi")
+    p_hat = fit_nuisances("mar_mean", mar_mean_spec(), data, BASIS, [1], folds=2).p_hat
     vals = p_hat(np.array([[0.3], [0.7]]))
     assert vals == pytest.approx(2.0, abs=0.15)
 
 
 def test_propensity_clipping_range():
-    # degenerate A == 0 sample: fitted pi clipped at sigma_floor
+    # nearly degenerate sample (one A=1 in 100): fitted pi = 0.01 is
+    # clipped at sigma_floor
     x = np.random.default_rng(4).random((100, 1))
-    data = Dataset(x, np.zeros(100), np.zeros(100))
-    p_hat = series_regression(data, BASIS, [1], folds=2, target="pi",
-                              sigma_floor=0.05)
+    a = np.zeros(100)
+    a[0] = 1.0
+    data = Dataset(x, a, np.zeros(100))
+    p_hat = fit_nuisances("mar_mean", mar_mean_spec(), data, BASIS, [1], folds=2,
+                          sigma_floor=0.05).p_hat
     vals = p_hat(x)
     assert np.all(vals >= 1.0 - 1e-12)
     assert np.all(vals <= 1.0 / 0.05 + 1e-12)
@@ -80,7 +90,7 @@ def test_series_fit_rate_in_span():
     errs = []
     for n in (500, 8000):
         data = make_training(n, seed=5, b=b, pi=lambda x: np.full(x.shape[0], 1.0))
-        fit = series_regression(data, BASIS, [4], folds=2, target="b")
+        fit = fit_b(data, [4], folds=2)
         err2 = integrate(lambda p: (fit(p) - b(p)) ** 2, 1, QuadratureSpec(256))
         errs.append(np.sqrt(err2))
     assert errs[1] < errs[0] / 2.0
@@ -89,8 +99,8 @@ def test_series_fit_rate_in_span():
 def test_cv_choice_reproducible():
     b = lambda x: 0.3 + 0.4 * x[:, 0]
     data = make_training(600, seed=6, b=b)
-    f1 = series_regression(data, BASIS, [1, 2, 4, 8], folds=3, target="b", seed=11)
-    f2 = series_regression(data, BASIS, [1, 2, 4, 8], folds=3, target="b", seed=11)
+    f1 = fit_b(data, [1, 2, 4, 8], folds=3, seed=11)
+    f2 = fit_b(data, [1, 2, 4, 8], folds=3, seed=11)
     grid = np.linspace(0.0, 1.0, 33)[:, None]
     np.testing.assert_array_equal(f1(grid), f2(grid))
 
@@ -98,7 +108,7 @@ def test_cv_choice_reproducible():
 def test_series_rejects_unusable_grid():
     data = make_training(10, seed=7)
     with pytest.raises(ValidationError):
-        series_regression(data, BASIS, [64], folds=2, target="b")
+        fit_b(data, [64], folds=2)
 
 
 def test_density_series_uniform():
@@ -145,6 +155,32 @@ def test_mean_regression_linear_target():
     x = rng.random((5000, 1))
     resp = 2.0 * x[:, 0] + rng.normal(0, 0.1, 5000)
     data = Dataset(x, np.ones(5000), resp)
-    fit = mean_regression(data, resp, BASIS, [8], folds=2)
+    fit, _ = series_fit(series_designs(x, BASIS, [8]), resp, folds=2, seed=0)
     grid = np.linspace(0.05, 0.95, 20)[:, None]
     assert np.max(np.abs(fit(grid) - 2.0 * grid[:, 0])) < 0.2
+
+
+def test_series_fit_rows_match_subset():
+    # fitting selected rows of the full design equals fitting the subset
+    data = make_training(600, seed=15, b=lambda x: 0.3 + 0.4 * x[:, 0])
+    mask = data.a > 0
+    grid = np.linspace(0.0, 1.0, 33)[:, None]
+    full, k_full = series_fit(series_designs(data.x, BASIS, [1, 2, 4, 8]), data.y,
+                              folds=3, seed=5, rows=mask)
+    sub, k_sub = series_fit(series_designs(data.x[mask], BASIS, [1, 2, 4, 8]),
+                            data.y[mask], folds=3, seed=5)
+    assert k_full == k_sub
+    np.testing.assert_array_equal(full(grid), sub(grid))
+
+
+def test_fit_nuisances_evaluates_each_design_once(monkeypatch):
+    calls = []
+    original = Basis.evaluate_many
+    monkeypatch.setattr(Basis, "evaluate_many",
+                        lambda self, x: calls.append(self.k) or original(self, x))
+    data = make_training(400, seed=16)
+    fit_nuisances("mar_mean", mar_mean_spec(), data, BASIS, [1, 2, 4], folds=2)
+    assert sorted(calls) == [1, 2, 4]
+    fit_nuisances("expected_cond_cov", expected_cond_cov_spec(), data, BASIS,
+                  [1, 2, 4], folds=2)
+    assert sorted(calls) == [1, 1, 2, 2, 4, 4]

@@ -208,8 +208,24 @@ def test_run_study_rejects_tiny_rep_count():
 
 def test_run_study_bulk_failures_fatal():
     def broken_factory(scn, cfg):
-        raise RuntimeError("nuisance backend down")
+        raise ValidationError("nuisance backend down")
 
     with pytest.raises(ValidationError):
         run_study(SCENARIOS["s1-smooth-d1"], [study_cfg()], reps=4, seed=1,
                   n=100, nuisance_factory=broken_factory, track_op_dist=False)
+
+
+def test_run_study_programming_error_fatal():
+    # one TypeError in 30 replications is within the 5% row-failure
+    # tolerance, but a programming error must fail the study, not a row
+    calls = []
+
+    def buggy_factory(scn, cfg):
+        calls.append(cfg.seed)
+        if len(calls) == 5:
+            raise TypeError("unsupported operand")
+        return zero_nuisance()
+
+    with pytest.raises(TypeError):
+        run_study(SCENARIOS["s1-smooth-d1"], [study_cfg()], reps=30, seed=1,
+                  n=100, nuisance_factory=buggy_factory, track_op_dist=False)

@@ -81,13 +81,21 @@ def test_matches_brute_force():
             assert abs(fast - ref) <= 1e-10 * (1.0 + abs(ref))
 
 
+def test_matches_brute_force_high_orders():
+    # orders 5 and 6, the rest of what ifjj accepts, on tiny instances
+    rng = np.random.default_rng(11)
+    for trial in range(4):
+        inp = random_inputs(rng, 7, 2, sign_flag=bool(trial % 2))
+        for j in (5, 6):
+            ref = brute_force_ifjj(j, inp)
+            assert abs(ifjj(j, inp) - ref) <= 1e-10 * (1.0 + abs(ref))
+
+
 def test_order_limits():
     rng = np.random.default_rng(2)
     inp = random_inputs(rng, 10, 2)
     with pytest.raises(ValueError):
         ifjj(7, inp)
-    with pytest.raises(ValueError):
-        ifjj(5, inp, m_max=4)
     with pytest.raises(ValueError):
         ifjj(1, inp)
     small = random_inputs(rng, 3, 2)
