@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 import hoif
-from hoif.basis import BasisSpec, basis_from_preset, build_basis
+from hoif.basis import BasisSpec, basis_from_preset
 from hoif.data import ValidationError, dataset_from_csv
 from hoif.estimator import (
     EstimatorConfig,

@@ -96,6 +96,15 @@ def dataset_from_csv(path, d: int | None = None) -> Dataset:
     return Dataset(x=x, a=a, y=y)
 
 
+def csv_field(v) -> str:
+    """One field of an artifact CSV: floats at full precision, None empty."""
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    return str(v)
+
+
 def dataset_to_csv(data: Dataset, path, header_lines: list[str] | None = None):
     with open(path, "w", encoding="utf-8") as fh:
         for ln in header_lines or []:
@@ -103,6 +112,5 @@ def dataset_to_csv(data: Dataset, path, header_lines: list[str] | None = None):
         cols = ["A", "Y"] + [f"X{j + 1}" for j in range(data.d)]
         fh.write(",".join(cols) + "\n")
         for i in range(data.n):
-            row = [f"{data.a[i]:.17g}", f"{data.y[i]:.17g}"]
-            row += [f"{v:.17g}" for v in data.x[i]]
-            fh.write(",".join(row) + "\n")
+            row = (data.a[i], data.y[i], *data.x[i])
+            fh.write(",".join(csv_field(v) for v in row) + "\n")

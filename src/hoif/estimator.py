@@ -19,7 +19,7 @@ import numpy as np
 from scipy.stats import norm
 
 from hoif.basis import Basis, BasisSpec, build_basis
-from hoif.data import Dataset, ValidationError
+from hoif.data import Dataset, ValidationError, csv_field
 from hoif import functionals as fn
 from hoif.functionals import FunctionalSpec
 from hoif.gram import (
@@ -39,10 +39,10 @@ from hoif.nuisance import (
     zero_nuisance,
 )
 from hoif.quadrature import QuadratureSpec, default_nodes_per_dim
-from hoif.ustat import ChainInputs, if22, ifjj
+from hoif.ustat import ChainInputs, correction_terms
 
 VARIANTS = ("emp", "ac")
-M_MAX = 4  # highest order the pipeline runs; IFjj itself goes to ustat.M_MAX_HARD
+M_MAX = 4  # highest order the pipeline runs; ustat.correction_terms goes to M_MAX_HARD
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ class EstimateReport:
             self.variance_est, self.ci_low, self.ci_high,
             int(self.zero_convention_applied), op,
         ]
-        return ",".join(_fmt(v) for v in vals)
+        return ",".join(csv_field(v) for v in vals)
 
     def text_block(self) -> str:
         lines = [
@@ -132,12 +132,6 @@ class EstimateReport:
         if self.zero_convention_applied:
             lines.append("zero convention : applied (Gram not invertible)")
         return "\n".join(lines)
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
 
 
 def estimation_size(n: int, fraction: float) -> int:
@@ -217,10 +211,9 @@ def _fit_nuisance(spec: FunctionalSpec, training: Dataset, cfg: EstimatorConfig,
     if cfg.nuisance_method == "zero":
         return zero_nuisance()
     if cfg.nuisance_method == "series":
-        return fit_nuisances(spec.id, spec, training, basis,
-                             list(cfg.nuisance_k_grid), cfg.nuisance_folds,
-                             seed=cfg.seed + 17, sigma_floor=cfg.sigma_floor,
-                             with_density=cfg.variant == "ac")
+        return fit_nuisances(spec, training, basis, list(cfg.nuisance_k_grid),
+                             cfg.nuisance_folds, seed=cfg.seed + 17,
+                             sigma_floor=cfg.sigma_floor)
     raise ValidationError(f"nuisance method {cfg.nuisance_method!r} needs an override")
 
 
@@ -267,10 +260,7 @@ def _run_arm(spec: FunctionalSpec, est: Dataset, training: Dataset,
         zmat=basis.evaluate_many(est.x), omega_inv=diag.inverse,
         sign_flag=spec.sign_flag,
     )
-    terms = [if22(inputs)]
-    for j in range(3, cfg.m + 1):
-        terms.append(ifjj(j, inputs))
-    return if1, terms, diag
+    return if1, correction_terms(inputs, cfg.m), diag
 
 
 def _contrast(arm_values: list):

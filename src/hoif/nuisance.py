@@ -160,11 +160,10 @@ def density_series(training: Dataset, basis: Basis, spec: FunctionalSpec,
     return g_hat
 
 
-def fit_nuisances(functional_id: str, spec: FunctionalSpec, training: Dataset,
-                  basis: Basis, k_grid: list[int], folds: int, seed: int = 0,
-                  sigma_floor: float = DEFAULT_SIGMA_FLOOR,
-                  with_density: bool = False) -> NuisanceSet:
-    """Fit the nuisance pair appropriate to the functional.
+def fit_nuisances(spec: FunctionalSpec, training: Dataset, basis: Basis,
+                  k_grid: list[int], folds: int, seed: int = 0,
+                  sigma_floor: float = DEFAULT_SIGMA_FLOOR) -> NuisanceSet:
+    """Fit the nuisance pair appropriate to the functional arm ``spec``.
 
     MAR arms regress Y on X among the observed records (A=1, or A=0 for
     arm 0) and A on X over all records; the fitted propensity is clipped
@@ -172,19 +171,18 @@ def fit_nuisances(functional_id: str, spec: FunctionalSpec, training: Dataset,
     and A on X over all records.  Both fits share one evaluation of the
     candidate designs on the training points.
     """
-    if functional_id not in ("mar_mean", "mar_mean_arm0", "expected_cond_cov"):
-        raise ValueError(f"unknown functional {functional_id!r}")
+    if spec.id not in ("mar_mean", "mar_mean_arm0", "expected_cond_cov"):
+        raise ValueError(f"unknown functional {spec.id!r}")
     designs = series_designs(training.x, basis, k_grid)
-    if functional_id == "expected_cond_cov":
+    if spec.id == "expected_cond_cov":
         b_hat, _ = series_fit(designs, training.y, folds, seed)
         p_hat, _ = series_fit(designs, training.a, folds, seed + 1)
     else:
-        a = 1.0 - training.a if functional_id == "mar_mean_arm0" else training.a
+        a = 1.0 - training.a if spec.id == "mar_mean_arm0" else training.a
         b_hat, _ = series_fit(designs, training.y, folds, seed, rows=a > 0)
         pi_hat, _ = series_fit(designs, a, folds, seed + 1)
 
         def p_hat(pts):
             return 1.0 / np.clip(pi_hat(pts), sigma_floor, 1.0)
 
-    g_hat = density_series(training, basis, spec, sigma_floor) if with_density else None
-    return NuisanceSet(b_hat, p_hat, g_hat, provenance=f"series:k_grid={k_grid}")
+    return NuisanceSet(b_hat, p_hat, provenance=f"series:k_grid={k_grid}")

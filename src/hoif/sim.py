@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from hoif.data import Dataset, ValidationError
+from hoif.data import Dataset, ValidationError, csv_field
 from hoif.estimator import EstimatorConfig, estimate
 from hoif.gram import GramMatrix, quadrature_gram
-from hoif.nuisance import NuisanceSet
 from hoif.quadrature import QuadratureSpec, default_nodes_per_dim, integrate
 
 QUAD_TOL = 1e-8
@@ -315,7 +314,10 @@ def true_psi(scn: ScenarioSpec) -> float:
 
 def efficiency_bound(scn: ScenarioSpec) -> float:
     """Variance of the first-order influence function, by quadrature."""
-    psi = true_psi(scn)
+    return _efficiency_bound(scn, true_psi(scn))
+
+
+def _efficiency_bound(scn: ScenarioSpec, psi: float) -> float:
     if scn.functional == "mar_mean":
         def integrand(x):
             b = scn.b(x)
@@ -375,28 +377,20 @@ class StudyResult:
     aggregates: list[dict]
 
     def rows_csv(self, header_lines: tuple[str, ...] = ()) -> str:
-        out = [f"# {h}" for h in header_lines]
-        out.append(ROW_COLUMNS)
-        cols = ROW_COLUMNS.split(",")
-        for row in self.rows:
-            out.append(",".join(_csv_val(row.get(c)) for c in cols))
-        return "\n".join(out) + "\n"
+        return _table_csv(ROW_COLUMNS, self.rows, header_lines)
 
     def aggregates_csv(self, header_lines: tuple[str, ...] = ()) -> str:
-        out = [f"# {h}" for h in header_lines]
-        out.append(AGG_COLUMNS)
-        cols = AGG_COLUMNS.split(",")
-        for row in self.aggregates:
-            out.append(",".join(_csv_val(row.get(c)) for c in cols))
-        return "\n".join(out) + "\n"
+        return _table_csv(AGG_COLUMNS, self.aggregates, header_lines)
 
 
-def _csv_val(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
+def _table_csv(columns: str, rows: list[dict], header_lines: tuple[str, ...]) -> str:
+    """Comment header, column line, one line per row (missing keys empty)."""
+    out = [f"# {h}" for h in header_lines]
+    out.append(columns)
+    cols = columns.split(",")
+    for row in rows:
+        out.append(",".join(csv_field(row.get(c)) for c in cols))
+    return "\n".join(out) + "\n"
 
 
 def _rep_seed(master: int, rep: int) -> int:
@@ -450,7 +444,7 @@ def run_study(scn: ScenarioSpec, cfg_grid: list[EstimatorConfig], reps: int,
     if reps < 2:
         raise ValidationError("reps must be >= 2")
     psi = true_psi(scn)
-    eff = efficiency_bound(scn)
+    eff = _efficiency_bound(scn, psi)
 
     ref_grams: list[GramMatrix | None] = [None] * len(cfg_grid)
     if track_op_dist:

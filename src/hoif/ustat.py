@@ -169,50 +169,39 @@ def distinct_chain_sum(zmat: np.ndarray, zm: np.ndarray,
     return total
 
 
-def ifjj(j: int, inputs: ChainInputs) -> float:
-    """Order-j correction: mean of the chain kernel over distinct tuples.
+def correction_terms(inputs: ChainInputs, m: int) -> list[float]:
+    """Correction terms IF_22, ..., IF_mm: means of the chain kernel over
+    distinct tuples.
 
-    Expands the j-2 centered middle factors into rank-one chains and sums
-    each chain family exactly over distinct indices.  Cost grows with
-    Bell(j) partitions of the active chain, so j is capped at
-    ``M_MAX_HARD`` (the tuning rules never ask for more at desk scale).
+    Expanding the j-2 centered middle factors of order j leaves chains with
+    t = 0..j-2 middle positions, so every order is a binomial combination
+    of the same distinct-index chain sums d_0..d_{m-2}; each is computed
+    once.  Cost grows with Bell(m) partitions of the longest chain, so m is
+    capped at ``M_MAX_HARD`` (the tuning rules never ask for more at desk
+    scale).
     """
-    if j < 2:
+    if m < 2:
         raise ValueError("order must be >= 2")
-    if j > M_MAX_HARD:
-        raise ValueError(f"order {j} exceeds the cap {M_MAX_HARD}")
+    if m > M_MAX_HARD:
+        raise ValueError(f"order {m} exceeds the cap {M_MAX_HARD}")
     n = inputs.n
-    if n < j:
-        raise ValueError(f"need at least {j} records, got {n}")
+    if n < m:
+        raise ValueError(f"need at least {m} records, got {n}")
     zm = inputs.zmat @ inputs.omega_inv
-    sign = (-1.0) ** (j - 1) * (-1.0 if inputs.sign_flag else 1.0)
-    total = 0.0
-    for t in range(j - 1):
-        weights = [inputs.eps_p] + [inputs.abs_h1] * t + [inputs.eps_b]
-        d_t = distinct_chain_sum(inputs.zmat, zm, weights)
-        # the j-2-t identity factors leave dummy positions; count their
-        # distinct assignments, then normalize by the tuple count
-        coef = (-1.0) ** (j - 2 - t) * comb(j - 2, t)
-        total += coef * d_t / _falling(n, t + 2)
-    return sign * total
-
-
-def if22(inputs: ChainInputs) -> float:
-    """Second-order correction in O(nk + k^2).
-
-    Uses sum_{i != i'} u_i v_{i'} = (sum u)(sum v) - sum u_i v_i on the
-    front and back chain vectors.
-    """
-    n = inputs.n
-    if n < 2:
-        raise ValueError("need at least 2 records")
-    a = inputs.zmat.T @ inputs.eps_p
-    b = inputs.zmat.T @ inputs.eps_b
-    cross = float(a @ inputs.omega_inv @ b)
-    row_quad = np.einsum("ij,jk,ik->i", inputs.zmat, inputs.omega_inv, inputs.zmat)
-    diag = float(np.sum(inputs.eps_p * inputs.eps_b * row_quad))
-    sign = -1.0 * (-1.0 if inputs.sign_flag else 1.0)
-    return sign * (cross - diag) / (n * (n - 1))
+    d = [distinct_chain_sum(inputs.zmat, zm,
+                            [inputs.eps_p] + [inputs.abs_h1] * t + [inputs.eps_b])
+         for t in range(m - 1)]
+    flip = -1.0 if inputs.sign_flag else 1.0
+    terms = []
+    for j in range(2, m + 1):
+        total = 0.0
+        for t in range(j - 1):
+            # the j-2-t identity factors leave dummy positions; count their
+            # distinct assignments, then normalize by the tuple count
+            coef = (-1.0) ** (j - 2 - t) * comb(j - 2, t)
+            total += coef * d[t] / _falling(n, t + 2)
+        terms.append((-1.0) ** (j - 1) * flip * total)
+    return terms
 
 
 BRUTE_FORCE_N_CAP = 30

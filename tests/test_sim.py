@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from hoif import sim
 from hoif.basis import BasisSpec
 from hoif.data import ValidationError
 from hoif.estimator import EstimatorConfig
@@ -199,6 +200,20 @@ def test_run_study_cross_fit_uses_nuisance_factory():
                        nuisance_factory=lambda scn, cfg: zero_nuisance(),
                        track_op_dist=False)
     assert [r["psi_1"] for r in result.rows] == [0.0, 0.0, 0.0]
+
+
+def test_run_study_runs_each_quadrature_once(monkeypatch):
+    # one checked quadrature for psi and one for the efficiency bound
+    calls = []
+    original = sim._checked_integral
+    monkeypatch.setattr(sim, "_checked_integral",
+                        lambda fn, d: calls.append(d) or original(fn, d))
+    scn = SCENARIOS["s1-smooth-d1"]
+    result = run_study(scn, [study_cfg()], reps=2, seed=3, n=100,
+                       track_op_dist=False)
+    assert len(calls) == 2
+    assert result.psi_true == pytest.approx(FROZEN[scn.id][0], abs=1e-9)
+    assert result.eff_bound == efficiency_bound(scn)
 
 
 def test_run_study_rejects_tiny_rep_count():

@@ -3,12 +3,12 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
+from hoif import ustat
 from hoif.ustat import (
     ChainInputs,
     brute_force_ifjj,
+    correction_terms,
     hoeffding_variance,
-    if22,
-    ifjj,
     u_statistic_mean,
 )
 
@@ -31,9 +31,10 @@ def test_if22_zero_when_residual_vanishes():
     inp = random_inputs(rng, 8, 3)
     zeroed = ChainInputs(np.zeros(8), inp.eps_b, inp.abs_h1, inp.zmat,
                          inp.omega_inv, inp.sign_flag)
-    assert if22(zeroed) == 0.0
-    for j in (3, 4):
-        assert ifjj(j, zeroed) == pytest.approx(0.0, abs=1e-14)
+    if22, *higher = correction_terms(zeroed, 4)
+    assert if22 == 0.0
+    for term in higher:
+        assert term == pytest.approx(0.0, abs=1e-14)
 
 
 def test_if22_hand_example():
@@ -47,13 +48,13 @@ def test_if22_hand_example():
         omega_inv=np.ones((1, 1)),
         sign_flag=False,
     )
-    assert if22(inp) == pytest.approx(-5.0)
+    assert correction_terms(inp, 2) == [pytest.approx(-5.0)]
     assert brute_force_ifjj(2, inp) == pytest.approx(-5.0)
 
 
 def test_centered_middle_factor_vanishes():
     # |h1| z^2 constant across records and Omega-hat equal to its sample
-    # average: every middle factor is exactly zero, so ifjj = 0 for j >= 3
+    # average: every middle factor is exactly zero, so IFjj = 0 for j >= 3
     z = np.array([[1.0], [-1.0], [1.0]])
     abs_h1 = np.ones(3)
     omega = np.array([[1.0]])  # mean of |h1| z z^T
@@ -65,7 +66,7 @@ def test_centered_middle_factor_vanishes():
         omega_inv=np.linalg.inv(omega),
         sign_flag=True,
     )
-    assert ifjj(3, inp) == pytest.approx(0.0, abs=1e-12)
+    assert correction_terms(inp, 3)[-1] == pytest.approx(0.0, abs=1e-12)
     assert brute_force_ifjj(3, inp) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -76,31 +77,58 @@ def test_matches_brute_force():
         k = int(rng.integers(2, 4))
         inp = random_inputs(rng, n, k, sign_flag=bool(trial % 2))
         for j in (2, 3, 4):
-            fast = if22(inp) if j == 2 else ifjj(j, inp)
+            fast = correction_terms(inp, j)[-1]
             ref = brute_force_ifjj(j, inp)
             assert abs(fast - ref) <= 1e-10 * (1.0 + abs(ref))
 
 
 def test_matches_brute_force_high_orders():
-    # orders 5 and 6, the rest of what ifjj accepts, on tiny instances
+    # orders 5 and 6, the rest of what correction_terms accepts, on tiny
+    # instances; then every order 2..6 from one call
     rng = np.random.default_rng(11)
     for trial in range(4):
         inp = random_inputs(rng, 7, 2, sign_flag=bool(trial % 2))
-        for j in (5, 6):
+        all_orders = correction_terms(inp, 6)
+        for j in range(2, 7):
             ref = brute_force_ifjj(j, inp)
-            assert abs(ifjj(j, inp) - ref) <= 1e-10 * (1.0 + abs(ref))
+            if j >= 5:
+                assert abs(correction_terms(inp, j)[-1] - ref) <= 1e-10 * (1.0 + abs(ref))
+            assert abs(all_orders[j - 2] - ref) <= 1e-10 * (1.0 + abs(ref))
+
+
+def test_lower_orders_are_a_prefix():
+    # IF22..IFm'm' do not depend on how many higher orders one call adds
+    rng = np.random.default_rng(12)
+    inp = random_inputs(rng, 9, 3, sign_flag=True)
+    full = correction_terms(inp, 6)
+    assert len(full) == 5
+    for m in range(2, 6):
+        assert correction_terms(inp, m) == full[: m - 1]
+
+
+def test_one_chain_sum_per_chain_length(monkeypatch):
+    # order m needs the chains with 0..m-2 middle positions, each once
+    calls = []
+    original = ustat.distinct_chain_sum
+    monkeypatch.setattr(ustat, "distinct_chain_sum",
+                        lambda *args: calls.append(len(args[2])) or original(*args))
+    inp = random_inputs(np.random.default_rng(13), 8, 2)
+    for m in range(2, 7):
+        calls.clear()
+        correction_terms(inp, m)
+        assert calls == list(range(2, m + 1))
 
 
 def test_order_limits():
     rng = np.random.default_rng(2)
     inp = random_inputs(rng, 10, 2)
     with pytest.raises(ValueError):
-        ifjj(7, inp)
+        correction_terms(inp, 7)
     with pytest.raises(ValueError):
-        ifjj(1, inp)
+        correction_terms(inp, 1)
     small = random_inputs(rng, 3, 2)
     with pytest.raises(ValueError):
-        ifjj(4, small)
+        correction_terms(small, 4)
 
 
 def test_permutation_invariance():
@@ -110,8 +138,8 @@ def test_permutation_invariance():
     shuffled = ChainInputs(inp.eps_p[perm], inp.eps_b[perm], inp.abs_h1[perm],
                            inp.zmat[perm], inp.omega_inv, inp.sign_flag)
     for j in (2, 3, 4):
-        a = if22(inp) if j == 2 else ifjj(j, inp)
-        b = if22(shuffled) if j == 2 else ifjj(j, shuffled)
+        a = correction_terms(inp, j)[-1]
+        b = correction_terms(shuffled, j)[-1]
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -121,8 +149,8 @@ def test_scaling_linearity_in_front_residual():
     scaled = ChainInputs(3.5 * inp.eps_p, inp.eps_b, inp.abs_h1, inp.zmat,
                          inp.omega_inv, inp.sign_flag)
     for j in (2, 3, 4):
-        a = if22(inp) if j == 2 else ifjj(j, inp)
-        b = if22(scaled) if j == 2 else ifjj(j, scaled)
+        a = correction_terms(inp, j)[-1]
+        b = correction_terms(scaled, j)[-1]
         assert b == pytest.approx(3.5 * a, rel=1e-12)
 
 
@@ -132,8 +160,8 @@ def test_sign_flag_flips_sign():
     flipped = ChainInputs(inp.eps_p, inp.eps_b, inp.abs_h1, inp.zmat,
                           inp.omega_inv, True)
     for j in (2, 3):
-        a = if22(inp) if j == 2 else ifjj(j, inp)
-        b = if22(flipped) if j == 2 else ifjj(j, flipped)
+        a = correction_terms(inp, j)[-1]
+        b = correction_terms(flipped, j)[-1]
         assert b == pytest.approx(-a, rel=1e-12)
 
 
@@ -144,9 +172,9 @@ def test_brute_force_tuple_count():
         zmat=np.ones((3, 1)), omega_inv=np.ones((1, 1)), sign_flag=False,
     )
     # middle factor reduces to -Omega M = -1, kernel is +1*(-1)*1 => each
-    # tuple contributes -1; the mean over 6 tuples is -1, with the ifjj
+    # tuple contributes -1; the mean over 6 tuples is -1, with the IF33
     # sign (+1 for j=3, sign_flag=False) giving +... check both engines
-    assert brute_force_ifjj(3, inp) == pytest.approx(ifjj(3, inp), rel=1e-12)
+    assert brute_force_ifjj(3, inp) == pytest.approx(correction_terms(inp, 3)[-1], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +245,7 @@ def test_hoeffding_matches_enumeration(m, n):
 
 def test_mc_mean_matches_eb_formula():
     # two-point design: X uniform on cell midpoints, MAR data, fixed
-    # nuisance errors and a fixed perturbed Gram; the exact mean of ifjj is
+    # nuisance errors and a fixed perturbed Gram; the exact mean of IFjj is
     # sign (-1)^(j-1) u' M (D M)^(j-2) v with u, v, D population moments
     rng = np.random.default_rng(17)
     zx = np.array([[1.0, 1.0], [1.0, -1.0]])  # haar q=2 at the midpoints
@@ -249,9 +277,8 @@ def test_mc_mean_matches_eb_formula():
         eps_p = 1.0 - a * p_hat[xi]
         inp = ChainInputs(eps_p=eps_p, eps_b=eps_b, abs_h1=a, zmat=zx[xi],
                           omega_inv=m_inv, sign_flag=True)
-        sums[2].append(if22(inp))
-        sums[3].append(ifjj(3, inp))
-        sums[4].append(ifjj(4, inp))
+        for j, term in enumerate(correction_terms(inp, 4), start=2):
+            sums[j].append(term)
     for j in (2, 3, 4):
         vals = np.asarray(sums[j])
         se = np.std(vals, ddof=1) / np.sqrt(reps)
