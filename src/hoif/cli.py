@@ -39,11 +39,16 @@ EXIT_ZERO_CONVENTION = 3
 EXIT_INTERNAL = 4
 
 
-def _nuisance_method(value: str) -> str:
-    # plugin stays library-only: it needs nuisance sets passed in as objects
-    if value not in ("series", "zero"):
-        raise ValueError(f"expected series|zero, got {value!r}")
-    return value
+def _one_of(*allowed: str):
+    def parse(value: str) -> str:
+        if value not in allowed:
+            raise ValueError(f"expected {'|'.join(allowed)}, got {value!r}")
+        return value
+
+    return parse
+
+
+_FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 # every accepted config key with its parser; unknown keys are rejected
@@ -51,17 +56,18 @@ _KEY_PARSERS = {
     "functional": str,
     "variant": str,
     "m": int,
-    "tuning": str,  # default | manual
+    "tuning": _one_of("default", "manual"),
     "split_fraction": float,
     "seed": int,
     "eigen_floor": float,
-    "cross_fit": lambda v: v.lower() in ("1", "true", "yes"),
+    "cross_fit": lambda v: _FLAGS[_one_of(*_FLAGS)(v.lower())],
     "ci_level": float,
     "basis.family": str,
     "basis.dimension": int,
     "basis.per_dim_size": int,
     "basis.order": int,
-    "nuisance.method": _nuisance_method,
+    # plugin stays library-only: it needs nuisance sets passed in as objects
+    "nuisance.method": _one_of("series", "zero"),
     "nuisance.k_grid": lambda v: tuple(int(t) for t in v.split(";")),
     "nuisance.folds": int,
     "nuisance.sigma_floor": float,

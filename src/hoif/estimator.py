@@ -243,9 +243,7 @@ def _run_arm(spec: FunctionalSpec, est: Dataset, training: Dataset,
             )
         gram = empirical_gram(basis, training, spec)
     else:  # ac
-        g_hat = nuisance.g_hat
-        if g_hat is None:
-            g_hat = density_series(training, basis, spec, cfg.sigma_floor)
+        g_hat = density_series(training, basis, spec, cfg.sigma_floor)
         gram = quadrature_gram(basis, g_hat, cfg.quadrature())
 
     diag = invert_checked(gram, cfg.eigen_floor)

@@ -24,7 +24,6 @@ DEFAULT_SIGMA_FLOOR = 0.05
 class NuisanceSet:
     b_hat: Callable[[np.ndarray], np.ndarray]
     p_hat: Callable[[np.ndarray], np.ndarray]
-    g_hat: Callable[[np.ndarray], np.ndarray] | None = None
     provenance: str = ""
 
 

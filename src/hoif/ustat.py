@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import numpy as np
 
@@ -71,58 +71,34 @@ def set_partitions(items: list):
         yield [[first]] + part
 
 
-def _falling(n: int, j: int) -> int:
-    out = 1
-    for r in range(j):
-        out *= n - r
-    return out
-
-
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-def _collapsed_chain_sum(zmat: np.ndarray, zm: np.ndarray,
-                         weights: list[np.ndarray], blocks: list[list[int]]) -> float:
-    """Chain sum with positions identified according to ``blocks``.
+def _block_tensor(zmat: np.ndarray, zm: np.ndarray, weights: list[np.ndarray],
+                  members: tuple[int, ...]) -> tuple[np.ndarray, str]:
+    """One block of a collapsed chain, summed over its sample index.
 
-    Sums, over one free sample index per block, the product of the chain's
-    vertex weights and the edge factors z_a^T M z_b; ``zm`` is zmat @ M.
-    Each block is contracted over its sample index first, leaving small
-    tensors indexed only by basis-sized edge axes, so no n-by-n
-    intermediate is ever formed.
+    The block's chain positions share one sample index.  Its vertex
+    weights multiply, each edge e (joining positions e and e+1, with
+    ``zm`` = zmat @ M) with both endpoints in the block reduces to the
+    per-sample z^T M z, and each edge with one endpoint in it stays open:
+    a ``zm`` column at its left endpoint, a ``zmat`` column at its right.
+    Returns the dense tensor over the open edges and their einsum letters.
+    The tensor depends on the members only, so every set partition that
+    contains the block can share it.
     """
-    length = len(weights)
-    block_of = {}
-    for b, members in enumerate(blocks):
-        for pos in members:
-            block_of[pos] = b
-    # edge e joins chain positions e and e+1: the left endpoint carries a
-    # zm column, the right endpoint a zmat column, both on the same letter
-    factors: list[list[tuple[np.ndarray, int]]] = [[] for _ in blocks]
-    for e in range(length - 1):
-        factors[block_of[e]].append((zm, e))
-        factors[block_of[e + 1]].append((zmat, e))
-    tensors = []
-    out_subs = []
-    for b, members in enumerate(blocks):
-        wv = weights[members[0]].copy()
-        for pos in members[1:]:
-            wv *= weights[pos]
-        # edges internal to the block (both endpoints identified) reduce to
-        # per-sample row dot products; shared edges stay open
-        internal: dict[int, list[np.ndarray]] = {}
-        external: list[tuple[np.ndarray, int]] = []
-        for mat, e in factors[b]:
-            if block_of[e] == block_of[e + 1]:
-                internal.setdefault(e, []).append(mat)
-            else:
-                external.append((mat, e))
-        for left, right in internal.values():
-            wv *= np.sum(left * right, axis=1)
-        external.sort(key=lambda f: f[1])
-        tensors.append(_weighted_outer_sum(wv, [mat for mat, _ in external]))
-        out_subs.append("".join(_LETTERS[e] for _, e in external))
-    return float(np.einsum(",".join(out_subs) + "->", *tensors, optimize=True))
+    wv = weights[members[0]].copy()
+    for pos in members[1:]:
+        wv *= weights[pos]
+    mats, letters = [], ""
+    for e in range(len(weights) - 1):
+        left, right = e in members, e + 1 in members
+        if left and right:
+            wv *= np.sum(zm * zmat, axis=1)
+        elif left or right:
+            mats.append(zm if left else zmat)
+            letters += _LETTERS[e]
+    return _weighted_outer_sum(wv, mats), letters
 
 
 def _weighted_outer_sum(wv: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
@@ -155,17 +131,24 @@ def distinct_chain_sum(zmat: np.ndarray, zm: np.ndarray,
 
     Moebius inversion on the partition lattice: the all-indices sum of each
     collapsed chain, weighted by prod_blocks (-1)^(|b|-1) (|b|-1)!, equals
-    the distinct-index sum.
+    the distinct-index sum.  Each collapsed chain contracts its blocks'
+    tensors, and each of the 2^L - 1 distinct blocks of a length-L chain is
+    built once.
     """
-    length = len(weights)
+    built: dict[tuple[int, ...], tuple[np.ndarray, str]] = {}
     total = 0.0
-    for blocks in set_partitions(list(range(length))):
+    for blocks in set_partitions(list(range(len(weights)))):
         mob = 1.0
+        factors = []
         for b in blocks:
-            sz = len(b)
-            if sz > 1:
-                mob *= (-1.0) ** (sz - 1) * factorial(sz - 1)
-        total += mob * _collapsed_chain_sum(zmat, zm, weights, blocks)
+            key = tuple(b)
+            if key not in built:
+                built[key] = _block_tensor(zmat, zm, weights, key)
+            factors.append(built[key])
+            if len(b) > 1:
+                mob *= (-1.0) ** (len(b) - 1) * factorial(len(b) - 1)
+        subs = ",".join(letters for _, letters in factors) + "->"
+        total += mob * float(np.einsum(subs, *(t for t, _ in factors), optimize=True))
     return total
 
 
@@ -199,7 +182,7 @@ def correction_terms(inputs: ChainInputs, m: int) -> list[float]:
             # the j-2-t identity factors leave dummy positions; count their
             # distinct assignments, then normalize by the tuple count
             coef = (-1.0) ** (j - 2 - t) * comb(j - 2, t)
-            total += coef * d[t] / _falling(n, t + 2)
+            total += coef * d[t] / perm(n, t + 2)
         terms.append((-1.0) ** (j - 1) * flip * total)
     return terms
 
@@ -227,7 +210,7 @@ def brute_force_ifjj(j: int, inputs: ChainInputs) -> float:
             r = inputs.abs_h1[s] * np.outer(z[s], z[s])
             mat = mat @ (r - omega) @ m
         total += inputs.eps_p[i1] * inputs.eps_b[i2] * float(z[i1] @ mat @ z[i2])
-    return sign * total / _falling(n, j)
+    return sign * total / perm(n, j)
 
 
 def _symmetrize(kernel: np.ndarray) -> np.ndarray:

@@ -37,6 +37,22 @@ def test_parse_config_rejects_unknown_key():
         parse_config_text("m=three", "inline")
 
 
+def test_config_typos_exit_validation(tmp_path, capsys):
+    for text, value in (("1", True), ("TRUE", True), ("Yes", True),
+                        ("0", False), ("false", False), ("NO", False)):
+        assert parse_config_text(f"cross_fit={text}", "inline") == {"cross_fit": value}
+    for text in ("default", "manual"):
+        assert parse_config_text(f"tuning={text}", "inline") == {"tuning": text}
+    # a misspelt value must not quietly run as cross_fit=false or manual tuning
+    for i, (key, value) in enumerate((("cross_fit", "ture"), ("cross_fit", "on"),
+                                      ("tuning", "defualt"), ("tuning", "Default"))):
+        rc = main(["estimate", "--input", str(GOLDEN), "--out", str(tmp_path / f"o{i}"),
+                   "--set", f"{key}={value}"])
+        assert rc == EXIT_VALIDATION
+        assert f"bad value for {key}" in capsys.readouterr().err
+        assert not (tmp_path / f"o{i}").exists()
+
+
 def test_load_config_overrides_and_env(tmp_path, monkeypatch):
     path = tmp_path / "cfg.txt"
     path.write_text("m=2\nseed=1\n")

@@ -142,10 +142,8 @@ def test_fit_nuisances_mar_and_ecc():
     pts = np.array([[0.2], [0.8]])
     assert np.all(np.isfinite(nuis.b_hat(pts)))
     assert np.all(nuis.p_hat(pts) >= 1.0 - 1e-12)
-    assert nuis.g_hat is None  # the ac path fits its density itself
     nuis2 = fit_nuisances(expected_cond_cov_spec(), data, BASIS, [1, 2], folds=2)
     assert np.all(np.isfinite(nuis2.p_hat(pts)))
-    assert nuis2.g_hat is None
 
 
 def test_mean_regression_linear_target():

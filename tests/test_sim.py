@@ -216,6 +216,28 @@ def test_run_study_runs_each_quadrature_once(monkeypatch):
     assert result.eff_bound == efficiency_bound(scn)
 
 
+def test_run_study_builds_each_basis_once(monkeypatch):
+    # the study's basis and the two realizable sub-bases of the k grid
+    # (k=2 is no tensor size at d=2) are each certified once, however many
+    # replications ask for them
+    from hoif import basis
+
+    certified = []
+    original = basis._haar_univariate
+
+    def spy(q, xs):
+        if xs.shape[0] == basis.CERT_GRID_PER_DIM:
+            certified.append(q)
+        return original(q, xs)
+
+    monkeypatch.setattr(basis, "_haar_univariate", spy)
+    basis._certified_basis.cache_clear()
+    cfg = EstimatorConfig(basis=BasisSpec("haar", 2, 4), m=2,
+                          nuisance_k_grid=(1, 2, 4), nuisance_folds=2)
+    run_study(SCENARIOS["s2-smooth-d2"], [cfg], reps=3, seed=3, n=200)
+    assert sorted(certified) == [1, 2, 4]
+
+
 def test_run_study_rejects_tiny_rep_count():
     with pytest.raises(ValidationError):
         run_study(SCENARIOS["s1-smooth-d1"], [study_cfg()], reps=1, seed=1, n=100)

@@ -119,6 +119,24 @@ def test_one_chain_sum_per_chain_length(monkeypatch):
         assert calls == list(range(2, m + 1))
 
 
+def test_one_tensor_per_distinct_block(monkeypatch):
+    # a chain of length L has 2^L - 1 distinct blocks (nonempty position
+    # subsets); each is summed over samples once, not once per partition
+    calls = []
+    original = ustat._weighted_outer_sum
+    monkeypatch.setattr(ustat, "_weighted_outer_sum",
+                        lambda wv, mats: calls.append(len(mats)) or original(wv, mats))
+    inp = random_inputs(np.random.default_rng(14), 8, 2)
+    zm = inp.zmat @ inp.omega_inv
+    for length in range(2, 7):
+        calls.clear()
+        ustat.distinct_chain_sum(inp.zmat, zm, [inp.abs_h1] * length)
+        assert len(calls) == 2**length - 1
+    calls.clear()
+    correction_terms(inp, 4)
+    assert len(calls) == 3 + 7 + 15
+
+
 def test_order_limits():
     rng = np.random.default_rng(2)
     inp = random_inputs(rng, 10, 2)
