@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.interpolate import BSpline
 
-from hoif.quadrature import QuadratureSpec
+from hoif.data import ValidationError
 
 # Certification grid resolution per dimension and a cap on its total size.
 CERT_GRID_PER_DIM = 512
@@ -39,20 +39,20 @@ class BasisSpec:
 
     def __post_init__(self):
         if self.family not in ("haar", "bspline"):
-            raise ValueError(f"unknown basis family {self.family!r}")
+            raise ValidationError(f"unknown basis family {self.family!r}")
         if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
+            raise ValidationError("dimension must be >= 1")
         if self.per_dim_size < 1:
-            raise ValueError("per_dim_size must be >= 1")
+            raise ValidationError("per_dim_size must be >= 1")
         if self.family == "haar":
             q = self.per_dim_size
             if q & (q - 1) != 0:
-                raise ValueError("haar per_dim_size must be a power of two")
+                raise ValidationError("haar per_dim_size must be a power of two")
         else:
             if self.order < 0:
-                raise ValueError("bspline order must be >= 0")
+                raise ValidationError("bspline order must be >= 0")
             if self.per_dim_size < self.order + 1:
-                raise ValueError("bspline requires per_dim_size >= order + 1")
+                raise ValidationError("bspline requires per_dim_size >= order + 1")
 
     @property
     def k(self) -> int:
@@ -87,12 +87,9 @@ def _bspline_knots(q: int, s: int) -> np.ndarray:
     return np.concatenate([np.zeros(s), breaks, np.ones(s)])
 
 
-def _bspline_univariate(q: int, s: int, xs: np.ndarray, normalized=True) -> np.ndarray:
+def _bspline_univariate(q: int, s: int, xs: np.ndarray) -> np.ndarray:
     t = _bspline_knots(q, s)
-    dm = BSpline.design_matrix(np.clip(xs, 0.0, 1.0), t, s).toarray()
-    if normalized:
-        dm = dm * np.sqrt(q)
-    return dm
+    return BSpline.design_matrix(np.clip(xs, 0.0, 1.0), t, s).toarray() * np.sqrt(q)
 
 
 @dataclass(frozen=True)
@@ -157,7 +154,7 @@ def build_basis(spec: BasisSpec) -> Basis:
 @lru_cache(maxsize=64)
 def _certified_basis(spec: BasisSpec) -> Basis:
     if CERT_GRID_PER_DIM * spec.per_dim_size > CERT_MEMORY_CAP:
-        raise ValueError(
+        raise ValidationError(
             f"certification grid of {CERT_GRID_PER_DIM} x {spec.per_dim_size} "
             f"exceeds memory cap {CERT_MEMORY_CAP}"
         )
@@ -184,30 +181,5 @@ def basis_from_preset(preset: str) -> Basis:
         else:
             raise ValueError(f"unknown family {family!r}")
     except (KeyError, ValueError) as exc:
-        raise ValueError(f"malformed basis preset {preset!r}: {exc}") from exc
+        raise ValidationError(f"malformed basis preset {preset!r}: {exc}") from exc
     return build_basis(spec)
-
-
-def bspline_partition_values(q: int, s: int, xs: np.ndarray) -> np.ndarray:
-    """Sum of the unnormalized univariate B-splines at each point."""
-    return _bspline_univariate(q, s, xs, normalized=False).sum(axis=1)
-
-
-def l2_approximation_error(basis: Basis, f, quad: QuadratureSpec) -> float:
-    """Best-approximation L2(dx) error of ``f`` over the basis span.
-
-    Projects f onto the span using the quadrature Gram under the uniform
-    density and returns the squared-norm residual.  ``f`` takes an (n, d)
-    array of points.
-    """
-    if quad.nodes_per_dim < basis.spec.per_dim_size:
-        raise ValueError("quadrature resolution below basis resolution")
-    nodes, w = quad.grid(basis.d)
-    z = basis.evaluate_many(nodes)
-    fv = np.asarray(f(nodes), dtype=float)
-    gram = (z.T @ z) * w
-    rhs = (z.T @ fv) * w
-    coef = np.linalg.solve(gram, rhs)
-    total = float(np.sum(fv * fv) * w)
-    resid = total - float(coef @ rhs)
-    return max(resid, 0.0)

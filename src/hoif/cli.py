@@ -5,8 +5,9 @@ Configuration is plain-text key=value with dotted namespaces; command-line
 config echo, and every artifact starts with a comment header carrying the
 tool version, the resolved config hash, and the master seed.
 
-Exit codes: 0 success, 2 validation error, 3 zero-convention trigger
-(the estimate is still written), 4 internal error.
+Exit codes: 0 success, 2 validation error (bad input or configuration),
+3 zero-convention trigger (the estimate is still written), 4 any other
+error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 import hoif
 from hoif.basis import BasisSpec, basis_from_preset
-from hoif.data import ValidationError, dataset_from_csv
+from hoif.data import ValidationError, dataset_from_csv, read_text
 from hoif.estimator import (
     EstimatorConfig,
     default_tuning,
@@ -98,11 +99,12 @@ def parse_config_text(text: str, source: str) -> dict:
 def load_config(path: str | None, overrides: list[str]) -> dict:
     cfg = {}
     if path:
-        cfg.update(parse_config_text(Path(path).read_text(), path))
+        cfg.update(parse_config_text(read_text(path), path))
     for item in overrides:
         cfg.update(parse_config_text(item, "--set"))
     if "HOIF_SEED" in os.environ:
-        cfg["seed"] = int(os.environ["HOIF_SEED"])
+        # parsed as a config line, so a bad value is a validation error
+        cfg["seed"] = parse_config_text(f"seed={os.environ['HOIF_SEED']}", "HOIF_SEED")["seed"]
     return cfg
 
 
@@ -219,7 +221,7 @@ def cmd_simulate(args) -> int:
 
 
 def _read_csv_rows(path: str) -> tuple[list[str], list[dict]]:
-    lines = [ln for ln in Path(path).read_text().splitlines()
+    lines = [ln for ln in read_text(path).splitlines()
              if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise ValidationError(f"{path}: empty input")
@@ -308,8 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hoif",
         description="higher-order influence function estimation toolkit",
     )
-    parser.add_argument("--threads", type=int,
-                        default=os.cpu_count() or 1,
+    parser.add_argument("--threads", type=int, default=1,
                         help="worker threads for replications")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -347,10 +348,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # a fault in the program, not in its input
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

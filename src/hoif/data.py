@@ -42,52 +42,58 @@ class Dataset:
         return Dataset(self.x[idx], self.a[idx], self.y[idx])
 
 
+def read_text(path) -> str:
+    """The text of an input file; an unreadable file is a ValidationError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
 def dataset_from_csv(path, d: int | None = None) -> Dataset:
     """Read a dataset from CSV with columns A, Y, X1..Xd.
 
     Y may be blank on rows with A=0 (missing-at-random input); it is then
     recorded as 0 so that A*Y is stored.  X coordinates outside [0,1] are
-    rejected; no rescaling is applied.
+    rejected; no rescaling is applied.  Rows are numbered from the header
+    (row 1) on, skipping blank and comment lines.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh if ln.strip() and not ln.startswith("#")]
+    lines = [ln for ln in read_text(path).split("\n")
+             if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise ValidationError(f"{path}: empty input")
-    header = [c.strip() for c in lines[0].strip().split(",")]
-    required = ["A", "Y"]
-    for col in required:
+    header = [c.strip() for c in lines[0].split(",")]
+    xcols = ([c for c in header if c.startswith("X")] if d is None
+             else [f"X{j}" for j in range(1, d + 1)])
+    for col in ("A", "Y", *xcols):
         if col not in header:
             raise ValidationError(f"column {col} absent")
-    xcols = [c for c in header if c.startswith("X")]
-    if d is not None:
-        for j in range(1, d + 1):
-            if f"X{j}" not in header:
-                raise ValidationError(f"column X{j} absent")
-        xcols = [f"X{j}" for j in range(1, d + 1)]
     if not xcols:
         raise ValidationError("column X1 absent")
-    idx = {c: header.index(c) for c in header}
-    n = len(lines) - 1
-    a = np.empty(n)
-    y = np.empty(n)
-    x = np.empty((n, len(xcols)))
-    for i, ln in enumerate(lines[1:]):
-        parts = [p.strip() for p in ln.strip().split(",")]
-        if len(parts) != len(header):
-            raise ValidationError(f"row {i + 2}: expected {len(header)} fields")
+    ia, iy, *ix = (header.index(c) for c in ("A", "Y", *xcols))
+
+    def parse_row(i: int, line: str) -> list[float]:
+        parts = [p.strip() for p in line.split(",")]
         try:
-            a[i] = float(parts[idx["A"]])
-            ytxt = parts[idx["Y"]]
-            if ytxt == "":
-                if a[i] != 0.0:
-                    raise ValidationError(f"row {i + 2}: column Y empty with A=1")
-                y[i] = 0.0
-            else:
-                y[i] = float(parts[idx["Y"]])
-            for j, c in enumerate(xcols):
-                x[i, j] = float(parts[idx[c]])
+            if len(parts) != len(header):
+                raise ValueError(f"expected {len(header)} fields")
+            a = float(parts[ia])
+            if parts[iy] == "" and a != 0.0:
+                raise ValueError("column Y empty with A=1")
+            return [a, float(parts[iy] or 0.0), *(float(parts[j]) for j in ix)]
         except ValueError as exc:
             raise ValidationError(f"row {i + 2}: {exc}") from exc
+
+    body = lines[1:]
+    try:  # numpy's C parser takes plain numbers; a blank Y or a bad field goes to float()
+        if not body or any(ln.count(",") != len(header) - 1 for ln in body):
+            raise ValueError("irregular rows")
+        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2, usecols=(ia, iy, *ix))
+    except ValueError:
+        rows = [parse_row(i, ln) for i, ln in enumerate(body)]
+        table = np.array(rows).reshape(len(body), 2 + len(ix))
+    a, y, x = table[:, 0], table[:, 1], table[:, 2:]
     if np.any((a != 0.0) & (a != 1.0)):
         raise ValidationError("column A must be 0/1")
     if np.any(x < 0.0) or np.any(x > 1.0):

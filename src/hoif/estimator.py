@@ -26,7 +26,7 @@ from hoif.gram import (
     DEFAULT_EIGEN_FLOOR,
     GramMatrix,
     InverseReport,
-    empirical_gram,
+    design_gram,
     invert_checked,
     op_norm_distance,
     quadrature_gram,
@@ -36,6 +36,7 @@ from hoif.nuisance import (
     NuisanceSet,
     density_series,
     fit_nuisances,
+    series_designs,
     zero_nuisance,
 )
 from hoif.quadrature import QuadratureSpec, default_nodes_per_dim
@@ -69,6 +70,8 @@ class EstimatorConfig:
             raise ValidationError("split_fraction must be in (0, 1)")
         if self.m < 1 or self.m > M_MAX:
             raise ValidationError(f"m must be in [1, {M_MAX}]")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
 
     @property
     def k(self) -> int:
@@ -186,15 +189,10 @@ def default_tuning(n: int, variant: str, dimension: int = 1,
 
 def realizable_k(k_raw: int, dimension: int, family: str = "haar") -> int:
     """Largest realizable tensor size q**dimension not exceeding k_raw."""
-    best = 1
     q = 1
-    while True:
-        q_next = q * 2 if family == "haar" else q + 1
-        if q_next**dimension > k_raw:
-            break
+    while (q_next := q * 2 if family == "haar" else q + 1) ** dimension <= k_raw:
         q = q_next
-        best = q**dimension
-    return best
+    return q**dimension
 
 
 def confidence_interval(psi_hat: float, variance_est: float, level: float) -> tuple[float, float]:
@@ -206,59 +204,60 @@ def confidence_interval(psi_hat: float, variance_est: float, level: float) -> tu
     return psi_hat - half, psi_hat + half
 
 
-def _fit_nuisance(spec: FunctionalSpec, training: Dataset, cfg: EstimatorConfig,
-                  basis: Basis) -> NuisanceSet:
-    if cfg.nuisance_method == "zero":
-        return zero_nuisance()
-    if cfg.nuisance_method == "series":
-        return fit_nuisances(spec, training, basis, list(cfg.nuisance_k_grid),
-                             cfg.nuisance_folds, seed=cfg.seed + 17,
-                             sigma_floor=cfg.sigma_floor)
-    raise ValidationError(f"nuisance method {cfg.nuisance_method!r} needs an override")
-
-
-def _run_arm(spec: FunctionalSpec, est: Dataset, training: Dataset,
-             cfg: EstimatorConfig, basis: Basis, nuisance: NuisanceSet | None,
-             reference_gram: GramMatrix | None
-             ) -> tuple[np.ndarray, list[float] | None, InverseReport | None]:
-    """One arm on one fold: IF1 summands, IFjj terms for j = 2..m, Gram report.
-
-    The terms are None when the Gram fails the invertibility check (the
-    zero convention); with m = 1 no Gram is formed and the report is None.
-    """
-    spec.check_h1_sign(est)
-    spec.check_h1_sign(training)
-    if nuisance is None:
-        nuisance = _fit_nuisance(spec, training, cfg, basis)
-    bx, px = _nuisance_values(nuisance, est)
-    if1 = fn.h_values(spec, est, bx, px)
+def _training_fits(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSet] | None,
+                   training: Dataset, cfg: EstimatorConfig, basis: Basis) -> tuple[list, list]:
+    """Every arm's nuisances and Gram (None if m = 1) from one evaluation of
+    the basis on the training sample: the k-grid designs, of which the one
+    of the basis's own size, if the grid has it, is also the Gram design."""
+    designs = {}
+    if nuisances is None:
+        if cfg.nuisance_method == "zero":
+            nuisances = [zero_nuisance()] * len(specs)
+        elif cfg.nuisance_method == "series":
+            designs = series_designs(training.x, basis, list(cfg.nuisance_k_grid))
+            nuisances = [fit_nuisances(spec, training, designs, cfg.nuisance_folds,
+                                       seed=cfg.seed + 17, sigma_floor=cfg.sigma_floor)
+                         for spec in specs]
+        else:
+            raise ValidationError(f"nuisance method {cfg.nuisance_method!r} needs an override")
     if cfg.m == 1:
-        return if1, [], None
-
+        return nuisances, [None] * len(specs)
     if cfg.variant == "emp":
-        if basis.k > est.n:
-            raise ValidationError(
-                "basis size exceeds the estimation sample; the empirical "
-                "inverse covariance matrix does not exist"
-            )
-        gram = empirical_gram(basis, training, spec)
-    else:  # ac
-        g_hat = density_series(training, basis, spec, cfg.sigma_floor)
-        gram = quadrature_gram(basis, g_hat, cfg.quadrature())
+        shared = designs.get(basis.k)  # a candidate of size k has the basis's values
+        z = shared[1] if shared else basis.evaluate_many(training.x)
+        return nuisances, [design_gram(z, training, spec) for spec in specs]
+    g_hats = [density_series(training, basis, spec, cfg.sigma_floor) for spec in specs]
+    return nuisances, [quadrature_gram(basis, g, cfg.quadrature()) for g in g_hats]
 
-    diag = invert_checked(gram, cfg.eigen_floor)
-    if reference_gram is not None:
-        diag = replace(diag, op_distance_to_reference=op_norm_distance(gram, reference_gram))
-    if not diag.invertible:
-        return if1, None, diag
 
-    res = fn.residuals(spec, est, bx, px)
-    inputs = ChainInputs(
-        eps_p=res.eps_p, eps_b=res.eps_b, abs_h1=res.abs_h1,
-        zmat=basis.evaluate_many(est.x), omega_inv=diag.inverse,
-        sign_flag=spec.sign_flag,
-    )
-    return if1, correction_terms(inputs, cfg.m), diag
+def _run_fold(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSet] | None,
+              est: Dataset, training: Dataset, cfg: EstimatorConfig, basis: Basis,
+              reference_gram: GramMatrix | None) -> list[tuple]:
+    """Every arm on one fold: IF1 summands, IFjj terms for j = 2..m (None under
+    the zero convention) and the Gram report (None when m = 1)."""
+    for spec in specs:
+        spec.check_h1_sign(est)
+        spec.check_h1_sign(training)
+    nuisances, grams = _training_fits(specs, nuisances, training, cfg, basis)
+    zmat = basis.evaluate_many(est.x) if cfg.m > 1 else None
+    runs = []
+    for spec, nuisance, gram in zip(specs, nuisances, grams):
+        bx, px = _nuisance_values(nuisance, est)
+        if1 = fn.h_values(spec, est, bx, px)
+        if gram is None:
+            runs.append((if1, [], None))
+            continue
+        diag = invert_checked(gram, cfg.eigen_floor)
+        if reference_gram is not None:
+            diag = replace(diag, op_distance_to_reference=op_norm_distance(gram, reference_gram))
+        terms = None
+        if diag.invertible:
+            res = fn.residuals(spec, est, bx, px)
+            terms = correction_terms(ChainInputs(
+                eps_p=res.eps_p, eps_b=res.eps_b, abs_h1=res.abs_h1, zmat=zmat,
+                omega_inv=diag.inverse, sign_flag=spec.sign_flag), cfg.m)
+        runs.append((if1, terms, diag))
+    return runs
 
 
 def _contrast(arm_values: list):
@@ -285,7 +284,7 @@ def estimate_split(est: Dataset, training: Dataset, cfg: EstimatorConfig,
     one fixed training sample.
     """
     specs = fn.arm_specs(cfg.functional)
-    overrides = [None] * len(specs)
+    overrides = None
     if nuisance_override is not None:
         overrides = [nuisance_override] if isinstance(nuisance_override, NuisanceSet) \
             else list(nuisance_override)
@@ -295,8 +294,13 @@ def estimate_split(est: Dataset, training: Dataset, cfg: EstimatorConfig,
                 f"got {len(overrides)}")
     basis = build_basis(cfg.basis)
     folds = [(est, training), (training, est)] if cfg.cross_fit else [(est, training)]
-    runs = [[_run_arm(spec, f_est, f_tr, cfg, basis, nuis, reference_gram)
-             for spec, nuis in zip(specs, overrides)]
+    n_est = min(f_est.n for f_est, _ in folds)
+    if n_est < cfg.m:
+        raise ValidationError(f"order m={cfg.m} needs at least {cfg.m} estimation records")
+    if cfg.m > 1 and cfg.variant == "emp" and basis.k > n_est:
+        raise ValidationError("basis size exceeds the estimation sample; the empirical "
+                              "inverse covariance matrix does not exist")
+    runs = [_run_fold(specs, overrides, f_est, f_tr, cfg, basis, reference_gram)
             for f_est, f_tr in folds]
 
     zero = any(terms is None for fold in runs for _, terms, _ in fold)

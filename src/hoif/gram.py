@@ -53,12 +53,16 @@ def _finish(entries: np.ndarray, source: str, n_used: int) -> GramMatrix:
 
 def empirical_gram(basis: Basis, training: Dataset, spec: FunctionalSpec) -> GramMatrix:
     """Training-sample average of |h1|-weighted basis outer products."""
+    return design_gram(basis.evaluate_many(training.x), training, spec)
+
+
+def design_gram(z: np.ndarray, training: Dataset, spec: FunctionalSpec) -> GramMatrix:
+    """``empirical_gram`` from the basis evaluated on the training points, ``z``."""
     if training.n == 0:
         raise ValidationError("empty training set")
     w = np.abs(spec.h1(training))
     if not np.all(np.isfinite(w)):
         raise ValidationError("non-finite weight |h1|")
-    z = basis.evaluate_many(training.x)
     entries = (z * w[:, None]).T @ z / training.n
     return _finish(entries, "empirical", training.n)
 
@@ -66,7 +70,7 @@ def empirical_gram(basis: Basis, training: Dataset, spec: FunctionalSpec) -> Gra
 def quadrature_gram(basis: Basis, g, quad: QuadratureSpec) -> GramMatrix:
     """Quadrature of the g-weighted outer product of basis evaluations."""
     if quad.nodes_per_dim < basis.spec.per_dim_size:
-        raise ValueError("quadrature node count below basis resolution")
+        raise ValidationError("quadrature node count below basis resolution")
     nodes, w = quad.grid(basis.d)
     gv = np.asarray(g(nodes), dtype=float)
     if np.any(gv < 0):

@@ -29,9 +29,7 @@ class NuisanceSet:
 
 def _constant(value: float):
     def fn(x):
-        x = np.asarray(x)
-        n = x.shape[0] if x.ndim > 1 else len(np.atleast_1d(x))
-        return np.full(n, value)
+        return np.full(np.atleast_1d(x).shape[0], value)
 
     return fn
 
@@ -40,14 +38,6 @@ def zero_nuisance() -> NuisanceSet:
     """b_hat = p_hat = 0; the range clipping of p_hat is deliberately
     bypassed, the higher-order terms alone then estimate the target."""
     return NuisanceSet(b_hat=_constant(0.0), p_hat=_constant(0.0), provenance="zero")
-
-
-def _sub_basis(basis: Basis, k: int) -> Basis:
-    d = basis.spec.dimension
-    q = round(k ** (1.0 / d))
-    if q**d != k:
-        raise ValueError(f"k={k} is not a realizable tensor size for d={d}")
-    return build_basis(BasisSpec(basis.spec.family, d, q, order=min(basis.spec.order, max(q - 1, 0))))
 
 
 def series_designs(x: np.ndarray, basis: Basis, k_grid: list[int]) -> dict:
@@ -60,12 +50,14 @@ def series_designs(x: np.ndarray, basis: Basis, k_grid: list[int]) -> dict:
     for k in k_grid:
         if k > max(x.shape[0] // 2, 1) or k in designs:
             continue
-        try:
-            sub = _sub_basis(basis, k)
-        except ValueError:
-            designs[k] = None
-            continue
-        designs[k] = (sub, sub.evaluate_many(x))
+        q, sub = round(k ** (1.0 / basis.d)), None
+        if q**basis.d == k:
+            try:
+                sub = build_basis(BasisSpec(basis.spec.family, basis.d, q,
+                                            order=min(basis.spec.order, max(q - 1, 0))))
+            except ValidationError:  # this family has no basis of q functions
+                pass
+        designs[k] = None if sub is None else (sub, sub.evaluate_many(x))
     return designs
 
 
@@ -96,19 +88,16 @@ def series_fit(designs: dict, response: np.ndarray, folds: int, seed: int,
         z = designs[k][1][rows]
         if folds >= 2 and n >= 2 * folds:
             err = 0.0
-            ok = True
             for f in range(folds):
                 test = order[fold_id == f]
                 train = order[fold_id != f]
                 coef, _, rank, _ = np.linalg.lstsq(z[train], response[train], rcond=None)
                 if rank < k:
-                    ok = False
                     break
                 resid = response[test] - z[test] @ coef
                 err += float(resid @ resid)
-            if not ok:
-                continue
-            scores[k] = err / n
+            else:
+                scores[k] = err / n
         else:
             coef, _, _, _ = np.linalg.lstsq(z, response, rcond=None)
             resid = response - z @ coef
@@ -159,20 +148,18 @@ def density_series(training: Dataset, basis: Basis, spec: FunctionalSpec,
     return g_hat
 
 
-def fit_nuisances(spec: FunctionalSpec, training: Dataset, basis: Basis,
-                  k_grid: list[int], folds: int, seed: int = 0,
-                  sigma_floor: float = DEFAULT_SIGMA_FLOOR) -> NuisanceSet:
+def fit_nuisances(spec: FunctionalSpec, training: Dataset, designs: dict, folds: int,
+                  seed: int = 0, sigma_floor: float = DEFAULT_SIGMA_FLOOR) -> NuisanceSet:
     """Fit the nuisance pair appropriate to the functional arm ``spec``.
 
     MAR arms regress Y on X among the observed records (A=1, or A=0 for
     arm 0) and A on X over all records; the fitted propensity is clipped
     to [sigma_floor, 1] and inverted.  ``expected_cond_cov`` regresses Y
-    and A on X over all records.  Both fits share one evaluation of the
-    candidate designs on the training points.
+    and A on X over all records.  Both fits use ``designs``, the candidate
+    designs that ``series_designs`` evaluated on the training points.
     """
     if spec.id not in ("mar_mean", "mar_mean_arm0", "expected_cond_cov"):
         raise ValueError(f"unknown functional {spec.id!r}")
-    designs = series_designs(training.x, basis, k_grid)
     if spec.id == "expected_cond_cov":
         b_hat, _ = series_fit(designs, training.y, folds, seed)
         p_hat, _ = series_fit(designs, training.a, folds, seed + 1)
@@ -184,4 +171,4 @@ def fit_nuisances(spec: FunctionalSpec, training: Dataset, basis: Basis,
         def p_hat(pts):
             return 1.0 / np.clip(pi_hat(pts), sigma_floor, 1.0)
 
-    return NuisanceSet(b_hat, p_hat, provenance=f"series:k_grid={k_grid}")
+    return NuisanceSet(b_hat, p_hat, provenance=f"series:k_grid={list(designs)}")

@@ -424,7 +424,7 @@ def _one_cell(scn: ScenarioSpec, cfg: EstimatorConfig, n: int, master: int,
             zero_convention=int(rep_out.zero_convention_applied),
             op_dist=op, covered=covered,
         )
-    except (ValueError, np.linalg.LinAlgError) as exc:
+    except (ValidationError, np.linalg.LinAlgError) as exc:
         # bad data or numerics: recorded per row, fatal only in bulk; any
         # other exception is a programming error and fails the study
         row["error"] = f"{type(exc).__name__}: {exc}"

@@ -211,75 +211,3 @@ def brute_force_ifjj(j: int, inputs: ChainInputs) -> float:
             mat = mat @ (r - omega) @ m
         total += inputs.eps_p[i1] * inputs.eps_b[i2] * float(z[i1] @ mat @ z[i2])
     return sign * total / perm(n, j)
-
-
-def _symmetrize(kernel: np.ndarray) -> np.ndarray:
-    m = kernel.ndim
-    out = np.zeros_like(kernel, dtype=float)
-    for perm in permutations(range(m)):
-        out += np.transpose(kernel, perm)
-    return out / factorial(m)
-
-
-def hoeffding_variance(kernel: np.ndarray, probs: np.ndarray, n: int) -> float:
-    """Exact variance of the order-m U-statistic of ``kernel`` at sample
-    size n, for i.i.d. draws from the discrete law ``probs``.
-
-    ``kernel`` is an m-dimensional array over the support points.  The
-    kernel is symmetrized, decomposed into degenerate components h_l, and
-    the variance assembled as sum_l C(m,l)^2 / C(n,l) E[h_l^2].
-    """
-    kernel = np.asarray(kernel, dtype=float)
-    probs = np.asarray(probs, dtype=float)
-    m = kernel.ndim
-    if n < m:
-        raise ValueError("sample size below kernel order")
-    if not np.isclose(probs.sum(), 1.0):
-        raise ValueError("probs must sum to 1")
-    f = _symmetrize(kernel)
-
-    # conditional means g_l(x_1..x_l) = E[f | first l arguments]
-    g = [None] * (m + 1)
-    g[m] = f
-    for l in range(m - 1, -1, -1):
-        g[l] = np.tensordot(g[l + 1], probs, axes=([l], [0]))
-    mean = float(g[0])
-
-    # degenerate components by Moebius over subsets of the first l slots
-    from itertools import combinations
-
-    def degenerate(l):
-        out = np.zeros_like(g[l])
-        for size in range(l + 1):
-            for subset in combinations(range(l), size):
-                gl = g[size]
-                # broadcast g_{|S|}(x_S) onto the l axes
-                shape = [1] * l
-                for axis_pos, axis in enumerate(subset):
-                    shape[axis] = gl.shape[axis_pos] if gl.ndim else 1
-                arr = gl
-                if subset:
-                    expand = np.reshape(arr, shape)
-                else:
-                    expand = np.full([1] * l, float(arr)) if l else np.asarray(arr)
-                out = out + (-1.0) ** (l - size) * expand
-        return out
-
-    var = 0.0
-    for l in range(1, m + 1):
-        fl = degenerate(l)
-        w = probs
-        second = fl * fl
-        for axis in range(l - 1, -1, -1):
-            second = np.tensordot(second, w, axes=([axis], [0]))
-        var += comb(m, l) ** 2 / comb(n, l) * float(second)
-    return var
-
-
-def u_statistic_mean(kernel: np.ndarray, probs: np.ndarray) -> float:
-    """Population mean of the (symmetrized) kernel under the discrete law."""
-    kernel = np.asarray(kernel, dtype=float)
-    out = kernel
-    for axis in range(kernel.ndim - 1, -1, -1):
-        out = np.tensordot(out, probs, axes=([axis], [0]))
-    return float(out)

@@ -5,12 +5,12 @@ from hoif.basis import (
     Basis,
     BasisSpec,
     basis_from_preset,
-    bspline_partition_values,
     build_basis,
-    l2_approximation_error,
 )
+from hoif.data import ValidationError
 from hoif.gram import quadrature_gram
 from hoif.quadrature import QuadratureSpec
+from reference import bspline_partition_values, l2_approximation_error
 
 
 def uniform(x):
@@ -92,12 +92,15 @@ def test_evaluate_rejects_out_of_range():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    # bad input, so exit 2 at the command line, where a bare ValueError exits 4
+    with pytest.raises(ValidationError):
         BasisSpec("haar", 1, 3)  # not a power of two
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         BasisSpec("bspline", 1, 2, order=3)  # q < s+1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         BasisSpec("fourier", 1, 4)
+    with pytest.raises(ValidationError, match="exceeds memory cap"):
+        build_basis(BasisSpec("haar", 1, 2**18))  # certification grid too large
 
 
 def test_preset_roundtrip():
@@ -106,7 +109,7 @@ def test_preset_roundtrip():
     assert basis.spec.preset_id() == "haar:d=2,L=1"
     basis = basis_from_preset("bspline:d=1,s=2,q=6")
     assert basis.spec == BasisSpec("bspline", 1, 6, order=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         basis_from_preset("haar:d=2")
 
 

@@ -2,9 +2,12 @@ from pathlib import Path
 
 import pytest
 
+from hoif import cli
 from hoif.cli import (
+    EXIT_INTERNAL,
     EXIT_VALIDATION,
     EXIT_ZERO_CONVENTION,
+    build_parser,
     config_hash,
     estimator_config,
     load_config,
@@ -202,3 +205,52 @@ def test_cmd_estimate_mar_csv_blank_y(tmp_path):
     rc = main(["estimate", "--input", str(path), "--out", str(tmp_path / "o"),
                "--set", "m=2", "--set", "nuisance.k_grid=1;2"])
     assert rc == 0
+
+
+def test_threads_default_to_one():
+    assert build_parser().parse_args(["simulate", "--out", "x"]).threads == 1
+    assert build_parser().parse_args(["--threads", "3", "simulate", "--out", "x"]).threads == 3
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["estimate", "--input", "{tmp}/absent.csv", "--out", "{tmp}/o"],
+     "cannot read {tmp}/absent.csv"),
+    (["estimate", "--input", "{tmp}", "--out", "{tmp}/o"], "cannot read {tmp}"),
+    (["estimate", "--input", "{golden}", "--out", "{tmp}/o", "--config", "{tmp}/absent.cfg"],
+     "cannot read {tmp}/absent.cfg"),
+    (["report", "{tmp}/absent.csv"], "cannot read {tmp}/absent.csv"),
+    (["estimate", "--input", "{golden}", "--out", "{tmp}/o",
+      "--set", "basis.per_dim_size=262144"], "exceeds memory cap"),
+    (["estimate", "--input", "{golden}", "--out", "{tmp}/o", "--set", "variant=ac",
+      "--set", "basis.per_dim_size=512"], "quadrature node count below basis resolution"),
+    (["estimate", "--input", "{golden}", "--out", "{tmp}/o", "--set", "seed=-1"],
+     "seed must be >= 0"),
+    (["estimate", "--input", "{five}", "--out", "{tmp}/o", "--set", "m=4",
+      "--set", "basis.per_dim_size=1"], "order m=4 needs at least 4 estimation records"),
+])
+def test_input_errors_exit_validation(tmp_path, capsys, argv, message):
+    five = tmp_path / "five.csv"
+    five.write_text("A,Y,X1\n1,1,0.5\n0,0,0.2\n1,0,0.7\n0,1,0.1\n1,1,0.9\n")
+    fill = {"tmp": str(tmp_path), "golden": str(GOLDEN), "five": str(five)}
+    rc = main([arg.format(**fill) for arg in argv])
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION, err
+    assert err.startswith("error: ") and message.format(**fill) in err
+
+
+def test_bad_seed_environment_exits_validation(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("HOIF_SEED", "abc")
+    rc = main(["estimate", "--input", str(GOLDEN), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_VALIDATION
+    assert "HOIF_SEED:1: bad value for seed" in capsys.readouterr().err
+
+
+def test_bare_value_error_exits_internal(tmp_path, monkeypatch, capsys):
+    # a ValueError that no input check raised is a fault in the program
+    def broken(data, cfg):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "estimate", broken)
+    rc = main(["estimate", "--input", str(GOLDEN), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_INTERNAL
+    assert "internal error: ValueError: boom" in capsys.readouterr().err

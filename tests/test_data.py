@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoif.data import Dataset, ValidationError, dataset_from_csv, dataset_to_csv
 from hoif.quadrature import QuadratureSpec, default_nodes_per_dim, integrate
@@ -69,6 +74,73 @@ def test_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.x, data.x)
     np.testing.assert_array_equal(back.a, data.a)
     np.testing.assert_array_equal(back.y, data.y)
+
+
+@st.composite
+def datasets(draw):
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 3))
+    unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    real = st.one_of(st.sampled_from([0.0, 1.0, -0.0]),
+                     st.floats(allow_nan=False, allow_infinity=False))
+    x = np.array(draw(st.lists(unit, min_size=n * d, max_size=n * d))).reshape(n, d)
+    a = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(real, min_size=n, max_size=n)))
+    return Dataset(x, a, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(datasets())
+def test_csv_roundtrip_bit_for_bit(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        dataset_to_csv(data, path, header_lines=["round trip"])
+        back = dataset_from_csv(path)
+    for got, want in ((back.x, data.x), (back.a, data.a), (back.y, data.y)):
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# the bad line is the fourth of the file that is neither blank nor a comment
+MALFORMED = "# made by hand\nA,Y,X1,X2\n0,0,0.5,0.5\n\n# mid\n1,1,0.25,0.75\n  \n{bad}\n0,,0,1\n"
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("1,0,0.5", "row 4: expected 4 fields"),
+    ("1,0,0.5,0.5,0.5", "row 4: expected 4 fields"),
+    ("1,0,0.5,abc", "row 4: could not convert string to float: 'abc'"),
+    ("1,0, abc ,0.5", "row 4: could not convert string to float: 'abc'"),
+    ("one,0,0.5,0.5", "row 4: could not convert string to float: 'one'"),
+    ("1,,0.5,0.5", "row 4: column Y empty with A=1"),
+    ("1,0,0.5,1.5", "row 4: X coordinate outside [0,1]"),
+    ("1,0,-0.5,0.5", "row 4: X coordinate outside [0,1]"),
+    ("2,0,0.5,0.5", "column A must be 0/1"),
+])
+def test_malformed_row_reported(tmp_path, bad, message):
+    path = write(tmp_path, MALFORMED.format(bad=bad))
+    with pytest.raises(ValidationError) as err:
+        dataset_from_csv(path)
+    assert str(err.value) == message
+
+
+def test_first_bad_row_wins(tmp_path):
+    # a parse fault is reported before any later row, and range checks run
+    # only once every row has parsed
+    text = "A,Y,X1\n1,0,1.5\n1,0,x\n1,0\n"
+    with pytest.raises(ValidationError, match="^row 3: could not convert"):
+        dataset_from_csv(write(tmp_path, text))
+    with pytest.raises(ValidationError, match="^column A must be 0/1"):
+        dataset_from_csv(write(tmp_path, "A,Y,X1\n1,0,1.5\n2,0,0.5\n"))
+    with pytest.raises(ValidationError, match="^row 2: X coordinate"):
+        dataset_from_csv(write(tmp_path, "A,Y,X1\n1,0,1.5\n1,0,0.5\n0,0,-1\n"))
+
+
+def test_unreadable_file(tmp_path):
+    with pytest.raises(ValidationError, match="cannot read .*absent.csv"):
+        dataset_from_csv(tmp_path / "absent.csv")
+    (tmp_path / "latin1.csv").write_bytes(b"A,Y,X1\n1,0,0.5\xff\n")
+    with pytest.raises(ValidationError, match="cannot read"):
+        dataset_from_csv(tmp_path / "latin1.csv")
 
 
 def test_dataset_shape_validation():

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hoif.basis import BasisSpec, build_basis
+from hoif.basis import Basis, BasisSpec, build_basis
 from hoif.data import Dataset, ValidationError, dataset_from_csv
 from hoif.estimator import (
     EstimatorConfig,
@@ -274,3 +274,34 @@ def test_nuisance_override_one_set_per_arm():
     with pytest.raises(ValidationError, match="needs 1 nuisance"):
         estimate(data, replace(cfg, functional="mar_mean"),
                  nuisance_override=(zero, zero))
+
+
+def test_fewer_estimation_records_than_order_rejected():
+    rng = np.random.default_rng(8)
+    est = Dataset(rng.random((3, 1)), np.ones(3), rng.random(3))
+    training = Dataset(rng.random((2, 1)), np.ones(2), rng.random(2))
+    cfg = EstimatorConfig(basis=BasisSpec("haar", 1, 1), m=4, nuisance_method="zero")
+    with pytest.raises(ValidationError, match="m=4 needs at least 4 estimation records"):
+        estimate_split(est, training, cfg)
+    with pytest.raises(ValidationError, match="at least 4"):
+        estimate_split(est, training, replace(cfg, cross_fit=True))
+
+
+@pytest.mark.parametrize("functional,most", [("ate", 8), ("mar_mean", 6)])
+def test_basis_evaluated_once_per_sample_per_fold(monkeypatch, functional, most):
+    # per fold: the k-grid designs and the Gram design share one evaluation
+    # on the training sample, zmat is one on the estimation sample, and the
+    # arms share all three; each fitted nuisance evaluates its own basis once
+    calls = []
+    original = Basis.evaluate_many
+    monkeypatch.setattr(Basis, "evaluate_many",
+                        lambda self, x: calls.append(len(x)) or original(self, x))
+    data = generate(SCENARIOS["s4-ate"], 2000, 31)
+    cfg = EstimatorConfig(functional=functional, basis=BasisSpec("haar", 1, 4), m=3,
+                          seed=4, nuisance_k_grid=(1, 2, 4))
+    estimate(data, cfg)
+    single = len(calls)
+    assert single <= most
+    calls.clear()
+    estimate(data, replace(cfg, cross_fit=True))
+    assert len(calls) == 2 * single

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used by that module, and
-every private module-level name of the package is used somewhere in it."""
+"""Every name a module of the package imports is used by that module, every
+private module-level name of the package is used somewhere in it, and no
+module-level function or class of the package serves only the tests."""
 
 import ast
 from pathlib import Path
@@ -103,3 +104,79 @@ def test_private_scanner_flags_leftovers():
 def test_no_unused_privates():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unused_privates(sources) == []
+
+
+# package names that only tests read, each kept for the reason given
+TEST_ONLY_ALLOWED = {
+    "dataset_to_csv": "writes the CSV format that dataset_from_csv reads",
+    "load_gram": "reads the binary format that save_gram writes",
+}
+
+
+def _loads(node: ast.AST) -> set[str]:
+    """Names loaded and attributes accessed anywhere in ``node``."""
+    nodes = list(ast.walk(node))
+    return ({n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+
+
+def unreached_definitions(sources: dict[str, str], roots: set[str]) -> list[str]:
+    """Module-level functions and classes of ``sources`` (module name ->
+    source) that no root reaches.
+
+    The roots are ``roots`` and every name that module-level code outside
+    a definition reads; a reached definition reaches every name read in it
+    (decorators and defaults included).  A read is a loaded name or an
+    attribute access: an import alone reaches nothing.
+    """
+    reads, where = {}, {}
+    frontier = set(roots)
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                reads.setdefault(node.name, set()).update(_loads(node))
+                where[node.name] = f"{module}:{node.lineno}"
+            else:
+                frontier |= _loads(node)
+    reached = set()
+    while frontier:
+        name = frontier.pop()
+        if name not in reached:
+            reached.add(name)
+            frontier |= reads.get(name, set())
+    return sorted(f"{name} ({at})" for name, at in where.items() if name not in reached)
+
+
+def test_reach_scanner_flags_test_only_code():
+    sources = {
+        "a.py": (
+            "from b import helper\n"
+            "def api(n):\n    return helper(n) + _inner(n)\n"
+            "def _inner(n):\n    return n\n"
+            "def oracle(n):\n    return _oracle_part(n)\n"
+            "def _oracle_part(n):\n    return n\n"
+            "class Config:\n    def f(self):\n        return _from_method()\n"
+            "def _from_method():\n    return 1\n"
+            "REGISTRY = [registered]\n"
+        ),
+        "b.py": (
+            "def helper(n):\n    return n\n"
+            "def registered():\n    pass\n"
+            "def recursive(n):\n    return recursive(n - 1)\n"
+        ),
+    }
+    assert unreached_definitions(sources, {"api", "Config"}) == [
+        "_oracle_part (a.py:8)", "oracle (a.py:6)", "recursive (b.py:5)"]
+
+
+def test_no_test_only_code_in_package():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    init = ast.parse(sources["__init__.py"])
+    exported = next(ast.literal_eval(node.value) for node in init.body
+                    if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets))
+    acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+    fixed = {alias.name for node in ast.walk(acceptance) if isinstance(node, ast.ImportFrom)
+             and (node.module or "").startswith("hoif") for alias in node.names}
+    roots = set(exported) | fixed | set(TEST_ONLY_ALLOWED)
+    assert unreached_definitions(sources, roots) == []

@@ -64,7 +64,8 @@ def test_series_fit_in_span_exact():
 
 def test_propensity_fit_constant():
     data = make_training(4000, seed=3)
-    p_hat = fit_nuisances(mar_mean_spec(), data, BASIS, [1], folds=2).p_hat
+    p_hat = fit_nuisances(mar_mean_spec(), data, series_designs(data.x, BASIS, [1]),
+                          folds=2).p_hat
     vals = p_hat(np.array([[0.3], [0.7]]))
     assert vals == pytest.approx(2.0, abs=0.15)
 
@@ -76,8 +77,8 @@ def test_propensity_clipping_range():
     a = np.zeros(100)
     a[0] = 1.0
     data = Dataset(x, a, np.zeros(100))
-    p_hat = fit_nuisances(mar_mean_spec(), data, BASIS, [1], folds=2,
-                          sigma_floor=0.05).p_hat
+    p_hat = fit_nuisances(mar_mean_spec(), data, series_designs(data.x, BASIS, [1]),
+                          folds=2, sigma_floor=0.05).p_hat
     vals = p_hat(x)
     assert np.all(vals >= 1.0 - 1e-12)
     assert np.all(vals <= 1.0 / 0.05 + 1e-12)
@@ -138,11 +139,13 @@ def test_density_series_all_zero_weights():
 
 def test_fit_nuisances_mar_and_ecc():
     data = make_training(800, seed=12, b=lambda x: 0.3 + 0.4 * x[:, 0])
-    nuis = fit_nuisances(mar_mean_spec(), data, BASIS, [1, 2, 4], folds=2)
+    nuis = fit_nuisances(mar_mean_spec(), data, series_designs(data.x, BASIS, [1, 2, 4]),
+                         folds=2)
     pts = np.array([[0.2], [0.8]])
     assert np.all(np.isfinite(nuis.b_hat(pts)))
     assert np.all(nuis.p_hat(pts) >= 1.0 - 1e-12)
-    nuis2 = fit_nuisances(expected_cond_cov_spec(), data, BASIS, [1, 2], folds=2)
+    nuis2 = fit_nuisances(expected_cond_cov_spec(), data,
+                          series_designs(data.x, BASIS, [1, 2]), folds=2)
     assert np.all(np.isfinite(nuis2.p_hat(pts)))
 
 
@@ -175,7 +178,9 @@ def test_fit_nuisances_evaluates_each_design_once(monkeypatch):
     monkeypatch.setattr(Basis, "evaluate_many",
                         lambda self, x: calls.append(self.k) or original(self, x))
     data = make_training(400, seed=16)
-    fit_nuisances(mar_mean_spec(), data, BASIS, [1, 2, 4], folds=2)
+    designs = series_designs(data.x, BASIS, [1, 2, 4])
     assert sorted(calls) == [1, 2, 4]
-    fit_nuisances(expected_cond_cov_spec(), data, BASIS, [1, 2, 4], folds=2)
-    assert sorted(calls) == [1, 1, 2, 2, 4, 4]
+    # both fits of either functional read the shared designs
+    fit_nuisances(mar_mean_spec(), data, designs, folds=2)
+    fit_nuisances(expected_cond_cov_spec(), data, designs, folds=2)
+    assert sorted(calls) == [1, 2, 4]

@@ -253,16 +253,18 @@ def test_run_study_bulk_failures_fatal():
 
 
 def test_run_study_programming_error_fatal():
-    # one TypeError in 30 replications is within the 5% row-failure
-    # tolerance, but a programming error must fail the study, not a row
-    calls = []
+    # one TypeError or bare ValueError in 30 replications is within the 5%
+    # row-failure tolerance, but a programming error must fail the study,
+    # not a row; only a ValidationError or LinAlgError is a row failure
+    for error in (TypeError, ValueError):
+        calls = []
 
-    def buggy_factory(scn, cfg):
-        calls.append(cfg.seed)
-        if len(calls) == 5:
-            raise TypeError("unsupported operand")
-        return zero_nuisance()
+        def buggy_factory(scn, cfg):
+            calls.append(cfg.seed)
+            if len(calls) == 5:
+                raise error("unsupported operand")
+            return zero_nuisance()
 
-    with pytest.raises(TypeError):
-        run_study(SCENARIOS["s1-smooth-d1"], [study_cfg()], reps=30, seed=1,
-                  n=100, nuisance_factory=buggy_factory, track_op_dist=False)
+        with pytest.raises(error):
+            run_study(SCENARIOS["s1-smooth-d1"], [study_cfg()], reps=30, seed=1,
+                      n=100, nuisance_factory=buggy_factory, track_op_dist=False)

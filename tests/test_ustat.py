@@ -8,9 +8,8 @@ from hoif.ustat import (
     ChainInputs,
     brute_force_ifjj,
     correction_terms,
-    hoeffding_variance,
-    u_statistic_mean,
 )
+from reference import hoeffding_variance, u_statistic_mean
 
 
 def random_inputs(rng, n, k, sign_flag=False):
