@@ -254,6 +254,9 @@ def cmd_report(args) -> int:
         elif file_cols != cols:
             raise ValidationError(f"{path}: schema mismatch with {args.inputs[0]}")
         all_rows.extend(rows)
+    missing = [c for c in ("scenario", "variant", "m") if c not in cols]
+    if missing:
+        raise ValidationError(f"{args.inputs[0]}: missing columns {', '.join(missing)}")
     if not all_rows:
         raise ValidationError("no aggregate rows")
 

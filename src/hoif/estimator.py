@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from hoif.basis import Basis, BasisSpec, build_basis
 from hoif.data import Dataset, ValidationError, csv_field
@@ -72,6 +72,10 @@ class EstimatorConfig:
             raise ValidationError(f"m must be in [1, {M_MAX}]")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
+        if not self.nuisance_k_grid or min(self.nuisance_k_grid) < 1:
+            raise ValidationError("nuisance k_grid entries must be >= 1")
+        if self.nuisance_folds < 2:
+            raise ValidationError("nuisance folds must be >= 2 (one fold cannot cross-validate)")
 
     @property
     def k(self) -> int:
@@ -200,7 +204,7 @@ def confidence_interval(psi_hat: float, variance_est: float, level: float) -> tu
         raise ValidationError("level must be in (0, 1)")
     if variance_est <= 0.0:
         raise ValidationError("non-positive variance estimate")
-    half = norm.ppf(0.5 * (1.0 + level)) * math.sqrt(variance_est)
+    half = NormalDist().inv_cdf(0.5 * (1.0 + level)) * math.sqrt(variance_est)
     return psi_hat - half, psi_hat + half
 
 

@@ -12,8 +12,10 @@ rank-one outer product of the i-th basis evaluation, and s the sign
 Fast path: each middle factor expands as R_i M - I, which turns every
 expansion term into a weighted chain sum over sample indices.  Distinctness
 is restored by Moebius inversion over set partitions of the chain
-positions, and every collapsed (partition-identified) chain is contracted
-in factored form via einsum, so no n-by-n kernel matrix is ever formed.
+positions.  A plan, cached per chain length and basis size, lists each
+partition's blocks and einsum path; one call builds every distinct block
+tensor once and contracts every collapsed (partition-identified) chain
+from that table, so no n-by-n kernel matrix is ever formed.
 Exact in floating point up to accumulation error; an enumeration oracle
 (`brute_force_ifjj`) checks it at small n.
 """
@@ -21,12 +23,16 @@ Exact in floating point up to accumulation error; an enumeration oracle
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial, perm
 
 import numpy as np
 
+from hoif.data import ValidationError
+
 M_MAX_HARD = 6
+PLAN_BYTES_MAX = 1 << 30  # block tensors plus one Khatri-Rao chunk
 
 
 @dataclass(frozen=True)
@@ -72,33 +78,40 @@ def set_partitions(items: list):
 
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
+_KR_CHUNK = 1 << 22  # elements of one Khatri-Rao chunk in _weighted_outer_sum
 
 
-def _block_tensor(zmat: np.ndarray, zm: np.ndarray, weights: list[np.ndarray],
-                  members: tuple[int, ...]) -> tuple[np.ndarray, str]:
-    """One block of a collapsed chain, summed over its sample index.
+@lru_cache(maxsize=64)
+def _chain_plan(length: int, k: int) -> tuple:
+    """Moebius inversion of a chain sum over ``length`` positions, basis size k.
 
-    The block's chain positions share one sample index.  Its vertex
-    weights multiply, each edge e (joining positions e and e+1, with
-    ``zm`` = zmat @ M) with both endpoints in the block reduces to the
-    per-sample z^T M z, and each edge with one endpoint in it stays open:
-    a ``zm`` column at its left endpoint, a ``zmat`` column at its right.
-    Returns the dense tensor over the open edges and their einsum letters.
-    The tensor depends on the members only, so every set partition that
-    contains the block can share it.
+    One entry per set partition of the positions: its coefficient
+    prod_blocks (-1)^(|b|-1) (|b|-1)!, the einsum subscripts over its
+    blocks' open edges (edge e joins positions e and e+1), numpy's greedy
+    path for them, and each block's key.  A block's positions share one
+    sample index; its tensor sums over it the product of the members'
+    weights, a z^T M z per closed edge, and per open edge a ``zm`` (=
+    zmat @ M) column at its left end or a ``zmat`` column at its right.
+    The key records the weight roles in position order (p = eps_p,
+    h = |h1|, b = eps_b), the closed-edge count and the open-edge kinds in
+    edge order, so equal keys are equal tensors in every chain length.
     """
-    wv = weights[members[0]].copy()
-    for pos in members[1:]:
-        wv *= weights[pos]
-    mats, letters = [], ""
-    for e in range(len(weights) - 1):
-        left, right = e in members, e + 1 in members
-        if left and right:
-            wv *= np.sum(zm * zmat, axis=1)
-        elif left or right:
-            mats.append(zm if left else zmat)
-            letters += _LETTERS[e]
-    return _weighted_outer_sum(wv, mats), letters
+    plan = []
+    for blocks in set_partitions(list(range(length))):
+        mob, keys, letters = 1.0, [], []
+        for b in blocks:
+            if len(b) > 1:
+                mob *= (-1.0) ** (len(b) - 1) * factorial(len(b) - 1)
+            roles = "".join("p" if pos == 0 else "b" if pos == length - 1 else "h" for pos in b)
+            edges = [e for e in range(length - 1) if (e in b) != (e + 1 in b)]
+            closed = sum(e in b and e + 1 in b for e in range(length - 1))
+            keys.append((roles, closed, tuple("zm" if e in b else "zmat" for e in edges)))
+            letters.append("".join(_LETTERS[e] for e in edges))
+        subs = ",".join(letters) + "->"
+        stand_ins = [np.broadcast_to(0.0, (k,) * len(x)) for x in letters]
+        path = np.einsum_path(subs, *stand_ins, optimize=True)[0]
+        plan.append((mob, subs, tuple(path), tuple(keys)))
+    return tuple(plan)
 
 
 def _weighted_outer_sum(wv: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
@@ -115,7 +128,7 @@ def _weighted_outer_sum(wv: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
     sizes = tuple(m.shape[1] for m in mats)
     rest = int(np.prod(sizes[1:]))
     out = np.zeros((sizes[0], rest))
-    chunk = max(1, (1 << 22) // rest)
+    chunk = max(1, _KR_CHUNK // rest)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
         kr = mats[1][lo:hi]
@@ -125,31 +138,12 @@ def _weighted_outer_sum(wv: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
     return out.reshape(sizes)
 
 
-def distinct_chain_sum(zmat: np.ndarray, zm: np.ndarray,
-                       weights: list[np.ndarray]) -> float:
-    """Sum of the weighted chain product over tuples of distinct indices.
-
-    Moebius inversion on the partition lattice: the all-indices sum of each
-    collapsed chain, weighted by prod_blocks (-1)^(|b|-1) (|b|-1)!, equals
-    the distinct-index sum.  Each collapsed chain contracts its blocks'
-    tensors, and each of the 2^L - 1 distinct blocks of a length-L chain is
-    built once.
-    """
-    built: dict[tuple[int, ...], tuple[np.ndarray, str]] = {}
-    total = 0.0
-    for blocks in set_partitions(list(range(len(weights)))):
-        mob = 1.0
-        factors = []
-        for b in blocks:
-            key = tuple(b)
-            if key not in built:
-                built[key] = _block_tensor(zmat, zm, weights, key)
-            factors.append(built[key])
-            if len(b) > 1:
-                mob *= (-1.0) ** (len(b) - 1) * factorial(len(b) - 1)
-        subs = ",".join(letters for _, letters in factors) + "->"
-        total += mob * float(np.einsum(subs, *(t for t, _ in factors), optimize=True))
-    return total
+def _planned_bytes(keys, n: int, k: int) -> int:
+    """Bytes of the block table plus the widest block's Khatri-Rao chunk."""
+    widest = max(len(opens) for _, _, opens in keys)
+    rest = k ** (widest - 1) if widest > 1 else 0
+    chunk = min(n, max(1, _KR_CHUNK // rest)) * rest if rest else 0
+    return 8 * (sum(k ** len(opens) for _, _, opens in keys) + chunk)
 
 
 def correction_terms(inputs: ChainInputs, m: int) -> list[float]:
@@ -158,22 +152,42 @@ def correction_terms(inputs: ChainInputs, m: int) -> list[float]:
 
     Expanding the j-2 centered middle factors of order j leaves chains with
     t = 0..j-2 middle positions, so every order is a binomial combination
-    of the same distinct-index chain sums d_0..d_{m-2}; each is computed
-    once.  Cost grows with Bell(m) partitions of the longest chain, so m is
-    capped at ``M_MAX_HARD`` (the tuning rules never ask for more at desk
-    scale).
+    of the same distinct-index chain sums d_0..d_{m-2}.  Each d_t contracts
+    every set partition of its chain (``_chain_plan``) against one table
+    that holds each distinct block tensor once.  Cost grows with Bell(m)
+    partitions of the longest chain, so m is capped at ``M_MAX_HARD`` and
+    the table at ``PLAN_BYTES_MAX``, checked before anything is built.
     """
     if m < 2:
         raise ValueError("order must be >= 2")
     if m > M_MAX_HARD:
         raise ValueError(f"order {m} exceeds the cap {M_MAX_HARD}")
-    n = inputs.n
+    n, k = inputs.n, inputs.k
     if n < m:
         raise ValueError(f"need at least {m} records, got {n}")
+    plans = [_chain_plan(t + 2, k) for t in range(m - 1)]
+    keys = dict.fromkeys(key for plan in plans for *_, ks in plan for key in ks)
+    planned = _planned_bytes(keys, n, k)
+    if planned > PLAN_BYTES_MAX:
+        raise ValidationError(f"order m={m} at k={k} plans {planned} bytes of block "
+                              f"tensors, over the cap of {PLAN_BYTES_MAX}")
     zm = inputs.zmat @ inputs.omega_inv
-    d = [distinct_chain_sum(inputs.zmat, zm,
-                            [inputs.eps_p] + [inputs.abs_h1] * t + [inputs.eps_b])
-         for t in range(m - 1)]
+    weight = {"p": inputs.eps_p, "h": inputs.abs_h1, "b": inputs.eps_b}
+    column = {"zm": zm, "zmat": inputs.zmat}
+    diag = np.sum(zm * inputs.zmat, axis=1)
+    table = {}
+    for key in keys:
+        roles, closed, opens = key
+        wv = weight[roles[0]].copy()
+        for role in roles[1:]:
+            wv *= weight[role]
+        for _ in range(closed):
+            wv *= diag
+        table[key] = _weighted_outer_sum(wv, [column[o] for o in opens])
+    d = [0.0] * (m - 1)
+    for t, plan in enumerate(plans):
+        for mob, subs, path, ks in plan:
+            d[t] += mob * float(np.einsum(subs, *(table[b] for b in ks), optimize=path))
     flip = -1.0 if inputs.sign_flag else 1.0
     terms = []
     for j in range(2, m + 1):

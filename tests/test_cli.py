@@ -227,11 +227,18 @@ def test_threads_default_to_one():
      "seed must be >= 0"),
     (["estimate", "--input", "{five}", "--out", "{tmp}/o", "--set", "m=4",
       "--set", "basis.per_dim_size=1"], "order m=4 needs at least 4 estimation records"),
+    (["estimate", "--input", "{golden}", "--out", "{tmp}/o", "--set", "nuisance.k_grid=-4"],
+     "nuisance k_grid entries must be >= 1"),
+    (["estimate", "--input", "{golden}", "--out", "{tmp}/o", "--set", "nuisance.folds=0"],
+     "nuisance folds must be >= 2"),
+    (["report", "{ab}"], "{ab}: missing columns scenario, variant, m"),
 ])
 def test_input_errors_exit_validation(tmp_path, capsys, argv, message):
     five = tmp_path / "five.csv"
     five.write_text("A,Y,X1\n1,1,0.5\n0,0,0.2\n1,0,0.7\n0,1,0.1\n1,1,0.9\n")
-    fill = {"tmp": str(tmp_path), "golden": str(GOLDEN), "five": str(five)}
+    ab = tmp_path / "ab.csv"
+    ab.write_text("a,b\n1,2\n")
+    fill = {"tmp": str(tmp_path), "golden": str(GOLDEN), "five": str(five), "ab": str(ab)}
     rc = main([arg.format(**fill) for arg in argv])
     err = capsys.readouterr().err
     assert rc == EXIT_VALIDATION, err

@@ -181,6 +181,27 @@ def test_confidence_interval():
         confidence_interval(0.0, 0.0, 0.95)
 
 
+def test_confidence_quantile_matches_scipy():
+    from scipy import stats
+
+    for level in np.linspace(0.5, 0.999, 200):
+        lo, hi = confidence_interval(0.0, 1.0, float(level))
+        assert abs(hi - stats.norm.ppf(0.5 * (1.0 + level))) <= 1e-15
+        assert lo == -hi
+
+
+@pytest.mark.parametrize("settings,message", [
+    ({"nuisance_k_grid": (1, -4)}, "k_grid entries must be >= 1"),
+    ({"nuisance_k_grid": (0, 2)}, "k_grid entries must be >= 1"),
+    ({"nuisance_k_grid": ()}, "k_grid entries must be >= 1"),
+    ({"nuisance_folds": 1}, "folds must be >= 2"),
+    ({"nuisance_folds": 0}, "folds must be >= 2"),
+])
+def test_bad_nuisance_settings_rejected(settings, message):
+    with pytest.raises(ValidationError, match=message):
+        EstimatorConfig(**settings)
+
+
 def test_golden_fixture_regression():
     data = dataset_from_csv(FIXTURES / "golden_data.csv")
     rep = estimate(data, golden_config())

@@ -3,6 +3,9 @@ private module-level name of the package is used somewhere in it, and no
 module-level function or class of the package serves only the tests."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -180,3 +183,21 @@ def test_no_test_only_code_in_package():
              and (node.module or "").startswith("hoif") for alias in node.names}
     roots = set(exported) | fixed | set(TEST_ONLY_ALLOWED)
     assert unreached_definitions(sources, roots) == []
+
+
+def test_haar_estimate_loads_no_scipy(tmp_path):
+    # scipy serves only B-spline bases; a Haar run must not pay its import
+    fixture = Path(__file__).resolve().parent / "fixtures" / "golden_data.csv"
+    script = (
+        "import sys\n"
+        "from hoif.cli import main\n"
+        f"rc = main(['estimate', '--input', {str(fixture)!r}, '--out', {str(tmp_path)!r},"
+        " '--set', 'm=3'])\n"
+        "assert rc == 0, rc\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"

@@ -2,8 +2,11 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoif import ustat
+from hoif.data import ValidationError
 from hoif.ustat import (
     ChainInputs,
     brute_force_ifjj,
@@ -105,35 +108,62 @@ def test_lower_orders_are_a_prefix():
         assert correction_terms(inp, m) == full[: m - 1]
 
 
-def test_one_chain_sum_per_chain_length(monkeypatch):
-    # order m needs the chains with 0..m-2 middle positions, each once
-    calls = []
-    original = ustat.distinct_chain_sum
-    monkeypatch.setattr(ustat, "distinct_chain_sum",
-                        lambda *args: calls.append(len(args[2])) or original(*args))
-    inp = random_inputs(np.random.default_rng(13), 8, 2)
-    for m in range(2, 7):
-        calls.clear()
-        correction_terms(inp, m)
-        assert calls == list(range(2, m + 1))
-
-
-def test_one_tensor_per_distinct_block(monkeypatch):
-    # a chain of length L has 2^L - 1 distinct blocks (nonempty position
-    # subsets); each is summed over samples once, not once per partition
+def test_one_tensor_per_block_key(monkeypatch):
+    # every partition of every chain length reads one table that holds each
+    # distinct block tensor once: m^2 - 1 builds for order m, where one
+    # table per chain length would build 3, 10, 25, 56, 119
     calls = []
     original = ustat._weighted_outer_sum
     monkeypatch.setattr(ustat, "_weighted_outer_sum",
                         lambda wv, mats: calls.append(len(mats)) or original(wv, mats))
     inp = random_inputs(np.random.default_rng(14), 8, 2)
-    zm = inp.zmat @ inp.omega_inv
-    for length in range(2, 7):
+    for m, builds in zip(range(2, 7), (3, 8, 15, 24, 35)):
         calls.clear()
-        ustat.distinct_chain_sum(inp.zmat, zm, [inp.abs_h1] * length)
-        assert len(calls) == 2**length - 1
-    calls.clear()
-    correction_terms(inp, 4)
-    assert len(calls) == 3 + 7 + 15
+        correction_terms(inp, m)
+        assert len(calls) == builds
+
+
+def test_plan_enumerates_partitions_once(monkeypatch):
+    inp = random_inputs(np.random.default_rng(13), 8, 3)
+    first = correction_terms(inp, 6)
+    calls = []
+    original = ustat.set_partitions
+    monkeypatch.setattr(ustat, "set_partitions",
+                        lambda items: calls.append(items) or original(items))
+    assert correction_terms(inp, 6) == first
+    assert calls == []
+
+
+def test_over_budget_plan_refused_before_building(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ustat, "_weighted_outer_sum", lambda wv, mats: calls.append(wv))
+    monkeypatch.setattr(ustat, "PLAN_BYTES_MAX", 1000)
+    inp = random_inputs(np.random.default_rng(16), 8, 3)
+    with pytest.raises(ValidationError, match=r"order m=4 at k=3 plans \d+ bytes"):
+        correction_terms(inp, 4)
+    assert calls == []
+    monkeypatch.undo()
+    assert len(correction_terms(inp, 2)) == 1  # 7 doubles fit any cap
+
+
+@st.composite
+def chain_instances(draw):
+    m = draw(st.integers(2, 6))
+    n = draw(st.integers(m, 8))
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return m, random_inputs(rng, n, k, sign_flag=draw(st.booleans()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_instances())
+def test_every_order_matches_brute_force(case):
+    # shapes come in random order, so plans cached for one (length, k) are
+    # reused by later instances of other n
+    m, inp = case
+    for j, fast in enumerate(correction_terms(inp, m), start=2):
+        ref = brute_force_ifjj(j, inp)
+        assert abs(fast - ref) <= 1e-10 * (1.0 + abs(ref))
 
 
 def test_order_limits():
