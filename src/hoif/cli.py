@@ -16,13 +16,13 @@ import argparse
 import hashlib
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 import hoif
-from hoif.basis import BasisSpec, basis_from_preset
+from hoif.basis import basis_from_preset
 from hoif.data import ValidationError, dataset_from_csv, read_text
 from hoif.estimator import (
     EstimatorConfig,
@@ -31,7 +31,7 @@ from hoif.estimator import (
     estimation_size,
 )
 from hoif.gram import invert_checked, quadrature_gram, save_gram
-from hoif.quadrature import QuadratureSpec, default_nodes_per_dim
+from hoif.quadrature import basis_quadrature
 from hoif.sim import SCENARIOS, run_study
 
 EXIT_OK = 0
@@ -117,7 +117,7 @@ def header_lines(cfg: dict) -> tuple[str, ...]:
     return (
         f"hoif {hoif.__version__}",
         f"config-hash {config_hash(cfg)}",
-        f"seed {cfg.get('seed', 0)}",
+        f"seed {cfg['seed']}",
     )
 
 
@@ -136,41 +136,27 @@ def _cfg_text(v):
     return str(v)
 
 
-def _basis_spec(cfg: dict, dimension: int) -> BasisSpec:
-    return BasisSpec(
-        cfg.get("basis.family", "haar"),
-        cfg.get("basis.dimension", dimension),
-        cfg.get("basis.per_dim_size", 4),
-        order=cfg.get("basis.order", 0),
-    )
+# the config keys whose EstimatorConfig field has another name
+_FIELD_NAMES = {"nuisance.method": "nuisance_method", "nuisance.k_grid": "nuisance_k_grid",
+                "nuisance.folds": "nuisance_folds", "nuisance.sigma_floor": "sigma_floor"}
 
 
 def estimator_config(cfg: dict, dimension: int, n: int | None = None) -> EstimatorConfig:
-    spec = _basis_spec(cfg, dimension)
-    m = cfg.get("m", 2)
-    variant = cfg.get("variant", "emp")
-    if cfg.get("tuning", "manual") == "default":
-        if n is None:
-            raise ValidationError("default tuning needs the sample size")
-        n_est = max(estimation_size(n, cfg.get("split_fraction", 0.5)), 8)
-        k, m = default_tuning(n_est, variant, spec.dimension, spec.family)
-        q = round(k ** (1.0 / spec.dimension))
-        spec = replace(spec, per_dim_size=max(q, spec.order + 1))
-    return EstimatorConfig(
-        functional=cfg.get("functional", "mar_mean"),
-        basis=spec,
-        m=m,
-        split_fraction=cfg.get("split_fraction", 0.5),
-        seed=cfg.get("seed", 0),
-        variant=variant,
-        eigen_floor=cfg.get("eigen_floor", EstimatorConfig.eigen_floor),
-        cross_fit=cfg.get("cross_fit", False),
-        nuisance_method=cfg.get("nuisance.method", "series"),
-        nuisance_k_grid=cfg.get("nuisance.k_grid", (1, 2, 4)),
-        nuisance_folds=cfg.get("nuisance.folds", 2),
-        sigma_floor=cfg.get("nuisance.sigma_floor", EstimatorConfig.sigma_floor),
-        ci_level=cfg.get("ci_level", 0.95),
-    )
+    """EstimatorConfig of the keys ``cfg`` sets; every other field keeps its default."""
+    given = {_FIELD_NAMES.get(key, key): v for key, v in cfg.items()}
+    kwargs = {f.name: given[f.name] for f in fields(EstimatorConfig) if f.name in given}
+    spec = {key.removeprefix("basis."): v for key, v in cfg.items() if key.startswith("basis.")}
+    basis = replace(EstimatorConfig().basis, **{"dimension": dimension, **spec})
+    if cfg.get("tuning") != "default":
+        return EstimatorConfig(basis=basis, **kwargs)
+    if n is None:
+        raise ValidationError("default tuning needs the sample size")
+    kwargs.pop("m", None)  # the tuning rule picks m
+    run = EstimatorConfig(basis=basis, **kwargs)
+    n_est = max(estimation_size(n, run.split_fraction), 8)
+    k, m = default_tuning(n_est, run.variant, basis.dimension, basis.family)
+    q = round(k ** (1.0 / basis.dimension))
+    return replace(run, m=m, basis=replace(basis, per_dim_size=max(q, basis.order + 1)))
 
 
 def cmd_estimate(args) -> int:
@@ -202,15 +188,17 @@ def cmd_simulate(args) -> int:
     if scenario not in SCENARIOS:
         raise ValidationError(f"unknown scenario {scenario!r}")
     scn = SCENARIOS[scenario]
-    n = cfg.get("n", 2000)
-    reps = cfg.get("reps", 100)
-    seed = cfg.get("seed", 0)
-    cfg.setdefault("n", n)
-    cfg.setdefault("reps", reps)
-    cfg.setdefault("seed", seed)
+    # the scenario owns these; run_study would run its functional regardless
+    for key, owned in (("functional", scn.functional), ("basis.dimension", scn.d)):
+        if cfg.get(key, owned) != owned:
+            raise ValidationError(f"{key}={cfg[key]} contradicts scenario {scn.id}, "
+                                  f"which sets {key}={owned}")
+    n = cfg.setdefault("n", 2000)
+    reps = cfg.setdefault("reps", 100)
     run_cfg = estimator_config(cfg, scn.d, n=n)
+    cfg.setdefault("seed", run_cfg.seed)
     write_resolved_config(cfg, out_dir)
-    result = run_study(scn, [run_cfg], reps=reps, seed=seed, n=n,
+    result = run_study(scn, [run_cfg], reps=reps, seed=run_cfg.seed, n=n,
                        threads=args.threads)
     head = header_lines(cfg)
     (out_dir / "replications.csv").write_text(result.rows_csv(head))
@@ -293,9 +281,7 @@ def cmd_report(args) -> int:
 
 def cmd_basis_inspect(args) -> int:
     basis = basis_from_preset(args.preset)
-    quad = QuadratureSpec(max(default_nodes_per_dim(basis.d),
-                              basis.spec.per_dim_size))
-    gram = quadrature_gram(basis, lambda x: np.ones(x.shape[0]), quad)
+    gram = quadrature_gram(basis, lambda x: np.ones(x.shape[0]), basis_quadrature(basis.spec))
     rep = invert_checked(gram)
     print(f"preset            : {basis.spec.preset_id()}")
     print(f"k                 : {basis.k}")

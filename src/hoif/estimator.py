@@ -27,9 +27,10 @@ from hoif.gram import (
     GramMatrix,
     InverseReport,
     design_gram,
+    design_quadrature_gram,
     invert_checked,
+    node_design,
     op_norm_distance,
-    quadrature_gram,
 )
 from hoif.nuisance import (
     DEFAULT_SIGMA_FLOOR,
@@ -39,7 +40,7 @@ from hoif.nuisance import (
     series_designs,
     zero_nuisance,
 )
-from hoif.quadrature import QuadratureSpec, default_nodes_per_dim
+from hoif.quadrature import basis_quadrature
 from hoif.ustat import ChainInputs, correction_terms
 
 VARIANTS = ("emp", "ac")
@@ -65,6 +66,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValidationError(f"unknown variant {self.variant!r}")
+        if self.nuisance_method not in ("series", "zero", "plugin"):
+            raise ValidationError(f"unknown nuisance method {self.nuisance_method!r}")
         fn.arm_specs(self.functional)  # rejects an unknown functional
         if not 0.0 < self.split_fraction < 1.0:
             raise ValidationError("split_fraction must be in (0, 1)")
@@ -80,9 +83,6 @@ class EstimatorConfig:
     @property
     def k(self) -> int:
         return self.basis.k
-
-    def quadrature(self) -> QuadratureSpec:
-        return QuadratureSpec(default_nodes_per_dim(self.basis.dimension))
 
 
 @dataclass
@@ -231,7 +231,8 @@ def _training_fits(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSe
         z = shared[1] if shared else basis.evaluate_many(training.x)
         return nuisances, [design_gram(z, training, spec) for spec in specs]
     g_hats = [density_series(training, basis, spec, cfg.sigma_floor) for spec in specs]
-    return nuisances, [quadrature_gram(basis, g, cfg.quadrature()) for g in g_hats]
+    design = node_design(basis, basis_quadrature(cfg.basis))  # shared by the arms
+    return nuisances, [design_quadrature_gram(design, g) for g in g_hats]
 
 
 def _run_fold(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSet] | None,

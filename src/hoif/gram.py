@@ -18,6 +18,7 @@ from hoif.basis import Basis
 from hoif.data import Dataset, ValidationError
 from hoif.functionals import FunctionalSpec
 from hoif.quadrature import QuadratureSpec
+from hoif.ustat import PLAN_BYTES_MAX
 
 DEFAULT_EIGEN_FLOOR = 1e-8
 
@@ -67,15 +68,30 @@ def design_gram(z: np.ndarray, training: Dataset, spec: FunctionalSpec) -> GramM
     return _finish(entries, "empirical", training.n)
 
 
-def quadrature_gram(basis: Basis, g, quad: QuadratureSpec) -> GramMatrix:
-    """Quadrature of the g-weighted outer product of basis evaluations."""
+def node_design(basis: Basis, quad: QuadratureSpec) -> tuple[np.ndarray, float, np.ndarray]:
+    """Nodes, cell weight and basis values of the rule ``quad``; a design
+    over ``PLAN_BYTES_MAX`` bytes is refused before its grid is built."""
     if quad.nodes_per_dim < basis.spec.per_dim_size:
         raise ValidationError("quadrature node count below basis resolution")
+    nbytes = 8 * quad.nodes_per_dim ** basis.d * basis.k
+    if nbytes > PLAN_BYTES_MAX:
+        raise ValidationError(f"quadrature design of {quad.nodes_per_dim}^{basis.d} nodes at "
+                              f"k={basis.k} needs {nbytes} bytes, over the cap of {PLAN_BYTES_MAX}")
     nodes, w = quad.grid(basis.d)
+    return nodes, w, basis.evaluate_many(nodes)
+
+
+def quadrature_gram(basis: Basis, g, quad: QuadratureSpec) -> GramMatrix:
+    """Quadrature of the g-weighted outer product of basis evaluations."""
+    return design_quadrature_gram(node_design(basis, quad), g)
+
+
+def design_quadrature_gram(design: tuple, g) -> GramMatrix:
+    """``quadrature_gram`` from a ``node_design``, which several g can share."""
+    nodes, w, z = design
     gv = np.asarray(g(nodes), dtype=float)
     if np.any(gv < 0):
         raise ValueError("density must be nonnegative")
-    z = basis.evaluate_many(nodes)
     entries = (z * (gv * w)[:, None]).T @ z
     return _finish(entries, "quadrature", nodes.shape[0])
 
@@ -119,8 +135,7 @@ def op_norm_distance(amat: GramMatrix, bmat: GramMatrix) -> float:
 
 def projection_coefficients(basis: Basis, m_inv: np.ndarray, g, h, quad: QuadratureSpec) -> np.ndarray:
     """Coefficients of the L2(g)-projection of h onto the basis span."""
-    nodes, w = quad.grid(basis.d)
-    z = basis.evaluate_many(nodes)
+    nodes, w, z = node_design(basis, quad)
     gv = np.asarray(g(nodes), dtype=float)
     hv = np.asarray(h(nodes), dtype=float)
     moments = z.T @ (gv * hv * w)
@@ -149,15 +164,14 @@ def truncation_bias(basis: Basis, g, b_err, p_err, quad: QuadratureSpec,
     L2(g)-projection onto the basis span and sign = (-1)**I(h1 <= 0).
     Simulation-only: requires the error functions themselves.
     """
-    gram = quadrature_gram(basis, g, quad)
-    rep = invert_checked(gram)
+    design = node_design(basis, quad)
+    rep = invert_checked(design_quadrature_gram(design, g))
     if not rep.invertible:
         raise ValueError("population Gram not invertible at this quadrature")
-    nodes, w = quad.grid(basis.d)
+    nodes, w, z = design
     gv = np.asarray(g(nodes), dtype=float)
     bv = np.asarray(b_err(nodes), dtype=float)
     pv = np.asarray(p_err(nodes), dtype=float)
-    z = basis.evaluate_many(nodes)
     cb = z.T @ (gv * bv * w)
     cp = z.T @ (gv * pv * w)
     full = float(np.sum(gv * bv * pv) * w)

@@ -21,7 +21,7 @@ def default_nodes_per_dim(d: int) -> int:
 class QuadratureSpec:
     """Midpoint rule with ``nodes_per_dim`` cells per coordinate."""
 
-    nodes_per_dim: int = 256
+    nodes_per_dim: int
 
     def __post_init__(self):
         if self.nodes_per_dim < 1:
@@ -30,6 +30,11 @@ class QuadratureSpec:
     def grid(self, d: int) -> tuple[np.ndarray, float]:
         """Return (nodes, cell_weight): nodes is (nodes_per_dim**d, d)."""
         return _grid_cached(self.nodes_per_dim, d)
+
+
+def basis_quadrature(spec) -> QuadratureSpec:
+    """Midpoint grid for a basis spec: its dimension's default, or its own size if finer."""
+    return QuadratureSpec(max(default_nodes_per_dim(spec.dimension), spec.per_dim_size))
 
 
 @lru_cache(maxsize=32)

@@ -19,7 +19,7 @@ import numpy as np
 from hoif.data import Dataset, ValidationError, csv_field
 from hoif.estimator import EstimatorConfig, estimate
 from hoif.gram import GramMatrix, quadrature_gram
-from hoif.quadrature import QuadratureSpec, default_nodes_per_dim, integrate
+from hoif.quadrature import QuadratureSpec, basis_quadrature, default_nodes_per_dim, integrate
 
 QUAD_TOL = 1e-8
 
@@ -167,56 +167,50 @@ def _ecc_corr_c11(x):
     return 0.05 + 0.05 * x[:, 0]
 
 
-SCENARIOS: dict[str, ScenarioSpec] = {}
-
-
-def _register(scn: ScenarioSpec):
-    SCENARIOS[scn.id] = scn
-    return scn
-
-
-_register(ScenarioSpec(
-    id="s1-smooth-d1", d=1, functional="mar_mean",
-    b=_s1_b, pi=_s1_pi, f=_uniform_f,
-    sample_x=lambda rng, n: _uniform_sample(rng, n, 1),
-    sigma=0.5, description="analytic smooth MAR mean, uniform X on [0,1]",
-))
-_register(ScenarioSpec(
-    id="s2-smooth-d2", d=2, functional="mar_mean",
-    b=_s2_b, pi=_s2_pi, f=_s2_f, sample_x=_s2_sample,
-    sigma=0.45, description="analytic smooth MAR mean, product density, d=2",
-))
-_register(ScenarioSpec(
-    id="s3-holder-d2", d=2, functional="mar_mean",
-    b=_s3_b, pi=_s3_pi, f=_uniform_f,
-    sample_x=lambda rng, n: _uniform_sample(rng, n, 2),
-    sigma=0.45, beta_b=S3_BETA, beta_p=S3_BETA,
-    description="truncated Haar series nuisances of smoothness 0.6, d=2",
-))
-_register(ScenarioSpec(
-    id="s4-span-exact", d=1, functional="mar_mean",
-    b=_s4_b, pi=_s4_pi, f=_uniform_f,
-    sample_x=lambda rng, n: _uniform_sample(rng, n, 1),
-    sigma=0.4, description="b and pi piecewise constant on the halves; TB=0",
-))
-_register(ScenarioSpec(
-    id="s4-ate", d=1, functional="ate",
-    b=_s4_b, pi=_s4_pi, f=_uniform_f, b0=_s4_b0,
-    sample_x=lambda rng, n: _uniform_sample(rng, n, 1),
-    sigma=0.3, description="span-exact two-arm scenario for the ATE",
-))
-_register(ScenarioSpec(
-    id="s5-ecc-indep", d=1, functional="ecc",
-    b=_s5_b, pi=_s5_pi, f=_uniform_f, c11=_zero_fn,
-    sample_x=lambda rng, n: _uniform_sample(rng, n, 1),
-    sigma=0.35, description="A and Y conditionally independent; psi = 0",
-))
-_register(ScenarioSpec(
-    id="ecc-corr", d=1, functional="ecc",
-    b=_s5_b, pi=_s5_pi, f=_uniform_f, c11=_ecc_corr_c11,
-    sample_x=lambda rng, n: _uniform_sample(rng, n, 1),
-    sigma=0.35, description="positively correlated A and Y given X",
-))
+SCENARIOS: dict[str, ScenarioSpec] = {scn.id: scn for scn in (
+    ScenarioSpec(
+        id="s1-smooth-d1", d=1, functional="mar_mean",
+        b=_s1_b, pi=_s1_pi, f=_uniform_f,
+        sample_x=lambda rng, n: _uniform_sample(rng, n, 1),
+        sigma=0.5, description="analytic smooth MAR mean, uniform X on [0,1]",
+    ),
+    ScenarioSpec(
+        id="s2-smooth-d2", d=2, functional="mar_mean",
+        b=_s2_b, pi=_s2_pi, f=_s2_f, sample_x=_s2_sample,
+        sigma=0.45, description="analytic smooth MAR mean, product density, d=2",
+    ),
+    ScenarioSpec(
+        id="s3-holder-d2", d=2, functional="mar_mean",
+        b=_s3_b, pi=_s3_pi, f=_uniform_f,
+        sample_x=lambda rng, n: _uniform_sample(rng, n, 2),
+        sigma=0.45, beta_b=S3_BETA, beta_p=S3_BETA,
+        description="truncated Haar series nuisances of smoothness 0.6, d=2",
+    ),
+    ScenarioSpec(
+        id="s4-span-exact", d=1, functional="mar_mean",
+        b=_s4_b, pi=_s4_pi, f=_uniform_f,
+        sample_x=lambda rng, n: _uniform_sample(rng, n, 1),
+        sigma=0.4, description="b and pi piecewise constant on the halves; TB=0",
+    ),
+    ScenarioSpec(
+        id="s4-ate", d=1, functional="ate",
+        b=_s4_b, pi=_s4_pi, f=_uniform_f, b0=_s4_b0,
+        sample_x=lambda rng, n: _uniform_sample(rng, n, 1),
+        sigma=0.3, description="span-exact two-arm scenario for the ATE",
+    ),
+    ScenarioSpec(
+        id="s5-ecc-indep", d=1, functional="ecc",
+        b=_s5_b, pi=_s5_pi, f=_uniform_f, c11=_zero_fn,
+        sample_x=lambda rng, n: _uniform_sample(rng, n, 1),
+        sigma=0.35, description="A and Y conditionally independent; psi = 0",
+    ),
+    ScenarioSpec(
+        id="ecc-corr", d=1, functional="ecc",
+        b=_s5_b, pi=_s5_pi, f=_uniform_f, c11=_ecc_corr_c11,
+        sample_x=lambda rng, n: _uniform_sample(rng, n, 1),
+        sigma=0.35, description="positively correlated A and Y given X",
+    ),
+)}
 
 
 _VALIDATED: set[str] = set()
@@ -451,7 +445,7 @@ def run_study(scn: ScenarioSpec, cfg_grid: list[EstimatorConfig], reps: int,
         from hoif.basis import build_basis
 
         ref_grams = [quadrature_gram(build_basis(cfg.basis), weighted_density(scn),
-                                     cfg.quadrature()) for cfg in cfg_grid]
+                                     basis_quadrature(cfg.basis)) for cfg in cfg_grid]
 
     tasks = [
         (rep, ci)

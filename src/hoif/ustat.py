@@ -32,7 +32,7 @@ import numpy as np
 from hoif.data import ValidationError
 
 M_MAX_HARD = 6
-PLAN_BYTES_MAX = 1 << 30  # block tensors plus one Khatri-Rao chunk
+PLAN_BYTES_MAX = 1 << 30  # block tensors plus one Khatri-Rao chunk; also a quadrature design
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hoif import cli
+from hoif import cli, gram
+from hoif.basis import Basis, BasisSpec
 from hoif.cli import (
     EXIT_INTERNAL,
     EXIT_VALIDATION,
@@ -13,8 +17,10 @@ from hoif.cli import (
     load_config,
     main,
     parse_config_text,
+    write_resolved_config,
 )
 from hoif.data import ValidationError, dataset_to_csv
+from hoif.estimator import EstimatorConfig
 from hoif.sim import SCENARIOS, generate
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -78,6 +84,86 @@ def test_estimator_config_default_tuning():
         estimator_config({"tuning": "default"}, dimension=1)
     # tuned on the 1611 records split_sample puts in the estimation sample
     assert estimator_config({"tuning": "default"}, 2, n=3221).k == 4
+
+
+def test_absent_keys_take_the_stated_defaults():
+    # the defaults README states
+    assert estimator_config({}, 1) == EstimatorConfig(
+        functional="mar_mean", basis=BasisSpec("haar", 1, 4, order=0), m=2,
+        split_fraction=0.5, seed=0, variant="emp", eigen_floor=1e-8, cross_fit=False,
+        nuisance_method="series", nuisance_k_grid=(1, 2, 4), nuisance_folds=2,
+        sigma_floor=0.05, ci_level=0.95)
+
+
+@pytest.mark.parametrize("cfg,dimension,n,expected", [
+    # the tuning rule picks m over the one the config names, even one out of range
+    ({"tuning": "default", "m": 5}, 1, 2000,
+     EstimatorConfig(basis=BasisSpec("haar", 1, 2), m=3)),
+    ({"tuning": "default", "variant": "ac", "split_fraction": 0.3, "seed": 9}, 2, 20000,
+     EstimatorConfig(basis=BasisSpec("haar", 2, 8), m=4, split_fraction=0.3, seed=9,
+                     variant="ac")),
+    ({"tuning": "default", "basis.family": "bspline", "basis.order": 2}, 1, 5000,
+     EstimatorConfig(basis=BasisSpec("bspline", 1, 5, order=2), m=3)),
+])
+def test_default_tuning_reads_resolved_values(cfg, dimension, n, expected):
+    assert estimator_config(cfg, dimension, n=n) == expected
+
+
+# valid values of every config key; tuning stays manual, the study keys are
+# ignored by estimator_config
+_KEY_VALUES = {
+    "functional": st.sampled_from(["mar_mean", "ate", "ecc"]),
+    "variant": st.sampled_from(["emp", "ac"]),
+    "m": st.integers(1, 4),
+    "tuning": st.just("manual"),
+    "split_fraction": st.floats(0.01, 0.99),
+    "seed": st.integers(0, 2**40),
+    "eigen_floor": st.floats(1e-14, 1e-2),
+    "cross_fit": st.booleans(),
+    "ci_level": st.floats(0.5, 0.999),
+    "basis.family": st.sampled_from(["haar", "bspline"]),
+    "basis.dimension": st.integers(1, 3),
+    "basis.per_dim_size": st.sampled_from([4, 8, 16]),
+    "basis.order": st.integers(0, 3),
+    "nuisance.method": st.sampled_from(["series", "zero"]),
+    "nuisance.k_grid": st.lists(st.integers(1, 64), min_size=1, max_size=4).map(tuple),
+    "nuisance.folds": st.integers(2, 6),
+    "nuisance.sigma_floor": st.floats(1e-4, 0.5),
+    "scenario": st.sampled_from(sorted(SCENARIOS)),
+    "n": st.integers(10, 10**6),
+    "reps": st.integers(2, 1000),
+}
+# config key -> EstimatorConfig field, for the keys that set one
+_FIELD_OF = {"functional": "functional", "variant": "variant", "m": "m",
+             "split_fraction": "split_fraction", "seed": "seed", "eigen_floor": "eigen_floor",
+             "cross_fit": "cross_fit", "ci_level": "ci_level",
+             "nuisance.method": "nuisance_method", "nuisance.k_grid": "nuisance_k_grid",
+             "nuisance.folds": "nuisance_folds", "nuisance.sigma_floor": "sigma_floor"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_config_parse_resolve_hash(data):
+    keys = data.draw(st.lists(st.sampled_from(sorted(_KEY_VALUES)), unique=True))
+    drawn = {key: data.draw(_KEY_VALUES[key]) for key in keys}
+    text = "\n".join(f"{key}={cli._cfg_text(v)}" for key, v in drawn.items())
+    cfg = parse_config_text(text, "drawn")
+    assert cfg == drawn
+    # parse -> resolve: the keys given, every other field at the stated default
+    dimension = data.draw(st.integers(1, 3))
+    basis = BasisSpec(cfg.get("basis.family", "haar"), cfg.get("basis.dimension", dimension),
+                      cfg.get("basis.per_dim_size", 4), order=cfg.get("basis.order", 0))
+    expected = EstimatorConfig(basis=basis, **{_FIELD_OF[k]: v for k, v in cfg.items()
+                                               if k in _FIELD_OF})
+    assert estimator_config(cfg, dimension) == expected
+    # resolve -> hash: key order does not matter, and the echo re-parses
+    shuffled = data.draw(st.permutations(keys))
+    assert config_hash({key: cfg[key] for key in shuffled}) == config_hash(cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_resolved_config(cfg, Path(tmp))
+        echo = (Path(tmp) / "resolved_config.txt").read_text()
+    assert parse_config_text(echo, "echo") == cfg
+    assert f"# config-hash {config_hash(cfg)}\n" in echo
 
 
 def test_cmd_estimate_writes_artifacts(tmp_path, capsys):
@@ -187,6 +273,47 @@ def test_cmd_report_schema_mismatch(tmp_path):
     assert main(["report", str(a), str(b)]) == EXIT_VALIDATION
 
 
+def test_simulate_scenario_owns_functional_and_dimension(tmp_path, capsys):
+    # a contradicting key would run the scenario's functional under a resolved
+    # config naming another, or fail inside the estimator
+    for key, value in (("functional", "ecc"), ("basis.dimension", "1")):
+        out = tmp_path / key
+        rc = main(["simulate", "--out", str(out), "--set", "scenario=s2-smooth-d2",
+                   "--set", "n=300", "--set", "reps=2", "--set", f"{key}={value}"])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"error: {key}={value} contradicts scenario s2-smooth-d2" in err
+        assert not out.exists()
+    # naming the scenario's own values is allowed
+    rc = main(["simulate", "--out", str(tmp_path / "same"), "--set", "scenario=s2-smooth-d2",
+               "--set", "n=300", "--set", "reps=2", "--set", "functional=mar_mean",
+               "--set", "basis.dimension=2", "--set", "nuisance.method=zero"])
+    assert rc == 0
+
+
+def test_basis_finer_than_default_grid_runs(tmp_path):
+    # the grid follows the basis: the emp study needs it for its reference
+    # Gram, the ac estimate for its Gram
+    rc = main(["simulate", "--out", str(tmp_path / "s"), "--set", "scenario=s1-smooth-d1",
+               "--set", "n=2400", "--set", "reps=2", "--set", "m=2",
+               "--set", "basis.per_dim_size=512", "--set", "nuisance.method=zero"])
+    assert rc == 0
+    rc = main(["estimate", "--input", str(GOLDEN), "--out", str(tmp_path / "e"),
+               "--set", "variant=ac", "--set", "basis.per_dim_size=512"])
+    assert rc == 0
+
+
+def test_basis_inspect_refuses_over_budget_design(monkeypatch, capsys):
+    monkeypatch.setattr(Basis, "evaluate_many", lambda self, x: pytest.fail("evaluated"))
+    # 64**3 nodes x k=4096 columns of float64 would take 8.6 GB
+    assert main(["basis-inspect", "--preset", "haar:d=3,L=3"]) == EXIT_VALIDATION
+    assert "at k=4096 needs 8589934592 bytes" in capsys.readouterr().err
+    # 256 nodes x k=8 take 16384 bytes, one over a lowered cap
+    monkeypatch.setattr(gram, "PLAN_BYTES_MAX", 16383)
+    assert main(["basis-inspect", "--preset", "haar:d=1,L=2"]) == EXIT_VALIDATION
+    assert "at k=8 needs 16384 bytes" in capsys.readouterr().err
+
+
 def test_cmd_basis_inspect(tmp_path, capsys):
     gram_path = tmp_path / "g.bin"
     rc = main(["basis-inspect", "--preset", "haar:d=1,L=2",
@@ -221,8 +348,8 @@ def test_threads_default_to_one():
     (["report", "{tmp}/absent.csv"], "cannot read {tmp}/absent.csv"),
     (["estimate", "--input", "{golden}", "--out", "{tmp}/o",
       "--set", "basis.per_dim_size=262144"], "exceeds memory cap"),
-    (["estimate", "--input", "{golden}", "--out", "{tmp}/o", "--set", "variant=ac",
-      "--set", "basis.per_dim_size=512"], "quadrature node count below basis resolution"),
+    (["simulate", "--out", "{tmp}/o", "--set", "scenario=s2-smooth-d2",
+      "--set", "basis.dimension=1"], "basis.dimension=1 contradicts scenario s2-smooth-d2"),
     (["estimate", "--input", "{golden}", "--out", "{tmp}/o", "--set", "seed=-1"],
      "seed must be >= 0"),
     (["estimate", "--input", "{five}", "--out", "{tmp}/o", "--set", "m=4",

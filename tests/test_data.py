@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoif.data import Dataset, ValidationError, dataset_from_csv, dataset_to_csv
-from hoif.quadrature import QuadratureSpec, default_nodes_per_dim, integrate
+from hoif.basis import BasisSpec
+from hoif.quadrature import QuadratureSpec, basis_quadrature, default_nodes_per_dim, integrate
 from hoif.sim import SCENARIOS, generate
 
 
@@ -180,3 +181,17 @@ def test_default_nodes_shrink_with_dimension():
     assert default_nodes_per_dim(1) >= default_nodes_per_dim(2) >= default_nodes_per_dim(3)
     with pytest.raises(ValueError):
         QuadratureSpec(0)
+
+
+@pytest.mark.parametrize("spec,nodes", [
+    (BasisSpec("haar", 1, 4), 256),
+    (BasisSpec("haar", 2, 256), 256),
+    (BasisSpec("haar", 3, 64), 64),
+    (BasisSpec("haar", 1, 512), 512),
+    (BasisSpec("haar", 2, 512), 512),
+    (BasisSpec("haar", 3, 128), 128),
+    (BasisSpec("bspline", 1, 300, order=2), 300),
+])
+def test_basis_grid_is_the_finer_of_default_and_basis(spec, nodes):
+    # unchanged up to the default; a finer basis gets one node per cell
+    assert basis_quadrature(spec) == QuadratureSpec(nodes)

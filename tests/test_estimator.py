@@ -196,10 +196,22 @@ def test_confidence_quantile_matches_scipy():
     ({"nuisance_k_grid": ()}, "k_grid entries must be >= 1"),
     ({"nuisance_folds": 1}, "folds must be >= 2"),
     ({"nuisance_folds": 0}, "folds must be >= 2"),
+    ({"nuisance_method": "seires"}, "unknown nuisance method 'seires'"),
 ])
 def test_bad_nuisance_settings_rejected(settings, message):
     with pytest.raises(ValidationError, match=message):
         EstimatorConfig(**settings)
+
+
+def test_nuisance_methods_accepted():
+    # plugin is accepted here and needs an override when the estimate runs
+    for method in ("series", "zero", "plugin"):
+        assert EstimatorConfig(nuisance_method=method).nuisance_method == method
+    data = generate(SCENARIOS["s1-smooth-d1"], 200, 3)
+    cfg = EstimatorConfig(nuisance_method="plugin")
+    with pytest.raises(ValidationError, match="'plugin' needs an override"):
+        estimate(data, cfg)
+    assert np.isfinite(estimate(data, cfg, nuisance_override=zero_nuisance()).psi_hat)
 
 
 def test_golden_fixture_regression():
@@ -326,3 +338,23 @@ def test_basis_evaluated_once_per_sample_per_fold(monkeypatch, functional, most)
     calls.clear()
     estimate(data, replace(cfg, cross_fit=True))
     assert len(calls) == 2 * single
+
+
+@pytest.mark.parametrize("variant,most", [("ac", 9), ("emp", 8)])
+def test_grid_design_shared_by_the_arms(monkeypatch, variant, most):
+    # both arms' ac Grams come from one evaluation of the basis on the
+    # 256-node quadrature grid per fold; emp never evaluates the grid
+    calls = []
+    original = Basis.evaluate_many
+    monkeypatch.setattr(Basis, "evaluate_many",
+                        lambda self, x: calls.append(len(x)) or original(self, x))
+    data = generate(SCENARIOS["s4-ate"], 2000, 31)
+    cfg = EstimatorConfig(functional="ate", basis=BasisSpec("haar", 1, 4), m=3, seed=4,
+                          variant=variant, nuisance_k_grid=(1, 2, 4))
+    estimate(data, cfg)
+    assert len(calls) <= most
+    assert calls.count(256) == (variant == "ac")
+    calls.clear()
+    estimate(data, replace(cfg, cross_fit=True))
+    assert len(calls) <= 2 * most
+    assert calls.count(256) == 2 * (variant == "ac")

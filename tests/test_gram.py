@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hoif.basis import BasisSpec, build_basis
+from hoif import gram as gram_module
+from hoif.basis import Basis, BasisSpec, build_basis
 from hoif.data import Dataset, ValidationError
 from hoif.functionals import expected_cond_cov_spec, mar_mean_spec
 from hoif.gram import (
@@ -9,6 +10,7 @@ from hoif.gram import (
     empirical_gram,
     invert_checked,
     load_gram,
+    node_design,
     op_norm_distance,
     project,
     projection_coefficients,
@@ -16,7 +18,7 @@ from hoif.gram import (
     save_gram,
     truncation_bias,
 )
-from hoif.quadrature import QuadratureSpec
+from hoif.quadrature import QuadratureSpec, basis_quadrature
 
 QUAD = QuadratureSpec(256)
 
@@ -93,6 +95,30 @@ def test_quadrature_gram_haar2_linear_density():
     basis = build_basis(BasisSpec("haar", 1, 2))
     gram = quadrature_gram(basis, lambda x: 2.0 * x[:, 0], QUAD)
     np.testing.assert_allclose(gram.entries, [[1.0, -0.5], [-0.5, 1.0]], atol=1e-12)
+
+
+def test_fine_basis_needs_a_fine_enough_grid():
+    # a caller's own grid coarser than the basis is refused; the basis's
+    # grid rule picks one node per finest cell, where the Gram is exact
+    basis = build_basis(BasisSpec("haar", 1, 512))
+    with pytest.raises(ValidationError, match="quadrature node count below basis resolution"):
+        quadrature_gram(basis, uniform, QUAD)
+    gram = quadrature_gram(basis, uniform, basis_quadrature(basis.spec))
+    np.testing.assert_allclose(gram.entries, np.eye(512), atol=1e-10)
+
+
+def test_over_budget_node_design_refused_before_building(monkeypatch):
+    # 256 nodes x k=8 columns of float64 take 16384 bytes
+    basis = build_basis(BasisSpec("haar", 1, 8))
+    monkeypatch.setattr(gram_module, "PLAN_BYTES_MAX", 16384)
+    assert node_design(basis, QUAD)[2].shape == (256, 8)
+    monkeypatch.setattr(gram_module, "PLAN_BYTES_MAX", 16383)
+    monkeypatch.setattr(Basis, "evaluate_many", lambda self, x: pytest.fail("evaluated"))
+    monkeypatch.setattr(QuadratureSpec, "grid", lambda self, d: pytest.fail("grid built"))
+    with pytest.raises(ValidationError, match="at k=8 needs 16384 bytes, over the cap of 16383"):
+        node_design(basis, QUAD)
+    with pytest.raises(ValidationError, match="needs 16384 bytes"):
+        quadrature_gram(basis, uniform, QUAD)
 
 
 def test_invert_checked_identity():
@@ -182,6 +208,19 @@ def test_truncation_bias_zero_cases():
     zero = lambda x: np.zeros(x.shape[0])
     assert truncation_bias(basis, uniform, in_span, off_span, QUAD) == pytest.approx(0.0, abs=1e-12)
     assert truncation_bias(basis, uniform, off_span, zero, QUAD) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_truncation_bias_evaluates_the_grid_once(monkeypatch):
+    # the population Gram and the projection moments share one node design
+    basis = build_basis(BasisSpec("haar", 1, 4))
+    f = lambda x: x[:, 0]
+    expected = truncation_bias(basis, uniform, f, f, QUAD)
+    calls = []
+    original = Basis.evaluate_many
+    monkeypatch.setattr(Basis, "evaluate_many",
+                        lambda self, x: calls.append(len(x)) or original(self, x))
+    assert truncation_bias(basis, uniform, f, f, QUAD) == expected
+    assert calls == [256]
 
 
 def test_truncation_bias_closed_form_and_sign():
