@@ -156,7 +156,17 @@ def estimator_config(cfg: dict, dimension: int, n: int | None = None) -> Estimat
     n_est = max(estimation_size(n, run.split_fraction), 8)
     k, m = default_tuning(n_est, run.variant, basis.dimension, basis.family)
     q = round(k ** (1.0 / basis.dimension))
-    return replace(run, m=m, basis=replace(basis, per_dim_size=max(q, basis.order + 1)))
+    if basis.family == "bspline":  # the only family that reads the order
+        q = max(q, basis.order + 1)
+    return replace(run, m=m, basis=replace(basis, per_dim_size=q))
+
+
+def _record_tuning(cfg: dict, run: EstimatorConfig) -> None:
+    """Under default tuning, write into ``cfg`` the m and basis size the rule
+    picked, over any configured ones, so the echo names what ran."""
+    if cfg.get("tuning") == "default":
+        cfg["m"] = run.m
+        cfg["basis.per_dim_size"] = run.basis.per_dim_size
 
 
 def cmd_estimate(args) -> int:
@@ -164,6 +174,7 @@ def cmd_estimate(args) -> int:
     out_dir = Path(args.out)
     data = dataset_from_csv(args.input, d=cfg.get("basis.dimension"))
     run_cfg = estimator_config(cfg, data.d, n=data.n)
+    _record_tuning(cfg, run_cfg)
     cfg.setdefault("basis.family", run_cfg.basis.family)
     cfg.setdefault("basis.dimension", run_cfg.basis.dimension)
     cfg.setdefault("basis.per_dim_size", run_cfg.basis.per_dim_size)
@@ -196,6 +207,7 @@ def cmd_simulate(args) -> int:
     n = cfg.setdefault("n", 2000)
     reps = cfg.setdefault("reps", 100)
     run_cfg = estimator_config(cfg, scn.d, n=n)
+    _record_tuning(cfg, run_cfg)
     cfg.setdefault("seed", run_cfg.seed)
     write_resolved_config(cfg, out_dir)
     result = run_study(scn, [run_cfg], reps=reps, seed=run_cfg.seed, n=n,

@@ -75,6 +75,8 @@ class EstimatorConfig:
             raise ValidationError(f"m must be in [1, {M_MAX}]")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
+        if not 0.0 < self.ci_level < 1.0:
+            raise ValidationError("ci_level must be in (0, 1)")
         if not self.nuisance_k_grid or min(self.nuisance_k_grid) < 1:
             raise ValidationError("nuisance k_grid entries must be >= 1")
         if self.nuisance_folds < 2:

@@ -16,13 +16,21 @@ positions.  A plan, cached per chain length and basis size, lists each
 partition's blocks and einsum path; one call builds every distinct block
 tensor once and contracts every collapsed (partition-identified) chain
 from that table, so no n-by-n kernel matrix is ever formed.
+
+The kernel is whitened: M must be positive definite, M = L L^T, and with
+y = zmat @ L every chain edge z_i M z_j^T is the dot product y_i . y_j.
+Each block tensor is then the symmetric sum_i w_i y_i^(x r), and the
+blocks of one rank r differ only in their weights w, so one build per
+rank serves them all: a single Khatri-Rao factor over the sorted index
+tuples of r-1 axes, C(k+r-2, r-1) columns instead of k^(r-1).
+
 Exact in floating point up to accumulation error; an enumeration oracle
 (`brute_force_ifjj`) checks it at small n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial, perm
@@ -32,7 +40,7 @@ import numpy as np
 from hoif.data import ValidationError
 
 M_MAX_HARD = 6
-PLAN_BYTES_MAX = 1 << 30  # block tensors plus one Khatri-Rao chunk; also a quadrature design
+PLAN_BYTES_MAX = 1 << 30  # block tensors plus one rank's build; also a quadrature design
 
 
 @dataclass(frozen=True)
@@ -43,8 +51,9 @@ class ChainInputs:
     eps_b: np.ndarray  # (n,)
     abs_h1: np.ndarray  # (n,)
     zmat: np.ndarray  # (n, k)
-    omega_inv: np.ndarray  # (k, k), symmetric
+    omega_inv: np.ndarray  # (k, k), symmetric positive definite
     sign_flag: bool
+    cholesky: np.ndarray = field(init=False, repr=False, compare=False)  # omega_inv = L L^T
 
     def __post_init__(self):
         n, k = self.zmat.shape
@@ -55,6 +64,10 @@ class ChainInputs:
             raise ValueError("omega_inv shape mismatch")
         if not np.allclose(self.omega_inv, self.omega_inv.T, atol=1e-10):
             raise ValueError("omega_inv must be symmetric")
+        try:
+            object.__setattr__(self, "cholesky", np.linalg.cholesky(self.omega_inv))
+        except np.linalg.LinAlgError:
+            raise ValueError("omega_inv must be positive definite") from None
 
     @property
     def n(self) -> int:
@@ -90,11 +103,11 @@ def _chain_plan(length: int, k: int) -> tuple:
     blocks' open edges (edge e joins positions e and e+1), numpy's greedy
     path for them, and each block's key.  A block's positions share one
     sample index; its tensor sums over it the product of the members'
-    weights, a z^T M z per closed edge, and per open edge a ``zm`` (=
-    zmat @ M) column at its left end or a ``zmat`` column at its right.
+    weights, a |y|^2 per closed edge, and a whitened row y per open edge.
     The key records the weight roles in position order (p = eps_p,
-    h = |h1|, b = eps_b), the closed-edge count and the open-edge kinds in
-    edge order, so equal keys are equal tensors in every chain length.
+    h = |h1|, b = eps_b), the closed-edge count and the open-edge count
+    (the tensor's rank), so equal keys are equal tensors in every chain
+    length.
     """
     plan = []
     for blocks in set_partitions(list(range(length))):
@@ -105,7 +118,7 @@ def _chain_plan(length: int, k: int) -> tuple:
             roles = "".join("p" if pos == 0 else "b" if pos == length - 1 else "h" for pos in b)
             edges = [e for e in range(length - 1) if (e in b) != (e + 1 in b)]
             closed = sum(e in b and e + 1 in b for e in range(length - 1))
-            keys.append((roles, closed, tuple("zm" if e in b else "zmat" for e in edges)))
+            keys.append((roles, closed, len(edges)))
             letters.append("".join(_LETTERS[e] for e in edges))
         subs = ",".join(letters) + "->"
         stand_ins = [np.broadcast_to(0.0, (k,) * len(x)) for x in letters]
@@ -114,36 +127,76 @@ def _chain_plan(length: int, k: int) -> tuple:
     return tuple(plan)
 
 
-def _weighted_outer_sum(wv: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
-    """sum_i wv_i mats[0][i] x mats[1][i] x ... as a dense tensor.
+@lru_cache(maxsize=16)
+def _packing(k: int, q: int) -> np.ndarray:
+    """Colex rank of the sorted q-tuple of every index tuple over range(k),
+    in C order: where ``_weighted_outer_sum`` packs each tuple's column.
 
-    One BLAS product of the first factor against the Khatri-Rao product of
-    the rest, chunked over samples to bound the expansion memory.
+    A sorted s_0 <= ... <= s_{q-1} ranks sum_t C(s_t + t, t + 1).
     """
-    if not mats:
-        return np.array(float(np.sum(wv)))
-    if len(mats) == 1:
-        return mats[0].T @ wv
-    n = wv.shape[0]
-    sizes = tuple(m.shape[1] for m in mats)
-    rest = int(np.prod(sizes[1:]))
-    out = np.zeros((sizes[0], rest))
-    chunk = max(1, _KR_CHUNK // rest)
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        kr = mats[1][lo:hi]
-        for m in mats[2:]:
-            kr = (kr[:, :, None] * m[lo:hi, None, :]).reshape(hi - lo, -1)
-        out += (wv[lo:hi, None] * mats[0][lo:hi]).T @ kr
-    return out.reshape(sizes)
+    tuples = np.sort(np.indices((k,) * q, dtype=np.int16).reshape(q, -1), axis=0)
+    rank = np.zeros(k**q, dtype=np.intp)
+    for t in range(q):
+        rank += np.array([comb(s + t, t + 1) for s in range(k)])[tuples[t]]
+    rank.setflags(write=False)  # cached: every caller shares it
+    return rank
 
 
-def _planned_bytes(keys, n: int, k: int) -> int:
-    """Bytes of the block table plus the widest block's Khatri-Rao chunk."""
-    widest = max(len(opens) for _, _, opens in keys)
-    rest = k ** (widest - 1) if widest > 1 else 0
-    chunk = min(n, max(1, _KR_CHUNK // rest)) * rest if rest else 0
-    return 8 * (sum(k ** len(opens) for _, _, opens in keys) + chunk)
+def _weighted_outer_sum(w: np.ndarray, y: np.ndarray, r: int) -> np.ndarray:
+    """sum_i w[c, i] y_i^(x r) for every row c of ``w``, a (c,) + (k,)*r array.
+
+    Ranks 1 and 2 are one BLAS product per row.  Above, each tensor is
+    symmetric, so its last r-1 axes are summed only over sorted index
+    tuples: one BLAS product of the stacked front w (x) y against a
+    Khatri-Rao factor of C(k+r-2, r-1) columns in colex order, chunked over
+    samples, then mirrored into the dense tensors through ``_packing``.
+    """
+    c, n = w.shape
+    k = y.shape[1]
+    if r == 0:
+        return w.sum(axis=1)
+    if r == 1:
+        return np.stack([y.T @ wc for wc in w])
+    if r == 2:
+        return np.stack([(y * wc[:, None]).T @ y for wc in w])
+    q = r - 1
+    width = comb(k + q - 1, q)
+    rows = min(n, max(1, _KR_CHUNK // width))
+    levels = [np.empty((comb(k + lv - 1, lv), rows)) for lv in range(2, q + 1)]
+    packed = np.zeros((c * k, width))
+    for lo in range(0, n, rows):
+        yc = np.ascontiguousarray(y[lo:lo + rows].T)
+        h = yc.shape[1]
+        kr = yc
+        for level, grown in enumerate(levels, start=2):
+            # in colex order the sorted (level-1)-tuples with entries <= a
+            # are the first C(a+level-1, level-1) rows of kr
+            grown, off = grown[:, :h], 0
+            for a in range(k):
+                cnt = comb(a + level - 1, level - 1)
+                np.multiply(kr[:cnt], yc[a], out=grown[off:off + cnt])
+                off += cnt
+            kr = grown
+        packed += (w[:, None, lo:lo + h] * yc).reshape(c * k, h) @ kr.T
+    mirrored = packed.reshape(c, k, width)[:, :, _packing(k, q)]
+    return mirrored.reshape((c,) + (k,) * r)
+
+
+def _planned_bytes(ranks: dict, n: int, k: int) -> int:
+    """Bytes of the whitened rows and the dense block table, plus a bound on
+    the largest rank build's working set: one weighted copy of the rows at
+    rank 2; above, the stacked front, one Khatri-Rao chunk and the levels it
+    grows from, the packed output and its per-chunk product, and the index
+    map with its build."""
+    table = n * k + sum(len(keys) * k**r for r, keys in ranks.items())
+    work = n * k if 2 in ranks else 0
+    for r, keys in ranks.items():
+        if r > 2:
+            c, width = len(keys), comb(k + r - 2, r - 1)
+            rows = min(n, max(1, _KR_CHUNK // width))
+            work = max(work, rows * ((c + 1) * k + 2 * width) + 2 * c * k * width
+                       + 4 * k ** (r - 1))
+    return 8 * (table + work)
 
 
 def correction_terms(inputs: ChainInputs, m: int) -> list[float]:
@@ -154,9 +207,10 @@ def correction_terms(inputs: ChainInputs, m: int) -> list[float]:
     t = 0..j-2 middle positions, so every order is a binomial combination
     of the same distinct-index chain sums d_0..d_{m-2}.  Each d_t contracts
     every set partition of its chain (``_chain_plan``) against one table
-    that holds each distinct block tensor once.  Cost grows with Bell(m)
-    partitions of the longest chain, so m is capped at ``M_MAX_HARD`` and
-    the table at ``PLAN_BYTES_MAX``, checked before anything is built.
+    that holds each distinct block tensor once, built one rank at a time.
+    Cost grows with Bell(m) partitions of the longest chain, so m is capped
+    at ``M_MAX_HARD`` and the table at ``PLAN_BYTES_MAX``, checked before
+    anything is built.
     """
     if m < 2:
         raise ValueError("order must be >= 2")
@@ -166,24 +220,27 @@ def correction_terms(inputs: ChainInputs, m: int) -> list[float]:
     if n < m:
         raise ValueError(f"need at least {m} records, got {n}")
     plans = [_chain_plan(t + 2, k) for t in range(m - 1)]
-    keys = dict.fromkeys(key for plan in plans for *_, ks in plan for key in ks)
-    planned = _planned_bytes(keys, n, k)
+    ranks = {}
+    for key in dict.fromkeys(key for plan in plans for *_, ks in plan for key in ks):
+        ranks.setdefault(key[2], []).append(key)
+    planned = _planned_bytes(ranks, n, k)
     if planned > PLAN_BYTES_MAX:
         raise ValidationError(f"order m={m} at k={k} plans {planned} bytes of block "
                               f"tensors, over the cap of {PLAN_BYTES_MAX}")
-    zm = inputs.zmat @ inputs.omega_inv
+    # omega_inv = L L^T, so every edge z_i omega_inv z_j^T is y_i . y_j
+    y = inputs.zmat @ inputs.cholesky
+    diag = np.sum(y * y, axis=1)
     weight = {"p": inputs.eps_p, "h": inputs.abs_h1, "b": inputs.eps_b}
-    column = {"zm": zm, "zmat": inputs.zmat}
-    diag = np.sum(zm * inputs.zmat, axis=1)
     table = {}
-    for key in keys:
-        roles, closed, opens = key
-        wv = weight[roles[0]].copy()
-        for role in roles[1:]:
-            wv *= weight[role]
-        for _ in range(closed):
-            wv *= diag
-        table[key] = _weighted_outer_sum(wv, [column[o] for o in opens])
+    for r, keys in ranks.items():
+        w = np.empty((len(keys), n))
+        for row, (roles, closed, _) in zip(w, keys):
+            row[:] = weight[roles[0]]
+            for role in roles[1:]:
+                row *= weight[role]
+            for _ in range(closed):
+                row *= diag
+        table.update(zip(keys, _weighted_outer_sum(w, y, r)))
     d = [0.0] * (m - 1)
     for t, plan in enumerate(plans):
         for mob, subs, path, ks in plan:

@@ -109,6 +109,42 @@ def test_default_tuning_reads_resolved_values(cfg, dimension, n, expected):
     assert estimator_config(cfg, dimension, n=n) == expected
 
 
+def test_default_tuned_haar_ignores_the_order(tmp_path):
+    # only B-splines floor the tuned size at order + 1; haar's stays a power of two
+    rc = main(["estimate", "--input", str(GOLDEN), "--out", str(tmp_path / "o"),
+               "--set", "tuning=default", "--set", "basis.order=2"])
+    assert rc == 0
+
+
+def test_default_tuning_echoes_what_ran(tmp_path):
+    # the rule picks m=3 and q=2 over the configured m=4 and q=8; the echo and
+    # its hash name the values the run used
+    out = tmp_path / "o"
+    rc = main(["estimate", "--input", str(GOLDEN), "--out", str(out), "--set", "tuning=default",
+               "--set", "m=4", "--set", "basis.per_dim_size=8"])
+    assert rc == 0
+    echo_text = (out / "resolved_config.txt").read_text()
+    echo = parse_config_text(echo_text, "echo")
+    lines = [ln for ln in (out / "report.csv").read_text().splitlines()
+             if not ln.startswith("#")]
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert echo["m"] == int(row["m"]) == 3
+    assert echo["basis.per_dim_size"] ** echo["basis.dimension"] == int(row["k"])
+    assert f"# config-hash {config_hash(echo)}\n" in echo_text
+    assert f"# config-hash {config_hash(echo)}\n" in (out / "report.csv").read_text()
+    # a study echoes the rule's m too
+    sim = tmp_path / "s"
+    rc = main(["simulate", "--out", str(sim), "--set", "scenario=s1-smooth-d1", "--set", "n=400",
+               "--set", "reps=2", "--set", "tuning=default", "--set", "m=4",
+               "--set", "nuisance.method=zero"])
+    assert rc == 0
+    echo = parse_config_text((sim / "resolved_config.txt").read_text(), "echo")
+    lines = [ln for ln in (sim / "replications.csv").read_text().splitlines()
+             if not ln.startswith("#")]
+    column = lines[0].split(",").index("m")
+    assert {ln.split(",")[column] for ln in lines[1:]} == {str(echo["m"])} == {"3"}
+
+
 # valid values of every config key; tuning stays manual, the study keys are
 # ignored by estimator_config
 _KEY_VALUES = {
@@ -359,6 +395,8 @@ def test_threads_default_to_one():
     (["estimate", "--input", "{golden}", "--out", "{tmp}/o", "--set", "nuisance.folds=0"],
      "nuisance folds must be >= 2"),
     (["report", "{ab}"], "{ab}: missing columns scenario, variant, m"),
+    (["estimate", "--input", "{golden}", "--out", "{tmp}/o", "--set", "ci_level=1.5"],
+     "ci_level must be in (0, 1)"),
 ])
 def test_input_errors_exit_validation(tmp_path, capsys, argv, message):
     five = tmp_path / "five.csv"
@@ -370,6 +408,14 @@ def test_input_errors_exit_validation(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err
     assert rc == EXIT_VALIDATION, err
     assert err.startswith("error: ") and message.format(**fill) in err
+
+
+def test_bad_ci_level_writes_nothing(tmp_path):
+    # refused when the config is built, before the output directory exists
+    rc = main(["estimate", "--input", str(GOLDEN), "--out", str(tmp_path / "o"),
+               "--set", "ci_level=1.5"])
+    assert rc == EXIT_VALIDATION
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_seed_environment_exits_validation(tmp_path, monkeypatch, capsys):

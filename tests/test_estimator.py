@@ -29,7 +29,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # dataset is the oracle; any change here is a behaviour change
 GOLDEN_PSI_HAT = 0.41921786455999266
 GOLDEN_PSI_1 = 0.4173647155878368
-GOLDEN_PER_ORDER = (0.001574699538429242, 0.00027844943372664255)
+GOLDEN_PER_ORDER = (0.0015746995384292432, 0.00027844943372664277)
 
 
 def golden_config():
@@ -201,6 +201,12 @@ def test_confidence_quantile_matches_scipy():
 def test_bad_nuisance_settings_rejected(settings, message):
     with pytest.raises(ValidationError, match=message):
         EstimatorConfig(**settings)
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, float("nan")])
+def test_ci_level_outside_unit_interval_rejected(level):
+    with pytest.raises(ValidationError, match=r"ci_level must be in \(0, 1\)"):
+        EstimatorConfig(ci_level=level)
 
 
 def test_nuisance_methods_accepted():

@@ -1,4 +1,5 @@
 from itertools import permutations, product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -110,17 +111,19 @@ def test_lower_orders_are_a_prefix():
 
 def test_one_tensor_per_block_key(monkeypatch):
     # every partition of every chain length reads one table that holds each
-    # distinct block tensor once: m^2 - 1 builds for order m, where one
-    # table per chain length would build 3, 10, 25, 56, 119
+    # distinct block tensor once: m^2 - 1 tensors for order m, where one
+    # table per chain length would build 3, 10, 25, 56, 119; the tensors of
+    # one rank come from one build, so order m makes m builds
     calls = []
     original = ustat._weighted_outer_sum
     monkeypatch.setattr(ustat, "_weighted_outer_sum",
-                        lambda wv, mats: calls.append(len(mats)) or original(wv, mats))
+                        lambda w, y, r: calls.append((r, len(w))) or original(w, y, r))
     inp = random_inputs(np.random.default_rng(14), 8, 2)
-    for m, builds in zip(range(2, 7), (3, 8, 15, 24, 35)):
+    for m, tensors in zip(range(2, 7), (3, 8, 15, 24, 35)):
         calls.clear()
         correction_terms(inp, m)
-        assert len(calls) == builds
+        assert sum(c for _, c in calls) == tensors
+        assert sorted(r for r, _ in calls) == list(range(m))
 
 
 def test_plan_enumerates_partitions_once(monkeypatch):
@@ -144,6 +147,60 @@ def test_over_budget_plan_refused_before_building(monkeypatch):
     assert calls == []
     monkeypatch.undo()
     assert len(correction_terms(inp, 2)) == 1  # 7 doubles fit any cap
+
+
+def test_over_budget_rank_refused_before_packing(monkeypatch):
+    # m=6 at k=64 needs two 8 GB rank-5 tensors: refused before any index
+    # map or block tensor is built
+    calls = []
+    monkeypatch.setattr(ustat, "_packing", lambda k, q: calls.append((k, q)))
+    monkeypatch.setattr(ustat, "_weighted_outer_sum", lambda w, y, r: calls.append(r))
+    inp = random_inputs(np.random.default_rng(18), 8, 64)
+    with pytest.raises(ValidationError, match=r"order m=6 at k=64 plans \d+ bytes"):
+        correction_terms(inp, 6)
+    assert calls == []
+
+
+def test_rejects_indefinite_omega_inv():
+    rng = np.random.default_rng(19)
+    inp = random_inputs(rng, 8, 3)
+    indefinite = np.diag([1.0, -0.5, 2.0])
+    with pytest.raises(ValueError, match="omega_inv must be positive definite"):
+        ChainInputs(inp.eps_p, inp.eps_b, inp.abs_h1, inp.zmat, indefinite, False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(r=st.integers(0, 5), c=st.integers(1, 3), n=st.integers(1, 9), k=st.integers(1, 4),
+       chunk=st.sampled_from([1, 5, 1 << 22]), seed=st.integers(0, 2**32 - 1))
+def test_rank_build_matches_dense_sum(r, c, n, k, chunk, seed):
+    # the packed, mirrored build of every stacked weight row against the
+    # dense sum_i w_ci y_i^(x r), with Khatri-Rao chunks of 1 row and up
+    rng = np.random.default_rng(seed)
+    w, y = rng.normal(size=(c, n)), rng.normal(size=(n, k))
+    axes = "pqrst"[:r]
+    subs = ",".join(["ci"] + [f"i{a}" for a in axes]) + "->c" + axes
+    dense = np.einsum(subs, w, *[y] * r)
+    with mock.patch.object(ustat, "_KR_CHUNK", chunk):
+        built = ustat._weighted_outer_sum(w, y, r)
+    assert built.shape == (c,) + (k,) * r
+    assert np.max(np.abs(built - dense), initial=0.0) <= 1e-12 * (1.0 + np.max(np.abs(dense)))
+
+
+def test_matches_brute_force_ill_conditioned():
+    # Gram eigenvalues spread over eight decades: the whitened kernel keeps
+    # the brute-force agreement at the usual tolerance
+    rng = np.random.default_rng(21)
+    for trial in range(6):
+        n, k = 8, 4
+        q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+        gram = (q * np.logspace(0, -8, k)) @ q.T
+        m = np.linalg.inv(gram)
+        inp = random_inputs(rng, n, k, sign_flag=bool(trial % 2))
+        inp = ChainInputs(inp.eps_p, inp.eps_b, inp.abs_h1, inp.zmat, 0.5 * (m + m.T),
+                          inp.sign_flag)
+        for j, fast in enumerate(correction_terms(inp, 5), start=2):
+            ref = brute_force_ifjj(j, inp)
+            assert abs(fast - ref) <= 1e-10 * (1.0 + abs(ref))
 
 
 @st.composite
