@@ -16,14 +16,15 @@ import argparse
 import hashlib
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 import hoif
 from hoif.basis import basis_from_preset
-from hoif.data import ValidationError, dataset_from_csv, read_text
+from hoif.data import ValidationError, dataset_from_csv, read_text, table_csv
 from hoif.estimator import (
     EstimatorConfig,
     default_tuning,
@@ -52,30 +53,33 @@ def _one_of(*allowed: str):
 _FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-# every accepted config key with its parser; unknown keys are rejected
-_KEY_PARSERS = {
-    "functional": str,
-    "variant": str,
-    "m": int,
-    "tuning": _one_of("default", "manual"),
-    "split_fraction": float,
-    "seed": int,
-    "eigen_floor": float,
-    "cross_fit": lambda v: _FLAGS[_one_of(*_FLAGS)(v.lower())],
-    "ci_level": float,
-    "basis.family": str,
-    "basis.dimension": int,
-    "basis.per_dim_size": int,
-    "basis.order": int,
+# every accepted config key: its parser and the EstimatorConfig field it
+# sets ("basis.<field>" for a BasisSpec field), or None for a command's own key
+_KEYS = {
+    "functional": (str, "functional"),
+    "variant": (str, "variant"),
+    "m": (int, "m"),
+    "tuning": (_one_of("default", "manual"), None),
+    "split_fraction": (float, "split_fraction"),
+    "seed": (int, "seed"),
+    "eigen_floor": (float, "eigen_floor"),
+    "cross_fit": (lambda v: _FLAGS[_one_of(*_FLAGS)(v.lower())], "cross_fit"),
+    "ci_level": (float, "ci_level"),
+    "basis.family": (str, "basis.family"),
+    "basis.dimension": (int, "basis.dimension"),
+    "basis.per_dim_size": (int, "basis.per_dim_size"),
+    "basis.order": (int, "basis.order"),
     # plugin stays library-only: it needs nuisance sets passed in as objects
-    "nuisance.method": _one_of("series", "zero"),
-    "nuisance.k_grid": lambda v: tuple(int(t) for t in v.split(";")),
-    "nuisance.folds": int,
-    "nuisance.sigma_floor": float,
-    "scenario": str,
-    "n": int,
-    "reps": int,
+    "nuisance.method": (_one_of("series", "zero"), "nuisance_method"),
+    "nuisance.k_grid": (lambda v: tuple(int(t) for t in v.split(";")), "nuisance_k_grid"),
+    "nuisance.folds": (int, "nuisance_folds"),
+    "nuisance.sigma_floor": (float, "sigma_floor"),
+    "scenario": (str, None),
+    "n": (int, None),
+    "reps": (int, None),
 }
+# the keys of each command that set no EstimatorConfig field
+_OWN_KEYS = {"estimate": ("tuning",), "simulate": ("tuning", "scenario", "n", "reps")}
 
 
 def parse_config_text(text: str, source: str) -> dict:
@@ -87,16 +91,18 @@ def parse_config_text(text: str, source: str) -> dict:
         if "=" not in line:
             raise ValidationError(f"{source}:{lineno}: expected key=value")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _KEY_PARSERS:
+        if key not in _KEYS:
             raise ValidationError(f"{source}:{lineno}: unknown key {key!r}")
         try:
-            out[key] = _KEY_PARSERS[key](val)
+            out[key] = _KEYS[key][0](val)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"{source}:{lineno}: bad value for {key}: {exc}")
     return out
 
 
-def load_config(path: str | None, overrides: list[str]) -> dict:
+def load_config(path: str | None, overrides: list[str], command: str) -> dict:
+    """The keys of the config file, then the overrides, then HOIF_SEED; a key
+    that only another command reads is a validation error."""
     cfg = {}
     if path:
         cfg.update(parse_config_text(read_text(path), path))
@@ -105,27 +111,29 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     if "HOIF_SEED" in os.environ:
         # parsed as a config line, so a bad value is a validation error
         cfg["seed"] = parse_config_text(f"seed={os.environ['HOIF_SEED']}", "HOIF_SEED")["seed"]
+    for key in cfg:
+        if _KEYS[key][1] is None and key not in _OWN_KEYS[command]:
+            raise ValidationError(f"key {key!r} is not read by {command}")
     return cfg
 
 
+def _config_lines(cfg: dict) -> list[str]:
+    return [f"{k}={_cfg_text(cfg[k])}" for k in sorted(cfg)]
+
+
 def config_hash(cfg: dict) -> str:
-    blob = "\n".join(f"{k}={cfg[k]}" for k in sorted(cfg))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    """Hash of the config's echo lines: key order and spelling do not matter."""
+    return hashlib.sha256("\n".join(_config_lines(cfg)).encode()).hexdigest()[:16]
 
 
 def header_lines(cfg: dict) -> tuple[str, ...]:
-    return (
-        f"hoif {hoif.__version__}",
-        f"config-hash {config_hash(cfg)}",
-        f"seed {cfg['seed']}",
-    )
+    return f"hoif {hoif.__version__}", f"config-hash {config_hash(cfg)}", f"seed {cfg['seed']}"
 
 
 def write_resolved_config(cfg: dict, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [f"# hoif {hoif.__version__}", f"# config-hash {config_hash(cfg)}"]
-    lines += [f"{k}={_cfg_text(cfg[k])}" for k in sorted(cfg)]
-    (out_dir / "resolved_config.txt").write_text("\n".join(lines) + "\n")
+    (out_dir / "resolved_config.txt").write_text("\n".join(lines + _config_lines(cfg)) + "\n")
 
 
 def _cfg_text(v):
@@ -136,16 +144,11 @@ def _cfg_text(v):
     return str(v)
 
 
-# the config keys whose EstimatorConfig field has another name
-_FIELD_NAMES = {"nuisance.method": "nuisance_method", "nuisance.k_grid": "nuisance_k_grid",
-                "nuisance.folds": "nuisance_folds", "nuisance.sigma_floor": "sigma_floor"}
-
-
 def estimator_config(cfg: dict, dimension: int, n: int | None = None) -> EstimatorConfig:
     """EstimatorConfig of the keys ``cfg`` sets; every other field keeps its default."""
-    given = {_FIELD_NAMES.get(key, key): v for key, v in cfg.items()}
-    kwargs = {f.name: given[f.name] for f in fields(EstimatorConfig) if f.name in given}
-    spec = {key.removeprefix("basis."): v for key, v in cfg.items() if key.startswith("basis.")}
+    given = {_KEYS[key][1]: v for key, v in cfg.items() if _KEYS[key][1]}
+    spec = {name.removeprefix("basis."): v for name, v in given.items() if "." in name}
+    kwargs = {name: v for name, v in given.items() if "." not in name}
     basis = replace(EstimatorConfig().basis, **{"dimension": dimension, **spec})
     if cfg.get("tuning") != "default":
         return EstimatorConfig(basis=basis, **kwargs)
@@ -161,31 +164,24 @@ def estimator_config(cfg: dict, dimension: int, n: int | None = None) -> Estimat
     return replace(run, m=m, basis=replace(basis, per_dim_size=q))
 
 
-def _record_tuning(cfg: dict, run: EstimatorConfig) -> None:
-    """Under default tuning, write into ``cfg`` the m and basis size the rule
-    picked, over any configured ones, so the echo names what ran."""
-    if cfg.get("tuning") == "default":
-        cfg["m"] = run.m
-        cfg["basis.per_dim_size"] = run.basis.per_dim_size
+def render_config(run: EstimatorConfig) -> dict:
+    """The config keys of a resolved EstimatorConfig, one per field the
+    key table names: the inverse of ``estimator_config``."""
+    return {key: attrgetter(name)(run) for key, (_, name) in _KEYS.items() if name}
 
 
 def cmd_estimate(args) -> int:
-    cfg = load_config(args.config, args.set or [])
+    cfg = load_config(args.config, args.set or [], "estimate")
     out_dir = Path(args.out)
     data = dataset_from_csv(args.input, d=cfg.get("basis.dimension"))
     run_cfg = estimator_config(cfg, data.d, n=data.n)
-    _record_tuning(cfg, run_cfg)
-    cfg.setdefault("basis.family", run_cfg.basis.family)
-    cfg.setdefault("basis.dimension", run_cfg.basis.dimension)
-    cfg.setdefault("basis.per_dim_size", run_cfg.basis.per_dim_size)
-    cfg.setdefault("m", run_cfg.m)
-    cfg.setdefault("seed", run_cfg.seed)
-    write_resolved_config(cfg, out_dir)
+    echo = {**render_config(run_cfg), "tuning": cfg.get("tuning", "manual")}
+    write_resolved_config(echo, out_dir)
     report = estimate(data, run_cfg)
-    head = "".join(f"# {h}\n" for h in header_lines(cfg))
-    (out_dir / "report.csv").write_text(
-        head + report.CSV_COLUMNS + "\n" + report.csv_row() + "\n")
-    (out_dir / "report.txt").write_text(head + report.text_block() + "\n")
+    head = header_lines(echo)
+    (out_dir / "report.csv").write_text(table_csv(report.CSV_COLUMNS, [report.csv_row()], head))
+    (out_dir / "report.txt").write_text("".join(f"# {h}\n" for h in head)
+                                        + report.text_block() + "\n")
     print(report.text_block())
     if report.zero_convention_applied:
         return EXIT_ZERO_CONVENTION
@@ -193,7 +189,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config, args.set or [])
+    cfg = load_config(args.config, args.set or [], "simulate")
     out_dir = Path(args.out)
     scenario = cfg.get("scenario")
     if scenario not in SCENARIOS:
@@ -204,15 +200,15 @@ def cmd_simulate(args) -> int:
         if cfg.get(key, owned) != owned:
             raise ValidationError(f"{key}={cfg[key]} contradicts scenario {scn.id}, "
                                   f"which sets {key}={owned}")
-    n = cfg.setdefault("n", 2000)
-    reps = cfg.setdefault("reps", 100)
+        cfg[key] = owned
+    n, reps = cfg.get("n", 2000), cfg.get("reps", 100)
     run_cfg = estimator_config(cfg, scn.d, n=n)
-    _record_tuning(cfg, run_cfg)
-    cfg.setdefault("seed", run_cfg.seed)
-    write_resolved_config(cfg, out_dir)
+    echo = {**render_config(run_cfg), "tuning": cfg.get("tuning", "manual"),
+            "scenario": scn.id, "n": n, "reps": reps}
+    write_resolved_config(echo, out_dir)
     result = run_study(scn, [run_cfg], reps=reps, seed=run_cfg.seed, n=n,
                        threads=args.threads)
-    head = header_lines(cfg)
+    head = header_lines(echo)
     (out_dir / "replications.csv").write_text(result.rows_csv(head))
     (out_dir / "aggregates.csv").write_text(result.aggregates_csv(head))
     print(f"scenario {scn.id}: psi_true={result.psi_true:.10g} "
@@ -221,18 +217,13 @@ def cmd_simulate(args) -> int:
 
 
 def _read_csv_rows(path: str) -> tuple[list[str], list[dict]]:
-    lines = [ln for ln in read_text(path).splitlines()
+    lines = [ln.split(",") for ln in read_text(path).splitlines()
              if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise ValidationError(f"{path}: empty input")
-    cols = lines[0].split(",")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(cols):
-            raise ValidationError(f"{path}: schema mismatch")
-        rows.append(dict(zip(cols, parts)))
-    return cols, rows
+    if any(len(parts) != len(lines[0]) for parts in lines):
+        raise ValidationError(f"{path}: schema mismatch")
+    return lines[0], [dict(zip(lines[0], parts)) for parts in lines[1:]]
 
 
 def _loglog_slope(xs: list[float], ys: list[float]) -> float:
@@ -245,14 +236,12 @@ def _loglog_slope(xs: list[float], ys: list[float]) -> float:
 
 
 def cmd_report(args) -> int:
-    all_rows = []
-    cols = None
+    all_rows, cols = [], None
     for path in args.inputs:
         file_cols, rows = _read_csv_rows(path)
-        if cols is None:
-            cols = file_cols
-        elif file_cols != cols:
+        if cols not in (None, file_cols):
             raise ValidationError(f"{path}: schema mismatch with {args.inputs[0]}")
+        cols = file_cols
         all_rows.extend(rows)
     missing = [c for c in ("scenario", "variant", "m") if c not in cols]
     if missing:
@@ -271,20 +260,14 @@ def cmd_report(args) -> int:
     groups: dict[tuple, list[dict]] = {}
     for row in all_rows:
         groups.setdefault((row["scenario"], row["variant"], row["m"]), []).append(row)
-    slopes = {}
-    for key, rows in groups.items():
-        slopes[key] = (
-            _loglog_slope([fnum(r, "k") for r in rows],
-                          [abs(fnum(r, "bias")) for r in rows]),
-            _loglog_slope([fnum(r, "n") for r in rows],
-                          [fnum(r, "mean_op_dist") for r in rows]),
-        )
-    out_lines = [",".join(cols) + ",slope_bias_vs_k,slope_op_dist_vs_n"]
-    for row in all_rows:
-        s_bias, s_op = slopes[(row["scenario"], row["variant"], row["m"])]
-        out_lines.append(",".join(row[c] for c in cols)
-                         + f",{s_bias:.17g},{s_op:.17g}")
-    text = "\n".join(out_lines) + "\n"
+    slopes = {key: {"slope_bias_vs_k": _loglog_slope([fnum(r, "k") for r in rows],
+                                                     [abs(fnum(r, "bias")) for r in rows]),
+                    "slope_op_dist_vs_n": _loglog_slope([fnum(r, "n") for r in rows],
+                                                        [fnum(r, "mean_op_dist") for r in rows])}
+              for key, rows in groups.items()}
+    text = table_csv(",".join(cols + ["slope_bias_vs_k", "slope_op_dist_vs_n"]),
+                     [{**row, **slopes[(row["scenario"], row["variant"], row["m"])]}
+                      for row in all_rows])
     if args.out:
         Path(args.out).write_text(text)
     print(text, end="")

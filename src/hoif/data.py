@@ -111,12 +111,18 @@ def csv_field(v) -> str:
     return str(v)
 
 
-def dataset_to_csv(data: Dataset, path, header_lines: list[str] | None = None):
+def table_csv(columns: str, rows: list[dict], header_lines=()) -> str:
+    """An artifact table: comment header, columns, a line per row (missing keys empty)."""
+    out = [f"# {h}" for h in header_lines]
+    out.append(columns)
+    cols = columns.split(",")
+    for row in rows:
+        out.append(",".join(csv_field(row.get(c)) for c in cols))
+    return "\n".join(out) + "\n"
+
+
+def dataset_to_csv(data: Dataset, path, header_lines=()):
+    cols = ["A", "Y"] + [f"X{j + 1}" for j in range(data.d)]
+    rows = [dict(zip(cols, row)) for row in np.column_stack([data.a, data.y, data.x])]
     with open(path, "w", encoding="utf-8") as fh:
-        for ln in header_lines or []:
-            fh.write(f"# {ln}\n")
-        cols = ["A", "Y"] + [f"X{j + 1}" for j in range(data.d)]
-        fh.write(",".join(cols) + "\n")
-        for i in range(data.n):
-            row = (data.a[i], data.y[i], *data.x[i])
-            fh.write(",".join(csv_field(v) for v in row) + "\n")
+        fh.write(table_csv(",".join(cols), rows, header_lines))

@@ -19,7 +19,7 @@ from statistics import NormalDist
 import numpy as np
 
 from hoif.basis import Basis, BasisSpec, build_basis
-from hoif.data import Dataset, ValidationError, csv_field
+from hoif.data import Dataset, ValidationError
 from hoif import functionals as fn
 from hoif.functionals import FunctionalSpec
 from hoif.gram import (
@@ -112,7 +112,8 @@ class EstimateReport:
         "variance_est,ci_low,ci_high,zero_convention,op_dist"
     )
 
-    def csv_row(self) -> str:
+    def csv_row(self) -> dict:
+        """The report's fields by column of ``CSV_COLUMNS``."""
         per = list(self.per_order) + [float("nan")] * (5 - len(self.per_order))
         op = float("nan")
         if self.gram_diag is not None and self.gram_diag.op_distance_to_reference is not None:
@@ -123,7 +124,7 @@ class EstimateReport:
             self.variance_est, self.ci_low, self.ci_high,
             int(self.zero_convention_applied), op,
         ]
-        return ",".join(csv_field(v) for v in vals)
+        return dict(zip(self.CSV_COLUMNS.split(","), vals))
 
     def text_block(self) -> str:
         lines = [

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from hoif.data import Dataset, ValidationError, csv_field
+from hoif.data import Dataset, ValidationError, table_csv
 from hoif.estimator import EstimatorConfig, estimate
 from hoif.gram import GramMatrix, quadrature_gram
 from hoif.quadrature import QuadratureSpec, basis_quadrature, default_nodes_per_dim, integrate
@@ -371,20 +371,10 @@ class StudyResult:
     aggregates: list[dict]
 
     def rows_csv(self, header_lines: tuple[str, ...] = ()) -> str:
-        return _table_csv(ROW_COLUMNS, self.rows, header_lines)
+        return table_csv(ROW_COLUMNS, self.rows, header_lines)
 
     def aggregates_csv(self, header_lines: tuple[str, ...] = ()) -> str:
-        return _table_csv(AGG_COLUMNS, self.aggregates, header_lines)
-
-
-def _table_csv(columns: str, rows: list[dict], header_lines: tuple[str, ...]) -> str:
-    """Comment header, column line, one line per row (missing keys empty)."""
-    out = [f"# {h}" for h in header_lines]
-    out.append(columns)
-    cols = columns.split(",")
-    for row in rows:
-        out.append(",".join(csv_field(row.get(c)) for c in cols))
-    return "\n".join(out) + "\n"
+        return table_csv(AGG_COLUMNS, self.aggregates, header_lines)
 
 
 def _rep_seed(master: int, rep: int) -> int:

@@ -92,6 +92,7 @@ def set_partitions(items: list):
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _KR_CHUNK = 1 << 22  # elements of one Khatri-Rao chunk in _weighted_outer_sum
+_BOOKKEEPING_BYTES = 1 << 18  # key tables, array headers, einsum parsing, ufunc buffers
 
 
 @lru_cache(maxsize=64)
@@ -101,9 +102,10 @@ def _chain_plan(length: int, k: int) -> tuple:
     One entry per set partition of the positions: its coefficient
     prod_blocks (-1)^(|b|-1) (|b|-1)!, the einsum subscripts over its
     blocks' open edges (edge e joins positions e and e+1), numpy's greedy
-    path for them, and each block's key.  A block's positions share one
-    sample index; its tensor sums over it the product of the members'
-    weights, a |y|^2 per closed edge, and a whitened row y per open edge.
+    path for them, each block's key, and the elements the path allocates.
+    A block's positions share one sample index; its tensor sums over it the
+    product of the members' weights, a |y|^2 per closed edge, and a
+    whitened row y per open edge.
     The key records the weight roles in position order (p = eps_p,
     h = |h1|, b = eps_b), the closed-edge count and the open-edge count
     (the tensor's rank), so equal keys are equal tensors in every chain
@@ -123,8 +125,20 @@ def _chain_plan(length: int, k: int) -> tuple:
         subs = ",".join(letters) + "->"
         stand_ins = [np.broadcast_to(0.0, (k,) * len(x)) for x in letters]
         path = np.einsum_path(subs, *stand_ins, optimize=True)[0]
-        plan.append((mob, subs, tuple(path), tuple(keys)))
+        plan.append((mob, subs, tuple(path), tuple(keys), _path_elements(letters, path, k)))
     return tuple(plan)
+
+
+def _path_elements(letters: list[str], path: list, k: int) -> int:
+    """Bound on the elements einsum allocates along ``path``: every step may
+    copy each input to reorder its axes, and writes its product and a
+    reordered copy of it; nothing is counted as freed."""
+    ops, total = [set(x) for x in letters], 0
+    for step in path[1:]:
+        ins = [ops.pop(i) for i in sorted(step, reverse=True)]
+        ops.append(set().union(*ins) & set().union(*ops))  # the letters left open
+        total += sum(k ** len(x) for x in ins) + 2 * k ** len(ops[-1])
+    return total
 
 
 @lru_cache(maxsize=16)
@@ -182,21 +196,25 @@ def _weighted_outer_sum(w: np.ndarray, y: np.ndarray, r: int) -> np.ndarray:
     return mirrored.reshape((c,) + (k,) * r)
 
 
-def _planned_bytes(ranks: dict, n: int, k: int) -> int:
-    """Bytes of the whitened rows and the dense block table, plus a bound on
-    the largest rank build's working set: one weighted copy of the rows at
-    rank 2; above, the stacked front, one Khatri-Rao chunk and the levels it
-    grows from, the packed output and its per-chunk product, and the index
-    map with its build."""
-    table = n * k + sum(len(keys) * k**r for r, keys in ranks.items())
-    work = n * k if 2 in ranks else 0
+def _planned_bytes(ranks: dict, plans: list, n: int, k: int) -> int:
+    """Bytes of the whitened rows, their squared norms and the block table,
+    plus the largest working set beside them: a rank build's weight rows and
+    at rank <= 2 a weighted copy of the rows and the unstacked products, above
+    the front, one Khatri-Rao chunk with its levels, the packed output and
+    its per-chunk product and the index map build; or a partition's einsum."""
+    table = n * (k + 1) + sum(len(keys) * k**r for r, keys in ranks.items())
+    work = max(entry[-1] for plan in plans for entry in plan)
     for r, keys in ranks.items():
-        if r > 2:
-            c, width = len(keys), comb(k + r - 2, r - 1)
+        c = len(keys)
+        if r <= 2:
+            build = n * k + c * k**r
+        else:
+            width = comb(k + r - 2, r - 1)
             rows = min(n, max(1, _KR_CHUNK // width))
-            work = max(work, rows * ((c + 1) * k + 2 * width) + 2 * c * k * width
-                       + 4 * k ** (r - 1))
-    return 8 * (table + work)
+            levels = sum(comb(k + lv - 1, lv) for lv in range(2, r))
+            build = rows * ((c + 1) * k + levels) + 2 * c * k * width + 4 * k ** (r - 1)
+        work = max(work, c * n + build)
+    return 8 * (table + work) + _BOOKKEEPING_BYTES
 
 
 def correction_terms(inputs: ChainInputs, m: int) -> list[float]:
@@ -221,9 +239,9 @@ def correction_terms(inputs: ChainInputs, m: int) -> list[float]:
         raise ValueError(f"need at least {m} records, got {n}")
     plans = [_chain_plan(t + 2, k) for t in range(m - 1)]
     ranks = {}
-    for key in dict.fromkeys(key for plan in plans for *_, ks in plan for key in ks):
+    for key in dict.fromkeys(key for plan in plans for *_, ks, _ in plan for key in ks):
         ranks.setdefault(key[2], []).append(key)
-    planned = _planned_bytes(ranks, n, k)
+    planned = _planned_bytes(ranks, plans, n, k)
     if planned > PLAN_BYTES_MAX:
         raise ValidationError(f"order m={m} at k={k} plans {planned} bytes of block "
                               f"tensors, over the cap of {PLAN_BYTES_MAX}")
@@ -234,16 +252,17 @@ def correction_terms(inputs: ChainInputs, m: int) -> list[float]:
     table = {}
     for r, keys in ranks.items():
         w = np.empty((len(keys), n))
-        for row, (roles, closed, _) in zip(w, keys):
-            row[:] = weight[roles[0]]
+        for i, (roles, closed, _) in enumerate(keys):
+            w[i] = weight[roles[0]]
             for role in roles[1:]:
-                row *= weight[role]
+                w[i] *= weight[role]
             for _ in range(closed):
-                row *= diag
+                w[i] *= diag
         table.update(zip(keys, _weighted_outer_sum(w, y, r)))
+        del w  # freed before the next rank's weights and the contractions
     d = [0.0] * (m - 1)
     for t, plan in enumerate(plans):
-        for mob, subs, path, ks in plan:
+        for mob, subs, path, ks, _ in plan:
             d[t] += mob * float(np.einsum(subs, *(table[b] for b in ks), optimize=path))
     flip = -1.0 if inputs.sign_flag else 1.0
     terms = []
@@ -263,22 +282,23 @@ BRUTE_FORCE_TUPLE_CAP = 10**8
 
 
 def brute_force_ifjj(j: int, inputs: ChainInputs) -> float:
-    """Literal enumeration over ordered distinct j-tuples (testing oracle)."""
+    """Literal enumeration over ordered distinct j-tuples (testing oracle).
+
+    With omega_inv = L L^T and y = zmat L, each middle factor
+    M (R_s - W) M is L (h_s y_s y_s^T - I) L^T, so the kernel is applied to
+    y_{i2} one factor at a time and never inverts omega_inv."""
     n = inputs.n
     if n > BRUTE_FORCE_N_CAP or n**j > BRUTE_FORCE_TUPLE_CAP:
         raise ValueError("instance too large for brute-force enumeration")
     if n < j:
         raise ValueError(f"need at least {j} records, got {n}")
-    m = inputs.omega_inv
-    omega = np.linalg.inv(m)
-    z = inputs.zmat
+    y = inputs.zmat @ np.linalg.cholesky(inputs.omega_inv)
+    h = inputs.abs_h1
     sign = (-1.0) ** (j - 1) * (-1.0 if inputs.sign_flag else 1.0)
     total = 0.0
     for idx in permutations(range(n), j):
-        i1, i2 = idx[0], idx[1]
-        mat = m.copy()
-        for s in idx[2:]:
-            r = inputs.abs_h1[s] * np.outer(z[s], z[s])
-            mat = mat @ (r - omega) @ m
-        total += inputs.eps_p[i1] * inputs.eps_b[i2] * float(z[i1] @ mat @ z[i2])
+        v = y[idx[1]]
+        for s in reversed(idx[2:]):
+            v = h[s] * y[s] * float(y[s] @ v) - v
+        total += inputs.eps_p[idx[0]] * inputs.eps_b[idx[1]] * float(y[idx[0]] @ v)
     return sign * total / perm(n, j)

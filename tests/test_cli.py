@@ -17,6 +17,7 @@ from hoif.cli import (
     load_config,
     main,
     parse_config_text,
+    render_config,
     write_resolved_config,
 )
 from hoif.data import ValidationError, dataset_to_csv
@@ -65,10 +66,10 @@ def test_config_typos_exit_validation(tmp_path, capsys):
 def test_load_config_overrides_and_env(tmp_path, monkeypatch):
     path = tmp_path / "cfg.txt"
     path.write_text("m=2\nseed=1\n")
-    cfg = load_config(str(path), ["m=4"])
+    cfg = load_config(str(path), ["m=4"], "estimate")
     assert cfg["m"] == 4 and cfg["seed"] == 1
     monkeypatch.setenv("HOIF_SEED", "99")
-    assert load_config(str(path), [])["seed"] == 99
+    assert load_config(str(path), [], "estimate")["seed"] == 99
 
 
 def test_config_hash_order_independent():
@@ -145,6 +146,64 @@ def test_default_tuning_echoes_what_ran(tmp_path):
     assert {ln.split(",")[column] for ln in lines[1:]} == {str(echo["m"])} == {"3"}
 
 
+def _data_lines(path: Path) -> list[str]:
+    return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+
+
+@pytest.mark.parametrize("settings", [(), ("tuning=default",), ("cross_fit=true", "variant=ac")])
+def test_estimate_echo_reruns_the_run(tmp_path, settings):
+    # --config on a run's echo resolves the same settings: same echo, same
+    # hash, same report bytes
+    first, again = tmp_path / "first", tmp_path / "again"
+    args = [arg for s in settings for arg in ("--set", s)]
+    assert main(["estimate", "--input", str(GOLDEN), "--out", str(first)] + args) == 0
+    echo = first / "resolved_config.txt"
+    assert main(["estimate", "--input", str(GOLDEN), "--out", str(again),
+                 "--config", str(echo)]) == 0
+    assert (again / "resolved_config.txt").read_bytes() == echo.read_bytes()
+    assert (again / "report.csv").read_bytes() == (first / "report.csv").read_bytes()
+    assert set(parse_config_text(echo.read_text(), "echo")) == set(cli._KEYS) - {
+        "scenario", "n", "reps"}
+
+
+def test_simulate_echo_reruns_the_study(tmp_path):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(["simulate", "--out", str(first), "--set", "scenario=s4-ate", "--set", "n=300",
+                 "--set", "reps=3", "--set", "nuisance.method=zero"]) == 0
+    echo = first / "resolved_config.txt"
+    resolved = parse_config_text(echo.read_text(), "echo")
+    assert set(resolved) == set(cli._KEYS)
+    assert resolved["functional"] == "ate" and resolved["basis.dimension"] == 1
+    assert main(["simulate", "--out", str(again), "--config", str(echo)]) == 0
+    for name in ("resolved_config.txt", "replications.csv", "aggregates.csv"):
+        assert (again / name).read_bytes() == (first / name).read_bytes()
+
+
+def test_runs_resolving_alike_share_a_hash(tmp_path):
+    # keys spelled out at their defaults resolve to the same run as no keys
+    outs = [tmp_path / "bare", tmp_path / "spelled"]
+    assert main(["estimate", "--input", str(GOLDEN), "--out", str(outs[0])]) == 0
+    assert main(["estimate", "--input", str(GOLDEN), "--out", str(outs[1]),
+                 "--set", "variant=emp", "--set", "functional=mar_mean",
+                 "--set", "ci_level=0.95"]) == 0
+    heads = [[ln for ln in (out / "report.csv").read_text().splitlines()
+              if ln.startswith("# config-hash")] for out in outs]
+    assert heads[0] == heads[1] and len(heads[0]) == 1
+    assert _data_lines(outs[0] / "report.csv") == _data_lines(outs[1] / "report.csv")
+    # a setting that changes the run changes the hash
+    assert main(["estimate", "--input", str(GOLDEN), "--out", str(tmp_path / "m3"),
+                 "--set", "m=3"]) == 0
+    assert heads[0][0] not in (tmp_path / "m3" / "report.csv").read_text()
+
+
+def test_readme_key_table_lists_the_accepted_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| key | meaning |", 1)[1].split("\n\n", 1)[0]
+    listed = [cell.strip().strip("`") for ln in table.splitlines()[2:]
+              for cell in ln.split("|")[1:2]]
+    assert sorted(listed) == sorted(cli._KEYS)
+
+
 # valid values of every config key; tuning stays manual, the study keys are
 # ignored by estimator_config
 _KEY_VALUES = {
@@ -200,6 +259,13 @@ def test_config_parse_resolve_hash(data):
         echo = (Path(tmp) / "resolved_config.txt").read_text()
     assert parse_config_text(echo, "echo") == cfg
     assert f"# config-hash {config_hash(cfg)}\n" in echo
+    # resolve -> render -> echo -> parse -> resolve: the same EstimatorConfig
+    run = estimator_config(cfg, dimension)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_resolved_config(render_config(run), Path(tmp))
+        rendered = parse_config_text((Path(tmp) / "resolved_config.txt").read_text(), "echo")
+    assert rendered == render_config(run)
+    assert estimator_config(rendered, data.draw(st.integers(1, 3))) == run
 
 
 def test_cmd_estimate_writes_artifacts(tmp_path, capsys):
@@ -397,6 +463,13 @@ def test_threads_default_to_one():
     (["report", "{ab}"], "{ab}: missing columns scenario, variant, m"),
     (["estimate", "--input", "{golden}", "--out", "{tmp}/o", "--set", "ci_level=1.5"],
      "ci_level must be in (0, 1)"),
+    # the keys only simulate reads, refused before the output directory is made
+    (["estimate", "--input", "{golden}", "--out", "{tmp}/o", "--set", "scenario=s1-smooth-d1"],
+     "key 'scenario' is not read by estimate"),
+    (["estimate", "--input", "{golden}", "--out", "{tmp}/o", "--set", "n=300"],
+     "key 'n' is not read by estimate"),
+    (["estimate", "--input", "{golden}", "--out", "{tmp}/o", "--set", "reps=7"],
+     "key 'reps' is not read by estimate"),
 ])
 def test_input_errors_exit_validation(tmp_path, capsys, argv, message):
     five = tmp_path / "five.csv"
@@ -408,6 +481,8 @@ def test_input_errors_exit_validation(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err
     assert rc == EXIT_VALIDATION, err
     assert err.startswith("error: ") and message.format(**fill) in err
+    if "is not read by" in message:
+        assert not (tmp_path / "o").exists()
 
 
 def test_bad_ci_level_writes_nothing(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hoif.basis import Basis, BasisSpec, build_basis
-from hoif.data import Dataset, ValidationError, dataset_from_csv
+from hoif.data import Dataset, ValidationError, dataset_from_csv, table_csv
 from hoif.estimator import (
     EstimatorConfig,
     confidence_interval,
@@ -231,8 +231,8 @@ def test_golden_fixture_regression():
 def test_report_csv_row_parses():
     data = dataset_from_csv(FIXTURES / "golden_data.csv")
     rep = estimate(data, golden_config())
-    cols = rep.CSV_COLUMNS.split(",")
-    row = rep.csv_row().split(",")
+    header, line = table_csv(rep.CSV_COLUMNS, [rep.csv_row()]).splitlines()
+    cols, row = header.split(","), line.split(",")
     assert len(row) == len(cols)
     assert float(row[cols.index("psi_hat")]) == GOLDEN_PSI_HAT
     assert row[cols.index("functional")] == "mar_mean"
@@ -296,8 +296,7 @@ def test_report_labels_follow_config():
     cfg = EstimatorConfig(functional="ecc", basis=BasisSpec("haar", 1, 2),
                           m=2, seed=3, ci_level=0.5)
     rep = estimate(data, cfg)
-    cols = rep.CSV_COLUMNS.split(",")
-    assert rep.csv_row().split(",")[cols.index("functional")] == "ecc"
+    assert rep.csv_row()["functional"] == "ecc"
     text = rep.text_block()
     assert "50% CI" in text and "95% CI" not in text
 

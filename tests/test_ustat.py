@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations, product
 from unittest import mock
 
@@ -161,6 +162,26 @@ def test_over_budget_rank_refused_before_packing(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("n,k,m", [(60, 12, 6), (64, 32, 5), (1000, 3, 6), (100, 64, 3),
+                                   (8, 3, 6), (200, 16, 4)])
+def test_traced_peak_within_planned_bytes(monkeypatch, n, k, m):
+    # the plan bounds the whole call: the block table, each rank's build and
+    # every partition's einsum working set (its operand copies and products)
+    planned = []
+    original = ustat._planned_bytes
+    monkeypatch.setattr(ustat, "_planned_bytes",
+                        lambda *args: planned.append(original(*args)) or planned[-1])
+    inp = random_inputs(np.random.default_rng(23), n, k)
+    correction_terms(inp, m)  # plans and index maps are cached from here on
+    tracemalloc.start()
+    try:
+        correction_terms(inp, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= planned[-1]
+
+
 def test_rejects_indefinite_omega_inv():
     rng = np.random.default_rng(19)
     inp = random_inputs(rng, 8, 3)
@@ -188,15 +209,18 @@ def test_rank_build_matches_dense_sum(r, c, n, k, chunk, seed):
 
 def test_matches_brute_force_ill_conditioned():
     # Gram eigenvalues spread over eight decades: the whitened kernel keeps
-    # the brute-force agreement at the usual tolerance
+    # the brute-force agreement at the usual tolerance, for basis rows drawn
+    # independently of the Gram and for rows drawn from it
     rng = np.random.default_rng(21)
-    for trial in range(6):
+    for trial in range(12):
         n, k = 8, 4
         q, _ = np.linalg.qr(rng.normal(size=(k, k)))
-        gram = (q * np.logspace(0, -8, k)) @ q.T
+        eig = np.logspace(0, -8, k)
+        gram = (q * eig) @ q.T
         m = np.linalg.inv(gram)
         inp = random_inputs(rng, n, k, sign_flag=bool(trial % 2))
-        inp = ChainInputs(inp.eps_p, inp.eps_b, inp.abs_h1, inp.zmat, 0.5 * (m + m.T),
+        z = inp.zmat if trial < 6 else inp.zmat @ (q * np.sqrt(eig)).T
+        inp = ChainInputs(inp.eps_p, inp.eps_b, inp.abs_h1, z, 0.5 * (m + m.T),
                           inp.sign_flag)
         for j, fast in enumerate(correction_terms(inp, 5), start=2):
             ref = brute_force_ifjj(j, inp)
