@@ -24,6 +24,14 @@ blocks of one rank r differ only in their weights w, so one build per
 rank serves them all: a single Khatri-Rao factor over the sorted index
 tuples of r-1 axes, C(k+r-2, r-1) columns instead of k^(r-1).
 
+Samples whose basis rows are equal bit for bit share one whitened row, so
+each block sums its weights per distinct row and is built over those rows
+alone.  A piecewise-constant basis such as Haar takes at most one row per
+finest cell (k rows at most), and a discrete X repeats rows under any basis.
+A per-row probe proposes the groups and one exact comparison accepts them;
+when every row is distinct (B-splines on a continuous X) or the comparison
+fails, the rows are used as they are, with the arithmetic of no grouping.
+
 Exact in floating point up to accumulation error; an enumeration oracle
 (`brute_force_ifjj`) checks it at small n.
 """
@@ -31,7 +39,7 @@ Exact in floating point up to accumulation error; an enumeration oracle
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations
 from math import comb, factorial, perm
 
@@ -196,14 +204,42 @@ def _weighted_outer_sum(w: np.ndarray, y: np.ndarray, r: int) -> np.ndarray:
     return mirrored.reshape((c,) + (k,) * r)
 
 
+def _row_probe(zmat: np.ndarray) -> np.ndarray:
+    """One float per row, equal in every bit for rows equal in every bit:
+    each row's dot product with the fixed weights 1.5 + sin(1..k) / 2 in
+    einsum's own loop, which sums every row in the same order (a BLAS
+    product may not)."""
+    return np.einsum("ij,j->i", zmat, 1.5 + 0.5 * np.sin(np.arange(1, zmat.shape[1] + 1)))
+
+
+def _distinct_rows(zmat: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The distinct rows of ``zmat`` and each sample's index among them, the
+    groups proposed by equal probes and accepted by an exact comparison;
+    ``(zmat, None)`` when every row is distinct or the comparison fails."""
+    probes, inverse = np.unique(_row_probe(zmat), return_inverse=True)
+    if len(probes) == len(zmat):
+        return zmat, None
+    member = np.empty(len(probes), dtype=np.intp)
+    member[inverse] = np.arange(len(zmat))  # one sample of each group
+    rows = zmat[member]
+    if not np.array_equal(rows[inverse], zmat):  # a probe collision
+        return zmat, None
+    return rows, inverse
+
+
 def _planned_bytes(ranks: dict, plans: list, n: int, k: int) -> int:
-    """Bytes of the whitened rows, their squared norms and the block table,
-    plus the largest working set beside them: a rank build's weight rows and
-    at rank <= 2 a weighted copy of the rows and the unstacked products, above
+    """Bytes of the whitened rows, their squared norms, the distinct rows with
+    each sample's index among them and the block table, plus the largest
+    working set beside them: the grouping's probe, sort and index arrays and
+    its gathered copy of the rows with the comparison's mask; a rank build's
+    weight rows beside one key's per-sample products and per-row sums, or at
+    rank <= 2 a weighted copy of the rows and the unstacked products, above
     the front, one Khatri-Rao chunk with its levels, the packed output and
-    its per-chunk product and the index map build; or a partition's einsum."""
-    table = n * (k + 1) + sum(len(keys) * k**r for r, keys in ranks.items())
+    its per-chunk product and the index map build; or a partition's einsum.
+    Every row count is the worst case: n distinct rows."""
+    table = 2 * n * (k + 1) + sum(len(keys) * k**r for r, keys in ranks.items())
     work = max(entry[-1] for plan in plans for entry in plan)
+    work = max(work, n * (k + 10) + n * k // 8)
     for r, keys in ranks.items():
         c = len(keys)
         if r <= 2:
@@ -213,7 +249,7 @@ def _planned_bytes(ranks: dict, plans: list, n: int, k: int) -> int:
             rows = min(n, max(1, _KR_CHUNK // width))
             levels = sum(comb(k + lv - 1, lv) for lv in range(2, r))
             build = rows * ((c + 1) * k + levels) + 2 * c * k * width + 4 * k ** (r - 1)
-        work = max(work, c * n + build)
+        work = max(work, c * n + max(3 * n, build))
     return 8 * (table + work) + _BOOKKEEPING_BYTES
 
 
@@ -225,7 +261,8 @@ def correction_terms(inputs: ChainInputs, m: int) -> list[float]:
     t = 0..j-2 middle positions, so every order is a binomial combination
     of the same distinct-index chain sums d_0..d_{m-2}.  Each d_t contracts
     every set partition of its chain (``_chain_plan``) against one table
-    that holds each distinct block tensor once, built one rank at a time.
+    that holds each distinct block tensor once, built one rank at a time
+    over the distinct basis rows (``_distinct_rows``).
     Cost grows with Bell(m) partitions of the longest chain, so m is capped
     at ``M_MAX_HARD`` and the table at ``PLAN_BYTES_MAX``, checked before
     anything is built.
@@ -245,19 +282,20 @@ def correction_terms(inputs: ChainInputs, m: int) -> list[float]:
     if planned > PLAN_BYTES_MAX:
         raise ValidationError(f"order m={m} at k={k} plans {planned} bytes of block "
                               f"tensors, over the cap of {PLAN_BYTES_MAX}")
+    rows, inverse = _distinct_rows(inputs.zmat)
     # omega_inv = L L^T, so every edge z_i omega_inv z_j^T is y_i . y_j
-    y = inputs.zmat @ inputs.cholesky
+    y = rows @ inputs.cholesky
     diag = np.sum(y * y, axis=1)
     weight = {"p": inputs.eps_p, "h": inputs.abs_h1, "b": inputs.eps_b}
     table = {}
     for r, keys in ranks.items():
-        w = np.empty((len(keys), n))
-        for i, (roles, closed, _) in enumerate(keys):
-            w[i] = weight[roles[0]]
-            for role in roles[1:]:
-                w[i] *= weight[role]
+        w = np.empty((len(keys), len(y)))
+        for wi, (roles, closed, _) in zip(w, keys):
+            sample_w = reduce(np.multiply, (weight[role] for role in roles))
+            # samples that share a row add their weights to its one term
+            wi[:] = sample_w if inverse is None else np.bincount(inverse, sample_w, len(y))
             for _ in range(closed):
-                w[i] *= diag
+                wi *= diag
         table.update(zip(keys, _weighted_outer_sum(w, y, r)))
         del w  # freed before the next rank's weights and the contractions
     d = [0.0] * (m - 1)

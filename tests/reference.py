@@ -1,16 +1,20 @@
 """Reference computations that only the tests use.
 
 Exact Hoeffding variance and mean of a U-statistic under a discrete law,
-the unnormalized B-spline partition of unity, and the best L2
-approximation error of a basis span.
+the unnormalized B-spline partition of unity, the best L2
+approximation error of a basis span, and the correction terms of
+``ustat.correction_terms`` by its plan without the distinct-row grouping
+(float64) or over exactly distinct rows (long double).
 """
 
+from functools import reduce
 from itertools import combinations, permutations
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import numpy as np
 from scipy.interpolate import BSpline
 
+from hoif import ustat
 from hoif.basis import Basis, _bspline_knots
 from hoif.quadrature import QuadratureSpec
 
@@ -109,3 +113,78 @@ def l2_approximation_error(basis: Basis, f, quad: QuadratureSpec) -> float:
     total = float(np.sum(fv * fv) * w)
     resid = total - float(coef @ rhs)
     return max(resid, 0.0)
+
+
+def _block_keys(m: int, k: int) -> tuple[list, dict]:
+    """The chain plans of IF_22..IF_mm and their block keys by rank."""
+    plans = [ustat._chain_plan(t + 2, k) for t in range(m - 1)]
+    ranks = {}
+    for key in dict.fromkeys(key for plan in plans for *_, ks, _ in plan for key in ks):
+        ranks.setdefault(key[2], []).append(key)
+    return plans, ranks
+
+
+def _orders(d: list, n: int, m: int, sign_flag: bool) -> list:
+    """IF_22..IF_mm as binomial combinations of the distinct chain sums d_t."""
+    flip = -1.0 if sign_flag else 1.0
+    terms = []
+    for j in range(2, m + 1):
+        total = 0.0
+        for t in range(j - 1):
+            coef = (-1.0) ** (j - 2 - t) * comb(j - 2, t)
+            total += coef * d[t] / perm(n, t + 2)
+        terms.append((-1.0) ** (j - 1) * flip * total)
+    return terms
+
+
+def ungrouped_terms(inputs: ustat.ChainInputs, m: int) -> list[float]:
+    """The correction terms with every sample's row whitened and every block
+    summed over all n samples: the formula before distinct-row grouping, in
+    its order of operations, so equal in every bit to the rows-as-they-are
+    path of ``ustat.correction_terms``."""
+    n = inputs.n
+    plans, ranks = _block_keys(m, inputs.k)
+    y = inputs.zmat @ inputs.cholesky
+    diag = np.sum(y * y, axis=1)
+    weight = {"p": inputs.eps_p, "h": inputs.abs_h1, "b": inputs.eps_b}
+    table = {}
+    for r, keys in ranks.items():
+        w = np.empty((len(keys), n))
+        for i, (roles, closed, _) in enumerate(keys):
+            w[i] = weight[roles[0]]
+            for role in roles[1:]:
+                w[i] *= weight[role]
+            for _ in range(closed):
+                w[i] *= diag
+        table.update(zip(keys, ustat._weighted_outer_sum(w, y, r)))
+    d = [0.0] * (m - 1)
+    for t, plan in enumerate(plans):
+        for mob, subs, path, ks, _ in plan:
+            d[t] += mob * float(np.einsum(subs, *(table[b] for b in ks), optimize=path))
+    return _orders(d, n, m, inputs.sign_flag)
+
+
+def longdouble_terms(inputs: ustat.ChainInputs, m: int) -> list:
+    """The correction terms over the exactly distinct rows of ``zmat`` (found
+    by ``np.unique``), each sample's weight product summed per row and every
+    block a dense einsum, all in ``np.longdouble`` from the float64 inputs
+    and Cholesky factor."""
+    ld = np.longdouble
+    rows, inverse = np.unique(inputs.zmat, axis=0, return_inverse=True)
+    plans, ranks = _block_keys(m, inputs.k)
+    y = rows.astype(ld) @ inputs.cholesky.astype(ld)
+    diag = np.sum(y * y, axis=1)
+    weight = {"p": inputs.eps_p.astype(ld), "h": inputs.abs_h1.astype(ld),
+              "b": inputs.eps_b.astype(ld)}
+    table = {}
+    for roles, closed, r in (key for keys in ranks.values() for key in keys):
+        w = np.zeros(len(rows), dtype=ld)
+        np.add.at(w, inverse.ravel(), reduce(np.multiply, (weight[role] for role in roles)))
+        axes = "pqrstu"[:r]
+        subs = ",".join(["i"] + [f"i{a}" for a in axes]) + "->" + axes
+        table[roles, closed, r] = np.einsum(subs, w * diag**closed, *[y] * r)
+    d = [ld(0)] * (m - 1)
+    for t, plan in enumerate(plans):
+        for mob, subs, path, ks, _ in plan:
+            d[t] += ld(mob) * np.einsum(subs, *(table[b] for b in ks), optimize=path)
+    return _orders(d, inputs.n, m, inputs.sign_flag)

@@ -29,7 +29,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # dataset is the oracle; any change here is a behaviour change
 GOLDEN_PSI_HAT = 0.41921786455999266
 GOLDEN_PSI_1 = 0.4173647155878368
-GOLDEN_PER_ORDER = (0.0015746995384292432, 0.00027844943372664277)
+GOLDEN_PER_ORDER = (0.0015746995384292436, 0.00027844943372664277)
 
 
 def golden_config():

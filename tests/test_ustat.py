@@ -8,17 +8,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoif import ustat
+from hoif.basis import BasisSpec, build_basis
 from hoif.data import ValidationError
 from hoif.ustat import (
     ChainInputs,
     brute_force_ifjj,
     correction_terms,
 )
-from reference import hoeffding_variance, u_statistic_mean
+from reference import (
+    hoeffding_variance,
+    longdouble_terms,
+    u_statistic_mean,
+    ungrouped_terms,
+)
 
 
-def random_inputs(rng, n, k, sign_flag=False):
+def random_inputs(rng, n, k, sign_flag=False, pool=None):
+    # pool: the basis rows repeat that many distinct rows, as a
+    # piecewise-constant basis or a discrete X gives
     z = rng.normal(size=(n, k))
+    if pool is not None:
+        z = z[rng.integers(pool, size=n)]
     m = np.linalg.inv(z.T @ z / n + 0.5 * np.eye(k))
     return ChainInputs(
         eps_p=rng.normal(size=n),
@@ -28,6 +38,26 @@ def random_inputs(rng, n, k, sign_flag=False):
         omega_inv=0.5 * (m + m.T),
         sign_flag=sign_flag,
     )
+
+
+def haar_inputs(rng, n, k):
+    # two-dimensional Haar rows at k = q^2, constant on each of the k finest
+    # cells, with the inverse of a Gram from an independent training draw
+    basis = build_basis(BasisSpec("haar", 2, int(round(np.sqrt(k)))))
+    z, z_tr = (basis.evaluate_many(rng.random((n, 2))) for _ in range(2))
+    m = np.linalg.inv((z_tr * rng.random((n, 1))).T @ z_tr / n)
+    return ChainInputs(rng.normal(size=n), rng.normal(size=n), rng.random(n), z,
+                       0.5 * (m + m.T), False)
+
+
+def build_widths(inp, m):
+    # correction_terms' terms and the row count of every rank build
+    widths = []
+    original = ustat._weighted_outer_sum
+    with mock.patch.object(ustat, "_weighted_outer_sum",
+                           lambda w, y, r: widths.append(w.shape[1]) or original(w, y, r)):
+        terms = correction_terms(inp, m)
+    return terms, widths
 
 
 def test_if22_zero_when_residual_vanishes():
@@ -163,15 +193,19 @@ def test_over_budget_rank_refused_before_packing(monkeypatch):
 
 
 @pytest.mark.parametrize("n,k,m", [(60, 12, 6), (64, 32, 5), (1000, 3, 6), (100, 64, 3),
-                                   (8, 3, 6), (200, 16, 4)])
+                                   (8, 3, 6), (200, 16, 4), (10_000, 64, 4), (1000, 16, 5)])
 def test_traced_peak_within_planned_bytes(monkeypatch, n, k, m):
-    # the plan bounds the whole call: the block table, each rank's build and
-    # every partition's einsum working set (its operand copies and products)
+    # the plan bounds the whole call: the row grouping, the block table, each
+    # rank's build and every partition's einsum working set (its operand
+    # copies and products); the last two shapes repeat rows, as Haar rows and
+    # with one repeated row, the grouping's worst case
     planned = []
     original = ustat._planned_bytes
     monkeypatch.setattr(ustat, "_planned_bytes",
                         lambda *args: planned.append(original(*args)) or planned[-1])
-    inp = random_inputs(np.random.default_rng(23), n, k)
+    rng = np.random.default_rng(23)
+    inp = (haar_inputs(rng, n, k) if (n, k, m) == (10_000, 64, 4)
+           else random_inputs(rng, n, k, pool=n - 1 if (n, k, m) == (1000, 16, 5) else None))
     correction_terms(inp, m)  # plans and index maps are cached from here on
     tracemalloc.start()
     try:
@@ -210,9 +244,10 @@ def test_rank_build_matches_dense_sum(r, c, n, k, chunk, seed):
 def test_matches_brute_force_ill_conditioned():
     # Gram eigenvalues spread over eight decades: the whitened kernel keeps
     # the brute-force agreement at the usual tolerance, for basis rows drawn
-    # independently of the Gram and for rows drawn from it
+    # independently of the Gram and for rows drawn from it; the last six
+    # trials repeat 2-4 distinct rows, so every block sums over fewer rows
     rng = np.random.default_rng(21)
-    for trial in range(12):
+    for trial in range(18):
         n, k = 8, 4
         q, _ = np.linalg.qr(rng.normal(size=(k, k)))
         eig = np.logspace(0, -8, k)
@@ -220,9 +255,14 @@ def test_matches_brute_force_ill_conditioned():
         m = np.linalg.inv(gram)
         inp = random_inputs(rng, n, k, sign_flag=bool(trial % 2))
         z = inp.zmat if trial < 6 else inp.zmat @ (q * np.sqrt(eig)).T
+        if trial >= 12:
+            z = z[rng.integers(2 + trial % 3, size=n)]
         inp = ChainInputs(inp.eps_p, inp.eps_b, inp.abs_h1, z, 0.5 * (m + m.T),
                           inp.sign_flag)
-        for j, fast in enumerate(correction_terms(inp, 5), start=2):
+        terms, widths = build_widths(inp, 5)
+        assert set(widths) == {len(np.unique(z, axis=0))}
+        assert trial < 12 or widths[0] < n
+        for j, fast in enumerate(terms, start=2):
             ref = brute_force_ifjj(j, inp)
             assert abs(fast - ref) <= 1e-10 * (1.0 + abs(ref))
 
@@ -232,19 +272,60 @@ def chain_instances(draw):
     m = draw(st.integers(2, 6))
     n = draw(st.integers(m, 8))
     k = draw(st.integers(1, 4))
+    pool = draw(st.one_of(st.none(), st.integers(1, n - 1)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return m, random_inputs(rng, n, k, sign_flag=draw(st.booleans()))
+    return m, pool, random_inputs(rng, n, k, sign_flag=draw(st.booleans()), pool=pool)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(chain_instances())
 def test_every_order_matches_brute_force(case):
     # shapes come in random order, so plans cached for one (length, k) are
-    # reused by later instances of other n
-    m, inp = case
-    for j, fast in enumerate(correction_terms(inp, m), start=2):
+    # reused by later instances of other n; rows drawn from a pool smaller
+    # than n repeat, and every block is then built over the distinct rows
+    m, pool, inp = case
+    terms, widths = build_widths(inp, m)
+    assert set(widths) == {len(np.unique(inp.zmat, axis=0))}
+    assert pool is None or widths[0] < inp.n
+    for j, fast in enumerate(terms, start=2):
         ref = brute_force_ifjj(j, inp)
         assert abs(fast - ref) <= 1e-10 * (1.0 + abs(ref))
+
+
+@pytest.mark.parametrize("n,k,m", [(9, 3, 6), (40, 5, 5), (500, 64, 4), (2500, 16, 3)])
+def test_distinct_rows_keep_the_ungrouped_arithmetic(n, k, m):
+    # all rows distinct: the rows are used as they are, and every term is
+    # the ungrouped formula's to the last bit
+    inp = random_inputs(np.random.default_rng(31), n, k, sign_flag=True)
+    terms, widths = build_widths(inp, m)
+    assert set(widths) == {n}
+    assert terms == ungrouped_terms(inp, m)
+
+
+def test_probe_collision_falls_back_to_rows_as_they_are(monkeypatch):
+    # a probe that hashes every row alike proposes one group; the exact
+    # comparison rejects it and the rows are used as they are, bit for bit
+    monkeypatch.setattr(ustat, "_row_probe", lambda zmat: np.zeros(len(zmat)))
+    for seed, (n, k, pool) in enumerate([(8, 3, 2), (30, 4, 5), (400, 16, 16)]):
+        inp = random_inputs(np.random.default_rng(seed), n, k, pool=pool)
+        terms, widths = build_widths(inp, 5)
+        assert set(widths) == {n}
+        assert terms == ungrouped_terms(inp, 5)
+
+
+@pytest.mark.parametrize("n,k,m,bound", [(2000, 64, 4, 1e-13), (2000, 16, 5, 1e-10)])
+def test_haar_rows_match_long_double(n, k, m, bound):
+    # Haar rows take at most k distinct values; the float64 terms summed over
+    # those rows against the same sums in long double, per order, relative.
+    # Each bound is ten times or more the worst error seen on four draws of
+    # this shape (3.1e-15 at m=4, 6.2e-12 at m=5; summing over all n rows
+    # instead gave 4.3e-15 and 1.1e-11): the binomial recombination of the
+    # chain sums cancels more at each order
+    inp = haar_inputs(np.random.default_rng(37), n, k)
+    terms, widths = build_widths(inp, m)
+    assert set(widths) == {len(np.unique(inp.zmat, axis=0))} and widths[0] <= k
+    for fast, ref in zip(terms, longdouble_terms(inp, m), strict=True):
+        assert abs(fast - ref) <= bound * abs(ref)
 
 
 def test_order_limits():
