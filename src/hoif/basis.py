@@ -133,11 +133,6 @@ class Basis:
             out = (out[:, :, None] * uj[:, None, :]).reshape(x.shape[0], -1)
         return out
 
-    def evaluate(self, x) -> np.ndarray:
-        """Evaluate at a single point in [0,1]^d; returns a length-k vector."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self.evaluate_many(x[None, :])[0]
-
 
 def build_basis(spec: BasisSpec) -> Basis:
     """Construct a basis and certify its locality constant on a grid.

@@ -69,7 +69,6 @@ _KEYS = {
     "basis.dimension": (int, "basis.dimension"),
     "basis.per_dim_size": (int, "basis.per_dim_size"),
     "basis.order": (int, "basis.order"),
-    # plugin stays library-only: it needs nuisance sets passed in as objects
     "nuisance.method": (_one_of("series", "zero"), "nuisance_method"),
     "nuisance.k_grid": (lambda v: tuple(int(t) for t in v.split(";")), "nuisance_k_grid"),
     "nuisance.folds": (int, "nuisance_folds"),
@@ -206,7 +205,7 @@ def cmd_simulate(args) -> int:
     echo = {**render_config(run_cfg), "tuning": cfg.get("tuning", "manual"),
             "scenario": scn.id, "n": n, "reps": reps}
     write_resolved_config(echo, out_dir)
-    result = run_study(scn, [run_cfg], reps=reps, seed=run_cfg.seed, n=n,
+    result = run_study(scn, run_cfg, reps=reps, seed=run_cfg.seed, n=n,
                        threads=args.threads)
     head = header_lines(echo)
     (out_dir / "replications.csv").write_text(result.rows_csv(head))

@@ -57,7 +57,8 @@ def dataset_from_csv(path, d: int | None = None) -> Dataset:
     Y may be blank on rows with A=0 (missing-at-random input); it is then
     recorded as 0 so that A*Y is stored.  X coordinates outside [0,1] are
     rejected; no rescaling is applied.  Rows are numbered from the header
-    (row 1) on, skipping blank and comment lines.
+    (row 1) on, skipping blank and comment lines.  Every column is parsed,
+    so a file with a non-numeric extra column is read row by row.
     """
     lines = [ln for ln in read_text(path).split("\n")
              if ln.strip() and not ln.startswith("#")]
@@ -86,10 +87,13 @@ def dataset_from_csv(path, d: int | None = None) -> Dataset:
             raise ValidationError(f"row {i + 2}: {exc}") from exc
 
     body = lines[1:]
-    try:  # numpy's C parser takes plain numbers; a blank Y or a bad field goes to float()
-        if not body or any(ln.count(",") != len(header) - 1 for ln in body):
+    try:  # numpy's parser takes plain numbers in rows of one width; all else goes to float()
+        if not body:
+            raise ValueError("no rows")
+        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        if table.shape[1] != len(header):
             raise ValueError("irregular rows")
-        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2, usecols=(ia, iy, *ix))
+        table = np.take(table, [ia, iy, *ix], axis=1)
     except ValueError:
         rows = [parse_row(i, ln) for i, ln in enumerate(body)]
         table = np.array(rows).reshape(len(body), 2 + len(ix))

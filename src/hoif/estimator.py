@@ -57,7 +57,7 @@ class EstimatorConfig:
     variant: str = "emp"
     eigen_floor: float = DEFAULT_EIGEN_FLOOR
     cross_fit: bool = False
-    nuisance_method: str = "series"  # series | zero | plugin (needs an override)
+    nuisance_method: str = "series"  # series | zero; a nuisance_override wins over either
     nuisance_k_grid: tuple[int, ...] = (1, 2, 4)
     nuisance_folds: int = 2
     sigma_floor: float = DEFAULT_SIGMA_FLOOR
@@ -66,7 +66,7 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValidationError(f"unknown variant {self.variant!r}")
-        if self.nuisance_method not in ("series", "zero", "plugin"):
+        if self.nuisance_method not in ("series", "zero"):
             raise ValidationError(f"unknown nuisance method {self.nuisance_method!r}")
         fn.arm_specs(self.functional)  # rejects an unknown functional
         if not 0.0 < self.split_fraction < 1.0:
@@ -220,13 +220,11 @@ def _training_fits(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSe
     if nuisances is None:
         if cfg.nuisance_method == "zero":
             nuisances = [zero_nuisance()] * len(specs)
-        elif cfg.nuisance_method == "series":
+        else:
             designs = series_designs(training.x, basis, list(cfg.nuisance_k_grid))
             nuisances = [fit_nuisances(spec, training, designs, cfg.nuisance_folds,
                                        seed=cfg.seed + 17, sigma_floor=cfg.sigma_floor)
                          for spec in specs]
-        else:
-            raise ValidationError(f"nuisance method {cfg.nuisance_method!r} needs an override")
     if cfg.m == 1:
         return nuisances, [None] * len(specs)
     if cfg.variant == "emp":
@@ -288,8 +286,8 @@ def estimate_split(est: Dataset, training: Dataset, cfg: EstimatorConfig,
     arm 0.  ``cfg.cross_fit`` averages over both assignments of the two
     samples and pools their first-order influence values for the variance.
     ``nuisance_override`` holds one NuisanceSet per arm (a pair for ``ate``)
-    and serves every fold.  Conditional-on-training studies call this with
-    one fixed training sample.
+    and serves every fold, whatever ``cfg.nuisance_method`` says.
+    Conditional-on-training studies call this with one fixed training sample.
     """
     specs = fn.arm_specs(cfg.functional)
     overrides = None

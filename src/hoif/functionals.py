@@ -31,11 +31,6 @@ class FunctionalSpec:
     h3: Evaluator
     h4: Evaluator
     sign_flag: bool  # True iff h1 is nowhere positive
-    description: str = ""
-
-    def sign(self) -> float:
-        """(-1)**I(h1 <= 0) as a float factor."""
-        return -1.0 if self.sign_flag else 1.0
 
     def check_h1_sign(self, data: Dataset, tol: float = 0.0):
         h1 = self.h1(data)
@@ -78,7 +73,6 @@ def mar_mean_spec() -> FunctionalSpec:
         h3=lambda dat: dat.a * dat.y,
         h4=_zeros,
         sign_flag=True,
-        description="mean outcome under missing-at-random observation",
     )
 
 
@@ -91,7 +85,6 @@ def mar_mean_spec_flipped() -> FunctionalSpec:
         h3=lambda dat: (1.0 - dat.a) * dat.y,
         h4=_zeros,
         sign_flag=True,
-        description="mean outcome of the untreated arm",
     )
 
 
@@ -113,7 +106,6 @@ def expected_cond_cov_spec() -> FunctionalSpec:
         h3=lambda dat: -dat.y,
         h4=lambda dat: dat.a * dat.y,
         sign_flag=False,
-        description="expected conditional covariance of A and Y given X",
     )
 
 

@@ -24,7 +24,6 @@ DEFAULT_SIGMA_FLOOR = 0.05
 class NuisanceSet:
     b_hat: Callable[[np.ndarray], np.ndarray]
     p_hat: Callable[[np.ndarray], np.ndarray]
-    provenance: str = ""
 
 
 def _constant(value: float):
@@ -37,7 +36,7 @@ def _constant(value: float):
 def zero_nuisance() -> NuisanceSet:
     """b_hat = p_hat = 0; the range clipping of p_hat is deliberately
     bypassed, the higher-order terms alone then estimate the target."""
-    return NuisanceSet(b_hat=_constant(0.0), p_hat=_constant(0.0), provenance="zero")
+    return NuisanceSet(b_hat=_constant(0.0), p_hat=_constant(0.0))
 
 
 def series_designs(x: np.ndarray, basis: Basis, k_grid: list[int]) -> dict:
@@ -171,4 +170,4 @@ def fit_nuisances(spec: FunctionalSpec, training: Dataset, designs: dict, folds:
         def p_hat(pts):
             return 1.0 / np.clip(pi_hat(pts), sigma_floor, 1.0)
 
-    return NuisanceSet(b_hat, p_hat, provenance=f"series:k_grid={list(designs)}")
+    return NuisanceSet(b_hat, p_hat)

@@ -350,45 +350,38 @@ def weighted_density(scn: ScenarioSpec):
 # study driver
 
 ROW_COLUMNS = (
-    "rep,cfg_index,variant,k,m,seed,psi_hat,psi_1,variance_est,"
+    "rep,variant,k,m,seed,psi_hat,psi_1,variance_est,"
     "ci_low,ci_high,zero_convention,op_dist,covered,error"
 )
 AGG_COLUMNS = (
-    "scenario,n,cfg_index,variant,k,m,reps_ok,psi_true,bias,sd,rmse,"
-    "coverage,mean_op_dist,eff_bound"
+    "scenario,n,variant,k,m,reps_ok,reps_failed,zero_convention_count,psi_true,"
+    "bias,sd,rmse,coverage,mean_op_dist,eff_bound"
 )
 
 
 @dataclass
 class StudyResult:
-    scenario: str
     psi_true: float
-    eff_bound: float
-    reps: int
-    n: int
-    seed: int
     rows: list[dict]
-    aggregates: list[dict]
+    aggregate: dict
 
     def rows_csv(self, header_lines: tuple[str, ...] = ()) -> str:
         return table_csv(ROW_COLUMNS, self.rows, header_lines)
 
     def aggregates_csv(self, header_lines: tuple[str, ...] = ()) -> str:
-        return table_csv(AGG_COLUMNS, self.aggregates, header_lines)
+        return table_csv(AGG_COLUMNS, [self.aggregate], header_lines)
 
 
 def _rep_seed(master: int, rep: int) -> int:
     return int(np.random.SeedSequence([master, rep]).generate_state(1)[0])
 
 
-def _one_cell(scn: ScenarioSpec, cfg: EstimatorConfig, n: int, master: int,
-              rep: int, cfg_index: int, psi_true: float,
-              nuisance_factory, ref_gram: GramMatrix | None) -> dict:
+def _one_rep(scn: ScenarioSpec, cfg: EstimatorConfig, n: int, master: int,
+             rep: int, psi_true: float, nuisance_factory,
+             ref_gram: GramMatrix) -> dict:
     seed = _rep_seed(master, rep)
-    row = {
-        "rep": rep, "cfg_index": cfg_index, "variant": cfg.variant,
-        "k": cfg.k, "m": cfg.m, "seed": seed, "error": "",
-    }
+    row = {"rep": rep, "variant": cfg.variant, "k": cfg.k, "m": cfg.m,
+           "seed": seed, "error": ""}
     try:
         data = generate(scn, n, seed)
         run_cfg = replace(cfg, seed=seed, functional=scn.functional)
@@ -415,72 +408,55 @@ def _one_cell(scn: ScenarioSpec, cfg: EstimatorConfig, n: int, master: int,
     return row
 
 
-def run_study(scn: ScenarioSpec, cfg_grid: list[EstimatorConfig], reps: int,
-              seed: int, n: int, threads: int = 1,
-              nuisance_factory=None, track_op_dist: bool = True) -> StudyResult:
-    """Run `reps` independent replications of every config in the grid.
+def run_study(scn: ScenarioSpec, cfg: EstimatorConfig, reps: int, seed: int,
+              n: int, threads: int = 1, nuisance_factory=None) -> StudyResult:
+    """Run `reps` independent replications of one configuration.
 
-    Each replication draws one dataset (shared across the grid, so the
-    configs are compared on identical data) with a seed derived from the
-    master seed by position, making the output independent of scheduling.
+    Each replication draws its dataset with a seed derived from the master
+    seed by position, making the output independent of scheduling.  The
+    dataset, split and folds of a replication depend only on (scenario, n,
+    seed, rep), so two studies with the same scenario, n and seed compare
+    their configurations on identical draws.
     """
     validate_scenario(scn)
     if reps < 2:
         raise ValidationError("reps must be >= 2")
     psi = true_psi(scn)
     eff = _efficiency_bound(scn, psi)
+    from hoif.basis import build_basis
 
-    ref_grams: list[GramMatrix | None] = [None] * len(cfg_grid)
-    if track_op_dist:
-        from hoif.basis import build_basis
+    ref_gram = quadrature_gram(build_basis(cfg.basis), weighted_density(scn),
+                               basis_quadrature(cfg.basis))
 
-        ref_grams = [quadrature_gram(build_basis(cfg.basis), weighted_density(scn),
-                                     basis_quadrature(cfg.basis)) for cfg in cfg_grid]
-
-    tasks = [
-        (rep, ci)
-        for rep in range(reps)
-        for ci in range(len(cfg_grid))
-    ]
-
-    def work(task):
-        rep, ci = task
-        return _one_cell(scn, cfg_grid[ci], n, seed, rep, ci, psi,
-                         nuisance_factory, ref_grams[ci])
+    def work(rep):
+        return _one_rep(scn, cfg, n, seed, rep, psi, nuisance_factory, ref_gram)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(work, tasks))
+            rows = list(pool.map(work, range(reps)))
     else:
-        rows = [work(t) for t in tasks]
+        rows = [work(rep) for rep in range(reps)]
 
-    n_err = sum(1 for r in rows if r["error"])
+    ok = [r for r in rows if not r["error"]]
+    n_err = len(rows) - len(ok)
     if n_err > 0.05 * len(rows):
         raise ValidationError(f"{n_err}/{len(rows)} replications failed")
 
-    aggregates = []
-    for ci, cfg in enumerate(cfg_grid):
-        ok = [r for r in rows if r["cfg_index"] == ci and not r["error"]]
-        est = np.array([r["psi_hat"] for r in ok])
-        agg = {
-            "scenario": scn.id, "n": n, "cfg_index": ci,
-            "variant": cfg.variant, "k": cfg.k, "m": cfg.m,
-            "reps_ok": len(ok), "psi_true": psi, "eff_bound": eff,
-        }
-        if len(ok) >= 2:
-            bias = float(np.mean(est) - psi)
-            sd = float(np.std(est, ddof=1))
-            rmse = math.sqrt(float(np.mean((est - psi) ** 2)))
-            cov_vals = [r["covered"] for r in ok if r["covered"] != ""]
-            agg.update(
-                bias=bias, sd=sd, rmse=rmse,
-                coverage=float(np.mean(cov_vals)) if cov_vals else None,
-            )
-            ops = [r["op_dist"] for r in ok if r["op_dist"] is not None]
-            agg["mean_op_dist"] = float(np.mean(ops)) if ops else None
-        aggregates.append(agg)
-
-    return StudyResult(
-        scenario=scn.id, psi_true=psi, eff_bound=eff, reps=reps, n=n,
-        seed=seed, rows=rows, aggregates=aggregates,
-    )
+    est = np.array([r["psi_hat"] for r in ok])
+    agg = {
+        "scenario": scn.id, "n": n, "variant": cfg.variant, "k": cfg.k, "m": cfg.m,
+        "reps_ok": len(ok), "reps_failed": n_err,
+        "zero_convention_count": sum(r["zero_convention"] for r in ok),
+        "psi_true": psi, "eff_bound": eff,
+    }
+    if len(ok) >= 2:
+        cov_vals = [r["covered"] for r in ok if r["covered"] != ""]
+        ops = [r["op_dist"] for r in ok if r["op_dist"] is not None]
+        agg.update(
+            bias=float(np.mean(est) - psi),
+            sd=float(np.std(est, ddof=1)),
+            rmse=math.sqrt(float(np.mean((est - psi) ** 2))),
+            coverage=float(np.mean(cov_vals)) if cov_vals else None,
+            mean_op_dist=float(np.mean(ops)) if ops else None,
+        )
+    return StudyResult(psi_true=psi, rows=rows, aggregate=agg)

@@ -145,8 +145,7 @@ A45_DB = 0.6
 def a45_study():
     scn = SCENARIOS["s4-span-exact"]
     basis_spec = BasisSpec("haar", 1, A45_K)
-    cfg = EstimatorConfig(basis=basis_spec, m=4, seed=0, variant="emp",
-                          nuisance_method="plugin")
+    cfg = EstimatorConfig(basis=basis_spec, m=4, seed=0, variant="emp")
     training = generate(scn, A45_N, 20240810)
     ref = quadrature_gram(build_basis(basis_spec), weighted_density(scn),
                           QuadratureSpec(256))
@@ -238,9 +237,8 @@ def test_A6_zero_nuisance_consistency():
         k, m = default_tuning(math.ceil(n / 2), "emp", 1, "haar")
         cfg = EstimatorConfig(basis=BasisSpec("haar", 1, k), m=m,
                               nuisance_method="zero")
-        result = run_study(scn, [cfg], reps=200, seed=606, n=n,
-                           threads=4, track_op_dist=False)
-        last_agg = result.aggregates[0]
+        result = run_study(scn, cfg, reps=200, seed=606, n=n, threads=4)
+        last_agg = result.aggregate
         rmses.append(last_agg["rmse"])
     slope = math.log(rmses[1] / rmses[0]) / math.log(sizes[1] / sizes[0])
     mc_se = last_agg["sd"] / math.sqrt(last_agg["reps_ok"])
@@ -264,9 +262,8 @@ def test_A7_efficiency_and_coverage():
     q = round(k ** 0.5)
     cfg = EstimatorConfig(basis=BasisSpec("haar", 2, q), m=m, cross_fit=True,
                           nuisance_k_grid=(1, 4, 16), nuisance_folds=2)
-    result = run_study(scn, [cfg], reps=500, seed=707, n=n, threads=4,
-                       track_op_dist=False)
-    agg = result.aggregates[0]
+    result = run_study(scn, cfg, reps=500, seed=707, n=n, threads=4)
+    agg = result.aggregate
     eff = efficiency_bound(scn)
     var_cap = 1.5 * eff / n
     cov_ok = 0.92 <= agg["coverage"] <= 0.98
@@ -373,7 +370,7 @@ def test_A10_reproducibility():
                           nuisance_k_grid=(1, 2, 4), nuisance_folds=2)
     outputs = []
     for threads in (1, 4, 4):
-        result = run_study(scn, [cfg], reps=30, seed=1010, n=600,
+        result = run_study(scn, cfg, reps=30, seed=1010, n=600,
                            threads=threads)
         outputs.append((result.rows_csv(("rerun-probe",)).encode(),
                         result.aggregates_csv(("rerun-probe",)).encode()))

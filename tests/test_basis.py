@@ -20,24 +20,24 @@ def uniform(x):
 def test_haar_q1_is_constant():
     basis = build_basis(BasisSpec("haar", 1, 1))
     assert basis.k == 1
-    np.testing.assert_allclose(basis.evaluate([0.3]), [1.0])
-    np.testing.assert_allclose(basis.evaluate([0.0]), [1.0])
-    np.testing.assert_allclose(basis.evaluate([1.0]), [1.0])
+    np.testing.assert_allclose(basis.evaluate_many([0.3])[0], [1.0])
+    np.testing.assert_allclose(basis.evaluate_many([0.0])[0], [1.0])
+    np.testing.assert_allclose(basis.evaluate_many([1.0])[0], [1.0])
 
 
 def test_haar_hand_value_at_quarter():
     # q=4: [scaling, level-0 wavelet, level-1 shift-0, level-1 shift-1];
     # at x=0.25 the level-1 shift-0 wavelet is on its negative half
     basis = build_basis(BasisSpec("haar", 1, 4))
-    vec = basis.evaluate([0.25])
+    vec = basis.evaluate_many([0.25])[0]
     np.testing.assert_allclose(vec, [1.0, 1.0, -np.sqrt(2.0), 0.0], atol=1e-14)
 
 
 def test_haar_piecewise_constant_within_cells():
     basis = build_basis(BasisSpec("haar", 1, 8))
     # both points inside the same finest cell [0.25, 0.375)
-    a = basis.evaluate([0.26])
-    b = basis.evaluate([0.37])
+    a = basis.evaluate_many([0.26])[0]
+    b = basis.evaluate_many([0.37])[0]
     np.testing.assert_allclose(a, b)
 
 
@@ -86,9 +86,9 @@ def test_tensor_row_major_order():
 def test_evaluate_rejects_out_of_range():
     basis = build_basis(BasisSpec("haar", 1, 2))
     with pytest.raises(ValueError):
-        basis.evaluate([1.5])
+        basis.evaluate_many([1.5])
     with pytest.raises(ValueError):
-        basis.evaluate([-0.01])
+        basis.evaluate_many([-0.01])
 
 
 def test_spec_validation():

@@ -316,9 +316,9 @@ def test_cmd_estimate_validation_exit(tmp_path, capsys):
                "--set", "basis.per_dim_size=1024"])
     assert rc == EXIT_VALIDATION
     assert "error:" in capsys.readouterr().err
-    # plugin nuisances exist only for library callers that pass them in
+    # the nuisance method is series or zero
     rc = main(["estimate", "--input", str(GOLDEN),
-               "--out", str(tmp_path / "o3"), "--set", "nuisance.method=plugin"])
+               "--out", str(tmp_path / "o3"), "--set", "nuisance.method=oracle"])
     assert rc == EXIT_VALIDATION
     assert "series|zero" in capsys.readouterr().err
     # the pipeline's order cap is 4
@@ -349,7 +349,8 @@ def test_cmd_simulate_unknown_scenario(tmp_path):
 
 
 def test_cmd_report_slopes(tmp_path, capsys):
-    # two aggregate files differing in k: |bias| ~ k^-1 gives slope -1
+    # two aggregate files differing in k: |bias| ~ k^-1 gives slope -1; their
+    # older column set (cfg_index, no failure counts) still merges
     cols = ("scenario,n,cfg_index,variant,k,m,reps_ok,psi_true,bias,sd,rmse,"
             "coverage,mean_op_dist,eff_bound")
     a = tmp_path / "agg_a.csv"

@@ -34,6 +34,24 @@ def test_read_multidim_column_selection(tmp_path):
     np.testing.assert_allclose(data.x[0], [0.1, 0.9])
 
 
+def test_columns_in_any_order_and_extra_columns(tmp_path):
+    # the fast parse reads every column and selects A, Y and X by name; a
+    # non-numeric extra column sends the file to the row-by-row parse
+    for text in ("Y,X1,A,w\n0.5,0.25,1,3\n0,0.75,0,4\n",
+                 "Y,X1,A,note\n0.5,0.25,1,first\n,0.75,0,second\n"):
+        data = dataset_from_csv(write(tmp_path, text))
+        np.testing.assert_array_equal(data.a, [1.0, 0.0])
+        np.testing.assert_array_equal(data.y, [0.5, 0.0])
+        np.testing.assert_array_equal(data.x[:, 0], [0.25, 0.75])
+
+
+def test_rows_wider_than_the_header(tmp_path):
+    # rows of one width parse in one pass; a width other than the header's
+    # is still reported at the first row
+    with pytest.raises(ValidationError, match="^row 2: expected 3 fields$"):
+        dataset_from_csv(write(tmp_path, "A,Y,X1\n1,0,0.5,0.1\n0,0,0.2,0.3\n"))
+
+
 def test_missing_columns(tmp_path):
     with pytest.raises(ValidationError, match="column Y absent"):
         dataset_from_csv(write(tmp_path, "A,X1\n1,0.5\n"))

@@ -30,6 +30,9 @@ FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN_PSI_HAT = 0.41921786455999266
 GOLDEN_PSI_1 = 0.4173647155878368
 GOLDEN_PER_ORDER = (0.0015746995384292436, 0.00027844943372664277)
+# IF22..IF44 of the same run at m = 4: the orientation of the rank-3 blocks
+# in the order-4 chains sets the last bits of IF44
+GOLDEN_PER_ORDER_M4 = GOLDEN_PER_ORDER + (0.000262861805136486,)
 
 
 def golden_config():
@@ -142,10 +145,8 @@ def test_emp_vs_ac_agree_with_truth_injected(monkeypatch):
         per_seed = []
         for seed in range(20):
             data = generate(scn, n, 1000 + seed)
-            cfg_e = EstimatorConfig(basis=basis.spec, m=2, seed=seed,
-                                    variant="emp", nuisance_method="plugin")
-            cfg_a = EstimatorConfig(basis=basis.spec, m=2, seed=seed,
-                                    variant="ac", nuisance_method="plugin")
+            cfg_e = EstimatorConfig(basis=basis.spec, m=2, seed=seed, variant="emp")
+            cfg_a = EstimatorConfig(basis=basis.spec, m=2, seed=seed, variant="ac")
             r_e = estimate(data, cfg_e, nuisance_override=nuis)
             r_a = estimate(data, cfg_a, nuisance_override=nuis)
             per_seed.append(abs(r_e.per_order[0] - r_a.per_order[0]))
@@ -210,14 +211,16 @@ def test_ci_level_outside_unit_interval_rejected(level):
 
 
 def test_nuisance_methods_accepted():
-    # plugin is accepted here and needs an override when the estimate runs
-    for method in ("series", "zero", "plugin"):
+    for method in ("series", "zero"):
         assert EstimatorConfig(nuisance_method=method).nuisance_method == method
+    with pytest.raises(ValidationError, match="unknown nuisance method 'oracle'"):
+        EstimatorConfig(nuisance_method="oracle")
+    # an override wins whatever the method: both give the override's psi_1
     data = generate(SCENARIOS["s1-smooth-d1"], 200, 3)
-    cfg = EstimatorConfig(nuisance_method="plugin")
-    with pytest.raises(ValidationError, match="'plugin' needs an override"):
-        estimate(data, cfg)
-    assert np.isfinite(estimate(data, cfg, nuisance_override=zero_nuisance()).psi_hat)
+    runs = [estimate(data, EstimatorConfig(nuisance_method=method),
+                     nuisance_override=zero_nuisance()) for method in ("series", "zero")]
+    assert runs[0].psi_1 == runs[1].psi_1 == 0.0
+    assert runs[0].psi_hat == runs[1].psi_hat
 
 
 def test_golden_fixture_regression():
@@ -226,6 +229,7 @@ def test_golden_fixture_regression():
     assert rep.psi_hat == GOLDEN_PSI_HAT
     assert rep.psi_1 == GOLDEN_PSI_1
     assert tuple(rep.per_order) == GOLDEN_PER_ORDER
+    assert tuple(estimate(data, replace(golden_config(), m=4)).per_order) == GOLDEN_PER_ORDER_M4
 
 
 def test_report_csv_row_parses():
@@ -304,7 +308,7 @@ def test_report_labels_follow_config():
 def test_nuisance_override_one_set_per_arm():
     data = generate(SCENARIOS["s4-ate"], 400, 3)
     cfg = EstimatorConfig(functional="ate", basis=BasisSpec("haar", 1, 2),
-                          m=2, seed=1, nuisance_method="plugin")
+                          m=2, seed=1)
     zero = zero_nuisance()
     assert estimate(data, cfg, nuisance_override=(zero, zero)).psi_1 == 0.0
     with pytest.raises(ValidationError, match="needs 2 nuisance"):

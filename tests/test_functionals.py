@@ -28,7 +28,7 @@ def test_mar_mean_h_values_per_record():
     assert spec.h2(data).tolist() == [1.0, 1.0]
     assert spec.h3(data).tolist() == [0.0, 1.0]
     assert spec.h4(data).tolist() == [0.0, 0.0]
-    assert spec.sign_flag and spec.sign() == -1.0
+    assert spec.sign_flag
 
 
 def test_ecc_spec_quadruple():
@@ -38,7 +38,7 @@ def test_ecc_spec_quadruple():
     assert spec.h2(data).tolist() == [-1.0]
     assert spec.h3(data).tolist() == [-2.0]
     assert spec.h4(data).tolist() == [2.0]
-    assert not spec.sign_flag and spec.sign() == 1.0
+    assert not spec.sign_flag
 
 
 def test_ate_spec_pair():

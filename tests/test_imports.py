@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used by that module, every
 private module-level name of the package is used somewhere in it, and no
-module-level function or class of the package serves only the tests."""
+module-level function or class of the package, nor a method or property of
+one of its classes, serves only the tests."""
 
 import ast
 import os
@@ -125,28 +126,45 @@ def _loads(node: ast.AST) -> set[str]:
 
 def unreached_definitions(sources: dict[str, str], roots: set[str]) -> list[str]:
     """Module-level functions and classes of ``sources`` (module name ->
-    source) that no root reaches.
+    source), and the methods and properties of those classes, that no root
+    reaches.
 
     The roots are ``roots`` and every name that module-level code outside
     a definition reads; a reached definition reaches every name read in it
-    (decorators and defaults included).  A read is a loaded name or an
-    attribute access: an import alone reaches nothing.
+    (decorators and defaults included).  A class reaches what its body reads
+    outside its methods, dunder methods included; a method or property
+    ``C.f`` is reached once ``C`` is and reached code reads an attribute
+    ``f`` of anything.  A read is a loaded name or an attribute access: an
+    import alone reaches nothing.
     """
     reads, where = {}, {}
     frontier = set(roots)
     for module, source in sources.items():
         for node in ast.parse(source).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                reads.setdefault(node.name, set()).update(_loads(node))
-                where[node.name] = f"{module}:{node.lineno}"
-            else:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 frontier |= _loads(node)
+                continue
+            where[node.name] = f"{module}:{node.lineno}"
+            own = reads.setdefault(node.name, set())
+            if not isinstance(node, ast.ClassDef):
+                own |= _loads(node)
+                continue
+            for expr in node.decorator_list + node.bases + node.keywords:
+                own |= _loads(expr)
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("__")):
+                    reads[f"{node.name}.{item.name}"] = _loads(item)
+                    where[f"{node.name}.{item.name}"] = f"{module}:{item.lineno}"
+                else:
+                    own |= _loads(item)
     reached = set()
     while frontier:
-        name = frontier.pop()
-        if name not in reached:
-            reached.add(name)
-            frontier |= reads.get(name, set())
+        reached |= frontier
+        frontier = set().union(*(reads.get(name, ()) for name in frontier))
+        # a member whose class and attribute name are both reached
+        frontier |= {key for key in reads if "." in key and set(key.split(".")) <= reached}
+        frontier -= reached
     return sorted(f"{name} ({at})" for name, at in where.items() if name not in reached)
 
 
@@ -154,7 +172,7 @@ def test_reach_scanner_flags_test_only_code():
     sources = {
         "a.py": (
             "from b import helper\n"
-            "def api(n):\n    return helper(n) + _inner(n)\n"
+            "def api(n):\n    return helper(n) + _inner(n) + Config().f()\n"
             "def _inner(n):\n    return n\n"
             "def oracle(n):\n    return _oracle_part(n)\n"
             "def _oracle_part(n):\n    return n\n"
@@ -170,6 +188,29 @@ def test_reach_scanner_flags_test_only_code():
     }
     assert unreached_definitions(sources, {"api", "Config"}) == [
         "_oracle_part (a.py:8)", "oracle (a.py:6)", "recursive (b.py:5)"]
+
+
+def test_reach_scanner_flags_test_only_members():
+    source = (
+        "class Basis:\n"
+        "    size: int = _DEFAULT\n"
+        "    def __post_init__(self):\n"
+        "        _check(self)\n"
+        "    @property\n"
+        "    def k(self):\n"
+        "        return self.size\n"
+        "    def evaluate_many(self, x):\n"
+        "        return x\n"
+        "    def evaluate(self, x):\n"
+        "        return _first(self.evaluate_many([x]))\n"
+        "def _check(b):\n    pass\n"
+        "def _first(rows):\n    return rows[0]\n"
+        "def api(b):\n    return b.evaluate_many(b.k)\n"
+        "class Unused:\n    def evaluate(self):\n        pass\n"
+    )
+    assert unreached_definitions({"a.py": source}, {"api", "Basis"}) == [
+        "Basis.evaluate (a.py:10)", "Unused (a.py:18)", "Unused.evaluate (a.py:19)",
+        "_first (a.py:14)"]
 
 
 def test_no_test_only_code_in_package():

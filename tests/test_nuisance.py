@@ -38,7 +38,6 @@ def test_zero_nuisance():
     pts = np.array([[0.2], [0.8]])
     np.testing.assert_array_equal(nuis.b_hat(pts), [0.0, 0.0])
     np.testing.assert_array_equal(nuis.p_hat(pts), [0.0, 0.0])
-    assert nuis.provenance == "zero"
 
 
 def test_series_fit_constant_exact():

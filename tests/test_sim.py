@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -147,19 +148,18 @@ def test_weighted_density_values():
     np.testing.assert_allclose(weighted_density(ecc)(pts), [1.0, 1.0])
 
 
-def study_cfg(m=2, variant="emp"):
-    return EstimatorConfig(basis=BasisSpec("haar", 1, 4), m=m, variant=variant,
-                           nuisance_method="zero")
+def study_cfg():
+    return EstimatorConfig(basis=BasisSpec("haar", 1, 4), m=2, nuisance_method="zero")
 
 
 def test_run_study_rmse_identity_and_schema():
     scn = SCENARIOS["s4-span-exact"]
     cfg = EstimatorConfig(basis=BasisSpec("haar", 1, 4), m=2,
                           nuisance_k_grid=(1, 2), nuisance_folds=2)
-    result = run_study(scn, [cfg], reps=12, seed=5, n=400)
+    result = run_study(scn, cfg, reps=12, seed=5, n=400)
     assert len(result.rows) == 12
-    agg = result.aggregates[0]
-    assert agg["reps_ok"] == 12
+    agg = result.aggregate
+    assert (agg["reps_ok"], agg["reps_failed"], agg["zero_convention_count"]) == (12, 0, 0)
     expected_rmse2 = agg["bias"] ** 2 + agg["sd"] ** 2 * 11.0 / 12.0
     assert agg["rmse"] ** 2 == pytest.approx(expected_rmse2, rel=1e-12)
     assert agg["psi_true"] == pytest.approx(0.45, abs=1e-9)
@@ -174,31 +174,32 @@ def test_run_study_rmse_identity_and_schema():
     assert len(agg_lines) == 2
 
 
-def test_run_study_shared_datasets_across_grid():
+def test_run_study_same_draws_for_every_configuration():
+    # a replication's data, split and folds follow from (scenario, n, seed,
+    # rep) alone, so two studies compare their configurations on equal draws
     scn = SCENARIOS["s4-span-exact"]
-    grid = [study_cfg(m=1), study_cfg(m=1)]
-    result = run_study(scn, grid, reps=3, seed=9, n=300, track_op_dist=False)
-    by_cfg = {}
-    for row in result.rows:
-        by_cfg.setdefault(row["cfg_index"], []).append(row)
-    for r0, r1 in zip(by_cfg[0], by_cfg[1]):
-        assert r0["seed"] == r1["seed"]
-        assert r0["psi_hat"] == r1["psi_hat"]
+    cfg = EstimatorConfig(basis=BasisSpec("haar", 1, 4), nuisance_k_grid=(1, 2),
+                          nuisance_folds=2)
+    low, high = (run_study(scn, replace(cfg, m=m), reps=3, seed=9, n=300) for m in (2, 3))
+    assert [r["m"] for r in low.rows + high.rows] == [2, 2, 2, 3, 3, 3]
+    for r2, r3 in zip(low.rows, high.rows):
+        assert r2["seed"] == r3["seed"]
+        assert r2["psi_1"] == r3["psi_1"]
+        assert r2["psi_hat"] != r3["psi_hat"]
 
 
 def test_run_study_thread_invariance():
     scn = SCENARIOS["s1-smooth-d1"]
-    r1 = run_study(scn, [study_cfg()], reps=6, seed=2, n=300, threads=1)
-    r4 = run_study(scn, [study_cfg()], reps=6, seed=2, n=300, threads=4)
+    r1 = run_study(scn, study_cfg(), reps=6, seed=2, n=300, threads=1)
+    r4 = run_study(scn, study_cfg(), reps=6, seed=2, n=300, threads=4)
     assert r1.rows_csv() == r4.rows_csv()
     assert r1.aggregates_csv() == r4.aggregates_csv()
 
 
 def test_run_study_cross_fit_uses_nuisance_factory():
     cfg = EstimatorConfig(basis=BasisSpec("haar", 1, 4), m=2, cross_fit=True)
-    result = run_study(SCENARIOS["s1-smooth-d1"], [cfg], reps=3, seed=4, n=400,
-                       nuisance_factory=lambda scn, cfg: zero_nuisance(),
-                       track_op_dist=False)
+    result = run_study(SCENARIOS["s1-smooth-d1"], cfg, reps=3, seed=4, n=400,
+                       nuisance_factory=lambda scn, cfg: zero_nuisance())
     assert [r["psi_1"] for r in result.rows] == [0.0, 0.0, 0.0]
 
 
@@ -209,11 +210,10 @@ def test_run_study_runs_each_quadrature_once(monkeypatch):
     monkeypatch.setattr(sim, "_checked_integral",
                         lambda fn, d: calls.append(d) or original(fn, d))
     scn = SCENARIOS["s1-smooth-d1"]
-    result = run_study(scn, [study_cfg()], reps=2, seed=3, n=100,
-                       track_op_dist=False)
+    result = run_study(scn, study_cfg(), reps=2, seed=3, n=100)
     assert len(calls) == 2
     assert result.psi_true == pytest.approx(FROZEN[scn.id][0], abs=1e-9)
-    assert result.eff_bound == efficiency_bound(scn)
+    assert result.aggregate["eff_bound"] == efficiency_bound(scn)
 
 
 def test_run_study_builds_each_basis_once(monkeypatch):
@@ -234,13 +234,13 @@ def test_run_study_builds_each_basis_once(monkeypatch):
     basis._certified_basis.cache_clear()
     cfg = EstimatorConfig(basis=BasisSpec("haar", 2, 4), m=2,
                           nuisance_k_grid=(1, 2, 4), nuisance_folds=2)
-    run_study(SCENARIOS["s2-smooth-d2"], [cfg], reps=3, seed=3, n=200)
+    run_study(SCENARIOS["s2-smooth-d2"], cfg, reps=3, seed=3, n=200)
     assert sorted(certified) == [1, 2, 4]
 
 
 def test_run_study_rejects_tiny_rep_count():
     with pytest.raises(ValidationError):
-        run_study(SCENARIOS["s1-smooth-d1"], [study_cfg()], reps=1, seed=1, n=100)
+        run_study(SCENARIOS["s1-smooth-d1"], study_cfg(), reps=1, seed=1, n=100)
 
 
 def test_run_study_bulk_failures_fatal():
@@ -248,8 +248,40 @@ def test_run_study_bulk_failures_fatal():
         raise ValidationError("nuisance backend down")
 
     with pytest.raises(ValidationError):
-        run_study(SCENARIOS["s1-smooth-d1"], [study_cfg()], reps=4, seed=1,
-                  n=100, nuisance_factory=broken_factory, track_op_dist=False)
+        run_study(SCENARIOS["s1-smooth-d1"], study_cfg(), reps=4, seed=1,
+                  n=100, nuisance_factory=broken_factory)
+
+
+def test_run_study_counts_failed_replications():
+    # one ValidationError in 30 replications is within the 5% tolerance: its
+    # row records it and the aggregate counts it apart from the successes
+    calls = []
+
+    def flaky_factory(scn, cfg):
+        calls.append(cfg.seed)
+        if len(calls) == 5:
+            raise ValidationError("nuisance backend down")
+        return zero_nuisance()
+
+    result = run_study(SCENARIOS["s1-smooth-d1"], study_cfg(), reps=30, seed=1, n=100,
+                       nuisance_factory=flaky_factory)
+    agg = result.aggregate
+    assert (agg["reps_ok"], agg["reps_failed"], agg["zero_convention_count"]) == (29, 1, 0)
+    assert [r["rep"] for r in result.rows if r["error"]] == [4]
+    assert result.aggregates_csv().splitlines()[0].split(",")[5:8] == [
+        "reps_ok", "reps_failed", "zero_convention_count"]
+
+
+def test_run_study_counts_zero_convention_replications():
+    # an eigen floor near 1 rejects every Gram: each replication succeeds
+    # with psi_hat = 0, counts in reps_ok and enters bias, sd and rmse
+    cfg = replace(study_cfg(), eigen_floor=0.999)
+    result = run_study(SCENARIOS["s4-span-exact"], cfg, reps=6, seed=2, n=300)
+    agg = result.aggregate
+    assert (agg["reps_ok"], agg["reps_failed"], agg["zero_convention_count"]) == (6, 0, 6)
+    assert all(r["zero_convention"] == 1 and r["psi_hat"] == 0.0 for r in result.rows)
+    assert agg["bias"] == -agg["psi_true"] and agg["sd"] == 0.0
+    assert agg["rmse"] == pytest.approx(agg["psi_true"], rel=1e-15)
 
 
 def test_run_study_programming_error_fatal():
@@ -266,5 +298,5 @@ def test_run_study_programming_error_fatal():
             return zero_nuisance()
 
         with pytest.raises(error):
-            run_study(SCENARIOS["s1-smooth-d1"], [study_cfg()], reps=30, seed=1,
-                      n=100, nuisance_factory=buggy_factory, track_op_dist=False)
+            run_study(SCENARIOS["s1-smooth-d1"], study_cfg(), reps=30, seed=1,
+                      n=100, nuisance_factory=buggy_factory)

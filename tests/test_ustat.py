@@ -241,6 +241,22 @@ def test_rank_build_matches_dense_sum(r, c, n, k, chunk, seed):
     assert np.max(np.abs(built - dense), initial=0.0) <= 1e-12 * (1.0 + np.max(np.abs(dense)))
 
 
+def test_block_tensors_are_c_contiguous(monkeypatch):
+    # einsum copies a strided operand before every contraction it enters, so
+    # each rank's stacked tensors, and each tensor in the table, is in C order
+    built = []
+    original = ustat._weighted_outer_sum
+    monkeypatch.setattr(ustat, "_weighted_outer_sum",
+                        lambda w, y, r: built.append(original(w, y, r)) or built[-1])
+    rng = np.random.default_rng(21)
+    for inp in (random_inputs(rng, 9, 3), random_inputs(rng, 40, 5, pool=6)):
+        built.clear()
+        correction_terms(inp, 6)
+        assert [t.ndim for t in built] == [1, 2, 3, 4, 5, 6]
+        assert all(t.flags.c_contiguous and all(ti.flags.c_contiguous for ti in t)
+                   for t in built)
+
+
 def test_matches_brute_force_ill_conditioned():
     # Gram eigenvalues spread over eight decades: the whitened kernel keeps
     # the brute-force agreement at the usual tolerance, for basis rows drawn
