@@ -81,6 +81,10 @@ class EstimatorConfig:
             raise ValidationError("nuisance k_grid entries must be >= 1")
         if self.nuisance_folds < 2:
             raise ValidationError("nuisance folds must be >= 2 (one fold cannot cross-validate)")
+        if not self.eigen_floor >= 0.0:  # NaN included
+            raise ValidationError("eigen_floor must be >= 0")
+        if not 0.0 < self.sigma_floor <= 1.0:
+            raise ValidationError("sigma_floor must be in (0, 1]")
 
     @property
     def k(self) -> int:

@@ -31,16 +31,19 @@ class FunctionalSpec:
     h3: Evaluator
     h4: Evaluator
     sign_flag: bool  # True iff h1 is nowhere positive
+    # a MAR arm's 0/1 indicator of the records whose Y it sees; None when the
+    # nuisances are b = E[Y|X] and p = E[A|X] over all records
+    observed: Evaluator | None = None
 
-    def check_h1_sign(self, data: Dataset, tol: float = 0.0):
+    def check_h1_sign(self, data: Dataset):
         h1 = self.h1(data)
         if not np.all(np.isfinite(h1)):
             raise ValidationError("non-finite h1 value in data")
         if self.sign_flag:
-            if np.any(h1 > tol):
+            if np.any(h1 > 0.0):
                 raise ValidationError(f"h1 must be nowhere positive for {self.id}")
         else:
-            if np.any(h1 < -tol):
+            if np.any(h1 < 0.0):
                 raise ValidationError(f"h1 must be nowhere negative for {self.id}")
 
 
@@ -61,36 +64,31 @@ def _ones(data: Dataset) -> np.ndarray:
     return np.ones(data.n)
 
 
-def mar_mean_spec() -> FunctionalSpec:
-    """Mean of an outcome missing at random: h1=-A, h2=1, h3=AY, h4=0.
+def _mar_arm(id: str, seen: Evaluator) -> FunctionalSpec:
+    """Mean of Y over a law whose records show Y where ``seen`` is 1:
+    h1=-seen, h2=1, h3=seen*Y, h4=0.
 
-    b = E[Y | A=1, X], p = 1/P(A=1 | X); g(x) = P(A=1 | X=x) f(x).
+    b = E[Y | seen=1, X], p = 1/P(seen=1 | X); g(x) = P(seen=1 | X=x) f(x).
     """
     return FunctionalSpec(
-        id="mar_mean",
-        h1=lambda dat: -dat.a,
+        id=id,
+        h1=lambda dat: -seen(dat),
         h2=_ones,
-        h3=lambda dat: dat.a * dat.y,
+        h3=lambda dat: seen(dat) * dat.y,
         h4=_zeros,
         sign_flag=True,
+        observed=seen,
     )
 
 
-def mar_mean_spec_flipped() -> FunctionalSpec:
-    """Arm-0 variant of the MAR mean: the observation indicator is 1-A."""
-    return FunctionalSpec(
-        id="mar_mean_arm0",
-        h1=lambda dat: -(1.0 - dat.a),
-        h2=_ones,
-        h3=lambda dat: (1.0 - dat.a) * dat.y,
-        h4=_zeros,
-        sign_flag=True,
-    )
+def mar_mean_spec() -> FunctionalSpec:
+    """Mean of an outcome missing at random, observed where A=1."""
+    return _mar_arm("mar_mean", lambda dat: dat.a)
 
 
 def ate_spec() -> tuple[FunctionalSpec, FunctionalSpec]:
-    """Average treatment effect as the difference of two arm means."""
-    return mar_mean_spec(), mar_mean_spec_flipped()
+    """Average treatment effect as arm 1 (sees A=1) minus arm 0 (sees A=0)."""
+    return mar_mean_spec(), _mar_arm("mar_mean_arm0", lambda dat: 1.0 - dat.a)
 
 
 def expected_cond_cov_spec() -> FunctionalSpec:

@@ -40,23 +40,22 @@ def zero_nuisance() -> NuisanceSet:
 
 
 def series_designs(x: np.ndarray, basis: Basis, k_grid: list[int]) -> dict:
-    """Sub-basis and design matrix on ``x`` of each size in ``k_grid``.
-
-    Sizes above half the sample cannot be fit on any subset of it and are
-    left out; sizes that are not a tensor size map to None.
+    """Sub-basis and design matrix on ``x`` of each size in ``k_grid`` that
+    can be fit: a tensor size of the basis's family at most half the sample.
     """
     designs = {}
     for k in k_grid:
         if k > max(x.shape[0] // 2, 1) or k in designs:
             continue
-        q, sub = round(k ** (1.0 / basis.d)), None
-        if q**basis.d == k:
-            try:
-                sub = build_basis(BasisSpec(basis.spec.family, basis.d, q,
-                                            order=min(basis.spec.order, max(q - 1, 0))))
-            except ValidationError:  # this family has no basis of q functions
-                pass
-        designs[k] = None if sub is None else (sub, sub.evaluate_many(x))
+        q = round(k ** (1.0 / basis.d))
+        if q**basis.d != k:
+            continue
+        try:
+            sub = build_basis(BasisSpec(basis.spec.family, basis.d, q,
+                                        order=min(basis.spec.order, max(q - 1, 0))))
+        except ValidationError:  # this family has no basis of q functions
+            continue
+        designs[k] = (sub, sub.evaluate_many(x))
     return designs
 
 
@@ -66,9 +65,8 @@ def series_fit(designs: dict, response: np.ndarray, folds: int, seed: int,
 
     ``designs`` comes from ``series_designs`` on the training points and
     ``rows`` selects the records to fit.  Returns (predict, k_chosen).
-    Sizes that exceed half the fitted records, are not a tensor size or
-    hit a singular design are skipped; an error is raised only when every
-    candidate fails.
+    Sizes that exceed half the fitted records or hit a singular design are
+    skipped; an error is raised only when every candidate fails.
     """
     response = response[rows]
     n = response.shape[0]
@@ -76,14 +74,13 @@ def series_fit(designs: dict, response: np.ndarray, folds: int, seed: int,
         raise ValidationError("empty fitting sample")
     usable = [k for k in designs if k <= max(n // 2, 1)]
     if not usable:
-        raise ValidationError("no usable series size in k_grid")
+        raise ValidationError("no grid size is a tensor size of the family "
+                              "at most half the fitted records")
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     fold_id = np.arange(n) % folds
     scores = {}
     for k in usable:
-        if designs[k] is None:
-            continue
         z = designs[k][1][rows]
         if folds >= 2 and n >= 2 * folds:
             err = 0.0
@@ -149,23 +146,22 @@ def density_series(training: Dataset, basis: Basis, spec: FunctionalSpec,
 
 def fit_nuisances(spec: FunctionalSpec, training: Dataset, designs: dict, folds: int,
                   seed: int = 0, sigma_floor: float = DEFAULT_SIGMA_FLOOR) -> NuisanceSet:
-    """Fit the nuisance pair appropriate to the functional arm ``spec``.
+    """Fit the nuisance pair of the functional arm ``spec``.
 
-    MAR arms regress Y on X among the observed records (A=1, or A=0 for
-    arm 0) and A on X over all records; the fitted propensity is clipped
-    to [sigma_floor, 1] and inverted.  ``expected_cond_cov`` regresses Y
-    and A on X over all records.  Both fits use ``designs``, the candidate
-    designs that ``series_designs`` evaluated on the training points.
+    A MAR arm regresses Y on X among the records it observes
+    (``spec.observed``) and that indicator on X over all records; the fitted
+    propensity is clipped to [sigma_floor, 1] and inverted.  An arm with no
+    ``observed`` regresses Y and A on X over all records.  Both fits use
+    ``designs``, the candidate designs that ``series_designs`` evaluated on
+    the training points.
     """
-    if spec.id not in ("mar_mean", "mar_mean_arm0", "expected_cond_cov"):
-        raise ValueError(f"unknown functional {spec.id!r}")
-    if spec.id == "expected_cond_cov":
+    if spec.observed is None:
         b_hat, _ = series_fit(designs, training.y, folds, seed)
         p_hat, _ = series_fit(designs, training.a, folds, seed + 1)
     else:
-        a = 1.0 - training.a if spec.id == "mar_mean_arm0" else training.a
-        b_hat, _ = series_fit(designs, training.y, folds, seed, rows=a > 0)
-        pi_hat, _ = series_fit(designs, a, folds, seed + 1)
+        seen = spec.observed(training)
+        b_hat, _ = series_fit(designs, training.y, folds, seed, rows=seen > 0)
+        pi_hat, _ = series_fit(designs, seen, folds, seed + 1)
 
         def p_hat(pts):
             return 1.0 / np.clip(pi_hat(pts), sigma_floor, 1.0)

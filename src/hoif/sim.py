@@ -12,10 +12,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
+from hoif.basis import build_basis
 from hoif.data import Dataset, ValidationError, table_csv
 from hoif.estimator import EstimatorConfig, estimate
 from hoif.gram import GramMatrix, quadrature_gram
@@ -31,22 +33,12 @@ class ScenarioSpec:
     functional: str  # mar_mean | ate | ecc
     b: Callable[[np.ndarray], np.ndarray]  # E[Y|A=1,X] (mar/ate) or E[Y|X] (ecc)
     pi: Callable[[np.ndarray], np.ndarray]  # P(A=1|X)
-    f: Callable[[np.ndarray], np.ndarray]  # covariate density on [0,1]^d
-    sample_x: Callable[[np.random.Generator, int], np.ndarray]
     sigma: float  # lower bound on pi (and on 1-pi for ate/ecc)
+    f: Callable[[np.ndarray], np.ndarray] = lambda x: np.ones(x.shape[0])  # density on [0,1]^d
+    sample_x: Callable[[np.random.Generator, int], np.ndarray] | None = None  # None: uniform
     b0: Callable[[np.ndarray], np.ndarray] | None = None  # E[Y|A=0,X] for ate
     c11: Callable[[np.ndarray], np.ndarray] | None = None  # Cov(A,Y|X) for ecc
     beta_b: float | None = None
-    beta_p: float | None = None
-    description: str = ""
-
-
-def _uniform_f(x):
-    return np.ones(x.shape[0])
-
-
-def _uniform_sample(rng, n, d):
-    return rng.random((n, d))
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +77,7 @@ def _s2_pi(x):
 
 
 # ---------------------------------------------------------------------------
-# S3: Hoelder-type truncated Haar series, d=2, beta_b = beta_p = 0.6
+# S3: Hoelder-type truncated Haar series, d=2, b and p of smoothness 0.6
 
 S3_BETA = 0.6
 # levels 0..7: the finest sign flip sits on the 1/256 grid, so the default
@@ -170,56 +162,38 @@ def _ecc_corr_c11(x):
 SCENARIOS: dict[str, ScenarioSpec] = {scn.id: scn for scn in (
     ScenarioSpec(
         id="s1-smooth-d1", d=1, functional="mar_mean",
-        b=_s1_b, pi=_s1_pi, f=_uniform_f,
-        sample_x=lambda rng, n: _uniform_sample(rng, n, 1),
-        sigma=0.5, description="analytic smooth MAR mean, uniform X on [0,1]",
+        b=_s1_b, pi=_s1_pi, sigma=0.5,
     ),
     ScenarioSpec(
         id="s2-smooth-d2", d=2, functional="mar_mean",
-        b=_s2_b, pi=_s2_pi, f=_s2_f, sample_x=_s2_sample,
-        sigma=0.45, description="analytic smooth MAR mean, product density, d=2",
+        b=_s2_b, pi=_s2_pi, f=_s2_f, sample_x=_s2_sample, sigma=0.45,
     ),
     ScenarioSpec(
         id="s3-holder-d2", d=2, functional="mar_mean",
-        b=_s3_b, pi=_s3_pi, f=_uniform_f,
-        sample_x=lambda rng, n: _uniform_sample(rng, n, 2),
-        sigma=0.45, beta_b=S3_BETA, beta_p=S3_BETA,
-        description="truncated Haar series nuisances of smoothness 0.6, d=2",
+        b=_s3_b, pi=_s3_pi, sigma=0.45, beta_b=S3_BETA,
     ),
     ScenarioSpec(
         id="s4-span-exact", d=1, functional="mar_mean",
-        b=_s4_b, pi=_s4_pi, f=_uniform_f,
-        sample_x=lambda rng, n: _uniform_sample(rng, n, 1),
-        sigma=0.4, description="b and pi piecewise constant on the halves; TB=0",
+        b=_s4_b, pi=_s4_pi, sigma=0.4,
     ),
     ScenarioSpec(
         id="s4-ate", d=1, functional="ate",
-        b=_s4_b, pi=_s4_pi, f=_uniform_f, b0=_s4_b0,
-        sample_x=lambda rng, n: _uniform_sample(rng, n, 1),
-        sigma=0.3, description="span-exact two-arm scenario for the ATE",
+        b=_s4_b, pi=_s4_pi, b0=_s4_b0, sigma=0.3,
     ),
     ScenarioSpec(
         id="s5-ecc-indep", d=1, functional="ecc",
-        b=_s5_b, pi=_s5_pi, f=_uniform_f, c11=_zero_fn,
-        sample_x=lambda rng, n: _uniform_sample(rng, n, 1),
-        sigma=0.35, description="A and Y conditionally independent; psi = 0",
+        b=_s5_b, pi=_s5_pi, c11=_zero_fn, sigma=0.35,
     ),
     ScenarioSpec(
         id="ecc-corr", d=1, functional="ecc",
-        b=_s5_b, pi=_s5_pi, f=_uniform_f, c11=_ecc_corr_c11,
-        sample_x=lambda rng, n: _uniform_sample(rng, n, 1),
-        sigma=0.35, description="positively correlated A and Y given X",
+        b=_s5_b, pi=_s5_pi, c11=_ecc_corr_c11, sigma=0.35,
     ),
 )}
 
 
-_VALIDATED: set[str] = set()
-
-
+@cache
 def validate_scenario(scn: ScenarioSpec):
-    """Grid check of the scenario invariants; cached per id."""
-    if scn.id in _VALIDATED:
-        return
+    """Grid check of the scenario invariants; cached per spec."""
     grid = np.linspace(0.0, 1.0, 257 if scn.d == 1 else 129)
     mesh = np.meshgrid(*([grid] * scn.d), indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
@@ -238,7 +212,6 @@ def validate_scenario(scn: ScenarioSpec):
         raise ValidationError(f"{scn.id}: density mass {mass} != 1")
     if scn.functional == "ecc":
         _ecc_cell_probs(scn, pts)  # raises if any joint cell goes negative
-    _VALIDATED.add(scn.id)
 
 
 def _ecc_cell_probs(scn: ScenarioSpec, x: np.ndarray):
@@ -259,7 +232,7 @@ def generate(scn: ScenarioSpec, n: int, seed) -> Dataset:
     if n < 1:
         raise ValidationError("n must be positive")
     rng = np.random.default_rng(seed)
-    x = scn.sample_x(rng, n)
+    x = rng.random((n, scn.d)) if scn.sample_x is None else scn.sample_x(rng, n)
     if scn.functional == "ecc":
         cells = _ecc_cell_probs(scn, x)
         cum = np.cumsum(cells, axis=1)
@@ -423,8 +396,6 @@ def run_study(scn: ScenarioSpec, cfg: EstimatorConfig, reps: int, seed: int,
         raise ValidationError("reps must be >= 2")
     psi = true_psi(scn)
     eff = _efficiency_bound(scn, psi)
-    from hoif.basis import build_basis
-
     ref_gram = quadrature_gram(build_basis(cfg.basis), weighted_density(scn),
                                basis_quadrature(cfg.basis))
 

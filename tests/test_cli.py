@@ -471,6 +471,14 @@ def test_threads_default_to_one():
      "key 'n' is not read by estimate"),
     (["estimate", "--input", "{golden}", "--out", "{tmp}/o", "--set", "reps=7"],
      "key 'reps' is not read by estimate"),
+    # out-of-range floors; eigen_floor=-1 at k=128 had reached the whitened kernel
+    (["estimate", "--input", "{golden}", "--out", "{tmp}/o", "--set", "eigen_floor=-1",
+      "--set", "basis.per_dim_size=128", "--set", "split_fraction=0.7"],
+     "eigen_floor must be >= 0"),
+    (["estimate", "--input", "{golden}", "--out", "{tmp}/o", "--set", "nuisance.sigma_floor=0"],
+     "sigma_floor must be in (0, 1]"),
+    (["estimate", "--input", "{golden}", "--out", "{tmp}/o", "--set", "nuisance.sigma_floor=2"],
+     "sigma_floor must be in (0, 1]"),
 ])
 def test_input_errors_exit_validation(tmp_path, capsys, argv, message):
     five = tmp_path / "five.csv"

@@ -39,6 +39,7 @@ def test_ecc_spec_quadruple():
     assert spec.h3(data).tolist() == [-2.0]
     assert spec.h4(data).tolist() == [2.0]
     assert not spec.sign_flag
+    assert spec.observed is None  # b = E[Y|X] and p = E[A|X] over all records
 
 
 def test_ate_spec_pair():
@@ -47,6 +48,9 @@ def test_ate_spec_pair():
     assert arm1.h1(data).tolist() == [0.0, -1.0]
     assert arm0.h1(data).tolist() == [-1.0, 0.0]
     assert arm0.h3(data).tolist() == [3.0, 0.0]
+    # each arm observes the records its |h1| weights
+    for arm in (arm1, arm0):
+        np.testing.assert_array_equal(arm.observed(data), np.abs(arm.h1(data)))
 
 
 def test_h1_sign_check():

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used by that module, every
-private module-level name of the package is used somewhere in it, and no
+private module-level name of the package is used somewhere in it, no
 module-level function or class of the package, nor a method or property of
-one of its classes, serves only the tests."""
+one of its classes, serves only the tests, and every field of a package
+dataclass is read."""
 
 import ast
 import os
@@ -224,6 +225,69 @@ def test_no_test_only_code_in_package():
              and (node.module or "").startswith("hoif") for alias in node.names}
     roots = set(exported) | fixed | set(TEST_ONLY_ALLOWED)
     assert unreached_definitions(sources, roots) == []
+
+
+def unread_fields(sources: dict[str, str], readers: tuple[str, ...] = ()) -> list[str]:
+    """Fields of the dataclasses in ``sources`` (module name -> source) that
+    no source in ``sources`` or ``readers`` reads.
+
+    A read is a loaded attribute of that name on anything, or a string
+    constant with the name as one of its dotted parts, since ``attrgetter``
+    and ``getattr`` read fields by name.  Setting a field is not a read.
+    """
+    fields, read = [], set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in _loads(dec) for dec in node.decorator_list):
+                fields += [(item.target.id, f"{node.name}.{item.target.id} ({module}:{item.lineno})")
+                           for item in node.body
+                           if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    for source in (*sources.values(), *readers):
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.update(node.value.split("."))
+    return sorted(label for name, label in fields if name not in read)
+
+
+def test_field_scanner_flags_unread_fields():
+    sources = {
+        "a.py": (
+            "from dataclasses import dataclass\n"
+            "import dataclasses\n"
+            "@dataclass(frozen=True)\n"
+            "class Spec:\n"
+            "    size: int\n"
+            "    label: str = ''\n"
+            "    family: str = 'haar'\n"
+            "    order: int = 0\n"
+            "    LIMIT = 3\n"
+            "@dataclasses.dataclass\n"
+            "class Report:\n"
+            "    value: float\n"
+            "    note: str\n"
+            "class Plain:\n"
+            "    hint: str\n"
+            "def run(spec, rep):\n"
+            "    rep.note = 'set, not read'\n"
+            "    return spec.size + rep.value\n"
+        ),
+        "b.py": "from operator import attrgetter\nKEYS = {'basis.family': 1}\n",
+    }
+    assert unread_fields(sources, ("def check(spec):\n    return spec.order\n",)) == [
+        "Report.note (a.py:13)", "Spec.label (a.py:6)"]
+    assert unread_fields(sources) == [
+        "Report.note (a.py:13)", "Spec.label (a.py:6)", "Spec.order (a.py:8)"]
+
+
+def test_no_unread_dataclass_fields():
+    # A8 reads the truncation rate of a scenario that only the acceptance
+    # gates use, so that file counts as a reader
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    acceptance = (Path(__file__).parent / "test_acceptance.py").read_text()
+    assert unread_fields(sources, (acceptance,)) == []
 
 
 def test_haar_estimate_loads_no_scipy(tmp_path):

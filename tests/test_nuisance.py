@@ -111,6 +111,15 @@ def test_series_rejects_unusable_grid():
         fit_b(data, [64], folds=2)
 
 
+def test_grid_without_a_tensor_size_names_the_failure():
+    # 3 is no Haar size in d=1: no design is built, so none was singular
+    data = make_training(200, seed=17)
+    assert series_designs(data.x, BASIS, [3]) == {}
+    with pytest.raises(ValidationError,
+                       match="no grid size is a tensor size of the family at most half"):
+        fit_b(data, [3], folds=2)
+
+
 def test_density_series_uniform():
     data = make_training(20000, seed=8, pi=lambda x: np.full(x.shape[0], 1.0))
     g_hat = density_series(data, BASIS, mar_mean_spec(), sigma_floor=0.05)

@@ -81,6 +81,11 @@ def test_generate_mar_masks_unobserved():
     assert set(np.unique(data.a)) <= {0.0, 1.0}
 
 
+def test_generate_draws_a_uniform_x_by_default():
+    data = generate(SCENARIOS["s1-smooth-d1"], 50, 3)
+    np.testing.assert_array_equal(data.x, np.random.default_rng(3).random((50, 1)))
+
+
 def test_generate_reproducible():
     a = generate(SCENARIOS["s2-smooth-d2"], 100, 6)
     b = generate(SCENARIOS["s2-smooth-d2"], 100, 6)
@@ -131,6 +136,13 @@ def test_validate_rejects_bad_density():
     )
     with pytest.raises(ValidationError):
         validate_scenario(bad)
+
+
+def test_validation_is_cached_per_spec_not_per_id():
+    scn = SCENARIOS["s1-smooth-d1"]
+    validate_scenario(scn)
+    with pytest.raises(ValidationError, match="density mass"):
+        validate_scenario(replace(scn, f=lambda x: np.full(len(x), 1.3)))
 
 
 def test_efficiency_bound_hand_value():
