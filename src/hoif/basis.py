@@ -15,8 +15,8 @@ the univariate indices, so serialized coefficient vectors are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +34,7 @@ class BasisSpec:
     family: str
     dimension: int
     per_dim_size: int
-    order: int = 0  # B-spline order (polynomial degree); ignored for haar
+    order: int = 0  # B-spline order (polynomial degree); always 0 for haar
 
     def __post_init__(self):
         if self.family not in ("haar", "bspline"):
@@ -47,11 +47,11 @@ class BasisSpec:
             q = self.per_dim_size
             if q & (q - 1) != 0:
                 raise ValidationError("haar per_dim_size must be a power of two")
-        else:
-            if self.order < 0:
-                raise ValidationError("bspline order must be >= 0")
-            if self.per_dim_size < self.order + 1:
-                raise ValidationError("bspline requires per_dim_size >= order + 1")
+            object.__setattr__(self, "order", 0)  # haar reads none: equal runs, equal specs
+        if self.order < 0:
+            raise ValidationError("bspline order must be >= 0")
+        if self.per_dim_size < self.order + 1:
+            raise ValidationError("bspline requires per_dim_size >= order + 1")
 
     @property
     def k(self) -> int:
@@ -95,15 +95,25 @@ def _bspline_univariate(q: int, s: int, xs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Basis:
-    """Immutable evaluable tensor basis with a certified locality bound.
-
-    ``locality_constant`` bounds sup_x ||z(x)||^2 / k over a certification
-    grid; it witnesses the pointwise-boundedness condition the estimator's
-    theory requires of the basis.
-    """
+    """Immutable evaluable tensor basis."""
 
     spec: BasisSpec
-    locality_constant: float = field(default=0.0)
+
+    @cached_property
+    def locality_constant(self) -> float:
+        """A bound on sup_x ||z(x)||^2 / k over a certification grid, computed
+        when first read: the pointwise-boundedness condition the estimator's
+        theory requires of the basis.  For a tensor product the supremum
+        factorizes, so the grid is ``CERT_GRID_PER_DIM`` points on one axis."""
+        if CERT_GRID_PER_DIM * self.spec.per_dim_size > CERT_MEMORY_CAP:
+            raise ValidationError(
+                f"certification grid of {CERT_GRID_PER_DIM} x {self.spec.per_dim_size} "
+                f"exceeds memory cap {CERT_MEMORY_CAP}"
+            )
+        xs = np.linspace(0.0, 1.0, CERT_GRID_PER_DIM)
+        uni = self._univariate(xs)
+        per_dim_max = float(np.max(np.sum(uni * uni, axis=1)))
+        return per_dim_max ** self.d / self.k
 
     @property
     def k(self) -> int:
@@ -135,31 +145,8 @@ class Basis:
 
 
 def build_basis(spec: BasisSpec) -> Basis:
-    """Construct a basis and certify its locality constant on a grid.
-
-    The supremum of ||z(x)||^2 factorizes over dimensions for tensor
-    products, so the certification runs on a univariate grid of
-    ``CERT_GRID_PER_DIM`` points per dimension.  Both the spec and the
-    basis are frozen, so each spec is built once and the basis shared.
-    """
-    # a plain function over the cache: perfbench's tracer, which wraps
-    # build_basis, takes any ``__wrapped__`` attribute for its own wrapper
-    return _certified_basis(spec)
-
-
-@lru_cache(maxsize=64)
-def _certified_basis(spec: BasisSpec) -> Basis:
-    if CERT_GRID_PER_DIM * spec.per_dim_size > CERT_MEMORY_CAP:
-        raise ValidationError(
-            f"certification grid of {CERT_GRID_PER_DIM} x {spec.per_dim_size} "
-            f"exceeds memory cap {CERT_MEMORY_CAP}"
-        )
-    basis = Basis(spec)
-    xs = np.linspace(0.0, 1.0, CERT_GRID_PER_DIM)
-    uni = basis._univariate(xs)
-    per_dim_max = float(np.max(np.sum(uni * uni, axis=1)))
-    b_loc = per_dim_max ** spec.dimension / spec.k
-    return Basis(spec, locality_constant=b_loc)
+    """The basis of ``spec``."""
+    return Basis(spec)
 
 
 def basis_from_preset(preset: str) -> Basis:

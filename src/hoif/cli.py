@@ -158,8 +158,7 @@ def estimator_config(cfg: dict, dimension: int, n: int | None = None) -> Estimat
     n_est = max(estimation_size(n, run.split_fraction), 8)
     k, m = default_tuning(n_est, run.variant, basis.dimension, basis.family)
     q = round(k ** (1.0 / basis.dimension))
-    if basis.family == "bspline":  # the only family that reads the order
-        q = max(q, basis.order + 1)
+    q = max(q, basis.order + 1)  # haar's order is 0
     return replace(run, m=m, basis=replace(basis, per_dim_size=q))
 
 

@@ -60,11 +60,11 @@ def dataset_from_csv(path, d: int | None = None) -> Dataset:
     (row 1) on, skipping blank and comment lines.  Every column is parsed,
     so a file with a non-numeric extra column is read row by row.
     """
-    lines = [ln for ln in read_text(path).split("\n")
-             if ln.strip() and not ln.startswith("#")]
-    if not lines:
+    lines = read_text(path).split("\n")
+    top = next((i for i, ln in enumerate(lines) if ln.strip() and not ln.startswith("#")), None)
+    if top is None:
         raise ValidationError(f"{path}: empty input")
-    header = [c.strip() for c in lines[0].split(",")]
+    header = [c.strip() for c in lines[top].split(",")]
     xcols = ([c for c in header if c.startswith("X")] if d is None
              else [f"X{j}" for j in range(1, d + 1)])
     for col in ("A", "Y", *xcols):
@@ -86,17 +86,24 @@ def dataset_from_csv(path, d: int | None = None) -> Dataset:
         except ValueError as exc:
             raise ValidationError(f"row {i + 2}: {exc}") from exc
 
-    body = lines[1:]
-    try:  # numpy's parser takes plain numbers in rows of one width; all else goes to float()
-        if not body:
+    def parse_table(body: list[str]) -> np.ndarray:
+        # numpy's parser takes plain numbers in rows of one width; all else raises
+        if not any(ln.strip() for ln in body):
             raise ValueError("no rows")
         table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
         if table.shape[1] != len(header):
             raise ValueError("irregular rows")
-        table = np.take(table, [ia, iy, *ix], axis=1)
+        return np.take(table, [ia, iy, *ix], axis=1)
+
+    try:  # numpy skips empty lines, so only a body with comment lines pays for the filter
+        table = parse_table(lines[top + 1:])
     except ValueError:
-        rows = [parse_row(i, ln) for i, ln in enumerate(body)]
-        table = np.array(rows).reshape(len(body), 2 + len(ix))
+        body = [ln for ln in lines[top + 1:] if ln.strip() and not ln.startswith("#")]
+        try:
+            table = parse_table(body)
+        except ValueError:  # float() row by row names the first bad row
+            rows = [parse_row(i, ln) for i, ln in enumerate(body)]
+            table = np.array(rows).reshape(len(body), 2 + len(ix))
     a, y, x = table[:, 0], table[:, 1], table[:, 2:]
     if np.any((a != 0.0) & (a != 1.0)):
         raise ValidationError("column A must be 0/1")

@@ -235,8 +235,8 @@ def _training_fits(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSe
         shared = designs.get(basis.k)  # a candidate of size k has the basis's values
         z = shared[1] if shared else basis.evaluate_many(training.x)
         return nuisances, [design_gram(z, training, spec) for spec in specs]
+    design = node_design(basis, basis_quadrature(cfg.basis))  # shared; capped before q^d cells
     g_hats = [density_series(training, basis, spec, cfg.sigma_floor) for spec in specs]
-    design = node_design(basis, basis_quadrature(cfg.basis))  # shared by the arms
     return nuisances, [design_quadrature_gram(design, g) for g in g_hats]
 
 

@@ -130,11 +130,6 @@ def _chain_plan(length: int, k: int) -> tuple:
             closed = sum(e in b and e + 1 in b for e in range(length - 1))
             keys.append((roles, closed, len(edges)))
             letters.append("".join(_LETTERS[e] for e in edges))
-        if sum(len(x) >= 3 for x in letters) == 1:
-            # a lone rank-3 block starts from its second axis: the tensor is
-            # symmetric, so only einsum's BLAS orientation changes; this one
-            # reproduces the pinned golden m = 4 terms (at one rank-3 copy)
-            letters = [x[1:] + x[0] if len(x) == 3 else x for x in letters]
         subs = ",".join(letters) + "->"
         stand_ins = [np.broadcast_to(0.0, (k,) * len(x)) for x in letters]
         path = np.einsum_path(subs, *stand_ins, optimize=True)[0]

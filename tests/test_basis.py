@@ -69,6 +69,17 @@ def test_locality_certified():
         assert np.all(norms <= basis.locality_constant * basis.k + 1e-9)
 
 
+def test_locality_computed_when_read():
+    # a basis is its spec; the constant needs no separate build step
+    for spec in (BasisSpec("haar", 2, 4), BasisSpec("bspline", 1, 6, order=2)):
+        assert Basis(spec).locality_constant == build_basis(spec).locality_constant
+
+
+def test_haar_spec_has_no_order():
+    # haar reads no order, so a run that sets one resolves like one that does not
+    assert BasisSpec("haar", 1, 4, order=2) == BasisSpec("haar", 1, 4)
+
+
 def test_haar_locality_is_one():
     basis = build_basis(BasisSpec("haar", 1, 16))
     assert basis.locality_constant == pytest.approx(1.0, abs=1e-12)
@@ -100,7 +111,7 @@ def test_spec_validation():
     with pytest.raises(ValidationError):
         BasisSpec("fourier", 1, 4)
     with pytest.raises(ValidationError, match="exceeds memory cap"):
-        build_basis(BasisSpec("haar", 1, 2**18))  # certification grid too large
+        build_basis(BasisSpec("haar", 1, 2**18)).locality_constant  # certification grid too large
 
 
 def test_preset_roundtrip():

@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,28 @@ def test_default_tuned_haar_ignores_the_order(tmp_path):
     rc = main(["estimate", "--input", str(GOLDEN), "--out", str(tmp_path / "o"),
                "--set", "tuning=default", "--set", "basis.order=2"])
     assert rc == 0
+
+
+def test_haar_order_changes_no_artifact(tmp_path):
+    # haar reads no order: the echo, its hash and the report are those of a run without one
+    outs = [tmp_path / "plain", tmp_path / "order"]
+    for out, extra in zip(outs, ([], ["--set", "basis.order=2"])):
+        assert main(["estimate", "--input", str(GOLDEN), "--out", str(out), "--set", "m=3",
+                     *extra]) == 0
+    for name in ("resolved_config.txt", "report.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_oversized_ac_basis_refused_before_it_is_built(tmp_path, capsys):
+    # the quadrature design's byte cap refuses q = 2^22 before any array of q cells
+    tracemalloc.start()
+    rc = main(["estimate", "--input", str(GOLDEN), "--out", str(tmp_path / "o"),
+               "--set", "variant=ac", "--set", f"basis.per_dim_size={2**22}"])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert rc == EXIT_VALIDATION
+    assert "quadrature design" in capsys.readouterr().err
+    assert peak < 8 * 2**22
 
 
 def test_default_tuning_echoes_what_ran(tmp_path):
@@ -450,7 +473,7 @@ def test_threads_default_to_one():
      "cannot read {tmp}/absent.cfg"),
     (["report", "{tmp}/absent.csv"], "cannot read {tmp}/absent.csv"),
     (["estimate", "--input", "{golden}", "--out", "{tmp}/o",
-      "--set", "basis.per_dim_size=262144"], "exceeds memory cap"),
+      "--set", "basis.per_dim_size=262144"], "basis size exceeds the estimation sample"),
     (["simulate", "--out", "{tmp}/o", "--set", "scenario=s2-smooth-d2",
       "--set", "basis.dimension=1"], "basis.dimension=1 contradicts scenario s2-smooth-d2"),
     (["estimate", "--input", "{golden}", "--out", "{tmp}/o", "--set", "seed=-1"],

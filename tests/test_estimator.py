@@ -32,7 +32,7 @@ GOLDEN_PSI_1 = 0.4173647155878368
 GOLDEN_PER_ORDER = (0.0015746995384292436, 0.00027844943372664277)
 # IF22..IF44 of the same run at m = 4: the orientation of the rank-3 blocks
 # in the order-4 chains sets the last bits of IF44
-GOLDEN_PER_ORDER_M4 = GOLDEN_PER_ORDER + (0.000262861805136486,)
+GOLDEN_PER_ORDER_M4 = GOLDEN_PER_ORDER + (0.0002628618051364862,)
 
 
 def golden_config():

@@ -229,9 +229,8 @@ def test_run_study_runs_each_quadrature_once(monkeypatch):
 
 
 def test_run_study_builds_each_basis_once(monkeypatch):
-    # the study's basis and the two realizable sub-bases of the k grid
-    # (k=2 is no tensor size at d=2) are each certified once, however many
-    # replications ask for them
+    # the pipeline never reads the locality constant, so a study evaluates no
+    # certification grid, however many replications build a basis
     from hoif import basis
 
     certified = []
@@ -243,11 +242,12 @@ def test_run_study_builds_each_basis_once(monkeypatch):
         return original(q, xs)
 
     monkeypatch.setattr(basis, "_haar_univariate", spy)
-    basis._certified_basis.cache_clear()
     cfg = EstimatorConfig(basis=BasisSpec("haar", 2, 4), m=2,
                           nuisance_k_grid=(1, 2, 4), nuisance_folds=2)
     run_study(SCENARIOS["s2-smooth-d2"], cfg, reps=3, seed=3, n=200)
-    assert sorted(certified) == [1, 2, 4]
+    assert certified == []
+    assert basis.build_basis(cfg.basis).locality_constant == 1.0  # the spy sees a read
+    assert certified == [4]
 
 
 def test_run_study_rejects_tiny_rep_count():
