@@ -135,7 +135,7 @@ class Basis:
             x = x[:, None]
         if x.shape[1] != self.d:
             raise ValueError(f"expected {self.d} coordinates, got {x.shape[1]}")
-        if np.any(x < 0.0) or np.any(x > 1.0):
+        if not np.all((x >= 0.0) & (x <= 1.0)):  # NaN fails too
             raise ValueError("coordinates must lie in [0, 1]")
         out = self._univariate(x[:, 0])
         for j in range(1, self.d):

@@ -13,7 +13,9 @@ error.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import os
 import sys
 from dataclasses import replace
@@ -215,8 +217,8 @@ def cmd_simulate(args) -> int:
 
 
 def _read_csv_rows(path: str) -> tuple[list[str], list[dict]]:
-    lines = [ln.split(",") for ln in read_text(path).splitlines()
-             if ln.strip() and not ln.startswith("#")]
+    lines = [row for row in csv.reader(io.StringIO(read_text(path)))
+             if "".join(row).strip() and not row[0].startswith("#")]
     if not lines:
         raise ValidationError(f"{path}: empty input")
     if any(len(parts) != len(lines[0]) for parts in lines):

@@ -55,10 +55,11 @@ def dataset_from_csv(path, d: int | None = None) -> Dataset:
     """Read a dataset from CSV with columns A, Y, X1..Xd.
 
     Y may be blank on rows with A=0 (missing-at-random input); it is then
-    recorded as 0 so that A*Y is stored.  X coordinates outside [0,1] are
-    rejected; no rescaling is applied.  Rows are numbered from the header
-    (row 1) on, skipping blank and comment lines.  Every column is parsed,
-    so a file with a non-numeric extra column is read row by row.
+    recorded as 0 so that A*Y is stored.  X coordinates outside [0,1] (NaN
+    included) and non-finite Y are rejected; no rescaling is applied.  Rows
+    are numbered from the header (row 1) on, skipping blank and comment
+    lines.  Every column is parsed, so a file with a non-numeric extra
+    column is read row by row.
     """
     lines = read_text(path).split("\n")
     top = next((i for i, ln in enumerate(lines) if ln.strip() and not ln.startswith("#")), None)
@@ -107,19 +108,26 @@ def dataset_from_csv(path, d: int | None = None) -> Dataset:
     a, y, x = table[:, 0], table[:, 1], table[:, 2:]
     if np.any((a != 0.0) & (a != 1.0)):
         raise ValidationError("column A must be 0/1")
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        bad = int(np.argwhere((x < 0.0) | (x > 1.0))[0][0]) + 2
-        raise ValidationError(f"row {bad}: X coordinate outside [0,1]")
+    outside = ~((x >= 0.0) & (x <= 1.0))  # NaN is outside too
+    if np.any(outside):
+        raise ValidationError(f"row {int(np.argwhere(outside)[0][0]) + 2}: "
+                              "X coordinate outside [0,1]")
+    if not np.all(np.isfinite(y)):
+        raise ValidationError(f"row {int(np.argmin(np.isfinite(y))) + 2}: column Y not finite")
     return Dataset(x=x, a=a, y=y)
 
 
 def csv_field(v) -> str:
-    """One field of an artifact CSV: floats at full precision, None empty."""
+    """One field of an artifact CSV: floats at full precision, None empty,
+    text quoted (RFC 4180) when it holds a comma, a quote or a line break."""
     if v is None:
         return ""
     if isinstance(v, float):
         return f"{v:.17g}"
-    return str(v)
+    text = str(v)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def table_csv(columns: str, rows: list[dict], header_lines=()) -> str:

@@ -13,7 +13,7 @@ invertibility check maps the whole estimate to zero by convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
@@ -24,13 +24,11 @@ from hoif import functionals as fn
 from hoif.functionals import FunctionalSpec
 from hoif.gram import (
     DEFAULT_EIGEN_FLOOR,
-    GramMatrix,
     InverseReport,
     design_gram,
     design_quadrature_gram,
     invert_checked,
     node_design,
-    op_norm_distance,
 )
 from hoif.nuisance import (
     DEFAULT_SIGMA_FLOOR,
@@ -93,55 +91,49 @@ class EstimatorConfig:
 
 @dataclass
 class EstimateReport:
+    cfg: EstimatorConfig  # the configuration that produced the estimate
     psi_hat: float
     psi_1: float
     per_order: list[float]  # contributions for j = 2..m
     variance_est: float
     ci_low: float
     ci_high: float
-    ci_level: float
-    gram_diag: InverseReport | None
+    gram_diag: InverseReport | None  # fold 0, first arm; None when m = 1
     zero_convention_applied: bool
     n_est: int
     n_tr: int
-    k: int
-    m: int
-    variant: str
-    functional: str
-    seed: int
 
     CSV_COLUMNS = (
         "functional,variant,n_est,n_tr,k,m,seed,psi_hat,psi_1,"
         "per_order_2,per_order_3,per_order_4,per_order_5,per_order_6,"
-        "variance_est,ci_low,ci_high,zero_convention,op_dist"
+        "variance_est,ci_low,ci_high,zero_convention"
     )
 
     def csv_row(self) -> dict:
         """The report's fields by column of ``CSV_COLUMNS``."""
+        cfg = self.cfg
         per = list(self.per_order) + [float("nan")] * (5 - len(self.per_order))
-        op = float("nan")
-        if self.gram_diag is not None and self.gram_diag.op_distance_to_reference is not None:
-            op = self.gram_diag.op_distance_to_reference
         vals = [
-            self.functional, self.variant, self.n_est, self.n_tr, self.k,
-            self.m, self.seed, self.psi_hat, self.psi_1, *per[:5],
+            cfg.functional, cfg.variant, self.n_est, self.n_tr, cfg.k,
+            cfg.m, cfg.seed, self.psi_hat, self.psi_1, *per[:5],
             self.variance_est, self.ci_low, self.ci_high,
-            int(self.zero_convention_applied), op,
+            int(self.zero_convention_applied),
         ]
         return dict(zip(self.CSV_COLUMNS.split(","), vals))
 
     def text_block(self) -> str:
+        cfg = self.cfg
         lines = [
-            f"functional      : {self.functional} ({self.variant})",
+            f"functional      : {cfg.functional} ({cfg.variant})",
             f"samples         : estimation {self.n_est}, training {self.n_tr}",
-            f"basis size k    : {self.k}   order m: {self.m}",
+            f"basis size k    : {cfg.k}   order m: {cfg.m}",
             f"psi_hat         : {self.psi_hat:.10g}",
             f"one-step psi_1  : {self.psi_1:.10g}",
         ]
         for j, v in enumerate(self.per_order, start=2):
             lines.append(f"order-{j} term    : {v:.10g}")
         lines.append(f"variance est    : {self.variance_est:.10g}")
-        ci_label = f"{100 * self.ci_level:g}% CI"
+        ci_label = f"{100 * cfg.ci_level:g}% CI"
         lines.append(f"{ci_label:<16}: [{self.ci_low:.10g}, {self.ci_high:.10g}]")
         if self.zero_convention_applied:
             lines.append("zero convention : applied (Gram not invertible)")
@@ -241,8 +233,7 @@ def _training_fits(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSe
 
 
 def _run_fold(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSet] | None,
-              est: Dataset, training: Dataset, cfg: EstimatorConfig, basis: Basis,
-              reference_gram: GramMatrix | None) -> list[tuple]:
+              est: Dataset, training: Dataset, cfg: EstimatorConfig, basis: Basis) -> list[tuple]:
     """Every arm on one fold: IF1 summands, IFjj terms for j = 2..m (None under
     the zero convention) and the Gram report (None when m = 1)."""
     for spec in specs:
@@ -258,8 +249,6 @@ def _run_fold(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSet] | 
             runs.append((if1, [], None))
             continue
         diag = invert_checked(gram, cfg.eigen_floor)
-        if reference_gram is not None:
-            diag = replace(diag, op_distance_to_reference=op_norm_distance(gram, reference_gram))
         terms = None
         if diag.invertible:
             res = fn.residuals(spec, est, bx, px)
@@ -282,8 +271,8 @@ def _arm_summary(if1: np.ndarray, terms: list[float]) -> np.ndarray:
 
 
 def estimate_split(est: Dataset, training: Dataset, cfg: EstimatorConfig,
-                   nuisance_override: NuisanceSet | tuple[NuisanceSet, ...] | None = None,
-                   reference_gram: GramMatrix | None = None) -> EstimateReport:
+                   nuisance_override: NuisanceSet | tuple[NuisanceSet, ...] | None = None
+                   ) -> EstimateReport:
     """Run the pipeline on caller-supplied estimation/training samples.
 
     Each arm's estimate is psi_1 plus its IFjj terms; ``ate`` is arm 1 minus
@@ -310,8 +299,7 @@ def estimate_split(est: Dataset, training: Dataset, cfg: EstimatorConfig,
     if cfg.m > 1 and cfg.variant == "emp" and basis.k > n_est:
         raise ValidationError("basis size exceeds the estimation sample; the empirical "
                               "inverse covariance matrix does not exist")
-    runs = [_run_fold(specs, overrides, f_est, f_tr, cfg, basis, reference_gram)
-            for f_est, f_tr in folds]
+    runs = [_run_fold(specs, overrides, f_est, f_tr, cfg, basis) for f_est, f_tr in folds]
 
     zero = any(terms is None for fold in runs for _, terms, _ in fold)
     if zero:  # the estimate is zero by convention and carries no variance
@@ -329,19 +317,17 @@ def estimate_split(est: Dataset, training: Dataset, cfg: EstimatorConfig,
     if variance > 0.0 and np.isfinite(variance):
         lo, hi = confidence_interval(psi_hat, variance, cfg.ci_level)
     return EstimateReport(
-        psi_hat=psi_hat, psi_1=psi_1, per_order=per_order,
-        variance_est=variance, ci_low=lo, ci_high=hi, ci_level=cfg.ci_level,
+        cfg=cfg, psi_hat=psi_hat, psi_1=psi_1, per_order=per_order,
+        variance_est=variance, ci_low=lo, ci_high=hi,
         gram_diag=runs[0][0][2], zero_convention_applied=zero,
         n_est=sum(f_est.n for f_est, _ in folds),
         n_tr=sum(f_tr.n for _, f_tr in folds),
-        k=basis.k, m=cfg.m, variant=cfg.variant, functional=cfg.functional,
-        seed=cfg.seed,
     )
 
 
 def estimate(data: Dataset, cfg: EstimatorConfig,
-             nuisance_override: NuisanceSet | tuple[NuisanceSet, ...] | None = None,
-             reference_gram: GramMatrix | None = None) -> EstimateReport:
+             nuisance_override: NuisanceSet | tuple[NuisanceSet, ...] | None = None
+             ) -> EstimateReport:
     """Run the full pipeline on one random split of ``data``."""
     est, training = split_sample(data, cfg.split_fraction, cfg.seed)
-    return estimate_split(est, training, cfg, nuisance_override, reference_gram)
+    return estimate_split(est, training, cfg, nuisance_override)

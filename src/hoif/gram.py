@@ -40,12 +40,12 @@ class GramMatrix:
 
 @dataclass(frozen=True)
 class InverseReport:
+    gram: GramMatrix  # the matrix inverted
     inverse: np.ndarray | None
     invertible: bool
     condition_number: float
     eig_min: float
     eig_max: float
-    op_distance_to_reference: float | None = None
 
 
 def _finish(entries: np.ndarray, source: str, n_used: int) -> GramMatrix:
@@ -109,6 +109,7 @@ def invert_checked(m: GramMatrix, eigen_floor: float = DEFAULT_EIGEN_FLOOR) -> I
     floor = eigen_floor * max(eig_max, 0.0)
     if eig_min <= floor or eig_max <= 0.0:
         return InverseReport(
+            gram=m,
             inverse=None,
             invertible=False,
             condition_number=float("inf"),
@@ -117,6 +118,7 @@ def invert_checked(m: GramMatrix, eigen_floor: float = DEFAULT_EIGEN_FLOOR) -> I
         )
     inv = (eigvecs / eigvals) @ eigvecs.T
     return InverseReport(
+        gram=m,
         inverse=0.5 * (inv + inv.T),
         invertible=True,
         condition_number=eig_max / eig_min,

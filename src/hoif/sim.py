@@ -20,7 +20,7 @@ import numpy as np
 from hoif.basis import build_basis
 from hoif.data import Dataset, ValidationError, table_csv
 from hoif.estimator import EstimatorConfig, estimate
-from hoif.gram import GramMatrix, quadrature_gram
+from hoif.gram import GramMatrix, op_norm_distance, quadrature_gram
 from hoif.quadrature import QuadratureSpec, basis_quadrature, default_nodes_per_dim, integrate
 
 QUAD_TOL = 1e-8
@@ -359,11 +359,9 @@ def _one_rep(scn: ScenarioSpec, cfg: EstimatorConfig, n: int, master: int,
         data = generate(scn, n, seed)
         run_cfg = replace(cfg, seed=seed, functional=scn.functional)
         override = nuisance_factory(scn, run_cfg) if nuisance_factory else None
-        rep_out = estimate(data, run_cfg, nuisance_override=override,
-                           reference_gram=ref_gram)
-        op = None
-        if rep_out.gram_diag is not None:
-            op = rep_out.gram_diag.op_distance_to_reference
+        rep_out = estimate(data, run_cfg, nuisance_override=override)
+        diag = rep_out.gram_diag  # fold 0's first arm; None when m = 1
+        op = None if diag is None else op_norm_distance(diag.gram, ref_gram)
         covered = ""
         if np.isfinite(rep_out.ci_low) and np.isfinite(rep_out.ci_high):
             covered = int(rep_out.ci_low <= psi_true <= rep_out.ci_high)
@@ -394,6 +392,8 @@ def run_study(scn: ScenarioSpec, cfg: EstimatorConfig, reps: int, seed: int,
     validate_scenario(scn)
     if reps < 2:
         raise ValidationError("reps must be >= 2")
+    if threads < 1:
+        raise ValidationError("threads must be >= 1")
     psi = true_psi(scn)
     eff = _efficiency_bound(scn, psi)
     ref_gram = quadrature_gram(build_basis(cfg.basis), weighted_density(scn),
@@ -402,11 +402,8 @@ def run_study(scn: ScenarioSpec, cfg: EstimatorConfig, reps: int, seed: int,
     def work(rep):
         return _one_rep(scn, cfg, n, seed, rep, psi, nuisance_factory, ref_gram)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(work, range(reps)))
-    else:
-        rows = [work(rep) for rep in range(reps)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        rows = list(pool.map(work, range(reps)))
 
     ok = [r for r in rows if not r["error"]]
     n_err = len(rows) - len(ok)

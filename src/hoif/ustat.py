@@ -214,18 +214,18 @@ def _row_probe(zmat: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j->i", zmat, 1.5 + 0.5 * np.sin(np.arange(1, zmat.shape[1] + 1)))
 
 
-def _distinct_rows(zmat: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def _distinct_rows(zmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of ``zmat`` and each sample's index among them, the
     groups proposed by equal probes and accepted by an exact comparison;
-    ``(zmat, None)`` when every row is distinct or the comparison fails."""
+    ``(zmat, arange(n))`` when every row is distinct or the comparison fails."""
     probes, inverse = np.unique(_row_probe(zmat), return_inverse=True)
     if len(probes) == len(zmat):
-        return zmat, None
+        return zmat, np.arange(len(zmat))
     member = np.empty(len(probes), dtype=np.intp)
     member[inverse] = np.arange(len(zmat))  # one sample of each group
     rows = zmat[member]
     if not np.array_equal(rows[inverse], zmat):  # a probe collision
-        return zmat, None
+        return zmat, np.arange(len(zmat))
     return rows, inverse
 
 
@@ -295,7 +295,7 @@ def correction_terms(inputs: ChainInputs, m: int) -> list[float]:
         for wi, (roles, closed, _) in zip(w, keys):
             sample_w = reduce(np.multiply, (weight[role] for role in roles))
             # samples that share a row add their weights to its one term
-            wi[:] = sample_w if inverse is None else np.bincount(inverse, sample_w, len(y))
+            wi[:] = np.bincount(inverse, sample_w, len(y))
             for _ in range(closed):
                 wi *= diag
         table.update(zip(keys, _weighted_outer_sum(w, y, r)))

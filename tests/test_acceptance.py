@@ -160,12 +160,11 @@ def a45_study():
     op_dist = None
     for rep in range(A45_REPS):
         est = generate(scn, A45_N, _rep_seed(45045, rep))
-        out = estimate_split(est, training, cfg, nuisance_override=nuis,
-                             reference_gram=ref)
+        out = estimate_split(est, training, cfg, nuisance_override=nuis)
         assert not out.zero_convention_applied
         psi1[rep] = out.psi_1
         orders[rep] = out.per_order
-        op_dist = out.gram_diag.op_distance_to_reference
+        op_dist = op_norm_distance(out.gram_diag.gram, ref)
     return {"psi1": psi1, "orders": orders, "op_dist": op_dist,
             "psi_true": true_psi(scn)}
 

@@ -100,6 +100,9 @@ def test_evaluate_rejects_out_of_range():
         basis.evaluate_many([1.5])
     with pytest.raises(ValueError):
         basis.evaluate_many([-0.01])
+    for spec in (BasisSpec("haar", 2, 2), BasisSpec("bspline", 2, 4, order=2)):
+        with pytest.raises(ValueError, match="coordinates must lie in"):
+            build_basis(spec).evaluate_many([[0.5, 0.5], [0.2, np.nan]])
 
 
 def test_spec_validation():

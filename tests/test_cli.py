@@ -502,6 +502,14 @@ def test_threads_default_to_one():
      "sigma_floor must be in (0, 1]"),
     (["estimate", "--input", "{golden}", "--out", "{tmp}/o", "--set", "nuisance.sigma_floor=2"],
      "sigma_floor must be in (0, 1]"),
+    # a non-finite value in the golden fixture's row 502; a NaN X had exited 4
+    (["estimate", "--input", "{nan_x}", "--out", "{tmp}/o"], "row 502: X coordinate outside [0,1]"),
+    (["estimate", "--input", "{nan_y}", "--out", "{tmp}/o"], "row 502: column Y not finite"),
+    (["--threads", "0", "simulate", "--out", "{tmp}/o", "--set", "scenario=s1-smooth-d1",
+      "--set", "n=100", "--set", "reps=2"], "threads must be >= 1"),
+    (["report", "{blank}"], "{blank}: empty input"),
+    (["report", "{ragged}"], "{ragged}: schema mismatch"),
+    (["report", "{header}"], "no aggregate rows"),
 ])
 def test_input_errors_exit_validation(tmp_path, capsys, argv, message):
     five = tmp_path / "five.csv"
@@ -509,6 +517,13 @@ def test_input_errors_exit_validation(tmp_path, capsys, argv, message):
     ab = tmp_path / "ab.csv"
     ab.write_text("a,b\n1,2\n")
     fill = {"tmp": str(tmp_path), "golden": str(GOLDEN), "five": str(five), "ab": str(ab)}
+    for name, text in (("nan_x", GOLDEN.read_text() + "1,1,nan\n"),
+                       ("nan_y", GOLDEN.read_text() + "1,nan,0.5\n"),
+                       ("blank", "# hoif 0.1.0\n\n"),
+                       ("ragged", "scenario,variant,m\ns,emp,2,4\n"),
+                       ("header", "# hoif 0.1.0\nscenario,variant,m\n")):
+        (tmp_path / f"{name}.csv").write_text(text)
+        fill[name] = str(tmp_path / f"{name}.csv")
     rc = main([arg.format(**fill) for arg in argv])
     err = capsys.readouterr().err
     assert rc == EXIT_VALIDATION, err

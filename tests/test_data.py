@@ -134,6 +134,11 @@ MALFORMED = "# made by hand\nA,Y,X1,X2\n0,0,0.5,0.5\n\n# mid\n1,1,0.25,0.75\n  \
     ("1,0,0.5,1.5", "row 4: X coordinate outside [0,1]"),
     ("1,0,-0.5,0.5", "row 4: X coordinate outside [0,1]"),
     ("2,0,0.5,0.5", "column A must be 0/1"),
+    ("1,1,nan,0.5", "row 4: X coordinate outside [0,1]"),
+    ("1,0,0.5,nan", "row 4: X coordinate outside [0,1]"),
+    ("1,nan,0.3,0.5", "row 4: column Y not finite"),
+    ("1,inf,0.3,0.5", "row 4: column Y not finite"),
+    ("0,-inf,0.3,0.5", "row 4: column Y not finite"),
 ])
 def test_malformed_row_reported(tmp_path, bad, message):
     path = write(tmp_path, MALFORMED.format(bad=bad))

@@ -18,7 +18,7 @@ from hoif.estimator import (
     split_sample,
 )
 from hoif.functionals import mar_mean_spec
-from hoif.gram import quadrature_gram
+from hoif.gram import invert_checked, op_norm_distance, quadrature_gram
 from hoif.nuisance import NuisanceSet, zero_nuisance
 from hoif.quadrature import QuadratureSpec
 from hoif.sim import SCENARIOS, generate
@@ -263,21 +263,25 @@ def test_ate_pipeline_combines_arms():
     cfg = EstimatorConfig(functional="ate", basis=BasisSpec("haar", 1, 4),
                           m=2, seed=6)
     rep = estimate(data, cfg)
-    assert rep.functional == "ate"
+    assert rep.cfg.functional == "ate"
     assert rep.psi_hat == pytest.approx(0.15, abs=0.1)
     assert np.isfinite(rep.variance_est)
 
 
 def test_reference_gram_distance_reported():
+    # the report names the training Gram it inverted, so its distance to the
+    # population Gram is measured from the report alone
     scn = SCENARIOS["s1-smooth-d1"]
     data = generate(scn, 800, 23)
     basis = build_basis(BasisSpec("haar", 1, 4))
     ref = quadrature_gram(basis, lambda x: scn.pi(x) * scn.f(x),
                           QuadratureSpec(256))
     cfg = EstimatorConfig(basis=basis.spec, m=2, seed=7)
-    rep = estimate(data, cfg, reference_gram=ref)
-    assert rep.gram_diag.op_distance_to_reference is not None
-    assert 0.0 < rep.gram_diag.op_distance_to_reference < 1.0
+    rep = estimate(data, cfg)
+    gram = rep.gram_diag.gram
+    assert (gram.source, gram.k, gram.n_used) == ("empirical", 4, rep.n_tr)
+    np.testing.assert_array_equal(invert_checked(gram).inverse, rep.gram_diag.inverse)
+    assert 0.0 < op_norm_distance(gram, ref) < 1.0
 
 
 def test_estimate_split_fixed_training():

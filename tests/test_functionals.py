@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,17 @@ def test_h1_sign_check():
     bad = Dataset(good.x, np.array([-1.0, 1.0, 0.0]), good.y)
     with pytest.raises(ValidationError):
         spec.check_h1_sign(bad)
+
+
+@pytest.mark.parametrize("spec,a,message", [
+    (mar_mean_spec(), [0.0, np.nan, 1.0], "non-finite h1 value in data"),
+    # h1 = -A < 0 where A = 1, refused by a spec that declares h1 nowhere negative
+    (replace(mar_mean_spec(), sign_flag=False), [0.0, 1.0, 0.0],
+     "h1 must be nowhere negative for mar_mean"),
+])
+def test_h1_sign_check_refuses_bad_h1(spec, a, message):
+    with pytest.raises(ValidationError, match=message):
+        spec.check_h1_sign(make_data(a=a, y=[0, 0, 0]))
 
 
 def test_residual_formulas_mar():

@@ -78,6 +78,22 @@ def test_empirical_gram_rejects_empty():
         empirical_gram(basis, make_data(np.empty((0, 1))), mar_mean_spec())
 
 
+def test_empirical_gram_rejects_non_finite_weight():
+    basis = build_basis(BasisSpec("haar", 1, 2))
+    data = make_data([0.2, 0.7, 0.9], a=[1.0, np.nan, 0.0])
+    with pytest.raises(ValidationError, match="non-finite weight"):
+        empirical_gram(basis, data, mar_mean_spec())
+
+
+def test_quadrature_gram_rejects_negative_density():
+    # the density is the program's own (scenario or fitted), so a negative
+    # value is a fault in the program, not bad input
+    basis = build_basis(BasisSpec("haar", 1, 2))
+    with pytest.raises(ValueError, match="density must be nonnegative") as err:
+        quadrature_gram(basis, lambda x: 1.0 - 2.0 * x[:, 0], QUAD)
+    assert not isinstance(err.value, ValidationError)
+
+
 def test_quadrature_gram_uniform_identity():
     basis = build_basis(BasisSpec("haar", 1, 8))
     gram = quadrature_gram(basis, uniform, QUAD)

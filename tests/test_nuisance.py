@@ -61,6 +61,18 @@ def test_series_fit_in_span_exact():
                                atol=1e-10)
 
 
+def test_series_fit_skips_singular_designs():
+    # every X in the first of four cells: the Haar design at k=4 has rank 1,
+    # so that size is skipped, and a grid of it alone has nothing to fit
+    rng = np.random.default_rng(5)
+    x = 0.25 * rng.random((40, 1))
+    y = rng.random(40)
+    _, k = series_fit(series_designs(x, BASIS, [1, 4]), y, folds=2, seed=0)
+    assert k == 1
+    with pytest.raises(ValidationError, match="all series sizes produced singular designs"):
+        series_fit(series_designs(x, BASIS, [4]), y, folds=2, seed=0)
+
+
 def test_propensity_fit_constant():
     data = make_training(4000, seed=3)
     p_hat = fit_nuisances(mar_mean_spec(), data, series_designs(data.x, BASIS, [1]),

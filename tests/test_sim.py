@@ -1,3 +1,4 @@
+import csv
 import math
 from dataclasses import replace
 
@@ -5,11 +6,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from hoif import sim
-from hoif.basis import BasisSpec
+from hoif import cli, sim
+from hoif.basis import BasisSpec, build_basis
 from hoif.data import ValidationError
-from hoif.estimator import EstimatorConfig
+from hoif.estimator import EstimatorConfig, estimate
+from hoif.gram import op_norm_distance, quadrature_gram
 from hoif.nuisance import zero_nuisance
+from hoif.quadrature import basis_quadrature
 from hoif.sim import (
     SCENARIOS,
     ScenarioSpec,
@@ -136,6 +139,19 @@ def test_validate_rejects_bad_density():
     )
     with pytest.raises(ValidationError):
         validate_scenario(bad)
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"pi": lambda x: np.full(x.shape[0], 0.3)}, "pi outside [sigma, 1]"),
+    ({"b": lambda x: 1.5 * x[:, 0]}, "regression outside [0, 1]"),
+    # unit mass, negative below x = 1/4
+    ({"f": lambda x: 4.0 * x[:, 0] - 1.0}, "negative density"),
+])
+def test_validate_rejects_broken_invariants(change, message):
+    bad = replace(constant_scenario(pi_val=0.8), id="broken", **change)
+    with pytest.raises(ValidationError) as err:
+        validate_scenario(bad)
+    assert str(err.value) == f"broken: {message}"
 
 
 def test_validation_is_cached_per_spec_not_per_id():
@@ -282,6 +298,45 @@ def test_run_study_counts_failed_replications():
     assert [r["rep"] for r in result.rows if r["error"]] == [4]
     assert result.aggregates_csv().splitlines()[0].split(",")[5:8] == [
         "reps_ok", "reps_failed", "zero_convention_count"]
+
+
+def test_replication_error_with_a_comma_is_quoted(tmp_path):
+    # a failed replication's message is free text: quoted, its line keeps the
+    # header's width and the report reader gives the message back unchanged
+    message = 'bad draw, second clause "quoted"'
+    calls = []
+
+    def flaky_factory(scn, cfg):
+        calls.append(cfg.seed)
+        if len(calls) == 3:
+            raise ValidationError(message)
+        return zero_nuisance()
+
+    result = run_study(SCENARIOS["s1-smooth-d1"], study_cfg(), reps=30, seed=1, n=100,
+                       nuisance_factory=flaky_factory)
+    path = tmp_path / "replications.csv"
+    path.write_text(result.rows_csv(("probe",)))
+    lines = path.read_text().splitlines()
+    parsed = list(csv.reader(lines[1:]))
+    assert parsed[0] == sim.ROW_COLUMNS.split(",")
+    assert len(parsed) == 31 and all(len(row) == len(parsed[0]) for row in parsed)
+    cols, rows = cli._read_csv_rows(str(path))
+    assert cols == parsed[0]
+    assert [r["error"] for r in rows if r["error"]] == [f"ValidationError: {message}"]
+
+
+def test_op_dist_measures_the_gram_each_estimate_inverted():
+    # a row's op_dist is the distance from its estimate's reported Gram (fold
+    # 0, first arm) to the scenario's population Gram
+    scn = SCENARIOS["s1-smooth-d1"]
+    cfg = study_cfg()
+    result = run_study(scn, cfg, reps=3, seed=4, n=300)
+    ref = quadrature_gram(build_basis(cfg.basis), weighted_density(scn),
+                          basis_quadrature(cfg.basis))
+    for row in result.rows:
+        run_cfg = replace(cfg, seed=row["seed"], functional=scn.functional)
+        rep = estimate(generate(scn, 300, row["seed"]), run_cfg)
+        assert row["op_dist"] == op_norm_distance(rep.gram_diag.gram, ref)
 
 
 def test_run_study_counts_zero_convention_replications():

@@ -224,6 +224,23 @@ def test_rejects_indefinite_omega_inv():
         ChainInputs(inp.eps_p, inp.eps_b, inp.abs_h1, inp.zmat, indefinite, False)
 
 
+@pytest.mark.parametrize("change,message", [
+    ({"eps_b": np.zeros(7)}, "eps_b must have length 8"),
+    ({"abs_h1": np.zeros(9)}, "abs_h1 must have length 8"),
+    ({"omega_inv": np.eye(4)}, "omega_inv shape mismatch"),
+    ({"omega_inv": np.eye(3) + np.diag([0.1, 0.1], k=1)}, "omega_inv must be symmetric"),
+])
+def test_chain_inputs_reject_malformed_arrays(change, message):
+    # the estimator builds these arrays itself: a mismatch is a fault in the
+    # program (ValueError, exit 4), not bad input
+    inp = random_inputs(np.random.default_rng(19), 8, 3)
+    fields = {name: getattr(inp, name) for name in
+              ("eps_p", "eps_b", "abs_h1", "zmat", "omega_inv", "sign_flag")}
+    with pytest.raises(ValueError, match=message) as err:
+        ChainInputs(**{**fields, **change})
+    assert not isinstance(err.value, ValidationError)
+
+
 @settings(max_examples=80, deadline=None)
 @given(r=st.integers(0, 5), c=st.integers(1, 3), n=st.integers(1, 9), k=st.integers(1, 4),
        chunk=st.sampled_from([1, 5, 1 << 22]), seed=st.integers(0, 2**32 - 1))
