@@ -61,7 +61,8 @@ def dataset_from_csv(path, d: int | None = None) -> Dataset:
     lines.  Every column is parsed, so a file with a non-numeric extra
     column is read row by row.
     """
-    lines = read_text(path).split("\n")
+    text = read_text(path)
+    lines = text.split("\n")
     top = next((i for i, ln in enumerate(lines) if ln.strip() and not ln.startswith("#")), None)
     if top is None:
         raise ValidationError(f"{path}: empty input")
@@ -96,15 +97,15 @@ def dataset_from_csv(path, d: int | None = None) -> Dataset:
             raise ValueError("irregular rows")
         return np.take(table, [ia, iy, *ix], axis=1)
 
-    try:  # numpy skips empty lines, so only a body with comment lines pays for the filter
-        table = parse_table(lines[top + 1:])
-    except ValueError:
-        body = [ln for ln in lines[top + 1:] if ln.strip() and not ln.startswith("#")]
-        try:
-            table = parse_table(body)
-        except ValueError:  # float() row by row names the first bad row
-            rows = [parse_row(i, ln) for i, ln in enumerate(body)]
-            table = np.array(rows).reshape(len(body), 2 + len(ix))
+    body, start = lines[top + 1:], sum(len(ln) + 1 for ln in lines[:top + 1])
+    # numpy skips only empty lines; one C scan per character finds comment and blank lines
+    if any(text.find(c, start) >= 0 for c in "# \t\r"):
+        body = [ln for ln in body if ln.strip() and not ln.startswith("#")]
+    try:
+        table = parse_table(body)
+    except ValueError:  # float() row by row names the first bad row; no "#" line is left
+        rows = [parse_row(i, ln) for i, ln in enumerate(ln for ln in body if ln.strip())]
+        table = np.array(rows).reshape(len(rows), 2 + len(ix))
     a, y, x = table[:, 0], table[:, 1], table[:, 2:]
     if np.any((a != 0.0) & (a != 1.0)):
         raise ValidationError("column A must be 0/1")

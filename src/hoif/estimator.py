@@ -13,6 +13,7 @@ invertibility check maps the whole estimate to zero by convention.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -39,10 +40,9 @@ from hoif.nuisance import (
     zero_nuisance,
 )
 from hoif.quadrature import basis_quadrature
-from hoif.ustat import ChainInputs, correction_terms
+from hoif.ustat import M_MAX, ChainInputs, correction_terms, order_plan
 
 VARIANTS = ("emp", "ac")
-M_MAX = 4  # highest order the pipeline runs; ustat.correction_terms goes to M_MAX_HARD
 
 
 @dataclass(frozen=True)
@@ -103,19 +103,17 @@ class EstimateReport:
     n_est: int
     n_tr: int
 
-    CSV_COLUMNS = (
-        "functional,variant,n_est,n_tr,k,m,seed,psi_hat,psi_1,"
-        "per_order_2,per_order_3,per_order_4,per_order_5,per_order_6,"
-        "variance_est,ci_low,ci_high,zero_convention"
-    )
+    CSV_COLUMNS = ",".join(["functional,variant,n_est,n_tr,k,m,seed,psi_hat,psi_1",
+                            *(f"per_order_{j}" for j in range(2, M_MAX + 1)),
+                            "variance_est,ci_low,ci_high,zero_convention"])
 
     def csv_row(self) -> dict:
         """The report's fields by column of ``CSV_COLUMNS``."""
         cfg = self.cfg
-        per = list(self.per_order) + [float("nan")] * (5 - len(self.per_order))
+        per = list(self.per_order) + [float("nan")] * (M_MAX - 1 - len(self.per_order))
         vals = [
             cfg.functional, cfg.variant, self.n_est, self.n_tr, cfg.k,
-            cfg.m, cfg.seed, self.psi_hat, self.psi_1, *per[:5],
+            cfg.m, cfg.seed, self.psi_hat, self.psi_1, *per,
             self.variance_est, self.ci_low, self.ci_high,
             int(self.zero_convention_applied),
         ]
@@ -174,8 +172,8 @@ def default_tuning(n: int, variant: str, dimension: int = 1,
     """Rate-optimal (k, m) for the estimation-sample size n.
 
     emp: k = n/(ln n)^3, m = sqrt(ln n); ac: k = n/(ln n)^2, m = ln n.
-    m is clamped to [2, M_MAX] and k is rounded down to the nearest
-    realizable tensor size q**dimension.
+    k is rounded down to the nearest realizable tensor size q**dimension; m is
+    clamped to [2, M_MAX] and lowered, not below 2, until ``order_plan`` fits.
     """
     if n < 8:
         raise ValidationError("n must be >= 8 for the tuning rules")
@@ -186,8 +184,12 @@ def default_tuning(n: int, variant: str, dimension: int = 1,
     else:
         k_raw = max(1, int(n / ln**3))
         m = math.ceil(math.sqrt(ln))
-    m = min(max(m, 2), M_MAX)
-    return realizable_k(k_raw, dimension, family), m
+    k = realizable_k(k_raw, dimension, family)
+    for m in range(min(m, M_MAX), 2, -1):
+        with suppress(ValidationError):  # an order whose plan is over the cap
+            order_plan(n, k, m)
+            return k, m
+    return k, 2
 
 
 def realizable_k(k_raw: int, dimension: int, family: str = "haar") -> int:
@@ -299,6 +301,8 @@ def estimate_split(est: Dataset, training: Dataset, cfg: EstimatorConfig,
     if cfg.m > 1 and cfg.variant == "emp" and basis.k > n_est:
         raise ValidationError("basis size exceeds the estimation sample; the empirical "
                               "inverse covariance matrix does not exist")
+    if cfg.m > 1:  # an over-cap plan is refused before any fit
+        order_plan(max(f_est.n for f_est, _ in folds), basis.k, cfg.m)
     runs = [_run_fold(specs, overrides, f_est, f_tr, cfg, basis) for f_est, f_tr in folds]
 
     zero = any(terms is None for fold in runs for _, terms, _ in fold)

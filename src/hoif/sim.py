@@ -406,14 +406,14 @@ def run_study(scn: ScenarioSpec, cfg: EstimatorConfig, reps: int, seed: int,
         rows = list(pool.map(work, range(reps)))
 
     ok = [r for r in rows if not r["error"]]
-    n_err = len(rows) - len(ok)
-    if n_err > 0.05 * len(rows):
-        raise ValidationError(f"{n_err}/{len(rows)} replications failed")
+    errors = [r["error"] for r in rows if r["error"]]
+    if len(errors) > 0.05 * len(rows):
+        raise ValidationError(f"{len(errors)}/{len(rows)} replications failed, first: {errors[0]}")
 
     est = np.array([r["psi_hat"] for r in ok])
     agg = {
         "scenario": scn.id, "n": n, "variant": cfg.variant, "k": cfg.k, "m": cfg.m,
-        "reps_ok": len(ok), "reps_failed": n_err,
+        "reps_ok": len(ok), "reps_failed": len(errors),
         "zero_convention_count": sum(r["zero_convention"] for r in ok),
         "psi_true": psi, "eff_bound": eff,
     }

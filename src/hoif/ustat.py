@@ -47,7 +47,7 @@ import numpy as np
 
 from hoif.data import ValidationError
 
-M_MAX_HARD = 6
+M_MAX = 6  # highest order: the chain plans grow with Bell(m) partitions
 PLAN_BYTES_MAX = 1 << 30  # block tensors plus one rank's build; also a quadrature design
 
 
@@ -255,6 +255,22 @@ def _planned_bytes(ranks: dict, plans: list, n: int, k: int) -> int:
     return 8 * (table + work) + _BOOKKEEPING_BYTES
 
 
+def order_plan(n: int, k: int, m: int) -> tuple[dict, list]:
+    """The block keys by rank and the chain plans of orders 2..m at basis size
+    k; a ValidationError if their bytes on n records pass ``PLAN_BYTES_MAX``."""
+    if 8 * k ** (m - 1) > np.iinfo(np.intp).max:  # numpy cannot even shape the largest block
+        raise ValidationError(f"order m={m} at k={k} needs {k}**{m - 1} doubles, over the cap")
+    plans = [_chain_plan(t + 2, k) for t in range(m - 1)]
+    ranks = {}
+    for key in dict.fromkeys(key for plan in plans for *_, ks, _ in plan for key in ks):
+        ranks.setdefault(key[2], []).append(key)
+    planned = _planned_bytes(ranks, plans, n, k)
+    if planned > PLAN_BYTES_MAX:
+        raise ValidationError(f"order m={m} at k={k} plans {planned} bytes of block "
+                              f"tensors, over the cap of {PLAN_BYTES_MAX}")
+    return ranks, plans
+
+
 def correction_terms(inputs: ChainInputs, m: int) -> list[float]:
     """Correction terms IF_22, ..., IF_mm: means of the chain kernel over
     distinct tuples.
@@ -266,24 +282,16 @@ def correction_terms(inputs: ChainInputs, m: int) -> list[float]:
     that holds each distinct block tensor once, built one rank at a time
     over the distinct basis rows (``_distinct_rows``).
     Cost grows with Bell(m) partitions of the longest chain, so m is capped
-    at ``M_MAX_HARD`` and the table at ``PLAN_BYTES_MAX``, checked before
-    anything is built.
+    at ``M_MAX`` and the plan's bytes by ``order_plan`` before any build.
     """
     if m < 2:
         raise ValueError("order must be >= 2")
-    if m > M_MAX_HARD:
-        raise ValueError(f"order {m} exceeds the cap {M_MAX_HARD}")
+    if m > M_MAX:
+        raise ValueError(f"order {m} exceeds the cap {M_MAX}")
     n, k = inputs.n, inputs.k
     if n < m:
         raise ValueError(f"need at least {m} records, got {n}")
-    plans = [_chain_plan(t + 2, k) for t in range(m - 1)]
-    ranks = {}
-    for key in dict.fromkeys(key for plan in plans for *_, ks, _ in plan for key in ks):
-        ranks.setdefault(key[2], []).append(key)
-    planned = _planned_bytes(ranks, plans, n, k)
-    if planned > PLAN_BYTES_MAX:
-        raise ValidationError(f"order m={m} at k={k} plans {planned} bytes of block "
-                              f"tensors, over the cap of {PLAN_BYTES_MAX}")
+    ranks, plans = order_plan(n, k, m)
     rows, inverse = _distinct_rows(inputs.zmat)
     # omega_inv = L L^T, so every edge z_i omega_inv z_j^T is y_i . y_j
     y = rows @ inputs.cholesky

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hoif import cli, gram
+from hoif import cli, estimator, gram, ustat
 from hoif.basis import Basis, BasisSpec
 from hoif.cli import (
     EXIT_INTERNAL,
@@ -102,7 +102,7 @@ def test_absent_keys_take_the_stated_defaults():
     ({"tuning": "default", "m": 5}, 1, 2000,
      EstimatorConfig(basis=BasisSpec("haar", 1, 2), m=3)),
     ({"tuning": "default", "variant": "ac", "split_fraction": 0.3, "seed": 9}, 2, 20000,
-     EstimatorConfig(basis=BasisSpec("haar", 2, 8), m=4, split_fraction=0.3, seed=9,
+     EstimatorConfig(basis=BasisSpec("haar", 2, 8), m=5, split_fraction=0.3, seed=9,
                      variant="ac")),
     ({"tuning": "default", "basis.family": "bspline", "basis.order": 2}, 1, 5000,
      EstimatorConfig(basis=BasisSpec("bspline", 1, 5, order=2), m=3)),
@@ -129,15 +129,18 @@ def test_haar_order_changes_no_artifact(tmp_path):
 
 
 def test_oversized_ac_basis_refused_before_it_is_built(tmp_path, capsys):
-    # the quadrature design's byte cap refuses q = 2^22 before any array of q cells
-    tracemalloc.start()
-    rc = main(["estimate", "--input", str(GOLDEN), "--out", str(tmp_path / "o"),
-               "--set", "variant=ac", "--set", f"basis.per_dim_size={2**22}"])
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert rc == EXIT_VALIDATION
-    assert "quadrature design" in capsys.readouterr().err
-    assert peak < 8 * 2**22
+    # the correction plan refuses q = 2^22 before any fit; q = 2^14 plans within
+    # the cap, and the quadrature design's byte cap refuses it: both before any
+    # array of 2^22 cells
+    for q, refusal in ((2**22, "order m=2 at k=4194304 plans"), (2**14, "quadrature design")):
+        tracemalloc.start()
+        rc = main(["estimate", "--input", str(GOLDEN), "--out", str(tmp_path / "o"),
+                   "--set", "variant=ac", "--set", f"basis.per_dim_size={q}"])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert rc == EXIT_VALIDATION
+        assert refusal in capsys.readouterr().err
+        assert peak < 8 * 2**22
 
 
 def test_default_tuning_echoes_what_ran(tmp_path):
@@ -232,7 +235,7 @@ def test_readme_key_table_lists_the_accepted_keys():
 _KEY_VALUES = {
     "functional": st.sampled_from(["mar_mean", "ate", "ecc"]),
     "variant": st.sampled_from(["emp", "ac"]),
-    "m": st.integers(1, 4),
+    "m": st.integers(1, ustat.M_MAX),
     "tuning": st.just("manual"),
     "split_fraction": st.floats(0.01, 0.99),
     "seed": st.integers(0, 2**40),
@@ -344,11 +347,27 @@ def test_cmd_estimate_validation_exit(tmp_path, capsys):
                "--out", str(tmp_path / "o3"), "--set", "nuisance.method=oracle"])
     assert rc == EXIT_VALIDATION
     assert "series|zero" in capsys.readouterr().err
-    # the pipeline's order cap is 4
+    # the order cap is ustat's
     rc = main(["estimate", "--input", str(GOLDEN),
-               "--out", str(tmp_path / "o4"), "--set", "m=5"])
+               "--out", str(tmp_path / "o4"), "--set", f"m={ustat.M_MAX + 1}"])
     assert rc == EXIT_VALIDATION
-    assert "m must be in [1, 4]" in capsys.readouterr().err
+    assert f"m must be in [1, {ustat.M_MAX}]" in capsys.readouterr().err
+
+
+def test_over_cap_order_refused_before_any_fit(tmp_path, monkeypatch, capsys):
+    # m=6 at k=64 plans 34909981656 bytes on the 250 estimation records: refused
+    # up front, whether or not the training Gram would invert (this one does
+    # not); a study names the same reason for the replications it loses
+    monkeypatch.setattr(estimator, "fit_nuisances", lambda *a, **kw: pytest.fail("fitted"))
+    over = ["--set", "m=6", "--set", "basis.per_dim_size=64"]
+    rc = main(["estimate", "--input", str(GOLDEN), "--out", str(tmp_path / "e"), *over])
+    assert rc == EXIT_VALIDATION
+    assert "order m=6 at k=64 plans 34909981656 bytes" in capsys.readouterr().err
+    rc = main(["simulate", "--out", str(tmp_path / "s"), "--set", "scenario=s1-smooth-d1",
+               "--set", "n=300", "--set", "reps=2", *over])
+    assert rc == EXIT_VALIDATION
+    assert ("error: 2/2 replications failed, first: ValidationError: order m=6 at k=64 "
+            "plans ") in capsys.readouterr().err
 
 
 def test_cmd_simulate_reproducible(tmp_path):

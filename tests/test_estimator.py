@@ -17,11 +17,12 @@ from hoif.estimator import (
     realizable_k,
     split_sample,
 )
-from hoif.functionals import mar_mean_spec
-from hoif.gram import invert_checked, op_norm_distance, quadrature_gram
+from hoif.functionals import mar_mean_spec, residuals
+from hoif.gram import empirical_gram, invert_checked, op_norm_distance, quadrature_gram
 from hoif.nuisance import NuisanceSet, zero_nuisance
 from hoif.quadrature import QuadratureSpec
 from hoif.sim import SCENARIOS, generate
+from hoif.ustat import ChainInputs, brute_force_ifjj
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -158,9 +159,15 @@ def test_default_tuning_frozen_arithmetic():
     # d=1 B-spline family realizes every integer k, so the raw values show
     assert default_tuning(1000, "emp", 1, "bspline") == (3, 3)
     assert default_tuning(10**5, "emp", 1, "bspline") == (65, 4)
-    assert default_tuning(1000, "ac", 1, "bspline") == (20, 4)  # m clamped
+    assert default_tuning(1000, "ac", 1, "bspline") == (20, 6)  # m clamped to the cap
     with pytest.raises(ValidationError):
         default_tuning(4, "emp")
+
+
+def test_default_tuning_never_below_second_order():
+    # at k = 4096 no order above 2 fits the plan cap, and the rank-5 block of
+    # m = 6 is too large for numpy to shape: refused before any plan is made
+    assert default_tuning(10**6, "ac", 1, "haar") == (4096, 2)
 
 
 def test_realizable_k_rounding():
@@ -331,6 +338,35 @@ def test_fewer_estimation_records_than_order_rejected():
         estimate_split(est, training, cfg)
     with pytest.raises(ValidationError, match="at least 4"):
         estimate_split(est, training, replace(cfg, cross_fit=True))
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_orders_up_to_the_cap_match_brute_force(m):
+    # the pipeline runs every order ustat accepts: on a tiny Haar sample each
+    # term equals the enumeration over the same ChainInputs, and the report
+    # row fills that order's column
+    rng = np.random.default_rng(40 + m)
+
+    def draw(n):
+        a = (np.arange(n) % 4 != 1) * 1.0  # every fourth record unobserved
+        return Dataset(rng.random((n, 1)), a, a * rng.random(n))
+
+    est, training = draw(8), draw(12)
+    nuis = NuisanceSet(b_hat=lambda p: 0.2 + 0.5 * p[:, 0], p_hat=lambda p: 1.5 - p[:, 0])
+    cfg = EstimatorConfig(basis=BasisSpec("haar", 1, 2), m=m)
+    rep = estimate_split(est, training, cfg, nuisance_override=nuis)
+    spec, basis = mar_mean_spec(), build_basis(cfg.basis)
+    res = residuals(spec, est, nuis.b_hat(est.x), nuis.p_hat(est.x))
+    inp = ChainInputs(eps_p=res.eps_p, eps_b=res.eps_b, abs_h1=res.abs_h1,
+                      zmat=basis.evaluate_many(est.x), sign_flag=spec.sign_flag,
+                      omega_inv=invert_checked(empirical_gram(basis, training, spec)).inverse)
+    assert not rep.zero_convention_applied and len(rep.per_order) == m - 1
+    row = rep.csv_row()
+    for j, term in enumerate(rep.per_order, start=2):
+        ref = brute_force_ifjj(j, inp)
+        assert abs(term - ref) <= 1e-10 * (1.0 + abs(ref))
+        assert row[f"per_order_{j}"] == term
+    assert math.isnan(row["per_order_6"]) == (m == 5)
 
 
 @pytest.mark.parametrize("functional,most", [("ate", 8), ("mar_mean", 6)])

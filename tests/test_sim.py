@@ -275,7 +275,9 @@ def test_run_study_bulk_failures_fatal():
     def broken_factory(scn, cfg):
         raise ValidationError("nuisance backend down")
 
-    with pytest.raises(ValidationError):
+    # the study names why: the first failed replication's error
+    with pytest.raises(ValidationError, match="^4/4 replications failed, first: "
+                                              "ValidationError: nuisance backend down$"):
         run_study(SCENARIOS["s1-smooth-d1"], study_cfg(), reps=4, seed=1,
                   n=100, nuisance_factory=broken_factory)
 
