@@ -128,8 +128,8 @@ class Basis:
             return _haar_univariate(self.spec.per_dim_size, xs)
         return _bspline_univariate(self.spec.per_dim_size, self.spec.order, xs)
 
-    def evaluate_many(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate at an (n, d) array of points; returns (n, k)."""
+    def _points(self, x: np.ndarray) -> np.ndarray:
+        """``x`` as an (n, d) float array of points in [0, 1]^d, or a ValueError."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x[:, None]
@@ -137,11 +137,32 @@ class Basis:
             raise ValueError(f"expected {self.d} coordinates, got {x.shape[1]}")
         if not np.all((x >= 0.0) & (x <= 1.0)):  # NaN fails too
             raise ValueError("coordinates must lie in [0, 1]")
+        return x
+
+    def evaluate_many(self, x: np.ndarray) -> np.ndarray:
+        """Evaluate at an (n, d) array of points; returns (n, k)."""
+        x = self._points(x)
         out = self._univariate(x[:, 0])
         for j in range(1, self.d):
             uj = self._univariate(x[:, j])
             out = (out[:, :, None] * uj[:, None, :]).reshape(x.shape[0], -1)
         return out
+
+    def cells(self, x: np.ndarray) -> np.ndarray:
+        """Row-major index of the cell of the uniform q^d grid that holds each
+        point of an (n, d) array, with ``_haar_univariate``'s floor convention
+        (x == 1 lies in the last cell).  A Haar basis is constant on these
+        cells and spans their indicators."""
+        q = self.spec.per_dim_size
+        per_dim = np.minimum(np.floor(self._points(x) * q).astype(np.int64), q - 1)
+        return per_dim @ q ** np.arange(self.d - 1, -1, -1)
+
+    def cell_rows(self) -> np.ndarray:
+        """The basis at the centre of every cell, in ``cells`` order: (q^d, k).
+        For Haar, row c is bit for bit the basis at every point of cell c."""
+        q = self.spec.per_dim_size
+        centres = (np.indices((q,) * self.d).reshape(self.d, -1).T + 0.5) / q
+        return self.evaluate_many(centres)
 
 
 def build_basis(spec: BasisSpec) -> Basis:

@@ -26,10 +26,13 @@ from hoif.functionals import FunctionalSpec
 from hoif.gram import (
     DEFAULT_EIGEN_FLOOR,
     InverseReport,
+    cell_gram,
+    cell_mass,
     design_gram,
     design_quadrature_gram,
     invert_checked,
     node_design,
+    quadrature_plan,
 )
 from hoif.nuisance import (
     DEFAULT_SIGMA_FLOOR,
@@ -40,7 +43,7 @@ from hoif.nuisance import (
     zero_nuisance,
 )
 from hoif.quadrature import basis_quadrature
-from hoif.ustat import M_MAX, ChainInputs, correction_terms, order_plan
+from hoif.ustat import M_MAX, CellInputs, ChainInputs, cell_terms, correction_terms, order_plan
 
 VARIANTS = ("emp", "ac")
 
@@ -173,7 +176,8 @@ def default_tuning(n: int, variant: str, dimension: int = 1,
 
     emp: k = n/(ln n)^3, m = sqrt(ln n); ac: k = n/(ln n)^2, m = ln n.
     k is rounded down to the nearest realizable tensor size q**dimension; m is
-    clamped to [2, M_MAX] and lowered, not below 2, until ``order_plan`` fits.
+    clamped to [2, M_MAX] and, unless per-cell sums serve (``_cell_route``),
+    lowered, not below 2, until ``order_plan`` fits.
     """
     if n < 8:
         raise ValidationError("n must be >= 8 for the tuning rules")
@@ -185,11 +189,20 @@ def default_tuning(n: int, variant: str, dimension: int = 1,
         k_raw = max(1, int(n / ln**3))
         m = math.ceil(math.sqrt(ln))
     k = realizable_k(k_raw, dimension, family)
+    if _cell_route(variant, family):
+        return k, max(2, min(m, M_MAX))
     for m in range(min(m, M_MAX), 2, -1):
         with suppress(ValidationError):  # an order whose plan is over the cap
             order_plan(n, k, m)
             return k, m
     return k, 2
+
+
+def _cell_route(variant: str, family: str) -> bool:
+    """Whether the Gram and the correction terms come from per-cell sums: the
+    empirical Gram of a Haar basis, whose span is the indicators of its
+    finest cells, so that its kernel is 1[c_i = c_j] / m_c."""
+    return variant == "emp" and family == "haar"
 
 
 def realizable_k(k_raw: int, dimension: int, family: str = "haar") -> int:
@@ -210,10 +223,13 @@ def confidence_interval(psi_hat: float, variance_est: float, level: float) -> tu
 
 
 def _training_fits(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSet] | None,
-                   training: Dataset, cfg: EstimatorConfig, basis: Basis) -> tuple[list, list]:
-    """Every arm's nuisances and Gram (None if m = 1) from one evaluation of
-    the basis on the training sample: the k-grid designs, of which the one
-    of the basis's own size, if the grid has it, is also the Gram design."""
+                   training: Dataset, cfg: EstimatorConfig, basis: Basis
+                   ) -> tuple[list, list, list]:
+    """Every arm's nuisances, Gram (None if m = 1) and, on the cell route, the
+    cell masses its Gram is built from (None otherwise).  The basis is
+    evaluated on the training sample once, for the k-grid designs, of which
+    the one of the basis's own size, if the grid has it, is also the Gram
+    design; Haar designs and the cell route evaluate it on no record."""
     designs = {}
     if nuisances is None:
         if cfg.nuisance_method == "zero":
@@ -223,15 +239,21 @@ def _training_fits(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSe
             nuisances = [fit_nuisances(spec, training, designs, cfg.nuisance_folds,
                                        seed=cfg.seed + 17, sigma_floor=cfg.sigma_floor)
                          for spec in specs]
+    none = [None] * len(specs)
     if cfg.m == 1:
-        return nuisances, [None] * len(specs)
+        return nuisances, none, none
+    if _cell_route(cfg.variant, cfg.basis.family):
+        cells, rows = basis.cells(training.x), basis.cell_rows()
+        masses = [cell_mass(cells, basis.k, training, spec) for spec in specs]
+        return nuisances, [cell_gram(rows, mass, "empirical", training.n)
+                           for mass in masses], masses
     if cfg.variant == "emp":
         shared = designs.get(basis.k)  # a candidate of size k has the basis's values
         z = shared[1] if shared else basis.evaluate_many(training.x)
-        return nuisances, [design_gram(z, training, spec) for spec in specs]
+        return nuisances, [design_gram(z, training, spec) for spec in specs], none
     design = node_design(basis, basis_quadrature(cfg.basis))  # shared; capped before q^d cells
     g_hats = [density_series(training, basis, spec, cfg.sigma_floor) for spec in specs]
-    return nuisances, [design_quadrature_gram(design, g) for g in g_hats]
+    return nuisances, [design_quadrature_gram(design, g) for g in g_hats], none
 
 
 def _run_fold(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSet] | None,
@@ -241,10 +263,13 @@ def _run_fold(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSet] | 
     for spec in specs:
         spec.check_h1_sign(est)
         spec.check_h1_sign(training)
-    nuisances, grams = _training_fits(specs, nuisances, training, cfg, basis)
-    zmat = basis.evaluate_many(est.x) if cfg.m > 1 else None
+    nuisances, grams, masses = _training_fits(specs, nuisances, training, cfg, basis)
+    cell_route = _cell_route(cfg.variant, cfg.basis.family)
+    rows = None
+    if cfg.m > 1:  # each record's cell on the cell route, its basis row otherwise
+        rows = basis.cells(est.x) if cell_route else basis.evaluate_many(est.x)
     runs = []
-    for spec, nuisance, gram in zip(specs, nuisances, grams):
+    for spec, nuisance, gram, mass in zip(specs, nuisances, grams, masses):
         bx, px = _nuisance_values(nuisance, est)
         if1 = fn.h_values(spec, est, bx, px)
         if gram is None:
@@ -252,11 +277,18 @@ def _run_fold(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSet] | 
             continue
         diag = invert_checked(gram, cfg.eigen_floor)
         terms = None
-        if diag.invertible:
+        # an empty training cell makes a cell-route Gram singular, whatever
+        # the rounding of its zero eigenvalue (an eigen_floor of 0 may pass it)
+        if diag.invertible and (not cell_route or np.all(mass > 0.0)):
             res = fn.residuals(spec, est, bx, px)
-            terms = correction_terms(ChainInputs(
-                eps_p=res.eps_p, eps_b=res.eps_b, abs_h1=res.abs_h1, zmat=zmat,
-                omega_inv=diag.inverse, sign_flag=spec.sign_flag), cfg.m)
+            if cell_route:
+                terms = cell_terms(CellInputs(
+                    eps_p=res.eps_p, eps_b=res.eps_b, abs_h1=res.abs_h1, cells=rows,
+                    mass=mass, sign_flag=spec.sign_flag), cfg.m)
+            else:
+                terms = correction_terms(ChainInputs(
+                    eps_p=res.eps_p, eps_b=res.eps_b, abs_h1=res.abs_h1, zmat=rows,
+                    omega_inv=diag.inverse, sign_flag=spec.sign_flag), cfg.m)
         runs.append((if1, terms, diag))
     return runs
 
@@ -301,8 +333,11 @@ def estimate_split(est: Dataset, training: Dataset, cfg: EstimatorConfig,
     if cfg.m > 1 and cfg.variant == "emp" and basis.k > n_est:
         raise ValidationError("basis size exceeds the estimation sample; the empirical "
                               "inverse covariance matrix does not exist")
-    if cfg.m > 1:  # an over-cap plan is refused before any fit
+    if cfg.m > 1 and not _cell_route(cfg.variant, cfg.basis.family):
+        # an over-cap plan is refused before any fit
         order_plan(max(f_est.n for f_est, _ in folds), basis.k, cfg.m)
+    if cfg.m > 1 and cfg.variant == "ac":
+        quadrature_plan(basis, basis_quadrature(cfg.basis))
     runs = [_run_fold(specs, overrides, f_est, f_tr, cfg, basis) for f_est, f_tr in folds]
 
     zero = any(terms is None for fold in runs for _, terms, _ in fold)

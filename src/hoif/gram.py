@@ -57,15 +57,32 @@ def empirical_gram(basis: Basis, training: Dataset, spec: FunctionalSpec) -> Gra
     return design_gram(basis.evaluate_many(training.x), training, spec)
 
 
-def design_gram(z: np.ndarray, training: Dataset, spec: FunctionalSpec) -> GramMatrix:
-    """``empirical_gram`` from the basis evaluated on the training points, ``z``."""
+def _abs_h1(training: Dataset, spec: FunctionalSpec) -> np.ndarray:
     if training.n == 0:
         raise ValidationError("empty training set")
     w = np.abs(spec.h1(training))
     if not np.all(np.isfinite(w)):
         raise ValidationError("non-finite weight |h1|")
-    entries = (z * w[:, None]).T @ z / training.n
+    return w
+
+
+def design_gram(z: np.ndarray, training: Dataset, spec: FunctionalSpec) -> GramMatrix:
+    """``empirical_gram`` from the basis evaluated on the training points, ``z``."""
+    entries = (z * _abs_h1(training, spec)[:, None]).T @ z / training.n
     return _finish(entries, "empirical", training.n)
+
+
+def cell_mass(cells: np.ndarray, k: int, training: Dataset, spec: FunctionalSpec) -> np.ndarray:
+    """m_c = (1/n) sum of |h1| over the training records in each of the k cells;
+    ``cells`` holds each record's cell (``Basis.cells``)."""
+    return np.bincount(cells, _abs_h1(training, spec), k) / training.n
+
+
+def cell_gram(rows: np.ndarray, mass: np.ndarray, source: str, n_used: int) -> GramMatrix:
+    """The Gram of a basis constant on cells (Haar) from its row in each cell
+    (``Basis.cell_rows``) and each cell's mass: rows^T diag(mass) rows.  With
+    the masses of ``cell_mass`` it is ``empirical_gram``, up to rounding."""
+    return _finish((rows.T * mass) @ rows, source, n_used)
 
 
 def node_design(basis: Basis, quad: QuadratureSpec) -> tuple[np.ndarray, float, np.ndarray]:
@@ -86,14 +103,42 @@ def quadrature_gram(basis: Basis, g, quad: QuadratureSpec) -> GramMatrix:
     return design_quadrature_gram(node_design(basis, quad), g)
 
 
-def design_quadrature_gram(design: tuple, g) -> GramMatrix:
-    """``quadrature_gram`` from a ``node_design``, which several g can share."""
-    nodes, w, z = design
+def _density(g, nodes: np.ndarray) -> np.ndarray:
     gv = np.asarray(g(nodes), dtype=float)
     if np.any(gv < 0):
         raise ValueError("density must be nonnegative")
-    entries = (z * (gv * w)[:, None]).T @ z
+    return gv
+
+
+def cell_quadrature_gram(basis: Basis, g, quad: QuadratureSpec) -> GramMatrix:
+    """``quadrature_gram`` of a Haar basis, which is constant on its cells:
+    ``cell_gram`` of the nodes' summed weights per cell, with the basis
+    evaluated at its k cell centres and on no node."""
+    if quad.nodes_per_dim < basis.spec.per_dim_size:
+        raise ValidationError("quadrature node count below basis resolution")
+    nodes, w = quad.grid(basis.d)
+    mass = np.bincount(basis.cells(nodes), _density(g, nodes) * w, basis.k)
+    return cell_gram(basis.cell_rows(), mass, "quadrature", nodes.shape[0])
+
+
+def design_quadrature_gram(design: tuple, g) -> GramMatrix:
+    """``quadrature_gram`` from a ``node_design``, which several g can share."""
+    nodes, w, z = design
+    entries = (z * (_density(g, nodes) * w)[:, None]).T @ z
     return _finish(entries, "quadrature", nodes.shape[0])
+
+
+def quadrature_plan(basis: Basis, quad: QuadratureSpec) -> int:
+    """Bytes of a quadrature Gram's working set: the basis on the nodes of
+    ``quad``, the k x k Gram and ``eigh``'s eigenvectors of it; a
+    ValidationError if they pass ``PLAN_BYTES_MAX``."""
+    k, nodes = basis.k, quad.nodes_per_dim ** basis.d
+    planned = 8 * (nodes * k + 2 * k * k)
+    if planned > PLAN_BYTES_MAX:
+        raise ValidationError(f"quadrature design of {quad.nodes_per_dim}^{basis.d} nodes at "
+                              f"k={k} with its Gram and eigenvectors needs {planned} bytes, "
+                              f"over the cap of {PLAN_BYTES_MAX}")
+    return planned
 
 
 def invert_checked(m: GramMatrix, eigen_floor: float = DEFAULT_EIGEN_FLOOR) -> InverseReport:

@@ -4,6 +4,11 @@ Ships series least squares with cross-validated size, a weighted-histogram
 density estimate for the density-based comparison path, and the zero
 estimator (which deliberately ignores the admissible range of the inverse
 propensity and still leaves the full pipeline consistent).
+
+A Haar candidate of size q^d spans the indicators of its q^d cells, so its
+design is each record's cell and its least-squares fit the per-cell mean:
+Haar fits, their cross-validation and their predictions never evaluate the
+basis.  Other families fit their evaluated designs by ``np.linalg.lstsq``.
 """
 
 from __future__ import annotations
@@ -39,9 +44,34 @@ def zero_nuisance() -> NuisanceSet:
     return NuisanceSet(b_hat=_constant(0.0), p_hat=_constant(0.0))
 
 
+def _design(sub: Basis, x: np.ndarray) -> np.ndarray:
+    """The design of ``sub`` on the points x: for Haar, whose span is the
+    indicators of its cells, each point's cell (``Basis.cells``); otherwise
+    the (n, k) basis values."""
+    return sub.cells(x) if sub.spec.family == "haar" else sub.evaluate_many(x)
+
+
+def _least_squares(sub: Basis, design: np.ndarray, response: np.ndarray) -> tuple:
+    """Least-squares coefficients of ``response`` on ``design`` rows and whether
+    the design has full rank.  A Haar fit is the per-cell mean, 0 in a cell
+    with no record: what lstsq's minimum-norm solution predicts there for the
+    orthogonal Haar design, whose rank is the number of cells with a record."""
+    if sub.spec.family == "haar":
+        counts = np.bincount(design, minlength=sub.k)
+        sums = np.bincount(design, response, sub.k)
+        return np.divide(sums, counts, out=np.zeros(sub.k), where=counts > 0), counts.all()
+    coef, _, rank, _ = np.linalg.lstsq(design, response, rcond=None)
+    return coef, rank == sub.k
+
+
+def _fitted(sub: Basis, design: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    return coef[design] if sub.spec.family == "haar" else design @ coef
+
+
 def series_designs(x: np.ndarray, basis: Basis, k_grid: list[int]) -> dict:
-    """Sub-basis and design matrix on ``x`` of each size in ``k_grid`` that
-    can be fit: a tensor size of the basis's family at most half the sample.
+    """Sub-basis and design (``_design``) on ``x`` of each size in ``k_grid``
+    that can be fit: a tensor size of the basis's family at most half the
+    sample.
     """
     designs = {}
     for k in k_grid:
@@ -55,7 +85,7 @@ def series_designs(x: np.ndarray, basis: Basis, k_grid: list[int]) -> dict:
                                         order=min(basis.spec.order, max(q - 1, 0))))
         except ValidationError:  # this family has no basis of q functions
             continue
-        designs[k] = (sub, sub.evaluate_many(x))
+        designs[k] = (sub, _design(sub, x))
     return designs
 
 
@@ -81,31 +111,32 @@ def series_fit(designs: dict, response: np.ndarray, folds: int, seed: int,
     fold_id = np.arange(n) % folds
     scores = {}
     for k in usable:
-        z = designs[k][1][rows]
+        sub, z = designs[k]
+        z = z[rows]
         if folds >= 2 and n >= 2 * folds:
             err = 0.0
             for f in range(folds):
                 test = order[fold_id == f]
                 train = order[fold_id != f]
-                coef, _, rank, _ = np.linalg.lstsq(z[train], response[train], rcond=None)
-                if rank < k:
+                coef, full_rank = _least_squares(sub, z[train], response[train])
+                if not full_rank:
                     break
-                resid = response[test] - z[test] @ coef
+                resid = response[test] - _fitted(sub, z[test], coef)
                 err += float(resid @ resid)
             else:
                 scores[k] = err / n
         else:
-            coef, _, _, _ = np.linalg.lstsq(z, response, rcond=None)
-            resid = response - z @ coef
+            coef, _ = _least_squares(sub, z, response)
+            resid = response - _fitted(sub, z, coef)
             scores[k] = float(resid @ resid) / n
     if not scores:
         raise ValidationError("all series sizes produced singular designs")
     k_best = min(scores, key=lambda k: (scores[k], k))
     sub, z = designs[k_best]
-    coef, _, _, _ = np.linalg.lstsq(z[rows], response, rcond=None)
+    coef, _ = _least_squares(sub, z[rows], response)
 
     def predict(pts):
-        return sub.evaluate_many(np.asarray(pts)) @ coef
+        return _fitted(sub, _design(sub, np.asarray(pts)), coef)
 
     return predict, k_best
 
@@ -123,23 +154,14 @@ def density_series(training: Dataset, basis: Basis, spec: FunctionalSpec,
     mass = float(np.mean(w))
     if mass <= 0.0:
         raise ValidationError("all |h1| weights are zero")
-    q = basis.spec.per_dim_size
-    d = basis.d
-    cells = np.minimum((training.x * q).astype(np.int64), q - 1)
-    flat = np.zeros(q**d)
-    strides = q ** np.arange(d - 1, -1, -1)
-    np.add.at(flat, cells @ strides, w)
-    dens = flat / training.n * q**d  # histogram density per cell
+    k = basis.spec.per_dim_size ** basis.d  # cells of the grid; k for Haar
+    dens = np.bincount(basis.cells(training.x), w, k) / training.n * k  # histogram density
     dens = np.maximum(dens, sigma_floor)
-    dens = dens * (mass / (np.mean(dens / q**d) * q**d))
+    dens = dens * (mass / (np.mean(dens / k) * k))
     dens = np.maximum(dens, sigma_floor)
 
     def g_hat(pts):
-        pts = np.asarray(pts)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        cell = np.minimum((pts * q).astype(np.int64), q - 1)
-        return dens[cell @ strides]
+        return dens[basis.cells(pts)]
 
     return g_hat
 
@@ -152,8 +174,8 @@ def fit_nuisances(spec: FunctionalSpec, training: Dataset, designs: dict, folds:
     (``spec.observed``) and that indicator on X over all records; the fitted
     propensity is clipped to [sigma_floor, 1] and inverted.  An arm with no
     ``observed`` regresses Y and A on X over all records.  Both fits use
-    ``designs``, the candidate designs that ``series_designs`` evaluated on
-    the training points.
+    ``designs``, the candidate designs that ``series_designs`` made on the
+    training points.
     """
     if spec.observed is None:
         b_hat, _ = series_fit(designs, training.y, folds, seed)

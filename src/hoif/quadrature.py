@@ -13,6 +13,9 @@ from functools import lru_cache
 import numpy as np
 
 
+STRIP_NODES = 1 << 16  # nodes per evaluation of an integrand in ``integrate``
+
+
 def default_nodes_per_dim(d: int) -> int:
     return 256 if d <= 2 else 64
 
@@ -47,6 +50,14 @@ def _grid_cached(nodes_per_dim: int, d: int) -> tuple[np.ndarray, float]:
 
 
 def integrate(f, d: int, quad: QuadratureSpec) -> float:
-    """Midpoint integral of ``f`` over [0,1]^d; f takes an (n, d) array."""
-    nodes, w = quad.grid(d)
-    return float(np.sum(f(nodes)) * w)
+    """Midpoint integral of ``f`` over [0,1]^d; f takes an (n, d) array.  The
+    nodes are made and ``f`` evaluated in strips of at most ``STRIP_NODES``
+    in row-major order, so no array of the whole grid is held or cached."""
+    n = quad.nodes_per_dim
+    x1 = (np.arange(n) + 0.5) / n
+    total = 0.0
+    for lo in range(0, n**d, STRIP_NODES):
+        flat = np.arange(lo, min(lo + STRIP_NODES, n**d))
+        nodes = x1[np.stack(np.unravel_index(flat, (n,) * d), axis=1)]
+        total += float(np.sum(f(nodes)))
+    return total * n ** (-d)

@@ -20,7 +20,7 @@ import numpy as np
 from hoif.basis import build_basis
 from hoif.data import Dataset, ValidationError, table_csv
 from hoif.estimator import EstimatorConfig, estimate
-from hoif.gram import GramMatrix, op_norm_distance, quadrature_gram
+from hoif.gram import GramMatrix, cell_quadrature_gram, op_norm_distance, quadrature_gram
 from hoif.quadrature import QuadratureSpec, basis_quadrature, default_nodes_per_dim, integrate
 
 QUAD_TOL = 1e-8
@@ -396,7 +396,8 @@ def run_study(scn: ScenarioSpec, cfg: EstimatorConfig, reps: int, seed: int,
         raise ValidationError("threads must be >= 1")
     psi = true_psi(scn)
     eff = _efficiency_bound(scn, psi)
-    ref_gram = quadrature_gram(build_basis(cfg.basis), weighted_density(scn),
+    population_gram = cell_quadrature_gram if cfg.basis.family == "haar" else quadrature_gram
+    ref_gram = population_gram(build_basis(cfg.basis), weighted_density(scn),
                                basis_quadrature(cfg.basis))
 
     def work(rep):

@@ -32,8 +32,16 @@ A per-row probe proposes the groups and one exact comparison accepts them;
 when every row is distinct (B-splines on a continuous X) or the comparison
 fails, the rows are used as they are, with the arithmetic of no grouping.
 
+Cell route (``cell_terms``): when the basis spans the indicators of k
+cells and the Gram is empirical, as for a Haar basis under ``emp``, the
+kernel z_i M z_j is 1[c_i = c_j] / m_c with m_c the cell's training mass,
+so every chain stays in one cell and each chain sum is a sum over cells
+of in-cell weight sums, with the same Moebius coefficients and binomial
+recombination: no Cholesky factor, tensor, einsum or ``order_plan``.
+``order_plan`` and ``PLAN_BYTES_MAX`` bound the tensor route alone.
+
 Exact in floating point up to accumulation error; an enumeration oracle
-(`brute_force_ifjj`) checks it at small n.
+(`brute_force_ifjj`) checks both routes at small n.
 """
 
 from __future__ import annotations
@@ -98,6 +106,21 @@ def set_partitions(items: list):
         yield [[first]] + part
 
 
+def _moebius(blocks: list) -> float:
+    """The Moebius coefficient prod_blocks (-1)^(|b|-1) (|b|-1)! of a partition."""
+    mob = 1.0
+    for b in blocks:
+        if len(b) > 1:
+            mob *= (-1.0) ** (len(b) - 1) * factorial(len(b) - 1)
+    return mob
+
+
+def _roles(block: list, length: int) -> str:
+    """The weight roles of a block's positions in a chain of ``length``, in
+    position order: p = eps_p (position 0), b = eps_b (the last), h = |h1|."""
+    return "".join("p" if pos == 0 else "b" if pos == length - 1 else "h" for pos in block)
+
+
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _KR_CHUNK = 1 << 22  # elements of one Khatri-Rao chunk in _weighted_outer_sum
 _BOOKKEEPING_BYTES = 1 << 18  # key tables, array headers, einsum parsing, ufunc buffers
@@ -121,11 +144,9 @@ def _chain_plan(length: int, k: int) -> tuple:
     """
     plan = []
     for blocks in set_partitions(list(range(length))):
-        mob, keys, letters = 1.0, [], []
+        mob, keys, letters = _moebius(blocks), [], []
         for b in blocks:
-            if len(b) > 1:
-                mob *= (-1.0) ** (len(b) - 1) * factorial(len(b) - 1)
-            roles = "".join("p" if pos == 0 else "b" if pos == length - 1 else "h" for pos in b)
+            roles = _roles(b, length)
             edges = [e for e in range(length - 1) if (e in b) != (e + 1 in b)]
             closed = sum(e in b and e + 1 in b for e in range(length - 1))
             keys.append((roles, closed, len(edges)))
@@ -312,9 +333,14 @@ def correction_terms(inputs: ChainInputs, m: int) -> list[float]:
     for t, plan in enumerate(plans):
         for mob, subs, path, ks, _ in plan:
             d[t] += mob * float(np.einsum(subs, *(table[b] for b in ks), optimize=path))
-    flip = -1.0 if inputs.sign_flag else 1.0
+    return _orders(d, n, inputs.sign_flag)
+
+
+def _orders(d: list[float], n: int, sign_flag: bool) -> list[float]:
+    """IF_22..IF_mm from the distinct chain sums d_0..d_{m-2} on n records."""
+    flip = -1.0 if sign_flag else 1.0
     terms = []
-    for j in range(2, m + 1):
+    for j in range(2, len(d) + 2):
         total = 0.0
         for t in range(j - 1):
             # the j-2-t identity factors leave dummy positions; count their
@@ -323,6 +349,71 @@ def correction_terms(inputs: ChainInputs, m: int) -> list[float]:
             total += coef * d[t] / perm(n, t + 2)
         terms.append((-1.0) ** (j - 1) * flip * total)
     return terms
+
+
+@dataclass(frozen=True)
+class CellInputs:
+    """The chain inputs of a basis whose span is the indicators of k cells
+    (Haar): residuals, weights and cell of each estimation record, and each
+    cell's training mass m_c (``gram.cell_mass``).  The projection kernel
+    z_i Omega^-1 z_j is then 1[c_i = c_j] / m_c."""
+
+    eps_p: np.ndarray  # (n,)
+    eps_b: np.ndarray  # (n,)
+    abs_h1: np.ndarray  # (n,)
+    cells: np.ndarray  # (n,) integers in [0, k)
+    mass: np.ndarray  # (k,), positive
+    sign_flag: bool
+
+    def __post_init__(self):
+        n = self.cells.shape[0]
+        for name in ("eps_p", "eps_b", "abs_h1"):
+            if getattr(self, name).shape != (n,):
+                raise ValueError(f"{name} must have length {n}")
+        if not np.all(self.mass > 0.0):
+            raise ValueError("cell masses must be positive")
+
+
+@lru_cache(maxsize=16)
+def _cell_plan(length: int) -> tuple:
+    """The Moebius inversion of one chain of ``length`` positions inside a
+    cell: every partition's blocks reduce to their role strings
+    (``_roles``), so partitions with the same multiset of role strings are
+    summed into one coefficient.  Returns (coefficient, role strings) pairs."""
+    coef = {}
+    for blocks in set_partitions(list(range(length))):
+        key = tuple(sorted(_roles(b, length) for b in blocks))
+        coef[key] = coef.get(key, 0.0) + _moebius(blocks)
+    return tuple((c, key) for key, c in coef.items() if c != 0.0)
+
+
+def cell_terms(inputs: CellInputs, m: int) -> list[float]:
+    """``correction_terms`` when the kernel is 1[c_i = c_j] / m_c.
+
+    Every chain with a nonzero kernel stays in one cell, and a chain of
+    t + 2 positions crosses t + 1 edges, so the distinct chain sum is
+    d_t = sum_c m_c^-(t+1) sum_partitions mu prod_blocks S_c(block), with
+    S_c the in-cell sum of the product of a block's weights (one
+    ``np.bincount`` per role string) and the Moebius coefficients and the
+    binomial recombination of ``correction_terms``.  No tensor is built, so
+    the cost is O(n) per role string plus cells times partitions, at any k.
+    """
+    if m < 2:
+        raise ValueError("order must be >= 2")
+    if m > M_MAX:
+        raise ValueError(f"order {m} exceeds the cap {M_MAX}")
+    n, k = inputs.cells.shape[0], inputs.mass.shape[0]
+    if n < m:
+        raise ValueError(f"need at least {m} records, got {n}")
+    plans = [_cell_plan(t + 2) for t in range(m - 1)]
+    weight = {"p": inputs.eps_p, "h": inputs.abs_h1, "b": inputs.eps_b}
+    sums = {roles: np.bincount(inputs.cells, reduce(np.multiply, (weight[r] for r in roles)), k)
+            for roles in dict.fromkeys(r for plan in plans for _, key in plan for r in key)}
+    d = []
+    for t, plan in enumerate(plans):
+        per_cell = sum(c * reduce(np.multiply, (sums[r] for r in key)) for c, key in plan)
+        d.append(float(per_cell @ inputs.mass ** -(t + 1)))
+    return _orders(d, n, inputs.sign_flag)
 
 
 BRUTE_FORCE_N_CAP = 30

@@ -2,9 +2,11 @@
 
 Exact Hoeffding variance and mean of a U-statistic under a discrete law,
 the unnormalized B-spline partition of unity, the best L2
-approximation error of a basis span, and the correction terms of
+approximation error of a basis span, the correction terms of
 ``ustat.correction_terms`` by its plan without the distinct-row grouping
-(float64) or over exactly distinct rows (long double).
+(float64) or over exactly distinct rows (long double), those of
+``ustat.cell_terms`` partition by partition (long double), and the series
+fit of ``nuisance.series_fit`` on dense designs by ``np.linalg.lstsq``.
 """
 
 from functools import reduce
@@ -15,7 +17,7 @@ import numpy as np
 from scipy.interpolate import BSpline
 
 from hoif import ustat
-from hoif.basis import Basis, _bspline_knots
+from hoif.basis import Basis, BasisSpec, _bspline_knots
 from hoif.quadrature import QuadratureSpec
 
 
@@ -188,3 +190,69 @@ def longdouble_terms(inputs: ustat.ChainInputs, m: int) -> list:
         for mob, subs, path, ks, _ in plan:
             d[t] += ld(mob) * np.einsum(subs, *(table[b] for b in ks), optimize=path)
     return _orders(d, inputs.n, m, inputs.sign_flag)
+
+
+def longdouble_cell_terms(inputs: ustat.CellInputs, m: int) -> list:
+    """The terms of ``ustat.cell_terms`` in ``np.longdouble``, every set
+    partition of every chain summed on its own (no partitions merged by their
+    role strings), each block's in-cell sum taken by ``np.add.at``: d_t =
+    sum_c m_c^-(t+1) sum_partitions mu prod_blocks S_c(block)."""
+    ld = np.longdouble
+    k = len(inputs.mass)
+    weight = {"p": inputs.eps_p.astype(ld), "h": inputs.abs_h1.astype(ld),
+              "b": inputs.eps_b.astype(ld)}
+    d = []
+    for t in range(m - 1):
+        length = t + 2
+        total = np.zeros(k, dtype=ld)
+        for blocks in ustat.set_partitions(list(range(length))):
+            term = np.full(k, ld(1))
+            for b in blocks:
+                w = reduce(np.multiply, (weight["p" if pos == 0 else "b" if pos == length - 1
+                                                else "h"] for pos in b))
+                s = np.zeros(k, dtype=ld)
+                np.add.at(s, inputs.cells, w)
+                term *= ld((-1) ** (len(b) - 1) * factorial(len(b) - 1)) * s
+            total += term
+        d.append(np.sum(total / inputs.mass.astype(ld) ** (t + 1)))
+    return _orders(d, len(inputs.cells), m, inputs.sign_flag)
+
+
+def lstsq_series_fit(x: np.ndarray, basis: Basis, k_grid: list, response: np.ndarray,
+                     folds: int, seed: int, rows=slice(None)):
+    """``nuisance.series_fit`` on ``nuisance.series_designs``' candidates as
+    dense designs: each candidate basis evaluated on x, every fit by
+    ``np.linalg.lstsq`` and a candidate skipped when a training fold's design
+    has rank below its size.  Returns (predict, k_chosen)."""
+    designs = {}
+    for k in k_grid:
+        q = round(k ** (1.0 / basis.d))
+        if k <= max(x.shape[0] // 2, 1) and q**basis.d == k:
+            sub = Basis(BasisSpec(basis.spec.family, basis.d, q,
+                                  order=min(basis.spec.order, max(q - 1, 0))))
+            designs[k] = (sub, sub.evaluate_many(x)[rows])
+    response = response[rows]
+    n = response.shape[0]
+    order = np.random.default_rng(seed).permutation(n)
+    fold_id = np.arange(n) % folds
+    scores = {}
+    for k, (_, z) in designs.items():
+        if k > max(n // 2, 1):
+            continue
+        if folds >= 2 and n >= 2 * folds:
+            err = 0.0
+            for f in range(folds):
+                test, train = order[fold_id == f], order[fold_id != f]
+                coef, _, rank, _ = np.linalg.lstsq(z[train], response[train], rcond=None)
+                if rank < k:
+                    break
+                err += float(np.sum((response[test] - z[test] @ coef) ** 2))
+            else:
+                scores[k] = err / n
+        else:
+            coef = np.linalg.lstsq(z, response, rcond=None)[0]
+            scores[k] = float(np.sum((response - z @ coef) ** 2)) / n
+    k_best = min(scores, key=lambda k: (scores[k], k))
+    sub, z = designs[k_best]
+    coef = np.linalg.lstsq(z, response, rcond=None)[0]
+    return (lambda pts: sub.evaluate_many(pts) @ coef), k_best

@@ -1,3 +1,4 @@
+import math
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -141,6 +142,17 @@ def test_oversized_ac_basis_refused_before_it_is_built(tmp_path, capsys):
         assert rc == EXIT_VALIDATION
         assert refusal in capsys.readouterr().err
         assert peak < 8 * 2**22
+
+
+def test_ac_gram_working_set_refused_before_any_fit(tmp_path, monkeypatch, capsys):
+    # k = 8192 on 8192 nodes: the design alone (512 MiB) is under its cap, but
+    # with the k x k Gram and eigh's eigenvectors (512 MiB each) the ac Gram
+    # needs 1.5 GiB, refused before any nuisance fit
+    monkeypatch.setattr(estimator, "fit_nuisances", lambda *a, **kw: pytest.fail("fitted"))
+    rc = main(["estimate", "--input", str(GOLDEN), "--out", str(tmp_path / "o"),
+               "--set", "variant=ac", "--set", "basis.per_dim_size=8192"])
+    assert rc == EXIT_VALIDATION
+    assert "needs 1610612736 bytes, over the cap of 1073741824" in capsys.readouterr().err
 
 
 def test_default_tuning_echoes_what_ran(tmp_path):
@@ -355,11 +367,12 @@ def test_cmd_estimate_validation_exit(tmp_path, capsys):
 
 
 def test_over_cap_order_refused_before_any_fit(tmp_path, monkeypatch, capsys):
-    # m=6 at k=64 plans 34909981656 bytes on the 250 estimation records: refused
-    # up front, whether or not the training Gram would invert (this one does
-    # not); a study names the same reason for the replications it loses
+    # m=6 at k=64 plans 34909981656 bytes of B-spline block tensors on the 250
+    # estimation records: refused up front, whether or not the training Gram
+    # would invert; a study names the same reason for the replications it loses
     monkeypatch.setattr(estimator, "fit_nuisances", lambda *a, **kw: pytest.fail("fitted"))
-    over = ["--set", "m=6", "--set", "basis.per_dim_size=64"]
+    over = ["--set", "m=6", "--set", "basis.per_dim_size=64",
+            "--set", "basis.family=bspline", "--set", "basis.order=2"]
     rc = main(["estimate", "--input", str(GOLDEN), "--out", str(tmp_path / "e"), *over])
     assert rc == EXIT_VALIDATION
     assert "order m=6 at k=64 plans 34909981656 bytes" in capsys.readouterr().err
@@ -368,6 +381,20 @@ def test_over_cap_order_refused_before_any_fit(tmp_path, monkeypatch, capsys):
     assert rc == EXIT_VALIDATION
     assert ("error: 2/2 replications failed, first: ValidationError: order m=6 at k=64 "
             "plans ") in capsys.readouterr().err
+
+
+def test_haar_emp_order_is_not_capped_by_the_plan(tmp_path, capsys):
+    # Haar emp takes its terms from per-cell sums, so the tensor plan that
+    # refuses m=6 at k=64 above does not apply: the estimate runs and fills
+    # every order's column
+    path = tmp_path / "d.csv"
+    dataset_to_csv(generate(SCENARIOS["s1-smooth-d1"], 4000, 3), path)
+    rc = main(["estimate", "--input", str(path), "--out", str(tmp_path / "o"),
+               "--set", "m=6", "--set", "basis.per_dim_size=64"])
+    assert rc == 0, capsys.readouterr().err
+    _, rows = cli._read_csv_rows(str(tmp_path / "o" / "report.csv"))
+    assert (rows[0]["k"], rows[0]["m"]) == ("64", "6")
+    assert all(math.isfinite(float(rows[0][f"per_order_{j}"])) for j in range(2, 7))
 
 
 def test_cmd_simulate_reproducible(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hoif.data import Dataset, ValidationError, dataset_from_csv, dataset_to_csv
 from hoif.basis import BasisSpec
+from hoif import quadrature
 from hoif.quadrature import QuadratureSpec, basis_quadrature, default_nodes_per_dim, integrate
 from hoif.sim import SCENARIOS, generate
 
@@ -198,6 +199,22 @@ def test_integrate_product_2d():
     quad = QuadratureSpec(128)
     got = integrate(lambda x: x[:, 0] * x[:, 1], 2, quad)
     assert got == pytest.approx(0.25, abs=1e-6)
+
+
+def test_integrate_in_strips(monkeypatch):
+    # a 1024^2 grid is evaluated in strips of at most STRIP_NODES nodes that
+    # cover every node once; a grid of one strip matches the whole-grid sum
+    sizes = []
+
+    def f(x):
+        sizes.append(len(x))
+        return x[:, 0] * x[:, 1] ** 2
+
+    got = integrate(f, 2, QuadratureSpec(1024))
+    assert max(sizes) <= quadrature.STRIP_NODES and sum(sizes) == 1024**2
+    assert got == pytest.approx(1.0 / 6.0 - 0.5 / (12 * 1024**2), rel=1e-12)
+    nodes, w = QuadratureSpec(64).grid(2)
+    assert integrate(f, 2, QuadratureSpec(64)) == float(np.sum(f(nodes)) * w)
 
 
 def test_default_nodes_shrink_with_dimension():

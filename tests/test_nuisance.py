@@ -12,6 +12,7 @@ from hoif.nuisance import (
     zero_nuisance,
 )
 from hoif.quadrature import QuadratureSpec, integrate
+from reference import lstsq_series_fit
 
 BASIS = build_basis(BasisSpec("haar", 1, 8))
 
@@ -198,9 +199,42 @@ def test_fit_nuisances_evaluates_each_design_once(monkeypatch):
     monkeypatch.setattr(Basis, "evaluate_many",
                         lambda self, x: calls.append(self.k) or original(self, x))
     data = make_training(400, seed=16)
-    designs = series_designs(data.x, BASIS, [1, 2, 4])
-    assert sorted(calls) == [1, 2, 4]
+    designs = series_designs(data.x, build_basis(BasisSpec("bspline", 1, 8, order=2)),
+                             [3, 4, 6])
+    assert sorted(calls) == [3, 4, 6]
     # both fits of either functional read the shared designs
     fit_nuisances(mar_mean_spec(), data, designs, folds=2)
     fit_nuisances(expected_cond_cov_spec(), data, designs, folds=2)
-    assert sorted(calls) == [1, 2, 4]
+    assert sorted(calls) == [3, 4, 6]
+    # Haar designs are the records' cells: neither the designs nor the fits
+    # nor their predictions evaluate the basis
+    designs = series_designs(data.x, BASIS, [1, 2, 4])
+    nuis = fit_nuisances(mar_mean_spec(), data, designs, folds=2)
+    nuis.b_hat(data.x), nuis.p_hat(data.x)
+    assert sorted(calls) == [3, 4, 6]
+
+
+@pytest.mark.parametrize("d,n,folds,masked,empty", [
+    (1, 600, 3, False, False),
+    (2, 800, 2, True, False),
+    (1, 9, 5, False, True),  # n < 2 * folds: no CV, and a cell without a record
+    (2, 900, 2, True, True),
+])
+def test_haar_cell_fit_matches_dense_lstsq(d, n, folds, masked, empty):
+    # the Haar fit from per-cell means chooses the k that dense designs and
+    # lstsq choose and predicts what they predict, 0 in an empty cell
+    rng = np.random.default_rng(60 + d + n)
+    x = rng.random((n, d))
+    if empty:  # no record with x_1 in [0.5, 0.75)
+        x[:, 0] = np.where((x[:, 0] >= 0.5) & (x[:, 0] < 0.75), x[:, 0] - 0.5, x[:, 0])
+    y = np.sin(3.0 * x.sum(axis=1)) + 0.3 * rng.normal(size=n)
+    rows = rng.random(n) < 0.7 if masked else slice(None)
+    basis = build_basis(BasisSpec("haar", d, 8))
+    grid = [1, 2**d, 4**d, 8**d]
+    fit, k = series_fit(series_designs(x, basis, grid), y, folds, seed=9, rows=rows)
+    ref_fit, ref_k = lstsq_series_fit(x, basis, grid, y, folds, seed=9, rows=rows)
+    assert k == ref_k
+    pts = (np.indices((16,) * d).reshape(d, -1).T + 0.5) / 16
+    np.testing.assert_allclose(fit(pts), ref_fit(pts), rtol=0, atol=1e-12)
+    if empty and n < 10:
+        assert k == 4 and np.all(fit(pts[(pts[:, 0] >= 0.5) & (pts[:, 0] < 0.75)]) == 0.0)

@@ -10,13 +10,17 @@ from hypothesis import strategies as st
 from hoif import ustat
 from hoif.basis import BasisSpec, build_basis
 from hoif.data import ValidationError
+from hoif.gram import cell_gram, invert_checked
 from hoif.ustat import (
+    CellInputs,
     ChainInputs,
     brute_force_ifjj,
+    cell_terms,
     correction_terms,
 )
 from reference import (
     hoeffding_variance,
+    longdouble_cell_terms,
     longdouble_terms,
     u_statistic_mean,
     ungrouped_terms,
@@ -359,6 +363,80 @@ def test_haar_rows_match_long_double(n, k, m, bound):
     assert set(widths) == {len(np.unique(inp.zmat, axis=0))} and widths[0] <= k
     for fast, ref in zip(terms, longdouble_terms(inp, m), strict=True):
         assert abs(fast - ref) <= bound * abs(ref)
+
+
+def haar_cell_inputs(rng, n, k):
+    # two-dimensional Haar at k = q^2: the estimation records' cells and a
+    # training draw's cell masses, and the same data as tensor-route inputs,
+    # the basis rows of those cells and the inverse of the Gram of the masses
+    basis = build_basis(BasisSpec("haar", 2, int(round(np.sqrt(k)))))
+    cells = basis.cells(rng.random((n, 2)))
+    mass = np.bincount(basis.cells(rng.random((n, 2))), rng.random(n), k) / n
+    rows = basis.cell_rows()
+    inverse = invert_checked(cell_gram(rows, mass, "empirical", n)).inverse
+    eps_p, eps_b, abs_h1 = rng.normal(size=n), rng.normal(size=n), rng.random(n)
+    return (CellInputs(eps_p, eps_b, abs_h1, cells, mass, False),
+            ChainInputs(eps_p, eps_b, abs_h1, rows[cells], inverse, False))
+
+
+@pytest.mark.parametrize("n,k,m,bound", [(10_000, 64, 5, 1e-11), (2000, 16, 6, 1e-10)])
+def test_cell_terms_match_the_tensor_route_and_long_double(n, k, m, bound):
+    # per order, relative: cell_terms against correction_terms on the same
+    # Haar data, and against long double, partition by partition
+    # (longdouble_cell_terms) and, where its k^(m-1) tensors are small, the
+    # tensor route's (longdouble_terms).  Each bound is ten times or more the
+    # worst error seen on four draws of this shape (9.3e-13 against long
+    # double and 1.0e-12 against the tensor route at m=5; 6.2e-12 and 9.8e-12
+    # at m=6, where the tensor route itself is 3.6e-12 from long double):
+    # the binomial recombination of the chain sums cancels more at each order
+    cell, chain = haar_cell_inputs(np.random.default_rng(43), n, k)
+    terms = cell_terms(cell, m)
+    refs = [correction_terms(chain, m), longdouble_cell_terms(cell, m)]
+    if k ** (m - 1) <= 16**5:
+        refs.append(longdouble_terms(chain, m))
+    for ref in refs:
+        for fast, want in zip(terms, ref, strict=True):
+            assert abs(fast - want) <= bound * abs(want)
+
+
+@st.composite
+def cell_instances(draw):
+    m = draw(st.integers(2, 6))
+    n = draw(st.integers(m, 8))
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cell = CellInputs(rng.normal(size=n), rng.normal(size=n), rng.random(n),
+                      rng.integers(k, size=n), 0.1 + rng.random(k), draw(st.booleans()))
+    return m, cell
+
+
+@settings(max_examples=80, deadline=None)
+@given(cell_instances())
+def test_cell_terms_match_brute_force(case):
+    # the kernel 1[c_i = c_j] / m_c is the chain kernel of indicator rows
+    # with the inverse Gram diag(1 / m_c): every order against the enumeration
+    m, cell = case
+    k = len(cell.mass)
+    chain = ChainInputs(cell.eps_p, cell.eps_b, cell.abs_h1, np.eye(k)[cell.cells],
+                        np.diag(1.0 / cell.mass), cell.sign_flag)
+    for j, fast in enumerate(cell_terms(cell, m), start=2):
+        ref = brute_force_ifjj(j, chain)
+        assert abs(fast - ref) <= 1e-10 * (1.0 + abs(ref))
+
+
+def test_cell_inputs_and_orders_refused():
+    rng = np.random.default_rng(3)
+    args = (rng.normal(size=5), rng.normal(size=5), rng.random(5), np.zeros(5, dtype=int))
+    with pytest.raises(ValueError, match="cell masses must be positive"):
+        CellInputs(*args, np.array([1.0, 0.0]), False)
+    with pytest.raises(ValueError, match="eps_b must have length 5"):
+        CellInputs(args[0], args[1][:4], *args[2:], np.ones(2), False)
+    cell = CellInputs(*args, np.ones(2), False)
+    for m in (1, 7):
+        with pytest.raises(ValueError):
+            cell_terms(cell, m)
+    with pytest.raises(ValueError, match="need at least 6 records"):
+        cell_terms(cell, 6)
 
 
 def test_order_limits():
