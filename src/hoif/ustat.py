@@ -292,6 +292,15 @@ def order_plan(n: int, k: int, m: int) -> tuple[dict, list]:
     return ranks, plans
 
 
+def _check_order(m: int, n: int):
+    if m < 2:
+        raise ValueError("order must be >= 2")
+    if m > M_MAX:
+        raise ValueError(f"order {m} exceeds the cap {M_MAX}")
+    if n < m:
+        raise ValueError(f"need at least {m} records, got {n}")
+
+
 def correction_terms(inputs: ChainInputs, m: int) -> list[float]:
     """Correction terms IF_22, ..., IF_mm: means of the chain kernel over
     distinct tuples.
@@ -305,13 +314,8 @@ def correction_terms(inputs: ChainInputs, m: int) -> list[float]:
     Cost grows with Bell(m) partitions of the longest chain, so m is capped
     at ``M_MAX`` and the plan's bytes by ``order_plan`` before any build.
     """
-    if m < 2:
-        raise ValueError("order must be >= 2")
-    if m > M_MAX:
-        raise ValueError(f"order {m} exceeds the cap {M_MAX}")
     n, k = inputs.n, inputs.k
-    if n < m:
-        raise ValueError(f"need at least {m} records, got {n}")
+    _check_order(m, n)
     ranks, plans = order_plan(n, k, m)
     rows, inverse = _distinct_rows(inputs.zmat)
     # omega_inv = L L^T, so every edge z_i omega_inv z_j^T is y_i . y_j
@@ -398,13 +402,8 @@ def cell_terms(inputs: CellInputs, m: int) -> list[float]:
     binomial recombination of ``correction_terms``.  No tensor is built, so
     the cost is O(n) per role string plus cells times partitions, at any k.
     """
-    if m < 2:
-        raise ValueError("order must be >= 2")
-    if m > M_MAX:
-        raise ValueError(f"order {m} exceeds the cap {M_MAX}")
     n, k = inputs.cells.shape[0], inputs.mass.shape[0]
-    if n < m:
-        raise ValueError(f"need at least {m} records, got {n}")
+    _check_order(m, n)
     plans = [_cell_plan(t + 2) for t in range(m - 1)]
     weight = {"p": inputs.eps_p, "h": inputs.abs_h1, "b": inputs.eps_b}
     sums = {roles: np.bincount(inputs.cells, reduce(np.multiply, (weight[r] for r in roles)), k)
