@@ -57,6 +57,13 @@ class BasisSpec:
     def k(self) -> int:
         return self.per_dim_size ** self.dimension
 
+    @property
+    def cellwise(self) -> bool:
+        """Whether the basis is constant on the cells of its uniform q^d grid
+        and spans their indicators (Haar): its Gram, series fits and
+        correction terms then come from per-cell sums."""
+        return self.family == "haar"
+
     def preset_id(self) -> str:
         if self.family == "haar":
             level = self.per_dim_size.bit_length() - 2  # q = 2**(L+1)
@@ -122,6 +129,10 @@ class Basis:
     @property
     def d(self) -> int:
         return self.spec.dimension
+
+    @property
+    def cellwise(self) -> bool:
+        return self.spec.cellwise
 
     def _univariate(self, xs: np.ndarray) -> np.ndarray:
         if self.spec.family == "haar":

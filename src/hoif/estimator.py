@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 
 import numpy as np
@@ -28,6 +28,7 @@ from hoif.gram import (
     InverseReport,
     cell_gram,
     cell_mass,
+    cell_plan,
     design_gram,
     design_quadrature_gram,
     invert_checked,
@@ -189,7 +190,7 @@ def default_tuning(n: int, variant: str, dimension: int = 1,
         k_raw = max(1, int(n / ln**3))
         m = math.ceil(math.sqrt(ln))
     k = realizable_k(k_raw, dimension, family)
-    if _cell_route(variant, family):
+    if _cell_route(variant, BasisSpec(family, dimension, 1)):
         return k, max(2, min(m, M_MAX))
     for m in range(min(m, M_MAX), 2, -1):
         with suppress(ValidationError):  # an order whose plan is over the cap
@@ -198,11 +199,11 @@ def default_tuning(n: int, variant: str, dimension: int = 1,
     return k, 2
 
 
-def _cell_route(variant: str, family: str) -> bool:
+def _cell_route(variant: str, spec: BasisSpec) -> bool:
     """Whether the Gram and the correction terms come from per-cell sums: the
-    empirical Gram of a Haar basis, whose span is the indicators of its
-    finest cells, so that its kernel is 1[c_i = c_j] / m_c."""
-    return variant == "emp" and family == "haar"
+    empirical Gram of a cellwise basis (Haar), whose span is the indicators
+    of its finest cells, so that its kernel is 1[c_i = c_j] / m_c."""
+    return variant == "emp" and spec.cellwise
 
 
 def realizable_k(k_raw: int, dimension: int, family: str = "haar") -> int:
@@ -242,7 +243,7 @@ def _training_fits(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSe
     none = [None] * len(specs)
     if cfg.m == 1:
         return nuisances, none, none
-    if _cell_route(cfg.variant, cfg.basis.family):
+    if _cell_route(cfg.variant, cfg.basis):
         cells, rows = basis.cells(training.x), basis.cell_rows()
         masses = [cell_mass(cells, basis.k, training, spec) for spec in specs]
         return nuisances, [cell_gram(rows, mass, "empirical", training.n)
@@ -264,7 +265,7 @@ def _run_fold(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSet] | 
         spec.check_h1_sign(est)
         spec.check_h1_sign(training)
     nuisances, grams, masses = _training_fits(specs, nuisances, training, cfg, basis)
-    cell_route = _cell_route(cfg.variant, cfg.basis.family)
+    cell_route = _cell_route(cfg.variant, cfg.basis)
     rows = None
     if cfg.m > 1:  # each record's cell on the cell route, its basis row otherwise
         rows = basis.cells(est.x) if cell_route else basis.evaluate_many(est.x)
@@ -276,10 +277,12 @@ def _run_fold(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSet] | 
             runs.append((if1, [], None))
             continue
         diag = invert_checked(gram, cfg.eigen_floor)
+        if diag.invertible and cell_route and not np.all(mass > 0.0):
+            # an empty training cell makes a cell-route Gram singular, whatever
+            # the rounding of its zero eigenvalue (an eigen_floor of 0 may pass it)
+            diag = replace(diag, inverse=None, invertible=False, condition_number=float("inf"))
         terms = None
-        # an empty training cell makes a cell-route Gram singular, whatever
-        # the rounding of its zero eigenvalue (an eigen_floor of 0 may pass it)
-        if diag.invertible and (not cell_route or np.all(mass > 0.0)):
+        if diag.invertible:
             res = fn.residuals(spec, est, bx, px)
             if cell_route:
                 terms = cell_terms(CellInputs(
@@ -333,8 +336,10 @@ def estimate_split(est: Dataset, training: Dataset, cfg: EstimatorConfig,
     if cfg.m > 1 and cfg.variant == "emp" and basis.k > n_est:
         raise ValidationError("basis size exceeds the estimation sample; the empirical "
                               "inverse covariance matrix does not exist")
-    if cfg.m > 1 and not _cell_route(cfg.variant, cfg.basis.family):
-        # an over-cap plan is refused before any fit
+    # an over-cap plan is refused before any fit
+    if cfg.m > 1 and _cell_route(cfg.variant, cfg.basis):
+        cell_plan(basis)
+    elif cfg.m > 1:
         order_plan(max(f_est.n for f_est, _ in folds), basis.k, cfg.m)
     if cfg.m > 1 and cfg.variant == "ac":
         quadrature_plan(basis, basis_quadrature(cfg.basis))

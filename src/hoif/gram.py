@@ -85,15 +85,24 @@ def cell_gram(rows: np.ndarray, mass: np.ndarray, source: str, n_used: int) -> G
     return _finish((rows.T * mass) @ rows, source, n_used)
 
 
+def _capped(planned: int, what: str) -> int:
+    """``planned`` bytes of ``what``, or a ValidationError if they pass ``PLAN_BYTES_MAX``."""
+    if planned > PLAN_BYTES_MAX:
+        raise ValidationError(f"{what} needs {planned} bytes, over the cap of {PLAN_BYTES_MAX}")
+    return planned
+
+
+def _nodes_of(basis: Basis, quad: QuadratureSpec) -> str:
+    return f"{quad.nodes_per_dim}^{basis.d} nodes at k={basis.k}"
+
+
 def node_design(basis: Basis, quad: QuadratureSpec) -> tuple[np.ndarray, float, np.ndarray]:
     """Nodes, cell weight and basis values of the rule ``quad``; a design
     over ``PLAN_BYTES_MAX`` bytes is refused before its grid is built."""
     if quad.nodes_per_dim < basis.spec.per_dim_size:
         raise ValidationError("quadrature node count below basis resolution")
-    nbytes = 8 * quad.nodes_per_dim ** basis.d * basis.k
-    if nbytes > PLAN_BYTES_MAX:
-        raise ValidationError(f"quadrature design of {quad.nodes_per_dim}^{basis.d} nodes at "
-                              f"k={basis.k} needs {nbytes} bytes, over the cap of {PLAN_BYTES_MAX}")
+    _capped(8 * quad.nodes_per_dim ** basis.d * basis.k,
+            f"quadrature design of {_nodes_of(basis, quad)}")
     nodes, w = quad.grid(basis.d)
     return nodes, w, basis.evaluate_many(nodes)
 
@@ -111,11 +120,13 @@ def _density(g, nodes: np.ndarray) -> np.ndarray:
 
 
 def cell_quadrature_gram(basis: Basis, g, quad: QuadratureSpec) -> GramMatrix:
-    """``quadrature_gram`` of a Haar basis, which is constant on its cells:
-    ``cell_gram`` of the nodes' summed weights per cell, with the basis
-    evaluated at its k cell centres and on no node."""
+    """``quadrature_gram`` of a cellwise basis (Haar), which is constant on
+    its cells: ``cell_gram`` of the nodes' summed weights per cell, with the
+    basis evaluated at its k cell centres and on no node; refused, before
+    anything is built, when ``cell_plan`` passes ``PLAN_BYTES_MAX``."""
     if quad.nodes_per_dim < basis.spec.per_dim_size:
         raise ValidationError("quadrature node count below basis resolution")
+    cell_plan(basis, quad)
     nodes, w = quad.grid(basis.d)
     mass = np.bincount(basis.cells(nodes), _density(g, nodes) * w, basis.k)
     return cell_gram(basis.cell_rows(), mass, "quadrature", nodes.shape[0])
@@ -133,12 +144,20 @@ def quadrature_plan(basis: Basis, quad: QuadratureSpec) -> int:
     ``quad``, the k x k Gram and ``eigh``'s eigenvectors of it; a
     ValidationError if they pass ``PLAN_BYTES_MAX``."""
     k, nodes = basis.k, quad.nodes_per_dim ** basis.d
-    planned = 8 * (nodes * k + 2 * k * k)
-    if planned > PLAN_BYTES_MAX:
-        raise ValidationError(f"quadrature design of {quad.nodes_per_dim}^{basis.d} nodes at "
-                              f"k={k} with its Gram and eigenvectors needs {planned} bytes, "
-                              f"over the cap of {PLAN_BYTES_MAX}")
-    return planned
+    return _capped(8 * (nodes * k + 2 * k * k),
+                   f"quadrature design of {_nodes_of(basis, quad)} with its Gram and eigenvectors")
+
+
+def cell_plan(basis: Basis, quad: QuadratureSpec | None = None) -> int:
+    """Bytes of a cell Gram's working set: the basis at the k cell centres,
+    the k x k Gram and ``eigh``'s eigenvectors of it, and with ``quad`` its
+    nodes' d coordinates, cell and weight; a ValidationError if they pass
+    ``PLAN_BYTES_MAX``."""
+    k = basis.k
+    if quad is None:
+        return _capped(8 * 3 * k * k, f"cell Gram at k={k} with its eigenvectors")
+    return _capped(8 * (quad.nodes_per_dim ** basis.d * (basis.d + 2) + 3 * k * k),
+                   f"cell quadrature of {_nodes_of(basis, quad)} with its Gram and eigenvectors")
 
 
 def invert_checked(m: GramMatrix, eigen_floor: float = DEFAULT_EIGEN_FLOOR) -> InverseReport:

@@ -45,18 +45,18 @@ def zero_nuisance() -> NuisanceSet:
 
 
 def _design(sub: Basis, x: np.ndarray) -> np.ndarray:
-    """The design of ``sub`` on the points x: for Haar, whose span is the
-    indicators of its cells, each point's cell (``Basis.cells``); otherwise
-    the (n, k) basis values."""
-    return sub.cells(x) if sub.spec.family == "haar" else sub.evaluate_many(x)
+    """The design of ``sub`` on the points x: for a cellwise basis (Haar),
+    whose span is the indicators of its cells, each point's cell
+    (``Basis.cells``); otherwise the (n, k) basis values."""
+    return sub.cells(x) if sub.cellwise else sub.evaluate_many(x)
 
 
 def _least_squares(sub: Basis, design: np.ndarray, response: np.ndarray) -> tuple:
     """Least-squares coefficients of ``response`` on ``design`` rows and whether
-    the design has full rank.  A Haar fit is the per-cell mean, 0 in a cell
-    with no record: what lstsq's minimum-norm solution predicts there for the
-    orthogonal Haar design, whose rank is the number of cells with a record."""
-    if sub.spec.family == "haar":
+    the design has full rank.  A cellwise fit is the per-cell mean, 0 in a
+    cell with no record: what lstsq's minimum-norm solution predicts there for
+    the orthogonal Haar design, whose rank is the number of cells with a record."""
+    if sub.cellwise:
         counts = np.bincount(design, minlength=sub.k)
         sums = np.bincount(design, response, sub.k)
         return np.divide(sums, counts, out=np.zeros(sub.k), where=counts > 0), counts.all()
@@ -65,7 +65,7 @@ def _least_squares(sub: Basis, design: np.ndarray, response: np.ndarray) -> tupl
 
 
 def _fitted(sub: Basis, design: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    return coef[design] if sub.spec.family == "haar" else design @ coef
+    return coef[design] if sub.cellwise else design @ coef
 
 
 def series_designs(x: np.ndarray, basis: Basis, k_grid: list[int]) -> dict:

@@ -396,9 +396,9 @@ def run_study(scn: ScenarioSpec, cfg: EstimatorConfig, reps: int, seed: int,
         raise ValidationError("threads must be >= 1")
     psi = true_psi(scn)
     eff = _efficiency_bound(scn, psi)
-    population_gram = cell_quadrature_gram if cfg.basis.family == "haar" else quadrature_gram
-    ref_gram = population_gram(build_basis(cfg.basis), weighted_density(scn),
-                               basis_quadrature(cfg.basis))
+    basis = build_basis(cfg.basis)
+    population_gram = cell_quadrature_gram if basis.cellwise else quadrature_gram
+    ref_gram = population_gram(basis, weighted_density(scn), basis_quadrature(cfg.basis))
 
     def work(rep):
         return _one_rep(scn, cfg, n, seed, rep, psi, nuisance_factory, ref_gram)

@@ -38,7 +38,8 @@ kernel z_i M z_j is 1[c_i = c_j] / m_c with m_c the cell's training mass,
 so every chain stays in one cell and each chain sum is a sum over cells
 of in-cell weight sums, with the same Moebius coefficients and binomial
 recombination: no Cholesky factor, tensor, einsum or ``order_plan``.
-``order_plan`` and ``PLAN_BYTES_MAX`` bound the tensor route alone.
+``order_plan`` bounds the tensor route alone; the cell route's k x k
+arrays are held to ``PLAN_BYTES_MAX`` by ``gram.cell_plan``.
 
 Exact in floating point up to accumulation error; an enumeration oracle
 (`brute_force_ifjj`) checks both routes at small n.
@@ -56,7 +57,7 @@ import numpy as np
 from hoif.data import ValidationError
 
 M_MAX = 6  # highest order: the chain plans grow with Bell(m) partitions
-PLAN_BYTES_MAX = 1 << 30  # block tensors plus one rank's build; also a quadrature design
+PLAN_BYTES_MAX = 1 << 30  # block tensors plus one rank's build; also the Gram working sets
 
 
 @dataclass(frozen=True)

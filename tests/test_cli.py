@@ -144,6 +144,21 @@ def test_oversized_ac_basis_refused_before_it_is_built(tmp_path, capsys):
         assert peak < 8 * 2**22
 
 
+def test_oversized_haar_study_refused_before_it_is_built(tmp_path, capsys):
+    # a Haar study builds its population Gram from per-cell quadrature sums;
+    # at q = 2^14 its k x k arrays, at q = 2^20 its nodes as well, pass the
+    # byte cap, refused before any array of k^2 entries or of the nodes
+    for q in (2**14, 2**20):
+        tracemalloc.start()
+        rc = main(["simulate", "--out", str(tmp_path / "s"), "--set", "scenario=s1-smooth-d1",
+                   "--set", "n=300", "--set", "reps=2", "--set", f"basis.per_dim_size={q}"])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert rc == EXIT_VALIDATION
+        assert f"cell quadrature of {q}^1 nodes at k={q}" in capsys.readouterr().err
+        assert peak < 8 * 2**22
+
+
 def test_ac_gram_working_set_refused_before_any_fit(tmp_path, monkeypatch, capsys):
     # k = 8192 on 8192 nodes: the design alone (512 MiB) is under its cap, but
     # with the k x k Gram and eigh's eigenvectors (512 MiB each) the ac Gram

@@ -129,6 +129,20 @@ def test_empty_training_cell_applies_the_zero_convention():
         cfg = EstimatorConfig(basis=BasisSpec("haar", 1, 4), m=3, eigen_floor=floor)
         rep = estimate_split(est, training, cfg)
         assert rep.zero_convention_applied and rep.per_order == [0.0, 0.0]
+        assert not rep.gram_diag.invertible and rep.gram_diag.inverse is None
+
+
+def test_oversized_cell_gram_refused_before_any_fit(monkeypatch):
+    # Haar emp at k = 8192 on 8192 estimation records: the cell rows, the
+    # Gram and eigh's eigenvectors (512 MiB each) pass the byte cap, so the
+    # estimate is refused before any nuisance fit or k x k array
+    monkeypatch.setattr("hoif.estimator.fit_nuisances", lambda *a, **kw: pytest.fail("fitted"))
+    rng = np.random.default_rng(0)
+    data = Dataset(rng.random((8192, 1)), np.ones(8192), rng.random(8192))
+    cfg = EstimatorConfig(basis=BasisSpec("haar", 1, 8192), m=2)
+    with pytest.raises(ValidationError, match="cell Gram at k=8192 with its eigenvectors "
+                       "needs 1610612736 bytes, over the cap of 1073741824"):
+        estimate_split(data, data, cfg)
 
 
 def test_k_exceeding_estimation_sample_rejected():
