@@ -295,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="higher-order influence function estimation toolkit",
     )
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for replications")
+                        help="workers for simulate's replications "
+                             "(forked processes when >= 2)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_est = sub.add_parser("estimate", help="estimate a functional from a CSV")

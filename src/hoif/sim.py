@@ -10,7 +10,7 @@ Monte Carlo.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, replace
 from functools import cache
 from typing import Callable
@@ -350,8 +350,7 @@ def _rep_seed(master: int, rep: int) -> int:
 
 
 def _one_rep(scn: ScenarioSpec, cfg: EstimatorConfig, n: int, master: int,
-             rep: int, psi_true: float, nuisance_factory,
-             ref_gram: GramMatrix) -> dict:
+             rep: int, nuisance_factory, ref_gram: GramMatrix) -> dict:
     seed = _rep_seed(master, rep)
     row = {"rep": rep, "variant": cfg.variant, "k": cfg.k, "m": cfg.m,
            "seed": seed, "error": ""}
@@ -362,21 +361,70 @@ def _one_rep(scn: ScenarioSpec, cfg: EstimatorConfig, n: int, master: int,
         rep_out = estimate(data, run_cfg, nuisance_override=override)
         diag = rep_out.gram_diag  # fold 0's first arm; None when m = 1
         op = None if diag is None else op_norm_distance(diag.gram, ref_gram)
-        covered = ""
-        if np.isfinite(rep_out.ci_low) and np.isfinite(rep_out.ci_high):
-            covered = int(rep_out.ci_low <= psi_true <= rep_out.ci_high)
         row.update(
             psi_hat=rep_out.psi_hat, psi_1=rep_out.psi_1,
             variance_est=rep_out.variance_est,
             ci_low=rep_out.ci_low, ci_high=rep_out.ci_high,
             zero_convention=int(rep_out.zero_convention_applied),
-            op_dist=op, covered=covered,
+            op_dist=op,
         )
     except (ValidationError, np.linalg.LinAlgError) as exc:
         # bad data or numerics: recorded per row, fatal only in bulk; any
         # other exception is a programming error and fails the study
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
+
+
+# The running study's replication function.  Forked workers inherit it and
+# receive only replication indices, so scenario lambdas and nuisance
+# factories are never pickled; one process forks for one study at a time.
+_study_rep = None
+
+
+def _forked_rep(rep: int) -> dict:
+    return _study_rep(rep)
+
+
+def _exit_with_parent():
+    """Worker initializer: end this worker as soon as the process that forked
+    it has gone, even when that process was killed before it could stop it."""
+    import multiprocessing
+    import threading
+
+    parent = multiprocessing.parent_process()
+    threading.Thread(target=lambda: (parent.join(), os._exit(1)), daemon=True).start()
+
+
+def _map_reps(work, reps: int, threads: int, meanwhile):
+    """``[work(r) for r in range(reps)]`` and ``meanwhile()``.  With threads
+    >= 2 and ``fork`` available, ``min(threads, reps)`` forked worker
+    processes run the replications while this process runs ``meanwhile``;
+    otherwise both run here, ``meanwhile`` first."""
+    if threads > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            global _study_rep
+            _study_rep = work
+            pool = ProcessPoolExecutor(min(threads, reps),
+                                       mp_context=multiprocessing.get_context("fork"),
+                                       initializer=_exit_with_parent)
+            try:
+                pending = pool.map(_forked_rep, range(reps))
+                side = meanwhile()
+                return list(pending), side
+            finally:
+                pool.shutdown(cancel_futures=True)
+                _study_rep = None
+    side = meanwhile()
+    return [work(rep) for rep in range(reps)], side
+
+
+def _truth(scn: ScenarioSpec) -> tuple[float, float]:
+    psi = true_psi(scn)
+    return psi, _efficiency_bound(scn, psi)
 
 
 def run_study(scn: ScenarioSpec, cfg: EstimatorConfig, reps: int, seed: int,
@@ -387,24 +435,27 @@ def run_study(scn: ScenarioSpec, cfg: EstimatorConfig, reps: int, seed: int,
     seed by position, making the output independent of scheduling.  The
     dataset, split and folds of a replication depend only on (scenario, n,
     seed, rep), so two studies with the same scenario, n and seed compare
-    their configurations on identical draws.
+    their configurations on identical draws.  With ``threads`` >= 2 the
+    replications run in up to that many forked worker processes, while
+    this process computes the target and the efficiency bound.
     """
     validate_scenario(scn)
     if reps < 2:
         raise ValidationError("reps must be >= 2")
     if threads < 1:
         raise ValidationError("threads must be >= 1")
-    psi = true_psi(scn)
-    eff = _efficiency_bound(scn, psi)
     basis = build_basis(cfg.basis)
     population_gram = cell_quadrature_gram if basis.cellwise else quadrature_gram
     ref_gram = population_gram(basis, weighted_density(scn), basis_quadrature(cfg.basis))
 
     def work(rep):
-        return _one_rep(scn, cfg, n, seed, rep, psi, nuisance_factory, ref_gram)
+        return _one_rep(scn, cfg, n, seed, rep, nuisance_factory, ref_gram)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = list(pool.map(work, range(reps)))
+    rows, (psi, eff) = _map_reps(work, reps, threads, lambda: _truth(scn))
+    for row in rows:
+        if not row["error"]:
+            finite = np.isfinite(row["ci_low"]) and np.isfinite(row["ci_high"])
+            row["covered"] = int(row["ci_low"] <= psi <= row["ci_high"]) if finite else ""
 
     ok = [r for r in rows if not r["error"]]
     errors = [r["error"] for r in rows if r["error"]]

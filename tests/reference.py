@@ -5,8 +5,10 @@ the unnormalized B-spline partition of unity, the best L2
 approximation error of a basis span, the correction terms of
 ``ustat.correction_terms`` by its plan without the distinct-row grouping
 (float64) or over exactly distinct rows (long double), those of
-``ustat.cell_terms`` partition by partition (long double), and the series
-fit of ``nuisance.series_fit`` on dense designs by ``np.linalg.lstsq``.
+``ustat.cell_terms`` partition by partition (long double), the series
+fit of ``nuisance.series_fit`` on dense designs by ``np.linalg.lstsq``, and
+the midpoint integral of ``quadrature.integrate`` with each strip's nodes
+gathered from their flat indices.
 """
 
 from functools import reduce
@@ -18,7 +20,7 @@ from scipy.interpolate import BSpline
 
 from hoif import ustat
 from hoif.basis import Basis, BasisSpec, _bspline_knots
-from hoif.quadrature import QuadratureSpec
+from hoif.quadrature import STRIP_NODES, QuadratureSpec
 
 
 def _symmetrize(kernel: np.ndarray) -> np.ndarray:
@@ -256,3 +258,17 @@ def lstsq_series_fit(x: np.ndarray, basis: Basis, k_grid: list, response: np.nda
     sub, z = designs[k_best]
     coef = np.linalg.lstsq(z, response, rcond=None)[0]
     return (lambda pts: sub.evaluate_many(pts) @ coef), k_best
+
+
+def unravel_integrate(f, d: int, quad: QuadratureSpec) -> float:
+    """``quadrature.integrate`` with the same strips, each strip's nodes
+    gathered from the midpoints by ``np.unravel_index`` of its flat indices
+    (row-major, C-ordered nodes)."""
+    n = quad.nodes_per_dim
+    x1 = (np.arange(n) + 0.5) / n
+    total = 0.0
+    for lo in range(0, n**d, STRIP_NODES):
+        flat = np.arange(lo, min(lo + STRIP_NODES, n**d))
+        nodes = x1[np.stack(np.unravel_index(flat, (n,) * d), axis=1)]
+        total += float(np.sum(f(nodes)))
+    return total * n ** (-d)

@@ -11,6 +11,7 @@ from hoif.basis import BasisSpec
 from hoif import quadrature
 from hoif.quadrature import QuadratureSpec, basis_quadrature, default_nodes_per_dim, integrate
 from hoif.sim import SCENARIOS, generate
+from reference import unravel_integrate
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -215,6 +216,31 @@ def test_integrate_in_strips(monkeypatch):
     assert got == pytest.approx(1.0 / 6.0 - 0.5 / (12 * 1024**2), rel=1e-12)
     nodes, w = QuadratureSpec(64).grid(2)
     assert integrate(f, 2, QuadratureSpec(64)) == float(np.sum(f(nodes)) * w)
+
+
+@pytest.mark.parametrize("d,n", [(1, 3), (1, 96), (1, 300), (2, 3), (2, 96), (2, 300),
+                                 (2, 1024), (3, 3), (3, 96), (3, 70)])
+def test_integrate_matches_the_unravel_construction(d, n):
+    # the strips' nodes, and so every sum, are bit-identical to gathering
+    # each strip from its flat indices, also where STRIP_NODES is not a
+    # multiple of the grid (300^2, 96^3 and 70^3 nodes) or of a run
+    seen = {"new": [], "old": []}
+
+    def recorder(key):
+        def f(x):
+            seen[key].append(x.copy())
+            return x[:, 0] * np.sin(x[:, -1]) + x.sum(axis=1) ** 2
+        return f
+
+    quad = QuadratureSpec(n)
+    assert integrate(recorder("new"), d, quad) == unravel_integrate(
+        recorder("old"), d, quad)
+    assert len(seen["new"]) == len(seen["old"]) == -(-n**d // quadrature.STRIP_NODES)
+    for new, old in zip(seen["new"], seen["old"]):
+        np.testing.assert_array_equal(new, old)
+    # an integrand that returns a view of the nodes sums the same too
+    column = lambda x: x[:, 0]  # noqa: E731
+    assert integrate(column, d, quad) == unravel_integrate(column, d, quad)
 
 
 def test_default_nodes_shrink_with_dimension():

@@ -306,3 +306,16 @@ def test_haar_estimate_loads_no_scipy(tmp_path):
                           timeout=120, env=env)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    # simulate imports the process pool when it forks workers; a bare
+    # import of the CLI, which every command pays, must not load it
+    script = ("import sys, hoif.cli\n"
+              "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')"
+              " if m in sys.modules))\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

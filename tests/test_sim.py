@@ -1,6 +1,13 @@
 import csv
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +18,7 @@ from hoif.basis import BasisSpec, build_basis
 from hoif.data import ValidationError
 from hoif.estimator import EstimatorConfig, estimate
 from hoif.gram import cell_quadrature_gram, op_norm_distance, quadrature_gram
-from hoif.nuisance import zero_nuisance
+from hoif.nuisance import NuisanceSet, zero_nuisance
 from hoif.quadrature import basis_quadrature
 from hoif.sim import (
     SCENARIOS,
@@ -24,16 +31,16 @@ from hoif.sim import (
     weighted_density,
 )
 
-# frozen truth and efficiency-bound values; computed once by the checked
-# quadrature and pinned so any scenario drift fails loudly
+# frozen truth and efficiency-bound values, bit for bit; computed once by the
+# checked quadrature and pinned so any scenario or quadrature drift fails loudly
 FROZEN = {
-    "s1-smooth-d1": (0.433333333333, 0.374490924352),
-    "s2-smooth-d2": (0.428444444444, 0.415238740952),
-    "s3-holder-d2": (0.5, 0.392360112483),
-    "s4-span-exact": (0.45, 0.4725),
-    "s4-ate": (0.15, 0.919166666667),
-    "s5-ecc-indep": (0.0, 0.057471666667),
-    "ecc-corr": (0.075, 0.054846666667),
+    "s1-smooth-d1": (0.43333333333333335, 0.37449092435154774),
+    "s2-smooth-d2": (0.42844444444443797, 0.4152387409522961),
+    "s3-holder-d2": (0.5, 0.39236011248349034),
+    "s4-span-exact": (0.4499999999999999, 0.4725000000000001),
+    "s4-ate": (0.15000000000000002, 0.9191666666666665),
+    "s5-ecc-indep": (0.0, 0.057471666666665124),
+    "ecc-corr": (0.075, 0.05484666666666514),
 }
 
 
@@ -51,9 +58,7 @@ def constant_scenario(pi_val=1.0, b_val=0.5):
 @pytest.mark.parametrize("sid", sorted(FROZEN))
 def test_frozen_truth_and_bound(sid):
     scn = SCENARIOS[sid]
-    psi, eff = FROZEN[sid]
-    assert true_psi(scn) == pytest.approx(psi, abs=1e-9)
-    assert efficiency_bound(scn) == pytest.approx(eff, abs=1e-9)
+    assert (true_psi(scn), efficiency_bound(scn)) == FROZEN[sid]
 
 
 def test_scenario_registry_complete():
@@ -217,11 +222,99 @@ def test_run_study_same_draws_for_every_configuration():
 
 
 def test_run_study_thread_invariance():
-    scn = SCENARIOS["s1-smooth-d1"]
-    r1 = run_study(scn, study_cfg(), reps=6, seed=2, n=300, threads=1)
-    r4 = run_study(scn, study_cfg(), reps=6, seed=2, n=300, threads=4)
-    assert r1.rows_csv() == r4.rows_csv()
-    assert r1.aggregates_csv() == r4.aggregates_csv()
+    # at threads >= 2 forked workers run the replications; they inherit the
+    # study, so a factory closing over a local (which pickle refuses) runs,
+    # the bytes match threads=1 and no worker outlives the call
+    scale = 0.9
+
+    def oracle_factory(scn, cfg):
+        return NuisanceSet(b_hat=lambda x: scale * scn.b(x), p_hat=lambda x: 1.0 / scn.pi(x))
+
+    scn, cfg = SCENARIOS["s2-smooth-d2"], EstimatorConfig(basis=BasisSpec("haar", 2, 4), m=3)
+    r1, r2, r4 = (run_study(scn, cfg, reps=7, seed=11, n=400, threads=t,
+                            nuisance_factory=oracle_factory) for t in (1, 2, 4))
+    assert multiprocessing.active_children() == []
+    assert r1.rows_csv() == r2.rows_csv() == r4.rows_csv()
+    assert r1.aggregates_csv() == r2.aggregates_csv() == r4.aggregates_csv()
+    assert r1.aggregate["reps_ok"] == 7 and r1.aggregate["coverage"] is not None
+
+
+def test_forked_programming_error_fails_the_study():
+    # the error is raised in a worker, so it is chosen by the replication's
+    # seed: a call counter would count in each worker separately
+    bad_seed = sim._rep_seed(1, 4)
+
+    def buggy_factory(scn, cfg):
+        if cfg.seed == bad_seed:
+            raise TypeError("unsupported operand")
+        return zero_nuisance()
+
+    with pytest.raises(TypeError, match="unsupported operand"):
+        run_study(SCENARIOS["s1-smooth-d1"], study_cfg(), reps=30, seed=1, n=100,
+                  threads=2, nuisance_factory=buggy_factory)
+    assert multiprocessing.active_children() == []
+
+
+def test_truth_failure_during_a_forked_study_leaves_no_worker(monkeypatch):
+    # the target is computed while the workers run; its failure still fails
+    # the study, after the workers are shut down
+    def unconverged(scn):
+        raise ValidationError("quadrature did not converge")
+
+    monkeypatch.setattr(sim, "true_psi", unconverged)
+    with pytest.raises(ValidationError, match="did not converge"):
+        run_study(SCENARIOS["s1-smooth-d1"], study_cfg(), reps=6, seed=2, n=300, threads=2)
+    assert multiprocessing.active_children() == []
+
+
+_KILLED_STUDY = """
+import os, sys, time
+from hoif.basis import BasisSpec
+from hoif.estimator import EstimatorConfig
+from hoif.nuisance import zero_nuisance
+from hoif.sim import SCENARIOS, run_study
+
+def factory(scn, cfg):
+    open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+    time.sleep(0.05)
+    return zero_nuisance()
+
+run_study(SCENARIOS["s1-smooth-d1"], EstimatorConfig(basis=BasisSpec("haar", 1, 4), m=2),
+          reps=2000, seed=1, n=100, threads=2, nuisance_factory=factory)
+"""
+
+
+def _running(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_workers_exit_when_the_study_process_is_killed(tmp_path):
+    # a study killed by a signal it cannot handle never shuts its pool down;
+    # the workers must notice and exit rather than wait for work forever
+    env = {**os.environ, "PYTHONPATH": str(Path(sim.__file__).resolve().parent.parent)}
+    proc = subprocess.Popen([sys.executable, "-c", _KILLED_STUDY, str(tmp_path)], env=env)
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and time.monotonic() < deadline and proc.poll() is None:
+            time.sleep(0.05)
+            workers = [int(p.name) for p in tmp_path.iterdir()]
+        assert len(workers) == 2
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 10
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, workers))
+    finally:
+        proc.kill()
+        for pid in filter(_running, workers):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_run_study_cross_fit_uses_nuisance_factory():
