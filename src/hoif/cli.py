@@ -295,8 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="higher-order influence function estimation toolkit",
     )
     parser.add_argument("--threads", type=int, default=1,
-                        help="workers for simulate's replications "
-                             "(forked processes when >= 2)")
+                        help="processes that run simulate, this one included: "
+                             "T >= 2 forks T-1 workers, and this process runs "
+                             "replications once the target and the efficiency "
+                             "bound are done; the output is the same for any T")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_est = sub.add_parser("estimate", help="estimate a functional from a CSV")

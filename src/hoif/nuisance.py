@@ -89,14 +89,45 @@ def series_designs(x: np.ndarray, basis: Basis, k_grid: list[int]) -> dict:
     return designs
 
 
-def series_fit(designs: dict, response: np.ndarray, folds: int, seed: int,
-               rows=slice(None)):
-    """Least-squares series fit with fold-averaged squared-error selection.
+def _cell_folds(order: np.ndarray, fold_id: np.ndarray, folds: int) -> tuple:
+    """The records of the per-fold cross-validation loop, in the order that
+    loop visits them, for all folds at once: the fold and record of each
+    training entry, fold by fold; the fold and record of each test entry,
+    fold by fold; and where each fold's test entries end."""
+    train_fold, at = np.nonzero(fold_id != np.arange(folds)[:, None])
+    by_fold = np.argsort(fold_id, kind="stable")
+    ends = np.cumsum(np.bincount(fold_id, minlength=folds))
+    return train_fold, order[at], fold_id[by_fold], order[by_fold], ends
+
+
+def _cell_cv_error(k: int, cells: np.ndarray, response: np.ndarray, train_fold,
+                   train, test_fold, test, ends):
+    """Squared test error, summed over the folds of ``_cell_folds``, of the
+    per-cell-mean fit on ``k`` cells; None when a training fold leaves a cell
+    without a record.  Bit for bit the per-fold loop: every (fold, cell) bin
+    adds the same values in the same order, and each fold's residuals are
+    one contiguous array, as the loop's are."""
+    bins = train_fold * k + cells[train]
+    counts = np.bincount(bins, minlength=ends.shape[0] * k)
+    if not counts.all():
+        return None
+    coef = np.bincount(bins, response[train], counts.shape[0]) / counts
+    resid = response[test] - coef[test_fold * k + cells[test]]
+    err = 0.0
+    for part in np.split(resid, ends[:-1]):
+        err += float(part @ part)
+    return err
+
+
+def series_scores(designs: dict, response: np.ndarray, folds: int, seed: int,
+                  rows=slice(None)) -> dict:
+    """Fold-averaged squared error of each candidate size (k -> score).
 
     ``designs`` comes from ``series_designs`` on the training points and
-    ``rows`` selects the records to fit.  Returns (predict, k_chosen).
-    Sizes that exceed half the fitted records or hit a singular design are
-    skipped; an error is raised only when every candidate fails.
+    ``rows`` selects the records to fit.  Sizes that exceed half the fitted
+    records or hit a singular design have no score.  With fewer than two
+    folds, or fewer than two records per fold, the score is the in-sample
+    error.
     """
     response = response[rows]
     n = response.shape[0]
@@ -109,11 +140,22 @@ def series_fit(designs: dict, response: np.ndarray, folds: int, seed: int,
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     fold_id = np.arange(n) % folds
+    plan = None
     scores = {}
     for k in usable:
         sub, z = designs[k]
         z = z[rows]
-        if folds >= 2 and n >= 2 * folds:
+        if folds < 2 or n < 2 * folds:
+            coef, _ = _least_squares(sub, z, response)
+            resid = response - _fitted(sub, z, coef)
+            scores[k] = float(resid @ resid) / n
+        elif sub.cellwise:
+            if plan is None:
+                plan = _cell_folds(order, fold_id, folds)
+            err = _cell_cv_error(sub.k, z, response, *plan)
+            if err is not None:
+                scores[k] = err / n
+        else:
             err = 0.0
             for f in range(folds):
                 test = order[fold_id == f]
@@ -125,15 +167,23 @@ def series_fit(designs: dict, response: np.ndarray, folds: int, seed: int,
                 err += float(resid @ resid)
             else:
                 scores[k] = err / n
-        else:
-            coef, _ = _least_squares(sub, z, response)
-            resid = response - _fitted(sub, z, coef)
-            scores[k] = float(resid @ resid) / n
+    return scores
+
+
+def series_fit(designs: dict, response: np.ndarray, folds: int, seed: int,
+               rows=slice(None)):
+    """Least-squares series fit of the size with the least ``series_scores``
+    score (the smaller size on a tie).
+
+    Returns (predict, k_chosen).  An error is raised only when every
+    candidate fails.
+    """
+    scores = series_scores(designs, response, folds, seed, rows)
     if not scores:
         raise ValidationError("all series sizes produced singular designs")
     k_best = min(scores, key=lambda k: (scores[k], k))
     sub, z = designs[k_best]
-    coef, _ = _least_squares(sub, z[rows], response)
+    coef, _ = _least_squares(sub, z[rows], response[rows])
 
     def predict(pts):
         return _fitted(sub, _design(sub, np.asarray(pts)), coef)

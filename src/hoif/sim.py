@@ -376,18 +376,15 @@ def _one_rep(scn: ScenarioSpec, cfg: EstimatorConfig, n: int, master: int,
 
 
 # The running study's replication function.  Forked workers inherit it and
-# receive only replication indices, so scenario lambdas and nuisance
-# factories are never pickled; one process forks for one study at a time.
+# take only replication indices from a shared counter, so scenario lambdas
+# and nuisance factories are never pickled; one process forks for one study
+# at a time.
 _study_rep = None
 
 
-def _forked_rep(rep: int) -> dict:
-    return _study_rep(rep)
-
-
 def _exit_with_parent():
-    """Worker initializer: end this worker as soon as the process that forked
-    it has gone, even when that process was killed before it could stop it."""
+    """End this worker as soon as the process that forked it has gone, even
+    when that process was killed before it could stop it."""
     import multiprocessing
     import threading
 
@@ -395,31 +392,91 @@ def _exit_with_parent():
     threading.Thread(target=lambda: (parent.join(), os._exit(1)), daemon=True).start()
 
 
+def _drain(work, counter, reps: int) -> list:
+    """``(rep, work(rep))`` for each replication this process takes from the
+    shared counter, until the counter passes the last replication."""
+    done = []
+    while True:
+        with counter.get_lock():
+            rep = counter.value
+            counter.value = rep + 1
+        if rep >= reps:
+            return done
+        done.append((rep, work(rep)))
+
+
+def _worker(counter, reps: int, conn):
+    """A forked worker's body: send this worker's ``_drain`` pairs, or, on an
+    error, exhaust the counter so that nobody takes more work and send the
+    exception with its traceback."""
+    _exit_with_parent()
+    try:
+        conn.send(_drain(_study_rep, counter, reps))
+    except Exception as exc:
+        import traceback
+
+        with counter.get_lock():
+            counter.value = reps
+        conn.send((exc, traceback.format_exc()))
+
+
 def _map_reps(work, reps: int, threads: int, meanwhile):
     """``[work(r) for r in range(reps)]`` and ``meanwhile()``.  With threads
-    >= 2 and ``fork`` available, ``min(threads, reps)`` forked worker
-    processes run the replications while this process runs ``meanwhile``;
-    otherwise both run here, ``meanwhile`` first."""
+    >= 2 and ``fork`` available, ``min(threads - 1, reps)`` forked worker
+    processes start on the replications while this process runs
+    ``meanwhile``; then this process joins them on the same replication
+    counter until none is left.  Otherwise both run here, ``meanwhile``
+    first."""
     if threads > 1:
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-
-            global _study_rep
-            _study_rep = work
-            pool = ProcessPoolExecutor(min(threads, reps),
-                                       mp_context=multiprocessing.get_context("fork"),
-                                       initializer=_exit_with_parent)
-            try:
-                pending = pool.map(_forked_rep, range(reps))
-                side = meanwhile()
-                return list(pending), side
-            finally:
-                pool.shutdown(cancel_futures=True)
-                _study_rep = None
+            return _forked_map(work, reps, min(threads - 1, reps), meanwhile,
+                               multiprocessing.get_context("fork"))
     side = meanwhile()
     return [work(rep) for rep in range(reps)], side
+
+
+def _forked_map(work, reps: int, workers: int, meanwhile, ctx):
+    global _study_rep
+    _study_rep = work
+    counter = ctx.Value("q", 0)
+    procs, conns = [], []
+    try:
+        for _ in range(workers):
+            recv, send = ctx.Pipe(duplex=False)
+            conns.append(recv)
+            proc = ctx.Process(target=_worker, args=(counter, reps, send))
+            proc.start()
+            procs.append(proc)
+            send.close()
+        side = meanwhile()
+        parts = [_drain(work, counter, reps)]
+        for proc, conn in zip(procs, conns):
+            try:
+                part = conn.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"study worker {proc.pid} exited with code "
+                                   f"{proc.exitcode} before sending its rows") from None
+            if isinstance(part, tuple):
+                exc, trace = part
+                raise exc from RuntimeError(f"in a study worker:\n{trace}")
+            parts.append(part)
+        rows = [None] * reps
+        for part in parts:
+            for rep, row in part:
+                rows[rep] = row
+        return rows, side
+    finally:
+        for proc in procs:
+            proc.kill()
+        for proc in procs:
+            proc.join()
+            proc.close()
+        for conn in conns:
+            conn.close()
+        _study_rep = None
 
 
 def _truth(scn: ScenarioSpec) -> tuple[float, float]:
@@ -436,8 +493,9 @@ def run_study(scn: ScenarioSpec, cfg: EstimatorConfig, reps: int, seed: int,
     dataset, split and folds of a replication depend only on (scenario, n,
     seed, rep), so two studies with the same scenario, n and seed compare
     their configurations on identical draws.  With ``threads`` >= 2 the
-    replications run in up to that many forked worker processes, while
-    this process computes the target and the efficiency bound.
+    study runs on up to that many processes: ``threads - 1`` forked workers
+    start on the replications while this process computes the target and
+    the efficiency bound, then this process takes replications too.
     """
     validate_scenario(scn)
     if reps < 2:

@@ -6,8 +6,8 @@ approximation error of a basis span, the correction terms of
 ``ustat.correction_terms`` by its plan without the distinct-row grouping
 (float64) or over exactly distinct rows (long double), those of
 ``ustat.cell_terms`` partition by partition (long double), the series
-fit of ``nuisance.series_fit`` on dense designs by ``np.linalg.lstsq``, and
-the midpoint integral of ``quadrature.integrate`` with each strip's nodes
+fit of ``nuisance.series_fit`` on dense designs by ``np.linalg.lstsq`` and
+with a cross-validation loop over the folds, and the midpoint integral of ``quadrature.integrate`` with each strip's nodes
 gathered from their flat indices.
 """
 
@@ -19,6 +19,7 @@ import numpy as np
 from scipy.interpolate import BSpline
 
 from hoif import ustat
+from hoif.nuisance import _design, _fitted, _least_squares
 from hoif.basis import Basis, BasisSpec, _bspline_knots
 from hoif.quadrature import STRIP_NODES, QuadratureSpec
 
@@ -258,6 +259,42 @@ def lstsq_series_fit(x: np.ndarray, basis: Basis, k_grid: list, response: np.nda
     sub, z = designs[k_best]
     coef = np.linalg.lstsq(z, response, rcond=None)[0]
     return (lambda pts: sub.evaluate_many(pts) @ coef), k_best
+
+
+def loop_series_fit(designs: dict, response: np.ndarray, folds: int, seed: int,
+                    rows=slice(None)):
+    """``nuisance.series_fit`` with every candidate scored by a loop over the
+    folds, each fold fitted from its own training records.  Returns
+    (predict, k_chosen, scores)."""
+    response = response[rows]
+    n = response.shape[0]
+    usable = [k for k in designs if k <= max(n // 2, 1)]
+    order = np.random.default_rng(seed).permutation(n)
+    fold_id = np.arange(n) % folds
+    scores = {}
+    for k in usable:
+        sub, z = designs[k]
+        z = z[rows]
+        if folds >= 2 and n >= 2 * folds:
+            err = 0.0
+            for f in range(folds):
+                test = order[fold_id == f]
+                train = order[fold_id != f]
+                coef, full_rank = _least_squares(sub, z[train], response[train])
+                if not full_rank:
+                    break
+                resid = response[test] - _fitted(sub, z[test], coef)
+                err += float(resid @ resid)
+            else:
+                scores[k] = err / n
+        else:
+            coef, _ = _least_squares(sub, z, response)
+            resid = response - _fitted(sub, z, coef)
+            scores[k] = float(resid @ resid) / n
+    k_best = min(scores, key=lambda k: (scores[k], k))
+    sub, z = designs[k_best]
+    coef, _ = _least_squares(sub, z[rows], response)
+    return (lambda pts: _fitted(sub, _design(sub, pts), coef)), k_best, scores
 
 
 def unravel_integrate(f, d: int, quad: QuadratureSpec) -> float:

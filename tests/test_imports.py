@@ -309,8 +309,8 @@ def test_haar_estimate_loads_no_scipy(tmp_path):
 
 
 def test_cli_import_loads_no_process_pool():
-    # simulate imports the process pool when it forks workers; a bare
-    # import of the CLI, which every command pays, must not load it
+    # simulate imports multiprocessing when it forks workers; a bare import
+    # of the CLI, which every command pays, must not load it
     script = ("import sys, hoif.cli\n"
               "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')"
               " if m in sys.modules))\n")

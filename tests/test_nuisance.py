@@ -9,10 +9,11 @@ from hoif.nuisance import (
     fit_nuisances,
     series_designs,
     series_fit,
+    series_scores,
     zero_nuisance,
 )
 from hoif.quadrature import QuadratureSpec, integrate
-from reference import lstsq_series_fit
+from reference import loop_series_fit, lstsq_series_fit
 
 BASIS = build_basis(BasisSpec("haar", 1, 8))
 
@@ -238,3 +239,36 @@ def test_haar_cell_fit_matches_dense_lstsq(d, n, folds, masked, empty):
     np.testing.assert_allclose(fit(pts), ref_fit(pts), rtol=0, atol=1e-12)
     if empty and n < 10:
         assert k == 4 and np.all(fit(pts[(pts[:, 0] >= 0.5) & (pts[:, 0] < 0.75)]) == 0.0)
+
+
+@pytest.mark.parametrize("binary", [True, False])
+@pytest.mark.parametrize("folds", [2, 3, 4, 5])
+@pytest.mark.parametrize("masked,lone", [(False, False), (True, False), (True, True)])
+def test_haar_cv_matches_the_fold_loop_bit_for_bit(binary, folds, masked, lone):
+    # the cell route scores all folds from two bincounts; it adds the same
+    # values in the same order as a loop fitting each fold, so the scores,
+    # the chosen k and the predictions are equal, not close.  ``lone`` leaves
+    # one record in a cell of the finest candidate: the fold that tests it
+    # has no training record there, and that candidate gets no score
+    rng = np.random.default_rng(70 + folds)
+    n = 700
+    x = rng.random((n, 2))
+    if lone:  # the cell [0, 1/8)^2 of the 8x8 grid holds record 0 only
+        x[1:] = np.where((x[1:] < 0.125).all(axis=1)[:, None], x[1:] + 0.125, x[1:])
+        x[0] = [0.05, 0.05]
+    signal = np.sin(4.0 * x[:, 0]) * np.cos(3.0 * x[:, 1])
+    y = ((rng.random(n) < 0.5 + 0.4 * signal) if binary
+         else signal + 0.3 * rng.normal(size=n)).astype(float)
+    rows = rng.random(n) < 0.8 if masked else slice(None)
+    if lone:
+        rows[0] = True
+    designs = series_designs(x, build_basis(BasisSpec("haar", 2, 8)), [1, 4, 16, 64])
+    fit, k = series_fit(designs, y, folds, seed=folds, rows=rows)
+    ref_fit, ref_k, ref_scores = loop_series_fit(designs, y, folds, seed=folds, rows=rows)
+    scores = series_scores(designs, y, folds, seed=folds, rows=rows)
+    assert scores == ref_scores and 16 in scores
+    if lone:
+        assert 64 not in scores
+    assert k == ref_k
+    pts = (np.indices((16, 16)).reshape(2, -1).T + 0.5) / 16
+    np.testing.assert_array_equal(fit(pts), ref_fit(pts))

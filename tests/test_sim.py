@@ -1,6 +1,5 @@
 import csv
 import math
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -185,6 +184,13 @@ def study_cfg():
     return EstimatorConfig(basis=BasisSpec("haar", 1, 4), m=2, nuisance_method="zero")
 
 
+def assert_no_child_left():
+    # raw OS children, reaped or not: waitpid returns (0, 0) for a running
+    # child and reaps a finished one that nobody waited for
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_run_study_rmse_identity_and_schema():
     scn = SCENARIOS["s4-span-exact"]
     cfg = EstimatorConfig(basis=BasisSpec("haar", 1, 4), m=2,
@@ -222,9 +228,10 @@ def test_run_study_same_draws_for_every_configuration():
 
 
 def test_run_study_thread_invariance():
-    # at threads >= 2 forked workers run the replications; they inherit the
-    # study, so a factory closing over a local (which pickle refuses) runs,
-    # the bytes match threads=1 and no worker outlives the call
+    # at threads >= 2 forked workers run replications beside the study
+    # process; they inherit the study, so a factory closing over a local
+    # (which pickle refuses) runs, the bytes match threads=1 and no worker
+    # outlives the call
     scale = 0.9
 
     def oracle_factory(scn, cfg):
@@ -233,7 +240,7 @@ def test_run_study_thread_invariance():
     scn, cfg = SCENARIOS["s2-smooth-d2"], EstimatorConfig(basis=BasisSpec("haar", 2, 4), m=3)
     r1, r2, r4 = (run_study(scn, cfg, reps=7, seed=11, n=400, threads=t,
                             nuisance_factory=oracle_factory) for t in (1, 2, 4))
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     assert r1.rows_csv() == r2.rows_csv() == r4.rows_csv()
     assert r1.aggregates_csv() == r2.aggregates_csv() == r4.aggregates_csv()
     assert r1.aggregate["reps_ok"] == 7 and r1.aggregate["coverage"] is not None
@@ -252,19 +259,19 @@ def test_forked_programming_error_fails_the_study():
     with pytest.raises(TypeError, match="unsupported operand"):
         run_study(SCENARIOS["s1-smooth-d1"], study_cfg(), reps=30, seed=1, n=100,
                   threads=2, nuisance_factory=buggy_factory)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_truth_failure_during_a_forked_study_leaves_no_worker(monkeypatch):
     # the target is computed while the workers run; its failure still fails
-    # the study, after the workers are shut down
+    # the study, after the workers are killed and reaped
     def unconverged(scn):
         raise ValidationError("quadrature did not converge")
 
     monkeypatch.setattr(sim, "true_psi", unconverged)
     with pytest.raises(ValidationError, match="did not converge"):
         run_study(SCENARIOS["s1-smooth-d1"], study_cfg(), reps=6, seed=2, n=300, threads=2)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 _KILLED_STUDY = """
@@ -294,8 +301,8 @@ def _running(pid: int) -> bool:
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
 def test_workers_exit_when_the_study_process_is_killed(tmp_path):
-    # a study killed by a signal it cannot handle never shuts its pool down;
-    # the workers must notice and exit rather than wait for work forever
+    # a study killed by a signal it cannot handle never kills its workers;
+    # they must notice and exit rather than run the study to its end
     env = {**os.environ, "PYTHONPATH": str(Path(sim.__file__).resolve().parent.parent)}
     proc = subprocess.Popen([sys.executable, "-c", _KILLED_STUDY, str(tmp_path)], env=env)
     workers = []
@@ -304,7 +311,9 @@ def test_workers_exit_when_the_study_process_is_killed(tmp_path):
         while len(workers) < 2 and time.monotonic() < deadline and proc.poll() is None:
             time.sleep(0.05)
             workers = [int(p.name) for p in tmp_path.iterdir()]
-        assert len(workers) == 2
+        # threads=2: the study process and one forked worker run replications
+        assert len(workers) == 2 and proc.pid in workers
+        workers.remove(proc.pid)
         proc.kill()
         proc.wait()
         deadline = time.monotonic() + 10
@@ -315,6 +324,51 @@ def test_workers_exit_when_the_study_process_is_killed(tmp_path):
         proc.kill()
         for pid in filter(_running, workers):
             os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.parametrize("threads,reps,workers", [(2, 6, 1), (3, 6, 2), (5, 3, 3)])
+def test_forked_study_runs_on_threads_processes(monkeypatch, tmp_path, threads, reps, workers):
+    # threads - 1 workers (at most one per replication) are forked, and the
+    # study process takes replications once its integrals are done; the
+    # workers sleep so that some are left for it when reps exceeds them
+    real_fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    study_pid = os.getpid()
+
+    def factory(scn, cfg):
+        (tmp_path / f"{cfg.seed}-{os.getpid()}").touch()
+        if os.getpid() != study_pid:
+            time.sleep(0.2)
+        return zero_nuisance()
+
+    result = run_study(SCENARIOS["s1-smooth-d1"], study_cfg(), reps=reps, seed=3, n=100,
+                       threads=threads, nuisance_factory=factory)
+    assert_no_child_left()
+    assert len(forks) == workers
+    assert result.aggregate["reps_ok"] == reps
+    pids = [int(f.name.split("-")[1]) for f in tmp_path.iterdir()]
+    assert len(pids) == reps
+    if reps > workers:
+        assert study_pid in pids
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_forked_map_of_many_items_keeps_order_and_does_not_block():
+    # 20 000 indices are more than a pipe holds, and so is the worker's reply:
+    # neither may be written where nobody reads yet
+    def timeout(signum, frame):
+        raise TimeoutError("_map_reps blocked")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(60)
+    try:
+        rows, side = sim._map_reps(lambda rep: rep, 20_000, 2, lambda: "side")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert_no_child_left()
+    assert side == "side"
+    assert rows == list(range(20_000))
 
 
 def test_run_study_cross_fit_uses_nuisance_factory():
