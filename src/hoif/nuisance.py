@@ -89,19 +89,23 @@ def series_designs(x: np.ndarray, basis: Basis, k_grid: list[int]) -> dict:
     return designs
 
 
-def _cell_folds(order: np.ndarray, fold_id: np.ndarray, folds: int) -> tuple:
+def _cell_folds(order: np.ndarray, fold_id: np.ndarray, folds: int,
+                response: np.ndarray) -> tuple:
     """The records of the per-fold cross-validation loop, in the order that
     loop visits them, for all folds at once: the fold and record of each
-    training entry, fold by fold; the fold and record of each test entry,
-    fold by fold; and where each fold's test entries end."""
+    training entry and its response, fold by fold; the same for each test
+    entry; and where each fold's test entries end."""
     train_fold, at = np.nonzero(fold_id != np.arange(folds)[:, None])
-    by_fold = np.argsort(fold_id, kind="stable")
-    ends = np.cumsum(np.bincount(fold_id, minlength=folds))
-    return train_fold, order[at], fold_id[by_fold], order[by_fold], ends
+    tests = [order[f::folds] for f in range(folds)]  # order[fold_id == f]
+    sizes = [t.shape[0] for t in tests]
+    test = np.concatenate(tests)
+    train = order[at]
+    return (train_fold, train, response[train], np.repeat(np.arange(folds), sizes),
+            test, response[test], np.cumsum(sizes))
 
 
-def _cell_cv_error(k: int, cells: np.ndarray, response: np.ndarray, train_fold,
-                   train, test_fold, test, ends):
+def _cell_cv_error(k: int, cells: np.ndarray, train_fold, train, train_response,
+                   test_fold, test, test_response, ends):
     """Squared test error, summed over the folds of ``_cell_folds``, of the
     per-cell-mean fit on ``k`` cells; None when a training fold leaves a cell
     without a record.  Bit for bit the per-fold loop: every (fold, cell) bin
@@ -111,11 +115,12 @@ def _cell_cv_error(k: int, cells: np.ndarray, response: np.ndarray, train_fold,
     counts = np.bincount(bins, minlength=ends.shape[0] * k)
     if not counts.all():
         return None
-    coef = np.bincount(bins, response[train], counts.shape[0]) / counts
-    resid = response[test] - coef[test_fold * k + cells[test]]
-    err = 0.0
-    for part in np.split(resid, ends[:-1]):
-        err += float(part @ part)
+    coef = np.bincount(bins, train_response, counts.shape[0]) / counts
+    resid = test_response - coef[test_fold * k + cells[test]]
+    err, lo = 0.0, 0
+    for hi in ends.tolist():
+        err += float(resid[lo:hi] @ resid[lo:hi])
+        lo = hi
     return err
 
 
@@ -151,8 +156,8 @@ def series_scores(designs: dict, response: np.ndarray, folds: int, seed: int,
             scores[k] = float(resid @ resid) / n
         elif sub.cellwise:
             if plan is None:
-                plan = _cell_folds(order, fold_id, folds)
-            err = _cell_cv_error(sub.k, z, response, *plan)
+                plan = _cell_folds(order, fold_id, folds, response)
+            err = _cell_cv_error(sub.k, z, *plan)
             if err is not None:
                 scores[k] = err / n
         else:
