@@ -354,8 +354,8 @@ def test_forked_study_runs_on_threads_processes(monkeypatch, tmp_path, threads, 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
 def test_forked_map_of_many_items_keeps_order_and_does_not_block():
-    # 20 000 indices are more than a pipe holds, and so is the worker's reply:
-    # neither may be written where nobody reads yet
+    # 20 000 indices are more than a pipe holds, as the worker's reply may be:
+    # neither may be written before somebody reads it
     def timeout(signum, frame):
         raise TimeoutError("_map_reps blocked")
 
