@@ -4,10 +4,13 @@ The full estimate is the one-step (first-order) estimator plus the
 higher-order U-statistic corrections of orders 2..m, with the inverse Gram
 taken either from the empirical training-sample covariance (variant
 ``emp``, the main path) or from quadrature against an estimated density
-(variant ``ac``).  The average treatment effect is the difference of two
-arm estimates, and cross-fitting averages the estimate over the two ways
-of assigning the halves of the split.  A Gram that fails the
-invertibility check maps the whole estimate to zero by convention.
+(variant ``ac``).  A cellwise basis (Haar) takes both from per-cell masses,
+whatever the variant, and its corrections from ``ustat.cell_terms``; other
+bases (B-splines) from the basis rows and ``ustat.correction_terms``.  The
+average treatment effect is the difference of two arm estimates, and
+cross-fitting averages the estimate over the two ways of assigning the
+halves of the split.  A Gram that fails the invertibility check maps the
+whole estimate to zero by convention.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from hoif.gram import (
     cell_gram,
     cell_mass,
     cell_plan,
+    cell_quadrature_mass,
     design_gram,
     design_quadrature_gram,
     invert_checked,
@@ -177,8 +181,9 @@ def default_tuning(n: int, variant: str, dimension: int = 1,
 
     emp: k = n/(ln n)^3, m = sqrt(ln n); ac: k = n/(ln n)^2, m = ln n.
     k is rounded down to the nearest realizable tensor size q**dimension; m is
-    clamped to [2, M_MAX] and, unless per-cell sums serve (``_cell_route``),
-    lowered, not below 2, until ``order_plan`` fits.
+    clamped to [2, M_MAX] and, unless the basis is cellwise (Haar, whose
+    terms come from per-cell sums), lowered, not below 2, until
+    ``order_plan`` fits.
     """
     if n < 8:
         raise ValidationError("n must be >= 8 for the tuning rules")
@@ -190,20 +195,13 @@ def default_tuning(n: int, variant: str, dimension: int = 1,
         k_raw = max(1, int(n / ln**3))
         m = math.ceil(math.sqrt(ln))
     k = realizable_k(k_raw, dimension, family)
-    if _cell_route(variant, BasisSpec(family, dimension, 1)):
+    if BasisSpec(family, dimension, 1).cellwise:
         return k, max(2, min(m, M_MAX))
     for m in range(min(m, M_MAX), 2, -1):
         with suppress(ValidationError):  # an order whose plan is over the cap
             order_plan(n, k, m)
             return k, m
     return k, 2
-
-
-def _cell_route(variant: str, spec: BasisSpec) -> bool:
-    """Whether the Gram and the correction terms come from per-cell sums: the
-    empirical Gram of a cellwise basis (Haar), whose span is the indicators
-    of its finest cells, so that its kernel is 1[c_i = c_j] / m_c."""
-    return variant == "emp" and spec.cellwise
 
 
 def realizable_k(k_raw: int, dimension: int, family: str = "haar") -> int:
@@ -226,11 +224,13 @@ def confidence_interval(psi_hat: float, variance_est: float, level: float) -> tu
 def _training_fits(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSet] | None,
                    training: Dataset, cfg: EstimatorConfig, basis: Basis
                    ) -> tuple[list, list, list]:
-    """Every arm's nuisances, Gram (None if m = 1) and, on the cell route, the
-    cell masses its Gram is built from (None otherwise).  The basis is
-    evaluated on the training sample once, for the k-grid designs, of which
-    the one of the basis's own size, if the grid has it, is also the Gram
-    design; Haar designs and the cell route evaluate it on no record."""
+    """Every arm's nuisances, Gram (None if m = 1) and, for a cellwise basis
+    (Haar), the cell masses its Gram is built from (None otherwise): the
+    training masses under ``emp``, the quadrature integrals of the density
+    estimate over the cells under ``ac``.  Otherwise the basis is evaluated
+    on the training sample once, for the k-grid designs, of which the one of
+    the basis's own size, if the grid has it, is also the Gram design; Haar
+    designs and Grams evaluate it on no record and on no node."""
     designs = {}
     if nuisances is None:
         if cfg.nuisance_method == "zero":
@@ -243,11 +243,19 @@ def _training_fits(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSe
     none = [None] * len(specs)
     if cfg.m == 1:
         return nuisances, none, none
-    if _cell_route(cfg.variant, cfg.basis):
-        cells, rows = basis.cells(training.x), basis.cell_rows()
-        masses = [cell_mass(cells, basis.k, training, spec) for spec in specs]
-        return nuisances, [cell_gram(rows, mass, "empirical", training.n)
-                           for mass in masses], masses
+    if cfg.basis.cellwise:
+        if cfg.variant == "emp":
+            cells = basis.cells(training.x)
+            masses = [cell_mass(cells, basis.k, training, spec) for spec in specs]
+            source, n_used = "empirical", training.n
+        else:
+            quad = basis_quadrature(cfg.basis)
+            masses = [cell_quadrature_mass(
+                basis, density_series(training, basis, spec, cfg.sigma_floor), quad)
+                for spec in specs]
+            source, n_used = "quadrature", quad.nodes_per_dim ** basis.d
+        rows = basis.cell_rows()
+        return nuisances, [cell_gram(rows, mass, source, n_used) for mass in masses], masses
     if cfg.variant == "emp":
         shared = designs.get(basis.k)  # a candidate of size k has the basis's values
         z = shared[1] if shared else basis.evaluate_many(training.x)
@@ -265,7 +273,7 @@ def _run_fold(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSet] | 
         spec.check_h1_sign(est)
         spec.check_h1_sign(training)
     nuisances, grams, masses = _training_fits(specs, nuisances, training, cfg, basis)
-    cell_route = _cell_route(cfg.variant, cfg.basis)
+    cell_route = cfg.basis.cellwise
     rows = None
     if cfg.m > 1:  # each record's cell on the cell route, its basis row otherwise
         rows = basis.cells(est.x) if cell_route else basis.evaluate_many(est.x)
@@ -337,12 +345,13 @@ def estimate_split(est: Dataset, training: Dataset, cfg: EstimatorConfig,
         raise ValidationError("basis size exceeds the estimation sample; the empirical "
                               "inverse covariance matrix does not exist")
     # an over-cap plan is refused before any fit
-    if cfg.m > 1 and _cell_route(cfg.variant, cfg.basis):
-        cell_plan(basis)
+    quad = basis_quadrature(cfg.basis) if cfg.variant == "ac" else None
+    if cfg.m > 1 and basis.cellwise:
+        cell_plan(basis, quad)
     elif cfg.m > 1:
         order_plan(max(f_est.n for f_est, _ in folds), basis.k, cfg.m)
-    if cfg.m > 1 and cfg.variant == "ac":
-        quadrature_plan(basis, basis_quadrature(cfg.basis))
+        if quad is not None:
+            quadrature_plan(basis, quad)
     runs = [_run_fold(specs, overrides, f_est, f_tr, cfg, basis) for f_est, f_tr in folds]
 
     zero = any(terms is None for fold in runs for _, terms, _ in fold)

@@ -4,7 +4,11 @@ Three Gram variants appear in the pipeline: the population matrix built by
 quadrature against the true weighted density g, the same quadrature against
 an estimated density (the density-based comparison path), and the empirical
 training-sample average of |h1|-weighted outer products (the main path,
-which needs no density estimate).
+which needs no density estimate).  For a cellwise basis (Haar) each of the
+three is B^T diag(m_c) B (``cell_gram``) of its per-cell masses: the
+training mass (``cell_mass``) or the quadrature integral of the density
+over the cell (``cell_quadrature_mass``); other bases (B-splines) take
+theirs from the basis evaluated on the records or on the nodes.
 """
 
 from __future__ import annotations
@@ -119,17 +123,24 @@ def _density(g, nodes: np.ndarray) -> np.ndarray:
     return gv
 
 
-def cell_quadrature_gram(basis: Basis, g, quad: QuadratureSpec) -> GramMatrix:
-    """``quadrature_gram`` of a cellwise basis (Haar), which is constant on
-    its cells: ``cell_gram`` of the nodes' summed weights per cell, with the
-    basis evaluated at its k cell centres and on no node; refused, before
-    anything is built, when ``cell_plan`` passes ``PLAN_BYTES_MAX``."""
+def cell_quadrature_mass(basis: Basis, g, quad: QuadratureSpec) -> np.ndarray:
+    """The quadrature integral of g over each of the k cells of a cellwise
+    basis (Haar): the nodes' g-weighted weights summed per cell, one
+    ``np.bincount``; refused, before anything is built, when ``cell_plan``
+    passes ``PLAN_BYTES_MAX``."""
     if quad.nodes_per_dim < basis.spec.per_dim_size:
         raise ValidationError("quadrature node count below basis resolution")
     cell_plan(basis, quad)
     nodes, w = quad.grid(basis.d)
-    mass = np.bincount(basis.cells(nodes), _density(g, nodes) * w, basis.k)
-    return cell_gram(basis.cell_rows(), mass, "quadrature", nodes.shape[0])
+    return np.bincount(basis.cells(nodes), _density(g, nodes) * w, basis.k)
+
+
+def cell_quadrature_gram(basis: Basis, g, quad: QuadratureSpec) -> GramMatrix:
+    """``quadrature_gram`` of a cellwise basis (Haar), which is constant on
+    its cells: ``cell_gram`` of ``cell_quadrature_mass``, with the basis
+    evaluated at its k cell centres, after the masses, and on no node."""
+    mass = cell_quadrature_mass(basis, g, quad)  # capped before the k x k rows
+    return cell_gram(basis.cell_rows(), mass, "quadrature", quad.nodes_per_dim ** basis.d)
 
 
 def design_quadrature_gram(design: tuple, g) -> GramMatrix:

@@ -24,22 +24,16 @@ blocks of one rank r differ only in their weights w, so one build per
 rank serves them all: a single Khatri-Rao factor over the sorted index
 tuples of r-1 axes, C(k+r-2, r-1) columns instead of k^(r-1).
 
-Samples whose basis rows are equal bit for bit share one whitened row, so
-each block sums its weights per distinct row and is built over those rows
-alone.  A piecewise-constant basis such as Haar takes at most one row per
-finest cell (k rows at most), and a discrete X repeats rows under any basis.
-A per-row probe proposes the groups and one exact comparison accepts them;
-when every row is distinct (B-splines on a continuous X) or the comparison
-fails, the rows are used as they are, with the arithmetic of no grouping.
-
 Cell route (``cell_terms``): when the basis spans the indicators of k
-cells and the Gram is empirical, as for a Haar basis under ``emp``, the
-kernel z_i M z_j is 1[c_i = c_j] / m_c with m_c the cell's training mass,
-so every chain stays in one cell and each chain sum is a sum over cells
-of in-cell weight sums, with the same Moebius coefficients and binomial
-recombination: no Cholesky factor, tensor, einsum or ``order_plan``.
-``order_plan`` bounds the tensor route alone; the cell route's k x k
-arrays are held to ``PLAN_BYTES_MAX`` by ``gram.cell_plan``.
+cells, as a Haar basis does, its Gram is B^T diag(m_c) B with B the
+square, invertible matrix of its rows at the cells and m_c each cell's
+mass (the training mass under ``emp``, the quadrature integral of the
+density estimate under ``ac``), so the kernel z_i M z_j is
+1[c_i = c_j] / m_c, every chain stays in one cell and each chain sum is a
+sum over cells of in-cell weight sums, with the same Moebius coefficients
+and binomial recombination: no Cholesky factor, tensor, einsum or
+``order_plan``, which bounds the tensor route (B-splines) alone; the cell
+route's k x k arrays are held to ``PLAN_BYTES_MAX`` by ``gram.cell_plan``.
 
 Exact in floating point up to accumulation error; an enumeration oracle
 (`brute_force_ifjj`) checks both routes at small n.
@@ -228,42 +222,15 @@ def _weighted_outer_sum(w: np.ndarray, y: np.ndarray, r: int) -> np.ndarray:
     return mirrored.reshape((c,) + (k,) * r)
 
 
-def _row_probe(zmat: np.ndarray) -> np.ndarray:
-    """One float per row, equal in every bit for rows equal in every bit:
-    each row's dot product with the fixed weights 1.5 + sin(1..k) / 2 in
-    einsum's own loop, which sums every row in the same order (a BLAS
-    product may not)."""
-    return np.einsum("ij,j->i", zmat, 1.5 + 0.5 * np.sin(np.arange(1, zmat.shape[1] + 1)))
-
-
-def _distinct_rows(zmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of ``zmat`` and each sample's index among them, the
-    groups proposed by equal probes and accepted by an exact comparison;
-    ``(zmat, arange(n))`` when every row is distinct or the comparison fails."""
-    probes, inverse = np.unique(_row_probe(zmat), return_inverse=True)
-    if len(probes) == len(zmat):
-        return zmat, np.arange(len(zmat))
-    member = np.empty(len(probes), dtype=np.intp)
-    member[inverse] = np.arange(len(zmat))  # one sample of each group
-    rows = zmat[member]
-    if not np.array_equal(rows[inverse], zmat):  # a probe collision
-        return zmat, np.arange(len(zmat))
-    return rows, inverse
-
-
 def _planned_bytes(ranks: dict, plans: list, n: int, k: int) -> int:
-    """Bytes of the whitened rows, their squared norms, the distinct rows with
-    each sample's index among them and the block table, plus the largest
-    working set beside them: the grouping's probe, sort and index arrays and
-    its gathered copy of the rows with the comparison's mask; a rank build's
-    weight rows beside one key's per-sample products and per-row sums, or at
-    rank <= 2 a weighted copy of the rows and the unstacked products, above
-    the front, one Khatri-Rao chunk with its levels, the packed output and
-    its per-chunk product and the index map build; or a partition's einsum.
-    Every row count is the worst case: n distinct rows."""
-    table = 2 * n * (k + 1) + sum(len(keys) * k**r for r, keys in ranks.items())
+    """Bytes of the whitened rows, their squared norms and the block table,
+    plus the largest working set beside them: a rank build's weight rows
+    beside one key's per-sample products, or at rank <= 2 a weighted copy of
+    the rows and the unstacked products, above the front, one Khatri-Rao
+    chunk with its levels, the packed output and its per-chunk product and
+    the index map build; or a partition's einsum."""
+    table = n * (k + 1) + sum(len(keys) * k**r for r, keys in ranks.items())
     work = max(entry[-1] for plan in plans for entry in plan)
-    work = max(work, n * (k + 10) + n * k // 8)
     for r, keys in ranks.items():
         c = len(keys)
         if r <= 2:
@@ -310,26 +277,22 @@ def correction_terms(inputs: ChainInputs, m: int) -> list[float]:
     t = 0..j-2 middle positions, so every order is a binomial combination
     of the same distinct-index chain sums d_0..d_{m-2}.  Each d_t contracts
     every set partition of its chain (``_chain_plan``) against one table
-    that holds each distinct block tensor once, built one rank at a time
-    over the distinct basis rows (``_distinct_rows``).
+    that holds each distinct block tensor once, built one rank at a time.
     Cost grows with Bell(m) partitions of the longest chain, so m is capped
     at ``M_MAX`` and the plan's bytes by ``order_plan`` before any build.
     """
     n, k = inputs.n, inputs.k
     _check_order(m, n)
     ranks, plans = order_plan(n, k, m)
-    rows, inverse = _distinct_rows(inputs.zmat)
     # omega_inv = L L^T, so every edge z_i omega_inv z_j^T is y_i . y_j
-    y = rows @ inputs.cholesky
+    y = inputs.zmat @ inputs.cholesky
     diag = np.sum(y * y, axis=1)
     weight = {"p": inputs.eps_p, "h": inputs.abs_h1, "b": inputs.eps_b}
     table = {}
     for r, keys in ranks.items():
-        w = np.empty((len(keys), len(y)))
+        w = np.empty((len(keys), n))
         for wi, (roles, closed, _) in zip(w, keys):
-            sample_w = reduce(np.multiply, (weight[role] for role in roles))
-            # samples that share a row add their weights to its one term
-            wi[:] = np.bincount(inverse, sample_w, len(y))
+            wi[:] = reduce(np.multiply, (weight[role] for role in roles))
             for _ in range(closed):
                 wi *= diag
         table.update(zip(keys, _weighted_outer_sum(w, y, r)))
@@ -360,8 +323,9 @@ def _orders(d: list[float], n: int, sign_flag: bool) -> list[float]:
 class CellInputs:
     """The chain inputs of a basis whose span is the indicators of k cells
     (Haar): residuals, weights and cell of each estimation record, and each
-    cell's training mass m_c (``gram.cell_mass``).  The projection kernel
-    z_i Omega^-1 z_j is then 1[c_i = c_j] / m_c."""
+    cell's mass m_c in the Gram (``gram.cell_mass`` or
+    ``gram.cell_quadrature_mass``).  The projection kernel z_i Omega^-1 z_j
+    is then 1[c_i = c_j] / m_c."""
 
     eps_p: np.ndarray  # (n,)
     eps_b: np.ndarray  # (n,)

@@ -144,9 +144,8 @@ def _orders(d: list, n: int, m: int, sign_flag: bool) -> list:
 
 def ungrouped_terms(inputs: ustat.ChainInputs, m: int) -> list[float]:
     """The correction terms with every sample's row whitened and every block
-    summed over all n samples: the formula before distinct-row grouping, in
-    its order of operations, so equal in every bit to the rows-as-they-are
-    path of ``ustat.correction_terms``."""
+    summed over all n samples, in the order of operations of
+    ``ustat.correction_terms``, so equal to it in every bit."""
     n = inputs.n
     plans, ranks = _block_keys(m, inputs.k)
     y = inputs.zmat @ inputs.cholesky

@@ -102,8 +102,10 @@ def test_absent_keys_take_the_stated_defaults():
     # the tuning rule picks m over the one the config names, even one out of range
     ({"tuning": "default", "m": 5}, 1, 2000,
      EstimatorConfig(basis=BasisSpec("haar", 1, 2), m=3)),
+    # Haar ac takes its terms from per-cell sums, so no plan lowers the
+    # rule's m (ceil(ln 6000) = 9) below the cap
     ({"tuning": "default", "variant": "ac", "split_fraction": 0.3, "seed": 9}, 2, 20000,
-     EstimatorConfig(basis=BasisSpec("haar", 2, 8), m=5, split_fraction=0.3, seed=9,
+     EstimatorConfig(basis=BasisSpec("haar", 2, 8), m=6, split_fraction=0.3, seed=9,
                      variant="ac")),
     ({"tuning": "default", "basis.family": "bspline", "basis.order": 2}, 1, 5000,
      EstimatorConfig(basis=BasisSpec("bspline", 1, 5, order=2), m=3)),
@@ -130,18 +132,38 @@ def test_haar_order_changes_no_artifact(tmp_path):
 
 
 def test_oversized_ac_basis_refused_before_it_is_built(tmp_path, capsys):
-    # the correction plan refuses q = 2^22 before any fit; q = 2^14 plans within
-    # the cap, and the quadrature design's byte cap refuses it: both before any
-    # array of 2^22 cells
+    # B-splines: the correction plan refuses q = 2^22 before any fit; q = 2^14
+    # plans within the cap, and the quadrature design's byte cap refuses it:
+    # both before any array of 2^22 cells
     for q, refusal in ((2**22, "order m=2 at k=4194304 plans"), (2**14, "quadrature design")):
         tracemalloc.start()
         rc = main(["estimate", "--input", str(GOLDEN), "--out", str(tmp_path / "o"),
-                   "--set", "variant=ac", "--set", f"basis.per_dim_size={q}"])
+                   "--set", "variant=ac", "--set", "basis.family=bspline",
+                   "--set", f"basis.per_dim_size={q}"])
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert rc == EXIT_VALIDATION
         assert refusal in capsys.readouterr().err
         assert peak < 8 * 2**22
+
+
+@pytest.mark.parametrize("q,planned", [(2**22, 422212565729280), (2**14, 6442844160),
+                                       (8192, 1610809344)])
+def test_oversized_haar_ac_refused_by_the_cell_plan(tmp_path, monkeypatch, capsys, q, planned):
+    # Haar ac takes its Gram from per-cell quadrature masses: the cell plan
+    # counts the nodes and three k x k arrays, and refuses them before any
+    # nuisance fit and any array of k^2 entries or of the nodes; at k = 8192
+    # the three k x k arrays alone (512 MiB each) pass the cap
+    monkeypatch.setattr(estimator, "fit_nuisances", lambda *a, **kw: pytest.fail("fitted"))
+    tracemalloc.start()
+    rc = main(["estimate", "--input", str(GOLDEN), "--out", str(tmp_path / "o"),
+               "--set", "variant=ac", "--set", f"basis.per_dim_size={q}"])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert rc == EXIT_VALIDATION
+    assert (f"cell quadrature of {q}^1 nodes at k={q} with its Gram and eigenvectors "
+            f"needs {planned} bytes, over the cap of 1073741824") in capsys.readouterr().err
+    assert peak < 8 * 2**22
 
 
 def test_oversized_haar_study_refused_before_it_is_built(tmp_path, capsys):
@@ -160,12 +182,13 @@ def test_oversized_haar_study_refused_before_it_is_built(tmp_path, capsys):
 
 
 def test_ac_gram_working_set_refused_before_any_fit(tmp_path, monkeypatch, capsys):
-    # k = 8192 on 8192 nodes: the design alone (512 MiB) is under its cap, but
-    # with the k x k Gram and eigh's eigenvectors (512 MiB each) the ac Gram
-    # needs 1.5 GiB, refused before any nuisance fit
+    # B-splines at k = 8192 on 8192 nodes: the design alone (512 MiB) is under
+    # its cap, but with the k x k Gram and eigh's eigenvectors (512 MiB each)
+    # the ac Gram needs 1.5 GiB, refused before any nuisance fit
     monkeypatch.setattr(estimator, "fit_nuisances", lambda *a, **kw: pytest.fail("fitted"))
     rc = main(["estimate", "--input", str(GOLDEN), "--out", str(tmp_path / "o"),
-               "--set", "variant=ac", "--set", "basis.per_dim_size=8192"])
+               "--set", "variant=ac", "--set", "basis.family=bspline",
+               "--set", "basis.per_dim_size=8192"])
     assert rc == EXIT_VALIDATION
     assert "needs 1610612736 bytes, over the cap of 1073741824" in capsys.readouterr().err
 
@@ -382,7 +405,7 @@ def test_cmd_estimate_validation_exit(tmp_path, capsys):
 
 
 def test_over_cap_order_refused_before_any_fit(tmp_path, monkeypatch, capsys):
-    # m=6 at k=64 plans 34909981656 bytes of B-spline block tensors on the 250
+    # m=6 at k=64 plans 34909851656 bytes of B-spline block tensors on the 250
     # estimation records: refused up front, whether or not the training Gram
     # would invert; a study names the same reason for the replications it loses
     monkeypatch.setattr(estimator, "fit_nuisances", lambda *a, **kw: pytest.fail("fitted"))
@@ -390,7 +413,7 @@ def test_over_cap_order_refused_before_any_fit(tmp_path, monkeypatch, capsys):
             "--set", "basis.family=bspline", "--set", "basis.order=2"]
     rc = main(["estimate", "--input", str(GOLDEN), "--out", str(tmp_path / "e"), *over])
     assert rc == EXIT_VALIDATION
-    assert "order m=6 at k=64 plans 34909981656 bytes" in capsys.readouterr().err
+    assert "order m=6 at k=64 plans 34909851656 bytes" in capsys.readouterr().err
     rc = main(["simulate", "--out", str(tmp_path / "s"), "--set", "scenario=s1-smooth-d1",
                "--set", "n=300", "--set", "reps=2", *over])
     assert rc == EXIT_VALIDATION

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hoif import estimator
 from hoif.basis import Basis, BasisSpec, build_basis
 from hoif.data import Dataset, ValidationError, dataset_from_csv, table_csv
 from hoif.estimator import (
@@ -22,7 +23,8 @@ from hoif.gram import empirical_gram, invert_checked, op_norm_distance, quadratu
 from hoif.nuisance import NuisanceSet, zero_nuisance
 from hoif.quadrature import QuadratureSpec
 from hoif.sim import SCENARIOS, generate, run_study
-from hoif.ustat import ChainInputs, brute_force_ifjj
+from hoif.ustat import ChainInputs, brute_force_ifjj, cell_terms
+from reference import longdouble_cell_terms
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -194,9 +196,12 @@ def test_default_tuning_frozen_arithmetic():
 
 
 def test_default_tuning_never_below_second_order():
-    # at k = 4096 no order above 2 fits the plan cap, and the rank-5 block of
-    # m = 6 is too large for numpy to shape: refused before any plan is made
-    assert default_tuning(10**6, "ac", 1, "haar") == (4096, 2)
+    # B-splines at k = 5239: no order above 2 fits the plan cap, and the
+    # rank-5 block of m = 6 is too large for numpy to shape: refused before
+    # any plan is made
+    assert default_tuning(10**6, "ac", 1, "bspline") == (5239, 2)
+    # Haar takes its terms from per-cell sums, which no plan caps
+    assert default_tuning(10**6, "ac", 1, "haar") == (4096, 6)
 
 
 def test_realizable_k_rounding():
@@ -420,15 +425,15 @@ def test_basis_evaluated_once_per_sample_per_fold(monkeypatch, functional, most)
 
 @pytest.mark.parametrize("variant,most", [("ac", 9), ("emp", 8)])
 def test_grid_design_shared_by_the_arms(monkeypatch, variant, most):
-    # both arms' ac Grams come from one evaluation of the basis on the
-    # 256-node quadrature grid per fold; emp never evaluates the grid
+    # B-splines: both arms' ac Grams come from one evaluation of the basis on
+    # the 256-node quadrature grid per fold; emp never evaluates the grid
     calls = []
     original = Basis.evaluate_many
     monkeypatch.setattr(Basis, "evaluate_many",
                         lambda self, x: calls.append(len(x)) or original(self, x))
     data = generate(SCENARIOS["s4-ate"], 2000, 31)
-    cfg = EstimatorConfig(functional="ate", basis=BasisSpec("haar", 1, 4), m=3, seed=4,
-                          variant=variant, nuisance_k_grid=(1, 2, 4))
+    cfg = EstimatorConfig(functional="ate", basis=BasisSpec("bspline", 1, 4, order=2), m=3,
+                          seed=4, variant=variant, nuisance_k_grid=(1, 2, 4))
     estimate(data, cfg)
     assert len(calls) <= most
     assert calls.count(256) == (variant == "ac")
@@ -451,3 +456,76 @@ def test_haar_emp_evaluates_the_basis_on_no_record(monkeypatch):
     estimate(generate(scn, 2000, 5), cfg)
     run_study(scn, cfg, reps=2, seed=1, n=2000)
     assert calls and all(rows <= k for k, rows in calls)
+
+
+def test_haar_ac_evaluates_the_basis_on_no_record_or_node(monkeypatch):
+    # Haar ac takes its Gram from per-cell quadrature masses: the basis is
+    # evaluated only at the k cell centres, in a two-arm cross-fitted
+    # estimate and in a study, and never on the quadrature grid
+    calls = []
+    original = Basis.evaluate_many
+    monkeypatch.setattr(Basis, "evaluate_many",
+                        lambda self, x: calls.append((self.k, len(x))) or original(self, x))
+    cfg = EstimatorConfig(functional="ate", basis=BasisSpec("haar", 1, 4), m=3, seed=4,
+                          variant="ac", cross_fit=True, nuisance_k_grid=(1, 2, 4))
+    rep = estimate(generate(SCENARIOS["s4-ate"], 2000, 31), cfg)
+    assert (rep.gram_diag.gram.source, rep.gram_diag.gram.n_used) == ("quadrature", 256)
+    scn = SCENARIOS["s2-smooth-d2"]
+    run_study(scn, EstimatorConfig(basis=BasisSpec("haar", 2, 4), m=3, variant="ac",
+                                   nuisance_k_grid=(1, 4, 16)), reps=2, seed=1, n=2000)
+    assert calls and all(rows <= k for k, rows in calls)
+
+
+def _recorded_cell_terms(monkeypatch) -> list:
+    # the CellInputs of every cell_terms call the estimator makes
+    recorded = []
+    original = estimator.cell_terms
+    monkeypatch.setattr(estimator, "cell_terms",
+                        lambda inputs, m: recorded.append(inputs) or original(inputs, m))
+    return recorded
+
+
+def _s2_draw() -> Dataset:
+    return generate(SCENARIOS["s2-smooth-d2"], 20000, 1)
+
+
+@pytest.mark.parametrize("data,cfg", [
+    (lambda: dataset_from_csv(FIXTURES / "golden_data.csv"), replace(golden_config(), m=6)),
+    (_s2_draw, EstimatorConfig(basis=BasisSpec("haar", 2, 8), m=5)),
+], ids=["golden-m6", "s2-k64-m5"])
+def test_haar_ac_equals_emp_without_a_floored_cell(monkeypatch, data, cfg):
+    # the density estimate is a histogram on the basis's own cells, so when
+    # no cell is floored its integral over each cell is the cell's training
+    # mass, and the ac Gram is the emp Gram up to rounding
+    data = data()
+    training = split_sample(data, cfg.split_fraction, cfg.seed)[1]
+    basis = build_basis(cfg.basis)
+    hist = np.bincount(basis.cells(training.x), np.abs(mar_mean_spec().h1(training)),
+                       basis.k) / training.n * basis.k
+    assert hist.min() > cfg.sigma_floor  # no cell is floored
+    masses = _recorded_cell_terms(monkeypatch)
+    emp, ac = (estimate(data, replace(cfg, variant=v)) for v in ("emp", "ac"))
+    np.testing.assert_allclose(masses[1].mass, masses[0].mass, rtol=1e-12, atol=0.0)
+    assert abs(ac.psi_hat - emp.psi_hat) <= 1e-12 * abs(emp.psi_hat)
+    assert len(ac.per_order) == cfg.m - 1
+    for a, e in zip(ac.per_order, emp.per_order, strict=True):
+        assert abs(a - e) <= 1e-12 * abs(e)
+
+
+@pytest.mark.parametrize("data,cfg,bound", [
+    (lambda: dataset_from_csv(FIXTURES / "golden_data.csv"), replace(golden_config(), m=6),
+     1e-11),
+    (_s2_draw, EstimatorConfig(basis=BasisSpec("haar", 2, 8), m=5), 1e-10),
+], ids=["golden-m6", "s2-k64-m5"])
+def test_haar_ac_terms_match_long_double(monkeypatch, data, cfg, bound):
+    # the report's Haar ac terms are cell_terms of the fold's inputs, and
+    # those match the partition-by-partition long-double sums, per order,
+    # relative.  Worst errors seen: 1.2e-13 (IF66) on the golden fixture; at
+    # k = 64, m = 5, 3.9e-14 on this draw and 1.2e-11 over five s2-smooth-d2
+    # draws, at an IF55 of 1.8e-7 whose chain sums cancel
+    recorded = _recorded_cell_terms(monkeypatch)
+    rep = estimate(data(), replace(cfg, variant="ac"))
+    (inputs,) = recorded
+    assert rep.per_order == cell_terms(inputs, cfg.m)
+    for fast, ref in zip(rep.per_order, longdouble_cell_terms(inputs, cfg.m), strict=True):
+        assert abs(fast - ref) <= bound * abs(ref)
