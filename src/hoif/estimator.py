@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
@@ -32,7 +32,6 @@ from hoif.gram import (
     cell_gram,
     cell_mass,
     cell_plan,
-    cell_quadrature_mass,
     design_gram,
     design_quadrature_gram,
     invert_checked,
@@ -42,6 +41,7 @@ from hoif.gram import (
 from hoif.nuisance import (
     DEFAULT_SIGMA_FLOOR,
     NuisanceSet,
+    density_cells,
     density_series,
     fit_nuisances,
     series_designs,
@@ -223,14 +223,13 @@ def confidence_interval(psi_hat: float, variance_est: float, level: float) -> tu
 
 def _training_fits(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSet] | None,
                    training: Dataset, cfg: EstimatorConfig, basis: Basis
-                   ) -> tuple[list, list, list]:
-    """Every arm's nuisances, Gram (None if m = 1) and, for a cellwise basis
-    (Haar), the cell masses its Gram is built from (None otherwise): the
-    training masses under ``emp``, the quadrature integrals of the density
-    estimate over the cells under ``ac``.  Otherwise the basis is evaluated
+                   ) -> tuple[list, list]:
+    """Every arm's nuisances and Gram (None if m = 1).  A cellwise basis
+    (Haar) has ``cell_gram``s of the training masses under ``emp``, and under
+    ``ac`` of the density estimate's integral over each cell, its value there
+    over k, and evaluates the basis nowhere.  Otherwise the basis is evaluated
     on the training sample once, for the k-grid designs, of which the one of
-    the basis's own size, if the grid has it, is also the Gram design; Haar
-    designs and Grams evaluate it on no record and on no node."""
+    the basis's own size, if the grid has it, is also the Gram design."""
     designs = {}
     if nuisances is None:
         if cfg.nuisance_method == "zero":
@@ -240,29 +239,22 @@ def _training_fits(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSe
             nuisances = [fit_nuisances(spec, training, designs, cfg.nuisance_folds,
                                        seed=cfg.seed + 17, sigma_floor=cfg.sigma_floor)
                          for spec in specs]
-    none = [None] * len(specs)
     if cfg.m == 1:
-        return nuisances, none, none
+        return nuisances, [None] * len(specs)
     if cfg.basis.cellwise:
         if cfg.variant == "emp":
             cells = basis.cells(training.x)
-            masses = [cell_mass(cells, basis.k, training, spec) for spec in specs]
-            source, n_used = "empirical", training.n
-        else:
-            quad = basis_quadrature(cfg.basis)
-            masses = [cell_quadrature_mass(
-                basis, density_series(training, basis, spec, cfg.sigma_floor), quad)
-                for spec in specs]
-            source, n_used = "quadrature", quad.nodes_per_dim ** basis.d
-        rows = basis.cell_rows()
-        return nuisances, [cell_gram(rows, mass, source, n_used) for mass in masses], masses
+            return nuisances, [cell_gram(cell_mass(cells, basis.k, training, spec), basis,
+                                         "empirical", training.n) for spec in specs]
+        return nuisances, [cell_gram(density_cells(training, basis, spec, cfg.sigma_floor)
+                                     / basis.k, basis, "quadrature", basis.k) for spec in specs]
     if cfg.variant == "emp":
         shared = designs.get(basis.k)  # a candidate of size k has the basis's values
         z = shared[1] if shared else basis.evaluate_many(training.x)
-        return nuisances, [design_gram(z, training, spec) for spec in specs], none
+        return nuisances, [design_gram(z, training, spec) for spec in specs]
     design = node_design(basis, basis_quadrature(cfg.basis))  # shared; capped before q^d cells
     g_hats = [density_series(training, basis, spec, cfg.sigma_floor) for spec in specs]
-    return nuisances, [design_quadrature_gram(design, g) for g in g_hats], none
+    return nuisances, [design_quadrature_gram(design, g) for g in g_hats]
 
 
 def _run_fold(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSet] | None,
@@ -272,30 +264,26 @@ def _run_fold(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSet] | 
     for spec in specs:
         spec.check_h1_sign(est)
         spec.check_h1_sign(training)
-    nuisances, grams, masses = _training_fits(specs, nuisances, training, cfg, basis)
+    nuisances, grams = _training_fits(specs, nuisances, training, cfg, basis)
     cell_route = cfg.basis.cellwise
     rows = None
     if cfg.m > 1:  # each record's cell on the cell route, its basis row otherwise
         rows = basis.cells(est.x) if cell_route else basis.evaluate_many(est.x)
     runs = []
-    for spec, nuisance, gram, mass in zip(specs, nuisances, grams, masses):
+    for spec, nuisance, gram in zip(specs, nuisances, grams):
         bx, px = _nuisance_values(nuisance, est)
         if1 = fn.h_values(spec, est, bx, px)
         if gram is None:
             runs.append((if1, [], None))
             continue
         diag = invert_checked(gram, cfg.eigen_floor)
-        if diag.invertible and cell_route and not np.all(mass > 0.0):
-            # an empty training cell makes a cell-route Gram singular, whatever
-            # the rounding of its zero eigenvalue (an eigen_floor of 0 may pass it)
-            diag = replace(diag, inverse=None, invertible=False, condition_number=float("inf"))
         terms = None
         if diag.invertible:
             res = fn.residuals(spec, est, bx, px)
             if cell_route:
                 terms = cell_terms(CellInputs(
                     eps_p=res.eps_p, eps_b=res.eps_b, abs_h1=res.abs_h1, cells=rows,
-                    mass=mass, sign_flag=spec.sign_flag), cfg.m)
+                    mass=gram.entries / basis.k, sign_flag=spec.sign_flag), cfg.m)
             else:
                 terms = correction_terms(ChainInputs(
                     eps_p=res.eps_p, eps_b=res.eps_b, abs_h1=res.abs_h1, zmat=rows,
@@ -345,13 +333,12 @@ def estimate_split(est: Dataset, training: Dataset, cfg: EstimatorConfig,
         raise ValidationError("basis size exceeds the estimation sample; the empirical "
                               "inverse covariance matrix does not exist")
     # an over-cap plan is refused before any fit
-    quad = basis_quadrature(cfg.basis) if cfg.variant == "ac" else None
     if cfg.m > 1 and basis.cellwise:
-        cell_plan(basis, quad)
+        cell_plan(basis)
     elif cfg.m > 1:
         order_plan(max(f_est.n for f_est, _ in folds), basis.k, cfg.m)
-        if quad is not None:
-            quadrature_plan(basis, quad)
+        if cfg.variant == "ac":
+            quadrature_plan(basis, basis_quadrature(cfg.basis))
     runs = [_run_fold(specs, overrides, f_est, f_tr, cfg, basis) for f_est, f_tr in folds]
 
     zero = any(terms is None for fold in runs for _, terms, _ in fold)

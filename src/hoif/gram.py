@@ -4,11 +4,12 @@ Three Gram variants appear in the pipeline: the population matrix built by
 quadrature against the true weighted density g, the same quadrature against
 an estimated density (the density-based comparison path), and the empirical
 training-sample average of |h1|-weighted outer products (the main path,
-which needs no density estimate).  For a cellwise basis (Haar) each of the
-three is B^T diag(m_c) B (``cell_gram``) of its per-cell masses: the
-training mass (``cell_mass``) or the quadrature integral of the density
-over the cell (``cell_quadrature_mass``); other bases (B-splines) take
-theirs from the basis evaluated on the records or on the nodes.
+which needs no density estimate).  A cellwise basis (Haar) has cell rows B
+with B^T B = k I, so each of the three, B^T diag(m_c) B, has the eigenvalues
+k m_c, and ``cell_gram`` holds it as those alone: m_c is the training mass
+(``cell_mass``) or the integral of the density over the cell
+(``cell_quadrature_mass``, or an estimate's cell value over k); other bases
+(B-splines) take theirs from the basis evaluated on the records or nodes.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ from hoif.quadrature import QuadratureSpec
 from hoif.ustat import PLAN_BYTES_MAX
 
 DEFAULT_EIGEN_FLOOR = 1e-8
+# arrays of k doubles a cell route holds at once, at most: the arms' masses and
+# Gram eigenvalues, and cell_terms' in-cell sums (19 at m = 6) and products
+CELL_VECTORS = 32
 
 _SOURCE_TAGS = {"empirical": 1, "quadrature": 2}
 _TAG_SOURCES = {v: k for k, v in _SOURCE_TAGS.items()}
@@ -33,9 +37,10 @@ _MAGIC = b"HOIFGRAM"
 
 @dataclass(frozen=True)
 class GramMatrix:
-    entries: np.ndarray  # (k, k) symmetric
+    entries: np.ndarray  # (k, k) symmetric; with ``basis``, the (k,) eigenvalues
     source: str  # "empirical" | "quadrature"
     n_used: int
+    basis: Basis | None = None  # a cellwise basis whose ``cell_gram`` this is
 
     @property
     def k(self) -> int:
@@ -82,11 +87,19 @@ def cell_mass(cells: np.ndarray, k: int, training: Dataset, spec: FunctionalSpec
     return np.bincount(cells, _abs_h1(training, spec), k) / training.n
 
 
-def cell_gram(rows: np.ndarray, mass: np.ndarray, source: str, n_used: int) -> GramMatrix:
-    """The Gram of a basis constant on cells (Haar) from its row in each cell
-    (``Basis.cell_rows``) and each cell's mass: rows^T diag(mass) rows.  With
-    the masses of ``cell_mass`` it is ``empirical_gram``, up to rounding."""
-    return _finish((rows.T * mass) @ rows, source, n_used)
+def cell_gram(mass: np.ndarray, basis: Basis, source: str, n_used: int) -> GramMatrix:
+    """The Gram B^T diag(mass) B of a cellwise basis (Haar), B its cell rows
+    (``Basis.cell_rows``), held as its eigenvalues k * mass: B / sqrt(k) is
+    orthogonal, and k a power of two, so entries / k is the mass, exactly."""
+    return GramMatrix(basis.k * mass, source, n_used, basis)
+
+
+def _dense(m: GramMatrix) -> np.ndarray:
+    """The (k, k) matrix of ``m``; a cell Gram's built from its cell rows."""
+    if m.basis is None:
+        return m.entries
+    rows = m.basis.cell_rows()
+    return _finish((rows.T * (m.entries / m.k)) @ rows, m.source, m.n_used).entries
 
 
 def _capped(planned: int, what: str) -> int:
@@ -135,14 +148,6 @@ def cell_quadrature_mass(basis: Basis, g, quad: QuadratureSpec) -> np.ndarray:
     return np.bincount(basis.cells(nodes), _density(g, nodes) * w, basis.k)
 
 
-def cell_quadrature_gram(basis: Basis, g, quad: QuadratureSpec) -> GramMatrix:
-    """``quadrature_gram`` of a cellwise basis (Haar), which is constant on
-    its cells: ``cell_gram`` of ``cell_quadrature_mass``, with the basis
-    evaluated at its k cell centres, after the masses, and on no node."""
-    mass = cell_quadrature_mass(basis, g, quad)  # capped before the k x k rows
-    return cell_gram(basis.cell_rows(), mass, "quadrature", quad.nodes_per_dim ** basis.d)
-
-
 def design_quadrature_gram(design: tuple, g) -> GramMatrix:
     """``quadrature_gram`` from a ``node_design``, which several g can share."""
     nodes, w, z = design
@@ -160,15 +165,13 @@ def quadrature_plan(basis: Basis, quad: QuadratureSpec) -> int:
 
 
 def cell_plan(basis: Basis, quad: QuadratureSpec | None = None) -> int:
-    """Bytes of a cell Gram's working set: the basis at the k cell centres,
-    the k x k Gram and ``eigh``'s eigenvectors of it, and with ``quad`` its
-    nodes' d coordinates, cell and weight; a ValidationError if they pass
-    ``PLAN_BYTES_MAX``."""
-    k = basis.k
-    if quad is None:
-        return _capped(8 * 3 * k * k, f"cell Gram at k={k} with its eigenvectors")
-    return _capped(8 * (quad.nodes_per_dim ** basis.d * (basis.d + 2) + 3 * k * k),
-                   f"cell quadrature of {_nodes_of(basis, quad)} with its Gram and eigenvectors")
+    """Bytes of a cell route's working set: ``CELL_VECTORS`` arrays of k
+    doubles, and with ``quad`` its nodes' d coordinates, cell and weight; a
+    ValidationError if they pass ``PLAN_BYTES_MAX``."""
+    nodes, what = 0, f"cell route at k={basis.k}"
+    if quad is not None:
+        nodes, what = quad.nodes_per_dim ** basis.d, f"cell quadrature of {_nodes_of(basis, quad)}"
+    return _capped(8 * (CELL_VECTORS * basis.k + nodes * (basis.d + 2)), what)
 
 
 def invert_checked(m: GramMatrix, eigen_floor: float = DEFAULT_EIGEN_FLOOR) -> InverseReport:
@@ -177,36 +180,39 @@ def invert_checked(m: GramMatrix, eigen_floor: float = DEFAULT_EIGEN_FLOOR) -> I
     The matrix counts as non-invertible when its smallest eigenvalue falls
     at or below ``eigen_floor`` relative to the largest eigenvalue.  The
     verdict is a value, not an error: the estimator convention maps it to
-    a zero estimate.
+    a zero estimate.  A cell Gram is judged on the eigenvalues it holds (an
+    empty cell's 0 fails every floor) and has no inverse: ``cell_terms``
+    reads its masses.
     """
-    eigvals, eigvecs = np.linalg.eigh(m.entries)
+    if m.basis is None:
+        eigvals, eigvecs = np.linalg.eigh(m.entries)
+    else:
+        eigvals = np.sort(m.entries)
     eig_min, eig_max = float(eigvals[0]), float(eigvals[-1])
     floor = eigen_floor * max(eig_max, 0.0)
-    if eig_min <= floor or eig_max <= 0.0:
-        return InverseReport(
-            gram=m,
-            inverse=None,
-            invertible=False,
-            condition_number=float("inf"),
-            eig_min=eig_min,
-            eig_max=eig_max,
-        )
-    inv = (eigvecs / eigvals) @ eigvecs.T
+    invertible = not (eig_min <= floor or eig_max <= 0.0)
+    inverse = None
+    if invertible and m.basis is None:
+        inv = (eigvecs / eigvals) @ eigvecs.T
+        inverse = 0.5 * (inv + inv.T)
     return InverseReport(
         gram=m,
-        inverse=0.5 * (inv + inv.T),
-        invertible=True,
-        condition_number=eig_max / eig_min,
+        inverse=inverse,
+        invertible=invertible,
+        condition_number=eig_max / eig_min if invertible else float("inf"),
         eig_min=eig_min,
         eig_max=eig_max,
     )
 
 
 def op_norm_distance(amat: GramMatrix, bmat: GramMatrix) -> float:
-    """Operator-norm distance between two symmetric matrices."""
+    """Operator-norm distance between two symmetric matrices; between two
+    cell Grams of one basis, which share eigenvectors, of their eigenvalues."""
     if amat.k != bmat.k:
         raise ValueError("shape mismatch")
-    eigs = np.linalg.eigvalsh(amat.entries - bmat.entries)
+    if amat.basis is not None and amat.basis == bmat.basis:
+        return float(np.max(np.abs(amat.entries - bmat.entries)))
+    eigs = np.linalg.eigvalsh(_dense(amat) - _dense(bmat))
     return float(max(abs(eigs[0]), abs(eigs[-1])))
 
 
@@ -263,7 +269,7 @@ def save_gram(m: GramMatrix, path):
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", m.k, _SOURCE_TAGS[m.source]))
-        fh.write(np.ascontiguousarray(m.entries, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(_dense(m), dtype="<f8").tobytes())
         fh.write(struct.pack("<q", m.n_used))
 
 

@@ -196,9 +196,10 @@ def series_fit(designs: dict, response: np.ndarray, folds: int, seed: int,
     return predict, k_best
 
 
-def density_series(training: Dataset, basis: Basis, spec: FunctionalSpec,
-                   sigma_floor: float = DEFAULT_SIGMA_FLOOR):
-    """|h1|-weighted histogram density on the basis's dyadic cells.
+def density_cells(training: Dataset, basis: Basis, spec: FunctionalSpec,
+                  sigma_floor: float = DEFAULT_SIGMA_FLOOR) -> np.ndarray:
+    """|h1|-weighted histogram density on the basis's dyadic cells: its value
+    in each of the q^d cells, in ``Basis.cells`` order.
 
     Floored at ``sigma_floor`` and renormalized to the weighted sample
     mass; used only by the density-based comparison path.
@@ -213,12 +214,14 @@ def density_series(training: Dataset, basis: Basis, spec: FunctionalSpec,
     dens = np.bincount(basis.cells(training.x), w, k) / training.n * k  # histogram density
     dens = np.maximum(dens, sigma_floor)
     dens = dens * (mass / (np.mean(dens / k) * k))
-    dens = np.maximum(dens, sigma_floor)
+    return np.maximum(dens, sigma_floor)
 
-    def g_hat(pts):
-        return dens[basis.cells(pts)]
 
-    return g_hat
+def density_series(training: Dataset, basis: Basis, spec: FunctionalSpec,
+                   sigma_floor: float = DEFAULT_SIGMA_FLOOR):
+    """``density_cells`` as a function of an (n, d) array of points."""
+    dens = density_cells(training, basis, spec, sigma_floor)
+    return lambda pts: dens[basis.cells(pts)]
 
 
 def fit_nuisances(spec: FunctionalSpec, training: Dataset, designs: dict, folds: int,

@@ -20,7 +20,8 @@ import numpy as np
 from hoif.basis import build_basis
 from hoif.data import Dataset, ValidationError, table_csv
 from hoif.estimator import EstimatorConfig, estimate
-from hoif.gram import GramMatrix, cell_quadrature_gram, op_norm_distance, quadrature_gram
+from hoif.gram import (GramMatrix, cell_gram, cell_quadrature_mass, op_norm_distance,
+                       quadrature_gram)
 from hoif.quadrature import QuadratureSpec, basis_quadrature, default_nodes_per_dim, integrate
 
 QUAD_TOL = 1e-8
@@ -502,9 +503,10 @@ def run_study(scn: ScenarioSpec, cfg: EstimatorConfig, reps: int, seed: int,
         raise ValidationError("reps must be >= 2")
     if threads < 1:
         raise ValidationError("threads must be >= 1")
-    basis = build_basis(cfg.basis)
-    population_gram = cell_quadrature_gram if basis.cellwise else quadrature_gram
-    ref_gram = population_gram(basis, weighted_density(scn), basis_quadrature(cfg.basis))
+    basis, g, quad = build_basis(cfg.basis), weighted_density(scn), basis_quadrature(cfg.basis)
+    ref_gram = cell_gram(cell_quadrature_mass(basis, g, quad), basis, "quadrature",
+                         quad.nodes_per_dim ** basis.d) if basis.cellwise \
+        else quadrature_gram(basis, g, quad)
 
     def work(rep):
         return _one_rep(scn, cfg, n, seed, rep, nuisance_factory, ref_gram)

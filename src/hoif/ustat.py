@@ -27,13 +27,14 @@ tuples of r-1 axes, C(k+r-2, r-1) columns instead of k^(r-1).
 Cell route (``cell_terms``): when the basis spans the indicators of k
 cells, as a Haar basis does, its Gram is B^T diag(m_c) B with B the
 square, invertible matrix of its rows at the cells and m_c each cell's
-mass (the training mass under ``emp``, the quadrature integral of the
-density estimate under ``ac``), so the kernel z_i M z_j is
-1[c_i = c_j] / m_c, every chain stays in one cell and each chain sum is a
-sum over cells of in-cell weight sums, with the same Moebius coefficients
-and binomial recombination: no Cholesky factor, tensor, einsum or
-``order_plan``, which bounds the tensor route (B-splines) alone; the cell
-route's k x k arrays are held to ``PLAN_BYTES_MAX`` by ``gram.cell_plan``.
+mass (the training mass under ``emp``, the integral of the density
+estimate under ``ac``), so the kernel z_i M z_j is 1[c_i = c_j] / m_c,
+every chain stays in one cell and each chain sum is a sum over cells of
+in-cell weight sums, with the same Moebius coefficients and binomial
+recombination: no Cholesky factor, tensor, einsum or ``order_plan``,
+which bounds the tensor route (B-splines) alone.  The cell route holds
+no k x k array; ``gram.cell_plan`` holds its arrays of k doubles to
+``PLAN_BYTES_MAX``.
 
 Exact in floating point up to accumulation error; an enumeration oracle
 (`brute_force_ifjj`) checks both routes at small n.
@@ -323,9 +324,8 @@ def _orders(d: list[float], n: int, sign_flag: bool) -> list[float]:
 class CellInputs:
     """The chain inputs of a basis whose span is the indicators of k cells
     (Haar): residuals, weights and cell of each estimation record, and each
-    cell's mass m_c in the Gram (``gram.cell_mass`` or
-    ``gram.cell_quadrature_mass``).  The projection kernel z_i Omega^-1 z_j
-    is then 1[c_i = c_j] / m_c."""
+    cell's mass m_c in the Gram (``gram.cell_gram``'s eigenvalues over k).
+    The projection kernel z_i Omega^-1 z_j is then 1[c_i = c_j] / m_c."""
 
     eps_p: np.ndarray  # (n,)
     eps_b: np.ndarray  # (n,)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoif import cli, estimator, gram, ustat
-from hoif.basis import Basis, BasisSpec
+from hoif.basis import Basis, BasisSpec, build_basis
 from hoif.cli import (
     EXIT_INTERNAL,
     EXIT_VALIDATION,
@@ -23,7 +23,7 @@ from hoif.cli import (
     write_resolved_config,
 )
 from hoif.data import ValidationError, dataset_to_csv
-from hoif.estimator import EstimatorConfig
+from hoif.estimator import EstimatorConfig, default_tuning
 from hoif.sim import SCENARIOS, generate
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -147,13 +147,11 @@ def test_oversized_ac_basis_refused_before_it_is_built(tmp_path, capsys):
         assert peak < 8 * 2**22
 
 
-@pytest.mark.parametrize("q,planned", [(2**22, 422212565729280), (2**14, 6442844160),
-                                       (8192, 1610809344)])
+@pytest.mark.parametrize("q,planned", [(2**23, 2147483648), (2**40, 281474976710656)])
 def test_oversized_haar_ac_refused_by_the_cell_plan(tmp_path, monkeypatch, capsys, q, planned):
-    # Haar ac takes its Gram from per-cell quadrature masses: the cell plan
-    # counts the nodes and three k x k arrays, and refuses them before any
-    # nuisance fit and any array of k^2 entries or of the nodes; at k = 8192
-    # the three k x k arrays alone (512 MiB each) pass the cap
+    # Haar ac takes its Gram from the density estimate's per-cell values: the
+    # cell plan counts its arrays of k doubles and refuses them before any
+    # nuisance fit and any array of k entries
     monkeypatch.setattr(estimator, "fit_nuisances", lambda *a, **kw: pytest.fail("fitted"))
     tracemalloc.start()
     rc = main(["estimate", "--input", str(GOLDEN), "--out", str(tmp_path / "o"),
@@ -161,24 +159,33 @@ def test_oversized_haar_ac_refused_by_the_cell_plan(tmp_path, monkeypatch, capsy
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert rc == EXIT_VALIDATION
-    assert (f"cell quadrature of {q}^1 nodes at k={q} with its Gram and eigenvectors "
-            f"needs {planned} bytes, over the cap of 1073741824") in capsys.readouterr().err
+    assert (f"cell route at k={q} needs {planned} bytes, "
+            f"over the cap of 1073741824") in capsys.readouterr().err
     assert peak < 8 * 2**22
+
+
+def test_haar_ac_at_the_default_tuned_size_runs(tmp_path):
+    # default_tuning(2 * 10**6, "ac", 1) picks k = 8192, which the cell plan
+    # admits; on the golden fixture a Haar ac estimate at that k runs
+    k, m = default_tuning(2 * 10**6, "ac", 1)
+    assert (k, m) == (8192, 6)
+    assert gram.cell_plan(build_basis(BasisSpec("haar", 1, k))) <= 1 << 30
+    assert main(["estimate", "--input", str(GOLDEN), "--out", str(tmp_path / "o"),
+                 "--set", "variant=ac", "--set", f"basis.per_dim_size={k}"]) == 0
 
 
 def test_oversized_haar_study_refused_before_it_is_built(tmp_path, capsys):
     # a Haar study builds its population Gram from per-cell quadrature sums;
-    # at q = 2^14 its k x k arrays, at q = 2^20 its nodes as well, pass the
-    # byte cap, refused before any array of k^2 entries or of the nodes
-    for q in (2**14, 2**20):
-        tracemalloc.start()
-        rc = main(["simulate", "--out", str(tmp_path / "s"), "--set", "scenario=s1-smooth-d1",
-                   "--set", "n=300", "--set", "reps=2", "--set", f"basis.per_dim_size={q}"])
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert rc == EXIT_VALIDATION
-        assert f"cell quadrature of {q}^1 nodes at k={q}" in capsys.readouterr().err
-        assert peak < 8 * 2**22
+    # at d = 2, q = 2^13 its 2^26 nodes alone pass the byte cap, refused
+    # before any array of the nodes or of k entries
+    tracemalloc.start()
+    rc = main(["simulate", "--out", str(tmp_path / "s"), "--set", "scenario=s2-smooth-d2",
+               "--set", "n=300", "--set", "reps=2", "--set", "basis.per_dim_size=8192"])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert rc == EXIT_VALIDATION
+    assert "cell quadrature of 8192^2 nodes at k=67108864" in capsys.readouterr().err
+    assert peak < 8 * 2**22
 
 
 def test_ac_gram_working_set_refused_before_any_fit(tmp_path, monkeypatch, capsys):

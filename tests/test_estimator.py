@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,10 +20,11 @@ from hoif.estimator import (
     split_sample,
 )
 from hoif.functionals import mar_mean_spec, residuals
-from hoif.gram import empirical_gram, invert_checked, op_norm_distance, quadrature_gram
+from hoif.gram import (cell_quadrature_mass, empirical_gram, invert_checked, op_norm_distance,
+                       quadrature_gram)
 from hoif.nuisance import NuisanceSet, zero_nuisance
 from hoif.quadrature import QuadratureSpec
-from hoif.sim import SCENARIOS, generate, run_study
+from hoif.sim import SCENARIOS, generate, run_study, weighted_density
 from hoif.ustat import ChainInputs, brute_force_ifjj, cell_terms
 from reference import longdouble_cell_terms
 
@@ -118,9 +120,9 @@ def test_zero_convention():
 
 
 def test_empty_training_cell_applies_the_zero_convention():
-    # no training record in [0, 0.25): the Haar Gram is singular, and even
-    # an eigen floor of 0, which the rounding of its zero eigenvalue may pass,
-    # applies the convention instead of dividing by the empty cell's mass
+    # no training record in [0, 0.25): the Haar Gram has the eigenvalue 0, so
+    # even an eigen floor of 0 applies the convention instead of dividing by
+    # the empty cell's mass
     rng = np.random.default_rng(0)
 
     def draw(n, lo):
@@ -135,16 +137,16 @@ def test_empty_training_cell_applies_the_zero_convention():
 
 
 def test_oversized_cell_gram_refused_before_any_fit(monkeypatch):
-    # Haar emp at k = 8192 on 8192 estimation records: the cell rows, the
-    # Gram and eigh's eigenvectors (512 MiB each) pass the byte cap, so the
-    # estimate is refused before any nuisance fit or k x k array
+    # a cross-fitted two-arm Haar ac estimate at k = 2^23: the cell route's
+    # arrays of k doubles (64 MiB each) pass the byte cap, so the estimate is
+    # refused before any nuisance fit or array of k entries
     monkeypatch.setattr("hoif.estimator.fit_nuisances", lambda *a, **kw: pytest.fail("fitted"))
-    rng = np.random.default_rng(0)
-    data = Dataset(rng.random((8192, 1)), np.ones(8192), rng.random(8192))
-    cfg = EstimatorConfig(basis=BasisSpec("haar", 1, 8192), m=2)
-    with pytest.raises(ValidationError, match="cell Gram at k=8192 with its eigenvectors "
-                       "needs 1610612736 bytes, over the cap of 1073741824"):
-        estimate_split(data, data, cfg)
+    data = generate(SCENARIOS["s4-ate"], 400, 3)
+    cfg = EstimatorConfig(functional="ate", basis=BasisSpec("haar", 1, 2**23), m=2,
+                          variant="ac", cross_fit=True)
+    with pytest.raises(ValidationError, match="cell route at k=8388608 needs 2147483648 "
+                       "bytes, over the cap of 1073741824"):
+        estimate(data, cfg)
 
 
 def test_k_exceeding_estimation_sample_rejected():
@@ -168,8 +170,9 @@ def test_emp_vs_ac_agree_with_truth_injected(monkeypatch):
     # Gram and the order-2 terms differ only through Omega-hat-emp noise
     scn = SCENARIOS["s1-smooth-d1"]
     basis = build_basis(BasisSpec("haar", 1, 4))
-    g = lambda x: scn.pi(x) * scn.f(x)
-    monkeypatch.setattr("hoif.estimator.density_series", lambda *args: g)
+    # the true g enters through its per-cell values, its cell integrals times k
+    true_cells = cell_quadrature_mass(basis, weighted_density(scn), QuadratureSpec(256)) * basis.k
+    monkeypatch.setattr("hoif.estimator.density_cells", lambda *args: true_cells)
     nuis = NuisanceSet(b_hat=lambda p: np.zeros(p.shape[0]),
                        p_hat=lambda p: np.zeros(p.shape[0]))
     diffs = []
@@ -320,8 +323,10 @@ def test_reference_gram_distance_reported():
     cfg = EstimatorConfig(basis=basis.spec, m=2, seed=7)
     rep = estimate(data, cfg)
     gram = rep.gram_diag.gram
-    assert (gram.source, gram.k, gram.n_used) == ("empirical", 4, rep.n_tr)
-    np.testing.assert_array_equal(invert_checked(gram).inverse, rep.gram_diag.inverse)
+    assert (gram.source, gram.k, gram.n_used, gram.basis) == ("empirical", 4, rep.n_tr, basis)
+    assert gram.entries.shape == (4,) and rep.gram_diag.inverse is None  # k * the cell masses
+    again = invert_checked(gram)
+    assert (again.eig_min, again.eig_max) == (rep.gram_diag.eig_min, rep.gram_diag.eig_max)
     assert 0.0 < op_norm_distance(gram, ref) < 1.0
 
 
@@ -445,35 +450,59 @@ def test_grid_design_shared_by_the_arms(monkeypatch, variant, most):
 
 def test_haar_emp_evaluates_the_basis_on_no_record(monkeypatch):
     # Haar emp runs in cell space: designs, fits, predictions, Grams and
-    # terms read each record's cell, and the basis is evaluated only at the
-    # k cell centres, in an estimate and in a study with its reference Gram
-    calls = []
-    original = Basis.evaluate_many
-    monkeypatch.setattr(Basis, "evaluate_many",
-                        lambda self, x: calls.append((self.k, len(x))) or original(self, x))
+    # terms read each record's cell, and the basis is evaluated nowhere, in
+    # an estimate and in a study with its reference Gram
+    monkeypatch.setattr(Basis, "evaluate_many", lambda *a: pytest.fail("evaluated"))
     scn = SCENARIOS["s2-smooth-d2"]
     cfg = EstimatorConfig(basis=BasisSpec("haar", 2, 4), m=3, nuisance_k_grid=(1, 4, 16))
     estimate(generate(scn, 2000, 5), cfg)
     run_study(scn, cfg, reps=2, seed=1, n=2000)
-    assert calls and all(rows <= k for k, rows in calls)
 
 
 def test_haar_ac_evaluates_the_basis_on_no_record_or_node(monkeypatch):
-    # Haar ac takes its Gram from per-cell quadrature masses: the basis is
-    # evaluated only at the k cell centres, in a two-arm cross-fitted
-    # estimate and in a study, and never on the quadrature grid
-    calls = []
-    original = Basis.evaluate_many
-    monkeypatch.setattr(Basis, "evaluate_many",
-                        lambda self, x: calls.append((self.k, len(x))) or original(self, x))
+    # Haar ac takes its Gram from the density estimate's per-cell values: the
+    # basis is evaluated nowhere, in a two-arm cross-fitted estimate and in a
+    # study, and one midpoint per cell integrates the estimate exactly
+    monkeypatch.setattr(Basis, "evaluate_many", lambda *a: pytest.fail("evaluated"))
     cfg = EstimatorConfig(functional="ate", basis=BasisSpec("haar", 1, 4), m=3, seed=4,
                           variant="ac", cross_fit=True, nuisance_k_grid=(1, 2, 4))
     rep = estimate(generate(SCENARIOS["s4-ate"], 2000, 31), cfg)
-    assert (rep.gram_diag.gram.source, rep.gram_diag.gram.n_used) == ("quadrature", 256)
+    assert (rep.gram_diag.gram.source, rep.gram_diag.gram.n_used) == ("quadrature", 4)
     scn = SCENARIOS["s2-smooth-d2"]
     run_study(scn, EstimatorConfig(basis=BasisSpec("haar", 2, 4), m=3, variant="ac",
                                    nuisance_k_grid=(1, 4, 16)), reps=2, seed=1, n=2000)
-    assert calls and all(rows <= k for k, rows in calls)
+
+
+@pytest.mark.parametrize("settings", [
+    {}, {"variant": "ac"}, {"functional": "ate"}, {"cross_fit": True},
+    {"functional": "ate", "variant": "ac", "cross_fit": True, "m": 6},
+], ids=["emp", "ac", "ate", "cross-fit", "ate-ac-cross-fit-m6"])
+def test_haar_runs_no_eigendecomposition(monkeypatch, settings):
+    # a cell Gram's eigenvalues are k times its cell masses: Haar estimates
+    # and a Haar study judge, report and compare their Grams without eigh or
+    # eigvalsh
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, name=name, **kw: pytest.fail(name))
+    cfg = replace(EstimatorConfig(basis=BasisSpec("haar", 1, 8), m=3, seed=2), **settings)
+    scn = SCENARIOS["s4-ate" if cfg.functional == "ate" else "s1-smooth-d1"]
+    rep = estimate(generate(scn, 2000, 6), cfg)
+    assert rep.gram_diag.invertible and not rep.zero_convention_applied
+    if not settings:
+        result = run_study(scn, cfg, reps=3, seed=2, n=600, threads=1)
+        assert all(row["op_dist"] > 0.0 for row in result.rows)
+
+
+def test_haar_ac_at_k4096_holds_no_k_by_k_array():
+    # Haar ac at k = 4096 (d = 2): the estimate allocates less than one
+    # k x k float64 array (134 MB) at its peak
+    cfg = EstimatorConfig(basis=BasisSpec("haar", 2, 64), m=4, variant="ac")
+    data = generate(SCENARIOS["s2-smooth-d2"], 20000, 3)
+    tracemalloc.start()
+    rep = estimate(data, cfg)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert rep.gram_diag.gram.entries.shape == (4096,)
+    assert peak < 8 * 4096**2
 
 
 def _recorded_cell_terms(monkeypatch) -> list:

@@ -7,6 +7,8 @@ from hoif.data import Dataset, ValidationError
 from hoif.functionals import expected_cond_cov_spec, mar_mean_spec
 from hoif.gram import (
     GramMatrix,
+    cell_gram,
+    cell_mass,
     empirical_gram,
     invert_checked,
     load_gram,
@@ -171,6 +173,42 @@ def test_op_norm_distance():
         op_norm_distance(eye, GramMatrix(np.eye(2), "quadrature", 0))
 
 
+@pytest.mark.parametrize("q", [8, 32], ids=["k64", "k1024"])
+def test_cell_gram_matches_the_dense_path(q):
+    # a cell Gram read from its eigenvalues k * mass against eigh and eigvalsh
+    # of the dense B^T diag(mass) B from the cell rows, at d = 2.  Bounds,
+    # relative: 1e-12 on eig_min and the condition number, 1e-14 on eig_max,
+    # 1e-13 on the distances; worst seen over ten draws of each size: 3.1e-15
+    # (eig_min), 2.9e-15 (condition number), 4.4e-16 (eig_max) and 4.6e-15
+    basis = build_basis(BasisSpec("haar", 2, q))
+    rows, k = basis.cell_rows(), basis.k
+    rng = np.random.default_rng(q)
+    masses = [np.bincount(basis.cells(rng.random((20 * k, 2))), rng.random(20 * k), k) / (20 * k)
+              for _ in range(2)]
+    empty = masses[0].copy()
+    empty[k // 3] = 0.0
+    cells = [cell_gram(m, basis, "empirical", 20 * k) for m in masses + [empty]]
+    denses = [GramMatrix((rows.T * m) @ rows, "empirical", 20 * k) for m in masses + [empty]]
+    for floor in (0.0, 1e-8):
+        for cell, dense in zip(cells[:2], denses):
+            rc, rd = invert_checked(cell, floor), invert_checked(dense, floor)
+            assert rc.invertible and rd.invertible and rc.inverse is None
+            assert rc.eig_min == pytest.approx(rd.eig_min, rel=1e-12, abs=0.0)
+            assert rc.eig_max == pytest.approx(rd.eig_max, rel=1e-14, abs=0.0)
+            assert rc.condition_number == pytest.approx(rd.condition_number, rel=1e-12, abs=0.0)
+        # the empty cell is the eigenvalue 0, which fails every floor; the
+        # dense eigh rounds it to either sign, so its verdict holds at 1e-8 only
+        rc = invert_checked(cells[2], floor)
+        assert (rc.invertible, rc.eig_min, rc.condition_number) == (False, 0.0, np.inf)
+    assert not invert_checked(denses[2], 1e-8).invertible
+    want = op_norm_distance(denses[0], denses[1])
+    assert op_norm_distance(cells[0], cells[1]) == pytest.approx(want, rel=1e-13, abs=0.0)
+    # a (k,) cell Gram against a (k, k) one is the dense-dense distance,
+    # never a broadcast of the vector against the matrix
+    for mixed in (op_norm_distance(cells[0], denses[1]), op_norm_distance(denses[0], cells[1])):
+        assert mixed == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 def test_op_norm_triangle_inequality():
     rng = np.random.default_rng(21)
     for _ in range(20):
@@ -260,6 +298,10 @@ def test_gram_save_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.entries, gram.entries)
     assert back.source == "empirical"
     assert back.n_used == 20
+    # a cell Gram is written as its dense matrix: empirical_gram's, up to rounding
+    mass = cell_mass(basis.cells(data.x), 4, data, expected_cond_cov_spec())
+    save_gram(cell_gram(mass, basis, "empirical", 20), path)
+    np.testing.assert_allclose(load_gram(path).entries, gram.entries, rtol=0.0, atol=1e-15)
     with pytest.raises(ValueError):
         path2 = tmp_path / "bad.bin"
         path2.write_bytes(b"NOTAGRAM" + bytes(16))

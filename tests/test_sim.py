@@ -16,7 +16,7 @@ from hoif import cli, sim
 from hoif.basis import BasisSpec, build_basis
 from hoif.data import ValidationError
 from hoif.estimator import EstimatorConfig, estimate
-from hoif.gram import cell_quadrature_gram, op_norm_distance, quadrature_gram
+from hoif.gram import cell_gram, cell_quadrature_mass, op_norm_distance, quadrature_gram
 from hoif.nuisance import NuisanceSet, zero_nuisance
 from hoif.quadrature import basis_quadrature
 from hoif.sim import (
@@ -477,18 +477,23 @@ def test_replication_error_with_a_comma_is_quoted(tmp_path):
 def test_op_dist_measures_the_gram_each_estimate_inverted():
     # a row's op_dist is the distance from its estimate's reported Gram (fold
     # 0, first arm) to the scenario's population Gram, which a Haar study
-    # takes from the quadrature weights summed per cell
+    # takes from the quadrature weights summed per cell; the dense Gram of
+    # those masses, built from the cell rows, is the quadrature Gram
     scn = SCENARIOS["s1-smooth-d1"]
     cfg = study_cfg()
     result = run_study(scn, cfg, reps=3, seed=4, n=300)
     basis, quad = build_basis(cfg.basis), basis_quadrature(cfg.basis)
-    ref = cell_quadrature_gram(basis, weighted_density(scn), quad)
+    mass = cell_quadrature_mass(basis, weighted_density(scn), quad)
+    ref = cell_gram(mass, basis, "quadrature", 256)
+    rows = basis.cell_rows()
     dense = quadrature_gram(basis, weighted_density(scn), quad)
-    np.testing.assert_allclose(ref.entries, dense.entries, rtol=0, atol=1e-15)
+    np.testing.assert_allclose((rows.T * mass) @ rows, dense.entries, rtol=0, atol=1e-15)
     for row in result.rows:
         run_cfg = replace(cfg, seed=row["seed"], functional=scn.functional)
         rep = estimate(generate(scn, 300, row["seed"]), run_cfg)
         assert row["op_dist"] == op_norm_distance(rep.gram_diag.gram, ref)
+        assert row["op_dist"] == pytest.approx(op_norm_distance(rep.gram_diag.gram, dense),
+                                               rel=1e-12, abs=0.0)
 
 
 def test_run_study_counts_zero_convention_replications():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hoif import ustat
 from hoif.basis import BasisSpec, build_basis
 from hoif.data import ValidationError
-from hoif.gram import cell_gram, invert_checked
+from hoif.gram import GramMatrix, invert_checked
 from hoif.ustat import (
     CellInputs,
     ChainInputs,
@@ -354,7 +354,7 @@ def haar_cell_inputs(rng, n, k):
     cells = basis.cells(rng.random((n, 2)))
     mass = np.bincount(basis.cells(rng.random((n, 2))), rng.random(n), k) / n
     rows = basis.cell_rows()
-    inverse = invert_checked(cell_gram(rows, mass, "empirical", n)).inverse
+    inverse = invert_checked(GramMatrix((rows.T * mass) @ rows, "empirical", n)).inverse
     eps_p, eps_b, abs_h1 = rng.normal(size=n), rng.normal(size=n), rng.random(n)
     return (CellInputs(eps_p, eps_b, abs_h1, cells, mass, False),
             ChainInputs(eps_p, eps_b, abs_h1, rows[cells], inverse, False))
