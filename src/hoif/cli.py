@@ -35,7 +35,7 @@ from hoif.estimator import (
 )
 from hoif.gram import invert_checked, quadrature_gram, save_gram
 from hoif.quadrature import basis_quadrature
-from hoif.sim import SCENARIOS, run_study
+from hoif.sim import SCENARIOS, check_study_size, run_study
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -202,6 +202,7 @@ def cmd_simulate(args) -> int:
                                   f"which sets {key}={owned}")
         cfg[key] = owned
     n, reps = cfg.get("n", 2000), cfg.get("reps", 100)
+    check_study_size(n, reps, args.threads)
     run_cfg = estimator_config(cfg, scn.d, n=n)
     echo = {**render_config(run_cfg), "tuning": cfg.get("tuning", "manual"),
             "scenario": scn.id, "n": n, "reps": reps}
@@ -296,9 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--threads", type=int, default=1,
                         help="processes that run simulate, this one included: "
-                             "T >= 2 forks T-1 workers, and this process runs "
-                             "replications once the target and the efficiency "
-                             "bound are done; the output is the same for any T")
+                             "T >= 2 forks T-1 workers that take replications "
+                             "beside it; the output is the same for any T")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_est = sub.add_parser("estimate", help="estimate a functional from a CSV")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hoif import cli, estimator, gram, ustat
+from hoif import cli, estimator, gram, sim, ustat
 from hoif.basis import Basis, BasisSpec, build_basis
 from hoif.cli import (
     EXIT_INTERNAL,
@@ -456,6 +456,23 @@ def test_cmd_simulate_reproducible(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_registry_study_integrates_no_oracle(tmp_path, monkeypatch):
+    # every simulate study is on a registry scenario, which carries its
+    # recorded target and efficiency bound: no checked quadrature runs, in
+    # this process or in a forked worker
+    monkeypatch.setattr(sim, "_checked_integral", lambda fn, d: pytest.fail("quadrature"))
+    sim_emp = ("scenario=s2-smooth-d2", "n=5000", "m=3", "basis.per_dim_size=4",
+               "reps=12", "variant=emp", "seed=0")
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        argv = ["--threads", threads, "simulate", "--out", str(out)]
+        assert main(argv + [a for s in sim_emp for a in ("--set", s)]) == 0
+        outs.append([(out / name).read_bytes() for name in
+                     ("replications.csv", "aggregates.csv", "resolved_config.txt")])
+    assert outs[0] == outs[1]
+
+
 def test_cmd_simulate_unknown_scenario(tmp_path):
     rc = main(["simulate", "--out", str(tmp_path / "x"),
                "--set", "scenario=nope"])
@@ -601,6 +618,11 @@ def test_threads_default_to_one():
     (["report", "{blank}"], "{blank}: empty input"),
     (["report", "{ragged}"], "{ragged}: schema mismatch"),
     (["report", "{header}"], "no aggregate rows"),
+    # a study too small to run, refused before the output directory is made
+    (["simulate", "--out", "{tmp}/o", "--set", "scenario=s1-smooth-d1", "--set", "reps=1"],
+     "reps must be >= 2"),
+    (["simulate", "--out", "{tmp}/o", "--set", "scenario=s1-smooth-d1", "--set", "n=0"],
+     "n must be positive"),
 ])
 def test_input_errors_exit_validation(tmp_path, capsys, argv, message):
     five = tmp_path / "five.csv"
@@ -619,7 +641,7 @@ def test_input_errors_exit_validation(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err
     assert rc == EXIT_VALIDATION, err
     assert err.startswith("error: ") and message.format(**fill) in err
-    if "is not read by" in message:
+    if "is not read by" in message or "simulate" in argv:
         assert not (tmp_path / "o").exists()
 
 

@@ -56,12 +56,15 @@ def constant_scenario(pi_val=1.0, b_val=0.5):
 
 @pytest.mark.parametrize("sid", sorted(FROZEN))
 def test_frozen_truth_and_bound(sid):
+    # the pair a study reads for a registry scenario is the checked quadrature's
     scn = SCENARIOS[sid]
-    assert (true_psi(scn), efficiency_bound(scn)) == FROZEN[sid]
+    assert sim.TRUTH[sid] == (true_psi(scn), efficiency_bound(scn)) == FROZEN[sid]
 
 
 def test_scenario_registry_complete():
+    # a registry scenario cannot ship without its recorded truth
     assert set(FROZEN) == set(SCENARIOS)
+    assert sim.TRUTH.keys() == SCENARIOS.keys()
     for scn in SCENARIOS.values():
         validate_scenario(scn)
 
@@ -263,14 +266,15 @@ def test_forked_programming_error_fails_the_study():
 
 
 def test_truth_failure_during_a_forked_study_leaves_no_worker(monkeypatch):
-    # the target is computed while the workers run; its failure still fails
-    # the study, after the workers are killed and reaped
+    # a spec outside the registry integrates its target before the fork, so
+    # its failure fails the study before any worker starts
     def unconverged(scn):
         raise ValidationError("quadrature did not converge")
 
     monkeypatch.setattr(sim, "true_psi", unconverged)
+    scn = replace(SCENARIOS["s1-smooth-d1"], id="s1-copy")
     with pytest.raises(ValidationError, match="did not converge"):
-        run_study(SCENARIOS["s1-smooth-d1"], study_cfg(), reps=6, seed=2, n=300, threads=2)
+        run_study(scn, study_cfg(), reps=6, seed=2, n=300, threads=2)
     assert_no_child_left()
 
 
@@ -329,8 +333,8 @@ def test_workers_exit_when_the_study_process_is_killed(tmp_path):
 @pytest.mark.parametrize("threads,reps,workers", [(2, 6, 1), (3, 6, 2), (5, 3, 3)])
 def test_forked_study_runs_on_threads_processes(monkeypatch, tmp_path, threads, reps, workers):
     # threads - 1 workers (at most one per replication) are forked, and the
-    # study process takes replications once its integrals are done; the
-    # workers sleep so that some are left for it when reps exceeds them
+    # study process takes replications beside them; the workers sleep so
+    # that some are left for it when reps exceeds them
     real_fork, forks = os.fork, []
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
     study_pid = os.getpid()
@@ -362,12 +366,11 @@ def test_forked_map_of_many_items_keeps_order_and_does_not_block():
     previous = signal.signal(signal.SIGALRM, timeout)
     signal.alarm(60)
     try:
-        rows, side = sim._map_reps(lambda rep: rep, 20_000, 2, lambda: "side")
+        rows = sim._map_reps(lambda rep: rep, 20_000, 2)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert_no_child_left()
-    assert side == "side"
     assert rows == list(range(20_000))
 
 
@@ -378,17 +381,36 @@ def test_run_study_cross_fit_uses_nuisance_factory():
     assert [r["psi_1"] for r in result.rows] == [0.0, 0.0, 0.0]
 
 
-def test_run_study_runs_each_quadrature_once(monkeypatch):
-    # one checked quadrature for psi and one for the efficiency bound
+def _counted_quadratures(monkeypatch) -> list:
     calls = []
     original = sim._checked_integral
     monkeypatch.setattr(sim, "_checked_integral",
                         lambda fn, d: calls.append(d) or original(fn, d))
+    return calls
+
+
+def test_registry_study_reads_its_recorded_truth(monkeypatch):
+    # a registry scenario's target and efficiency bound are recorded in TRUTH
+    calls = _counted_quadratures(monkeypatch)
     scn = SCENARIOS["s1-smooth-d1"]
     result = run_study(scn, study_cfg(), reps=2, seed=3, n=100)
-    assert len(calls) == 2
-    assert result.psi_true == pytest.approx(FROZEN[scn.id][0], abs=1e-9)
-    assert result.aggregate["eff_bound"] == efficiency_bound(scn)
+    assert calls == []
+    assert (result.psi_true, result.aggregate["eff_bound"]) == FROZEN[scn.id]
+
+
+def test_run_study_runs_each_quadrature_once(monkeypatch):
+    # any other spec integrates its own pair: one checked quadrature for psi
+    # and one for the efficiency bound; a registry id with a changed
+    # regression never inherits the recorded pair
+    calls = _counted_quadratures(monkeypatch)
+    base = SCENARIOS["s1-smooth-d1"]
+    half = replace(base, b=lambda x: np.full(x.shape[0], 0.5))
+    for scn, psi in ((replace(base, id="s1-copy"), FROZEN[base.id][0]), (half, 0.5)):
+        calls.clear()
+        result = run_study(scn, study_cfg(), reps=2, seed=3, n=100)
+        assert len(calls) == 2
+        assert result.psi_true == pytest.approx(psi, abs=1e-12)
+        assert result.aggregate["eff_bound"] == efficiency_bound(scn)
 
 
 def test_run_study_builds_each_basis_once(monkeypatch):
