@@ -159,6 +159,12 @@ class Basis:
             out = (out[:, :, None] * uj[:, None, :]).reshape(x.shape[0], -1)
         return out
 
+    def design(self, x: np.ndarray) -> np.ndarray:
+        """The design on the points of an (n, d) array: for a cellwise basis
+        (Haar), whose span is the indicators of its cells, each point's cell
+        (``cells``); otherwise the (n, k) basis values."""
+        return self.cells(x) if self.cellwise else self.evaluate_many(x)
+
     def cells(self, x: np.ndarray) -> np.ndarray:
         """Row-major index of the cell of the uniform q^d grid that holds each
         point of an (n, d) array, with ``_haar_univariate``'s floor convention

@@ -4,13 +4,15 @@ The full estimate is the one-step (first-order) estimator plus the
 higher-order U-statistic corrections of orders 2..m, with the inverse Gram
 taken either from the empirical training-sample covariance (variant
 ``emp``, the main path) or from quadrature against an estimated density
-(variant ``ac``).  A cellwise basis (Haar) takes both from per-cell masses,
-whatever the variant, and its corrections from ``ustat.cell_terms``; other
-bases (B-splines) from the basis rows and ``ustat.correction_terms``.  The
-average treatment effect is the difference of two arm estimates, and
-cross-fitting averages the estimate over the two ways of assigning the
-halves of the split.  A Gram that fails the invertibility check maps the
-whole estimate to zero by convention.
+(variant ``ac``), each a ``gram.weighted_gram`` over a basis design
+(``Basis.design``).  A cellwise basis's (Haar) design is each point's cell,
+so its Gram is per-cell masses and its corrections come from
+``ustat.cell_terms``; other bases' (B-splines) is the basis rows, which
+``ustat.correction_terms`` reads.  The average treatment effect is the
+difference of two arm estimates, and cross-fitting averages the estimate
+over the two ways of assigning the halves of the split.  A Gram that
+fails the invertibility check maps the whole estimate to zero by
+convention.
 """
 
 from __future__ import annotations
@@ -30,19 +32,16 @@ from hoif.gram import (
     DEFAULT_EIGEN_FLOOR,
     InverseReport,
     cell_gram,
-    cell_mass,
     cell_plan,
-    design_gram,
-    design_quadrature_gram,
     invert_checked,
-    node_design,
+    node_rows,
     quadrature_plan,
+    weighted_gram,
 )
 from hoif.nuisance import (
     DEFAULT_SIGMA_FLOOR,
     NuisanceSet,
     density_cells,
-    density_series,
     fit_nuisances,
     series_designs,
     zero_nuisance,
@@ -224,12 +223,12 @@ def confidence_interval(psi_hat: float, variance_est: float, level: float) -> tu
 def _training_fits(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSet] | None,
                    training: Dataset, cfg: EstimatorConfig, basis: Basis
                    ) -> tuple[list, list]:
-    """Every arm's nuisances and Gram (None if m = 1).  A cellwise basis
-    (Haar) has ``cell_gram``s of the training masses under ``emp``, and under
-    ``ac`` of the density estimate's integral over each cell, its value there
-    over k, and evaluates the basis nowhere.  Otherwise the basis is evaluated
-    on the training sample once, for the k-grid designs, of which the one of
-    the basis's own size, if the grid has it, is also the Gram design."""
+    """Every arm's nuisances and Gram (None if m = 1).  Under ``emp`` the Gram
+    is over the training design, the k-grid candidate of the basis's own size
+    if the grid has it.  Under ``ac`` a cellwise basis (Haar) has the
+    ``cell_gram`` of the density estimate's integral over each cell, its value
+    there over k, and other bases the Gram over the quadrature nodes' rows,
+    with the estimate read at the nodes' cells."""
     designs = {}
     if nuisances is None:
         if cfg.nuisance_method == "zero":
@@ -241,20 +240,17 @@ def _training_fits(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSe
                          for spec in specs]
     if cfg.m == 1:
         return nuisances, [None] * len(specs)
-    if cfg.basis.cellwise:
-        if cfg.variant == "emp":
-            cells = basis.cells(training.x)
-            return nuisances, [cell_gram(cell_mass(cells, basis.k, training, spec), basis,
-                                         "empirical", training.n) for spec in specs]
-        return nuisances, [cell_gram(density_cells(training, basis, spec, cfg.sigma_floor)
-                                     / basis.k, basis, "quadrature", basis.k) for spec in specs]
     if cfg.variant == "emp":
-        shared = designs.get(basis.k)  # a candidate of size k has the basis's values
-        z = shared[1] if shared else basis.evaluate_many(training.x)
-        return nuisances, [design_gram(z, training, spec) for spec in specs]
-    design = node_design(basis, basis_quadrature(cfg.basis))  # shared; capped before q^d cells
-    g_hats = [density_series(training, basis, spec, cfg.sigma_floor) for spec in specs]
-    return nuisances, [design_quadrature_gram(design, g) for g in g_hats]
+        shared = designs.get(basis.k)  # a candidate of size k has the basis's design
+        design = shared[1] if shared else basis.design(training.x)
+        return nuisances, [weighted_gram(basis, design, spec.abs_h1(training), "empirical")
+                           for spec in specs]
+    g_hats = [density_cells(training, basis, spec, cfg.sigma_floor) for spec in specs]
+    if basis.cellwise:
+        return nuisances, [cell_gram(g / basis.k, basis, "quadrature", basis.k) for g in g_hats]
+    nodes, _, z = node_rows(basis, basis_quadrature(cfg.basis))
+    cells = basis.cells(nodes)
+    return nuisances, [weighted_gram(basis, z, g[cells], "quadrature") for g in g_hats]
 
 
 def _run_fold(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSet] | None,
@@ -265,10 +261,7 @@ def _run_fold(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSet] | 
         spec.check_h1_sign(est)
         spec.check_h1_sign(training)
     nuisances, grams = _training_fits(specs, nuisances, training, cfg, basis)
-    cell_route = cfg.basis.cellwise
-    rows = None
-    if cfg.m > 1:  # each record's cell on the cell route, its basis row otherwise
-        rows = basis.cells(est.x) if cell_route else basis.evaluate_many(est.x)
+    rows = basis.design(est.x) if cfg.m > 1 else None
     runs = []
     for spec, nuisance, gram in zip(specs, nuisances, grams):
         bx, px = _nuisance_values(nuisance, est)
@@ -280,7 +273,7 @@ def _run_fold(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSet] | 
         terms = None
         if diag.invertible:
             res = fn.residuals(spec, est, bx, px)
-            if cell_route:
+            if basis.cellwise:
                 terms = cell_terms(CellInputs(
                     eps_p=res.eps_p, eps_b=res.eps_b, abs_h1=res.abs_h1, cells=rows,
                     mass=gram.entries / basis.k, sign_flag=spec.sign_flag), cfg.m)

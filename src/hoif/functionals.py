@@ -46,6 +46,16 @@ class FunctionalSpec:
             if np.any(h1 < 0.0):
                 raise ValidationError(f"h1 must be nowhere negative for {self.id}")
 
+    def abs_h1(self, training: Dataset) -> np.ndarray:
+        """The weights |h1| of the Gram and of the density estimate on
+        ``training``; a ValidationError for no record or a non-finite weight."""
+        if training.n == 0:
+            raise ValidationError("empty training set")
+        w = np.abs(self.h1(training))
+        if not np.all(np.isfinite(w)):
+            raise ValidationError("non-finite weight |h1|")
+        return w
+
 
 @dataclass(frozen=True)
 class Residuals:

@@ -1,15 +1,14 @@
 """Gram matrices, checked inversion, projections and truncation bias.
 
-Three Gram variants appear in the pipeline: the population matrix built by
-quadrature against the true weighted density g, the same quadrature against
-an estimated density (the density-based comparison path), and the empirical
-training-sample average of |h1|-weighted outer products (the main path,
-which needs no density estimate).  A cellwise basis (Haar) has cell rows B
-with B^T B = k I, so each of the three, B^T diag(m_c) B, has the eigenvalues
-k m_c, and ``cell_gram`` holds it as those alone: m_c is the training mass
-(``cell_mass``) or the integral of the density over the cell
-(``cell_quadrature_mass``, or an estimate's cell value over k); other bases
-(B-splines) take theirs from the basis evaluated on the records or nodes.
+Every Gram is (1/n) sum_i w_i z_i z_i^T over the n points of a design, and
+``weighted_gram`` builds it: over the training records with w = |h1|, the
+empirical Gram (the main path, which needs no density estimate); over the
+nodes of a midpoint grid with w a density, the quadrature Gram of the true
+weighted density g (``population_gram``) or of an estimate of it (the
+density-based comparison path).  A design (``Basis.design``) is the basis's
+(n, k) rows, or for a cellwise basis (Haar) each point's cell: its cell rows
+B have B^T B = k I, so B^T diag(m_c) B has the eigenvalues k m_c, and
+``cell_gram`` holds it as those alone, m_c the per-cell sum of w over n.
 """
 
 from __future__ import annotations
@@ -61,30 +60,21 @@ def _finish(entries: np.ndarray, source: str, n_used: int) -> GramMatrix:
     return GramMatrix(entries=0.5 * (entries + entries.T), source=source, n_used=n_used)
 
 
+def weighted_gram(basis: Basis, design: np.ndarray, weights: np.ndarray,
+                  source: str) -> GramMatrix:
+    """(1/n) sum_i w_i z_i z_i^T over the n points of ``design``
+    (``Basis.design``): the ``cell_gram`` of its per-cell sums for a design of
+    cells, the dense matrix for one of (n, k) rows."""
+    n = design.shape[0]
+    if design.ndim == 1:
+        return cell_gram(np.bincount(design, weights, basis.k) / n, basis, source, n)
+    return _finish((design * weights[:, None]).T @ design / n, source, n)
+
+
 def empirical_gram(basis: Basis, training: Dataset, spec: FunctionalSpec) -> GramMatrix:
     """Training-sample average of |h1|-weighted basis outer products."""
-    return design_gram(basis.evaluate_many(training.x), training, spec)
-
-
-def _abs_h1(training: Dataset, spec: FunctionalSpec) -> np.ndarray:
-    if training.n == 0:
-        raise ValidationError("empty training set")
-    w = np.abs(spec.h1(training))
-    if not np.all(np.isfinite(w)):
-        raise ValidationError("non-finite weight |h1|")
-    return w
-
-
-def design_gram(z: np.ndarray, training: Dataset, spec: FunctionalSpec) -> GramMatrix:
-    """``empirical_gram`` from the basis evaluated on the training points, ``z``."""
-    entries = (z * _abs_h1(training, spec)[:, None]).T @ z / training.n
-    return _finish(entries, "empirical", training.n)
-
-
-def cell_mass(cells: np.ndarray, k: int, training: Dataset, spec: FunctionalSpec) -> np.ndarray:
-    """m_c = (1/n) sum of |h1| over the training records in each of the k cells;
-    ``cells`` holds each record's cell (``Basis.cells``)."""
-    return np.bincount(cells, _abs_h1(training, spec), k) / training.n
+    return weighted_gram(basis, basis.evaluate_many(training.x), spec.abs_h1(training),
+                         "empirical")
 
 
 def cell_gram(mass: np.ndarray, basis: Basis, source: str, n_used: int) -> GramMatrix:
@@ -113,7 +103,7 @@ def _nodes_of(basis: Basis, quad: QuadratureSpec) -> str:
     return f"{quad.nodes_per_dim}^{basis.d} nodes at k={basis.k}"
 
 
-def node_design(basis: Basis, quad: QuadratureSpec) -> tuple[np.ndarray, float, np.ndarray]:
+def node_rows(basis: Basis, quad: QuadratureSpec) -> tuple[np.ndarray, float, np.ndarray]:
     """Nodes, cell weight and basis values of the rule ``quad``; a design
     over ``PLAN_BYTES_MAX`` bytes is refused before its grid is built."""
     if quad.nodes_per_dim < basis.spec.per_dim_size:
@@ -126,7 +116,8 @@ def node_design(basis: Basis, quad: QuadratureSpec) -> tuple[np.ndarray, float, 
 
 def quadrature_gram(basis: Basis, g, quad: QuadratureSpec) -> GramMatrix:
     """Quadrature of the g-weighted outer product of basis evaluations."""
-    return design_quadrature_gram(node_design(basis, quad), g)
+    nodes, _, z = node_rows(basis, quad)
+    return weighted_gram(basis, z, _density(g, nodes), "quadrature")
 
 
 def _density(g, nodes: np.ndarray) -> np.ndarray:
@@ -136,23 +127,18 @@ def _density(g, nodes: np.ndarray) -> np.ndarray:
     return gv
 
 
-def cell_quadrature_mass(basis: Basis, g, quad: QuadratureSpec) -> np.ndarray:
-    """The quadrature integral of g over each of the k cells of a cellwise
-    basis (Haar): the nodes' g-weighted weights summed per cell, one
-    ``np.bincount``; refused, before anything is built, when ``cell_plan``
-    passes ``PLAN_BYTES_MAX``."""
+def population_gram(basis: Basis, g, quad: QuadratureSpec) -> GramMatrix:
+    """The quadrature Gram of the density g: a cellwise basis's (Haar) from
+    the nodes' cells, with no basis value and refused before its grid is
+    built when ``cell_plan`` passes ``PLAN_BYTES_MAX``; ``quadrature_gram``
+    otherwise."""
+    if not basis.cellwise:
+        return quadrature_gram(basis, g, quad)
     if quad.nodes_per_dim < basis.spec.per_dim_size:
         raise ValidationError("quadrature node count below basis resolution")
     cell_plan(basis, quad)
-    nodes, w = quad.grid(basis.d)
-    return np.bincount(basis.cells(nodes), _density(g, nodes) * w, basis.k)
-
-
-def design_quadrature_gram(design: tuple, g) -> GramMatrix:
-    """``quadrature_gram`` from a ``node_design``, which several g can share."""
-    nodes, w, z = design
-    entries = (z * (_density(g, nodes) * w)[:, None]).T @ z
-    return _finish(entries, "quadrature", nodes.shape[0])
+    nodes, _ = quad.grid(basis.d)
+    return weighted_gram(basis, basis.cells(nodes), _density(g, nodes), "quadrature")
 
 
 def quadrature_plan(basis: Basis, quad: QuadratureSpec) -> int:
@@ -218,7 +204,7 @@ def op_norm_distance(amat: GramMatrix, bmat: GramMatrix) -> float:
 
 def projection_coefficients(basis: Basis, m_inv: np.ndarray, g, h, quad: QuadratureSpec) -> np.ndarray:
     """Coefficients of the L2(g)-projection of h onto the basis span."""
-    nodes, w, z = node_design(basis, quad)
+    nodes, w, z = node_rows(basis, quad)
     gv = np.asarray(g(nodes), dtype=float)
     hv = np.asarray(h(nodes), dtype=float)
     moments = z.T @ (gv * hv * w)
@@ -247,12 +233,11 @@ def truncation_bias(basis: Basis, g, b_err, p_err, quad: QuadratureSpec,
     L2(g)-projection onto the basis span and sign = (-1)**I(h1 <= 0).
     Simulation-only: requires the error functions themselves.
     """
-    design = node_design(basis, quad)
-    rep = invert_checked(design_quadrature_gram(design, g))
+    nodes, w, z = node_rows(basis, quad)
+    gv = _density(g, nodes)
+    rep = invert_checked(weighted_gram(basis, z, gv, "quadrature"))
     if not rep.invertible:
         raise ValueError("population Gram not invertible at this quadrature")
-    nodes, w, z = design
-    gv = np.asarray(g(nodes), dtype=float)
     bv = np.asarray(b_err(nodes), dtype=float)
     pv = np.asarray(p_err(nodes), dtype=float)
     cb = z.T @ (gv * bv * w)

@@ -6,9 +6,12 @@ estimator (which deliberately ignores the admissible range of the inverse
 propensity and still leaves the full pipeline consistent).
 
 A Haar candidate of size q^d spans the indicators of its q^d cells, so its
-design is each record's cell and its least-squares fit the per-cell mean:
-Haar fits, their cross-validation and their predictions never evaluate the
-basis.  Other families fit their evaluated designs by ``np.linalg.lstsq``.
+design (``Basis.design``) is each record's cell and its least-squares fit
+the per-cell mean: Haar fits, their cross-validation and their predictions
+never evaluate the basis.  Other families fit their (n, k) rows by
+``np.linalg.lstsq``.  The density estimate is its value in each cell of the
+basis's q^d grid (``density_cells``), which the estimator reads at the
+records or nodes it needs.
 """
 
 from __future__ import annotations
@@ -44,13 +47,6 @@ def zero_nuisance() -> NuisanceSet:
     return NuisanceSet(b_hat=_constant(0.0), p_hat=_constant(0.0))
 
 
-def _design(sub: Basis, x: np.ndarray) -> np.ndarray:
-    """The design of ``sub`` on the points x: for a cellwise basis (Haar),
-    whose span is the indicators of its cells, each point's cell
-    (``Basis.cells``); otherwise the (n, k) basis values."""
-    return sub.cells(x) if sub.cellwise else sub.evaluate_many(x)
-
-
 def _least_squares(sub: Basis, design: np.ndarray, response: np.ndarray) -> tuple:
     """Least-squares coefficients of ``response`` on ``design`` rows and whether
     the design has full rank.  A cellwise fit is the per-cell mean, 0 in a
@@ -69,7 +65,7 @@ def _fitted(sub: Basis, design: np.ndarray, coef: np.ndarray) -> np.ndarray:
 
 
 def series_designs(x: np.ndarray, basis: Basis, k_grid: list[int]) -> dict:
-    """Sub-basis and design (``_design``) on ``x`` of each size in ``k_grid``
+    """Sub-basis and design (``Basis.design``) on ``x`` of each size in ``k_grid``
     that can be fit: a tensor size of the basis's family at most half the
     sample.
     """
@@ -85,7 +81,7 @@ def series_designs(x: np.ndarray, basis: Basis, k_grid: list[int]) -> dict:
                                         order=min(basis.spec.order, max(q - 1, 0))))
         except ValidationError:  # this family has no basis of q functions
             continue
-        designs[k] = (sub, _design(sub, x))
+        designs[k] = (sub, sub.design(x))
     return designs
 
 
@@ -191,7 +187,7 @@ def series_fit(designs: dict, response: np.ndarray, folds: int, seed: int,
     coef, _ = _least_squares(sub, z[rows], response[rows])
 
     def predict(pts):
-        return _fitted(sub, _design(sub, np.asarray(pts)), coef)
+        return _fitted(sub, sub.design(np.asarray(pts)), coef)
 
     return predict, k_best
 
@@ -204,9 +200,7 @@ def density_cells(training: Dataset, basis: Basis, spec: FunctionalSpec,
     Floored at ``sigma_floor`` and renormalized to the weighted sample
     mass; used only by the density-based comparison path.
     """
-    if training.n == 0:
-        raise ValidationError("empty training set")
-    w = np.abs(spec.h1(training))
+    w = spec.abs_h1(training)
     mass = float(np.mean(w))
     if mass <= 0.0:
         raise ValidationError("all |h1| weights are zero")
@@ -215,13 +209,6 @@ def density_cells(training: Dataset, basis: Basis, spec: FunctionalSpec,
     dens = np.maximum(dens, sigma_floor)
     dens = dens * (mass / (np.mean(dens / k) * k))
     return np.maximum(dens, sigma_floor)
-
-
-def density_series(training: Dataset, basis: Basis, spec: FunctionalSpec,
-                   sigma_floor: float = DEFAULT_SIGMA_FLOOR):
-    """``density_cells`` as a function of an (n, d) array of points."""
-    dens = density_cells(training, basis, spec, sigma_floor)
-    return lambda pts: dens[basis.cells(pts)]
 
 
 def fit_nuisances(spec: FunctionalSpec, training: Dataset, designs: dict, folds: int,

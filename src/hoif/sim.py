@@ -21,8 +21,7 @@ import numpy as np
 from hoif.basis import build_basis
 from hoif.data import Dataset, ValidationError, table_csv
 from hoif.estimator import EstimatorConfig, estimate
-from hoif.gram import (GramMatrix, cell_gram, cell_quadrature_mass, op_norm_distance,
-                       quadrature_gram)
+from hoif.gram import GramMatrix, op_norm_distance, population_gram
 from hoif.quadrature import QuadratureSpec, basis_quadrature, default_nodes_per_dim, integrate
 
 QUAD_TOL = 1e-8
@@ -513,10 +512,8 @@ def run_study(scn: ScenarioSpec, cfg: EstimatorConfig, reps: int, seed: int,
     recorded = SCENARIOS.get(scn.id) == scn  # False for a changed registry copy
     psi = TRUTH[scn.id][0] if recorded else true_psi(scn)
     eff = TRUTH[scn.id][1] if recorded else _efficiency_bound(scn, psi)
-    basis, g, quad = build_basis(cfg.basis), weighted_density(scn), basis_quadrature(cfg.basis)
-    ref_gram = cell_gram(cell_quadrature_mass(basis, g, quad), basis, "quadrature",
-                         quad.nodes_per_dim ** basis.d) if basis.cellwise \
-        else quadrature_gram(basis, g, quad)
+    ref_gram = population_gram(build_basis(cfg.basis), weighted_density(scn),
+                               basis_quadrature(cfg.basis))
 
     def work(rep):
         return _one_rep(scn, cfg, n, seed, rep, nuisance_factory, ref_gram)
@@ -533,20 +530,17 @@ def run_study(scn: ScenarioSpec, cfg: EstimatorConfig, reps: int, seed: int,
         raise ValidationError(f"{len(errors)}/{len(rows)} replications failed, first: {errors[0]}")
 
     est = np.array([r["psi_hat"] for r in ok])
+    cov_vals = [r["covered"] for r in ok if r["covered"] != ""]
+    ops = [r["op_dist"] for r in ok if r["op_dist"] is not None]
     agg = {
         "scenario": scn.id, "n": n, "variant": cfg.variant, "k": cfg.k, "m": cfg.m,
         "reps_ok": len(ok), "reps_failed": len(errors),
         "zero_convention_count": sum(r["zero_convention"] for r in ok),
         "psi_true": psi, "eff_bound": eff,
+        "bias": float(np.mean(est) - psi),
+        "sd": float(np.std(est, ddof=1)),
+        "rmse": math.sqrt(float(np.mean((est - psi) ** 2))),
+        "coverage": float(np.mean(cov_vals)) if cov_vals else None,
+        "mean_op_dist": float(np.mean(ops)) if ops else None,
     }
-    if len(ok) >= 2:
-        cov_vals = [r["covered"] for r in ok if r["covered"] != ""]
-        ops = [r["op_dist"] for r in ok if r["op_dist"] is not None]
-        agg.update(
-            bias=float(np.mean(est) - psi),
-            sd=float(np.std(est, ddof=1)),
-            rmse=math.sqrt(float(np.mean((est - psi) ** 2))),
-            coverage=float(np.mean(cov_vals)) if cov_vals else None,
-            mean_op_dist=float(np.mean(ops)) if ops else None,
-        )
     return StudyResult(psi_true=psi, rows=rows, aggregate=agg)

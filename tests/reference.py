@@ -19,7 +19,7 @@ import numpy as np
 from scipy.interpolate import BSpline
 
 from hoif import ustat
-from hoif.nuisance import _design, _fitted, _least_squares
+from hoif.nuisance import _fitted, _least_squares
 from hoif.basis import Basis, BasisSpec, _bspline_knots
 from hoif.quadrature import STRIP_NODES, QuadratureSpec
 
@@ -293,7 +293,7 @@ def loop_series_fit(designs: dict, response: np.ndarray, folds: int, seed: int,
     k_best = min(scores, key=lambda k: (scores[k], k))
     sub, z = designs[k_best]
     coef, _ = _least_squares(sub, z[rows], response)
-    return (lambda pts: _fitted(sub, _design(sub, pts), coef)), k_best, scores
+    return (lambda pts: _fitted(sub, sub.design(pts), coef)), k_best, scores
 
 
 def unravel_integrate(f, d: int, quad: QuadratureSpec) -> float:

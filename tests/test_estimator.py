@@ -20,10 +20,10 @@ from hoif.estimator import (
     split_sample,
 )
 from hoif.functionals import mar_mean_spec, residuals
-from hoif.gram import (cell_quadrature_mass, empirical_gram, invert_checked, op_norm_distance,
-                       quadrature_gram)
-from hoif.nuisance import NuisanceSet, zero_nuisance
-from hoif.quadrature import QuadratureSpec
+from hoif.gram import (empirical_gram, invert_checked, node_rows, op_norm_distance,
+                       population_gram, quadrature_gram)
+from hoif.nuisance import NuisanceSet, density_cells, zero_nuisance
+from hoif.quadrature import QuadratureSpec, basis_quadrature
 from hoif.sim import SCENARIOS, generate, run_study, weighted_density
 from hoif.ustat import ChainInputs, brute_force_ifjj, cell_terms
 from reference import longdouble_cell_terms
@@ -170,8 +170,9 @@ def test_emp_vs_ac_agree_with_truth_injected(monkeypatch):
     # Gram and the order-2 terms differ only through Omega-hat-emp noise
     scn = SCENARIOS["s1-smooth-d1"]
     basis = build_basis(BasisSpec("haar", 1, 4))
-    # the true g enters through its per-cell values, its cell integrals times k
-    true_cells = cell_quadrature_mass(basis, weighted_density(scn), QuadratureSpec(256)) * basis.k
+    # the true g enters through its per-cell values, its cell integrals times
+    # k: the eigenvalues of the population Gram
+    true_cells = population_gram(basis, weighted_density(scn), QuadratureSpec(256)).entries
     monkeypatch.setattr("hoif.estimator.density_cells", lambda *args: true_cells)
     nuis = NuisanceSet(b_hat=lambda p: np.zeros(p.shape[0]),
                        p_hat=lambda p: np.zeros(p.shape[0]))
@@ -446,6 +447,23 @@ def test_grid_design_shared_by_the_arms(monkeypatch, variant, most):
     estimate(data, replace(cfg, cross_fit=True))
     assert len(calls) <= 2 * most
     assert calls.count(256) == 2 * (variant == "ac")
+
+
+@pytest.mark.parametrize("spec", [BasisSpec("bspline", 1, 6, order=2),
+                                  BasisSpec("bspline", 2, 4, order=2)])
+def test_bspline_ac_gram_bit_for_bit(spec):
+    # on a power-of-two grid the ac Gram, (1/N) sum g_hat z z^T over the N
+    # nodes, is bit for bit the rule's sum of g_hat * w * z z^T
+    cfg = EstimatorConfig(basis=spec, m=2, seed=3, variant="ac")
+    data = generate(SCENARIOS["s2-smooth-d2" if spec.dimension == 2 else "s1-smooth-d1"],
+                    1500, 8)
+    gram = estimate(data, cfg).gram_diag.gram
+    _, training = split_sample(data, cfg.split_fraction, cfg.seed)
+    basis = build_basis(spec)
+    nodes, w, z = node_rows(basis, basis_quadrature(spec))
+    g = density_cells(training, basis, mar_mean_spec(), cfg.sigma_floor)[basis.cells(nodes)]
+    entries = (z * (g * w)[:, None]).T @ z
+    assert np.array_equal(gram.entries, 0.5 * (entries + entries.T))
 
 
 def test_haar_emp_evaluates_the_basis_on_no_record(monkeypatch):

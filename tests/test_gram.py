@@ -8,17 +8,19 @@ from hoif.functionals import expected_cond_cov_spec, mar_mean_spec
 from hoif.gram import (
     GramMatrix,
     cell_gram,
-    cell_mass,
+    cell_plan,
     empirical_gram,
     invert_checked,
     load_gram,
-    node_design,
+    node_rows,
     op_norm_distance,
+    population_gram,
     project,
     projection_coefficients,
     quadrature_gram,
     save_gram,
     truncation_bias,
+    weighted_gram,
 )
 from hoif.quadrature import QuadratureSpec, basis_quadrature
 
@@ -129,14 +131,48 @@ def test_over_budget_node_design_refused_before_building(monkeypatch):
     # 256 nodes x k=8 columns of float64 take 16384 bytes
     basis = build_basis(BasisSpec("haar", 1, 8))
     monkeypatch.setattr(gram_module, "PLAN_BYTES_MAX", 16384)
-    assert node_design(basis, QUAD)[2].shape == (256, 8)
+    assert node_rows(basis, QUAD)[2].shape == (256, 8)
     monkeypatch.setattr(gram_module, "PLAN_BYTES_MAX", 16383)
     monkeypatch.setattr(Basis, "evaluate_many", lambda self, x: pytest.fail("evaluated"))
     monkeypatch.setattr(QuadratureSpec, "grid", lambda self, d: pytest.fail("grid built"))
     with pytest.raises(ValidationError, match="at k=8 needs 16384 bytes, over the cap of 16383"):
-        node_design(basis, QUAD)
+        node_rows(basis, QUAD)
     with pytest.raises(ValidationError, match="needs 16384 bytes"):
         quadrature_gram(basis, uniform, QUAD)
+
+
+def test_weighted_gram_of_cells_equals_that_of_rows():
+    # a Haar design of cells and the basis rows at the same points give one
+    # Gram, under a training measure (|h1| at records) and under a quadrature
+    # measure (a density at the nodes)
+    basis = build_basis(BasisSpec("haar", 2, 4))
+    rng = np.random.default_rng(5)
+    data = make_data(rng.random((400, 2)), a=rng.integers(0, 2, 400))
+    nodes, _ = QUAD.grid(2)
+    for pts, weights, source in ((data.x, mar_mean_spec().abs_h1(data), "empirical"),
+                                 (nodes, 0.5 + nodes[:, 0] * nodes[:, 1], "quadrature")):
+        cells = weighted_gram(basis, basis.design(pts), weights, source)
+        rows = weighted_gram(basis, basis.evaluate_many(pts), weights, source)
+        assert (cells.basis, rows.basis) == (basis, None)
+        assert (cells.source, cells.n_used) == (rows.source, rows.n_used) == (source, len(pts))
+        assert op_norm_distance(cells, rows) <= 1e-13
+
+
+def test_population_gram_of_haar_evaluates_no_node(monkeypatch):
+    basis = build_basis(BasisSpec("haar", 2, 4))
+    g = lambda x: 0.5 + x[:, 0] * x[:, 1]
+    monkeypatch.setattr(Basis, "evaluate_many", lambda self, x: pytest.fail("evaluated"))
+    gram = population_gram(basis, g, QUAD)
+    assert (gram.basis, gram.source, gram.n_used) == (basis, "quadrature", 256 ** 2)
+    # over the cap, cell_plan refuses before the grid is built
+    planned = cell_plan(basis, QUAD)
+    monkeypatch.setattr(gram_module, "PLAN_BYTES_MAX", planned - 1)
+    monkeypatch.setattr(QuadratureSpec, "grid", lambda self, d: pytest.fail("grid built"))
+    with pytest.raises(ValidationError, match=f"cell quadrature of 256\\^2 nodes at k=16 "
+                                              f"needs {planned} bytes, over the cap"):
+        population_gram(basis, g, QUAD)
+    monkeypatch.undo()
+    assert op_norm_distance(gram, quadrature_gram(basis, g, QUAD)) <= 1e-13
 
 
 def test_invert_checked_identity():
@@ -299,8 +335,8 @@ def test_gram_save_load_roundtrip(tmp_path):
     assert back.source == "empirical"
     assert back.n_used == 20
     # a cell Gram is written as its dense matrix: empirical_gram's, up to rounding
-    mass = cell_mass(basis.cells(data.x), 4, data, expected_cond_cov_spec())
-    save_gram(cell_gram(mass, basis, "empirical", 20), path)
+    weights = expected_cond_cov_spec().abs_h1(data)
+    save_gram(weighted_gram(basis, basis.design(data.x), weights, "empirical"), path)
     np.testing.assert_allclose(load_gram(path).entries, gram.entries, rtol=0.0, atol=1e-15)
     with pytest.raises(ValueError):
         path2 = tmp_path / "bad.bin"

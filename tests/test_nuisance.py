@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from hoif.basis import Basis, BasisSpec, build_basis
 from hoif.data import Dataset, ValidationError
 from hoif.functionals import expected_cond_cov_spec, mar_mean_spec
 from hoif.nuisance import (
-    density_series,
+    density_cells,
     fit_nuisances,
     series_designs,
     series_fit,
@@ -136,7 +138,8 @@ def test_grid_without_a_tensor_size_names_the_failure():
 
 def test_density_series_uniform():
     data = make_training(20000, seed=8, pi=lambda x: np.full(x.shape[0], 1.0))
-    g_hat = density_series(data, BASIS, mar_mean_spec(), sigma_floor=0.05)
+    dens = density_cells(data, BASIS, mar_mean_spec(), sigma_floor=0.05)
+    g_hat = lambda pts: dens[BASIS.cells(pts)]
     grid = np.linspace(0.01, 0.99, 64)[:, None]
     np.testing.assert_allclose(g_hat(grid), 1.0, atol=0.15)
 
@@ -144,7 +147,8 @@ def test_density_series_uniform():
 def test_density_series_floor_and_mass():
     data = make_training(500, seed=9, pi=lambda x: np.full(x.shape[0], 0.3))
     spec = mar_mean_spec()
-    g_hat = density_series(data, BASIS, spec, sigma_floor=0.05)
+    dens = density_cells(data, BASIS, spec, sigma_floor=0.05)
+    g_hat = lambda pts: dens[BASIS.cells(pts)]
     grid = np.linspace(0.0, 1.0, 257)[:, None]
     assert np.all(g_hat(grid) >= 0.05 - 1e-12)
     mass = integrate(g_hat, 1, QuadratureSpec(256))
@@ -156,7 +160,17 @@ def test_density_series_all_zero_weights():
     x = np.random.default_rng(10).random((50, 1))
     data = Dataset(x, np.zeros(50), np.zeros(50))
     with pytest.raises(ValidationError):
-        density_series(data, BASIS, mar_mean_spec(), 0.05)
+        density_cells(data, BASIS, mar_mean_spec(), 0.05)
+
+
+def test_density_cells_refuses_a_non_finite_weight():
+    # the weights are FunctionalSpec.abs_h1's, checked as the empirical Gram's are
+    data = make_training(50, seed=10)
+    spec = replace(mar_mean_spec(), h1=lambda dat: np.where(dat.x[:, 0] < 0.5, -np.inf, -1.0))
+    with pytest.raises(ValidationError, match=r"non-finite weight \|h1\|"):
+        density_cells(data, BASIS, spec, 0.05)
+    with pytest.raises(ValidationError, match="empty training set"):
+        density_cells(data.subset(np.arange(0)), BASIS, mar_mean_spec(), 0.05)
 
 
 def test_fit_nuisances_mar_and_ecc():

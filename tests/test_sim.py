@@ -16,7 +16,7 @@ from hoif import cli, sim
 from hoif.basis import BasisSpec, build_basis
 from hoif.data import ValidationError
 from hoif.estimator import EstimatorConfig, estimate
-from hoif.gram import cell_gram, cell_quadrature_mass, op_norm_distance, quadrature_gram
+from hoif.gram import op_norm_distance, population_gram, quadrature_gram
 from hoif.nuisance import NuisanceSet, zero_nuisance
 from hoif.quadrature import basis_quadrature
 from hoif.sim import (
@@ -505,9 +505,8 @@ def test_op_dist_measures_the_gram_each_estimate_inverted():
     cfg = study_cfg()
     result = run_study(scn, cfg, reps=3, seed=4, n=300)
     basis, quad = build_basis(cfg.basis), basis_quadrature(cfg.basis)
-    mass = cell_quadrature_mass(basis, weighted_density(scn), quad)
-    ref = cell_gram(mass, basis, "quadrature", 256)
-    rows = basis.cell_rows()
+    ref = population_gram(basis, weighted_density(scn), quad)
+    mass, rows = ref.entries / basis.k, basis.cell_rows()
     dense = quadrature_gram(basis, weighted_density(scn), quad)
     np.testing.assert_allclose((rows.T * mass) @ rows, dense.entries, rtol=0, atol=1e-15)
     for row in result.rows:
