@@ -43,9 +43,10 @@ class Dataset:
 
 
 def read_text(path) -> str:
-    """The text of an input file; an unreadable file is a ValidationError."""
+    """The text of an input file, without a UTF-8 byte-order mark; an
+    unreadable file is a ValidationError."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc

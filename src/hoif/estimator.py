@@ -31,7 +31,6 @@ from hoif.functionals import FunctionalSpec
 from hoif.gram import (
     DEFAULT_EIGEN_FLOOR,
     InverseReport,
-    cell_gram,
     cell_plan,
     invert_checked,
     node_rows,
@@ -225,10 +224,11 @@ def _training_fits(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSe
                    ) -> tuple[list, list]:
     """Every arm's nuisances and Gram (None if m = 1).  Under ``emp`` the Gram
     is over the training design, the k-grid candidate of the basis's own size
-    if the grid has it.  Under ``ac`` a cellwise basis (Haar) has the
-    ``cell_gram`` of the density estimate's integral over each cell, its value
-    there over k, and other bases the Gram over the quadrature nodes' rows,
-    with the estimate read at the nodes' cells."""
+    if the grid has it.  Under ``ac`` a cellwise basis (Haar) has the Gram
+    over one node per cell, weighted by the density estimate there: the
+    midpoint rule, exact for a density constant on the cells; other bases
+    have the Gram over the quadrature nodes' rows, with the estimate read at
+    the nodes' cells."""
     designs = {}
     if nuisances is None:
         if cfg.nuisance_method == "zero":
@@ -247,7 +247,8 @@ def _training_fits(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSe
                            for spec in specs]
     g_hats = [density_cells(training, basis, spec, cfg.sigma_floor) for spec in specs]
     if basis.cellwise:
-        return nuisances, [cell_gram(g / basis.k, basis, "quadrature", basis.k) for g in g_hats]
+        return nuisances, [weighted_gram(basis, np.arange(basis.k), g, "quadrature")
+                           for g in g_hats]
     nodes, _, z = node_rows(basis, basis_quadrature(cfg.basis))
     cells = basis.cells(nodes)
     return nuisances, [weighted_gram(basis, z, g[cells], "quadrature") for g in g_hats]

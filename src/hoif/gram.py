@@ -7,8 +7,8 @@ nodes of a midpoint grid with w a density, the quadrature Gram of the true
 weighted density g (``population_gram``) or of an estimate of it (the
 density-based comparison path).  A design (``Basis.design``) is the basis's
 (n, k) rows, or for a cellwise basis (Haar) each point's cell: its cell rows
-B have B^T B = k I, so B^T diag(m_c) B has the eigenvalues k m_c, and
-``cell_gram`` holds it as those alone, m_c the per-cell sum of w over n.
+B have B^T B = k I, so B^T diag(m_c) B has the eigenvalues k m_c, and a
+cell design's Gram holds it as those alone, m_c the per-cell sum of w over n.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class GramMatrix:
     entries: np.ndarray  # (k, k) symmetric; with ``basis``, the (k,) eigenvalues
     source: str  # "empirical" | "quadrature"
     n_used: int
-    basis: Basis | None = None  # a cellwise basis whose ``cell_gram`` this is
+    basis: Basis | None = None  # a cellwise basis, when ``entries`` are its eigenvalues
 
     @property
     def k(self) -> int:
@@ -63,11 +63,13 @@ def _finish(entries: np.ndarray, source: str, n_used: int) -> GramMatrix:
 def weighted_gram(basis: Basis, design: np.ndarray, weights: np.ndarray,
                   source: str) -> GramMatrix:
     """(1/n) sum_i w_i z_i z_i^T over the n points of ``design``
-    (``Basis.design``): the ``cell_gram`` of its per-cell sums for a design of
-    cells, the dense matrix for one of (n, k) rows."""
+    (``Basis.design``): the dense matrix for a design of (n, k) rows; for a
+    design of cells, B^T diag(m) B held as its eigenvalues k * m, m the
+    per-cell sums over n and B the cell rows (``Basis.cell_rows``): B / sqrt(k)
+    is orthogonal, and k a power of two, so entries / k is m, exactly."""
     n = design.shape[0]
     if design.ndim == 1:
-        return cell_gram(np.bincount(design, weights, basis.k) / n, basis, source, n)
+        return GramMatrix(basis.k * (np.bincount(design, weights, basis.k) / n), source, n, basis)
     return _finish((design * weights[:, None]).T @ design / n, source, n)
 
 
@@ -77,19 +79,12 @@ def empirical_gram(basis: Basis, training: Dataset, spec: FunctionalSpec) -> Gra
                          "empirical")
 
 
-def cell_gram(mass: np.ndarray, basis: Basis, source: str, n_used: int) -> GramMatrix:
-    """The Gram B^T diag(mass) B of a cellwise basis (Haar), B its cell rows
-    (``Basis.cell_rows``), held as its eigenvalues k * mass: B / sqrt(k) is
-    orthogonal, and k a power of two, so entries / k is the mass, exactly."""
-    return GramMatrix(basis.k * mass, source, n_used, basis)
-
-
 def _dense(m: GramMatrix) -> np.ndarray:
-    """The (k, k) matrix of ``m``; a cell Gram's built from its cell rows."""
+    """The (k, k) matrix of ``m``; a cell Gram's is the Gram of its cell
+    rows weighted by its eigenvalues."""
     if m.basis is None:
         return m.entries
-    rows = m.basis.cell_rows()
-    return _finish((rows.T * (m.entries / m.k)) @ rows, m.source, m.n_used).entries
+    return weighted_gram(m.basis, m.basis.cell_rows(), m.entries, m.source).entries
 
 
 def _capped(planned: int, what: str) -> int:

@@ -52,29 +52,12 @@ def _grid_cached(nodes_per_dim: int, d: int) -> tuple[np.ndarray, float]:
 def integrate(f, d: int, quad: QuadratureSpec) -> float:
     """Midpoint integral of ``f`` over [0,1]^d; f takes an (n, d) array.  The
     nodes are made and ``f`` evaluated in strips of at most ``STRIP_NODES``
-    in row-major order, so no array of the whole grid is held or cached.
-
-    A strip's nodes are written column by column: the last coordinate
-    cycles through the midpoints, so its column is a slice of one tiled
-    copy of them, and every other coordinate holds each midpoint for a run
-    of ``n**(d - 1 - axis)`` consecutive nodes, so its column repeats the
-    midpoints of the runs the strip meets."""
+    in row-major order, so no array of the whole grid is held or cached: a
+    strip's nodes are the midpoints gathered at its flat indices."""
     n = quad.nodes_per_dim
-    total_nodes = n**d
     x1 = (np.arange(n) + 0.5) / n
-    strip = min(STRIP_NODES, total_nodes)
-    tiled = np.tile(x1, -(-(strip + n - 1) // n))
     total = 0.0
-    for lo in range(0, total_nodes, STRIP_NODES):
-        hi = min(lo + STRIP_NODES, total_nodes)
-        nodes = np.empty((hi - lo, d), order="F")
-        nodes[:, -1] = tiled[lo % n: lo % n + hi - lo]
-        for axis in range(d - 1):
-            run = n ** (d - 1 - axis)
-            first, last = lo // run, (hi - 1) // run
-            counts = np.full(last - first + 1, run)
-            counts[0] -= lo - first * run
-            counts[-1] -= (last + 1) * run - hi
-            nodes[:, axis] = np.repeat(x1[np.arange(first, last + 1) % n], counts)
-        total += float(np.sum(f(nodes)))
+    for lo in range(0, n**d, STRIP_NODES):
+        flat = np.arange(lo, min(lo + STRIP_NODES, n**d))
+        total += float(np.sum(f(x1[np.stack(np.unravel_index(flat, (n,) * d), axis=1)])))
     return total * n ** (-d)

@@ -324,7 +324,7 @@ def _orders(d: list[float], n: int, sign_flag: bool) -> list[float]:
 class CellInputs:
     """The chain inputs of a basis whose span is the indicators of k cells
     (Haar): residuals, weights and cell of each estimation record, and each
-    cell's mass m_c in the Gram (``gram.cell_gram``'s eigenvalues over k).
+    cell's mass m_c in the Gram (a cell Gram's eigenvalues over k).
     The projection kernel z_i Omega^-1 z_j is then 1[c_i = c_j] / m_c."""
 
     eps_p: np.ndarray  # (n,)

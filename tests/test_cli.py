@@ -74,6 +74,16 @@ def test_load_config_overrides_and_env(tmp_path, monkeypatch):
     assert load_config(str(path), [], "estimate")["seed"] == 99
 
 
+def test_config_file_with_a_byte_order_mark(tmp_path):
+    # a UTF-8 byte-order mark before the first key loads the same keys
+    text = "m=3\nseed=7\nvariant=ac\n"
+    (tmp_path / "plain.txt").write_text(text)
+    (tmp_path / "bom.txt").write_bytes(b"\xef\xbb\xbf" + text.encode())
+    plain = load_config(str(tmp_path / "plain.txt"), [], "estimate")
+    assert load_config(str(tmp_path / "bom.txt"), [], "estimate") == plain == {
+        "m": 3, "seed": 7, "variant": "ac"}
+
+
 def test_config_hash_order_independent():
     assert config_hash({"m": 2, "seed": 1}) == config_hash({"seed": 1, "m": 2})
     assert config_hash({"m": 2}) != config_hash({"m": 3})

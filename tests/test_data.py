@@ -169,6 +169,16 @@ def test_unreadable_file(tmp_path):
         dataset_from_csv(tmp_path / "latin1.csv")
 
 
+def test_byte_order_mark_is_not_part_of_the_header(tmp_path):
+    # a UTF-8 byte-order mark before the header reads as the plain file
+    text = "A,Y,X1,X2\n1,0.5,0.25,0.5\n0,,0.75,0.125\n"
+    plain = dataset_from_csv(write(tmp_path, text))
+    (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + text.encode())
+    marked = dataset_from_csv(tmp_path / "bom.csv")
+    for name in ("a", "y", "x"):
+        np.testing.assert_array_equal(getattr(marked, name), getattr(plain, name))
+
+
 def test_dataset_shape_validation():
     with pytest.raises(ValidationError):
         Dataset(np.zeros(3), np.zeros(3), np.zeros(3))
@@ -221,9 +231,10 @@ def test_integrate_in_strips(monkeypatch):
 @pytest.mark.parametrize("d,n", [(1, 3), (1, 96), (1, 300), (2, 3), (2, 96), (2, 300),
                                  (2, 1024), (3, 3), (3, 96), (3, 70)])
 def test_integrate_matches_the_unravel_construction(d, n):
-    # the strips' nodes, and so every sum, are bit-identical to gathering
-    # each strip from its flat indices, also where STRIP_NODES is not a
-    # multiple of the grid (300^2, 96^3 and 70^3 nodes) or of a run
+    # integrate gathers each strip's nodes at its flat indices; the strips,
+    # and so every sum, stay bit-identical to that construction as written
+    # out in the reference, also where STRIP_NODES is not a multiple of the
+    # grid (300^2, 96^3 and 70^3 nodes), so no second one creeps back in
     seen = {"new": [], "old": []}
 
     def recorder(key):

@@ -466,6 +466,22 @@ def test_bspline_ac_gram_bit_for_bit(spec):
     assert np.array_equal(gram.entries, 0.5 * (entries + entries.T))
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_haar_ac_gram_bit_for_bit(d):
+    # the Haar ac Gram is over one node per cell, weighted by the density
+    # estimate there: its eigenvalues are k * (g_hat / k), bit for bit, with
+    # n_used = k
+    spec = BasisSpec("haar", d, 4)
+    cfg = EstimatorConfig(basis=spec, m=2, seed=3, variant="ac")
+    data = generate(SCENARIOS["s2-smooth-d2" if d == 2 else "s1-smooth-d1"], 1500, 8)
+    gram = estimate(data, cfg).gram_diag.gram
+    _, training = split_sample(data, cfg.split_fraction, cfg.seed)
+    basis = build_basis(spec)
+    g = density_cells(training, basis, mar_mean_spec(), cfg.sigma_floor)
+    assert np.array_equal(gram.entries, basis.k * (g / basis.k))
+    assert (gram.basis, gram.source, gram.n_used) == (basis, "quadrature", basis.k)
+
+
 def test_haar_emp_evaluates_the_basis_on_no_record(monkeypatch):
     # Haar emp runs in cell space: designs, fits, predictions, Grams and
     # terms read each record's cell, and the basis is evaluated nowhere, in

@@ -7,7 +7,6 @@ from hoif.data import Dataset, ValidationError
 from hoif.functionals import expected_cond_cov_spec, mar_mean_spec
 from hoif.gram import (
     GramMatrix,
-    cell_gram,
     cell_plan,
     empirical_gram,
     invert_checked,
@@ -223,7 +222,7 @@ def test_cell_gram_matches_the_dense_path(q):
               for _ in range(2)]
     empty = masses[0].copy()
     empty[k // 3] = 0.0
-    cells = [cell_gram(m, basis, "empirical", 20 * k) for m in masses + [empty]]
+    cells = [weighted_gram(basis, np.arange(k), m * k, "empirical") for m in masses + [empty]]
     denses = [GramMatrix((rows.T * m) @ rows, "empirical", 20 * k) for m in masses + [empty]]
     for floor in (0.0, 1e-8):
         for cell, dense in zip(cells[:2], denses):
@@ -243,6 +242,22 @@ def test_cell_gram_matches_the_dense_path(q):
     # never a broadcast of the vector against the matrix
     for mixed in (op_norm_distance(cells[0], denses[1]), op_norm_distance(denses[0], cells[1])):
         assert mixed == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("d,q", [(1, 8), (2, 8), (2, 32), (3, 4)])
+def test_dense_view_of_a_cell_gram_bit_for_bit(tmp_path, d, q):
+    # the (k, k) matrix of a cell Gram, as op_norm_distance and save_gram read
+    # it, is bit for bit (B^T diag(entries / k) B), symmetrised, B the cell rows
+    basis = build_basis(BasisSpec("haar", d, q))
+    rng = np.random.default_rng(q + d)
+    n = 20 * basis.k
+    gram = weighted_gram(basis, basis.cells(rng.random((n, d))), rng.random(n), "empirical")
+    rows = basis.cell_rows()
+    want = (rows.T * (gram.entries / basis.k)) @ rows
+    want = 0.5 * (want + want.T)
+    assert np.array_equal(gram_module._dense(gram), want)
+    save_gram(gram, tmp_path / "gram.bin")
+    assert (tmp_path / "gram.bin").read_bytes()[16:-8] == want.astype("<f8").tobytes()
 
 
 def test_op_norm_triangle_inequality():

@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used by that module, every
 private module-level name of the package is used somewhere in it, no
 module-level function or class of the package, nor a method or property of
-one of its classes, serves only the tests, and every field of a package
-dataclass is read."""
+one of its classes, serves only the tests, every field of a package
+dataclass is read, and every Gram is built by ``gram.weighted_gram`` or read
+by ``gram.load_gram``."""
 
 import ast
 import os
@@ -288,6 +289,58 @@ def test_no_unread_dataclass_fields():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     acceptance = (Path(__file__).parent / "test_acceptance.py").read_text()
     assert unread_fields(sources, (acceptance,)) == []
+
+
+# the one Gram builder: the module-level functions (module:function) that
+# may call each constructor of a GramMatrix
+GRAM_BUILDERS = {
+    "GramMatrix": {"gram.py:weighted_gram", "gram.py:_finish"},
+    "_finish": {"gram.py:weighted_gram", "gram.py:load_gram"},
+}
+
+
+def stray_gram_builds(sources: dict[str, str]) -> list[str]:
+    """Calls in ``sources`` (module name -> source) of a name in
+    ``GRAM_BUILDERS``, bare or as an attribute, from outside the module-level
+    functions it allows; a call in a class or at module level is stray too."""
+    stray = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            owner = f"{module}:{getattr(node, 'name', '<module>')}"
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                if name in GRAM_BUILDERS and owner not in GRAM_BUILDERS[name]:
+                    stray.append(f"{name} in {owner}:{call.lineno}")
+    return sorted(stray)
+
+
+def test_gram_build_scanner_flags_a_second_builder():
+    sources = {
+        "gram.py": (
+            "def _finish(e):\n    return GramMatrix(e)\n"
+            "def weighted_gram(d):\n    return GramMatrix(d) if d else _finish(d)\n"
+            "def load_gram(e):\n    return _finish(e)\n"
+            "def cell_gram(m):\n    return GramMatrix(m)\n"
+            "def _dense(m):\n    return _finish(m).entries\n"
+        ),
+        "sim.py": (
+            "import gram\n"
+            "EYE = gram.GramMatrix(1)\n"
+            "class Study:\n    def ref(self):\n        return gram._finish(2)\n"
+            "def weighted_gram(d):\n    return gram.GramMatrix(d)\n"
+        ),
+    }
+    assert stray_gram_builds(sources) == [
+        "GramMatrix in gram.py:cell_gram:8", "GramMatrix in sim.py:<module>:2",
+        "GramMatrix in sim.py:weighted_gram:7", "_finish in gram.py:_dense:10",
+        "_finish in sim.py:Study:5"]
+
+
+def test_every_gram_is_built_by_weighted_gram():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert stray_gram_builds(sources) == []
 
 
 def test_haar_estimate_loads_no_scipy(tmp_path):
