@@ -9,7 +9,7 @@ scale.
 
 __version__ = "0.1.0"
 
-from hoif.basis import Basis, BasisSpec, build_basis, basis_from_preset
+from hoif.basis import Basis, BasisSpec, build_basis
 from hoif.functionals import (
     FunctionalSpec,
     ate_spec,
@@ -23,7 +23,6 @@ __all__ = [
     "Basis",
     "BasisSpec",
     "build_basis",
-    "basis_from_preset",
     "FunctionalSpec",
     "mar_mean_spec",
     "ate_spec",

@@ -11,6 +11,7 @@ Two univariate families are shipped:
 
 d-dimensional bases are tensor products enumerated in row-major order over
 the univariate indices, so serialized coefficient vectors are reproducible.
+One immutable ``BasisSpec`` (also named ``Basis``) both configures and evaluates.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ CERT_MEMORY_CAP = 1 << 26  # max univariate grid-by-q element count
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """Family, dimension and per-dimension size of a tensor basis."""
+    """Family, dimension and per-dimension size of a tensor basis, and the
+    basis itself.  Equality and hash read these four fields only, so the
+    cached ``locality_constant`` is no part of a spec's identity."""
 
     family: str
     dimension: int
@@ -64,47 +67,9 @@ class BasisSpec:
         correction terms then come from per-cell sums."""
         return self.family == "haar"
 
-    def preset_id(self) -> str:
-        if self.family == "haar":
-            level = self.per_dim_size.bit_length() - 2  # q = 2**(L+1)
-            return f"haar:d={self.dimension},L={level}"
-        return f"bspline:d={self.dimension},s={self.order},q={self.per_dim_size}"
-
-
-def _haar_univariate(q: int, xs: np.ndarray) -> np.ndarray:
-    """Evaluate the q-function univariate Haar family at points xs."""
-    n = xs.shape[0]
-    out = np.zeros((n, q))
-    out[:, 0] = 1.0
-    rows = np.arange(n)
-    for j in range(q.bit_length() - 1):
-        njm = 1 << j  # shifts at level j, in columns njm .. 2 * njm - 1
-        # cell index at level j; x == 1 belongs to the last cell
-        t = xs * njm
-        cell = np.minimum(np.floor(t).astype(np.int64), njm - 1)
-        sign = np.where(t - cell < 0.5, 1.0, -1.0)
-        out[rows, njm + cell] = 2.0 ** (j / 2.0) * sign
-    return out
-
-
-def _bspline_knots(q: int, s: int) -> np.ndarray:
-    n_intervals = q - s
-    breaks = np.linspace(0.0, 1.0, n_intervals + 1)
-    return np.concatenate([np.zeros(s), breaks, np.ones(s)])
-
-
-def _bspline_univariate(q: int, s: int, xs: np.ndarray) -> np.ndarray:
-    from scipy.interpolate import BSpline  # imported here so Haar runs never load scipy
-
-    t = _bspline_knots(q, s)
-    return BSpline.design_matrix(np.clip(xs, 0.0, 1.0), t, s).toarray() * np.sqrt(q)
-
-
-@dataclass(frozen=True)
-class Basis:
-    """Immutable evaluable tensor basis."""
-
-    spec: BasisSpec
+    @property
+    def d(self) -> int:
+        return self.dimension
 
     @cached_property
     def locality_constant(self) -> float:
@@ -112,9 +77,9 @@ class Basis:
         when first read: the pointwise-boundedness condition the estimator's
         theory requires of the basis.  For a tensor product the supremum
         factorizes, so the grid is ``CERT_GRID_PER_DIM`` points on one axis."""
-        if CERT_GRID_PER_DIM * self.spec.per_dim_size > CERT_MEMORY_CAP:
+        if CERT_GRID_PER_DIM * self.per_dim_size > CERT_MEMORY_CAP:
             raise ValidationError(
-                f"certification grid of {CERT_GRID_PER_DIM} x {self.spec.per_dim_size} "
+                f"certification grid of {CERT_GRID_PER_DIM} x {self.per_dim_size} "
                 f"exceeds memory cap {CERT_MEMORY_CAP}"
             )
         xs = np.linspace(0.0, 1.0, CERT_GRID_PER_DIM)
@@ -122,22 +87,10 @@ class Basis:
         per_dim_max = float(np.max(np.sum(uni * uni, axis=1)))
         return per_dim_max ** self.d / self.k
 
-    @property
-    def k(self) -> int:
-        return self.spec.k
-
-    @property
-    def d(self) -> int:
-        return self.spec.dimension
-
-    @property
-    def cellwise(self) -> bool:
-        return self.spec.cellwise
-
     def _univariate(self, xs: np.ndarray) -> np.ndarray:
-        if self.spec.family == "haar":
-            return _haar_univariate(self.spec.per_dim_size, xs)
-        return _bspline_univariate(self.spec.per_dim_size, self.spec.order, xs)
+        if self.family == "haar":
+            return _haar_univariate(self.per_dim_size, xs)
+        return _bspline_univariate(self.per_dim_size, self.order, xs)
 
     def _points(self, x: np.ndarray) -> np.ndarray:
         """``x`` as an (n, d) float array of points in [0, 1]^d, or a ValueError."""
@@ -170,37 +123,50 @@ class Basis:
         point of an (n, d) array, with ``_haar_univariate``'s floor convention
         (x == 1 lies in the last cell).  A Haar basis is constant on these
         cells and spans their indicators."""
-        q = self.spec.per_dim_size
+        q = self.per_dim_size
         per_dim = np.minimum(np.floor(self._points(x) * q).astype(np.int64), q - 1)
         return per_dim @ q ** np.arange(self.d - 1, -1, -1)
 
     def cell_rows(self) -> np.ndarray:
         """The basis at the centre of every cell, in ``cells`` order: (q^d, k).
         For Haar, row c is bit for bit the basis at every point of cell c."""
-        q = self.spec.per_dim_size
+        q = self.per_dim_size
         centres = (np.indices((q,) * self.d).reshape(self.d, -1).T + 0.5) / q
         return self.evaluate_many(centres)
 
 
-def build_basis(spec: BasisSpec) -> Basis:
-    """The basis of ``spec``."""
-    return Basis(spec)
+def _haar_univariate(q: int, xs: np.ndarray) -> np.ndarray:
+    """Evaluate the q-function univariate Haar family at points xs."""
+    n = xs.shape[0]
+    out = np.zeros((n, q))
+    out[:, 0] = 1.0
+    rows = np.arange(n)
+    for j in range(q.bit_length() - 1):
+        njm = 1 << j  # shifts at level j, in columns njm .. 2 * njm - 1
+        # cell index at level j; x == 1 belongs to the last cell
+        t = xs * njm
+        cell = np.minimum(np.floor(t).astype(np.int64), njm - 1)
+        sign = np.where(t - cell < 0.5, 1.0, -1.0)
+        out[rows, njm + cell] = 2.0 ** (j / 2.0) * sign
+    return out
 
 
-def basis_from_preset(preset: str) -> Basis:
-    """Build a basis from a string id.
+def _bspline_knots(q: int, s: int) -> np.ndarray:
+    n_intervals = q - s
+    breaks = np.linspace(0.0, 1.0, n_intervals + 1)
+    return np.concatenate([np.zeros(s), breaks, np.ones(s)])
 
-    Formats: ``haar:d=<d>,L=<L>`` and ``bspline:d=<d>,s=<s>,q=<q>``.
-    """
-    try:
-        family, rest = preset.split(":", 1)
-        kv = dict(item.split("=") for item in rest.split(","))
-        if family == "haar":
-            spec = BasisSpec("haar", int(kv["d"]), 2 ** (int(kv["L"]) + 1))
-        elif family == "bspline":
-            spec = BasisSpec("bspline", int(kv["d"]), int(kv["q"]), order=int(kv["s"]))
-        else:
-            raise ValueError(f"unknown family {family!r}")
-    except (KeyError, ValueError) as exc:
-        raise ValidationError(f"malformed basis preset {preset!r}: {exc}") from exc
-    return build_basis(spec)
+
+def _bspline_univariate(q: int, s: int, xs: np.ndarray) -> np.ndarray:
+    from scipy.interpolate import BSpline  # imported here so Haar runs never load scipy
+
+    t = _bspline_knots(q, s)
+    return BSpline.design_matrix(np.clip(xs, 0.0, 1.0), t, s).toarray() * np.sqrt(q)
+
+
+Basis = BasisSpec  # the basis is its spec: one type under two names
+
+
+def build_basis(spec: BasisSpec) -> BasisSpec:
+    """The basis of ``spec``, which is ``spec`` itself."""
+    return spec

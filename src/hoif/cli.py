@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 import hoif
-from hoif.basis import basis_from_preset
 from hoif.data import ValidationError, dataset_from_csv, read_text, table_csv
 from hoif.estimator import (
     EstimatorConfig,
@@ -79,8 +78,10 @@ _KEYS = {
     "n": (int, None),
     "reps": (int, None),
 }
-# the keys of each command that set no EstimatorConfig field
-_OWN_KEYS = {"estimate": ("tuning",), "simulate": ("tuning", "scenario", "n", "reps")}
+# the keys each command reads: a run every EstimatorConfig key and its own
+_RUN = [key for key, (_, name) in _KEYS.items() if name] + ["tuning"]
+_READS = {"estimate": _RUN, "simulate": _RUN + ["scenario", "n", "reps"],
+          "basis-inspect": [key for key in _KEYS if key.startswith("basis.")]}
 
 
 def parse_config_text(text: str, source: str) -> dict:
@@ -102,18 +103,18 @@ def parse_config_text(text: str, source: str) -> dict:
 
 
 def load_config(path: str | None, overrides: list[str], command: str) -> dict:
-    """The keys of the config file, then the overrides, then HOIF_SEED; a key
-    that only another command reads is a validation error."""
+    """The keys of the config file, then the overrides, then HOIF_SEED if the
+    command reads a seed; a key it does not read is a validation error."""
     cfg = {}
     if path:
         cfg.update(parse_config_text(read_text(path), path))
     for item in overrides:
         cfg.update(parse_config_text(item, "--set"))
-    if "HOIF_SEED" in os.environ:
+    if "HOIF_SEED" in os.environ and "seed" in _READS[command]:
         # parsed as a config line, so a bad value is a validation error
         cfg["seed"] = parse_config_text(f"seed={os.environ['HOIF_SEED']}", "HOIF_SEED")["seed"]
     for key in cfg:
-        if _KEYS[key][1] is None and key not in _OWN_KEYS[command]:
+        if key not in _READS[command]:
             raise ValidationError(f"key {key!r} is not read by {command}")
     return cfg
 
@@ -276,10 +277,15 @@ def cmd_report(args) -> int:
 
 
 def cmd_basis_inspect(args) -> int:
-    basis = basis_from_preset(args.preset)
-    gram = quadrature_gram(basis, lambda x: np.ones(x.shape[0]), basis_quadrature(basis.spec))
+    """The basis of the ``basis.*`` keys (``EstimatorConfig``'s for those not
+    given): its keys, k, locality constant and uniform-density Gram."""
+    cfg = load_config(args.config, args.set or [], "basis-inspect")
+    run = estimator_config(cfg, EstimatorConfig().basis.dimension)
+    basis = run.basis
+    gram = quadrature_gram(basis, lambda x: np.ones(x.shape[0]), basis_quadrature(basis))
     rep = invert_checked(gram)
-    print(f"preset            : {basis.spec.preset_id()}")
+    print("basis             :", *(f"--set {k}={v}" for k, v in render_config(run).items()
+                                   if k in _READS["basis-inspect"]))
     print(f"k                 : {basis.k}")
     print(f"locality constant : {basis.locality_constant:.10g}")
     print(f"uniform Gram eig  : [{rep.eig_min:.10g}, {rep.eig_max:.10g}]")
@@ -320,9 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--out", help="write the merged table here")
     p_rep.set_defaults(fn=cmd_report)
 
-    p_bas = sub.add_parser("basis-inspect", help="inspect a basis preset")
-    p_bas.add_argument("--preset", required=True,
-                       help="e.g. haar:d=1,L=2 or bspline:d=2,s=3,q=8")
+    p_bas = sub.add_parser("basis-inspect", help="inspect the basis that the basis.* keys set")
+    p_bas.add_argument("--config", help="key=value config file of basis.* keys")
+    p_bas.add_argument("--set", action="append", metavar="KEY=VALUE",
+                       help="basis.* key override (repeatable), e.g. basis.per_dim_size=8")
     p_bas.add_argument("--gram-out", help="write the uniform-density Gram here")
     p_bas.set_defaults(fn=cmd_basis_inspect)
     return parser

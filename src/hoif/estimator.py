@@ -5,8 +5,8 @@ higher-order U-statistic corrections of orders 2..m, with the inverse Gram
 taken either from the empirical training-sample covariance (variant
 ``emp``, the main path) or from quadrature against an estimated density
 (variant ``ac``), each a ``gram.weighted_gram`` over a basis design
-(``Basis.design``).  A cellwise basis's (Haar) design is each point's cell,
-so its Gram is per-cell masses and its corrections come from
+(``BasisSpec.design``).  A cellwise basis's (Haar) design is each point's
+cell, so its Gram is per-cell masses and its corrections come from
 ``ustat.cell_terms``; other bases' (B-splines) is the basis rows, which
 ``ustat.correction_terms`` reads.  The average treatment effect is the
 difference of two arm estimates, and cross-fitting averages the estimate
@@ -24,7 +24,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from hoif.basis import Basis, BasisSpec, build_basis
+from hoif.basis import BasisSpec
 from hoif.data import Dataset, ValidationError
 from hoif import functionals as fn
 from hoif.functionals import FunctionalSpec
@@ -90,10 +90,6 @@ class EstimatorConfig:
         if not 0.0 < self.sigma_floor <= 1.0:
             raise ValidationError("sigma_floor must be in (0, 1]")
 
-    @property
-    def k(self) -> int:
-        return self.basis.k
-
 
 @dataclass
 class EstimateReport:
@@ -118,7 +114,7 @@ class EstimateReport:
         cfg = self.cfg
         per = list(self.per_order) + [float("nan")] * (M_MAX - 1 - len(self.per_order))
         vals = [
-            cfg.functional, cfg.variant, self.n_est, self.n_tr, cfg.k,
+            cfg.functional, cfg.variant, self.n_est, self.n_tr, cfg.basis.k,
             cfg.m, cfg.seed, self.psi_hat, self.psi_1, *per,
             self.variance_est, self.ci_low, self.ci_high,
             int(self.zero_convention_applied),
@@ -130,14 +126,14 @@ class EstimateReport:
         lines = [
             f"functional      : {cfg.functional} ({cfg.variant})",
             f"samples         : estimation {self.n_est}, training {self.n_tr}",
-            f"basis size k    : {cfg.k}   order m: {cfg.m}",
+            f"basis size k    : {cfg.basis.k}   order m: {cfg.m}",
             f"psi_hat         : {self.psi_hat:.10g}",
             f"one-step psi_1  : {self.psi_1:.10g}",
         ]
         for j, v in enumerate(self.per_order, start=2):
             lines.append(f"order-{j} term    : {v:.10g}")
         lines.append(f"variance est    : {self.variance_est:.10g}")
-        ci_label = f"{100 * cfg.ci_level:g}% CI"
+        ci_label = f"{100 * cfg.ci_level:.15g}% CI"  # 15 digits: the configured level
         lines.append(f"{ci_label:<16}: [{self.ci_low:.10g}, {self.ci_high:.10g}]")
         if self.zero_convention_applied:
             lines.append("zero convention : applied (Gram not invertible)")
@@ -220,8 +216,7 @@ def confidence_interval(psi_hat: float, variance_est: float, level: float) -> tu
 
 
 def _training_fits(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSet] | None,
-                   training: Dataset, cfg: EstimatorConfig, basis: Basis
-                   ) -> tuple[list, list]:
+                   training: Dataset, cfg: EstimatorConfig) -> tuple[list, list]:
     """Every arm's nuisances and Gram (None if m = 1).  Under ``emp`` the Gram
     is over the training design, the k-grid candidate of the basis's own size
     if the grid has it.  Under ``ac`` a cellwise basis (Haar) has the Gram
@@ -229,7 +224,7 @@ def _training_fits(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSe
     midpoint rule, exact for a density constant on the cells; other bases
     have the Gram over the quadrature nodes' rows, with the estimate read at
     the nodes' cells."""
-    designs = {}
+    basis, designs = cfg.basis, {}
     if nuisances is None:
         if cfg.nuisance_method == "zero":
             nuisances = [zero_nuisance()] * len(specs)
@@ -249,19 +244,20 @@ def _training_fits(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSe
     if basis.cellwise:
         return nuisances, [weighted_gram(basis, np.arange(basis.k), g, "quadrature")
                            for g in g_hats]
-    nodes, _, z = node_rows(basis, basis_quadrature(cfg.basis))
+    nodes, _, z = node_rows(basis, basis_quadrature(basis))
     cells = basis.cells(nodes)
     return nuisances, [weighted_gram(basis, z, g[cells], "quadrature") for g in g_hats]
 
 
 def _run_fold(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSet] | None,
-              est: Dataset, training: Dataset, cfg: EstimatorConfig, basis: Basis) -> list[tuple]:
+              est: Dataset, training: Dataset, cfg: EstimatorConfig) -> list[tuple]:
     """Every arm on one fold: IF1 summands, IFjj terms for j = 2..m (None under
     the zero convention) and the Gram report (None when m = 1)."""
     for spec in specs:
         spec.check_h1_sign(est)
         spec.check_h1_sign(training)
-    nuisances, grams = _training_fits(specs, nuisances, training, cfg, basis)
+    nuisances, grams = _training_fits(specs, nuisances, training, cfg)
+    basis = cfg.basis
     rows = basis.design(est.x) if cfg.m > 1 else None
     runs = []
     for spec, nuisance, gram in zip(specs, nuisances, grams):
@@ -318,7 +314,7 @@ def estimate_split(est: Dataset, training: Dataset, cfg: EstimatorConfig,
             raise ValidationError(
                 f"{cfg.functional} needs {len(specs)} nuisance override(s), "
                 f"got {len(overrides)}")
-    basis = build_basis(cfg.basis)
+    basis = cfg.basis
     folds = [(est, training), (training, est)] if cfg.cross_fit else [(est, training)]
     n_est = min(f_est.n for f_est, _ in folds)
     if n_est < cfg.m:
@@ -332,8 +328,8 @@ def estimate_split(est: Dataset, training: Dataset, cfg: EstimatorConfig,
     elif cfg.m > 1:
         order_plan(max(f_est.n for f_est, _ in folds), basis.k, cfg.m)
         if cfg.variant == "ac":
-            quadrature_plan(basis, basis_quadrature(cfg.basis))
-    runs = [_run_fold(specs, overrides, f_est, f_tr, cfg, basis) for f_est, f_tr in folds]
+            quadrature_plan(basis, basis_quadrature(basis))
+    runs = [_run_fold(specs, overrides, f_est, f_tr, cfg) for f_est, f_tr in folds]
 
     zero = any(terms is None for fold in runs for _, terms, _ in fold)
     if zero:  # the estimate is zero by convention and carries no variance

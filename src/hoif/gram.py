@@ -5,10 +5,10 @@ Every Gram is (1/n) sum_i w_i z_i z_i^T over the n points of a design, and
 empirical Gram (the main path, which needs no density estimate); over the
 nodes of a midpoint grid with w a density, the quadrature Gram of the true
 weighted density g (``population_gram``) or of an estimate of it (the
-density-based comparison path).  A design (``Basis.design``) is the basis's
-(n, k) rows, or for a cellwise basis (Haar) each point's cell: its cell rows
-B have B^T B = k I, so B^T diag(m_c) B has the eigenvalues k m_c, and a
-cell design's Gram holds it as those alone, m_c the per-cell sum of w over n.
+density-based comparison path).  A design (``BasisSpec.design``) is the
+basis's (n, k) rows, or for a cellwise basis (Haar) each point's cell: its
+cell rows B have B^T B = k I, so B^T diag(m_c) B has the eigenvalues k m_c,
+and a cell design's Gram holds those alone, m_c the per-cell sum of w / n.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hoif.basis import Basis
+from hoif.basis import BasisSpec
 from hoif.data import Dataset, ValidationError
 from hoif.functionals import FunctionalSpec
 from hoif.quadrature import QuadratureSpec
@@ -39,7 +39,7 @@ class GramMatrix:
     entries: np.ndarray  # (k, k) symmetric; with ``basis``, the (k,) eigenvalues
     source: str  # "empirical" | "quadrature"
     n_used: int
-    basis: Basis | None = None  # a cellwise basis, when ``entries`` are its eigenvalues
+    basis: BasisSpec | None = None  # a cellwise basis, when ``entries`` are its eigenvalues
 
     @property
     def k(self) -> int:
@@ -60,20 +60,20 @@ def _finish(entries: np.ndarray, source: str, n_used: int) -> GramMatrix:
     return GramMatrix(entries=0.5 * (entries + entries.T), source=source, n_used=n_used)
 
 
-def weighted_gram(basis: Basis, design: np.ndarray, weights: np.ndarray,
+def weighted_gram(basis: BasisSpec, design: np.ndarray, weights: np.ndarray,
                   source: str) -> GramMatrix:
     """(1/n) sum_i w_i z_i z_i^T over the n points of ``design``
-    (``Basis.design``): the dense matrix for a design of (n, k) rows; for a
-    design of cells, B^T diag(m) B held as its eigenvalues k * m, m the
-    per-cell sums over n and B the cell rows (``Basis.cell_rows``): B / sqrt(k)
-    is orthogonal, and k a power of two, so entries / k is m, exactly."""
+    (``BasisSpec.design``): the dense matrix for a design of (n, k) rows; for
+    a design of cells, B^T diag(m) B held as its eigenvalues k * m, m the
+    per-cell sums over n and B the cell rows (``BasisSpec.cell_rows``):
+    B / sqrt(k) is orthogonal, and k a power of two, so entries / k is exactly m."""
     n = design.shape[0]
     if design.ndim == 1:
         return GramMatrix(basis.k * (np.bincount(design, weights, basis.k) / n), source, n, basis)
     return _finish((design * weights[:, None]).T @ design / n, source, n)
 
 
-def empirical_gram(basis: Basis, training: Dataset, spec: FunctionalSpec) -> GramMatrix:
+def empirical_gram(basis: BasisSpec, training: Dataset, spec: FunctionalSpec) -> GramMatrix:
     """Training-sample average of |h1|-weighted basis outer products."""
     return weighted_gram(basis, basis.evaluate_many(training.x), spec.abs_h1(training),
                          "empirical")
@@ -94,14 +94,14 @@ def _capped(planned: int, what: str) -> int:
     return planned
 
 
-def _nodes_of(basis: Basis, quad: QuadratureSpec) -> str:
+def _nodes_of(basis: BasisSpec, quad: QuadratureSpec) -> str:
     return f"{quad.nodes_per_dim}^{basis.d} nodes at k={basis.k}"
 
 
-def node_rows(basis: Basis, quad: QuadratureSpec) -> tuple[np.ndarray, float, np.ndarray]:
+def node_rows(basis: BasisSpec, quad: QuadratureSpec) -> tuple[np.ndarray, float, np.ndarray]:
     """Nodes, cell weight and basis values of the rule ``quad``; a design
     over ``PLAN_BYTES_MAX`` bytes is refused before its grid is built."""
-    if quad.nodes_per_dim < basis.spec.per_dim_size:
+    if quad.nodes_per_dim < basis.per_dim_size:
         raise ValidationError("quadrature node count below basis resolution")
     _capped(8 * quad.nodes_per_dim ** basis.d * basis.k,
             f"quadrature design of {_nodes_of(basis, quad)}")
@@ -109,7 +109,7 @@ def node_rows(basis: Basis, quad: QuadratureSpec) -> tuple[np.ndarray, float, np
     return nodes, w, basis.evaluate_many(nodes)
 
 
-def quadrature_gram(basis: Basis, g, quad: QuadratureSpec) -> GramMatrix:
+def quadrature_gram(basis: BasisSpec, g, quad: QuadratureSpec) -> GramMatrix:
     """Quadrature of the g-weighted outer product of basis evaluations."""
     nodes, _, z = node_rows(basis, quad)
     return weighted_gram(basis, z, _density(g, nodes), "quadrature")
@@ -122,21 +122,21 @@ def _density(g, nodes: np.ndarray) -> np.ndarray:
     return gv
 
 
-def population_gram(basis: Basis, g, quad: QuadratureSpec) -> GramMatrix:
+def population_gram(basis: BasisSpec, g, quad: QuadratureSpec) -> GramMatrix:
     """The quadrature Gram of the density g: a cellwise basis's (Haar) from
     the nodes' cells, with no basis value and refused before its grid is
     built when ``cell_plan`` passes ``PLAN_BYTES_MAX``; ``quadrature_gram``
     otherwise."""
     if not basis.cellwise:
         return quadrature_gram(basis, g, quad)
-    if quad.nodes_per_dim < basis.spec.per_dim_size:
+    if quad.nodes_per_dim < basis.per_dim_size:
         raise ValidationError("quadrature node count below basis resolution")
     cell_plan(basis, quad)
     nodes, _ = quad.grid(basis.d)
     return weighted_gram(basis, basis.cells(nodes), _density(g, nodes), "quadrature")
 
 
-def quadrature_plan(basis: Basis, quad: QuadratureSpec) -> int:
+def quadrature_plan(basis: BasisSpec, quad: QuadratureSpec) -> int:
     """Bytes of a quadrature Gram's working set: the basis on the nodes of
     ``quad``, the k x k Gram and ``eigh``'s eigenvectors of it; a
     ValidationError if they pass ``PLAN_BYTES_MAX``."""
@@ -145,7 +145,7 @@ def quadrature_plan(basis: Basis, quad: QuadratureSpec) -> int:
                    f"quadrature design of {_nodes_of(basis, quad)} with its Gram and eigenvectors")
 
 
-def cell_plan(basis: Basis, quad: QuadratureSpec | None = None) -> int:
+def cell_plan(basis: BasisSpec, quad: QuadratureSpec | None = None) -> int:
     """Bytes of a cell route's working set: ``CELL_VECTORS`` arrays of k
     doubles, and with ``quad`` its nodes' d coordinates, cell and weight; a
     ValidationError if they pass ``PLAN_BYTES_MAX``."""
@@ -197,7 +197,8 @@ def op_norm_distance(amat: GramMatrix, bmat: GramMatrix) -> float:
     return float(max(abs(eigs[0]), abs(eigs[-1])))
 
 
-def projection_coefficients(basis: Basis, m_inv: np.ndarray, g, h, quad: QuadratureSpec) -> np.ndarray:
+def projection_coefficients(basis: BasisSpec, m_inv: np.ndarray, g, h,
+                            quad: QuadratureSpec) -> np.ndarray:
     """Coefficients of the L2(g)-projection of h onto the basis span."""
     nodes, w, z = node_rows(basis, quad)
     gv = np.asarray(g(nodes), dtype=float)
@@ -206,7 +207,7 @@ def projection_coefficients(basis: Basis, m_inv: np.ndarray, g, h, quad: Quadrat
     return m_inv @ moments
 
 
-def project(basis: Basis, m_inv: np.ndarray, g, h, quad: QuadratureSpec):
+def project(basis: BasisSpec, m_inv: np.ndarray, g, h, quad: QuadratureSpec):
     """Return the L2(g)-orthogonal projection of h onto the basis span.
 
     ``m_inv`` must be the inverse of ``quadrature_gram(basis, g, quad)``.
@@ -220,7 +221,7 @@ def project(basis: Basis, m_inv: np.ndarray, g, h, quad: QuadratureSpec):
     return projected
 
 
-def truncation_bias(basis: Basis, g, b_err, p_err, quad: QuadratureSpec,
+def truncation_bias(basis: BasisSpec, g, b_err, p_err, quad: QuadratureSpec,
                     sign_flag: bool = False) -> float:
     """Signed integral of g times the off-span parts of the nuisance errors.
 

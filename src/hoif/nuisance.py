@@ -6,7 +6,7 @@ estimator (which deliberately ignores the admissible range of the inverse
 propensity and still leaves the full pipeline consistent).
 
 A Haar candidate of size q^d spans the indicators of its q^d cells, so its
-design (``Basis.design``) is each record's cell and its least-squares fit
+design (``BasisSpec.design``) is each record's cell and its least-squares fit
 the per-cell mean: Haar fits, their cross-validation and their predictions
 never evaluate the basis.  Other families fit their (n, k) rows by
 ``np.linalg.lstsq``.  The density estimate is its value in each cell of the
@@ -16,12 +16,12 @@ records or nodes it needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from hoif.basis import Basis, BasisSpec, build_basis
+from hoif.basis import BasisSpec
 from hoif.data import Dataset, ValidationError
 from hoif.functionals import FunctionalSpec
 
@@ -47,7 +47,7 @@ def zero_nuisance() -> NuisanceSet:
     return NuisanceSet(b_hat=_constant(0.0), p_hat=_constant(0.0))
 
 
-def _least_squares(sub: Basis, design: np.ndarray, response: np.ndarray) -> tuple:
+def _least_squares(sub: BasisSpec, design: np.ndarray, response: np.ndarray) -> tuple:
     """Least-squares coefficients of ``response`` on ``design`` rows and whether
     the design has full rank.  A cellwise fit is the per-cell mean, 0 in a
     cell with no record: what lstsq's minimum-norm solution predicts there for
@@ -60,15 +60,14 @@ def _least_squares(sub: Basis, design: np.ndarray, response: np.ndarray) -> tupl
     return coef, rank == sub.k
 
 
-def _fitted(sub: Basis, design: np.ndarray, coef: np.ndarray) -> np.ndarray:
+def _fitted(sub: BasisSpec, design: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return coef[design] if sub.cellwise else design @ coef
 
 
-def series_designs(x: np.ndarray, basis: Basis, k_grid: list[int]) -> dict:
-    """Sub-basis and design (``Basis.design``) on ``x`` of each size in ``k_grid``
-    that can be fit: a tensor size of the basis's family at most half the
-    sample.
-    """
+def series_designs(x: np.ndarray, basis: BasisSpec, k_grid: list[int]) -> dict:
+    """``basis`` at per_dim_size q, its order capped at q - 1, and its design
+    (``BasisSpec.design``) on ``x``, for each size q^d in ``k_grid`` that the
+    family has and that is at most half the sample."""
     designs = {}
     for k in k_grid:
         if k > max(x.shape[0] // 2, 1) or k in designs:
@@ -77,8 +76,7 @@ def series_designs(x: np.ndarray, basis: Basis, k_grid: list[int]) -> dict:
         if q**basis.d != k:
             continue
         try:
-            sub = build_basis(BasisSpec(basis.spec.family, basis.d, q,
-                                        order=min(basis.spec.order, max(q - 1, 0))))
+            sub = replace(basis, per_dim_size=q, order=min(basis.order, max(q - 1, 0)))
         except ValidationError:  # this family has no basis of q functions
             continue
         designs[k] = (sub, sub.design(x))
@@ -192,10 +190,10 @@ def series_fit(designs: dict, response: np.ndarray, folds: int, seed: int,
     return predict, k_best
 
 
-def density_cells(training: Dataset, basis: Basis, spec: FunctionalSpec,
+def density_cells(training: Dataset, basis: BasisSpec, spec: FunctionalSpec,
                   sigma_floor: float = DEFAULT_SIGMA_FLOOR) -> np.ndarray:
     """|h1|-weighted histogram density on the basis's dyadic cells: its value
-    in each of the q^d cells, in ``Basis.cells`` order.
+    in each of the q^d cells, in ``BasisSpec.cells`` order.
 
     Floored at ``sigma_floor`` and renormalized to the weighted sample
     mass; used only by the density-based comparison path.
@@ -204,7 +202,7 @@ def density_cells(training: Dataset, basis: Basis, spec: FunctionalSpec,
     mass = float(np.mean(w))
     if mass <= 0.0:
         raise ValidationError("all |h1| weights are zero")
-    k = basis.spec.per_dim_size ** basis.d  # cells of the grid; k for Haar
+    k = basis.k  # the cells of the grid
     dens = np.bincount(basis.cells(training.x), w, k) / training.n * k  # histogram density
     dens = np.maximum(dens, sigma_floor)
     dens = dens * (mass / (np.mean(dens / k) * k))

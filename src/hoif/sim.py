@@ -18,7 +18,6 @@ from typing import Callable
 
 import numpy as np
 
-from hoif.basis import build_basis
 from hoif.data import Dataset, ValidationError, table_csv
 from hoif.estimator import EstimatorConfig, estimate
 from hoif.gram import GramMatrix, op_norm_distance, population_gram
@@ -363,7 +362,7 @@ def _rep_seed(master: int, rep: int) -> int:
 def _one_rep(scn: ScenarioSpec, cfg: EstimatorConfig, n: int, master: int,
              rep: int, nuisance_factory, ref_gram: GramMatrix) -> dict:
     seed = _rep_seed(master, rep)
-    row = {"rep": rep, "variant": cfg.variant, "k": cfg.k, "m": cfg.m,
+    row = {"rep": rep, "variant": cfg.variant, "k": cfg.basis.k, "m": cfg.m,
            "seed": seed, "error": ""}
     try:
         data = generate(scn, n, seed)
@@ -512,8 +511,7 @@ def run_study(scn: ScenarioSpec, cfg: EstimatorConfig, reps: int, seed: int,
     recorded = SCENARIOS.get(scn.id) == scn  # False for a changed registry copy
     psi = TRUTH[scn.id][0] if recorded else true_psi(scn)
     eff = TRUTH[scn.id][1] if recorded else _efficiency_bound(scn, psi)
-    ref_gram = population_gram(build_basis(cfg.basis), weighted_density(scn),
-                               basis_quadrature(cfg.basis))
+    ref_gram = population_gram(cfg.basis, weighted_density(scn), basis_quadrature(cfg.basis))
 
     def work(rep):
         return _one_rep(scn, cfg, n, seed, rep, nuisance_factory, ref_gram)
@@ -533,7 +531,7 @@ def run_study(scn: ScenarioSpec, cfg: EstimatorConfig, reps: int, seed: int,
     cov_vals = [r["covered"] for r in ok if r["covered"] != ""]
     ops = [r["op_dist"] for r in ok if r["op_dist"] is not None]
     agg = {
-        "scenario": scn.id, "n": n, "variant": cfg.variant, "k": cfg.k, "m": cfg.m,
+        "scenario": scn.id, "n": n, "variant": cfg.variant, "k": cfg.basis.k, "m": cfg.m,
         "reps_ok": len(ok), "reps_failed": len(errors),
         "zero_convention_count": sum(r["zero_convention"] for r in ok),
         "psi_true": psi, "eff_bound": eff,

@@ -20,7 +20,7 @@ from scipy.interpolate import BSpline
 
 from hoif import ustat
 from hoif.nuisance import _fitted, _least_squares
-from hoif.basis import Basis, BasisSpec, _bspline_knots
+from hoif.basis import BasisSpec, _bspline_knots
 from hoif.quadrature import STRIP_NODES, QuadratureSpec
 
 
@@ -100,14 +100,14 @@ def bspline_partition_values(q: int, s: int, xs: np.ndarray) -> np.ndarray:
     return dm.sum(axis=1)
 
 
-def l2_approximation_error(basis: Basis, f, quad: QuadratureSpec) -> float:
+def l2_approximation_error(basis: BasisSpec, f, quad: QuadratureSpec) -> float:
     """Best-approximation L2(dx) error of ``f`` over the basis span.
 
     Projects f onto the span using the quadrature Gram under the uniform
     density and returns the squared-norm residual.  ``f`` takes an (n, d)
     array of points.
     """
-    if quad.nodes_per_dim < basis.spec.per_dim_size:
+    if quad.nodes_per_dim < basis.per_dim_size:
         raise ValueError("quadrature resolution below basis resolution")
     nodes, w = quad.grid(basis.d)
     z = basis.evaluate_many(nodes)
@@ -220,7 +220,7 @@ def longdouble_cell_terms(inputs: ustat.CellInputs, m: int) -> list:
     return _orders(d, len(inputs.cells), m, inputs.sign_flag)
 
 
-def lstsq_series_fit(x: np.ndarray, basis: Basis, k_grid: list, response: np.ndarray,
+def lstsq_series_fit(x: np.ndarray, basis: BasisSpec, k_grid: list, response: np.ndarray,
                      folds: int, seed: int, rows=slice(None)):
     """``nuisance.series_fit`` on ``nuisance.series_designs``' candidates as
     dense designs: each candidate basis evaluated on x, every fit by
@@ -230,8 +230,7 @@ def lstsq_series_fit(x: np.ndarray, basis: Basis, k_grid: list, response: np.nda
     for k in k_grid:
         q = round(k ** (1.0 / basis.d))
         if k <= max(x.shape[0] // 2, 1) and q**basis.d == k:
-            sub = Basis(BasisSpec(basis.spec.family, basis.d, q,
-                                  order=min(basis.spec.order, max(q - 1, 0))))
+            sub = BasisSpec(basis.family, basis.d, q, order=min(basis.order, max(q - 1, 0)))
             designs[k] = (sub, sub.evaluate_many(x)[rows])
     response = response[rows]
     n = response.shape[0]

@@ -4,7 +4,6 @@ import pytest
 from hoif.basis import (
     Basis,
     BasisSpec,
-    basis_from_preset,
     build_basis,
 )
 from hoif.data import ValidationError
@@ -72,7 +71,8 @@ def test_locality_certified():
 def test_locality_computed_when_read():
     # a basis is its spec; the constant needs no separate build step
     for spec in (BasisSpec("haar", 2, 4), BasisSpec("bspline", 1, 6, order=2)):
-        assert Basis(spec).locality_constant == build_basis(spec).locality_constant
+        assert spec.locality_constant == build_basis(spec).locality_constant
+        assert build_basis(spec) is spec and Basis is BasisSpec
 
 
 def test_haar_spec_has_no_order():
@@ -115,16 +115,6 @@ def test_spec_validation():
         BasisSpec("fourier", 1, 4)
     with pytest.raises(ValidationError, match="exceeds memory cap"):
         build_basis(BasisSpec("haar", 1, 2**18)).locality_constant  # certification grid too large
-
-
-def test_preset_roundtrip():
-    basis = basis_from_preset("haar:d=2,L=1")
-    assert basis.spec == BasisSpec("haar", 2, 4)
-    assert basis.spec.preset_id() == "haar:d=2,L=1"
-    basis = basis_from_preset("bspline:d=1,s=2,q=6")
-    assert basis.spec == BasisSpec("bspline", 1, 6, order=2)
-    with pytest.raises(ValidationError):
-        basis_from_preset("haar:d=2")
 
 
 def test_l2_error_zero_in_span():

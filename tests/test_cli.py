@@ -89,6 +89,23 @@ def test_config_hash_order_independent():
     assert config_hash({"m": 2}) != config_hash({"m": 3})
 
 
+def test_cached_locality_constant_is_no_part_of_a_config(tmp_path):
+    # a spec caches the constant once read; equal specs stay equal, hash
+    # alike and echo the same resolved config whichever of them has read it
+    read, fresh = BasisSpec("bspline", 2, 4, order=1), BasisSpec("bspline", 2, 4, order=1)
+    assert read.locality_constant > 0
+    assert "locality_constant" in vars(read) and "locality_constant" not in vars(fresh)
+    assert read == fresh and hash(read) == hash(fresh)
+    runs = [EstimatorConfig(basis=read, m=3), EstimatorConfig(basis=fresh, m=3)]
+    assert runs[0] == runs[1] and hash(runs[0]) == hash(runs[1])
+    echoes = [render_config(run) for run in runs]
+    assert config_hash(echoes[0]) == config_hash(echoes[1])
+    for echo, out in zip(echoes, ("read", "fresh")):
+        write_resolved_config(echo, tmp_path / out)
+    assert ((tmp_path / "read" / "resolved_config.txt").read_bytes()
+            == (tmp_path / "fresh" / "resolved_config.txt").read_bytes())
+
+
 def test_estimator_config_default_tuning():
     cfg = estimator_config({"tuning": "default", "seed": 5}, dimension=1, n=2000)
     assert cfg.m >= 2
@@ -96,7 +113,7 @@ def test_estimator_config_default_tuning():
     with pytest.raises(ValidationError):
         estimator_config({"tuning": "default"}, dimension=1)
     # tuned on the 1611 records split_sample puts in the estimation sample
-    assert estimator_config({"tuning": "default"}, 2, n=3221).k == 4
+    assert estimator_config({"tuning": "default"}, 2, n=3221).basis.k == 4
 
 
 def test_absent_keys_take_the_stated_defaults():
@@ -550,23 +567,57 @@ def test_basis_finer_than_default_grid_runs(tmp_path):
 def test_basis_inspect_refuses_over_budget_design(monkeypatch, capsys):
     monkeypatch.setattr(Basis, "evaluate_many", lambda self, x: pytest.fail("evaluated"))
     # 64**3 nodes x k=4096 columns of float64 would take 8.6 GB
-    assert main(["basis-inspect", "--preset", "haar:d=3,L=3"]) == EXIT_VALIDATION
+    assert main(["basis-inspect", "--set", "basis.dimension=3",
+                 "--set", "basis.per_dim_size=16"]) == EXIT_VALIDATION
     assert "at k=4096 needs 8589934592 bytes" in capsys.readouterr().err
     # 256 nodes x k=8 take 16384 bytes, one over a lowered cap
     monkeypatch.setattr(gram, "PLAN_BYTES_MAX", 16383)
-    assert main(["basis-inspect", "--preset", "haar:d=1,L=2"]) == EXIT_VALIDATION
+    assert main(["basis-inspect", "--set", "basis.per_dim_size=8"]) == EXIT_VALIDATION
     assert "at k=8 needs 16384 bytes" in capsys.readouterr().err
 
 
 def test_cmd_basis_inspect(tmp_path, capsys):
     gram_path = tmp_path / "g.bin"
-    rc = main(["basis-inspect", "--preset", "haar:d=1,L=2",
+    rc = main(["basis-inspect", "--set", "basis.per_dim_size=8",
                "--gram-out", str(gram_path)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "k                 : 8" in out
     assert gram_path.exists()
-    assert main(["basis-inspect", "--preset", "haar:d=1,L=oops"]) == EXIT_VALIDATION
+    assert main(["basis-inspect", "--set", "basis.per_dim_size=oops"]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("keys,basis", [
+    ([], EstimatorConfig().basis),
+    (["basis.family=bspline", "basis.order=2"], BasisSpec("bspline", 1, 4, order=2)),
+    (["basis.dimension=2", "basis.per_dim_size=8"], BasisSpec("haar", 2, 8))])
+def test_basis_inspect_names_its_basis_by_keys(tmp_path, capsys, monkeypatch, keys, basis):
+    # the first line is every basis key at its resolved value, a key not
+    # given at EstimatorConfig's; pasted back, it inspects the same basis
+    monkeypatch.setenv("HOIF_SEED", "4")  # basis-inspect reads no seed
+    config = tmp_path / "basis.cfg"
+    config.write_text("".join(f"{key}\n" for key in keys))
+    assert main(["basis-inspect", "--config", str(config)]) == 0
+    out = capsys.readouterr().out
+    first = out.splitlines()[0].split(":", 1)[1].split()
+    assert first[::2] == ["--set"] * 4
+    assert first[1::2] == [f"basis.family={basis.family}", f"basis.dimension={basis.d}",
+                           f"basis.per_dim_size={basis.per_dim_size}",
+                           f"basis.order={basis.order}"]
+    assert f"k                 : {basis.k}\n" in out
+    assert main(["basis-inspect", *first]) == 0
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("key,message", [
+    ("m=3", "key 'm' is not read by basis-inspect"),
+    ("seed=4", "key 'seed' is not read by basis-inspect"),
+    ("basis.typo=3", "unknown key 'basis.typo'")])
+def test_basis_inspect_reads_only_basis_keys(monkeypatch, capsys, key, message):
+    monkeypatch.setattr(cli, "quadrature_gram", lambda *a: pytest.fail("built a Gram"))
+    assert main(["basis-inspect", "--set", "basis.per_dim_size=8",
+                 "--set", key]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
 
 
 def test_cmd_estimate_mar_csv_blank_y(tmp_path):

@@ -181,8 +181,8 @@ def test_emp_vs_ac_agree_with_truth_injected(monkeypatch):
         per_seed = []
         for seed in range(20):
             data = generate(scn, n, 1000 + seed)
-            cfg_e = EstimatorConfig(basis=basis.spec, m=2, seed=seed, variant="emp")
-            cfg_a = EstimatorConfig(basis=basis.spec, m=2, seed=seed, variant="ac")
+            cfg_e = EstimatorConfig(basis=basis, m=2, seed=seed, variant="emp")
+            cfg_a = EstimatorConfig(basis=basis, m=2, seed=seed, variant="ac")
             r_e = estimate(data, cfg_e, nuisance_override=nuis)
             r_a = estimate(data, cfg_a, nuisance_override=nuis)
             per_seed.append(abs(r_e.per_order[0] - r_a.per_order[0]))
@@ -321,7 +321,7 @@ def test_reference_gram_distance_reported():
     basis = build_basis(BasisSpec("haar", 1, 4))
     ref = quadrature_gram(basis, lambda x: scn.pi(x) * scn.f(x),
                           QuadratureSpec(256))
-    cfg = EstimatorConfig(basis=basis.spec, m=2, seed=7)
+    cfg = EstimatorConfig(basis=basis, m=2, seed=7)
     rep = estimate(data, cfg)
     gram = rep.gram_diag.gram
     assert (gram.source, gram.k, gram.n_used, gram.basis) == ("empirical", 4, rep.n_tr, basis)
@@ -354,6 +354,11 @@ def test_report_labels_follow_config():
     assert rep.csv_row()["functional"] == "ecc"
     text = rep.text_block()
     assert "50% CI" in text and "95% CI" not in text
+    # the label's number is the configured level, not a 6-digit rounding of it
+    for level in (0.12345678, 0.999999999999):
+        text = replace(rep, cfg=replace(cfg, ci_level=level)).text_block()
+        label = next(line for line in text.splitlines() if "% CI" in line)
+        assert float(label.split("%")[0]) == pytest.approx(100 * level, rel=0, abs=1e-12)
 
 
 def test_nuisance_override_one_set_per_arm():

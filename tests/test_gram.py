@@ -122,7 +122,7 @@ def test_fine_basis_needs_a_fine_enough_grid():
     basis = build_basis(BasisSpec("haar", 1, 512))
     with pytest.raises(ValidationError, match="quadrature node count below basis resolution"):
         quadrature_gram(basis, uniform, QUAD)
-    gram = quadrature_gram(basis, uniform, basis_quadrature(basis.spec))
+    gram = quadrature_gram(basis, uniform, basis_quadrature(basis))
     np.testing.assert_allclose(gram.entries, np.eye(512), atol=1e-10)
 
 

@@ -54,9 +54,14 @@ def test_scanner_flags_unused_and_keeps_exports():
     assert unused_imports(source) == ["loads (line 4)", "os (line 2)"]
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+# the package's modules by file name, the tests' (``reference.py`` too) under tests/
+MODULES = {**{p.name: p for p in SRC.glob("*.py")},
+           **{f"tests/{p.name}": p for p in Path(__file__).resolve().parent.glob("*.py")}}
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
 def test_no_unused_imports(module):
-    assert unused_imports((SRC / module).read_text()) == []
+    assert unused_imports(MODULES[module].read_text()) == []
 
 
 def unused_privates(sources: dict[str, str]) -> list[str]:
