@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,8 @@ def read_text(path) -> str:
 
 
 def dataset_from_csv(path, d: int | None = None) -> Dataset:
-    """Read a dataset from CSV with columns A, Y, X1..Xd.
+    """Read a dataset from CSV with columns A, Y, X1..Xd, in any order; d
+    counts the columns named X<j> (j >= 1, no leading zero) unless given.
 
     Y may be blank on rows with A=0 (missing-at-random input); it is then
     recorded as 0 so that A*Y is stored.  X coordinates outside [0,1] (NaN
@@ -68,8 +70,9 @@ def dataset_from_csv(path, d: int | None = None) -> Dataset:
     if top is None:
         raise ValidationError(f"{path}: empty input")
     header = [c.strip() for c in lines[top].split(",")]
-    xcols = ([c for c in header if c.startswith("X")] if d is None
-             else [f"X{j}" for j in range(1, d + 1)])
+    if d is None:
+        d = sum(re.fullmatch("X[1-9][0-9]*", c) is not None for c in header)
+    xcols = [f"X{j}" for j in range(1, d + 1)]
     for col in ("A", "Y", *xcols):
         if col not in header:
             raise ValidationError(f"column {col} absent")

@@ -166,7 +166,7 @@ def _nuisance_values(nuis: NuisanceSet, data: Dataset) -> tuple[np.ndarray, np.n
 
 def one_step(est_sample: Dataset, spec: FunctionalSpec, nuis: NuisanceSet) -> float:
     """Sample mean of H(b_hat, p_hat): plug-in plus first-order correction."""
-    return float(np.mean(fn.h_values(spec, est_sample, *_nuisance_values(nuis, est_sample))))
+    return float(np.mean(fn.influence(spec, est_sample, *_nuisance_values(nuis, est_sample))[0]))
 
 
 def default_tuning(n: int, variant: str, dimension: int = 1,
@@ -215,9 +215,11 @@ def confidence_interval(psi_hat: float, variance_est: float, level: float) -> tu
     return psi_hat - half, psi_hat + half
 
 
-def _training_fits(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSet] | None,
-                   training: Dataset, cfg: EstimatorConfig) -> tuple[list, list]:
-    """Every arm's nuisances and Gram (None if m = 1).  Under ``emp`` the Gram
+def _training_fits(specs: tuple[FunctionalSpec, ...], weights: tuple[np.ndarray, ...],
+                   nuisances: list[NuisanceSet] | None, training: Dataset,
+                   cfg: EstimatorConfig) -> tuple[list, list]:
+    """Every arm's nuisances and Gram (None if m = 1), the Gram weighted by
+    the arm's ``weights``, |h1| at the training records.  Under ``emp`` it
     is over the training design, the k-grid candidate of the basis's own size
     if the grid has it.  Under ``ac`` a cellwise basis (Haar) has the Gram
     over one node per cell, weighted by the density estimate there: the
@@ -238,9 +240,8 @@ def _training_fits(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSe
     if cfg.variant == "emp":
         shared = designs.get(basis.k)  # a candidate of size k has the basis's design
         design = shared[1] if shared else basis.design(training.x)
-        return nuisances, [weighted_gram(basis, design, spec.abs_h1(training), "empirical")
-                           for spec in specs]
-    g_hats = [density_cells(training, basis, spec, cfg.sigma_floor) for spec in specs]
+        return nuisances, [weighted_gram(basis, design, w, "empirical") for w in weights]
+    g_hats = [density_cells(training, basis, w, cfg.sigma_floor) for w in weights]
     if basis.cellwise:
         return nuisances, [weighted_gram(basis, np.arange(basis.k), g, "quadrature")
                            for g in g_hats]
@@ -253,30 +254,26 @@ def _run_fold(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSet] | 
               est: Dataset, training: Dataset, cfg: EstimatorConfig) -> list[tuple]:
     """Every arm on one fold: IF1 summands, IFjj terms for j = 2..m (None under
     the zero convention) and the Gram report (None when m = 1)."""
-    for spec in specs:
-        spec.check_h1_sign(est)
-        spec.check_h1_sign(training)
-    nuisances, grams = _training_fits(specs, nuisances, training, cfg)
+    est_weights, weights = zip(*[(spec.abs_h1(est), spec.abs_h1(training)) for spec in specs])
+    nuisances, grams = _training_fits(specs, weights, nuisances, training, cfg)
     basis = cfg.basis
     rows = basis.design(est.x) if cfg.m > 1 else None
     runs = []
-    for spec, nuisance, gram in zip(specs, nuisances, grams):
-        bx, px = _nuisance_values(nuisance, est)
-        if1 = fn.h_values(spec, est, bx, px)
+    for spec, nuisance, gram, abs_h1 in zip(specs, nuisances, grams, est_weights):
+        if1, eps_p, eps_b = fn.influence(spec, est, *_nuisance_values(nuisance, est))
         if gram is None:
             runs.append((if1, [], None))
             continue
         diag = invert_checked(gram, cfg.eigen_floor)
         terms = None
         if diag.invertible:
-            res = fn.residuals(spec, est, bx, px)
             if basis.cellwise:
                 terms = cell_terms(CellInputs(
-                    eps_p=res.eps_p, eps_b=res.eps_b, abs_h1=res.abs_h1, cells=rows,
+                    eps_p=eps_p, eps_b=eps_b, abs_h1=abs_h1, cells=rows,
                     mass=gram.entries / basis.k, sign_flag=spec.sign_flag), cfg.m)
             else:
                 terms = correction_terms(ChainInputs(
-                    eps_p=res.eps_p, eps_b=res.eps_b, abs_h1=res.abs_h1, zmat=rows,
+                    eps_p=eps_p, eps_b=eps_b, abs_h1=abs_h1, zmat=rows,
                     omega_inv=diag.inverse, sign_flag=spec.sign_flag), cfg.m)
         runs.append((if1, terms, diag))
     return runs

@@ -8,7 +8,9 @@ H(b, p) - psi with
 
 h1 has a single sign over the support; ``sign_flag`` is True when h1 is
 nowhere positive.  The weight |h1| defines the density g(x) =
-E[|h1| | X=x] f(x) under which the Gram matrix is formed.
+E[|h1| | X=x] f(x) under which the Gram matrix is formed.  The pipeline
+reads the evaluators only here: ``FunctionalSpec.abs_h1`` checks h1 and
+returns |h1|, and ``influence`` gives H and the residuals in one pass.
 """
 
 from __future__ import annotations
@@ -35,35 +37,19 @@ class FunctionalSpec:
     # nuisances are b = E[Y|X] and p = E[A|X] over all records
     observed: Evaluator | None = None
 
-    def check_h1_sign(self, data: Dataset):
+    def abs_h1(self, data: Dataset) -> np.ndarray:
+        """The weights |h1| at the records of ``data``; a ValidationError for
+        no record, a non-finite h1 or an h1 of the wrong sign."""
+        if data.n == 0:
+            raise ValidationError("empty training set")
         h1 = self.h1(data)
         if not np.all(np.isfinite(h1)):
             raise ValidationError("non-finite h1 value in data")
-        if self.sign_flag:
-            if np.any(h1 > 0.0):
-                raise ValidationError(f"h1 must be nowhere positive for {self.id}")
-        else:
-            if np.any(h1 < 0.0):
-                raise ValidationError(f"h1 must be nowhere negative for {self.id}")
-
-    def abs_h1(self, training: Dataset) -> np.ndarray:
-        """The weights |h1| of the Gram and of the density estimate on
-        ``training``; a ValidationError for no record or a non-finite weight."""
-        if training.n == 0:
-            raise ValidationError("empty training set")
-        w = np.abs(self.h1(training))
-        if not np.all(np.isfinite(w)):
-            raise ValidationError("non-finite weight |h1|")
-        return w
-
-
-@dataclass(frozen=True)
-class Residuals:
-    """Per-record residuals feeding the U-statistic chain."""
-
-    eps_b: np.ndarray
-    eps_p: np.ndarray
-    abs_h1: np.ndarray
+        if self.sign_flag and np.any(h1 > 0.0):
+            raise ValidationError(f"h1 must be nowhere positive for {self.id}")
+        if not self.sign_flag and np.any(h1 < 0.0):
+            raise ValidationError(f"h1 must be nowhere negative for {self.id}")
+        return np.abs(h1)
 
 
 def _zeros(data: Dataset) -> np.ndarray:
@@ -128,29 +114,14 @@ def arm_specs(functional: str) -> tuple[FunctionalSpec, ...]:
     raise ValidationError(f"unknown functional {functional!r}")
 
 
-def residuals(spec: FunctionalSpec, est_sample: Dataset, bx: np.ndarray,
-              px: np.ndarray) -> Residuals:
-    """eps_b = b_hat*h1 + h3, eps_p = h1*p_hat + h2, per estimation record.
-
-    ``bx`` and ``px`` are b_hat and p_hat evaluated at the records.
-    """
-    if not (np.all(np.isfinite(bx)) and np.all(np.isfinite(px))):
-        raise ValidationError("non-finite nuisance value on the estimation sample")
-    h1 = spec.h1(est_sample)
-    eps_b = bx * h1 + spec.h3(est_sample)
-    eps_p = h1 * px + spec.h2(est_sample)
-    return Residuals(eps_b=eps_b, eps_p=eps_p, abs_h1=np.abs(h1))
-
-
-def h_values(spec: FunctionalSpec, data: Dataset, bx: np.ndarray,
-             px: np.ndarray) -> np.ndarray:
-    """H(b_hat, p_hat) at every record, from b_hat and p_hat evaluated there."""
-    vals = (
-        bx * px * spec.h1(data)
-        + bx * spec.h2(data)
-        + px * spec.h3(data)
-        + spec.h4(data)
-    )
+def influence(spec: FunctionalSpec, data: Dataset, bx: np.ndarray,
+              px: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """H(b_hat, p_hat), eps_p = h1*p_hat + h2 and eps_b = b_hat*h1 + h3 at
+    every record, from b_hat and p_hat evaluated there."""
+    h1, h2, h3 = spec.h1(data), spec.h2(data), spec.h3(data)
+    vals = bx * px * h1 + bx * h2 + px * h3 + spec.h4(data)
     if not np.all(np.isfinite(vals)):
         raise ValidationError("non-finite influence-function summand")
-    return vals
+    if not (np.all(np.isfinite(bx)) and np.all(np.isfinite(px))):
+        raise ValidationError("non-finite nuisance value on the estimation sample")
+    return vals, h1 * px + h2, bx * h1 + h3

@@ -190,15 +190,15 @@ def series_fit(designs: dict, response: np.ndarray, folds: int, seed: int,
     return predict, k_best
 
 
-def density_cells(training: Dataset, basis: BasisSpec, spec: FunctionalSpec,
+def density_cells(training: Dataset, basis: BasisSpec, w: np.ndarray,
                   sigma_floor: float = DEFAULT_SIGMA_FLOOR) -> np.ndarray:
-    """|h1|-weighted histogram density on the basis's dyadic cells: its value
-    in each of the q^d cells, in ``BasisSpec.cells`` order.
+    """Histogram density on the basis's dyadic cells of the training records
+    weighted by ``w`` (|h1|, ``FunctionalSpec.abs_h1``): its value in each of
+    the q^d cells, in ``BasisSpec.cells`` order.
 
     Floored at ``sigma_floor`` and renormalized to the weighted sample
     mass; used only by the density-based comparison path.
     """
-    w = spec.abs_h1(training)
     mass = float(np.mean(w))
     if mass <= 0.0:
         raise ValidationError("all |h1| weights are zero")

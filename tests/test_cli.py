@@ -629,6 +629,29 @@ def test_cmd_estimate_mar_csv_blank_y(tmp_path):
     assert rc == 0
 
 
+def test_mar_file_with_blank_y_runs_as_with_zeros(tmp_path):
+    # README's MAR format leaves Y blank on A = 0 rows; the run is the run of
+    # the same file with zeros there, byte for byte
+    data = generate(SCENARIOS["s1-smooth-d1"], 2000, 23)
+    zeros = tmp_path / "zeros.csv"
+    dataset_to_csv(data, zeros)
+    lines = zeros.read_text().splitlines()
+    assert lines[0] == "A,Y,X1"
+    blank = tmp_path / "blank.csv"
+    blank.write_text("\n".join([lines[0]] + [
+        ",".join(f[:1] + [""] + f[2:]) if float(f[0]) == 0.0 else ln
+        for ln in lines[1:] for f in [ln.split(",")]]) + "\n")
+    assert blank.read_text().count(",,") == int(sum(data.a == 0.0)) > 0
+    outs = []
+    for path in (zeros, blank):
+        out = tmp_path / f"out_{path.stem}"
+        assert main(["estimate", "--input", str(path), "--out", str(out),
+                     "--set", "m=3", "--set", "basis.per_dim_size=8"]) == 0
+        outs.append([(out / name).read_bytes()
+                     for name in ("report.csv", "report.txt", "resolved_config.txt")])
+    assert outs[0] == outs[1]
+
+
 def test_threads_default_to_one():
     assert build_parser().parse_args(["simulate", "--out", "x"]).threads == 1
     assert build_parser().parse_args(["--threads", "3", "simulate", "--out", "x"]).threads == 3

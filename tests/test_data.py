@@ -63,6 +63,21 @@ def test_missing_columns(tmp_path):
         dataset_from_csv(write(tmp_path, "A,Y,X1\n1,0.5,0.5\n"), d=2)
 
 
+def test_covariates_are_x1_to_xd_whatever_the_dimension_key(tmp_path):
+    # d counts the columns named X<j>; the covariates are X1..Xd in index
+    # order, as when d is given
+    path = write(tmp_path, "A,Y,X2,X1\n1,1,0.9,0.1\n")
+    for d in (None, 2):
+        np.testing.assert_array_equal(dataset_from_csv(path, d=d).x, [[0.1, 0.9]])
+    gap = write(tmp_path, "A,Y,X1,X3\n1,1,0.1,0.9\n")
+    for d in (None, 2):
+        with pytest.raises(ValidationError, match="column X2 absent"):
+            dataset_from_csv(gap, d=d)
+    # a text column whose name starts with X is no covariate
+    data = dataset_from_csv(write(tmp_path, "A,Y,X1,Xnote,X01\n1,1,0.1,first,0.5\n"))
+    np.testing.assert_array_equal(data.x, [[0.1]])
+
+
 def test_row_errors_localized(tmp_path):
     with pytest.raises(ValidationError, match="row 3"):
         dataset_from_csv(write(tmp_path, "A,Y,X1\n1,0.5,0.5\n1,oops,0.5\n"))

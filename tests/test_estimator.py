@@ -19,7 +19,7 @@ from hoif.estimator import (
     realizable_k,
     split_sample,
 )
-from hoif.functionals import mar_mean_spec, residuals
+from hoif.functionals import influence, mar_mean_spec
 from hoif.gram import (empirical_gram, invert_checked, node_rows, op_norm_distance,
                        population_gram, quadrature_gram)
 from hoif.nuisance import NuisanceSet, density_cells, zero_nuisance
@@ -401,8 +401,8 @@ def test_orders_up_to_the_cap_match_brute_force(m):
     cfg = EstimatorConfig(basis=BasisSpec("haar", 1, 2), m=m)
     rep = estimate_split(est, training, cfg, nuisance_override=nuis)
     spec, basis = mar_mean_spec(), build_basis(cfg.basis)
-    res = residuals(spec, est, nuis.b_hat(est.x), nuis.p_hat(est.x))
-    inp = ChainInputs(eps_p=res.eps_p, eps_b=res.eps_b, abs_h1=res.abs_h1,
+    _, eps_p, eps_b = influence(spec, est, nuis.b_hat(est.x), nuis.p_hat(est.x))
+    inp = ChainInputs(eps_p=eps_p, eps_b=eps_b, abs_h1=spec.abs_h1(est),
                       zmat=basis.evaluate_many(est.x), sign_flag=spec.sign_flag,
                       omega_inv=invert_checked(empirical_gram(basis, training, spec)).inverse)
     assert not rep.zero_convention_applied and len(rep.per_order) == m - 1
@@ -466,7 +466,8 @@ def test_bspline_ac_gram_bit_for_bit(spec):
     _, training = split_sample(data, cfg.split_fraction, cfg.seed)
     basis = build_basis(spec)
     nodes, w, z = node_rows(basis, basis_quadrature(spec))
-    g = density_cells(training, basis, mar_mean_spec(), cfg.sigma_floor)[basis.cells(nodes)]
+    g = density_cells(training, basis, mar_mean_spec().abs_h1(training),
+                      cfg.sigma_floor)[basis.cells(nodes)]
     entries = (z * (g * w)[:, None]).T @ z
     assert np.array_equal(gram.entries, 0.5 * (entries + entries.T))
 
@@ -482,7 +483,7 @@ def test_haar_ac_gram_bit_for_bit(d):
     gram = estimate(data, cfg).gram_diag.gram
     _, training = split_sample(data, cfg.split_fraction, cfg.seed)
     basis = build_basis(spec)
-    g = density_cells(training, basis, mar_mean_spec(), cfg.sigma_floor)
+    g = density_cells(training, basis, mar_mean_spec().abs_h1(training), cfg.sigma_floor)
     assert np.array_equal(gram.entries, basis.k * (g / basis.k))
     assert (gram.basis, gram.source, gram.n_used) == (basis, "quadrature", basis.k)
 
@@ -597,3 +598,40 @@ def test_haar_ac_terms_match_long_double(monkeypatch, data, cfg, bound):
     assert rep.per_order == cell_terms(inputs, cfg.m)
     for fast, ref in zip(rep.per_order, longdouble_cell_terms(inputs, cfg.m), strict=True):
         assert abs(fast - ref) <= bound * abs(ref)
+
+
+@pytest.mark.parametrize("functional", ["mar_mean", "ate", "ecc"])
+@pytest.mark.parametrize("family", ["haar", "bspline"])
+def test_each_evaluator_runs_once_per_sample(monkeypatch, functional, family):
+    # one checked |h1| per sample and one influence pass on the estimation
+    # sample: per arm, h1 once on the training sample and at most twice on
+    # the estimation sample, h2..h4 once on the estimation sample only
+    calls = {}
+
+    def counted(spec):
+        def wrap(name):
+            def h(dat):
+                key = (spec.id, name, dat.n)
+                calls[key] = calls.get(key, 0) + 1
+                return getattr(spec, name)(dat)
+            return h
+        return replace(spec, **{name: wrap(name) for name in ("h1", "h2", "h3", "h4")})
+
+    arm_specs = estimator.fn.arm_specs
+    monkeypatch.setattr(estimator.fn, "arm_specs",
+                        lambda f: tuple(counted(spec) for spec in arm_specs(f)))
+    data = generate(SCENARIOS["s4-ate" if functional == "ate" else "s1-smooth-d1"], 301, 5)
+    n_est, n_tr = 151, 150
+    basis = BasisSpec(family, 1, 4, order=2 if family == "bspline" else 0)
+    for variant in ("emp", "ac"):
+        for m in (1, 3):
+            calls.clear()
+            rep = estimate(data, EstimatorConfig(functional=functional, basis=basis, m=m,
+                                                 variant=variant))
+            assert (rep.n_est, rep.n_tr) == (n_est, n_tr)
+            for spec in arm_specs(functional):
+                assert calls.pop((spec.id, "h1", n_tr)) == 1
+                assert 1 <= calls.pop((spec.id, "h1", n_est)) <= 2
+                for name in ("h2", "h3", "h4"):
+                    assert calls.pop((spec.id, name, n_est)) == 1
+            assert calls == {}

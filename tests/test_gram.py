@@ -84,7 +84,7 @@ def test_empirical_gram_rejects_empty():
 def test_empirical_gram_rejects_non_finite_weight():
     basis = build_basis(BasisSpec("haar", 1, 2))
     data = make_data([0.2, 0.7, 0.9], a=[1.0, np.nan, 0.0])
-    with pytest.raises(ValidationError, match="non-finite weight"):
+    with pytest.raises(ValidationError, match="non-finite h1 value in data"):
         empirical_gram(basis, data, mar_mean_spec())
 
 

@@ -2,8 +2,9 @@
 private module-level name of the package is used somewhere in it, no
 module-level function or class of the package, nor a method or property of
 one of its classes, serves only the tests, every field of a package
-dataclass is read, and every Gram is built by ``gram.weighted_gram`` or read
-by ``gram.load_gram``."""
+dataclass is read, every Gram is built by ``gram.weighted_gram`` or read
+by ``gram.load_gram``, and only ``functionals.py`` calls a functional's
+evaluators h1..h4."""
 
 import ast
 import os
@@ -346,6 +347,45 @@ def test_gram_build_scanner_flags_a_second_builder():
 def test_every_gram_is_built_by_weighted_gram():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert stray_gram_builds(sources) == []
+
+
+# the evaluators of a functional, called only in the module that owns them
+EVALUATORS = {"h1", "h2", "h3", "h4"}
+EVALUATOR_OWNER = "functionals.py"
+
+
+def stray_evaluator_calls(sources: dict[str, str]) -> list[str]:
+    """Calls of an attribute named in ``EVALUATORS``, on anything, in the
+    modules of ``sources`` (module name -> source) other than
+    ``EVALUATOR_OWNER``."""
+    return sorted(f"{call.func.attr} in {module}:{call.lineno}"
+                  for module, source in sources.items() if module != EVALUATOR_OWNER
+                  for call in ast.walk(ast.parse(source))
+                  if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                  and call.func.attr in EVALUATORS)
+
+
+def test_evaluator_scanner_flags_a_second_reader():
+    sources = {
+        "functionals.py": (
+            "def influence(spec, data):\n    return spec.h1(data) + spec.h4(data)\n"
+        ),
+        "estimator.py": (
+            "def fold(spec, est, specs):\n"
+            "    w = spec.abs_h1(est)\n"
+            "    h1 = spec.h1\n"
+            "    return h1(est) + specs[0].h3(est) + w\n"
+            "class Arm:\n    def res(self, d):\n        return self.spec.h2(d)\n"
+        ),
+        "nuisance.py": "SEEN = arms().h4(data)\n",
+    }
+    assert stray_evaluator_calls(sources) == [
+        "h2 in estimator.py:7", "h3 in estimator.py:4", "h4 in nuisance.py:1"]
+
+
+def test_only_functionals_calls_the_evaluators():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert stray_evaluator_calls(sources) == []
 
 
 def test_haar_estimate_loads_no_scipy(tmp_path):

@@ -138,7 +138,7 @@ def test_grid_without_a_tensor_size_names_the_failure():
 
 def test_density_series_uniform():
     data = make_training(20000, seed=8, pi=lambda x: np.full(x.shape[0], 1.0))
-    dens = density_cells(data, BASIS, mar_mean_spec(), sigma_floor=0.05)
+    dens = density_cells(data, BASIS, mar_mean_spec().abs_h1(data), sigma_floor=0.05)
     g_hat = lambda pts: dens[BASIS.cells(pts)]
     grid = np.linspace(0.01, 0.99, 64)[:, None]
     np.testing.assert_allclose(g_hat(grid), 1.0, atol=0.15)
@@ -147,7 +147,7 @@ def test_density_series_uniform():
 def test_density_series_floor_and_mass():
     data = make_training(500, seed=9, pi=lambda x: np.full(x.shape[0], 0.3))
     spec = mar_mean_spec()
-    dens = density_cells(data, BASIS, spec, sigma_floor=0.05)
+    dens = density_cells(data, BASIS, spec.abs_h1(data), sigma_floor=0.05)
     g_hat = lambda pts: dens[BASIS.cells(pts)]
     grid = np.linspace(0.0, 1.0, 257)[:, None]
     assert np.all(g_hat(grid) >= 0.05 - 1e-12)
@@ -160,17 +160,17 @@ def test_density_series_all_zero_weights():
     x = np.random.default_rng(10).random((50, 1))
     data = Dataset(x, np.zeros(50), np.zeros(50))
     with pytest.raises(ValidationError):
-        density_cells(data, BASIS, mar_mean_spec(), 0.05)
+        density_cells(data, BASIS, mar_mean_spec().abs_h1(data), 0.05)
 
 
 def test_density_cells_refuses_a_non_finite_weight():
     # the weights are FunctionalSpec.abs_h1's, checked as the empirical Gram's are
     data = make_training(50, seed=10)
     spec = replace(mar_mean_spec(), h1=lambda dat: np.where(dat.x[:, 0] < 0.5, -np.inf, -1.0))
-    with pytest.raises(ValidationError, match=r"non-finite weight \|h1\|"):
-        density_cells(data, BASIS, spec, 0.05)
+    with pytest.raises(ValidationError, match="non-finite h1 value in data"):
+        density_cells(data, BASIS, spec.abs_h1(data), 0.05)
     with pytest.raises(ValidationError, match="empty training set"):
-        density_cells(data.subset(np.arange(0)), BASIS, mar_mean_spec(), 0.05)
+        density_cells(data, BASIS, mar_mean_spec().abs_h1(data.subset(np.arange(0))), 0.05)
 
 
 def test_fit_nuisances_mar_and_ecc():
