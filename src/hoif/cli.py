@@ -32,7 +32,7 @@ from hoif.estimator import (
     estimate,
     estimation_size,
 )
-from hoif.gram import invert_checked, quadrature_gram, save_gram
+from hoif.gram import invert_checked, population_gram, save_gram
 from hoif.quadrature import basis_quadrature
 from hoif.sim import SCENARIOS, check_study_size, run_study
 
@@ -278,11 +278,12 @@ def cmd_report(args) -> int:
 
 def cmd_basis_inspect(args) -> int:
     """The basis of the ``basis.*`` keys (``EstimatorConfig``'s for those not
-    given): its keys, k, locality constant and uniform-density Gram."""
+    given): its keys, k, locality constant and uniform-density Gram, built
+    as a study builds its population Gram (a Haar basis's from its cells)."""
     cfg = load_config(args.config, args.set or [], "basis-inspect")
     run = estimator_config(cfg, EstimatorConfig().basis.dimension)
     basis = run.basis
-    gram = quadrature_gram(basis, lambda x: np.ones(x.shape[0]), basis_quadrature(basis))
+    gram = population_gram(basis, lambda x: np.ones(x.shape[0]), basis_quadrature(basis))
     rep = invert_checked(gram)
     print("basis             :", *(f"--set {k}={v}" for k, v in render_config(run).items()
                                    if k in _READS["basis-inspect"]))

@@ -31,10 +31,9 @@ from hoif.functionals import FunctionalSpec
 from hoif.gram import (
     DEFAULT_EIGEN_FLOOR,
     InverseReport,
-    cell_plan,
+    gram_plan,
     invert_checked,
     node_rows,
-    quadrature_plan,
     weighted_gram,
 )
 from hoif.nuisance import (
@@ -221,11 +220,10 @@ def _training_fits(specs: tuple[FunctionalSpec, ...], weights: tuple[np.ndarray,
     """Every arm's nuisances and Gram (None if m = 1), the Gram weighted by
     the arm's ``weights``, |h1| at the training records.  Under ``emp`` it
     is over the training design, the k-grid candidate of the basis's own size
-    if the grid has it.  Under ``ac`` a cellwise basis (Haar) has the Gram
-    over one node per cell, weighted by the density estimate there: the
-    midpoint rule, exact for a density constant on the cells; other bases
-    have the Gram over the quadrature nodes' rows, with the estimate read at
-    the nodes' cells."""
+    if the grid has it.  Under ``ac`` it is over a node set, each node
+    weighted by the density estimate at its cell: a cellwise basis's (Haar)
+    k cells, one node each (the midpoint rule, exact for a density constant
+    on the cells); other bases' quadrature grid rows."""
     basis, designs = cfg.basis, {}
     if nuisances is None:
         if cfg.nuisance_method == "zero":
@@ -242,12 +240,11 @@ def _training_fits(specs: tuple[FunctionalSpec, ...], weights: tuple[np.ndarray,
         design = shared[1] if shared else basis.design(training.x)
         return nuisances, [weighted_gram(basis, design, w, "empirical") for w in weights]
     g_hats = [density_cells(training, basis, w, cfg.sigma_floor) for w in weights]
-    if basis.cellwise:
-        return nuisances, [weighted_gram(basis, np.arange(basis.k), g, "quadrature")
-                           for g in g_hats]
-    nodes, _, z = node_rows(basis, basis_quadrature(basis))
-    cells = basis.cells(nodes)
-    return nuisances, [weighted_gram(basis, z, g[cells], "quadrature") for g in g_hats]
+    design = cells = np.arange(basis.k)  # a cellwise basis's nodes: one per cell
+    if not basis.cellwise:
+        nodes, _, design = node_rows(basis, basis_quadrature(basis))
+        cells = basis.cells(nodes)
+    return nuisances, [weighted_gram(basis, design, g[cells], "quadrature") for g in g_hats]
 
 
 def _run_fold(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSet] | None,
@@ -319,13 +316,11 @@ def estimate_split(est: Dataset, training: Dataset, cfg: EstimatorConfig,
     if cfg.m > 1 and cfg.variant == "emp" and basis.k > n_est:
         raise ValidationError("basis size exceeds the estimation sample; the empirical "
                               "inverse covariance matrix does not exist")
-    # an over-cap plan is refused before any fit
-    if cfg.m > 1 and basis.cellwise:
-        cell_plan(basis)
-    elif cfg.m > 1:
-        order_plan(max(f_est.n for f_est, _ in folds), basis.k, cfg.m)
-        if cfg.variant == "ac":
-            quadrature_plan(basis, basis_quadrature(basis))
+    if cfg.m > 1:  # an over-cap plan is refused before any fit
+        if not basis.cellwise:
+            order_plan(max(f_est.n for f_est, _ in folds), basis.k, cfg.m)
+        grid = cfg.variant == "ac" and not basis.cellwise  # Haar's ac nodes are its cells
+        gram_plan(basis, basis_quadrature(basis) if grid else None)
     runs = [_run_fold(specs, overrides, f_est, f_tr, cfg) for f_est, f_tr in folds]
 
     zero = any(terms is None for fold in runs for _, terms, _ in fold)

@@ -120,8 +120,6 @@ def influence(spec: FunctionalSpec, data: Dataset, bx: np.ndarray,
     every record, from b_hat and p_hat evaluated there."""
     h1, h2, h3 = spec.h1(data), spec.h2(data), spec.h3(data)
     vals = bx * px * h1 + bx * h2 + px * h3 + spec.h4(data)
-    if not np.all(np.isfinite(vals)):
+    if not np.all(np.isfinite(vals)):  # a non-finite b_hat or p_hat makes one too
         raise ValidationError("non-finite influence-function summand")
-    if not (np.all(np.isfinite(bx)) and np.all(np.isfinite(px))):
-        raise ValidationError("non-finite nuisance value on the estimation sample")
     return vals, h1 * px + h2, bx * h1 + h3

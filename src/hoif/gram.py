@@ -9,6 +9,7 @@ density-based comparison path).  A design (``BasisSpec.design``) is the
 basis's (n, k) rows, or for a cellwise basis (Haar) each point's cell: its
 cell rows B have B^T B = k I, so B^T diag(m_c) B has the eigenvalues k m_c,
 and a cell design's Gram holds those alone, m_c the per-cell sum of w / n.
+``gram_plan`` sizes every Gram's working set before anything is built.
 """
 
 from __future__ import annotations
@@ -81,9 +82,10 @@ def empirical_gram(basis: BasisSpec, training: Dataset, spec: FunctionalSpec) ->
 
 def _dense(m: GramMatrix) -> np.ndarray:
     """The (k, k) matrix of ``m``; a cell Gram's is the Gram of its cell
-    rows weighted by its eigenvalues."""
+    rows weighted by its eigenvalues, planned as the rows of one node per cell."""
     if m.basis is None:
         return m.entries
+    gram_plan(m.basis, QuadratureSpec(m.basis.per_dim_size), rows=True)
     return weighted_gram(m.basis, m.basis.cell_rows(), m.entries, m.source).entries
 
 
@@ -94,17 +96,32 @@ def _capped(planned: int, what: str) -> int:
     return planned
 
 
-def _nodes_of(basis: BasisSpec, quad: QuadratureSpec) -> str:
-    return f"{quad.nodes_per_dim}^{basis.d} nodes at k={basis.k}"
+def gram_plan(basis: BasisSpec, quad: QuadratureSpec | None = None, rows: bool = False) -> int:
+    """Bytes of a Gram's working set, planned before anything is built; a
+    ValidationError if they pass ``PLAN_BYTES_MAX`` or ``quad`` is coarser
+    than the basis.  A design of cells (a cellwise basis, unless ``rows``)
+    holds ``CELL_VECTORS`` arrays of k doubles and 3d + 1 doubles per node of
+    ``quad``: its coordinates, and two temporaries of them and its flat index
+    while the grid is gathered or its cells read.  A design of rows holds the
+    k x k Gram and ``eigh``'s eigenvectors, and per node its row, the row's
+    weighted copy, its coordinates, cell and weight."""
+    k, d, nodes, grid = basis.k, basis.d, 0, None
+    if quad is not None:
+        if quad.nodes_per_dim < basis.per_dim_size:
+            raise ValidationError("quadrature node count below basis resolution")
+        nodes, grid = quad.nodes_per_dim ** d, f"{quad.nodes_per_dim}^{d} nodes at k={k}"
+    if basis.cellwise and not rows:
+        return _capped(8 * (CELL_VECTORS * k + (3 * d + 1) * nodes),
+                       f"cell quadrature of {grid}" if grid else f"cell route at k={k}")
+    return _capped(8 * (2 * k * k + nodes * (2 * k + d + 2)),
+                   f"quadrature design of {grid} with its Gram and eigenvectors" if grid
+                   else f"Gram at k={k} with its eigenvectors")
 
 
 def node_rows(basis: BasisSpec, quad: QuadratureSpec) -> tuple[np.ndarray, float, np.ndarray]:
-    """Nodes, cell weight and basis values of the rule ``quad``; a design
-    over ``PLAN_BYTES_MAX`` bytes is refused before its grid is built."""
-    if quad.nodes_per_dim < basis.per_dim_size:
-        raise ValidationError("quadrature node count below basis resolution")
-    _capped(8 * quad.nodes_per_dim ** basis.d * basis.k,
-            f"quadrature design of {_nodes_of(basis, quad)}")
+    """Nodes, cell weight and basis values of the rule ``quad``; refused
+    before its grid is built when ``gram_plan`` passes ``PLAN_BYTES_MAX``."""
+    gram_plan(basis, quad, rows=True)
     nodes, w = quad.grid(basis.d)
     return nodes, w, basis.evaluate_many(nodes)
 
@@ -123,36 +140,13 @@ def _density(g, nodes: np.ndarray) -> np.ndarray:
 
 
 def population_gram(basis: BasisSpec, g, quad: QuadratureSpec) -> GramMatrix:
-    """The quadrature Gram of the density g: a cellwise basis's (Haar) from
-    the nodes' cells, with no basis value and refused before its grid is
-    built when ``cell_plan`` passes ``PLAN_BYTES_MAX``; ``quadrature_gram``
-    otherwise."""
-    if not basis.cellwise:
-        return quadrature_gram(basis, g, quad)
-    if quad.nodes_per_dim < basis.per_dim_size:
-        raise ValidationError("quadrature node count below basis resolution")
-    cell_plan(basis, quad)
+    """The quadrature Gram of the density g over the design of the nodes of
+    ``quad`` (``BasisSpec.design``): a cellwise basis's (Haar) from the
+    nodes' cells, with no basis value; refused before its grid is built
+    when ``gram_plan`` passes ``PLAN_BYTES_MAX``."""
+    gram_plan(basis, quad)
     nodes, _ = quad.grid(basis.d)
-    return weighted_gram(basis, basis.cells(nodes), _density(g, nodes), "quadrature")
-
-
-def quadrature_plan(basis: BasisSpec, quad: QuadratureSpec) -> int:
-    """Bytes of a quadrature Gram's working set: the basis on the nodes of
-    ``quad``, the k x k Gram and ``eigh``'s eigenvectors of it; a
-    ValidationError if they pass ``PLAN_BYTES_MAX``."""
-    k, nodes = basis.k, quad.nodes_per_dim ** basis.d
-    return _capped(8 * (nodes * k + 2 * k * k),
-                   f"quadrature design of {_nodes_of(basis, quad)} with its Gram and eigenvectors")
-
-
-def cell_plan(basis: BasisSpec, quad: QuadratureSpec | None = None) -> int:
-    """Bytes of a cell route's working set: ``CELL_VECTORS`` arrays of k
-    doubles, and with ``quad`` its nodes' d coordinates, cell and weight; a
-    ValidationError if they pass ``PLAN_BYTES_MAX``."""
-    nodes, what = 0, f"cell route at k={basis.k}"
-    if quad is not None:
-        nodes, what = quad.nodes_per_dim ** basis.d, f"cell quadrature of {_nodes_of(basis, quad)}"
-    return _capped(8 * (CELL_VECTORS * basis.k + nodes * (basis.d + 2)), what)
+    return weighted_gram(basis, basis.design(nodes), _density(g, nodes), "quadrature")
 
 
 def invert_checked(m: GramMatrix, eigen_floor: float = DEFAULT_EIGEN_FLOOR) -> InverseReport:

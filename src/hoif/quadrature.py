@@ -40,11 +40,15 @@ def basis_quadrature(spec) -> QuadratureSpec:
     return QuadratureSpec(max(default_nodes_per_dim(spec.dimension), spec.per_dim_size))
 
 
+def _midpoints(n: int, d: int, flat: np.ndarray) -> np.ndarray:
+    """The nodes of the n^d midpoint grid at row-major indices ``flat``: (len(flat), d)."""
+    x1 = (np.arange(n) + 0.5) / n
+    return x1[np.stack(np.unravel_index(flat, (n,) * d), axis=1)]
+
+
 @lru_cache(maxsize=32)
 def _grid_cached(nodes_per_dim: int, d: int) -> tuple[np.ndarray, float]:
-    x1 = (np.arange(nodes_per_dim) + 0.5) / nodes_per_dim
-    axes = np.meshgrid(*([x1] * d), indexing="ij")
-    nodes = np.stack([a.ravel() for a in axes], axis=1)
+    nodes = _midpoints(nodes_per_dim, d, np.arange(nodes_per_dim ** d))
     nodes.setflags(write=False)
     return nodes, nodes_per_dim ** (-d)
 
@@ -52,12 +56,9 @@ def _grid_cached(nodes_per_dim: int, d: int) -> tuple[np.ndarray, float]:
 def integrate(f, d: int, quad: QuadratureSpec) -> float:
     """Midpoint integral of ``f`` over [0,1]^d; f takes an (n, d) array.  The
     nodes are made and ``f`` evaluated in strips of at most ``STRIP_NODES``
-    in row-major order, so no array of the whole grid is held or cached: a
-    strip's nodes are the midpoints gathered at its flat indices."""
+    in row-major order, so no array of the whole grid is held or cached."""
     n = quad.nodes_per_dim
-    x1 = (np.arange(n) + 0.5) / n
     total = 0.0
     for lo in range(0, n**d, STRIP_NODES):
-        flat = np.arange(lo, min(lo + STRIP_NODES, n**d))
-        total += float(np.sum(f(x1[np.stack(np.unravel_index(flat, (n,) * d), axis=1)])))
+        total += float(np.sum(f(_midpoints(n, d, np.arange(lo, min(lo + STRIP_NODES, n**d))))))
     return total * n ** (-d)

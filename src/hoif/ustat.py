@@ -33,8 +33,7 @@ every chain stays in one cell and each chain sum is a sum over cells of
 in-cell weight sums, with the same Moebius coefficients and binomial
 recombination: no Cholesky factor, tensor, einsum or ``order_plan``,
 which bounds the tensor route (B-splines) alone.  The cell route holds
-no k x k array; ``gram.cell_plan`` holds its arrays of k doubles to
-``PLAN_BYTES_MAX``.
+no k x k array.
 
 Exact in floating point up to accumulation error; an enumeration oracle
 (`brute_force_ifjj`) checks both routes at small n.

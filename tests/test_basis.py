@@ -117,6 +117,27 @@ def test_spec_validation():
         build_basis(BasisSpec("haar", 1, 2**18)).locality_constant  # certification grid too large
 
 
+@pytest.mark.parametrize("args,message", [
+    (("haar", 0, 4), "dimension must be >= 1"),
+    (("bspline", 1, 0), "per_dim_size must be >= 1"),
+    (("haar", 1, 0), "per_dim_size must be >= 1"),
+    (("bspline", 1, 4, -1), "bspline order must be >= 0"),
+])
+def test_spec_below_range_rejected(args, message):
+    with pytest.raises(ValidationError, match=message):
+        BasisSpec(*args)
+
+
+def test_evaluate_rejects_a_wrong_coordinate_count():
+    # the basis reads the points the pipeline hands it: a mismatch is a
+    # fault in the program (ValueError), not bad input
+    for spec in (BasisSpec("haar", 2, 2), BasisSpec("bspline", 2, 4, order=1)):
+        with pytest.raises(ValueError, match="expected 2 coordinates, got 3"):
+            build_basis(spec).evaluate_many(np.full((5, 3), 0.5))
+        with pytest.raises(ValueError, match="expected 2 coordinates, got 1"):
+            spec.cells(np.full(5, 0.5))
+
+
 def test_l2_error_zero_in_span():
     basis = build_basis(BasisSpec("haar", 1, 4))
 

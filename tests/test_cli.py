@@ -196,7 +196,7 @@ def test_haar_ac_at_the_default_tuned_size_runs(tmp_path):
     # admits; on the golden fixture a Haar ac estimate at that k runs
     k, m = default_tuning(2 * 10**6, "ac", 1)
     assert (k, m) == (8192, 6)
-    assert gram.cell_plan(build_basis(BasisSpec("haar", 1, k))) <= 1 << 30
+    assert gram.gram_plan(build_basis(BasisSpec("haar", 1, k))) <= 1 << 30
     assert main(["estimate", "--input", str(GOLDEN), "--out", str(tmp_path / "o"),
                  "--set", "variant=ac", "--set", f"basis.per_dim_size={k}"]) == 0
 
@@ -217,14 +217,15 @@ def test_oversized_haar_study_refused_before_it_is_built(tmp_path, capsys):
 
 def test_ac_gram_working_set_refused_before_any_fit(tmp_path, monkeypatch, capsys):
     # B-splines at k = 8192 on 8192 nodes: the design alone (512 MiB) is under
-    # its cap, but with the k x k Gram and eigh's eigenvectors (512 MiB each)
-    # the ac Gram needs 1.5 GiB, refused before any nuisance fit
+    # its cap, but with its weighted copy, the k x k Gram and eigh's
+    # eigenvectors (512 MiB each) and three doubles per node the ac Gram
+    # needs 2 GiB and 192 KiB, refused before any nuisance fit
     monkeypatch.setattr(estimator, "fit_nuisances", lambda *a, **kw: pytest.fail("fitted"))
     rc = main(["estimate", "--input", str(GOLDEN), "--out", str(tmp_path / "o"),
                "--set", "variant=ac", "--set", "basis.family=bspline",
                "--set", "basis.per_dim_size=8192"])
     assert rc == EXIT_VALIDATION
-    assert "needs 1610612736 bytes, over the cap of 1073741824" in capsys.readouterr().err
+    assert "needs 2147680256 bytes, over the cap of 1073741824" in capsys.readouterr().err
 
 
 def test_default_tuning_echoes_what_ran(tmp_path):
@@ -566,14 +567,28 @@ def test_basis_finer_than_default_grid_runs(tmp_path):
 
 def test_basis_inspect_refuses_over_budget_design(monkeypatch, capsys):
     monkeypatch.setattr(Basis, "evaluate_many", lambda self, x: pytest.fail("evaluated"))
-    # 64**3 nodes x k=4096 columns of float64 would take 8.6 GB
-    assert main(["basis-inspect", "--set", "basis.dimension=3",
+    bspline = ["--set", "basis.family=bspline"]
+    # B-splines on 64**3 nodes at k=4096: the rows of float64 and their
+    # weighted copy would take 17 GB
+    assert main(["basis-inspect", *bspline, "--set", "basis.dimension=3",
                  "--set", "basis.per_dim_size=16"]) == EXIT_VALIDATION
-    assert "at k=4096 needs 8589934592 bytes" in capsys.readouterr().err
-    # 256 nodes x k=8 take 16384 bytes, one over a lowered cap
-    monkeypatch.setattr(gram, "PLAN_BYTES_MAX", 16383)
-    assert main(["basis-inspect", "--set", "basis.per_dim_size=8"]) == EXIT_VALIDATION
-    assert "at k=8 needs 16384 bytes" in capsys.readouterr().err
+    assert "at k=4096 with its Gram and eigenvectors needs 17458790400 bytes" \
+        in capsys.readouterr().err
+    # 256 nodes at k=8 take 39936 bytes, one over a lowered cap
+    monkeypatch.setattr(gram, "PLAN_BYTES_MAX", 39935)
+    assert main(["basis-inspect", *bspline, "--set", "basis.per_dim_size=8"]) == EXIT_VALIDATION
+    assert "at k=8 with its Gram and eigenvectors needs 39936 bytes" in capsys.readouterr().err
+
+
+def test_basis_inspect_reads_a_haar_basis_from_its_cells(monkeypatch, capsys):
+    # as a study builds its population Gram: at d = 2, q = 64 no basis row is
+    # evaluated, where a design of 256^2 rows at k = 4096 took 2 GiB
+    monkeypatch.setattr(Basis, "evaluate_many", lambda self, x: pytest.fail("evaluated"))
+    assert main(["basis-inspect", "--set", "basis.dimension=2",
+                 "--set", "basis.per_dim_size=64"]) == 0
+    out = capsys.readouterr().out
+    assert "k                 : 4096\n" in out
+    assert "uniform Gram eig  : [1, 1]\n" in out
 
 
 def test_cmd_basis_inspect(tmp_path, capsys):
@@ -614,16 +629,23 @@ def test_basis_inspect_names_its_basis_by_keys(tmp_path, capsys, monkeypatch, ke
     ("seed=4", "key 'seed' is not read by basis-inspect"),
     ("basis.typo=3", "unknown key 'basis.typo'")])
 def test_basis_inspect_reads_only_basis_keys(monkeypatch, capsys, key, message):
-    monkeypatch.setattr(cli, "quadrature_gram", lambda *a: pytest.fail("built a Gram"))
+    monkeypatch.setattr(cli, "population_gram", lambda *a: pytest.fail("built a Gram"))
     assert main(["basis-inspect", "--set", "basis.per_dim_size=8",
                  "--set", key]) == EXIT_VALIDATION
     assert message in capsys.readouterr().err
 
 
 def test_cmd_estimate_mar_csv_blank_y(tmp_path):
+    # Y left blank on every A = 0 row, as README's MAR format allows
     data = generate(SCENARIOS["s1-smooth-d1"], 300, 19)
     path = tmp_path / "mar.csv"
     dataset_to_csv(data, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "A,Y,X1"
+    rows = [ln.split(",") for ln in lines[1:]]
+    path.write_text("\n".join([lines[0]] + [f"{a},{y if float(a) else ''},{x}"
+                                            for a, y, x in rows]) + "\n")
+    assert path.read_text().count(",,") == int(sum(data.a == 0.0)) > 0
     rc = main(["estimate", "--input", str(path), "--out", str(tmp_path / "o"),
                "--set", "m=2", "--set", "nuisance.k_grid=1;2"])
     assert rc == 0

@@ -57,6 +57,16 @@ def test_split_sample_sizes_and_partition():
     assert est3.n == math.ceil(0.61 * 100)
 
 
+def test_split_sample_bounds():
+    data = generate(SCENARIOS["s1-smooth-d1"], 4, 1)
+    for fraction in (0.0, 1.0, -0.5, 1.5, float("nan")):
+        with pytest.raises(ValidationError, match=r"fraction must be in \(0, 1\)"):
+            split_sample(data, fraction, seed=4)
+    assert [part.n for part in split_sample(data, 0.5, seed=4)] == [2, 2]
+    with pytest.raises(ValidationError, match="need at least 4 records to split"):
+        split_sample(data.subset(np.arange(3)), 0.5, seed=4)
+
+
 def test_split_sample_uniform_assignment():
     data = generate(SCENARIOS["s1-smooth-d1"], 10, 1)
     hits = np.zeros(10)
@@ -245,6 +255,17 @@ def test_confidence_quantile_matches_scipy():
     ({"nuisance_method": "seires"}, "unknown nuisance method 'seires'"),
 ])
 def test_bad_nuisance_settings_rejected(settings, message):
+    with pytest.raises(ValidationError, match=message):
+        EstimatorConfig(**settings)
+
+
+@pytest.mark.parametrize("settings,message", [
+    ({"variant": "plugin"}, "unknown variant 'plugin'"),
+    ({"split_fraction": 0.0}, r"split_fraction must be in \(0, 1\)"),
+    ({"split_fraction": 1.0}, r"split_fraction must be in \(0, 1\)"),
+    ({"split_fraction": float("nan")}, r"split_fraction must be in \(0, 1\)"),
+])
+def test_bad_variant_and_split_fraction_rejected(settings, message):
     with pytest.raises(ValidationError, match=message):
         EstimatorConfig(**settings)
 

@@ -5,6 +5,7 @@ import pytest
 
 from hoif.data import Dataset, ValidationError
 from hoif.functionals import (
+    arm_specs,
     ate_spec,
     expected_cond_cov_spec,
     influence,
@@ -160,3 +161,9 @@ def test_psi_identity_by_quadrature(sid):
         # E[BP h1] = -int b(x) (1/pi) pi f = -int b f; H4 = 0
         psi = integrate(lambda x: scn.b(x) * scn.f(x), scn.d, quad)
     assert psi == pytest.approx(true_psi(scn), abs=1e-6)
+
+
+def test_arm_specs_rejects_an_unknown_functional():
+    assert [spec.id for spec in arm_specs("ate")] == ["mar_mean", "mar_mean_arm0"]
+    with pytest.raises(ValidationError, match="unknown functional 'median'"):
+        arm_specs("median")

@@ -1,14 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hoif import gram as gram_module
+from hoif import quadrature as quadrature_module
 from hoif.basis import Basis, BasisSpec, build_basis
 from hoif.data import Dataset, ValidationError
 from hoif.functionals import expected_cond_cov_spec, mar_mean_spec
 from hoif.gram import (
     GramMatrix,
-    cell_plan,
     empirical_gram,
+    gram_plan,
     invert_checked,
     load_gram,
     node_rows,
@@ -127,16 +130,21 @@ def test_fine_basis_needs_a_fine_enough_grid():
 
 
 def test_over_budget_node_design_refused_before_building(monkeypatch):
-    # 256 nodes x k=8 columns of float64 take 16384 bytes
+    # 256 nodes of d = 1 at k = 8: per node a row of 8, its weighted copy, a
+    # coordinate, cell and weight, and a k x k Gram with its eigenvectors, of
+    # float64, take 8 * (256 * 19 + 128) = 39936 bytes; a Haar basis's rows
+    # are planned as rows, not as cells
     basis = build_basis(BasisSpec("haar", 1, 8))
-    monkeypatch.setattr(gram_module, "PLAN_BYTES_MAX", 16384)
+    monkeypatch.setattr(gram_module, "PLAN_BYTES_MAX", 39936)
     assert node_rows(basis, QUAD)[2].shape == (256, 8)
-    monkeypatch.setattr(gram_module, "PLAN_BYTES_MAX", 16383)
+    monkeypatch.setattr(gram_module, "PLAN_BYTES_MAX", 39935)
     monkeypatch.setattr(Basis, "evaluate_many", lambda self, x: pytest.fail("evaluated"))
     monkeypatch.setattr(QuadratureSpec, "grid", lambda self, d: pytest.fail("grid built"))
-    with pytest.raises(ValidationError, match="at k=8 needs 16384 bytes, over the cap of 16383"):
+    with pytest.raises(ValidationError, match="quadrature design of 256\\^1 nodes at k=8 with its "
+                                              "Gram and eigenvectors needs 39936 bytes, over the "
+                                              "cap of 39935"):
         node_rows(basis, QUAD)
-    with pytest.raises(ValidationError, match="needs 16384 bytes"):
+    with pytest.raises(ValidationError, match="needs 39936 bytes"):
         quadrature_gram(basis, uniform, QUAD)
 
 
@@ -163,8 +171,8 @@ def test_population_gram_of_haar_evaluates_no_node(monkeypatch):
     monkeypatch.setattr(Basis, "evaluate_many", lambda self, x: pytest.fail("evaluated"))
     gram = population_gram(basis, g, QUAD)
     assert (gram.basis, gram.source, gram.n_used) == (basis, "quadrature", 256 ** 2)
-    # over the cap, cell_plan refuses before the grid is built
-    planned = cell_plan(basis, QUAD)
+    # over the cap, gram_plan refuses before the grid is built
+    planned = gram_plan(basis, QUAD)
     monkeypatch.setattr(gram_module, "PLAN_BYTES_MAX", planned - 1)
     monkeypatch.setattr(QuadratureSpec, "grid", lambda self, d: pytest.fail("grid built"))
     with pytest.raises(ValidationError, match=f"cell quadrature of 256\\^2 nodes at k=16 "
@@ -172,6 +180,28 @@ def test_population_gram_of_haar_evaluates_no_node(monkeypatch):
         population_gram(basis, g, QUAD)
     monkeypatch.undo()
     assert op_norm_distance(gram, quadrature_gram(basis, g, QUAD)) <= 1e-13
+
+
+@pytest.mark.parametrize("spec,q", [(BasisSpec("bspline", 2, 16, order=2), 128),
+                                    (BasisSpec("haar", 3, 16), 64)], ids=["rows", "cells"])
+def test_traced_peak_within_the_gram_plan(spec, q):
+    # the plan bounds a population Gram and its inversion from a cold grid
+    # cache.  Rows: the design and weighted_gram's weighted copy of it, which
+    # took the peak to 2.0 times a plan without the copy (read at 256^2 nodes);
+    # cells: the grid's gather and the temporaries of ``cells``, which took
+    # it to 1.64 times a plan of d + 2 doubles per node
+    quad = QuadratureSpec(q)
+    g = lambda x: 0.5 + x[:, 0] * x[:, -1]
+    population_gram(spec, g, quad)  # imports and first-call caches
+    planned = gram_plan(spec, quad)
+    quadrature_module._grid_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        invert_checked(population_gram(spec, g, quad))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= planned
 
 
 def test_invert_checked_identity():

@@ -3,8 +3,8 @@ private module-level name of the package is used somewhere in it, no
 module-level function or class of the package, nor a method or property of
 one of its classes, serves only the tests, every field of a package
 dataclass is read, every Gram is built by ``gram.weighted_gram`` or read
-by ``gram.load_gram``, and only ``functionals.py`` calls a functional's
-evaluators h1..h4."""
+by ``gram.load_gram``, only the plan functions read the byte cap, and only
+``functionals.py`` calls a functional's evaluators h1..h4."""
 
 import ast
 import os
@@ -347,6 +347,57 @@ def test_gram_build_scanner_flags_a_second_builder():
 def test_every_gram_is_built_by_weighted_gram():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert stray_gram_builds(sources) == []
+
+
+# the byte cap, read only where a working set is planned
+CAP = "PLAN_BYTES_MAX"
+CAP_READERS = {"gram.py:gram_plan", "gram.py:_capped", "ustat.py:order_plan"}
+
+
+def stray_cap_reads(sources: dict[str, str]) -> list[str]:
+    """Reads of ``CAP``, as a loaded name or an attribute, in ``sources``
+    (module name -> source) from outside the module-level functions of
+    ``CAP_READERS``; a read in a class or at module level is stray too.  An
+    import or an assignment of the name is not a read."""
+    stray = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            owner = f"{module}:{getattr(node, 'name', '<module>')}"
+            stray += [f"{owner}:{read.lineno}" for read in ast.walk(node)
+                      if ((isinstance(read, ast.Name) and read.id == CAP
+                           and isinstance(read.ctx, ast.Load))
+                          or (isinstance(read, ast.Attribute) and read.attr == CAP))
+                      and owner not in CAP_READERS]
+    return sorted(stray)
+
+
+def test_cap_scanner_flags_a_second_reader():
+    sources = {
+        "ustat.py": (
+            "PLAN_BYTES_MAX = 1 << 30\n"
+            "def order_plan(n):\n    return n > PLAN_BYTES_MAX\n"
+            "def _slack(n):\n    return PLAN_BYTES_MAX - n\n"
+        ),
+        "gram.py": (
+            "import ustat\n"
+            "from ustat import PLAN_BYTES_MAX\n"
+            "def _capped(b):\n    return b > PLAN_BYTES_MAX\n"
+            "def gram_plan(k):\n    return _capped(8 * k)\n"
+            "def node_rows(k):\n    return 8 * k <= ustat.PLAN_BYTES_MAX\n"
+        ),
+        "sim.py": (
+            "import gram\n"
+            "LIMIT = gram.PLAN_BYTES_MAX // 2\n"
+            "class Study:\n    cap = f'{gram.PLAN_BYTES_MAX}'\n"
+        ),
+    }
+    assert stray_cap_reads(sources) == [
+        "gram.py:node_rows:8", "sim.py:<module>:2", "sim.py:Study:4", "ustat.py:_slack:5"]
+
+
+def test_only_the_plans_read_the_byte_cap():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert stray_cap_reads(sources) == []
 
 
 # the evaluators of a functional, called only in the module that owns them

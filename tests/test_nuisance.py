@@ -286,3 +286,14 @@ def test_haar_cv_matches_the_fold_loop_bit_for_bit(binary, folds, masked, lone):
     assert k == ref_k
     pts = (np.indices((16, 16)).reshape(2, -1).T + 0.5) / 16
     np.testing.assert_array_equal(fit(pts), ref_fit(pts))
+
+
+def test_rank_deficient_dense_candidate_has_no_score():
+    # hat functions on four knots over records all below 0.2: the columns of
+    # the far hats vanish, every training fold's design is rank-deficient and
+    # the candidate of size 4 is skipped; the smaller sizes are scored
+    x = np.random.default_rng(8).random((40, 1)) * 0.2
+    designs = series_designs(x, BasisSpec("bspline", 1, 4, order=1), [1, 2, 4])
+    assert sorted(designs) == [1, 2, 4]
+    scores = series_scores(designs, x[:, 0] ** 2, folds=2, seed=3)
+    assert sorted(scores) == [1, 2]

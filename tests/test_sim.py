@@ -1,5 +1,6 @@
 import csv
 import math
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -94,6 +95,12 @@ def test_generate_mar_masks_unobserved():
 def test_generate_draws_a_uniform_x_by_default():
     data = generate(SCENARIOS["s1-smooth-d1"], 50, 3)
     np.testing.assert_array_equal(data.x, np.random.default_rng(3).random((50, 1)))
+
+
+def test_generate_rejects_an_empty_draw():
+    for n in (0, -3):
+        with pytest.raises(ValidationError, match="n must be positive"):
+            generate(SCENARIOS["s1-smooth-d1"], n, 1)
 
 
 def test_generate_reproducible():
@@ -262,6 +269,47 @@ def test_forked_programming_error_fails_the_study():
     with pytest.raises(TypeError, match="unsupported operand"):
         run_study(SCENARIOS["s1-smooth-d1"], study_cfg(), reps=30, seed=1, n=100,
                   threads=2, nuisance_factory=buggy_factory)
+    assert_no_child_left()
+
+
+def _worker_fault(fault):
+    """A replication function under which the forked worker runs ``fault`` on
+    the first replication it takes, while the study process holds its own
+    first replication until the worker has taken one."""
+    ctx = multiprocessing.get_context("fork")
+    taken, study = ctx.Event(), os.getpid()
+
+    def work(rep):
+        if os.getpid() == study:
+            assert taken.wait(60), "the worker took no replication"
+            return rep
+        taken.set()
+        fault(rep)
+
+    return work, ctx
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+def test_forked_worker_exception_is_raised_with_its_traceback():
+    def fault(rep):
+        raise KeyError(f"replication {rep}")
+
+    work, ctx = _worker_fault(fault)
+    with pytest.raises(KeyError, match="replication") as raised:
+        sim._forked_map(work, 4, 1, ctx)
+    cause = raised.value.__cause__
+    assert isinstance(cause, RuntimeError)
+    assert str(cause).startswith("in a study worker:\nTraceback")
+    assert "KeyError: 'replication" in str(cause)
+    assert_no_child_left()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+def test_forked_worker_that_exits_without_rows_fails_the_map():
+    work, ctx = _worker_fault(lambda rep: os._exit(3))
+    with pytest.raises(RuntimeError, match=r"study worker \d+ exited with code 3 before "
+                                           r"sending its rows"):
+        sim._forked_map(work, 4, 1, ctx)
     assert_no_child_left()
 
 
