@@ -159,9 +159,8 @@ def estimator_config(cfg: dict, dimension: int, n: int | None = None) -> Estimat
     kwargs.pop("m", None)  # the tuning rule picks m
     run = EstimatorConfig(basis=basis, **kwargs)
     n_est = max(estimation_size(n, run.split_fraction), 8)
-    k, m = default_tuning(n_est, run.variant, basis.dimension, basis.family)
-    q = round(k ** (1.0 / basis.dimension))
-    q = max(q, basis.order + 1)  # haar's order is 0
+    k, m = default_tuning(n_est, run.variant, basis.dimension, basis.family, basis.order)
+    q = round(k ** (1.0 / basis.dimension))  # k is q**dimension
     return replace(run, m=m, basis=replace(basis, per_dim_size=q))
 
 

@@ -168,41 +168,34 @@ def one_step(est_sample: Dataset, spec: FunctionalSpec, nuis: NuisanceSet) -> fl
     return float(np.mean(fn.influence(spec, est_sample, *_nuisance_values(nuis, est_sample))[0]))
 
 
-def default_tuning(n: int, variant: str, dimension: int = 1,
-                   family: str = "haar") -> tuple[int, int]:
-    """Rate-optimal (k, m) for the estimation-sample size n.
+def default_tuning(n: int, variant: str, dimension: int = 1, family: str = "haar",
+                   order: int = 0) -> tuple[int, int]:
+    """Rate-optimal (k, m) for the estimation-sample size n, and the whole rule.
 
     emp: k = n/(ln n)^3, m = sqrt(ln n); ac: k = n/(ln n)^2, m = ln n.
-    k is rounded down to the nearest realizable tensor size q**dimension; m is
-    clamped to [2, M_MAX] and, unless the basis is cellwise (Haar, whose
-    terms come from per-cell sums), lowered, not below 2, until
-    ``order_plan`` fits.
+    k is rounded down to the largest tensor size q**dimension the family
+    realizes, with a B-spline q at least ``order + 1``.  m is clamped to
+    [2, M_MAX] and lowered, not below 2, until the plan ``estimate_split``
+    checks fits at that basis: ``order_plan`` on the tensor route, none for
+    a cellwise basis (Haar), whose terms come from per-cell sums.
     """
     if n < 8:
         raise ValidationError("n must be >= 8 for the tuning rules")
     ln = math.log(n)
     if variant == "ac":
-        k_raw = max(1, int(n / ln**2))
-        m = math.ceil(ln)
+        k_raw, m = n / ln**2, math.ceil(ln)
     else:
-        k_raw = max(1, int(n / ln**3))
-        m = math.ceil(math.sqrt(ln))
-    k = realizable_k(k_raw, dimension, family)
-    if BasisSpec(family, dimension, 1).cellwise:
-        return k, max(2, min(m, M_MAX))
-    for m in range(min(m, M_MAX), 2, -1):
-        with suppress(ValidationError):  # an order whose plan is over the cap
-            order_plan(n, k, m)
-            return k, m
-    return k, 2
-
-
-def realizable_k(k_raw: int, dimension: int, family: str = "haar") -> int:
-    """Largest realizable tensor size q**dimension not exceeding k_raw."""
-    q = 1
+        k_raw, m = n / ln**3, math.ceil(math.sqrt(ln))
+    q = 1 if family == "haar" else order + 1
     while (q_next := q * 2 if family == "haar" else q + 1) ** dimension <= k_raw:
         q = q_next
-    return q**dimension
+    basis = BasisSpec(family, dimension, q, order)
+    for m in range(min(m, M_MAX), 2, -1):
+        with suppress(ValidationError):  # an order whose plan is over the cap
+            if not basis.cellwise:
+                order_plan(n, basis.k, m)
+            return basis.k, m
+    return basis.k, 2
 
 
 def confidence_interval(psi_hat: float, variance_est: float, level: float) -> tuple[float, float]:
@@ -310,17 +303,18 @@ def estimate_split(est: Dataset, training: Dataset, cfg: EstimatorConfig,
                 f"got {len(overrides)}")
     basis = cfg.basis
     folds = [(est, training), (training, est)] if cfg.cross_fit else [(est, training)]
-    n_est = min(f_est.n for f_est, _ in folds)
-    if n_est < cfg.m:
+    if min(f_est.n for f_est, _ in folds) < cfg.m:
         raise ValidationError(f"order m={cfg.m} needs at least {cfg.m} estimation records")
-    if cfg.m > 1 and cfg.variant == "emp" and basis.k > n_est:
-        raise ValidationError("basis size exceeds the estimation sample; the empirical "
-                              "inverse covariance matrix does not exist")
+    n_tr = min(f_tr.n for _, f_tr in folds)
+    if cfg.m > 1 and cfg.variant == "emp" and basis.k > n_tr:
+        raise ValidationError(f"basis size k={basis.k} exceeds the {n_tr} training records "
+                              "the empirical Gram is built on; its inverse does not exist")
     if cfg.m > 1:  # an over-cap plan is refused before any fit
         if not basis.cellwise:
             order_plan(max(f_est.n for f_est, _ in folds), basis.k, cfg.m)
         grid = cfg.variant == "ac" and not basis.cellwise  # Haar's ac nodes are its cells
-        gram_plan(basis, basis_quadrature(basis) if grid else None)
+        records = max(f_tr.n for _, f_tr in folds) if cfg.variant == "emp" else 0
+        gram_plan(basis, basis_quadrature(basis) if grid else None, records=records)
     runs = [_run_fold(specs, overrides, f_est, f_tr, cfg) for f_est, f_tr in folds]
 
     zero = any(terms is None for fold in runs for _, terms, _ in fold)

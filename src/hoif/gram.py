@@ -96,15 +96,18 @@ def _capped(planned: int, what: str) -> int:
     return planned
 
 
-def gram_plan(basis: BasisSpec, quad: QuadratureSpec | None = None, rows: bool = False) -> int:
+def gram_plan(basis: BasisSpec, quad: QuadratureSpec | None = None, rows: bool = False,
+              records: int = 0) -> int:
     """Bytes of a Gram's working set, planned before anything is built; a
     ValidationError if they pass ``PLAN_BYTES_MAX`` or ``quad`` is coarser
     than the basis.  A design of cells (a cellwise basis, unless ``rows``)
     holds ``CELL_VECTORS`` arrays of k doubles and 3d + 1 doubles per node of
     ``quad``: its coordinates, and two temporaries of them and its flat index
     while the grid is gathered or its cells read.  A design of rows holds the
-    k x k Gram and ``eigh``'s eigenvectors, and per node its row, the row's
-    weighted copy, its coordinates, cell and weight."""
+    k x k Gram and ``eigh``'s eigenvectors, and per node of ``quad`` or per
+    training record of an empirical Gram (``records``, which a design of
+    cells does not count) its row, the row's weighted copy, its coordinates,
+    cell and weight."""
     k, d, nodes, grid = basis.k, basis.d, 0, None
     if quad is not None:
         if quad.nodes_per_dim < basis.per_dim_size:
@@ -113,9 +116,10 @@ def gram_plan(basis: BasisSpec, quad: QuadratureSpec | None = None, rows: bool =
     if basis.cellwise and not rows:
         return _capped(8 * (CELL_VECTORS * k + (3 * d + 1) * nodes),
                        f"cell quadrature of {grid}" if grid else f"cell route at k={k}")
-    return _capped(8 * (2 * k * k + nodes * (2 * k + d + 2)),
+    return _capped(8 * (2 * k * k + (nodes + records) * (2 * k + d + 2)),
                    f"quadrature design of {grid} with its Gram and eigenvectors" if grid
-                   else f"Gram at k={k} with its eigenvectors")
+                   else f"empirical design of {records} records at k={k} with its Gram "
+                        "and eigenvectors")
 
 
 def node_rows(basis: BasisSpec, quad: QuadratureSpec) -> tuple[np.ndarray, float, np.ndarray]:

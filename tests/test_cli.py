@@ -1,8 +1,10 @@
+import itertools
 import math
 import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,8 +24,8 @@ from hoif.cli import (
     render_config,
     write_resolved_config,
 )
-from hoif.data import ValidationError, dataset_to_csv
-from hoif.estimator import EstimatorConfig, default_tuning
+from hoif.data import Dataset, ValidationError, dataset_to_csv
+from hoif.estimator import EstimatorConfig, default_tuning, estimation_size
 from hoif.sim import SCENARIOS, generate
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -228,6 +230,46 @@ def test_ac_gram_working_set_refused_before_any_fit(tmp_path, monkeypatch, capsy
     assert "needs 2147680256 bytes, over the cap of 1073741824" in capsys.readouterr().err
 
 
+def test_emp_basis_size_is_checked_against_the_training_records(tmp_path, monkeypatch, capsys):
+    # the empirical Gram is built on the training records: k = 256 is built
+    # on 3800 of them however few estimation records there are, and refused
+    # before any fit on 200 of them, or on the 15 of an odd n = 31 at the
+    # default split, since a Gram of fewer records than k is singular
+    path = tmp_path / "d.csv"
+    dataset_to_csv(generate(SCENARIOS["s2-smooth-d2"], 4000, 0), path)
+    args = ["estimate", "--input", str(path), "--set", "basis.per_dim_size=16", "--set", "m=2"]
+    assert main([*args, "--out", str(tmp_path / "a"), "--set", "split_fraction=0.05"]) in (
+        0, EXIT_ZERO_CONVENTION)
+    _, rows = cli._read_csv_rows(str(tmp_path / "a" / "report.csv"))
+    assert (rows[0]["n_est"], rows[0]["n_tr"], rows[0]["k"]) == ("200", "3800", "256")
+    monkeypatch.setattr(estimator, "fit_nuisances", lambda *a, **kw: pytest.fail("fitted"))
+    rc = main([*args, "--out", str(tmp_path / "b"), "--set", "split_fraction=0.95"])
+    assert rc == EXIT_VALIDATION
+    assert ("basis size k=256 exceeds the 200 training records the empirical Gram is built "
+            "on") in capsys.readouterr().err
+    odd = tmp_path / "odd.csv"
+    dataset_to_csv(generate(SCENARIOS["s1-smooth-d1"], 31, 0), odd)
+    rc = main(["estimate", "--input", str(odd), "--out", str(tmp_path / "c"),
+               "--set", "basis.per_dim_size=16"])
+    assert rc == EXIT_VALIDATION
+    assert "basis size k=16 exceeds the 15 training records" in capsys.readouterr().err
+
+
+def test_emp_training_design_refused_before_any_fit(monkeypatch):
+    # B-splines at k = 2048 on 31350 training records: the k x k Gram and its
+    # eigenvectors (64 MiB) and the 1650 estimation rows are under the cap,
+    # but the training design with its weighted copy and three doubles per
+    # record bring the empirical Gram to 1095138064 bytes, refused before any fit
+    monkeypatch.setattr(estimator, "fit_nuisances", lambda *a, **kw: pytest.fail("fitted"))
+    rng = np.random.default_rng(31)
+    data = Dataset(rng.random((33000, 1)), np.ones(33000), np.zeros(33000))
+    cfg = EstimatorConfig(basis=BasisSpec("bspline", 1, 2048), split_fraction=0.05)
+    with pytest.raises(ValidationError, match="empirical design of 31350 records at k=2048 with "
+                                              "its Gram and eigenvectors needs 1095138064 bytes, "
+                                              "over the cap of 1073741824"):
+        estimator.estimate(data, cfg)
+
+
 def test_default_tuning_echoes_what_ran(tmp_path):
     # the rule picks m=3 and q=2 over the configured m=4 and q=8; the echo and
     # its hash name the values the run used
@@ -255,6 +297,63 @@ def test_default_tuning_echoes_what_ran(tmp_path):
              if not ln.startswith("#")]
     column = lines[0].split(",").index("m")
     assert {ln.split(",")[column] for ln in lines[1:]} == {str(echo["m"])} == {"3"}
+
+
+_TUNED_FAMILIES = [("haar", 0)] + [("bspline", order) for order in range(4)]
+
+
+def _tuned(n: int, d: int, variant: str, family: str, order: int) -> EstimatorConfig:
+    return estimator_config({"tuning": "default", "variant": variant, "basis.family": family,
+                             "basis.order": order}, d, n=n)
+
+
+@pytest.mark.parametrize("variant", ["emp", "ac"])
+def test_every_tuned_order_passes_its_plan(variant):
+    # up to 10^5 records the rule's m fits the plan estimate_split checks at
+    # the basis that runs: order_plan on the tensor route, none for Haar
+    for n, d, (family, order) in itertools.product(
+            (16, 40, 100, 400, 1000, 2000, 4000, 8000, 10**4, 10**5), (1, 2, 3), _TUNED_FAMILIES):
+        run = _tuned(n, d, variant, family, order)
+        assert run.basis.per_dim_size >= order + 1 and 2 <= run.m <= ustat.M_MAX
+        if not run.basis.cellwise:
+            ustat.order_plan(estimation_size(n, run.split_fraction), run.basis.k, run.m)
+
+
+@pytest.mark.parametrize("n", [400, 1000, 2000, 4000, 8000])
+def test_tuned_order_three_bspline_ac_at_d3_runs_at_m5(n):
+    # the rule's q = 3 is raised to order + 1 = 4 before m is planned, so m is
+    # planned at k = 64, where m = 6 is over the cap (it fits at k = 27)
+    run = _tuned(n, 3, "ac", "bspline", 3)
+    assert (run.basis.per_dim_size, run.m) == (4, 5)
+    with pytest.raises(ValidationError, match="order m=6 at k=64 plans"):
+        ustat.order_plan(estimation_size(n, run.split_fraction), 64, 6)
+
+
+def test_tuned_bsplines_at_a_million_records_stay_refused():
+    # the rule lowers m, never k: at 10^6 records every B-spline tuning is
+    # over the cap even at m = 2, where the whitened estimation rows alone
+    # pass it
+    for d, variant, order in itertools.product((1, 2, 3), ("emp", "ac"), range(4)):
+        run = _tuned(10**6, d, variant, "bspline", order)
+        assert run.m == 2
+        with pytest.raises(ValidationError, match=f"order m=2 at k={run.basis.k} plans"):
+            ustat.order_plan(estimation_size(10**6, run.split_fraction), run.basis.k, 2)
+
+
+def test_tuned_order_three_bspline_ac_runs_the_planned_order(tmp_path, capsys):
+    # 400 records at d = 3: the echo and the report name q = 4 and m = 5
+    rng = np.random.default_rng(30)
+    a = (rng.random(400) < 0.6).astype(float)
+    path = tmp_path / "d3.csv"
+    dataset_to_csv(Dataset(rng.random((400, 3)), a, a * (rng.random(400) < 0.5)), path)
+    out = tmp_path / "o"
+    rc = main(["estimate", "--input", str(path), "--out", str(out), "--set", "tuning=default",
+               "--set", "basis.family=bspline", "--set", "basis.order=3", "--set", "variant=ac"])
+    assert rc == 0, capsys.readouterr().err
+    echo = parse_config_text((out / "resolved_config.txt").read_text(), "echo")
+    assert (echo["basis.per_dim_size"], echo["m"]) == (4, 5)
+    _, rows = cli._read_csv_rows(str(out / "report.csv"))
+    assert (rows[0]["k"], rows[0]["m"]) == ("64", "5")
 
 
 def _data_lines(path: Path) -> list[str]:
@@ -686,8 +785,8 @@ def test_threads_default_to_one():
     (["estimate", "--input", "{golden}", "--out", "{tmp}/o", "--config", "{tmp}/absent.cfg"],
      "cannot read {tmp}/absent.cfg"),
     (["report", "{tmp}/absent.csv"], "cannot read {tmp}/absent.csv"),
-    (["estimate", "--input", "{golden}", "--out", "{tmp}/o",
-      "--set", "basis.per_dim_size=262144"], "basis size exceeds the estimation sample"),
+    (["estimate", "--input", "{golden}", "--out", "{tmp}/o", "--set", "basis.per_dim_size=262144"],
+     "basis size k=262144 exceeds the 250 training records"),
     (["simulate", "--out", "{tmp}/o", "--set", "scenario=s2-smooth-d2",
       "--set", "basis.dimension=1"], "basis.dimension=1 contradicts scenario s2-smooth-d2"),
     (["estimate", "--input", "{golden}", "--out", "{tmp}/o", "--set", "seed=-1"],

@@ -16,7 +16,6 @@ from hoif.estimator import (
     estimate,
     estimate_split,
     one_step,
-    realizable_k,
     split_sample,
 )
 from hoif.functionals import influence, mar_mean_spec
@@ -205,6 +204,13 @@ def test_default_tuning_frozen_arithmetic():
     assert default_tuning(1000, "emp", 1, "bspline") == (3, 3)
     assert default_tuning(10**5, "emp", 1, "bspline") == (65, 4)
     assert default_tuning(1000, "ac", 1, "bspline") == (20, 6)  # m clamped to the cap
+    # a B-spline q is raised to order + 1 before m is planned: at n = 2000,
+    # d = 3 and order 3 the rule's q = 3 becomes 4, and at k = 64 m = 6 is
+    # over the plan cap; Haar reads no order
+    assert default_tuning(2000, "ac", 3, "bspline") == (27, 6)
+    assert default_tuning(2000, "ac", 3, "bspline", 3) == (64, 5)
+    assert default_tuning(10**4, "emp", 2, "bspline", 3) == (16, 4)
+    assert default_tuning(2000, "ac", 3, "haar", 3) == default_tuning(2000, "ac", 3) == (8, 6)
     with pytest.raises(ValidationError):
         default_tuning(4, "emp")
 
@@ -219,12 +225,13 @@ def test_default_tuning_never_below_second_order():
 
 
 def test_realizable_k_rounding():
-    assert realizable_k(3, 1, "haar") == 2
-    assert realizable_k(65, 1, "haar") == 64
-    assert realizable_k(65, 2, "haar") == 64  # q=8
-    assert realizable_k(15, 2, "haar") == 4  # q=2
-    assert realizable_k(15, 2, "bspline") == 9  # q=3
-    assert realizable_k(1, 3, "haar") == 1
+    # k is the largest tensor size q**d of the family at most the rule's raw
+    # size (n / (ln n)^3 under emp): a power-of-two q for Haar, any q >= 1
+    # for B-splines
+    for n, d, family, k in ((1000, 1, "haar", 2), (10**5, 1, "haar", 64), (10**5, 2, "haar", 64),
+                            (10**4, 2, "haar", 4), (10**4, 2, "bspline", 9),
+                            (10**5, 3, "bspline", 64), (100, 3, "haar", 1)):
+        assert default_tuning(n, "emp", d, family)[0] == k
 
 
 def test_confidence_interval():

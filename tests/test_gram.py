@@ -183,21 +183,31 @@ def test_population_gram_of_haar_evaluates_no_node(monkeypatch):
 
 
 @pytest.mark.parametrize("spec,q", [(BasisSpec("bspline", 2, 16, order=2), 128),
-                                    (BasisSpec("haar", 3, 16), 64)], ids=["rows", "cells"])
+                                    (BasisSpec("haar", 3, 16), 64),
+                                    (BasisSpec("bspline", 2, 8, order=2), None)],
+                         ids=["rows", "cells", "emp rows"])
 def test_traced_peak_within_the_gram_plan(spec, q):
-    # the plan bounds a population Gram and its inversion from a cold grid
-    # cache.  Rows: the design and weighted_gram's weighted copy of it, which
-    # took the peak to 2.0 times a plan without the copy (read at 256^2 nodes);
-    # cells: the grid's gather and the temporaries of ``cells``, which took
-    # it to 1.64 times a plan of d + 2 doubles per node
-    quad = QuadratureSpec(q)
-    g = lambda x: 0.5 + x[:, 0] * x[:, -1]
-    population_gram(spec, g, quad)  # imports and first-call caches
-    planned = gram_plan(spec, quad)
+    # the plan bounds a Gram and its inversion: a population Gram from a cold
+    # grid cache, or with no grid the empirical Gram of 20000 training
+    # records.  Rows: the design of the nodes or records and weighted_gram's
+    # weighted copy of it, which took the peak to 2.0 times a plan without
+    # the copy (read at 256^2 nodes); cells: the grid's gather and the
+    # temporaries of ``cells``, which took it to 1.64 times a plan of d + 2
+    # doubles per node
+    if q is None:
+        data = make_data(np.random.default_rng(3).random((20000, 2)))
+        build = lambda: empirical_gram(spec, data, mar_mean_spec())
+        planned = gram_plan(spec, records=data.n)
+    else:
+        quad = QuadratureSpec(q)
+        g = lambda x: 0.5 + x[:, 0] * x[:, -1]
+        build = lambda: population_gram(spec, g, quad)
+        planned = gram_plan(spec, quad)
+    build()  # imports and first-call caches
     quadrature_module._grid_cached.cache_clear()
     tracemalloc.start()
     try:
-        invert_checked(population_gram(spec, g, quad))
+        invert_checked(build())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -257,8 +257,10 @@ def test_run_study_thread_invariance():
 
 
 def test_forked_programming_error_fails_the_study():
-    # the error is raised in a worker, so it is chosen by the replication's
-    # seed: a call counter would count in each worker separately
+    # the forked worker and the study process take replications from one
+    # counter, so either may raise the error; it is chosen by the
+    # replication's seed, since a call counter would count in each process
+    # separately.  The worker's re-raise path has its own test below
     bad_seed = sim._rep_seed(1, 4)
 
     def buggy_factory(scn, cfg):
