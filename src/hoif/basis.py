@@ -127,13 +127,6 @@ class BasisSpec:
         per_dim = np.minimum(np.floor(self._points(x) * q).astype(np.int64), q - 1)
         return per_dim @ q ** np.arange(self.d - 1, -1, -1)
 
-    def cell_rows(self) -> np.ndarray:
-        """The basis at the centre of every cell, in ``cells`` order: (q^d, k).
-        For Haar, row c is bit for bit the basis at every point of cell c."""
-        q = self.per_dim_size
-        centres = (np.indices((q,) * self.d).reshape(self.d, -1).T + 0.5) / q
-        return self.evaluate_many(centres)
-
 
 def _haar_univariate(q: int, xs: np.ndarray) -> np.ndarray:
     """Evaluate the q-function univariate Haar family at points xs."""

@@ -26,12 +26,7 @@ import numpy as np
 
 import hoif
 from hoif.data import ValidationError, dataset_from_csv, read_text, table_csv
-from hoif.estimator import (
-    EstimatorConfig,
-    default_tuning,
-    estimate,
-    estimation_size,
-)
+from hoif.estimator import EstimatorConfig, default_tuning, estimate, estimation_size
 from hoif.gram import invert_checked, population_gram, save_gram
 from hoif.quadrature import basis_quadrature
 from hoif.sim import SCENARIOS, check_study_size, run_study
@@ -158,8 +153,9 @@ def estimator_config(cfg: dict, dimension: int, n: int | None = None) -> Estimat
         raise ValidationError("default tuning needs the sample size")
     kwargs.pop("m", None)  # the tuning rule picks m
     run = EstimatorConfig(basis=basis, **kwargs)
-    n_est = max(estimation_size(n, run.split_fraction), 8)
-    k, m = default_tuning(n_est, run.variant, basis.dimension, basis.family, basis.order)
+    n_est = estimation_size(n, run.split_fraction)
+    k, m = default_tuning(max(n_est, 8), run.variant, basis.dimension, basis.family,
+                          basis.order, n - n_est, run)
     q = round(k ** (1.0 / basis.dimension))  # k is q**dimension
     return replace(run, m=m, basis=replace(basis, per_dim_size=q))
 
@@ -338,6 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ValidationError("threads must be >= 1")
         return args.fn(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,8 +18,9 @@ convention.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 
 import numpy as np
@@ -28,24 +29,12 @@ from hoif.basis import BasisSpec
 from hoif.data import Dataset, ValidationError
 from hoif import functionals as fn
 from hoif.functionals import FunctionalSpec
-from hoif.gram import (
-    DEFAULT_EIGEN_FLOOR,
-    InverseReport,
-    gram_plan,
-    invert_checked,
-    node_rows,
-    weighted_gram,
-)
-from hoif.nuisance import (
-    DEFAULT_SIGMA_FLOOR,
-    NuisanceSet,
-    density_cells,
-    fit_nuisances,
-    series_designs,
-    zero_nuisance,
-)
+from hoif.gram import DEFAULT_EIGEN_FLOOR, InverseReport, invert_checked, node_rows, weighted_gram
+from hoif.nuisance import (DEFAULT_SIGMA_FLOOR, NuisanceSet, density_cells, fit_nuisances,
+                           series_bases, series_designs, zero_nuisance)
 from hoif.quadrature import basis_quadrature
-from hoif.ustat import M_MAX, CellInputs, ChainInputs, cell_terms, correction_terms, order_plan
+from hoif.ustat import (M_MAX, CellInputs, ChainInputs, RunPlan, cell_terms, correction_terms,
+                        run_plan)
 
 VARIANTS = ("emp", "ac")
 
@@ -168,34 +157,51 @@ def one_step(est_sample: Dataset, spec: FunctionalSpec, nuis: NuisanceSet) -> fl
     return float(np.mean(fn.influence(spec, est_sample, *_nuisance_values(nuis, est_sample))[0]))
 
 
+def plan_estimate(cfg: EstimatorConfig, n_est: int, n_tr: int, fitted: bool = True) -> RunPlan:
+    """``run_plan`` of ``cfg`` on n_est estimation and n_tr training records (either in
+    either role when cross-fitted), its nuisances fitted unless ``fitted`` is False."""
+    basis = cfg.basis
+    if cfg.cross_fit:
+        n_est = n_tr = max(n_est, n_tr)
+    series = fitted and cfg.nuisance_method == "series"
+    candidates = tuple(series_bases(n_tr, basis, cfg.nuisance_k_grid)) if series else ()
+    grid = cfg.variant == "ac" and not basis.cellwise
+    nodes = basis_quadrature(basis).nodes_per_dim ** basis.d if grid else 0
+    return run_plan(basis.k, basis.d, cfg.m, n_est, n_tr if cfg.variant == "emp" else nodes,
+                    grid, n_tr, candidates, basis.cellwise)
+
+
 def default_tuning(n: int, variant: str, dimension: int = 1, family: str = "haar",
-                   order: int = 0) -> tuple[int, int]:
+                   order: int = 0, n_tr: int | None = None,
+                   run: EstimatorConfig = EstimatorConfig()) -> tuple[int, int]:
     """Rate-optimal (k, m) for the estimation-sample size n, and the whole rule.
 
     emp: k = n/(ln n)^3, m = sqrt(ln n); ac: k = n/(ln n)^2, m = ln n.
     k is rounded down to the largest tensor size q**dimension the family
-    realizes, with a B-spline q at least ``order + 1``.  m is clamped to
-    [2, M_MAX] and lowered, not below 2, until the plan ``estimate_split``
-    checks fits at that basis: ``order_plan`` on the tensor route, none for
-    a cellwise basis (Haar), whose terms come from per-cell sums.
+    realizes, with a B-spline q at least ``order + 1``, and lowered until
+    ``plan_estimate`` of ``run`` on n_tr training records (n if None) fits at
+    m = 2, or to the smallest q, which the run's plan then refuses; m is the
+    largest in [2, M_MAX] up to the rule's that fits.
     """
     if n < 8:
         raise ValidationError("n must be >= 8 for the tuning rules")
     ln = math.log(n)
     if variant == "ac":
-        k_raw, m = n / ln**2, math.ceil(ln)
+        k_raw, m_rule = n / ln**2, math.ceil(ln)
     else:
-        k_raw, m = n / ln**3, math.ceil(math.sqrt(ln))
-    q = 1 if family == "haar" else order + 1
-    while (q_next := q * 2 if family == "haar" else q + 1) ** dimension <= k_raw:
-        q = q_next
-    basis = BasisSpec(family, dimension, q, order)
-    for m in range(min(m, M_MAX), 2, -1):
-        with suppress(ValidationError):  # an order whose plan is over the cap
-            if not basis.cellwise:
-                order_plan(n, basis.k, m)
-            return basis.k, m
-    return basis.k, 2
+        k_raw, m_rule = n / ln**3, math.ceil(math.sqrt(ln))
+    qs = [1 if family == "haar" else order + 1]
+    while (q_next := qs[-1] * 2 if family == "haar" else qs[-1] + 1) ** dimension <= k_raw:
+        qs.append(q_next)
+
+    def fits(q: int, m: int) -> bool:
+        cfg = replace(run, variant=variant, basis=BasisSpec(family, dimension, q, order), m=m)
+        with suppress(ValidationError):
+            return bool(plan_estimate(cfg, n, n_tr or n))
+        return False
+
+    q = qs[max(bisect_left(qs, True, key=lambda q: not fits(q, 2)) - 1, 0)]
+    return q**dimension, next((m for m in range(min(m_rule, M_MAX), 2, -1) if fits(q, m)), 2)
 
 
 def confidence_interval(psi_hat: float, variance_est: float, level: float) -> tuple[float, float]:
@@ -222,7 +228,7 @@ def _training_fits(specs: tuple[FunctionalSpec, ...], weights: tuple[np.ndarray,
         if cfg.nuisance_method == "zero":
             nuisances = [zero_nuisance()] * len(specs)
         else:
-            designs = series_designs(training.x, basis, list(cfg.nuisance_k_grid))
+            designs = series_designs(training.x, basis, cfg.nuisance_k_grid)
             nuisances = [fit_nuisances(spec, training, designs, cfg.nuisance_folds,
                                        seed=cfg.seed + 17, sigma_floor=cfg.sigma_floor)
                          for spec in specs]
@@ -301,20 +307,14 @@ def estimate_split(est: Dataset, training: Dataset, cfg: EstimatorConfig,
             raise ValidationError(
                 f"{cfg.functional} needs {len(specs)} nuisance override(s), "
                 f"got {len(overrides)}")
-    basis = cfg.basis
     folds = [(est, training), (training, est)] if cfg.cross_fit else [(est, training)]
     if min(f_est.n for f_est, _ in folds) < cfg.m:
         raise ValidationError(f"order m={cfg.m} needs at least {cfg.m} estimation records")
     n_tr = min(f_tr.n for _, f_tr in folds)
-    if cfg.m > 1 and cfg.variant == "emp" and basis.k > n_tr:
-        raise ValidationError(f"basis size k={basis.k} exceeds the {n_tr} training records "
+    if cfg.m > 1 and cfg.variant == "emp" and cfg.basis.k > n_tr:
+        raise ValidationError(f"basis size k={cfg.basis.k} exceeds the {n_tr} training records "
                               "the empirical Gram is built on; its inverse does not exist")
-    if cfg.m > 1:  # an over-cap plan is refused before any fit
-        if not basis.cellwise:
-            order_plan(max(f_est.n for f_est, _ in folds), basis.k, cfg.m)
-        grid = cfg.variant == "ac" and not basis.cellwise  # Haar's ac nodes are its cells
-        records = max(f_tr.n for _, f_tr in folds) if cfg.variant == "emp" else 0
-        gram_plan(basis, basis_quadrature(basis) if grid else None, records=records)
+    plan_estimate(cfg, est.n, training.n, overrides is None)  # refused before any fit
     runs = [_run_fold(specs, overrides, f_est, f_tr, cfg) for f_est, f_tr in folds]
 
     zero = any(terms is None for fold in runs for _, terms, _ in fold)

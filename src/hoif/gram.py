@@ -9,7 +9,7 @@ density-based comparison path).  A design (``BasisSpec.design``) is the
 basis's (n, k) rows, or for a cellwise basis (Haar) each point's cell: its
 cell rows B have B^T B = k I, so B^T diag(m_c) B has the eigenvalues k m_c,
 and a cell design's Gram holds those alone, m_c the per-cell sum of w / n.
-``gram_plan`` sizes every Gram's working set before anything is built.
+Every Gram's working set is planned (``ustat.run_plan``) before it is built.
 """
 
 from __future__ import annotations
@@ -23,12 +23,9 @@ from hoif.basis import BasisSpec
 from hoif.data import Dataset, ValidationError
 from hoif.functionals import FunctionalSpec
 from hoif.quadrature import QuadratureSpec
-from hoif.ustat import PLAN_BYTES_MAX
+from hoif.ustat import run_plan
 
 DEFAULT_EIGEN_FLOOR = 1e-8
-# arrays of k doubles a cell route holds at once, at most: the arms' masses and
-# Gram eigenvalues, and cell_terms' in-cell sums (19 at m = 6) and products
-CELL_VECTORS = 32
 
 _SOURCE_TAGS = {"empirical": 1, "quadrature": 2}
 _TAG_SOURCES = {v: k for k, v in _SOURCE_TAGS.items()}
@@ -66,7 +63,7 @@ def weighted_gram(basis: BasisSpec, design: np.ndarray, weights: np.ndarray,
     """(1/n) sum_i w_i z_i z_i^T over the n points of ``design``
     (``BasisSpec.design``): the dense matrix for a design of (n, k) rows; for
     a design of cells, B^T diag(m) B held as its eigenvalues k * m, m the
-    per-cell sums over n and B the cell rows (``BasisSpec.cell_rows``):
+    per-cell sums over n and B the cell rows (``_dense``):
     B / sqrt(k) is orthogonal, and k a power of two, so entries / k is exactly m."""
     n = design.shape[0]
     if design.ndim == 1:
@@ -81,52 +78,26 @@ def empirical_gram(basis: BasisSpec, training: Dataset, spec: FunctionalSpec) ->
 
 
 def _dense(m: GramMatrix) -> np.ndarray:
-    """The (k, k) matrix of ``m``; a cell Gram's is the Gram of its cell
-    rows weighted by its eigenvalues, planned as the rows of one node per cell."""
+    """The (k, k) matrix of ``m``; a cell Gram's is the Gram of its cell rows
+    weighted by its eigenvalues, the rows at the cell centres (the q per axis
+    nodes), which for Haar are bit for bit the basis all over their cells."""
     if m.basis is None:
         return m.entries
-    gram_plan(m.basis, QuadratureSpec(m.basis.per_dim_size), rows=True)
-    return weighted_gram(m.basis, m.basis.cell_rows(), m.entries, m.source).entries
+    rows = node_rows(m.basis, QuadratureSpec(m.basis.per_dim_size))[2]
+    return weighted_gram(m.basis, rows, m.entries, m.source).entries
 
 
-def _capped(planned: int, what: str) -> int:
-    """``planned`` bytes of ``what``, or a ValidationError if they pass ``PLAN_BYTES_MAX``."""
-    if planned > PLAN_BYTES_MAX:
-        raise ValidationError(f"{what} needs {planned} bytes, over the cap of {PLAN_BYTES_MAX}")
-    return planned
-
-
-def gram_plan(basis: BasisSpec, quad: QuadratureSpec | None = None, rows: bool = False,
-              records: int = 0) -> int:
-    """Bytes of a Gram's working set, planned before anything is built; a
-    ValidationError if they pass ``PLAN_BYTES_MAX`` or ``quad`` is coarser
-    than the basis.  A design of cells (a cellwise basis, unless ``rows``)
-    holds ``CELL_VECTORS`` arrays of k doubles and 3d + 1 doubles per node of
-    ``quad``: its coordinates, and two temporaries of them and its flat index
-    while the grid is gathered or its cells read.  A design of rows holds the
-    k x k Gram and ``eigh``'s eigenvectors, and per node of ``quad`` or per
-    training record of an empirical Gram (``records``, which a design of
-    cells does not count) its row, the row's weighted copy, its coordinates,
-    cell and weight."""
-    k, d, nodes, grid = basis.k, basis.d, 0, None
-    if quad is not None:
-        if quad.nodes_per_dim < basis.per_dim_size:
-            raise ValidationError("quadrature node count below basis resolution")
-        nodes, grid = quad.nodes_per_dim ** d, f"{quad.nodes_per_dim}^{d} nodes at k={k}"
-    if basis.cellwise and not rows:
-        return _capped(8 * (CELL_VECTORS * k + (3 * d + 1) * nodes),
-                       f"cell quadrature of {grid}" if grid else f"cell route at k={k}")
-    return _capped(8 * (2 * k * k + (nodes + records) * (2 * k + d + 2)),
-                   f"quadrature design of {grid} with its Gram and eigenvectors" if grid
-                   else f"empirical design of {records} records at k={k} with its Gram "
-                        "and eigenvectors")
+def _grid(basis: BasisSpec, quad: QuadratureSpec, cells: bool = False) -> tuple:
+    """The nodes and cell weight of ``quad``, no coarser than the basis, once planned."""
+    if quad.nodes_per_dim < basis.per_dim_size:
+        raise ValidationError("quadrature node count below basis resolution")
+    run_plan(basis.k, basis.d, design=quad.nodes_per_dim ** basis.d, grid=True, cells=cells)
+    return quad.grid(basis.d)
 
 
 def node_rows(basis: BasisSpec, quad: QuadratureSpec) -> tuple[np.ndarray, float, np.ndarray]:
-    """Nodes, cell weight and basis values of the rule ``quad``; refused
-    before its grid is built when ``gram_plan`` passes ``PLAN_BYTES_MAX``."""
-    gram_plan(basis, quad, rows=True)
-    nodes, w = quad.grid(basis.d)
+    """Nodes, cell weight and basis values of the rule ``quad`` (``_grid``)."""
+    nodes, w = _grid(basis, quad)
     return nodes, w, basis.evaluate_many(nodes)
 
 
@@ -144,12 +115,9 @@ def _density(g, nodes: np.ndarray) -> np.ndarray:
 
 
 def population_gram(basis: BasisSpec, g, quad: QuadratureSpec) -> GramMatrix:
-    """The quadrature Gram of the density g over the design of the nodes of
-    ``quad`` (``BasisSpec.design``): a cellwise basis's (Haar) from the
-    nodes' cells, with no basis value; refused before its grid is built
-    when ``gram_plan`` passes ``PLAN_BYTES_MAX``."""
-    gram_plan(basis, quad)
-    nodes, _ = quad.grid(basis.d)
+    """The quadrature Gram of the density g over the design (``BasisSpec.design``)
+    of the nodes of ``quad`` (``_grid``): for Haar, their cells, no basis value."""
+    nodes, _ = _grid(basis, quad, basis.cellwise)
     return weighted_gram(basis, basis.design(nodes), _density(g, nodes), "quadrature")
 
 

@@ -64,23 +64,26 @@ def _fitted(sub: BasisSpec, design: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return coef[design] if sub.cellwise else design @ coef
 
 
-def series_designs(x: np.ndarray, basis: BasisSpec, k_grid: list[int]) -> dict:
-    """``basis`` at per_dim_size q, its order capped at q - 1, and its design
-    (``BasisSpec.design``) on ``x``, for each size q^d in ``k_grid`` that the
-    family has and that is at most half the sample."""
-    designs = {}
+def series_bases(n: int, basis: BasisSpec, k_grid: tuple[int, ...]) -> dict:
+    """A series fit's candidates on n records by size: ``basis`` at each q the
+    family has whose q^d in ``k_grid`` is at most n / 2, order capped at q - 1."""
+    bases = {}
     for k in k_grid:
-        if k > max(x.shape[0] // 2, 1) or k in designs:
+        if k > max(n // 2, 1) or k in bases:
             continue
         q = round(k ** (1.0 / basis.d))
         if q**basis.d != k:
             continue
         try:
-            sub = replace(basis, per_dim_size=q, order=min(basis.order, max(q - 1, 0)))
+            bases[k] = replace(basis, per_dim_size=q, order=min(basis.order, max(q - 1, 0)))
         except ValidationError:  # this family has no basis of q functions
             continue
-        designs[k] = (sub, sub.design(x))
-    return designs
+    return bases
+
+
+def series_designs(x: np.ndarray, basis: BasisSpec, k_grid: tuple[int, ...]) -> dict:
+    """Each ``series_bases`` candidate on ``x`` and its design on ``x``."""
+    return {k: (sub, sub.design(x)) for k, sub in series_bases(x.shape[0], basis, k_grid).items()}
 
 
 def _cell_folds(order: np.ndarray, fold_id: np.ndarray, folds: int,

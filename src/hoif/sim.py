@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from hoif.data import Dataset, ValidationError, table_csv
-from hoif.estimator import EstimatorConfig, estimate
+from hoif.estimator import EstimatorConfig, estimate, estimation_size, plan_estimate
 from hoif.gram import GramMatrix, op_norm_distance, population_gram
 from hoif.quadrature import QuadratureSpec, basis_quadrature, default_nodes_per_dim, integrate
 
@@ -502,12 +502,15 @@ def run_study(scn: ScenarioSpec, cfg: EstimatorConfig, reps: int, seed: int,
     dataset, split and folds of a replication depend only on (scenario, n,
     seed, rep), so two studies with the same scenario, n and seed compare
     their configurations on identical draws.  The target and efficiency
-    bound are recorded (``TRUTH``) or, off the registry, integrated first.
+    bound are recorded (``TRUTH``) or, off the registry, integrated first,
+    once the plan all replications share (``plan_estimate``) is under the cap.
     With ``threads`` >= 2 the study runs on up to that many processes:
     ``threads - 1`` forked workers and this process take the replications.
     """
     validate_scenario(scn)
     check_study_size(n, reps, threads)
+    n_est = estimation_size(n, cfg.split_fraction)
+    plan_estimate(cfg, n_est, n - n_est, nuisance_factory is None)
     recorded = SCENARIOS.get(scn.id) == scn  # False for a changed registry copy
     psi = TRUTH[scn.id][0] if recorded else true_psi(scn)
     eff = TRUTH[scn.id][1] if recorded else _efficiency_bound(scn, psi)

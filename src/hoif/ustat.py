@@ -31,9 +31,8 @@ mass (the training mass under ``emp``, the integral of the density
 estimate under ``ac``), so the kernel z_i M z_j is 1[c_i = c_j] / m_c,
 every chain stays in one cell and each chain sum is a sum over cells of
 in-cell weight sums, with the same Moebius coefficients and binomial
-recombination: no Cholesky factor, tensor, einsum or ``order_plan``,
-which bounds the tensor route (B-splines) alone.  The cell route holds
-no k x k array.
+recombination: no Cholesky factor, tensor or einsum, and no k x k array.
+``run_plan`` plans the arrays of a run on either route for the byte cap.
 
 Exact in floating point up to accumulation error; an enumeration oracle
 (`brute_force_ifjj`) checks both routes at small n.
@@ -51,7 +50,10 @@ import numpy as np
 from hoif.data import ValidationError
 
 M_MAX = 6  # highest order: the chain plans grow with Bell(m) partitions
-PLAN_BYTES_MAX = 1 << 30  # block tensors plus one rank's build; also the Gram working sets
+PLAN_BYTES_MAX = 1 << 30  # the cap on a run's planned peak (``run_plan``)
+CELL_VECTORS = 32  # per cell, the arms' masses and eigenvalues and cell_terms' sums
+CELL_FIT_VECTORS = 20  # per training record, a cellwise series fit's fold arrays
+RECORD_VECTORS = 8  # per estimation record, the arms' nuisance and influence values
 
 
 @dataclass(frozen=True)
@@ -222,14 +224,20 @@ def _weighted_outer_sum(w: np.ndarray, y: np.ndarray, r: int) -> np.ndarray:
     return mirrored.reshape((c,) + (k,) * r)
 
 
-def _planned_bytes(ranks: dict, plans: list, n: int, k: int) -> int:
-    """Bytes of the whitened rows, their squared norms and the block table,
-    plus the largest working set beside them: a rank build's weight rows
-    beside one key's per-sample products, or at rank <= 2 a weighted copy of
-    the rows and the unstacked products, above the front, one Khatri-Rao
-    chunk with its levels, the packed output and its per-chunk product and
-    the index map build; or a partition's einsum."""
-    table = n * (k + 1) + sum(len(keys) * k**r for r, keys in ranks.items())
+def order_plan(n: int, k: int, m: int) -> tuple[dict, list, int]:
+    """The block keys by rank and chain plans of orders 2..m at basis size k,
+    and the bytes on n records of their block table and the largest working
+    set beside it: a rank build's weight rows beside one key's products (at
+    rank <= 2 a weighted copy of the whitened rows and the products; above,
+    the front, one Khatri-Rao chunk with its levels, the packed output, its
+    per-chunk product and the index map build), or a partition's einsum."""
+    if 8 * k ** (m - 1) > np.iinfo(np.intp).max:  # numpy cannot even shape the largest block
+        raise ValidationError(f"order m={m} at k={k} needs {k}**{m - 1} doubles, over the cap")
+    plans = [_chain_plan(t + 2, k) for t in range(m - 1)]
+    ranks = {}
+    for key in dict.fromkeys(key for plan in plans for *_, ks, _ in plan for key in ks):
+        ranks.setdefault(key[2], []).append(key)
+    table = sum(len(keys) * k**r for r, keys in ranks.items())
     work = max(entry[-1] for plan in plans for entry in plan)
     for r, keys in ranks.items():
         c = len(keys)
@@ -241,23 +249,49 @@ def _planned_bytes(ranks: dict, plans: list, n: int, k: int) -> int:
             levels = sum(comb(k + lv - 1, lv) for lv in range(2, r))
             build = rows * ((c + 1) * k + levels) + 2 * c * k * width + 4 * k ** (r - 1)
         work = max(work, c * n + max(3 * n, build))
-    return 8 * (table + work) + _BOOKKEEPING_BYTES
+    return ranks, plans, 8 * (table + work) + _BOOKKEEPING_BYTES
 
 
-def order_plan(n: int, k: int, m: int) -> tuple[dict, list]:
-    """The block keys by rank and the chain plans of orders 2..m at basis size
-    k; a ValidationError if their bytes on n records pass ``PLAN_BYTES_MAX``."""
-    if 8 * k ** (m - 1) > np.iinfo(np.intp).max:  # numpy cannot even shape the largest block
-        raise ValidationError(f"order m={m} at k={k} needs {k}**{m - 1} doubles, over the cap")
-    plans = [_chain_plan(t + 2, k) for t in range(m - 1)]
-    ranks = {}
-    for key in dict.fromkeys(key for plan in plans for *_, ks, _ in plan for key in ks):
-        ranks.setdefault(key[2], []).append(key)
-    planned = _planned_bytes(ranks, plans, n, k)
-    if planned > PLAN_BYTES_MAX:
-        raise ValidationError(f"order m={m} at k={k} plans {planned} bytes of block "
-                              f"tensors, over the cap of {PLAN_BYTES_MAX}")
-    return ranks, plans
+@dataclass(frozen=True)
+class RunPlan:
+    route: str  # "cell" (``cell_terms``) or "tensor" (``correction_terms``)
+    groups: dict  # bytes of each group of arrays the run holds
+    peak: int  # bytes of the groups it holds at once
+
+
+def run_plan(k: int, d: int = 1, m: int = 2, n_est: int = 0, design: int = 0,
+             grid: bool = False, n_tr: int = 0, candidates: tuple = (),
+             cells: bool = False) -> RunPlan:
+    """The plan of a run at basis size k in d dimensions; a ValidationError
+    naming its peak and largest group if the peak passes ``PLAN_BYTES_MAX``.
+    While fitting, a run holds the candidate designs of sizes ``candidates``
+    on n_tr records (and fold copies), the Gram's design of ``design`` records
+    or ``grid`` nodes and the Gram; then the Gram, the rows of n_est records
+    and the block tensors; at m = 1 no Gram.  A design point holds its row, a
+    weighted copy, its coordinates, cell and weight; on the cell route
+    (``cells``) its cell, or at a node 3d + 1 doubles."""
+    gram = m > 1
+    if cells:
+        fit = len(candidates) + CELL_FIT_VECTORS if candidates else 0
+        square, point, row, tensors = CELL_VECTORS * k, 3 * d + 1 if grid else 1, 1, 0
+    else:
+        fit = sum(candidates) + 2 * max(candidates) if candidates else 0
+        square, point, row = 2 * k * k, 2 * k + d + 2, 2 * k + 1  # rows: design, whitened, norms
+        tensors = order_plan(n_est, k, m)[2] if gram and n_est else 0
+    names = ("candidate designs", "node grid" if grid else "training design",
+             "cell Gram" if cells else "Gram and its eigenvectors",
+             "estimation cells" if cells else "whitened estimation rows", "block tensors")
+    sizes = (n_tr * fit, design * point * gram, square * gram,
+             n_est * (row + RECORD_VECTORS) * gram)
+    groups = dict(zip(names, [8 * size for size in sizes] + [tensors]))
+    held = max((names[:3], names[2:]), key=lambda part: sum(map(groups.get, part)))
+    plan = RunPlan("cell" if cells else "tensor", groups, sum(map(groups.get, held)))
+    if plan.peak > PLAN_BYTES_MAX:
+        largest, at = max(held, key=plan.groups.get), f", m={m}" if n_est and gram else ""
+        raise ValidationError(f"the {plan.route} route at k={k}{at} plans a peak of {plan.peak} "
+                              f"bytes, over the cap of {PLAN_BYTES_MAX}; its largest group, "
+                              f"the {largest}, takes {plan.groups[largest]} bytes")
+    return plan
 
 
 def _check_order(m: int, n: int):
@@ -279,11 +313,12 @@ def correction_terms(inputs: ChainInputs, m: int) -> list[float]:
     every set partition of its chain (``_chain_plan``) against one table
     that holds each distinct block tensor once, built one rank at a time.
     Cost grows with Bell(m) partitions of the longest chain, so m is capped
-    at ``M_MAX`` and the plan's bytes by ``order_plan`` before any build.
+    at ``M_MAX`` and the plan's bytes by ``run_plan`` before any build.
     """
     n, k = inputs.n, inputs.k
     _check_order(m, n)
-    ranks, plans = order_plan(n, k, m)
+    run_plan(k, m=m, n_est=n)
+    ranks, plans, _ = order_plan(n, k, m)
     # omega_inv = L L^T, so every edge z_i omega_inv z_j^T is y_i . y_j
     y = inputs.zmat @ inputs.cholesky
     diag = np.sum(y * y, axis=1)

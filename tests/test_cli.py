@@ -2,6 +2,7 @@ import itertools
 import math
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hoif import cli, estimator, gram, sim, ustat
+from hoif import cli, estimator, sim, ustat
 from hoif.basis import Basis, BasisSpec, build_basis
 from hoif.cli import (
     EXIT_INTERNAL,
@@ -161,10 +162,12 @@ def test_haar_order_changes_no_artifact(tmp_path):
 
 
 def test_oversized_ac_basis_refused_before_it_is_built(tmp_path, capsys):
-    # B-splines: the correction plan refuses q = 2^22 before any fit; q = 2^14
-    # plans within the cap, and the quadrature design's byte cap refuses it:
-    # both before any array of 2^22 cells
-    for q, refusal in ((2**22, "order m=2 at k=4194304 plans"), (2**14, "quadrature design")):
+    # B-splines: the run's plan refuses q = 2^22 and q = 2^14 before any fit,
+    # and before any array of 2^22 cells, on the node grid and its weighted
+    # copy, which pass the k x k Gram and its eigenvectors by 24 bytes a node
+    for q, refusal in ((2**22, "the tensor route at k=4194304, m=2 plans a peak of "
+                               "562950054114608 bytes"),
+                       (2**14, "its largest group, the node grid, takes 4295360512 bytes")):
         tracemalloc.start()
         rc = main(["estimate", "--input", str(GOLDEN), "--out", str(tmp_path / "o"),
                    "--set", "variant=ac", "--set", "basis.family=bspline",
@@ -180,7 +183,9 @@ def test_oversized_ac_basis_refused_before_it_is_built(tmp_path, capsys):
 def test_oversized_haar_ac_refused_by_the_cell_plan(tmp_path, monkeypatch, capsys, q, planned):
     # Haar ac takes its Gram from the density estimate's per-cell values: the
     # cell plan counts its arrays of k doubles and refuses them before any
-    # nuisance fit and any array of k entries
+    # nuisance fit and any array of k entries; beside them the peak holds the
+    # 3 candidate cells of each of the 250 training records and the fit's 20
+    # fold arrays of them
     monkeypatch.setattr(estimator, "fit_nuisances", lambda *a, **kw: pytest.fail("fitted"))
     tracemalloc.start()
     rc = main(["estimate", "--input", str(GOLDEN), "--out", str(tmp_path / "o"),
@@ -188,8 +193,9 @@ def test_oversized_haar_ac_refused_by_the_cell_plan(tmp_path, monkeypatch, capsy
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert rc == EXIT_VALIDATION
-    assert (f"cell route at k={q} needs {planned} bytes, "
-            f"over the cap of 1073741824") in capsys.readouterr().err
+    assert (f"the cell route at k={q}, m=2 plans a peak of {planned + 8 * 250 * 23} bytes, over "
+            f"the cap of 1073741824; its largest group, the cell Gram, takes {planned} bytes"
+            ) in capsys.readouterr().err
     assert peak < 8 * 2**22
 
 
@@ -198,36 +204,40 @@ def test_haar_ac_at_the_default_tuned_size_runs(tmp_path):
     # admits; on the golden fixture a Haar ac estimate at that k runs
     k, m = default_tuning(2 * 10**6, "ac", 1)
     assert (k, m) == (8192, 6)
-    assert gram.gram_plan(build_basis(BasisSpec("haar", 1, k))) <= 1 << 30
+    run = EstimatorConfig(basis=build_basis(BasisSpec("haar", 1, k)), m=m, variant="ac")
+    assert estimator.plan_estimate(run, 2 * 10**6, 2 * 10**6).peak <= 1 << 30
     assert main(["estimate", "--input", str(GOLDEN), "--out", str(tmp_path / "o"),
                  "--set", "variant=ac", "--set", f"basis.per_dim_size={k}"]) == 0
 
 
 def test_oversized_haar_study_refused_before_it_is_built(tmp_path, capsys):
-    # a Haar study builds its population Gram from per-cell quadrature sums;
-    # at d = 2, q = 2^13 its 2^26 nodes alone pass the byte cap, refused
-    # before any array of the nodes or of k entries
+    # at d = 2, q = 2^13 the study's plan counts the cell route's arrays of
+    # 2^26 doubles, over the byte cap: refused before any array of the
+    # population Gram's nodes or of k entries
     tracemalloc.start()
     rc = main(["simulate", "--out", str(tmp_path / "s"), "--set", "scenario=s2-smooth-d2",
                "--set", "n=300", "--set", "reps=2", "--set", "basis.per_dim_size=8192"])
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert rc == EXIT_VALIDATION
-    assert "cell quadrature of 8192^2 nodes at k=67108864" in capsys.readouterr().err
+    assert ("the cell route at k=67108864, m=2 plans a peak of 17179896784 bytes, over the "
+            "cap of 1073741824; its largest group, the cell Gram, takes 17179869184 bytes"
+            ) in capsys.readouterr().err
     assert peak < 8 * 2**22
 
 
 def test_ac_gram_working_set_refused_before_any_fit(tmp_path, monkeypatch, capsys):
     # B-splines at k = 8192 on 8192 nodes: the design alone (512 MiB) is under
-    # its cap, but with its weighted copy, the k x k Gram and eigh's
-    # eigenvectors (512 MiB each) and three doubles per node the ac Gram
-    # needs 2 GiB and 192 KiB, refused before any nuisance fit
+    # the cap, but with its weighted copy, the k x k Gram and eigh's
+    # eigenvectors (512 MiB each), three doubles per node and the candidate
+    # designs the ac run plans 2 GiB and 221 KiB, refused before any nuisance fit
     monkeypatch.setattr(estimator, "fit_nuisances", lambda *a, **kw: pytest.fail("fitted"))
     rc = main(["estimate", "--input", str(GOLDEN), "--out", str(tmp_path / "o"),
                "--set", "variant=ac", "--set", "basis.family=bspline",
                "--set", "basis.per_dim_size=8192"])
     assert rc == EXIT_VALIDATION
-    assert "needs 2147680256 bytes, over the cap of 1073741824" in capsys.readouterr().err
+    assert ("plans a peak of 2147710256 bytes, over the cap of 1073741824; its largest "
+            "group, the node grid, takes 1073938432 bytes") in capsys.readouterr().err
 
 
 def test_emp_basis_size_is_checked_against_the_training_records(tmp_path, monkeypatch, capsys):
@@ -259,14 +269,16 @@ def test_emp_training_design_refused_before_any_fit(monkeypatch):
     # B-splines at k = 2048 on 31350 training records: the k x k Gram and its
     # eigenvectors (64 MiB) and the 1650 estimation rows are under the cap,
     # but the training design with its weighted copy and three doubles per
-    # record bring the empirical Gram to 1095138064 bytes, refused before any fit
+    # record, beside the Gram and the candidate designs, bring the run to
+    # 1098900064 bytes, refused before any fit
     monkeypatch.setattr(estimator, "fit_nuisances", lambda *a, **kw: pytest.fail("fitted"))
     rng = np.random.default_rng(31)
     data = Dataset(rng.random((33000, 1)), np.ones(33000), np.zeros(33000))
     cfg = EstimatorConfig(basis=BasisSpec("bspline", 1, 2048), split_fraction=0.05)
-    with pytest.raises(ValidationError, match="empirical design of 31350 records at k=2048 with "
-                                              "its Gram and eigenvectors needs 1095138064 bytes, "
-                                              "over the cap of 1073741824"):
+    with pytest.raises(ValidationError, match="the tensor route at k=2048, m=2 plans a peak of "
+                                              "1098900064 bytes, over the cap of 1073741824; its "
+                                              "largest group, the training design, takes "
+                                              "1028029200 bytes"):
         estimator.estimate(data, cfg)
 
 
@@ -307,16 +319,36 @@ def _tuned(n: int, d: int, variant: str, family: str, order: int) -> EstimatorCo
                              "basis.order": order}, d, n=n)
 
 
+def _split_plan(run: EstimatorConfig, n: int):
+    """The plan estimate_split checks on a split of n records."""
+    n_est = estimation_size(n, run.split_fraction)
+    return estimator.plan_estimate(run, n_est, n - n_est)
+
+
+def _haar_rule(n: int, d: int, variant: str) -> tuple[int, int]:
+    """The rule's (q, m) for Haar, which no plan lowers up to 10^6 records."""
+    n_est = max(estimation_size(n, 0.5), 8)
+    ln = math.log(n_est)
+    k_raw, m = ((n_est / ln**2, math.ceil(ln)) if variant == "ac"
+                else (n_est / ln**3, math.ceil(math.sqrt(ln))))
+    q = 1
+    while (2 * q) ** d <= k_raw:
+        q *= 2
+    return q, max(2, min(m, ustat.M_MAX))
+
+
 @pytest.mark.parametrize("variant", ["emp", "ac"])
 def test_every_tuned_order_passes_its_plan(variant):
-    # up to 10^5 records the rule's m fits the plan estimate_split checks at
-    # the basis that runs: order_plan on the tensor route, none for Haar
+    # 165 configurations per variant, up to 10^6 records: every tuned run
+    # passes the plan estimate_split checks, and Haar keeps the rule's (q, m)
     for n, d, (family, order) in itertools.product(
-            (16, 40, 100, 400, 1000, 2000, 4000, 8000, 10**4, 10**5), (1, 2, 3), _TUNED_FAMILIES):
+            (16, 40, 100, 400, 1000, 2000, 4000, 8000, 10**4, 10**5, 10**6), (1, 2, 3),
+            _TUNED_FAMILIES):
         run = _tuned(n, d, variant, family, order)
         assert run.basis.per_dim_size >= order + 1 and 2 <= run.m <= ustat.M_MAX
-        if not run.basis.cellwise:
-            ustat.order_plan(estimation_size(n, run.split_fraction), run.basis.k, run.m)
+        _split_plan(run, n)
+        if family == "haar":
+            assert (run.basis.per_dim_size, run.m) == _haar_rule(n, d, variant)
 
 
 @pytest.mark.parametrize("n", [400, 1000, 2000, 4000, 8000])
@@ -325,19 +357,21 @@ def test_tuned_order_three_bspline_ac_at_d3_runs_at_m5(n):
     # planned at k = 64, where m = 6 is over the cap (it fits at k = 27)
     run = _tuned(n, 3, "ac", "bspline", 3)
     assert (run.basis.per_dim_size, run.m) == (4, 5)
-    with pytest.raises(ValidationError, match="order m=6 at k=64 plans"):
-        ustat.order_plan(estimation_size(n, run.split_fraction), 64, 6)
+    with pytest.raises(ValidationError, match="the tensor route at k=64, m=6 plans"):
+        _split_plan(replace(run, m=6), n)
 
 
-def test_tuned_bsplines_at_a_million_records_stay_refused():
-    # the rule lowers m, never k: at 10^6 records every B-spline tuning is
-    # over the cap even at m = 2, where the whitened estimation rows alone
-    # pass it
+def test_tuned_bsplines_at_a_million_records_stop_at_the_plan_boundary():
+    # the rule lowers q until m = 2 fits: at 10^6 records every B-spline
+    # tuning fits its plan, and one q more at m = 2 is refused on its whitened
+    # estimation rows
     for d, variant, order in itertools.product((1, 2, 3), ("emp", "ac"), range(4)):
         run = _tuned(10**6, d, variant, "bspline", order)
-        assert run.m == 2
-        with pytest.raises(ValidationError, match=f"order m=2 at k={run.basis.k} plans"):
-            ustat.order_plan(estimation_size(10**6, run.split_fraction), run.basis.k, 2)
+        _split_plan(run, 10**6)
+        wider = replace(run.basis, per_dim_size=run.basis.per_dim_size + 1)
+        with pytest.raises(ValidationError, match="its largest group, the whitened estimation "
+                                                  "rows"):
+            _split_plan(replace(run, m=2, basis=wider), 10**6)
 
 
 def test_tuned_order_three_bspline_ac_runs_the_planned_order(tmp_path, capsys):
@@ -539,20 +573,22 @@ def test_cmd_estimate_validation_exit(tmp_path, capsys):
 
 
 def test_over_cap_order_refused_before_any_fit(tmp_path, monkeypatch, capsys):
-    # m=6 at k=64 plans 34909851656 bytes of B-spline block tensors on the 250
+    # m=6 at k=64 plans 34909721656 bytes of B-spline block tensors on the 250
     # estimation records: refused up front, whether or not the training Gram
-    # would invert; a study names the same reason for the replications it loses
+    # would invert; a study is refused by the same plan before it starts
     monkeypatch.setattr(estimator, "fit_nuisances", lambda *a, **kw: pytest.fail("fitted"))
     over = ["--set", "m=6", "--set", "basis.per_dim_size=64",
             "--set", "basis.family=bspline", "--set", "basis.order=2"]
     rc = main(["estimate", "--input", str(GOLDEN), "--out", str(tmp_path / "e"), *over])
     assert rc == EXIT_VALIDATION
-    assert "order m=6 at k=64 plans 34909851656 bytes" in capsys.readouterr().err
+    assert ("the tensor route at k=64, m=6 plans a peak of 34910061192 bytes, over the cap of "
+            "1073741824; its largest group, the block tensors, takes 34909721656 bytes"
+            ) in capsys.readouterr().err
     rc = main(["simulate", "--out", str(tmp_path / "s"), "--set", "scenario=s1-smooth-d1",
                "--set", "n=300", "--set", "reps=2", *over])
     assert rc == EXIT_VALIDATION
-    assert ("error: 2/2 replications failed, first: ValidationError: order m=6 at k=64 "
-            "plans ") in capsys.readouterr().err
+    assert ("error: the tensor route at k=64, m=6 plans a peak of 34909951592 bytes"
+            ) in capsys.readouterr().err
 
 
 def test_haar_emp_order_is_not_capped_by_the_plan(tmp_path, capsys):
@@ -652,6 +688,20 @@ def test_simulate_scenario_owns_functional_and_dimension(tmp_path, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("threads,command", [
+    ("0", ["estimate", "--input", str(GOLDEN)]),
+    ("-4", ["estimate", "--input", str(GOLDEN)]),
+    ("0", ["simulate", "--set", "scenario=s1-smooth-d1", "--set", "n=100", "--set", "reps=2"]),
+    ("0", ["report", str(FIXTURES / "golden_data.csv")]),
+    ("-1", ["basis-inspect"]),
+])
+def test_every_command_refuses_fewer_than_one_thread(tmp_path, capsys, threads, command):
+    out = ["--out", str(tmp_path / "o")] if command[0] != "basis-inspect" else []
+    assert main(["--threads", threads, *command, *out]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: threads must be >= 1\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_basis_finer_than_default_grid_runs(tmp_path):
     # the grid follows the basis: the emp study needs it for its reference
     # Gram, the ac estimate for its Gram
@@ -671,12 +721,13 @@ def test_basis_inspect_refuses_over_budget_design(monkeypatch, capsys):
     # weighted copy would take 17 GB
     assert main(["basis-inspect", *bspline, "--set", "basis.dimension=3",
                  "--set", "basis.per_dim_size=16"]) == EXIT_VALIDATION
-    assert "at k=4096 with its Gram and eigenvectors needs 17458790400 bytes" \
-        in capsys.readouterr().err
+    assert ("the tensor route at k=4096 plans a peak of 17458790400 bytes, over the cap of "
+            "1073741824; its largest group, the node grid, takes 17190354944 bytes"
+            ) in capsys.readouterr().err
     # 256 nodes at k=8 take 39936 bytes, one over a lowered cap
-    monkeypatch.setattr(gram, "PLAN_BYTES_MAX", 39935)
+    monkeypatch.setattr(ustat, "PLAN_BYTES_MAX", 39935)
     assert main(["basis-inspect", *bspline, "--set", "basis.per_dim_size=8"]) == EXIT_VALIDATION
-    assert "at k=8 with its Gram and eigenvectors needs 39936 bytes" in capsys.readouterr().err
+    assert "the tensor route at k=8 plans a peak of 39936 bytes" in capsys.readouterr().err
 
 
 def test_basis_inspect_reads_a_haar_basis_from_its_cells(monkeypatch, capsys):

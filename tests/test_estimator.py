@@ -16,6 +16,7 @@ from hoif.estimator import (
     estimate,
     estimate_split,
     one_step,
+    plan_estimate,
     split_sample,
 )
 from hoif.functionals import influence, mar_mean_spec
@@ -153,8 +154,9 @@ def test_oversized_cell_gram_refused_before_any_fit(monkeypatch):
     data = generate(SCENARIOS["s4-ate"], 400, 3)
     cfg = EstimatorConfig(functional="ate", basis=BasisSpec("haar", 1, 2**23), m=2,
                           variant="ac", cross_fit=True)
-    with pytest.raises(ValidationError, match="cell route at k=8388608 needs 2147483648 "
-                       "bytes, over the cap of 1073741824"):
+    with pytest.raises(ValidationError, match="the cell route at k=8388608, m=2 plans a peak of "
+                       "2147520448 bytes, over the cap of 1073741824; its largest group, the "
+                       "cell Gram, takes 2147483648 bytes"):
         estimate(data, cfg)
 
 
@@ -216,12 +218,65 @@ def test_default_tuning_frozen_arithmetic():
 
 
 def test_default_tuning_never_below_second_order():
-    # B-splines at k = 5239: no order above 2 fits the plan cap, and the
-    # rank-5 block of m = 6 is too large for numpy to shape: refused before
-    # any plan is made
-    assert default_tuning(10**6, "ac", 1, "bspline") == (5239, 2)
-    # Haar takes its terms from per-cell sums, which no plan caps
+    # B-splines on 10^6 estimation and training records: the rule's k = 5239
+    # is lowered until the plan fits at m = 2, to k = 41 (k = 42 plans its
+    # whitened estimation rows over the cap), where m = 3 does not fit
+    assert default_tuning(10**6, "ac", 1, "bspline") == (41, 2)
+    run = EstimatorConfig(basis=BasisSpec("bspline", 1, 42), m=2, variant="ac")
+    with pytest.raises(ValidationError, match="k=42, m=2 plans a peak of 1096291720 bytes, over "
+                                              "the cap of 1073741824; its largest group, the "
+                                              "whitened estimation rows, takes 744000000 bytes"):
+        plan_estimate(run, 10**6, 10**6)
+    with pytest.raises(ValidationError, match="k=41, m=3 plans"):
+        plan_estimate(replace(run, basis=BasisSpec("bspline", 1, 41), m=3), 10**6, 10**6)
+    # Haar takes its terms from per-cell sums, which the plan admits at the rule's m
     assert default_tuning(10**6, "ac", 1, "haar") == (4096, 6)
+    # a run that fits at no size gets the smallest, which its plan refuses
+    assert default_tuning(10**9, "emp") == (1, 2)
+    with pytest.raises(ValidationError, match="the cell route at k=1, m=2 plans a peak"):
+        plan_estimate(EstimatorConfig(basis=BasisSpec("haar", 1, 1)), 10**9, 10**9)
+
+
+@pytest.mark.parametrize("cfg", [
+    # candidates of 128, 256 and 512 B-spline functions: about 220 MB traced,
+    # where the parent planned 1.76 MB and counted no candidate design
+    EstimatorConfig(basis=BasisSpec("bspline", 1, 4, order=1), nuisance_k_grid=(128, 256, 512)),
+    EstimatorConfig(basis=BasisSpec("bspline", 2, 8, order=2), m=3, variant="ac"),
+    EstimatorConfig(functional="ate", basis=BasisSpec("haar", 2, 8), m=4, variant="ac",
+                    nuisance_k_grid=(1, 4, 16, 64, 256)),
+    EstimatorConfig(basis=BasisSpec("haar", 1, 64), m=6, cross_fit=True,
+                    nuisance_k_grid=(1, 2, 4, 8, 16, 32, 64)),
+], ids=["candidates", "bspline ac", "haar ac ate", "haar cross-fit"])
+def test_traced_peak_within_the_run_plan(cfg):
+    # the plan estimate_split checks bounds every array it builds, from the
+    # nuisance fit to the correction terms, on 40000 records
+    rng, n = np.random.default_rng(4), 40000
+
+    def split(n):
+        a = (rng.random(n) < 0.6).astype(float)
+        return split_sample(Dataset(rng.random((n, cfg.basis.d)), a, a * (rng.random(n) < 0.5)),
+                            0.5, 0)
+
+    estimate_split(*split(n // 10), cfg)  # imports and first-call caches
+    est, training = split(n)
+    planned = plan_estimate(cfg, est.n, training.n).peak
+    tracemalloc.start()
+    try:
+        estimate_split(est, training, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= planned
+
+
+def test_million_record_bspline_run_is_refused_on_its_rows():
+    # untuned, k = 196 on 5 * 10^5 estimation records: the whitened rows
+    # (design, whitening, norms and per-record values) are the largest group
+    run = EstimatorConfig(basis=BasisSpec("bspline", 1, 196), m=2)
+    with pytest.raises(ValidationError, match="k=196, m=2 plans a peak of 2396883080 bytes, over "
+                                              "the cap of 1073741824; its largest group, the "
+                                              "whitened estimation rows, takes 1604000000 bytes"):
+        plan_estimate(run, 5 * 10**5, 5 * 10**5)
 
 
 def test_realizable_k_rounding():

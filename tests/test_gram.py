@@ -5,13 +5,13 @@ import pytest
 
 from hoif import gram as gram_module
 from hoif import quadrature as quadrature_module
+from hoif import ustat
 from hoif.basis import Basis, BasisSpec, build_basis
 from hoif.data import Dataset, ValidationError
 from hoif.functionals import expected_cond_cov_spec, mar_mean_spec
 from hoif.gram import (
     GramMatrix,
     empirical_gram,
-    gram_plan,
     invert_checked,
     load_gram,
     node_rows,
@@ -25,6 +25,7 @@ from hoif.gram import (
     weighted_gram,
 )
 from hoif.quadrature import QuadratureSpec, basis_quadrature
+from hoif.ustat import run_plan
 
 QUAD = QuadratureSpec(256)
 
@@ -135,16 +136,16 @@ def test_over_budget_node_design_refused_before_building(monkeypatch):
     # float64, take 8 * (256 * 19 + 128) = 39936 bytes; a Haar basis's rows
     # are planned as rows, not as cells
     basis = build_basis(BasisSpec("haar", 1, 8))
-    monkeypatch.setattr(gram_module, "PLAN_BYTES_MAX", 39936)
+    monkeypatch.setattr(ustat, "PLAN_BYTES_MAX", 39936)
     assert node_rows(basis, QUAD)[2].shape == (256, 8)
-    monkeypatch.setattr(gram_module, "PLAN_BYTES_MAX", 39935)
+    monkeypatch.setattr(ustat, "PLAN_BYTES_MAX", 39935)
     monkeypatch.setattr(Basis, "evaluate_many", lambda self, x: pytest.fail("evaluated"))
     monkeypatch.setattr(QuadratureSpec, "grid", lambda self, d: pytest.fail("grid built"))
-    with pytest.raises(ValidationError, match="quadrature design of 256\\^1 nodes at k=8 with its "
-                                              "Gram and eigenvectors needs 39936 bytes, over the "
-                                              "cap of 39935"):
+    with pytest.raises(ValidationError, match="the tensor route at k=8 plans a peak of 39936 "
+                                              "bytes, over the cap of 39935; its largest group, "
+                                              "the node grid, takes 38912 bytes"):
         node_rows(basis, QUAD)
-    with pytest.raises(ValidationError, match="needs 39936 bytes"):
+    with pytest.raises(ValidationError, match="plans a peak of 39936 bytes"):
         quadrature_gram(basis, uniform, QUAD)
 
 
@@ -171,12 +172,12 @@ def test_population_gram_of_haar_evaluates_no_node(monkeypatch):
     monkeypatch.setattr(Basis, "evaluate_many", lambda self, x: pytest.fail("evaluated"))
     gram = population_gram(basis, g, QUAD)
     assert (gram.basis, gram.source, gram.n_used) == (basis, "quadrature", 256 ** 2)
-    # over the cap, gram_plan refuses before the grid is built
-    planned = gram_plan(basis, QUAD)
-    monkeypatch.setattr(gram_module, "PLAN_BYTES_MAX", planned - 1)
+    # over the cap, the plan refuses before the grid is built
+    planned = run_plan(16, 2, design=256**2, grid=True, cells=True).peak
+    monkeypatch.setattr(ustat, "PLAN_BYTES_MAX", planned - 1)
     monkeypatch.setattr(QuadratureSpec, "grid", lambda self, d: pytest.fail("grid built"))
-    with pytest.raises(ValidationError, match=f"cell quadrature of 256\\^2 nodes at k=16 "
-                                              f"needs {planned} bytes, over the cap"):
+    with pytest.raises(ValidationError, match=f"the cell route at k=16 plans a peak of {planned} "
+                                              "bytes, over the cap.*the node grid"):
         population_gram(basis, g, QUAD)
     monkeypatch.undo()
     assert op_norm_distance(gram, quadrature_gram(basis, g, QUAD)) <= 1e-13
@@ -197,12 +198,12 @@ def test_traced_peak_within_the_gram_plan(spec, q):
     if q is None:
         data = make_data(np.random.default_rng(3).random((20000, 2)))
         build = lambda: empirical_gram(spec, data, mar_mean_spec())
-        planned = gram_plan(spec, records=data.n)
+        planned = run_plan(spec.k, spec.d, design=data.n).peak
     else:
         quad = QuadratureSpec(q)
         g = lambda x: 0.5 + x[:, 0] * x[:, -1]
         build = lambda: population_gram(spec, g, quad)
-        planned = gram_plan(spec, quad)
+        planned = run_plan(spec.k, spec.d, design=q**spec.d, grid=True, cells=spec.cellwise).peak
     build()  # imports and first-call caches
     quadrature_module._grid_cached.cache_clear()
     tracemalloc.start()
@@ -256,7 +257,7 @@ def test_cell_gram_matches_the_dense_path(q):
     # 1e-13 on the distances; worst seen over ten draws of each size: 3.1e-15
     # (eig_min), 2.9e-15 (condition number), 4.4e-16 (eig_max) and 4.6e-15
     basis = build_basis(BasisSpec("haar", 2, q))
-    rows, k = basis.cell_rows(), basis.k
+    rows, k = node_rows(basis, QuadratureSpec(basis.per_dim_size))[2], basis.k
     rng = np.random.default_rng(q)
     masses = [np.bincount(basis.cells(rng.random((20 * k, 2))), rng.random(20 * k), k) / (20 * k)
               for _ in range(2)]
@@ -292,7 +293,7 @@ def test_dense_view_of_a_cell_gram_bit_for_bit(tmp_path, d, q):
     rng = np.random.default_rng(q + d)
     n = 20 * basis.k
     gram = weighted_gram(basis, basis.cells(rng.random((n, d))), rng.random(n), "empirical")
-    rows = basis.cell_rows()
+    rows = node_rows(basis, QuadratureSpec(basis.per_dim_size))[2]
     want = (rows.T * (gram.entries / basis.k)) @ rows
     want = 0.5 * (want + want.T)
     assert np.array_equal(gram_module._dense(gram), want)

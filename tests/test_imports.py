@@ -351,7 +351,7 @@ def test_every_gram_is_built_by_weighted_gram():
 
 # the byte cap, read only where a working set is planned
 CAP = "PLAN_BYTES_MAX"
-CAP_READERS = {"gram.py:gram_plan", "gram.py:_capped", "ustat.py:order_plan"}
+CAP_READERS = {"ustat.py:run_plan"}
 
 
 def stray_cap_reads(sources: dict[str, str]) -> list[str]:
@@ -375,14 +375,14 @@ def test_cap_scanner_flags_a_second_reader():
     sources = {
         "ustat.py": (
             "PLAN_BYTES_MAX = 1 << 30\n"
-            "def order_plan(n):\n    return n > PLAN_BYTES_MAX\n"
+            "def run_plan(n):\n    return n > PLAN_BYTES_MAX\n"
             "def _slack(n):\n    return PLAN_BYTES_MAX - n\n"
         ),
         "gram.py": (
             "import ustat\n"
-            "from ustat import PLAN_BYTES_MAX\n"
+            "from ustat import PLAN_BYTES_MAX, run_plan\n"
+            "def gram_plan(k):\n    return run_plan(8 * k)\n"
             "def _capped(b):\n    return b > PLAN_BYTES_MAX\n"
-            "def gram_plan(k):\n    return _capped(8 * k)\n"
             "def node_rows(k):\n    return 8 * k <= ustat.PLAN_BYTES_MAX\n"
         ),
         "sim.py": (
@@ -392,7 +392,8 @@ def test_cap_scanner_flags_a_second_reader():
         ),
     }
     assert stray_cap_reads(sources) == [
-        "gram.py:node_rows:8", "sim.py:<module>:2", "sim.py:Study:4", "ustat.py:_slack:5"]
+        "gram.py:_capped:6", "gram.py:node_rows:8", "sim.py:<module>:2", "sim.py:Study:4",
+        "ustat.py:_slack:5"]
 
 
 def test_only_the_plans_read_the_byte_cap():

@@ -17,9 +17,9 @@ from hoif import cli, sim
 from hoif.basis import BasisSpec, build_basis
 from hoif.data import ValidationError
 from hoif.estimator import EstimatorConfig, estimate
-from hoif.gram import op_norm_distance, population_gram, quadrature_gram
+from hoif.gram import node_rows, op_norm_distance, population_gram, quadrature_gram
 from hoif.nuisance import NuisanceSet, zero_nuisance
-from hoif.quadrature import basis_quadrature
+from hoif.quadrature import QuadratureSpec, basis_quadrature
 from hoif.sim import (
     SCENARIOS,
     ScenarioSpec,
@@ -406,6 +406,22 @@ def test_forked_study_runs_on_threads_processes(monkeypatch, tmp_path, threads, 
         assert study_pid in pids
 
 
+def test_over_cap_study_refused_before_truth_gram_or_fork(monkeypatch):
+    # every replication splits its n records alike, so the study's plan refuses
+    # m = 6 at k = 64 once, before the truth, the reference Gram, any draw or
+    # any fork, where it had lost all 20 replications to the same refusal
+    real_fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    for name in ("true_psi", "population_gram", "generate"):
+        monkeypatch.setattr(sim, name, lambda *a, **kw: pytest.fail("built"))
+    scn = replace(SCENARIOS["s2-smooth-d2"], id="s2-copy")  # off the registry: integrated
+    cfg = EstimatorConfig(basis=BasisSpec("bspline", 2, 8, order=2), m=6)
+    with pytest.raises(ValidationError, match="the tensor route at k=64, m=6 plans a peak of "
+                                              r"\d+ bytes.*the block tensors"):
+        run_study(scn, cfg, reps=20, seed=0, n=2000, threads=2)
+    assert forks == []
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
 def test_forked_map_of_many_items_keeps_order_and_does_not_block():
     # 20 000 indices are more than a pipe holds, as the worker's reply may be:
@@ -556,7 +572,7 @@ def test_op_dist_measures_the_gram_each_estimate_inverted():
     result = run_study(scn, cfg, reps=3, seed=4, n=300)
     basis, quad = build_basis(cfg.basis), basis_quadrature(cfg.basis)
     ref = population_gram(basis, weighted_density(scn), quad)
-    mass, rows = ref.entries / basis.k, basis.cell_rows()
+    mass, rows = ref.entries / basis.k, node_rows(basis, QuadratureSpec(basis.per_dim_size))[2]
     dense = quadrature_gram(basis, weighted_density(scn), quad)
     np.testing.assert_allclose((rows.T * mass) @ rows, dense.entries, rtol=0, atol=1e-15)
     for row in result.rows:

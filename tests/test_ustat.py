@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from hoif import ustat
 from hoif.basis import BasisSpec, build_basis
 from hoif.data import ValidationError
-from hoif.gram import GramMatrix, invert_checked
+from hoif.gram import GramMatrix, invert_checked, node_rows
+from hoif.quadrature import QuadratureSpec
 from hoif.ustat import (
     CellInputs,
     ChainInputs,
@@ -177,7 +178,8 @@ def test_over_budget_plan_refused_before_building(monkeypatch):
     monkeypatch.setattr(ustat, "_weighted_outer_sum", lambda wv, mats: calls.append(wv))
     monkeypatch.setattr(ustat, "PLAN_BYTES_MAX", 1000)
     inp = random_inputs(np.random.default_rng(16), 8, 3)
-    with pytest.raises(ValidationError, match=r"order m=4 at k=3 plans \d+ bytes"):
+    with pytest.raises(ValidationError, match=r"the tensor route at k=3, m=4 plans a peak of "
+                                              r"\d+ bytes, over the cap of 1000"):
         correction_terms(inp, 4)
     assert calls == []
     monkeypatch.undo()
@@ -191,7 +193,8 @@ def test_over_budget_rank_refused_before_packing(monkeypatch):
     monkeypatch.setattr(ustat, "_packing", lambda k, q: calls.append((k, q)))
     monkeypatch.setattr(ustat, "_weighted_outer_sum", lambda w, y, r: calls.append(r))
     inp = random_inputs(np.random.default_rng(18), 8, 64)
-    with pytest.raises(ValidationError, match=r"order m=6 at k=64 plans \d+ bytes"):
+    with pytest.raises(ValidationError, match=r"the tensor route at k=64, m=6 plans a peak of "
+                                              r"\d+ bytes.*its largest group, the block tensors"):
         correction_terms(inp, 6)
     assert calls == []
 
@@ -204,9 +207,9 @@ def test_traced_peak_within_planned_bytes(monkeypatch, n, k, m):
     # copies and products); the last two shapes repeat rows, as Haar rows and
     # with one repeated row
     planned = []
-    original = ustat._planned_bytes
-    monkeypatch.setattr(ustat, "_planned_bytes",
-                        lambda *args: planned.append(original(*args)) or planned[-1])
+    original = ustat.run_plan
+    monkeypatch.setattr(ustat, "run_plan",
+                        lambda *args, **kw: planned.append(original(*args, **kw)) or planned[-1])
     rng = np.random.default_rng(23)
     inp = (haar_inputs(rng, n, k) if (n, k, m) == (10_000, 64, 4)
            else random_inputs(rng, n, k, pool=n - 1 if (n, k, m) == (1000, 16, 5) else None))
@@ -217,7 +220,7 @@ def test_traced_peak_within_planned_bytes(monkeypatch, n, k, m):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= planned[-1]
+    assert peak <= planned[-1].peak
 
 
 def test_rejects_indefinite_omega_inv():
@@ -353,7 +356,7 @@ def haar_cell_inputs(rng, n, k):
     basis = build_basis(BasisSpec("haar", 2, int(round(np.sqrt(k)))))
     cells = basis.cells(rng.random((n, 2)))
     mass = np.bincount(basis.cells(rng.random((n, 2))), rng.random(n), k) / n
-    rows = basis.cell_rows()
+    rows = node_rows(basis, QuadratureSpec(basis.per_dim_size))[2]
     inverse = invert_checked(GramMatrix((rows.T * mass) @ rows, "empirical", n)).inverse
     eps_p, eps_b, abs_h1 = rng.normal(size=n), rng.normal(size=n), rng.random(n)
     return (CellInputs(eps_p, eps_b, abs_h1, cells, mass, False),
