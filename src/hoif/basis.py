@@ -2,12 +2,12 @@
 
 Two univariate families are shipped:
 
-* Haar: the constant scaling function plus Haar wavelets up to resolution
-  level L, giving q = 2**(L+1) functions per dimension (q = 1 means the
-  scaling function alone).  Orthonormal in L2 of the uniform density.
 * B-splines of order s (polynomial degree s) on a uniform clamped knot
   grid, scaled by sqrt(q) so the diagonal of the uniform-density Gram
-  stays bounded away from 0 and infinity as q grows.
+  stays bounded away from 0 and infinity as q grows.  Order 0 is the
+  histogram basis at any q: sqrt(q) times the indicators of q equal cells.
+* Haar: the histogram basis at a power-of-two q = 2**(L+1), which spans what
+  the scaling function and the Haar wavelets up to level L span.
 
 d-dimensional bases are tensor products enumerated in row-major order over
 the univariate indices, so serialized coefficient vectors are reproducible.
@@ -62,10 +62,11 @@ class BasisSpec:
 
     @property
     def cellwise(self) -> bool:
-        """Whether the basis is constant on the cells of its uniform q^d grid
-        and spans their indicators (Haar): its Gram, series fits and
-        correction terms then come from per-cell sums."""
-        return self.family == "haar"
+        """Whether the basis is of order 0 (every Haar basis is), so that its
+        rows are the scaled indicators of the cells of its uniform q^d grid
+        (``cells``): its Gram, series fits and correction terms then come
+        from per-cell sums."""
+        return self.order == 0
 
     @property
     def d(self) -> int:
@@ -88,9 +89,11 @@ class BasisSpec:
         return per_dim_max ** self.d / self.k
 
     def _univariate(self, xs: np.ndarray) -> np.ndarray:
-        if self.family == "haar":
-            return _haar_univariate(self.per_dim_size, xs)
-        return _bspline_univariate(self.per_dim_size, self.order, xs)
+        """The q univariate functions at ``xs``; cellwise, sqrt(q) times cell indicators."""
+        q = self.per_dim_size
+        if self.cellwise:
+            return np.sqrt(q) * (_axis_cells(q, xs)[:, None] == np.arange(q))
+        return _bspline_univariate(q, self.order, xs)
 
     def _points(self, x: np.ndarray) -> np.ndarray:
         """``x`` as an (n, d) float array of points in [0, 1]^d, or a ValueError."""
@@ -113,45 +116,30 @@ class BasisSpec:
         return out
 
     def design(self, x: np.ndarray) -> np.ndarray:
-        """The design on the points of an (n, d) array: for a cellwise basis
-        (Haar), whose span is the indicators of its cells, each point's cell
-        (``cells``); otherwise the (n, k) basis values."""
+        """The design on the points of an (n, d) array: each point's cell
+        (``cells``) if the basis is cellwise, otherwise the (n, k) basis values."""
         return self.cells(x) if self.cellwise else self.evaluate_many(x)
 
     def cells(self, x: np.ndarray) -> np.ndarray:
         """Row-major index of the cell of the uniform q^d grid that holds each
-        point of an (n, d) array, with ``_haar_univariate``'s floor convention
-        (x == 1 lies in the last cell).  A Haar basis is constant on these
-        cells and spans their indicators."""
+        point of an (n, d) array, per axis ``_axis_cells``: the column of the
+        point's nonzero entry in a cellwise basis's rows."""
         q = self.per_dim_size
-        per_dim = np.minimum(np.floor(self._points(x) * q).astype(np.int64), q - 1)
-        return per_dim @ q ** np.arange(self.d - 1, -1, -1)
+        return _axis_cells(q, self._points(x)) @ q ** np.arange(self.d - 1, -1, -1)
 
 
-def _haar_univariate(q: int, xs: np.ndarray) -> np.ndarray:
-    """Evaluate the q-function univariate Haar family at points xs."""
-    n = xs.shape[0]
-    out = np.zeros((n, q))
-    out[:, 0] = 1.0
-    rows = np.arange(n)
-    for j in range(q.bit_length() - 1):
-        njm = 1 << j  # shifts at level j, in columns njm .. 2 * njm - 1
-        # cell index at level j; x == 1 belongs to the last cell
-        t = xs * njm
-        cell = np.minimum(np.floor(t).astype(np.int64), njm - 1)
-        sign = np.where(t - cell < 0.5, 1.0, -1.0)
-        out[rows, njm + cell] = 2.0 ** (j / 2.0) * sign
-    return out
+def _axis_cells(q: int, xs: np.ndarray) -> np.ndarray:
+    """Each coordinate's cell of q equal cells on [0, 1], x == 1 in the last."""
+    return np.minimum(np.floor(xs * q).astype(np.int64), q - 1)
 
 
 def _bspline_knots(q: int, s: int) -> np.ndarray:
-    n_intervals = q - s
-    breaks = np.linspace(0.0, 1.0, n_intervals + 1)
+    breaks = np.linspace(0.0, 1.0, q - s + 1)  # q - s intervals
     return np.concatenate([np.zeros(s), breaks, np.ones(s)])
 
 
 def _bspline_univariate(q: int, s: int, xs: np.ndarray) -> np.ndarray:
-    from scipy.interpolate import BSpline  # imported here so Haar runs never load scipy
+    from scipy.interpolate import BSpline  # imported here so order-0 runs never load scipy
 
     t = _bspline_knots(q, s)
     return BSpline.design_matrix(np.clip(xs, 0.0, 1.0), t, s).toarray() * np.sqrt(q)

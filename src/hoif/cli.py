@@ -274,7 +274,7 @@ def cmd_report(args) -> int:
 def cmd_basis_inspect(args) -> int:
     """The basis of the ``basis.*`` keys (``EstimatorConfig``'s for those not
     given): its keys, k, locality constant and uniform-density Gram, built
-    as a study builds its population Gram (a Haar basis's from its cells)."""
+    as a study builds its population Gram (an order-0 basis's from its cells)."""
     cfg = load_config(args.config, args.set or [], "basis-inspect")
     run = estimator_config(cfg, EstimatorConfig().basis.dimension)
     basis = run.basis

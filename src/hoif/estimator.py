@@ -5,14 +5,14 @@ higher-order U-statistic corrections of orders 2..m, with the inverse Gram
 taken either from the empirical training-sample covariance (variant
 ``emp``, the main path) or from quadrature against an estimated density
 (variant ``ac``), each a ``gram.weighted_gram`` over a basis design
-(``BasisSpec.design``).  A cellwise basis's (Haar) design is each point's
-cell, so its Gram is per-cell masses and its corrections come from
-``ustat.cell_terms``; other bases' (B-splines) is the basis rows, which
-``ustat.correction_terms`` reads.  The average treatment effect is the
-difference of two arm estimates, and cross-fitting averages the estimate
-over the two ways of assigning the halves of the split.  A Gram that
-fails the invertibility check maps the whole estimate to zero by
-convention.
+(``BasisSpec.design``).  A cellwise (order-0) basis's design is each
+point's cell, so its Gram is per-cell masses and its corrections come from
+``ustat.cell_terms``; other bases' (B-splines of order >= 1) is the basis
+rows, which ``ustat.correction_terms`` reads.  The average treatment
+effect is the difference of two arm estimates, and cross-fitting averages
+the estimate over the two ways of assigning the halves of the split.  A
+Gram that fails the invertibility check maps the whole estimate to zero
+by convention.
 """
 
 from __future__ import annotations
@@ -168,7 +168,8 @@ def plan_estimate(cfg: EstimatorConfig, n_est: int, n_tr: int, fitted: bool = Tr
     grid = cfg.variant == "ac" and not basis.cellwise
     nodes = basis_quadrature(basis).nodes_per_dim ** basis.d if grid else 0
     return run_plan(basis.k, basis.d, cfg.m, n_est, n_tr if cfg.variant == "emp" else nodes,
-                    grid, n_tr, candidates, basis.cellwise)
+                    grid, n_tr, candidates, basis.cellwise,
+                    len(fn.arm_specs(cfg.functional)) * (1 + cfg.cross_fit))
 
 
 def default_tuning(n: int, variant: str, dimension: int = 1, family: str = "haar",
@@ -220,8 +221,8 @@ def _training_fits(specs: tuple[FunctionalSpec, ...], weights: tuple[np.ndarray,
     the arm's ``weights``, |h1| at the training records.  Under ``emp`` it
     is over the training design, the k-grid candidate of the basis's own size
     if the grid has it.  Under ``ac`` it is over a node set, each node
-    weighted by the density estimate at its cell: a cellwise basis's (Haar)
-    k cells, one node each (the midpoint rule, exact for a density constant
+    weighted by the density estimate at its cell: a cellwise basis's k
+    cells, one node each (the midpoint rule, exact for a density constant
     on the cells); other bases' quadrature grid rows."""
     basis, designs = cfg.basis, {}
     if nuisances is None:

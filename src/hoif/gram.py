@@ -6,9 +6,10 @@ empirical Gram (the main path, which needs no density estimate); over the
 nodes of a midpoint grid with w a density, the quadrature Gram of the true
 weighted density g (``population_gram``) or of an estimate of it (the
 density-based comparison path).  A design (``BasisSpec.design``) is the
-basis's (n, k) rows, or for a cellwise basis (Haar) each point's cell: its
-cell rows B have B^T B = k I, so B^T diag(m_c) B has the eigenvalues k m_c,
-and a cell design's Gram holds those alone, m_c the per-cell sum of w / n.
+basis's (n, k) rows, or for a cellwise (order-0) basis each point's cell: its
+cell rows B are sqrt(k) times the identity, so B^T diag(m_c) B is diagonal
+with the eigenvalues k m_c, and a cell design's Gram holds those alone, m_c
+the per-cell sum of w / n.
 Every Gram's working set is planned (``ustat.run_plan``) before it is built.
 """
 
@@ -63,8 +64,8 @@ def weighted_gram(basis: BasisSpec, design: np.ndarray, weights: np.ndarray,
     """(1/n) sum_i w_i z_i z_i^T over the n points of ``design``
     (``BasisSpec.design``): the dense matrix for a design of (n, k) rows; for
     a design of cells, B^T diag(m) B held as its eigenvalues k * m, m the
-    per-cell sums over n and B the cell rows (``_dense``):
-    B / sqrt(k) is orthogonal, and k a power of two, so entries / k is exactly m."""
+    per-cell sums over n and B the cell rows (``_dense``): entries / k is m
+    to within one ulp, and exactly m when k is a power of two."""
     n = design.shape[0]
     if design.ndim == 1:
         return GramMatrix(basis.k * (np.bincount(design, weights, basis.k) / n), source, n, basis)
@@ -80,7 +81,7 @@ def empirical_gram(basis: BasisSpec, training: Dataset, spec: FunctionalSpec) ->
 def _dense(m: GramMatrix) -> np.ndarray:
     """The (k, k) matrix of ``m``; a cell Gram's is the Gram of its cell rows
     weighted by its eigenvalues, the rows at the cell centres (the q per axis
-    nodes), which for Haar are bit for bit the basis all over their cells."""
+    nodes), which are bit for bit the basis all over their cells."""
     if m.basis is None:
         return m.entries
     rows = node_rows(m.basis, QuadratureSpec(m.basis.per_dim_size))[2]
@@ -116,7 +117,8 @@ def _density(g, nodes: np.ndarray) -> np.ndarray:
 
 def population_gram(basis: BasisSpec, g, quad: QuadratureSpec) -> GramMatrix:
     """The quadrature Gram of the density g over the design (``BasisSpec.design``)
-    of the nodes of ``quad`` (``_grid``): for Haar, their cells, no basis value."""
+    of the nodes of ``quad`` (``_grid``): for a cellwise basis, their cells, no
+    basis value."""
     nodes, _ = _grid(basis, quad, basis.cellwise)
     return weighted_gram(basis, basis.design(nodes), _density(g, nodes), "quadrature")
 

@@ -5,13 +5,13 @@ density estimate for the density-based comparison path, and the zero
 estimator (which deliberately ignores the admissible range of the inverse
 propensity and still leaves the full pipeline consistent).
 
-A Haar candidate of size q^d spans the indicators of its q^d cells, so its
-design (``BasisSpec.design``) is each record's cell and its least-squares fit
-the per-cell mean: Haar fits, their cross-validation and their predictions
-never evaluate the basis.  Other families fit their (n, k) rows by
-``np.linalg.lstsq``.  The density estimate is its value in each cell of the
-basis's q^d grid (``density_cells``), which the estimator reads at the
-records or nodes it needs.
+A cellwise (order-0) candidate of size q^d spans the indicators of its q^d
+cells, so its design (``BasisSpec.design``) is each record's cell and its
+least-squares fit the per-cell mean: such fits, their cross-validation and
+their predictions never evaluate the basis.  B-splines of order >= 1 fit
+their (n, k) rows by ``np.linalg.lstsq``.  The density estimate is its
+value in each cell of the basis's q^d grid (``density_cells``), which the
+estimator reads at the records or nodes it needs.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def _least_squares(sub: BasisSpec, design: np.ndarray, response: np.ndarray) -> 
     """Least-squares coefficients of ``response`` on ``design`` rows and whether
     the design has full rank.  A cellwise fit is the per-cell mean, 0 in a
     cell with no record: what lstsq's minimum-norm solution predicts there for
-    the orthogonal Haar design, whose rank is the number of cells with a record."""
+    the orthogonal cell design, whose rank is the number of cells with a record."""
     if sub.cellwise:
         counts = np.bincount(design, minlength=sub.k)
         sums = np.bincount(design, response, sub.k)
@@ -195,7 +195,7 @@ def series_fit(designs: dict, response: np.ndarray, folds: int, seed: int,
 
 def density_cells(training: Dataset, basis: BasisSpec, w: np.ndarray,
                   sigma_floor: float = DEFAULT_SIGMA_FLOOR) -> np.ndarray:
-    """Histogram density on the basis's dyadic cells of the training records
+    """Histogram density on the basis's q^d cells of the training records
     weighted by ``w`` (|h1|, ``FunctionalSpec.abs_h1``): its value in each of
     the q^d cells, in ``BasisSpec.cells`` order.
 

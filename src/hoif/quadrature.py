@@ -1,8 +1,8 @@
 """Tensor-product midpoint quadrature on the unit cube.
 
-The midpoint rule on a dyadic grid is exact for piecewise-constant
-integrands whose cells align with the grid, which makes it the natural
-companion of the Haar basis used throughout the package.
+The midpoint rule is exact for piecewise-constant integrands whose cells
+hold the same whole number of nodes, which makes a grid of a multiple of q
+nodes per axis the natural companion of an order-0 (cellwise) basis.
 """
 
 from __future__ import annotations
@@ -36,8 +36,11 @@ class QuadratureSpec:
 
 
 def basis_quadrature(spec) -> QuadratureSpec:
-    """Midpoint grid for a basis spec: its dimension's default, or its own size if finer."""
-    return QuadratureSpec(max(default_nodes_per_dim(spec.dimension), spec.per_dim_size))
+    """Midpoint grid for a basis spec: its dimension's default, or its own size if
+    finer; for a cellwise basis the least multiple of q no coarser, so that each
+    of its cells holds the same nodes."""
+    nodes, q = default_nodes_per_dim(spec.dimension), spec.per_dim_size
+    return QuadratureSpec(-(-nodes // q) * q if spec.cellwise else max(nodes, q))
 
 
 def _midpoints(n: int, d: int, flat: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ rank serves them all: a single Khatri-Rao factor over the sorted index
 tuples of r-1 axes, C(k+r-2, r-1) columns instead of k^(r-1).
 
 Cell route (``cell_terms``): when the basis spans the indicators of k
-cells, as a Haar basis does, its Gram is B^T diag(m_c) B with B the
+cells, as every order-0 basis does, its Gram is B^T diag(m_c) B with B the
 square, invertible matrix of its rows at the cells and m_c each cell's
 mass (the training mass under ``emp``, the integral of the density
 estimate under ``ac``), so the kernel z_i M z_j is 1[c_i = c_j] / m_c,
@@ -261,27 +261,31 @@ class RunPlan:
 
 def run_plan(k: int, d: int = 1, m: int = 2, n_est: int = 0, design: int = 0,
              grid: bool = False, n_tr: int = 0, candidates: tuple = (),
-             cells: bool = False) -> RunPlan:
+             cells: bool = False, grams: int = 1) -> RunPlan:
     """The plan of a run at basis size k in d dimensions; a ValidationError
     naming its peak and largest group if the peak passes ``PLAN_BYTES_MAX``.
     While fitting, a run holds the candidate designs of sizes ``candidates``
     on n_tr records (and fold copies), the Gram's design of ``design`` records
-    or ``grid`` nodes and the Gram; then the Gram, the rows of n_est records
-    and the block tensors; at m = 1 no Gram.  A design point holds its row, a
-    weighted copy, its coordinates, cell and weight; on the cell route
-    (``cells``) its cell, or at a node 3d + 1 doubles."""
+    or ``grid`` nodes and the Grams; then the Grams, an inversion, the rows of
+    n_est records and the block tensors; at m = 1 no Gram.  A design point
+    holds its row, a weighted copy, its coordinates, cell and weight; on the
+    cell route (``cells``) its cell, or at a node 3d + 1 doubles.  On the
+    tensor route each of the ``grams`` Grams (arms times folds) is kept with
+    its inverse, and an inversion holds two more k x k arrays and a mask."""
     gram = m > 1
     if cells:
         fit = len(candidates) + CELL_FIT_VECTORS if candidates else 0
-        square, point, row, tensors = CELL_VECTORS * k, 3 * d + 1 if grid else 1, 1, 0
+        square, inversion, row, tensors = CELL_VECTORS * k, 0, 1, 0
+        point = 3 * d + 1 if grid else 1
     else:
         fit = sum(candidates) + 2 * max(candidates) if candidates else 0
-        square, point, row = 2 * k * k, 2 * k + d + 2, 2 * k + 1  # rows: design, whitened, norms
+        square, inversion = 2 * grams * k * k, -(-17 * k * k // 8)  # 2 k x k doubles, a mask
+        point, row = 2 * k + d + 2, 2 * k + 1  # rows: design, whitened, norms
         tensors = order_plan(n_est, k, m)[2] if gram and n_est else 0
     names = ("candidate designs", "node grid" if grid else "training design",
-             "cell Gram" if cells else "Gram and its eigenvectors",
+             "cell Gram" if cells else "Grams and their inverses", "inversion",
              "estimation cells" if cells else "whitened estimation rows", "block tensors")
-    sizes = (n_tr * fit, design * point * gram, square * gram,
+    sizes = (n_tr * fit, design * point * gram, square * gram, inversion * gram,
              n_est * (row + RECORD_VECTORS) * gram)
     groups = dict(zip(names, [8 * size for size in sizes] + [tensors]))
     held = max((names[:3], names[2:]), key=lambda part: sum(map(groups.get, part)))
@@ -357,7 +361,7 @@ def _orders(d: list[float], n: int, sign_flag: bool) -> list[float]:
 @dataclass(frozen=True)
 class CellInputs:
     """The chain inputs of a basis whose span is the indicators of k cells
-    (Haar): residuals, weights and cell of each estimation record, and each
+    (order 0): residuals, weights and cell of each estimation record, and each
     cell's mass m_c in the Gram (a cell Gram's eigenvalues over k).
     The projection kernel z_i Omega^-1 z_j is then 1[c_i = c_j] / m_c."""
 

@@ -7,8 +7,8 @@ from hoif.basis import (
     build_basis,
 )
 from hoif.data import ValidationError
-from hoif.gram import quadrature_gram
-from hoif.quadrature import QuadratureSpec
+from hoif.gram import population_gram, quadrature_gram
+from hoif.quadrature import QuadratureSpec, basis_quadrature
 from reference import bspline_partition_values, l2_approximation_error
 
 
@@ -25,11 +25,40 @@ def test_haar_q1_is_constant():
 
 
 def test_haar_hand_value_at_quarter():
-    # q=4: [scaling, level-0 wavelet, level-1 shift-0, level-1 shift-1];
-    # at x=0.25 the level-1 shift-0 wavelet is on its negative half
+    # q=4: sqrt(4) times the indicators of [0, 1/4), [1/4, 1/2), [1/2, 3/4)
+    # and [3/4, 1]; x=0.25 opens the second cell
     basis = build_basis(BasisSpec("haar", 1, 4))
     vec = basis.evaluate_many([0.25])[0]
-    np.testing.assert_allclose(vec, [1.0, 1.0, -np.sqrt(2.0), 0.0], atol=1e-14)
+    assert np.array_equal(vec, [0.0, 2.0, 0.0, 0.0])
+
+
+def test_order0_row_sits_in_the_cell_of_cells():
+    # at every knot of q <= 64, as the spline grid lays them out (linspace)
+    # and as j / q, and at x = 0 and 1, an order-0 row has one nonzero
+    # entry, sqrt(q), in the column ``cells`` names; scipy's order-0 design
+    # put 196 of the linspace knots in the next cell (q = 7, x = 5/7: cell 4
+    # by ``cells``, column 5 in the row)
+    for q in range(1, 65):
+        basis = BasisSpec("bspline", 1, q)
+        xs = np.concatenate([np.linspace(0.0, 1.0, q + 1), np.arange(q + 1) / q])
+        rows = basis.evaluate_many(xs)
+        assert np.array_equal(np.count_nonzero(rows, axis=1), np.ones(2 * q + 2))
+        assert np.array_equal(rows.argmax(axis=1), basis.cells(xs))
+        assert np.array_equal(rows.max(axis=1), np.full(2 * q + 2, np.sqrt(q)))
+
+
+@pytest.mark.parametrize("d,q", [(2, 14), (2, 53), (3, 7)])
+def test_order0_uniform_gram_is_the_identity(d, q):
+    # the population Gram of an order-0 basis under the uniform density, as
+    # basis-inspect builds it: every cell holds the same nodes of the
+    # basis's grid, so each eigenvalue is 1 to rounding.  The midpoint grid
+    # of 256 nodes per axis gave [0.969, 1.080] at d = 2, q = 14.  Worst
+    # seen over these and five other (d, q): half an eps
+    basis = BasisSpec("bspline", d, q)
+    quad = basis_quadrature(basis)
+    assert quad.nodes_per_dim % q == 0
+    gram = population_gram(basis, uniform, quad)
+    assert np.max(np.abs(gram.entries - 1.0)) <= 4 * np.finfo(float).eps
 
 
 def test_haar_piecewise_constant_within_cells():

@@ -162,16 +162,17 @@ def test_haar_order_changes_no_artifact(tmp_path):
 
 
 def test_oversized_ac_basis_refused_before_it_is_built(tmp_path, capsys):
-    # B-splines: the run's plan refuses q = 2^22 and q = 2^14 before any fit,
-    # and before any array of 2^22 cells, on the node grid and its weighted
-    # copy, which pass the k x k Gram and its eigenvectors by 24 bytes a node
+    # B-splines of order 1: the run's plan refuses q = 2^22 and q = 2^14
+    # before any fit, and before any array of 2^22 cells, on the inversion's
+    # two k x k arrays and mask beside the Gram and its inverse, which pass
+    # the node grid and its weighted copy by about k^2 / 8 doubles
     for q, refusal in ((2**22, "the tensor route at k=4194304, m=2 plans a peak of "
-                               "562950054114608 bytes"),
-                       (2**14, "its largest group, the node grid, takes 4295360512 bytes")):
+                               "580567439791608 bytes"),
+                       (2**14, "its largest group, the inversion, takes 4563402752 bytes")):
         tracemalloc.start()
         rc = main(["estimate", "--input", str(GOLDEN), "--out", str(tmp_path / "o"),
                    "--set", "variant=ac", "--set", "basis.family=bspline",
-                   "--set", f"basis.per_dim_size={q}"])
+                   "--set", "basis.order=1", "--set", f"basis.per_dim_size={q}"])
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert rc == EXIT_VALIDATION
@@ -227,17 +228,18 @@ def test_oversized_haar_study_refused_before_it_is_built(tmp_path, capsys):
 
 
 def test_ac_gram_working_set_refused_before_any_fit(tmp_path, monkeypatch, capsys):
-    # B-splines at k = 8192 on 8192 nodes: the design alone (512 MiB) is under
-    # the cap, but with its weighted copy, the k x k Gram and eigh's
-    # eigenvectors (512 MiB each), three doubles per node and the candidate
-    # designs the ac run plans 2 GiB and 221 KiB, refused before any nuisance fit
+    # B-splines of order 1 at k = 8192 on 8192 nodes: the design alone
+    # (512 MiB) is under the cap, but the k x k Gram and its inverse (512 MiB
+    # each) with the inversion's two more and a mask (1088 MiB), the 250
+    # estimation rows and the block tensors plan 2.1 GiB, refused before any
+    # nuisance fit
     monkeypatch.setattr(estimator, "fit_nuisances", lambda *a, **kw: pytest.fail("fitted"))
     rc = main(["estimate", "--input", str(GOLDEN), "--out", str(tmp_path / "o"),
                "--set", "variant=ac", "--set", "basis.family=bspline",
-               "--set", "basis.per_dim_size=8192"])
+               "--set", "basis.order=1", "--set", "basis.per_dim_size=8192"])
     assert rc == EXIT_VALIDATION
-    assert ("plans a peak of 2147710256 bytes, over the cap of 1073741824; its largest "
-            "group, the node grid, takes 1073938432 bytes") in capsys.readouterr().err
+    assert ("plans a peak of 2264290808 bytes, over the cap of 1073741824; its largest "
+            "group, the inversion, takes 1140850688 bytes") in capsys.readouterr().err
 
 
 def test_emp_basis_size_is_checked_against_the_training_records(tmp_path, monkeypatch, capsys):
@@ -266,15 +268,15 @@ def test_emp_basis_size_is_checked_against_the_training_records(tmp_path, monkey
 
 
 def test_emp_training_design_refused_before_any_fit(monkeypatch):
-    # B-splines at k = 2048 on 31350 training records: the k x k Gram and its
-    # eigenvectors (64 MiB) and the 1650 estimation rows are under the cap,
+    # B-splines of order 1 at k = 2048 on 31350 training records: the k x k
+    # Gram and its inverse (64 MiB) and the 1650 estimation rows are under the cap,
     # but the training design with its weighted copy and three doubles per
     # record, beside the Gram and the candidate designs, bring the run to
     # 1098900064 bytes, refused before any fit
     monkeypatch.setattr(estimator, "fit_nuisances", lambda *a, **kw: pytest.fail("fitted"))
     rng = np.random.default_rng(31)
     data = Dataset(rng.random((33000, 1)), np.ones(33000), np.zeros(33000))
-    cfg = EstimatorConfig(basis=BasisSpec("bspline", 1, 2048), split_fraction=0.05)
+    cfg = EstimatorConfig(basis=BasisSpec("bspline", 1, 2048, order=1), split_fraction=0.05)
     with pytest.raises(ValidationError, match="the tensor route at k=2048, m=2 plans a peak of "
                                               "1098900064 bytes, over the cap of 1073741824; its "
                                               "largest group, the training design, takes "
@@ -325,30 +327,33 @@ def _split_plan(run: EstimatorConfig, n: int):
     return estimator.plan_estimate(run, n_est, n - n_est)
 
 
-def _haar_rule(n: int, d: int, variant: str) -> tuple[int, int]:
-    """The rule's (q, m) for Haar, which no plan lowers up to 10^6 records."""
+def _cell_rule(n: int, d: int, variant: str, family: str) -> tuple[int, int]:
+    """The rule's (q, m) for an order-0 basis, which no plan lowers up to 10^6
+    records: Haar's q the largest power of two, a B-spline's any q."""
     n_est = max(estimation_size(n, 0.5), 8)
     ln = math.log(n_est)
     k_raw, m = ((n_est / ln**2, math.ceil(ln)) if variant == "ac"
                 else (n_est / ln**3, math.ceil(math.sqrt(ln))))
     q = 1
-    while (2 * q) ** d <= k_raw:
-        q *= 2
+    while (q_next := 2 * q if family == "haar" else q + 1) ** d <= k_raw:
+        q = q_next
     return q, max(2, min(m, ustat.M_MAX))
 
 
 @pytest.mark.parametrize("variant", ["emp", "ac"])
 def test_every_tuned_order_passes_its_plan(variant):
     # 165 configurations per variant, up to 10^6 records: every tuned run
-    # passes the plan estimate_split checks, and Haar keeps the rule's (q, m)
+    # passes the plan estimate_split checks, and every order-0 run takes its
+    # terms from cells at the rule's (q, m), Haar's q stepping by powers of
+    # two and a B-spline's by 1
     for n, d, (family, order) in itertools.product(
             (16, 40, 100, 400, 1000, 2000, 4000, 8000, 10**4, 10**5, 10**6), (1, 2, 3),
             _TUNED_FAMILIES):
         run = _tuned(n, d, variant, family, order)
         assert run.basis.per_dim_size >= order + 1 and 2 <= run.m <= ustat.M_MAX
-        _split_plan(run, n)
-        if family == "haar":
-            assert (run.basis.per_dim_size, run.m) == _haar_rule(n, d, variant)
+        assert _split_plan(run, n).route == ("cell" if order == 0 else "tensor")
+        if order == 0:
+            assert (run.basis.per_dim_size, run.m) == _cell_rule(n, d, variant, family)
 
 
 @pytest.mark.parametrize("n", [400, 1000, 2000, 4000, 8000])
@@ -362,10 +367,10 @@ def test_tuned_order_three_bspline_ac_at_d3_runs_at_m5(n):
 
 
 def test_tuned_bsplines_at_a_million_records_stop_at_the_plan_boundary():
-    # the rule lowers q until m = 2 fits: at 10^6 records every B-spline
-    # tuning fits its plan, and one q more at m = 2 is refused on its whitened
-    # estimation rows
-    for d, variant, order in itertools.product((1, 2, 3), ("emp", "ac"), range(4)):
+    # the rule lowers q until m = 2 fits: at 10^6 records every tensor-route
+    # B-spline tuning (order >= 1) fits its plan, and one q more at m = 2 is
+    # refused on its whitened estimation rows
+    for d, variant, order in itertools.product((1, 2, 3), ("emp", "ac"), range(1, 4)):
         run = _tuned(10**6, d, variant, "bspline", order)
         _split_plan(run, 10**6)
         wider = replace(run.basis, per_dim_size=run.basis.per_dim_size + 1)
@@ -581,13 +586,13 @@ def test_over_cap_order_refused_before_any_fit(tmp_path, monkeypatch, capsys):
             "--set", "basis.family=bspline", "--set", "basis.order=2"]
     rc = main(["estimate", "--input", str(GOLDEN), "--out", str(tmp_path / "e"), *over])
     assert rc == EXIT_VALIDATION
-    assert ("the tensor route at k=64, m=6 plans a peak of 34910061192 bytes, over the cap of "
+    assert ("the tensor route at k=64, m=6 plans a peak of 34910130824 bytes, over the cap of "
             "1073741824; its largest group, the block tensors, takes 34909721656 bytes"
             ) in capsys.readouterr().err
     rc = main(["simulate", "--out", str(tmp_path / "s"), "--set", "scenario=s1-smooth-d1",
                "--set", "n=300", "--set", "reps=2", *over])
     assert rc == EXIT_VALIDATION
-    assert ("error: the tensor route at k=64, m=6 plans a peak of 34909951592 bytes"
+    assert ("error: the tensor route at k=64, m=6 plans a peak of 34910021224 bytes"
             ) in capsys.readouterr().err
 
 
@@ -716,8 +721,8 @@ def test_basis_finer_than_default_grid_runs(tmp_path):
 
 def test_basis_inspect_refuses_over_budget_design(monkeypatch, capsys):
     monkeypatch.setattr(Basis, "evaluate_many", lambda self, x: pytest.fail("evaluated"))
-    bspline = ["--set", "basis.family=bspline"]
-    # B-splines on 64**3 nodes at k=4096: the rows of float64 and their
+    bspline = ["--set", "basis.family=bspline", "--set", "basis.order=1"]
+    # B-splines of order 1 on 64**3 nodes at k=4096: the rows of float64 and their
     # weighted copy would take 17 GB
     assert main(["basis-inspect", *bspline, "--set", "basis.dimension=3",
                  "--set", "basis.per_dim_size=16"]) == EXIT_VALIDATION

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import tracemalloc
 from dataclasses import replace
@@ -218,39 +219,59 @@ def test_default_tuning_frozen_arithmetic():
 
 
 def test_default_tuning_never_below_second_order():
-    # B-splines on 10^6 estimation and training records: the rule's k = 5239
-    # is lowered until the plan fits at m = 2, to k = 41 (k = 42 plans its
-    # whitened estimation rows over the cap), where m = 3 does not fit
-    assert default_tuning(10**6, "ac", 1, "bspline") == (41, 2)
-    run = EstimatorConfig(basis=BasisSpec("bspline", 1, 42), m=2, variant="ac")
-    with pytest.raises(ValidationError, match="k=42, m=2 plans a peak of 1096291720 bytes, over "
+    # B-splines of order 1 on 10^6 estimation and training records: the
+    # rule's k = 5239 is lowered until the plan fits at m = 2, to k = 41
+    # (k = 42 plans its whitened estimation rows over the cap), where m = 3
+    # does not fit
+    assert default_tuning(10**6, "ac", 1, "bspline", 1) == (41, 2)
+    run = EstimatorConfig(basis=BasisSpec("bspline", 1, 42, order=1), m=2, variant="ac")
+    with pytest.raises(ValidationError, match="k=42, m=2 plans a peak of 1096321712 bytes, over "
                                               "the cap of 1073741824; its largest group, the "
                                               "whitened estimation rows, takes 744000000 bytes"):
         plan_estimate(run, 10**6, 10**6)
     with pytest.raises(ValidationError, match="k=41, m=3 plans"):
-        plan_estimate(replace(run, basis=BasisSpec("bspline", 1, 41), m=3), 10**6, 10**6)
-    # Haar takes its terms from per-cell sums, which the plan admits at the rule's m
+        plan_estimate(replace(run, basis=BasisSpec("bspline", 1, 41, order=1), m=3),
+                      10**6, 10**6)
+    # order-0 bases take their terms from per-cell sums, which the plan
+    # admits at the rule's m: Haar at a power-of-two k, a B-spline at the rule's k
     assert default_tuning(10**6, "ac", 1, "haar") == (4096, 6)
+    assert default_tuning(10**6, "ac", 1, "bspline") == (5239, 6)
     # a run that fits at no size gets the smallest, which its plan refuses
     assert default_tuning(10**9, "emp") == (1, 2)
     with pytest.raises(ValidationError, match="the cell route at k=1, m=2 plans a peak"):
         plan_estimate(EstimatorConfig(basis=BasisSpec("haar", 1, 1)), 10**9, 10**9)
 
 
-@pytest.mark.parametrize("cfg", [
+def _dense_ac(k: int, **kw) -> EstimatorConfig:
+    return EstimatorConfig(basis=BasisSpec("bspline", 1, k, order=1), variant="ac", **kw)
+
+
+@pytest.mark.parametrize("cfg,n", [
     # candidates of 128, 256 and 512 B-spline functions: about 220 MB traced,
-    # where the parent planned 1.76 MB and counted no candidate design
-    EstimatorConfig(basis=BasisSpec("bspline", 1, 4, order=1), nuisance_k_grid=(128, 256, 512)),
-    EstimatorConfig(basis=BasisSpec("bspline", 2, 8, order=2), m=3, variant="ac"),
-    EstimatorConfig(functional="ate", basis=BasisSpec("haar", 2, 8), m=4, variant="ac",
-                    nuisance_k_grid=(1, 4, 16, 64, 256)),
-    EstimatorConfig(basis=BasisSpec("haar", 1, 64), m=6, cross_fit=True,
-                    nuisance_k_grid=(1, 2, 4, 8, 16, 32, 64)),
-], ids=["candidates", "bspline ac", "haar ac ate", "haar cross-fit"])
-def test_traced_peak_within_the_run_plan(cfg):
+    # where a plan that counted no candidate design read 1.76 MB
+    (EstimatorConfig(basis=BasisSpec("bspline", 1, 4, order=1),
+                     nuisance_k_grid=(128, 256, 512)), 40000),
+    (EstimatorConfig(basis=BasisSpec("bspline", 2, 8, order=2), m=3, variant="ac"), 40000),
+    (EstimatorConfig(functional="ate", basis=BasisSpec("haar", 2, 8), m=4, variant="ac",
+                     nuisance_k_grid=(1, 4, 16, 64, 256)), 40000),
+    (EstimatorConfig(basis=BasisSpec("haar", 1, 64), m=6, cross_fit=True,
+                     nuisance_k_grid=(1, 2, 4, 8, 16, 32, 64)), 40000),
+    # the summing half of a dense run: while its terms are summed it holds
+    # the Gram, eigh's vectors, their scaled copy and the inverse, then the
+    # inverse, np.allclose's two temporaries and mask, then the Cholesky
+    # factor.  The traced peak passed a plan that counted the Gram and one
+    # more k x k array 1.19 and 1.15 times at k = 1024 and 2048, and 2.4
+    # times with two arms and two folds, each of which keeps a Gram and its
+    # inverse
+    (_dense_ac(1024), 2000),
+    (_dense_ac(2048), 2000),
+    (_dense_ac(512, functional="ate", cross_fit=True), 2000),
+], ids=["candidates", "bspline ac", "haar ac ate", "haar cross-fit", "bspline ac k1024",
+        "bspline ac k2048", "bspline ac ate cross-fit"])
+def test_traced_peak_within_the_run_plan(cfg, n):
     # the plan estimate_split checks bounds every array it builds, from the
-    # nuisance fit to the correction terms, on 40000 records
-    rng, n = np.random.default_rng(4), 40000
+    # nuisance fit to the correction terms, on n records
+    rng = np.random.default_rng(4)
 
     def split(n):
         a = (rng.random(n) < 0.6).astype(float)
@@ -270,10 +291,11 @@ def test_traced_peak_within_the_run_plan(cfg):
 
 
 def test_million_record_bspline_run_is_refused_on_its_rows():
-    # untuned, k = 196 on 5 * 10^5 estimation records: the whitened rows
-    # (design, whitening, norms and per-record values) are the largest group
-    run = EstimatorConfig(basis=BasisSpec("bspline", 1, 196), m=2)
-    with pytest.raises(ValidationError, match="k=196, m=2 plans a peak of 2396883080 bytes, over "
+    # untuned, order 1 and k = 196 on 5 * 10^5 estimation records: the
+    # whitened rows (design, whitening, norms and per-record values) are the
+    # largest group
+    run = EstimatorConfig(basis=BasisSpec("bspline", 1, 196, order=1), m=2)
+    with pytest.raises(ValidationError, match="k=196, m=2 plans a peak of 2397536152 bytes, over "
                                               "the cap of 1073741824; its largest group, the "
                                               "whitened estimation rows, takes 1604000000 bytes"):
         plan_estimate(run, 5 * 10**5, 5 * 10**5)
@@ -681,6 +703,39 @@ def test_haar_ac_terms_match_long_double(monkeypatch, data, cfg, bound):
     assert rep.per_order == cell_terms(inputs, cfg.m)
     for fast, ref in zip(rep.per_order, longdouble_cell_terms(inputs, cfg.m), strict=True):
         assert abs(fast - ref) <= bound * abs(ref)
+
+
+# IF22..IF44 of an order-0 B-spline at q = 14 (k = 196), emp, on est-k64-m4's
+# input, from the tensor route, which every order-0 B-spline took until the
+# cell route served any q; m = 5 planned 47.5 GB of block tensors there
+TENSOR_ROUTE_Q14_M4 = (-0.005042421080357253, 0.00038225888249255463, -0.0014906246482803906)
+
+
+def _est_k64_m4_input(tmp_path) -> Dataset:
+    """The input of perfbench's est-k64-m4 workload: 20000 records of seed 0."""
+    path = Path(__file__).parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    inputs.write_csv(tmp_path / "input.csv", 20_000, 0)
+    return dataset_from_csv(tmp_path / "input.csv")
+
+
+def test_order0_bspline_at_q14_takes_the_cell_route(monkeypatch, tmp_path):
+    # at a q no Haar basis has, the cell route's m = 4 terms match the tensor
+    # route's within 1e-13 relative (worst 6.8e-15: the terms and the
+    # nuisance fits' per-cell means move at rounding); it runs m = 5 and
+    # matches the long-double cell oracle within 1e-12 (worst seen: 3.1e-15)
+    data = _est_k64_m4_input(tmp_path)
+    recorded = _recorded_cell_terms(monkeypatch)
+    cfg = EstimatorConfig(basis=BasisSpec("bspline", 2, 14), m=5)
+    four = estimate(data, replace(cfg, m=4))
+    for fast, want in zip(four.per_order, TENSOR_ROUTE_Q14_M4, strict=True):
+        assert abs(fast - want) <= 1e-13 * abs(want)
+    five = estimate(data, cfg)
+    assert five.per_order[:3] == four.per_order
+    for fast, ref in zip(five.per_order, longdouble_cell_terms(recorded[-1], 5), strict=True):
+        assert abs(fast - ref) <= 1e-12 * abs(ref)
 
 
 @pytest.mark.parametrize("functional", ["mar_mean", "ate", "ecc"])

@@ -114,10 +114,29 @@ def test_quadrature_gram_linear_density():
 
 
 def test_quadrature_gram_haar2_linear_density():
-    # closed-form: Omega = [[1, -1/2], [-1/2, 1]] for g(x)=2x
+    # closed-form: the rows are sqrt(2) times the indicators of the halves,
+    # so Omega = diag(2 * 1/4, 2 * 3/4) for g(x)=2x
     basis = build_basis(BasisSpec("haar", 1, 2))
     gram = quadrature_gram(basis, lambda x: 2.0 * x[:, 0], QUAD)
-    np.testing.assert_allclose(gram.entries, [[1.0, -0.5], [-0.5, 1.0]], atol=1e-12)
+    np.testing.assert_allclose(gram.entries, [[0.5, 0.0], [0.0, 1.5]], atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [196, 343, 1000, 64])
+def test_cell_gram_holds_its_masses_within_one_ulp(k):
+    # a cell Gram holds k * m, and the cell route reads entries / k as the
+    # masses m: at any k that is m to within one ulp, and at a power-of-two
+    # k exactly.  At k = 196, 24 of the 196 masses came back one ulp off on
+    # one draw
+    basis = BasisSpec("bspline", 1, k)
+    rng = np.random.default_rng(k)
+    for _ in range(20):
+        n = 20 * k
+        cells, w = rng.integers(0, k, n), rng.random(n)
+        mass = np.bincount(cells, w, k) / n
+        back = weighted_gram(basis, cells, w, "empirical").entries / k
+        assert np.all(np.abs(back - mass) <= np.spacing(mass))
+        if k & (k - 1) == 0:
+            assert np.array_equal(back, mass)
 
 
 def test_fine_basis_needs_a_fine_enough_grid():

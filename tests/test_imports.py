@@ -441,14 +441,18 @@ def test_only_functionals_calls_the_evaluators():
 
 
 def test_haar_estimate_loads_no_scipy(tmp_path):
-    # scipy serves only B-spline bases; a Haar run must not pay its import
+    # scipy serves only B-splines of order >= 1; a Haar run, and an order-0
+    # B-spline run at a q no Haar basis has under emp and ac, must not pay
+    # its import
     fixture = Path(__file__).resolve().parent / "fixtures" / "golden_data.csv"
+    order0 = "'--set', 'basis.family=bspline', '--set', 'basis.per_dim_size=14'"
     script = (
         "import sys\n"
         "from hoif.cli import main\n"
-        f"rc = main(['estimate', '--input', {str(fixture)!r}, '--out', {str(tmp_path)!r},"
-        " '--set', 'm=3'])\n"
-        "assert rc == 0, rc\n"
+        f"for extra in ([], [{order0}], [{order0}, '--set', 'variant=ac']):\n"
+        f"    rc = main(['estimate', '--input', {str(fixture)!r}, '--out', {str(tmp_path)!r},"
+        " '--set', 'm=3', *extra])\n"
+        "    assert rc == 0, rc\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}

@@ -485,14 +485,14 @@ def test_run_study_builds_each_basis_once(monkeypatch):
     from hoif import basis
 
     certified = []
-    original = basis._haar_univariate
+    original = basis._axis_cells  # the cell evaluator of every order-0 row and cell
 
     def spy(q, xs):
         if xs.shape[0] == basis.CERT_GRID_PER_DIM:
             certified.append(q)
         return original(q, xs)
 
-    monkeypatch.setattr(basis, "_haar_univariate", spy)
+    monkeypatch.setattr(basis, "_axis_cells", spy)
     cfg = EstimatorConfig(basis=BasisSpec("haar", 2, 4), m=2,
                           nuisance_k_grid=(1, 2, 4), nuisance_folds=2)
     run_study(SCENARIOS["s2-smooth-d2"], cfg, reps=3, seed=3, n=200)

@@ -349,34 +349,39 @@ def test_haar_rows_match_long_double(n, k, m, bound):
         assert abs(fast - ref) <= bound * abs(ref)
 
 
-def haar_cell_inputs(rng, n, k):
-    # two-dimensional Haar at k = q^2: the estimation records' cells and a
+def cell_inputs(rng, n, basis):
+    # a two-dimensional order-0 basis: the estimation records' cells and a
     # training draw's cell masses, and the same data as tensor-route inputs,
-    # the basis rows of those cells and the inverse of the Gram of the masses
-    basis = build_basis(BasisSpec("haar", 2, int(round(np.sqrt(k)))))
-    cells = basis.cells(rng.random((n, 2)))
+    # the basis's own rows at the records and the inverse of the Gram of the
+    # masses
+    x, k = rng.random((n, 2)), basis.k
     mass = np.bincount(basis.cells(rng.random((n, 2))), rng.random(n), k) / n
     rows = node_rows(basis, QuadratureSpec(basis.per_dim_size))[2]
     inverse = invert_checked(GramMatrix((rows.T * mass) @ rows, "empirical", n)).inverse
     eps_p, eps_b, abs_h1 = rng.normal(size=n), rng.normal(size=n), rng.random(n)
-    return (CellInputs(eps_p, eps_b, abs_h1, cells, mass, False),
-            ChainInputs(eps_p, eps_b, abs_h1, rows[cells], inverse, False))
+    return (CellInputs(eps_p, eps_b, abs_h1, basis.cells(x), mass, False),
+            ChainInputs(eps_p, eps_b, abs_h1, basis.evaluate_many(x), inverse, False))
 
 
-@pytest.mark.parametrize("n,k,m,bound", [(10_000, 64, 5, 1e-11), (2000, 16, 6, 1e-10)])
-def test_cell_terms_match_the_tensor_route_and_long_double(n, k, m, bound):
+@pytest.mark.parametrize("n,basis,m,bound", [
+    (10_000, BasisSpec("haar", 2, 8), 5, 1e-11),
+    (2000, BasisSpec("haar", 2, 4), 6, 1e-10),
+    (2000, BasisSpec("bspline", 2, 7), 4, 1e-12),
+], ids=["10000-64-5-1e-11", "2000-16-6-1e-10", "2000-49-4-1e-12"])  # n-k-m-bound
+def test_cell_terms_match_the_tensor_route_and_long_double(n, basis, m, bound):
     # per order, relative: cell_terms against correction_terms on the same
-    # Haar data, and against long double, partition by partition
+    # data, and against long double, partition by partition
     # (longdouble_cell_terms) and, where its k^(m-1) tensors are small, the
     # tensor route's (longdouble_terms).  Each bound is ten times or more the
     # worst error seen on four draws of this shape (9.3e-13 against long
     # double and 1.0e-12 against the tensor route at m=5; 6.2e-12 and 9.8e-12
-    # at m=6, where the tensor route itself is 3.6e-12 from long double):
-    # the binomial recombination of the chain sums cancels more at each order
-    cell, chain = haar_cell_inputs(np.random.default_rng(43), n, k)
+    # at m=6, where the tensor route itself is 3.6e-12 from long double;
+    # 2.1e-14 for the order-0 B-spline at q = 7, a q no Haar basis has): the
+    # binomial recombination of the chain sums cancels more at each order
+    cell, chain = cell_inputs(np.random.default_rng(43), n, basis)
     terms = cell_terms(cell, m)
     refs = [correction_terms(chain, m), longdouble_cell_terms(cell, m)]
-    if k ** (m - 1) <= 16**5:
+    if basis.k ** (m - 1) <= 16**5:
         refs.append(longdouble_terms(chain, m))
     for ref in refs:
         for fast, want in zip(terms, ref, strict=True):
