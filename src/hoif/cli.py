@@ -280,6 +280,8 @@ def cmd_basis_inspect(args) -> int:
     basis = run.basis
     gram = population_gram(basis, lambda x: np.ones(x.shape[0]), basis_quadrature(basis))
     rep = invert_checked(gram)
+    if args.gram_out:  # its dense view is planned and written before any line is printed
+        save_gram(gram, args.gram_out)
     print("basis             :", *(f"--set {k}={v}" for k, v in render_config(run).items()
                                    if k in _READS["basis-inspect"]))
     print(f"k                 : {basis.k}")
@@ -287,7 +289,6 @@ def cmd_basis_inspect(args) -> int:
     print(f"uniform Gram eig  : [{rep.eig_min:.10g}, {rep.eig_max:.10g}]")
     print(f"condition number  : {rep.condition_number:.10g}")
     if args.gram_out:
-        save_gram(gram, args.gram_out)
         print(f"gram written      : {args.gram_out}")
     return EXIT_OK
 

@@ -88,7 +88,7 @@ class EstimateReport:
     variance_est: float
     ci_low: float
     ci_high: float
-    gram_diag: InverseReport | None  # fold 0, first arm; None when m = 1
+    gram_diag: InverseReport | None  # fold 0, first arm, its inverse dropped; None when m = 1
     zero_convention_applied: bool
     n_est: int
     n_tr: int
@@ -169,7 +169,7 @@ def plan_estimate(cfg: EstimatorConfig, n_est: int, n_tr: int, fitted: bool = Tr
     nodes = basis_quadrature(basis).nodes_per_dim ** basis.d if grid else 0
     return run_plan(basis.k, basis.d, cfg.m, n_est, n_tr if cfg.variant == "emp" else nodes,
                     grid, n_tr, candidates, basis.cellwise,
-                    len(fn.arm_specs(cfg.functional)) * (1 + cfg.cross_fit))
+                    len(fn.arm_specs(cfg.functional)) + 1 + cfg.cross_fit)
 
 
 def default_tuning(n: int, variant: str, dimension: int = 1, family: str = "haar",
@@ -250,7 +250,8 @@ def _training_fits(specs: tuple[FunctionalSpec, ...], weights: tuple[np.ndarray,
 def _run_fold(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSet] | None,
               est: Dataset, training: Dataset, cfg: EstimatorConfig) -> list[tuple]:
     """Every arm on one fold: IF1 summands, IFjj terms for j = 2..m (None under
-    the zero convention) and the Gram report (None when m = 1)."""
+    the zero convention) and, for the first arm, the Gram report with its
+    inverse dropped once the terms are summed (None when m = 1)."""
     est_weights, weights = zip(*[(spec.abs_h1(est), spec.abs_h1(training)) for spec in specs])
     nuisances, grams = _training_fits(specs, weights, nuisances, training, cfg)
     basis = cfg.basis
@@ -263,16 +264,16 @@ def _run_fold(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSet] | 
             continue
         diag = invert_checked(gram, cfg.eigen_floor)
         terms = None
-        if diag.invertible:
-            if basis.cellwise:
-                terms = cell_terms(CellInputs(
-                    eps_p=eps_p, eps_b=eps_b, abs_h1=abs_h1, cells=rows,
-                    mass=gram.entries / basis.k, sign_flag=spec.sign_flag), cfg.m)
-            else:
-                terms = correction_terms(ChainInputs(
-                    eps_p=eps_p, eps_b=eps_b, abs_h1=abs_h1, zmat=rows,
-                    omega_inv=diag.inverse, sign_flag=spec.sign_flag), cfg.m)
-        runs.append((if1, terms, diag))
+        if diag.invertible and basis.cellwise:
+            terms = cell_terms(CellInputs(
+                eps_p=eps_p, eps_b=eps_b, abs_h1=abs_h1, cells=rows,
+                mass=gram.entries / basis.k, sign_flag=spec.sign_flag), cfg.m)
+        elif diag.invertible:
+            terms = correction_terms(ChainInputs(
+                eps_p=eps_p, eps_b=eps_b, abs_h1=abs_h1, zmat=rows,
+                omega_inv=diag.inverse, sign_flag=spec.sign_flag), cfg.m)
+        diag = replace(diag, inverse=None)  # freed before the next arm's inversion
+        runs.append((if1, terms, None if runs else diag))
     return runs
 
 

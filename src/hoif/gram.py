@@ -7,9 +7,9 @@ nodes of a midpoint grid with w a density, the quadrature Gram of the true
 weighted density g (``population_gram``) or of an estimate of it (the
 density-based comparison path).  A design (``BasisSpec.design``) is the
 basis's (n, k) rows, or for a cellwise (order-0) basis each point's cell: its
-cell rows B are sqrt(k) times the identity, so B^T diag(m_c) B is diagonal
-with the eigenvalues k m_c, and a cell design's Gram holds those alone, m_c
-the per-cell sum of w / n.
+cell rows B are sqrt(k) times the identity, so B^T diag(m_c) B is the
+diagonal matrix of k m_c, and a cell design's Gram holds that diagonal
+alone, m_c the per-cell sum of w / n.
 Every Gram's working set is planned (``ustat.run_plan``) before it is built.
 """
 
@@ -35,10 +35,9 @@ _MAGIC = b"HOIFGRAM"
 
 @dataclass(frozen=True)
 class GramMatrix:
-    entries: np.ndarray  # (k, k) symmetric; with ``basis``, the (k,) eigenvalues
+    entries: np.ndarray  # (k, k) symmetric; of a cell Gram, its (k,) diagonal
     source: str  # "empirical" | "quadrature"
     n_used: int
-    basis: BasisSpec | None = None  # a cellwise basis, when ``entries`` are its eigenvalues
 
     @property
     def k(self) -> int:
@@ -63,12 +62,12 @@ def weighted_gram(basis: BasisSpec, design: np.ndarray, weights: np.ndarray,
                   source: str) -> GramMatrix:
     """(1/n) sum_i w_i z_i z_i^T over the n points of ``design``
     (``BasisSpec.design``): the dense matrix for a design of (n, k) rows; for
-    a design of cells, B^T diag(m) B held as its eigenvalues k * m, m the
-    per-cell sums over n and B the cell rows (``_dense``): entries / k is m
-    to within one ulp, and exactly m when k is a power of two."""
+    a design of cells, the diagonal k * m of B^T diag(m) B, m the per-cell
+    sums over n and B the cell rows: entries / k is m to within one ulp, and
+    exactly m when k is a power of two."""
     n = design.shape[0]
     if design.ndim == 1:
-        return GramMatrix(basis.k * (np.bincount(design, weights, basis.k) / n), source, n, basis)
+        return GramMatrix(basis.k * (np.bincount(design, weights, basis.k) / n), source, n)
     return _finish((design * weights[:, None]).T @ design / n, source, n)
 
 
@@ -79,13 +78,12 @@ def empirical_gram(basis: BasisSpec, training: Dataset, spec: FunctionalSpec) ->
 
 
 def _dense(m: GramMatrix) -> np.ndarray:
-    """The (k, k) matrix of ``m``; a cell Gram's is the Gram of its cell rows
-    weighted by its eigenvalues, the rows at the cell centres (the q per axis
-    nodes), which are bit for bit the basis all over their cells."""
-    if m.basis is None:
+    """The (k, k) matrix of ``m``; a cell Gram's is the diagonal matrix of its
+    entries, planned (``ustat.run_plan``) as the one k x k array it is."""
+    if m.entries.ndim == 2:
         return m.entries
-    rows = node_rows(m.basis, QuadratureSpec(m.basis.per_dim_size))[2]
-    return weighted_gram(m.basis, rows, m.entries, m.source).entries
+    run_plan(m.k, cells=True, dense=True)
+    return np.diag(m.entries)
 
 
 def _grid(basis: BasisSpec, quad: QuadratureSpec, cells: bool = False) -> tuple:
@@ -129,19 +127,16 @@ def invert_checked(m: GramMatrix, eigen_floor: float = DEFAULT_EIGEN_FLOOR) -> I
     The matrix counts as non-invertible when its smallest eigenvalue falls
     at or below ``eigen_floor`` relative to the largest eigenvalue.  The
     verdict is a value, not an error: the estimator convention maps it to
-    a zero estimate.  A cell Gram is judged on the eigenvalues it holds (an
-    empty cell's 0 fails every floor) and has no inverse: ``cell_terms``
+    a zero estimate.  A cell Gram is judged on its diagonal, its eigenvalues
+    (an empty cell's 0 fails every floor), and has no inverse: ``cell_terms``
     reads its masses.
     """
-    if m.basis is None:
-        eigvals, eigvecs = np.linalg.eigh(m.entries)
-    else:
-        eigvals = np.sort(m.entries)
-    eig_min, eig_max = float(eigvals[0]), float(eigvals[-1])
+    eigvals, eigvecs = np.linalg.eigh(m.entries) if m.entries.ndim == 2 else (m.entries, None)
+    eig_min, eig_max = float(eigvals.min()), float(eigvals.max())
     floor = eigen_floor * max(eig_max, 0.0)
     invertible = not (eig_min <= floor or eig_max <= 0.0)
     inverse = None
-    if invertible and m.basis is None:
+    if invertible and eigvecs is not None:
         inv = (eigvecs / eigvals) @ eigvecs.T
         inverse = 0.5 * (inv + inv.T)
     return InverseReport(
@@ -156,13 +151,12 @@ def invert_checked(m: GramMatrix, eigen_floor: float = DEFAULT_EIGEN_FLOOR) -> I
 
 def op_norm_distance(amat: GramMatrix, bmat: GramMatrix) -> float:
     """Operator-norm distance between two symmetric matrices; between two
-    cell Grams of one basis, which share eigenvectors, of their eigenvalues."""
+    cell Grams, diagonal matrices, the largest difference of their entries."""
     if amat.k != bmat.k:
         raise ValueError("shape mismatch")
-    if amat.basis is not None and amat.basis == bmat.basis:
+    if amat.entries.ndim == bmat.entries.ndim == 1:
         return float(np.max(np.abs(amat.entries - bmat.entries)))
-    eigs = np.linalg.eigvalsh(_dense(amat) - _dense(bmat))
-    return float(max(abs(eigs[0]), abs(eigs[-1])))
+    return float(np.max(np.abs(np.linalg.eigvalsh(_dense(amat) - _dense(bmat)))))
 
 
 def projection_coefficients(basis: BasisSpec, m_inv: np.ndarray, g, h,
@@ -214,11 +208,13 @@ def truncation_bias(basis: BasisSpec, g, b_err, p_err, quad: QuadratureSpec,
 
 def save_gram(m: GramMatrix, path):
     """Flat binary dump: 16-byte header (magic, k, source tag), then
-    little-endian float64 entries in row-major order."""
+    little-endian float64 entries in row-major order; a cell Gram's dense view
+    (``_dense``) is planned and built before the file is opened."""
+    view = np.ascontiguousarray(_dense(m), dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", m.k, _SOURCE_TAGS[m.source]))
-        fh.write(np.ascontiguousarray(_dense(m), dtype="<f8").tobytes())
+        view.tofile(fh)
         fh.write(struct.pack("<q", m.n_used))
 
 

@@ -25,10 +25,10 @@ rank serves them all: a single Khatri-Rao factor over the sorted index
 tuples of r-1 axes, C(k+r-2, r-1) columns instead of k^(r-1).
 
 Cell route (``cell_terms``): when the basis spans the indicators of k
-cells, as every order-0 basis does, its Gram is B^T diag(m_c) B with B the
-square, invertible matrix of its rows at the cells and m_c each cell's
-mass (the training mass under ``emp``, the integral of the density
-estimate under ``ac``), so the kernel z_i M z_j is 1[c_i = c_j] / m_c,
+cells, as every order-0 basis does, its rows at the cells are sqrt(k)
+times the identity, so its Gram is the diagonal matrix of k m_c, m_c each
+cell's mass (the training mass under ``emp``, the integral of the density
+estimate under ``ac``), and the kernel z_i M z_j is 1[c_i = c_j] / m_c,
 every chain stays in one cell and each chain sum is a sum over cells of
 in-cell weight sums, with the same Moebius coefficients and binomial
 recombination: no Cholesky factor, tensor or einsum, and no k x k array.
@@ -261,7 +261,7 @@ class RunPlan:
 
 def run_plan(k: int, d: int = 1, m: int = 2, n_est: int = 0, design: int = 0,
              grid: bool = False, n_tr: int = 0, candidates: tuple = (),
-             cells: bool = False, grams: int = 1) -> RunPlan:
+             cells: bool = False, grams: int = 2, dense: bool = False) -> RunPlan:
     """The plan of a run at basis size k in d dimensions; a ValidationError
     naming its peak and largest group if the peak passes ``PLAN_BYTES_MAX``.
     While fitting, a run holds the candidate designs of sizes ``candidates``
@@ -269,21 +269,22 @@ def run_plan(k: int, d: int = 1, m: int = 2, n_est: int = 0, design: int = 0,
     or ``grid`` nodes and the Grams; then the Grams, an inversion, the rows of
     n_est records and the block tensors; at m = 1 no Gram.  A design point
     holds its row, a weighted copy, its coordinates, cell and weight; on the
-    cell route (``cells``) its cell, or at a node 3d + 1 doubles.  On the
-    tensor route each of the ``grams`` Grams (arms times folds) is kept with
-    its inverse, and an inversion holds two more k x k arrays and a mask."""
+    cell route (``cells``) its cell, or at a node 3d + 1 doubles, and a
+    ``dense`` view of the cell Gram is one k x k array.  The tensor route's
+    Grams are ``grams`` k x k arrays (arms + folds: the fold's Grams, one kept
+    per earlier fold, the inverse in use) and an inversion two more and a mask."""
     gram = m > 1
     if cells:
         fit = len(candidates) + CELL_FIT_VECTORS if candidates else 0
-        square, inversion, row, tensors = CELL_VECTORS * k, 0, 1, 0
+        square, inversion, row, tensors = CELL_VECTORS * k + dense * k * k, 0, 1, 0
         point = 3 * d + 1 if grid else 1
     else:
         fit = sum(candidates) + 2 * max(candidates) if candidates else 0
-        square, inversion = 2 * grams * k * k, -(-17 * k * k // 8)  # 2 k x k doubles, a mask
+        square, inversion = grams * k * k, -(-17 * k * k // 8)  # 2 k x k doubles, a mask
         point, row = 2 * k + d + 2, 2 * k + 1  # rows: design, whitened, norms
         tensors = order_plan(n_est, k, m)[2] if gram and n_est else 0
     names = ("candidate designs", "node grid" if grid else "training design",
-             "cell Gram" if cells else "Grams and their inverses", "inversion",
+             "cell Gram" if cells else "Grams and an inverse", "inversion",
              "estimation cells" if cells else "whitened estimation rows", "block tensors")
     sizes = (n_tr * fit, design * point * gram, square * gram, inversion * gram,
              n_est * (row + RECORD_VECTORS) * gram)

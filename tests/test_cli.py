@@ -746,6 +746,23 @@ def test_basis_inspect_reads_a_haar_basis_from_its_cells(monkeypatch, capsys):
     assert "uniform Gram eig  : [1, 1]\n" in out
 
 
+def test_basis_inspect_refuses_an_over_cap_dense_view_before_printing(tmp_path, monkeypatch,
+                                                                       capsys):
+    # a Haar Gram at k = 64 is written as its dense view, one k x k array
+    # beside the cell Gram's 32 arrays of k doubles: 8 * (64**2 + 32 * 64) =
+    # 49152 bytes, one over a lowered cap, refused before any line or file
+    # is written; the report alone still runs under that cap
+    monkeypatch.setattr(ustat, "PLAN_BYTES_MAX", 49151)
+    gram_path = tmp_path / "g.bin"
+    haar = ["basis-inspect", "--set", "basis.per_dim_size=64"]
+    assert main([*haar, "--gram-out", str(gram_path)]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and not gram_path.exists()
+    assert err == ("error: the cell route at k=64 plans a peak of 49152 bytes, over the cap of "
+                   "49151; its largest group, the cell Gram, takes 49152 bytes\n")
+    assert main(haar) == 0
+
+
 def test_cmd_basis_inspect(tmp_path, capsys):
     gram_path = tmp_path / "g.bin"
     rc = main(["basis-inspect", "--set", "basis.per_dim_size=8",

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hoif import estimator
+from hoif import estimator, functionals
 from hoif.basis import Basis, BasisSpec, build_basis
 from hoif.data import Dataset, ValidationError, dataset_from_csv, table_csv
 from hoif.estimator import (
@@ -260,14 +260,19 @@ def _dense_ac(k: int, **kw) -> EstimatorConfig:
     # the Gram, eigh's vectors, their scaled copy and the inverse, then the
     # inverse, np.allclose's two temporaries and mask, then the Cholesky
     # factor.  The traced peak passed a plan that counted the Gram and one
-    # more k x k array 1.19 and 1.15 times at k = 1024 and 2048, and 2.4
-    # times with two arms and two folds, each of which keeps a Gram and its
-    # inverse
+    # more k x k array 1.19 and 1.15 times at k = 1024 and 2048.  With two
+    # arms or two folds it holds the fold's Grams, one Gram kept from each
+    # earlier fold and the inverse in use: a two-arm cross-fit traced
+    # 100.2 MB at k = 1024 while every arm and fold kept its Gram and inverse
     (_dense_ac(1024), 2000),
     (_dense_ac(2048), 2000),
     (_dense_ac(512, functional="ate", cross_fit=True), 2000),
+    (_dense_ac(1024, functional="ate"), 2000),
+    (_dense_ac(1024, cross_fit=True), 2000),
+    (_dense_ac(1024, functional="ate", cross_fit=True), 2000),
 ], ids=["candidates", "bspline ac", "haar ac ate", "haar cross-fit", "bspline ac k1024",
-        "bspline ac k2048", "bspline ac ate cross-fit"])
+        "bspline ac k2048", "bspline ac ate cross-fit", "bspline ac ate k1024",
+        "bspline ac cross-fit k1024", "bspline ac ate cross-fit k1024"])
 def test_traced_peak_within_the_run_plan(cfg, n):
     # the plan estimate_split checks bounds every array it builds, from the
     # nuisance fit to the correction terms, on n records
@@ -429,11 +434,30 @@ def test_reference_gram_distance_reported():
     cfg = EstimatorConfig(basis=basis, m=2, seed=7)
     rep = estimate(data, cfg)
     gram = rep.gram_diag.gram
-    assert (gram.source, gram.k, gram.n_used, gram.basis) == ("empirical", 4, rep.n_tr, basis)
+    assert (gram.source, gram.k, gram.n_used) == ("empirical", 4, rep.n_tr)
     assert gram.entries.shape == (4,) and rep.gram_diag.inverse is None  # k * the cell masses
     again = invert_checked(gram)
     assert (again.eig_min, again.eig_max) == (rep.gram_diag.eig_min, rep.gram_diag.eig_max)
     assert 0.0 < op_norm_distance(gram, ref) < 1.0
+
+
+def test_cross_fitted_ate_reports_fold_0_first_arm_gram_without_inverse():
+    # every arm's inverse is dropped once its terms are summed, and each fold
+    # keeps its first arm's report alone: the report names fold 0's first-arm
+    # Gram bit for bit, with the verdict and eigen range of a run that kept
+    # every arm's and fold's inverse
+    cfg = EstimatorConfig(functional="ate", basis=BasisSpec("bspline", 1, 6, order=1), m=3,
+                          seed=4, cross_fit=True)
+    data = generate(SCENARIOS["s4-ate"], 1200, 9)
+    diag = estimate(data, cfg).gram_diag
+    _, training = split_sample(data, cfg.split_fraction, cfg.seed)
+    spec = functionals.arm_specs("ate")[0]
+    want = empirical_gram(cfg.basis, training, spec)
+    assert np.array_equal(diag.gram.entries, want.entries)
+    assert (diag.gram.source, diag.gram.n_used) == ("empirical", training.n)
+    assert diag.invertible and diag.inverse is None
+    assert (diag.eig_min.hex(), diag.eig_max.hex(), diag.condition_number.hex()) == (
+        "0x1.b8300f45e8648p-4", "0x1.8b2fe11af8536p-1", "0x1.cba86a982eaaap+2")
 
 
 def test_estimate_split_fixed_training():
@@ -590,7 +614,7 @@ def test_haar_ac_gram_bit_for_bit(d):
     basis = build_basis(spec)
     g = density_cells(training, basis, mar_mean_spec().abs_h1(training), cfg.sigma_floor)
     assert np.array_equal(gram.entries, basis.k * (g / basis.k))
-    assert (gram.basis, gram.source, gram.n_used) == (basis, "quadrature", basis.k)
+    assert (gram.entries.shape, gram.source, gram.n_used) == ((basis.k,), "quadrature", basis.k)
 
 
 def test_haar_emp_evaluates_the_basis_on_no_record(monkeypatch):

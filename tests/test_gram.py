@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hoif import basis as basis_module
 from hoif import gram as gram_module
 from hoif import quadrature as quadrature_module
 from hoif import ustat
@@ -180,7 +181,7 @@ def test_weighted_gram_of_cells_equals_that_of_rows():
                                  (nodes, 0.5 + nodes[:, 0] * nodes[:, 1], "quadrature")):
         cells = weighted_gram(basis, basis.design(pts), weights, source)
         rows = weighted_gram(basis, basis.evaluate_many(pts), weights, source)
-        assert (cells.basis, rows.basis) == (basis, None)
+        assert (cells.entries.shape, rows.entries.shape) == ((basis.k,), (basis.k, basis.k))
         assert (cells.source, cells.n_used) == (rows.source, rows.n_used) == (source, len(pts))
         assert op_norm_distance(cells, rows) <= 1e-13
 
@@ -190,7 +191,7 @@ def test_population_gram_of_haar_evaluates_no_node(monkeypatch):
     g = lambda x: 0.5 + x[:, 0] * x[:, 1]
     monkeypatch.setattr(Basis, "evaluate_many", lambda self, x: pytest.fail("evaluated"))
     gram = population_gram(basis, g, QUAD)
-    assert (gram.basis, gram.source, gram.n_used) == (basis, "quadrature", 256 ** 2)
+    assert (gram.entries.shape, gram.source, gram.n_used) == ((16,), "quadrature", 256 ** 2)
     # over the cap, the plan refuses before the grid is built
     planned = run_plan(16, 2, design=256**2, grid=True, cells=True).peak
     monkeypatch.setattr(ustat, "PLAN_BYTES_MAX", planned - 1)
@@ -307,17 +308,49 @@ def test_cell_gram_matches_the_dense_path(q):
 @pytest.mark.parametrize("d,q", [(1, 8), (2, 8), (2, 32), (3, 4)])
 def test_dense_view_of_a_cell_gram_bit_for_bit(tmp_path, d, q):
     # the (k, k) matrix of a cell Gram, as op_norm_distance and save_gram read
-    # it, is bit for bit (B^T diag(entries / k) B), symmetrised, B the cell rows
+    # it, is bit for bit the diagonal matrix of its entries: B^T diag(entries / k) B
+    # for its cell rows B = sqrt(k) I, with no rounding of the row product
     basis = build_basis(BasisSpec("haar", d, q))
     rng = np.random.default_rng(q + d)
     n = 20 * basis.k
     gram = weighted_gram(basis, basis.cells(rng.random((n, d))), rng.random(n), "empirical")
-    rows = node_rows(basis, QuadratureSpec(basis.per_dim_size))[2]
-    want = (rows.T * (gram.entries / basis.k)) @ rows
-    want = 0.5 * (want + want.T)
+    want = np.diag(gram.entries)
     assert np.array_equal(gram_module._dense(gram), want)
     save_gram(gram, tmp_path / "gram.bin")
     assert (tmp_path / "gram.bin").read_bytes()[16:-8] == want.astype("<f8").tobytes()
+    assert np.array_equal(load_gram(tmp_path / "gram.bin").entries, want)
+
+
+def test_dense_view_of_a_large_cell_gram_evaluates_nothing(tmp_path, monkeypatch):
+    # at d = 2, q = 64 (k = 4096) the dense view is np.diag of the entries:
+    # save_gram and a mixed op_norm_distance read it with no basis value and
+    # no cell lookup, where the cell rows at the k cell centres and their
+    # k x k product took about 2.9 s and a 402.7 MB traced peak to write 134 MB
+    basis = build_basis(BasisSpec("haar", 2, 64))
+    k, rng = basis.k, np.random.default_rng(64)
+    gram = weighted_gram(basis, basis.cells(rng.random((4 * k, 2))), rng.random(4 * k),
+                         "empirical")
+    monkeypatch.setattr(BasisSpec, "evaluate_many", lambda *a: pytest.fail("evaluated"))
+    monkeypatch.setattr(basis_module, "_axis_cells", lambda *a: pytest.fail("cells found"))
+    tracemalloc.start()
+    try:
+        save_gram(gram, tmp_path / "gram.bin")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 8 * k * k
+    view = np.diag(gram.entries)
+    assert (tmp_path / "gram.bin").read_bytes()[16:-8] == view.astype("<f8").tobytes()
+    del view
+
+    def eigvalsh(a):  # the difference is diagonal: its eigenvalues without an 8 s eigvalsh
+        assert a.shape == (k, k) and np.count_nonzero(a - np.diag(np.diagonal(a))) == 0
+        return np.sort(np.diagonal(a))
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    eye = GramMatrix(np.eye(k), "quadrature", 0)
+    want = float(np.max(np.abs(gram.entries - 1.0)))
+    assert op_norm_distance(gram, eye) == op_norm_distance(eye, gram) == want
 
 
 def test_op_norm_triangle_inequality():
