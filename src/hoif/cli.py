@@ -5,9 +5,9 @@ Configuration is plain-text key=value with dotted namespaces; command-line
 config echo, and every artifact starts with a comment header carrying the
 tool version, the resolved config hash, and the master seed.
 
-Exit codes: 0 success, 2 validation error (bad input or configuration),
-3 zero-convention trigger (the estimate is still written), 4 any other
-error.
+Exit codes: 0 success, 2 validation error (bad input or configuration, or
+an output path that cannot be written), 3 zero-convention trigger (the
+estimate is still written), 4 any other error.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 import hoif
-from hoif.data import ValidationError, dataset_from_csv, read_text, table_csv
+from hoif.data import ValidationError, dataset_from_csv, read_text, table_csv, writing
 from hoif.estimator import EstimatorConfig, default_tuning, estimate, estimation_size
 from hoif.gram import invert_checked, population_gram, save_gram
 from hoif.quadrature import basis_quadrature
@@ -128,9 +128,10 @@ def header_lines(cfg: dict) -> tuple[str, ...]:
 
 
 def write_resolved_config(cfg: dict, out_dir: Path):
-    out_dir.mkdir(parents=True, exist_ok=True)
     lines = [f"# hoif {hoif.__version__}", f"# config-hash {config_hash(cfg)}"]
-    (out_dir / "resolved_config.txt").write_text("\n".join(lines + _config_lines(cfg)) + "\n")
+    with writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "resolved_config.txt").write_text("\n".join(lines + _config_lines(cfg)) + "\n")
 
 
 def _cfg_text(v):
@@ -175,9 +176,10 @@ def cmd_estimate(args) -> int:
     write_resolved_config(echo, out_dir)
     report = estimate(data, run_cfg)
     head = header_lines(echo)
-    (out_dir / "report.csv").write_text(table_csv(report.CSV_COLUMNS, [report.csv_row()], head))
-    (out_dir / "report.txt").write_text("".join(f"# {h}\n" for h in head)
-                                        + report.text_block() + "\n")
+    with writing(out_dir):
+        (out_dir / "report.csv").write_text(table_csv(report.CSV_COLUMNS, [report.csv_row()], head))
+        (out_dir / "report.txt").write_text("".join(f"# {h}\n" for h in head)
+                                            + report.text_block() + "\n")
     print(report.text_block())
     if report.zero_convention_applied:
         return EXIT_ZERO_CONVENTION
@@ -206,8 +208,9 @@ def cmd_simulate(args) -> int:
     result = run_study(scn, run_cfg, reps=reps, seed=run_cfg.seed, n=n,
                        threads=args.threads)
     head = header_lines(echo)
-    (out_dir / "replications.csv").write_text(result.rows_csv(head))
-    (out_dir / "aggregates.csv").write_text(result.aggregates_csv(head))
+    with writing(out_dir):
+        (out_dir / "replications.csv").write_text(result.rows_csv(head))
+        (out_dir / "aggregates.csv").write_text(result.aggregates_csv(head))
     print(f"scenario {scn.id}: psi_true={result.psi_true:.10g} "
           f"reps={reps} n={n} -> {out_dir}")
     return EXIT_OK
@@ -266,7 +269,8 @@ def cmd_report(args) -> int:
                      [{**row, **slopes[(row["scenario"], row["variant"], row["m"])]}
                       for row in all_rows])
     if args.out:
-        Path(args.out).write_text(text)
+        with writing(args.out):
+            Path(args.out).write_text(text)
     print(text, end="")
     return EXIT_OK
 

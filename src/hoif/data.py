@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,15 @@ def read_text(path) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
+@contextmanager
+def writing(path):
+    """An OSError while making or writing the output ``path`` is a ValidationError."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def dataset_from_csv(path, d: int | None = None) -> Dataset:

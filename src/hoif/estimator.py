@@ -158,18 +158,26 @@ def one_step(est_sample: Dataset, spec: FunctionalSpec, nuis: NuisanceSet) -> fl
 
 
 def plan_estimate(cfg: EstimatorConfig, n_est: int, n_tr: int, fitted: bool = True) -> RunPlan:
-    """``run_plan`` of ``cfg`` on n_est estimation and n_tr training records (either in
-    either role when cross-fitted), its nuisances fitted unless ``fitted`` is False."""
+    """The one pre-flight of a run: ``run_plan`` of ``cfg`` on n_est estimation and
+    n_tr training records (either in either role when cross-fitted), nuisances fitted
+    unless ``fitted`` is False, then a refusal of a fold with fewer estimation records
+    than m or, under ``emp`` at m > 1, training records than k (cross-fitted: the fewer)."""
     basis = cfg.basis
+    fold_est, fold_tr = (min(n_est, n_tr),) * 2 if cfg.cross_fit else (n_est, n_tr)
     if cfg.cross_fit:
         n_est = n_tr = max(n_est, n_tr)
     series = fitted and cfg.nuisance_method == "series"
     candidates = tuple(series_bases(n_tr, basis, cfg.nuisance_k_grid)) if series else ()
     grid = cfg.variant == "ac" and not basis.cellwise
     nodes = basis_quadrature(basis).nodes_per_dim ** basis.d if grid else 0
-    return run_plan(basis.k, basis.d, cfg.m, n_est, n_tr if cfg.variant == "emp" else nodes,
-                    grid, n_tr, candidates, basis.cellwise,
-                    len(fn.arm_specs(cfg.functional)) + 1 + cfg.cross_fit)
+    plan = run_plan(basis.k, basis.d, cfg.m, n_est, n_tr if cfg.variant == "emp" else nodes,
+                    grid, n_tr, candidates, basis.cellwise, len(fn.arm_specs(cfg.functional)) + 1)
+    if fold_est < cfg.m:
+        raise ValidationError(f"order m={cfg.m} needs at least {cfg.m} estimation records")
+    if cfg.m > 1 and cfg.variant == "emp" and basis.k > fold_tr:
+        raise ValidationError(f"basis size k={basis.k} exceeds the {fold_tr} training records "
+                              "the empirical Gram is built on; its inverse does not exist")
+    return plan
 
 
 def default_tuning(n: int, variant: str, dimension: int = 1, family: str = "haar",
@@ -248,10 +256,11 @@ def _training_fits(specs: tuple[FunctionalSpec, ...], weights: tuple[np.ndarray,
 
 
 def _run_fold(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSet] | None,
-              est: Dataset, training: Dataset, cfg: EstimatorConfig) -> list[tuple]:
+              est: Dataset, training: Dataset, cfg: EstimatorConfig, report: bool) -> list[tuple]:
     """Every arm on one fold: IF1 summands, IFjj terms for j = 2..m (None under
-    the zero convention) and, for the first arm, the Gram report with its
-    inverse dropped once the terms are summed (None when m = 1)."""
+    the zero convention) and, for the first arm of the ``report`` fold, the Gram
+    report with its inverse dropped once the terms are summed (None otherwise
+    and when m = 1), so another fold's Gram is freed with the fold."""
     est_weights, weights = zip(*[(spec.abs_h1(est), spec.abs_h1(training)) for spec in specs])
     nuisances, grams = _training_fits(specs, weights, nuisances, training, cfg)
     basis = cfg.basis
@@ -273,7 +282,7 @@ def _run_fold(specs: tuple[FunctionalSpec, ...], nuisances: list[NuisanceSet] | 
                 eps_p=eps_p, eps_b=eps_b, abs_h1=abs_h1, zmat=rows,
                 omega_inv=diag.inverse, sign_flag=spec.sign_flag), cfg.m)
         diag = replace(diag, inverse=None)  # freed before the next arm's inversion
-        runs.append((if1, terms, None if runs else diag))
+        runs.append((if1, terms, None if runs or not report else diag))
     return runs
 
 
@@ -291,7 +300,8 @@ def _arm_summary(if1: np.ndarray, terms: list[float]) -> np.ndarray:
 def estimate_split(est: Dataset, training: Dataset, cfg: EstimatorConfig,
                    nuisance_override: NuisanceSet | tuple[NuisanceSet, ...] | None = None
                    ) -> EstimateReport:
-    """Run the pipeline on caller-supplied estimation/training samples.
+    """Run the pipeline on caller-supplied estimation/training samples, once
+    ``plan_estimate`` has passed their plan and record counts.
 
     Each arm's estimate is psi_1 plus its IFjj terms; ``ate`` is arm 1 minus
     arm 0.  ``cfg.cross_fit`` averages over both assignments of the two
@@ -309,15 +319,11 @@ def estimate_split(est: Dataset, training: Dataset, cfg: EstimatorConfig,
             raise ValidationError(
                 f"{cfg.functional} needs {len(specs)} nuisance override(s), "
                 f"got {len(overrides)}")
-    folds = [(est, training), (training, est)] if cfg.cross_fit else [(est, training)]
-    if min(f_est.n for f_est, _ in folds) < cfg.m:
-        raise ValidationError(f"order m={cfg.m} needs at least {cfg.m} estimation records")
-    n_tr = min(f_tr.n for _, f_tr in folds)
-    if cfg.m > 1 and cfg.variant == "emp" and cfg.basis.k > n_tr:
-        raise ValidationError(f"basis size k={cfg.basis.k} exceeds the {n_tr} training records "
-                              "the empirical Gram is built on; its inverse does not exist")
     plan_estimate(cfg, est.n, training.n, overrides is None)  # refused before any fit
-    runs = [_run_fold(specs, overrides, f_est, f_tr, cfg) for f_est, f_tr in folds]
+    # fold 0 (est, training) runs last, so no earlier fold's Gram is held for
+    # its report; the folds are merged in their own order
+    folds = [(training, est), (est, training)] if cfg.cross_fit else [(est, training)]
+    runs = [_run_fold(specs, overrides, *fold, cfg, fold[0] is est) for fold in folds][::-1]
 
     zero = any(terms is None for fold in runs for _, terms, _ in fold)
     if zero:  # the estimate is zero by convention and carries no variance

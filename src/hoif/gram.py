@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hoif.basis import BasisSpec
-from hoif.data import Dataset, ValidationError
+from hoif.data import Dataset, ValidationError, writing
 from hoif.functionals import FunctionalSpec
 from hoif.quadrature import QuadratureSpec
 from hoif.ustat import run_plan
@@ -211,7 +211,7 @@ def save_gram(m: GramMatrix, path):
     little-endian float64 entries in row-major order; a cell Gram's dense view
     (``_dense``) is planned and built before the file is opened."""
     view = np.ascontiguousarray(_dense(m), dtype="<f8")
-    with open(path, "wb") as fh:
+    with writing(path), open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", m.k, _SOURCE_TAGS[m.source]))
         view.tofile(fh)

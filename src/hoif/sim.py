@@ -385,13 +385,6 @@ def _one_rep(scn: ScenarioSpec, cfg: EstimatorConfig, n: int, master: int,
     return row
 
 
-# The running study's replication function.  Forked workers inherit it and
-# take only replication indices from a shared counter, so scenario lambdas
-# and nuisance factories are never pickled; one process forks for one study
-# at a time.
-_study_rep = None
-
-
 def _exit_with_parent():
     """End this worker as soon as the process that forked it has gone, even
     when that process was killed before it could stop it."""
@@ -415,13 +408,14 @@ def _drain(work, counter, reps: int) -> list:
         done.append((rep, work(rep)))
 
 
-def _worker(counter, reps: int, conn):
+def _worker(work, counter, reps: int, conn):
     """A forked worker's body: send this worker's ``_drain`` pairs, or, on an
     error, exhaust the counter so that nobody takes more work and send the
-    exception with its traceback."""
+    exception with its traceback.  ``work`` is the fork's copy of the study's
+    own, so scenario lambdas and nuisance factories are never pickled."""
     _exit_with_parent()
     try:
-        conn.send(_drain(_study_rep, counter, reps))
+        conn.send(_drain(work, counter, reps))
     except Exception as exc:
         import traceback
 
@@ -431,32 +425,24 @@ def _worker(counter, reps: int, conn):
 
 
 def _map_reps(work, reps: int, threads: int):
-    """``[work(r) for r in range(reps)]`` on this process and, at threads >= 2
-    with ``fork``, on ``min(threads - 1, reps)`` workers forked onto its counter."""
-    if threads > 1:
-        import multiprocessing
+    """``[work(r) for r in range(reps)]``: this process and ``min(threads - 1,
+    reps)`` forked workers (none at threads = 1 or without ``fork``) take the
+    replications from one counter, each worker given ``work`` as its argument."""
+    import multiprocessing
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            return _forked_map(work, reps, min(threads - 1, reps),
-                               multiprocessing.get_context("fork"))
-    return [work(rep) for rep in range(reps)]
-
-
-def _forked_map(work, reps: int, workers: int, ctx):
-    global _study_rep
-    _study_rep = work
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if fork else None)
     counter = ctx.Value("q", 0)
-    procs, conns = [], []
+    workers = []
     try:
-        for _ in range(workers):
+        for _ in range(min(threads - 1, reps) if fork else 0):
             recv, send = ctx.Pipe(duplex=False)
-            conns.append(recv)
-            proc = ctx.Process(target=_worker, args=(counter, reps, send))
+            proc = ctx.Process(target=_worker, args=(work, counter, reps, send))
             proc.start()
-            procs.append(proc)
+            workers.append((proc, recv))
             send.close()
         parts = [_drain(work, counter, reps)]
-        for proc, conn in zip(procs, conns):
+        for proc, conn in workers:
             try:
                 part = conn.recv()
             except EOFError:
@@ -467,20 +453,15 @@ def _forked_map(work, reps: int, workers: int, ctx):
                 exc, trace = part
                 raise exc from RuntimeError(f"in a study worker:\n{trace}")
             parts.append(part)
-        rows = [None] * reps
-        for part in parts:
-            for rep, row in part:
-                rows[rep] = row
-        return rows
+        rows = dict(pair for part in parts for pair in part)
+        return [rows[rep] for rep in range(reps)]
     finally:
-        for proc in procs:
+        for proc, _ in workers:
             proc.kill()
-        for proc in procs:
+        for proc, conn in workers:
             proc.join()
             proc.close()
-        for conn in conns:
             conn.close()
-        _study_rep = None
 
 
 def check_study_size(n: int, reps: int, threads: int):
@@ -503,9 +484,9 @@ def run_study(scn: ScenarioSpec, cfg: EstimatorConfig, reps: int, seed: int,
     seed, rep), so two studies with the same scenario, n and seed compare
     their configurations on identical draws.  The target and efficiency
     bound are recorded (``TRUTH``) or, off the registry, integrated first,
-    once the plan all replications share (``plan_estimate``) is under the cap.
-    With ``threads`` >= 2 the study runs on up to that many processes:
-    ``threads - 1`` forked workers and this process take the replications.
+    once the pre-flight all replications share (``plan_estimate``) passes.
+    The study runs on up to ``threads`` processes (``_map_reps``): this
+    one and ``threads - 1`` forked workers take the replications.
     """
     validate_scenario(scn)
     check_study_size(n, reps, threads)
@@ -520,12 +501,10 @@ def run_study(scn: ScenarioSpec, cfg: EstimatorConfig, reps: int, seed: int,
         return _one_rep(scn, cfg, n, seed, rep, nuisance_factory, ref_gram)
 
     rows = _map_reps(work, reps, threads)
-    for row in rows:
-        if not row["error"]:
-            finite = np.isfinite(row["ci_low"]) and np.isfinite(row["ci_high"])
-            row["covered"] = int(row["ci_low"] <= psi <= row["ci_high"]) if finite else ""
-
     ok = [r for r in rows if not r["error"]]
+    for row in ok:
+        finite = np.isfinite(row["ci_low"]) and np.isfinite(row["ci_high"])
+        row["covered"] = int(row["ci_low"] <= psi <= row["ci_high"]) if finite else ""
     errors = [r["error"] for r in rows if r["error"]]
     if len(errors) > 0.05 * len(rows):
         raise ValidationError(f"{len(errors)}/{len(rows)} replications failed, first: {errors[0]}")

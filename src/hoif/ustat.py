@@ -271,8 +271,8 @@ def run_plan(k: int, d: int = 1, m: int = 2, n_est: int = 0, design: int = 0,
     holds its row, a weighted copy, its coordinates, cell and weight; on the
     cell route (``cells``) its cell, or at a node 3d + 1 doubles, and a
     ``dense`` view of the cell Gram is one k x k array.  The tensor route's
-    Grams are ``grams`` k x k arrays (arms + folds: the fold's Grams, one kept
-    per earlier fold, the inverse in use) and an inversion two more and a mask."""
+    Grams are ``grams`` k x k arrays (arms + 1: the fold's Grams, the inverse in
+    use; the reported fold runs last) and an inversion two more and a mask."""
     gram = m > 1
     if cells:
         fit = len(candidates) + CELL_FIT_VECTORS if candidates else 0

@@ -322,7 +322,7 @@ def _tuned(n: int, d: int, variant: str, family: str, order: int) -> EstimatorCo
 
 
 def _split_plan(run: EstimatorConfig, n: int):
-    """The plan estimate_split checks on a split of n records."""
+    """The plan, record counts included, that estimate_split checks on a split of n records."""
     n_est = estimation_size(n, run.split_fraction)
     return estimator.plan_estimate(run, n_est, n - n_est)
 
@@ -345,12 +345,23 @@ def test_every_tuned_order_passes_its_plan(variant):
     # 165 configurations per variant, up to 10^6 records: every tuned run
     # passes the plan estimate_split checks, and every order-0 run takes its
     # terms from cells at the rule's (q, m), Haar's q stepping by powers of
-    # two and a B-spline's by 1
+    # two and a B-spline's by 1.  The exceptions are seven emp B-splines
+    # (n, d, order) whose smallest q, order + 1, already has more functions
+    # than the split leaves training records: no q fits, so the rule gives
+    # them that q and the plan refuses it on its record count
+    refused = {(16, 2, 2), (16, 2, 3), (16, 3, 2), (16, 3, 3), (40, 3, 2), (40, 3, 3),
+               (100, 3, 3)} if variant == "emp" else set()
     for n, d, (family, order) in itertools.product(
             (16, 40, 100, 400, 1000, 2000, 4000, 8000, 10**4, 10**5, 10**6), (1, 2, 3),
             _TUNED_FAMILIES):
         run = _tuned(n, d, variant, family, order)
         assert run.basis.per_dim_size >= order + 1 and 2 <= run.m <= ustat.M_MAX
+        if (n, d, order) in refused:
+            assert run.basis.per_dim_size == order + 1
+            with pytest.raises(ValidationError, match=f"basis size k={run.basis.k} exceeds the "
+                                                      f"{n - estimation_size(n, 0.5)} training"):
+                _split_plan(run, n)
+            continue
         assert _split_plan(run, n).route == ("cell" if order == 0 else "tensor")
         if order == 0:
             assert (run.basis.per_dim_size, run.m) == _cell_rule(n, d, variant, family)
@@ -901,6 +912,15 @@ def test_threads_default_to_one():
      "reps must be >= 2"),
     (["simulate", "--out", "{tmp}/o", "--set", "scenario=s1-smooth-d1", "--set", "n=0"],
      "n must be positive"),
+    # an output path that cannot be written, as an input that cannot be read;
+    # each had exited 4, the last after its estimate had run
+    (["estimate", "--input", "{golden}", "--out", "{five}"], "cannot write {five}: "),
+    (["simulate", "--out", "{five}", "--set", "scenario=s1-smooth-d1", "--set", "n=100",
+      "--set", "reps=2"], "cannot write {five}: "),
+    (["basis-inspect", "--gram-out", "{tmp}"], "cannot write {tmp}: "),
+    (["report", "{agg}", "--out", "{tmp}"], "cannot write {tmp}: "),
+    (["estimate", "--input", "{golden}", "--out", "{tmp}/held"],
+     "cannot write {tmp}/held: [Errno 21] Is a directory: '{tmp}/held/report.csv'"),
 ])
 def test_input_errors_exit_validation(tmp_path, capsys, argv, message):
     five = tmp_path / "five.csv"
@@ -912,9 +932,11 @@ def test_input_errors_exit_validation(tmp_path, capsys, argv, message):
                        ("nan_y", GOLDEN.read_text() + "1,nan,0.5\n"),
                        ("blank", "# hoif 0.1.0\n\n"),
                        ("ragged", "scenario,variant,m\ns,emp,2,4\n"),
-                       ("header", "# hoif 0.1.0\nscenario,variant,m\n")):
+                       ("header", "# hoif 0.1.0\nscenario,variant,m\n"),
+                       ("agg", "scenario,variant,m\ns,emp,2\n")):
         (tmp_path / f"{name}.csv").write_text(text)
         fill[name] = str(tmp_path / f"{name}.csv")
+    (tmp_path / "held" / "report.csv").mkdir(parents=True)
     rc = main([arg.format(**fill) for arg in argv])
     err = capsys.readouterr().err
     assert rc == EXIT_VALIDATION, err

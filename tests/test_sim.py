@@ -278,8 +278,7 @@ def _worker_fault(fault):
     """A replication function under which the forked worker runs ``fault`` on
     the first replication it takes, while the study process holds its own
     first replication until the worker has taken one."""
-    ctx = multiprocessing.get_context("fork")
-    taken, study = ctx.Event(), os.getpid()
+    taken, study = multiprocessing.get_context("fork").Event(), os.getpid()
 
     def work(rep):
         if os.getpid() == study:
@@ -288,7 +287,7 @@ def _worker_fault(fault):
         taken.set()
         fault(rep)
 
-    return work, ctx
+    return work
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
@@ -296,9 +295,9 @@ def test_forked_worker_exception_is_raised_with_its_traceback():
     def fault(rep):
         raise KeyError(f"replication {rep}")
 
-    work, ctx = _worker_fault(fault)
+    work = _worker_fault(fault)
     with pytest.raises(KeyError, match="replication") as raised:
-        sim._forked_map(work, 4, 1, ctx)
+        sim._map_reps(work, 4, 2)
     cause = raised.value.__cause__
     assert isinstance(cause, RuntimeError)
     assert str(cause).startswith("in a study worker:\nTraceback")
@@ -308,10 +307,47 @@ def test_forked_worker_exception_is_raised_with_its_traceback():
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
 def test_forked_worker_that_exits_without_rows_fails_the_map():
-    work, ctx = _worker_fault(lambda rep: os._exit(3))
+    work = _worker_fault(lambda rep: os._exit(3))
     with pytest.raises(RuntimeError, match=r"study worker \d+ exited with code 3 before "
                                            r"sending its rows"):
-        sim._forked_map(work, 4, 1, ctx)
+        sim._map_reps(work, 4, 2)
+    assert_no_child_left()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+def test_map_started_while_another_forks_returns_both_maps_rows(monkeypatch):
+    # a map started from os.fork, while another map forks its worker, runs and
+    # ends before that worker exists; each worker is handed its own map's
+    # function, so the outer worker does not read whatever the inner map left
+    real_fork, started, inner = os.fork, [], []
+
+    def fork():
+        if not started:
+            started.append(1)
+            inner.append(sim._map_reps(lambda rep: -rep, 3, 2))
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    taken, study = multiprocessing.get_context("fork").Event(), os.getpid()
+
+    def work(rep):
+        # the study process holds its first replication until the worker has
+        # run one, so the outer worker always calls its function
+        if os.getpid() == study:
+            taken.wait(30)
+        else:
+            taken.set()
+        return rep
+
+    assert sim._map_reps(work, 4, 2) == [0, 1, 2, 3]
+    assert taken.is_set() and inner == [[0, -1, -2]]
+    assert_no_child_left()
+
+
+def test_map_at_one_thread_forks_nothing(monkeypatch):
+    # threads = 1 drains the same counter in this process alone
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    assert sim._map_reps(lambda rep: rep * rep, 5, 1) == [0, 1, 4, 9, 16]
     assert_no_child_left()
 
 
@@ -419,6 +455,22 @@ def test_over_cap_study_refused_before_truth_gram_or_fork(monkeypatch):
     with pytest.raises(ValidationError, match="the tensor route at k=64, m=6 plans a peak of "
                                               r"\d+ bytes.*the block tensors"):
         run_study(scn, cfg, reps=20, seed=0, n=2000, threads=2)
+    assert forks == []
+
+
+def test_study_too_small_for_its_basis_refused_before_truth_gram_or_fork(monkeypatch):
+    # n = 40 leaves 20 training records for a k = 64 empirical Gram: the
+    # study's plan refuses the record count once, with the estimate's message,
+    # where all 200 replications had failed on it
+    real_fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    for name in ("true_psi", "population_gram", "generate"):
+        monkeypatch.setattr(sim, name, lambda *a, **kw: pytest.fail("built"))
+    scn = replace(SCENARIOS["s2-smooth-d2"], id="s2-copy")  # off the registry: integrated
+    with pytest.raises(ValidationError, match="basis size k=64 exceeds the 20 training records "
+                                              "the empirical Gram is built on"):
+        run_study(scn, EstimatorConfig(basis=BasisSpec("haar", 2, 8)), reps=200, seed=0, n=40,
+                  threads=2)
     assert forks == []
 
 
