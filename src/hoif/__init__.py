@@ -9,7 +9,7 @@ scale.
 
 __version__ = "0.1.0"
 
-from hoif.basis import Basis, BasisSpec, build_basis
+from hoif.basis import BasisSpec, build_basis
 from hoif.functionals import (
     FunctionalSpec,
     ate_spec,
@@ -20,7 +20,6 @@ from hoif.estimator import EstimatorConfig, EstimateReport, estimate
 from hoif.sim import SCENARIOS, generate, true_psi, efficiency_bound, run_study
 
 __all__ = [
-    "Basis",
     "BasisSpec",
     "build_basis",
     "FunctionalSpec",

@@ -11,7 +11,7 @@ Two univariate families are shipped:
 
 d-dimensional bases are tensor products enumerated in row-major order over
 the univariate indices, so serialized coefficient vectors are reproducible.
-One immutable ``BasisSpec`` (also named ``Basis``) both configures and evaluates.
+One immutable ``BasisSpec`` both configures and evaluates.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def _bspline_univariate(q: int, s: int, xs: np.ndarray) -> np.ndarray:
     return BSpline.design_matrix(np.clip(xs, 0.0, 1.0), t, s).toarray() * np.sqrt(q)
 
 
-Basis = BasisSpec  # the basis is its spec: one type under two names
+Basis = BasisSpec  # the name perfbench/tracing.py wraps evaluate_many under
 
 
 def build_basis(spec: BasisSpec) -> BasisSpec:

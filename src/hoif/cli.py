@@ -1,9 +1,9 @@
 """Command-line surface: estimate, simulate, report, basis-inspect.
 
 Configuration is plain-text key=value with dotted namespaces; command-line
-``--set key=value`` entries override the file.  Every run writes a resolved
-config echo, and every artifact starts with a comment header carrying the
-tool version, the resolved config hash, and the master seed.
+``--set key=value`` entries override the file.  A completed run writes a resolved
+config echo and its artifacts, each headed by the tool version, the resolved
+config hash and the master seed; a run refused or failed before that writes nothing.
 
 Exit codes: 0 success, 2 validation error (bad input or configuration, or
 an output path that cannot be written), 3 zero-convention trigger (the
@@ -29,7 +29,7 @@ from hoif.data import ValidationError, dataset_from_csv, read_text, table_csv, w
 from hoif.estimator import EstimatorConfig, default_tuning, estimate, estimation_size
 from hoif.gram import invert_checked, population_gram, save_gram
 from hoif.quadrature import basis_quadrature
-from hoif.sim import SCENARIOS, check_study_size, run_study
+from hoif.sim import SCENARIOS, run_study
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -127,11 +127,14 @@ def header_lines(cfg: dict) -> tuple[str, ...]:
     return f"hoif {hoif.__version__}", f"config-hash {config_hash(cfg)}", f"seed {cfg['seed']}"
 
 
-def write_resolved_config(cfg: dict, out_dir: Path):
+def write_run(cfg: dict, out_dir: Path, artifacts: dict[str, str]):
+    """A run's one write: ``out_dir``, the echo of ``cfg``, then each artifact (name -> text)."""
     lines = [f"# hoif {hoif.__version__}", f"# config-hash {config_hash(cfg)}"]
     with writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "resolved_config.txt").write_text("\n".join(lines + _config_lines(cfg)) + "\n")
+        for name, text in artifacts.items():
+            (out_dir / name).write_text(text)
 
 
 def _cfg_text(v):
@@ -169,17 +172,14 @@ def render_config(run: EstimatorConfig) -> dict:
 
 def cmd_estimate(args) -> int:
     cfg = load_config(args.config, args.set or [], "estimate")
-    out_dir = Path(args.out)
     data = dataset_from_csv(args.input, d=cfg.get("basis.dimension"))
     run_cfg = estimator_config(cfg, data.d, n=data.n)
     echo = {**render_config(run_cfg), "tuning": cfg.get("tuning", "manual")}
-    write_resolved_config(echo, out_dir)
     report = estimate(data, run_cfg)
     head = header_lines(echo)
-    with writing(out_dir):
-        (out_dir / "report.csv").write_text(table_csv(report.CSV_COLUMNS, [report.csv_row()], head))
-        (out_dir / "report.txt").write_text("".join(f"# {h}\n" for h in head)
-                                            + report.text_block() + "\n")
+    write_run(echo, Path(args.out), {
+        "report.csv": table_csv(report.CSV_COLUMNS, [report.csv_row()], head),
+        "report.txt": "".join(f"# {h}\n" for h in head) + report.text_block() + "\n"})
     print(report.text_block())
     if report.zero_convention_applied:
         return EXIT_ZERO_CONVENTION
@@ -193,24 +193,21 @@ def cmd_simulate(args) -> int:
     if scenario not in SCENARIOS:
         raise ValidationError(f"unknown scenario {scenario!r}")
     scn = SCENARIOS[scenario]
-    # the scenario owns these; run_study would run its functional regardless
+    # the scenario owns these: run_study runs its functional whatever cfg sets
     for key, owned in (("functional", scn.functional), ("basis.dimension", scn.d)):
         if cfg.get(key, owned) != owned:
             raise ValidationError(f"{key}={cfg[key]} contradicts scenario {scn.id}, "
                                   f"which sets {key}={owned}")
         cfg[key] = owned
     n, reps = cfg.get("n", 2000), cfg.get("reps", 100)
-    check_study_size(n, reps, args.threads)
     run_cfg = estimator_config(cfg, scn.d, n=n)
     echo = {**render_config(run_cfg), "tuning": cfg.get("tuning", "manual"),
             "scenario": scn.id, "n": n, "reps": reps}
-    write_resolved_config(echo, out_dir)
     result = run_study(scn, run_cfg, reps=reps, seed=run_cfg.seed, n=n,
                        threads=args.threads)
     head = header_lines(echo)
-    with writing(out_dir):
-        (out_dir / "replications.csv").write_text(result.rows_csv(head))
-        (out_dir / "aggregates.csv").write_text(result.aggregates_csv(head))
+    write_run(echo, out_dir, {"replications.csv": result.rows_csv(head),
+                              "aggregates.csv": result.aggregates_csv(head)})
     print(f"scenario {scn.id}: psi_true={result.psi_true:.10g} "
           f"reps={reps} n={n} -> {out_dir}")
     return EXIT_OK

@@ -366,7 +366,7 @@ def _one_rep(scn: ScenarioSpec, cfg: EstimatorConfig, n: int, master: int,
            "seed": seed, "error": ""}
     try:
         data = generate(scn, n, seed)
-        run_cfg = replace(cfg, seed=seed, functional=scn.functional)
+        run_cfg = replace(cfg, seed=seed)
         override = nuisance_factory(scn, run_cfg) if nuisance_factory else None
         rep_out = estimate(data, run_cfg, nuisance_override=override)
         diag = rep_out.gram_diag  # fold 0's first arm; None when m = 1
@@ -465,9 +465,9 @@ def _map_reps(work, reps: int, threads: int):
 
 
 def check_study_size(n: int, reps: int, threads: int):
-    """Refuse a study that cannot run, before it starts anything."""
-    if n < 1:
-        raise ValidationError("n must be positive")
+    """Refuse a study that cannot run, before it starts anything (a split takes 4 records)."""
+    if n < 4:
+        raise ValidationError("n must be positive" if n < 1 else "need at least 4 records to split")
     if reps < 2:
         raise ValidationError("reps must be >= 2")
     if threads < 1:
@@ -482,20 +482,24 @@ def run_study(scn: ScenarioSpec, cfg: EstimatorConfig, reps: int, seed: int,
     seed by position, making the output independent of scheduling.  The
     dataset, split and folds of a replication depend only on (scenario, n,
     seed, rep), so two studies with the same scenario, n and seed compare
-    their configurations on identical draws.  The target and efficiency
-    bound are recorded (``TRUTH``) or, off the registry, integrated first,
-    once the pre-flight all replications share (``plan_estimate``) passes.
-    The study runs on up to ``threads`` processes (``_map_reps``): this
-    one and ``threads - 1`` forked workers take the replications.
+    their configurations on identical draws.  Replications run the scenario's
+    functional on a basis of its dimension (another is refused); the shared
+    pre-flight (``plan_estimate``) and the reference Gram come before the
+    target and efficiency bound, recorded (``TRUTH``) or else integrated.
+    Up to ``threads`` processes (``_map_reps``) take the replications.
     """
     validate_scenario(scn)
     check_study_size(n, reps, threads)
+    if cfg.basis.dimension != scn.d:
+        raise ValidationError(f"basis.dimension={cfg.basis.dimension} contradicts scenario "
+                              f"{scn.id}, which sets basis.dimension={scn.d}")
+    cfg = replace(cfg, functional=scn.functional)
     n_est = estimation_size(n, cfg.split_fraction)
     plan_estimate(cfg, n_est, n - n_est, nuisance_factory is None)
+    ref_gram = population_gram(cfg.basis, weighted_density(scn), basis_quadrature(cfg.basis))
     recorded = SCENARIOS.get(scn.id) == scn  # False for a changed registry copy
     psi = TRUTH[scn.id][0] if recorded else true_psi(scn)
     eff = TRUTH[scn.id][1] if recorded else _efficiency_bound(scn, psi)
-    ref_gram = population_gram(cfg.basis, weighted_density(scn), basis_quadrature(cfg.basis))
 
     def work(rep):
         return _one_rep(scn, cfg, n, seed, rep, nuisance_factory, ref_gram)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoif import cli, estimator, sim, ustat
-from hoif.basis import Basis, BasisSpec, build_basis
+from hoif.basis import BasisSpec, build_basis
 from hoif.cli import (
     EXIT_INTERNAL,
     EXIT_VALIDATION,
@@ -23,7 +23,7 @@ from hoif.cli import (
     main,
     parse_config_text,
     render_config,
-    write_resolved_config,
+    write_run,
 )
 from hoif.data import Dataset, ValidationError, dataset_to_csv
 from hoif.estimator import EstimatorConfig, default_tuning, estimation_size
@@ -104,7 +104,7 @@ def test_cached_locality_constant_is_no_part_of_a_config(tmp_path):
     echoes = [render_config(run) for run in runs]
     assert config_hash(echoes[0]) == config_hash(echoes[1])
     for echo, out in zip(echoes, ("read", "fresh")):
-        write_resolved_config(echo, tmp_path / out)
+        write_run(echo, tmp_path / out, {})
     assert ((tmp_path / "read" / "resolved_config.txt").read_bytes()
             == (tmp_path / "fresh" / "resolved_config.txt").read_bytes())
 
@@ -515,14 +515,14 @@ def test_config_parse_resolve_hash(data):
     shuffled = data.draw(st.permutations(keys))
     assert config_hash({key: cfg[key] for key in shuffled}) == config_hash(cfg)
     with tempfile.TemporaryDirectory() as tmp:
-        write_resolved_config(cfg, Path(tmp))
+        write_run(cfg, Path(tmp), {})
         echo = (Path(tmp) / "resolved_config.txt").read_text()
     assert parse_config_text(echo, "echo") == cfg
     assert f"# config-hash {config_hash(cfg)}\n" in echo
     # resolve -> render -> echo -> parse -> resolve: the same EstimatorConfig
     run = estimator_config(cfg, dimension)
     with tempfile.TemporaryDirectory() as tmp:
-        write_resolved_config(render_config(run), Path(tmp))
+        write_run(render_config(run), Path(tmp), {})
         rendered = parse_config_text((Path(tmp) / "resolved_config.txt").read_text(), "echo")
     assert rendered == render_config(run)
     assert estimator_config(rendered, data.draw(st.integers(1, 3))) == run
@@ -731,7 +731,7 @@ def test_basis_finer_than_default_grid_runs(tmp_path):
 
 
 def test_basis_inspect_refuses_over_budget_design(monkeypatch, capsys):
-    monkeypatch.setattr(Basis, "evaluate_many", lambda self, x: pytest.fail("evaluated"))
+    monkeypatch.setattr(BasisSpec, "evaluate_many", lambda self, x: pytest.fail("evaluated"))
     bspline = ["--set", "basis.family=bspline", "--set", "basis.order=1"]
     # B-splines of order 1 on 64**3 nodes at k=4096: the rows of float64 and their
     # weighted copy would take 17 GB
@@ -749,7 +749,7 @@ def test_basis_inspect_refuses_over_budget_design(monkeypatch, capsys):
 def test_basis_inspect_reads_a_haar_basis_from_its_cells(monkeypatch, capsys):
     # as a study builds its population Gram: at d = 2, q = 64 no basis row is
     # evaluated, where a design of 256^2 rows at k = 4096 took 2 GiB
-    monkeypatch.setattr(Basis, "evaluate_many", lambda self, x: pytest.fail("evaluated"))
+    monkeypatch.setattr(BasisSpec, "evaluate_many", lambda self, x: pytest.fail("evaluated"))
     assert main(["basis-inspect", "--set", "basis.dimension=2",
                  "--set", "basis.per_dim_size=64"]) == 0
     out = capsys.readouterr().out
@@ -943,6 +943,32 @@ def test_input_errors_exit_validation(tmp_path, capsys, argv, message):
     assert err.startswith("error: ") and message.format(**fill) in err
     if "is not read by" in message or "simulate" in argv:
         assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--threads", "2", "simulate", "--set", "scenario=s2-smooth-d2", "--set", "n=40",
+      "--set", "reps=200", "--set", "basis.per_dim_size=8"],
+     "basis size k=64 exceeds the 20 training records"),
+    (["estimate", "--input", str(GOLDEN), "--set", "basis.per_dim_size=67108864"],
+     "the cell route at k=67108864, m=2 plans a peak of 17179917184 bytes"),
+    (["estimate", "--input", str(GOLDEN), "--set", "split_fraction=0.999"],
+     "basis size k=4 exceeds the 1 training records"),
+    # the study's pre-flight passes; its reference Gram's plan refuses the node grid
+    (["simulate", "--set", "scenario=s2-smooth-d2", "--set", "basis.family=bspline",
+      "--set", "basis.order=1", "--set", "basis.per_dim_size=32", "--set", "n=4000"],
+     "the tensor route at k=1024 plans a peak of 1092616192 bytes"),
+    (["simulate", "--set", "scenario=s2-smooth-d2", "--set", "n=3", "--set", "tuning=default"],
+     "need at least 4 records to split"),
+], ids=["n40-study", "cell-plan", "split-0.999", "reference-gram", "n3-tuned"])
+def test_refused_run_creates_no_output_path(tmp_path, capsys, argv, message):
+    # a run writes once, after it has run: each of these had left its
+    # resolved_config.txt behind, the n = 3 study after 100 failed replications
+    out = tmp_path / "o"
+    rc = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION, err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
 
 
 def test_bad_ci_level_writes_nothing(tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hoif import estimator, functionals
-from hoif.basis import Basis, BasisSpec, build_basis
+from hoif.basis import BasisSpec, build_basis
 from hoif.data import Dataset, ValidationError, dataset_from_csv, table_csv
 from hoif.estimator import (
     EstimatorConfig,
@@ -570,8 +570,8 @@ def test_basis_evaluated_once_per_sample_per_fold(monkeypatch, functional, most)
     # on the training sample, zmat is one on the estimation sample, and the
     # arms share all three; each fitted nuisance evaluates its own basis once
     calls = []
-    original = Basis.evaluate_many
-    monkeypatch.setattr(Basis, "evaluate_many",
+    original = BasisSpec.evaluate_many
+    monkeypatch.setattr(BasisSpec, "evaluate_many",
                         lambda self, x: calls.append(len(x)) or original(self, x))
     data = generate(SCENARIOS["s4-ate"], 2000, 31)
     cfg = EstimatorConfig(functional=functional, basis=BasisSpec("haar", 1, 4), m=3,
@@ -589,8 +589,8 @@ def test_grid_design_shared_by_the_arms(monkeypatch, variant, most):
     # B-splines: both arms' ac Grams come from one evaluation of the basis on
     # the 256-node quadrature grid per fold; emp never evaluates the grid
     calls = []
-    original = Basis.evaluate_many
-    monkeypatch.setattr(Basis, "evaluate_many",
+    original = BasisSpec.evaluate_many
+    monkeypatch.setattr(BasisSpec, "evaluate_many",
                         lambda self, x: calls.append(len(x)) or original(self, x))
     data = generate(SCENARIOS["s4-ate"], 2000, 31)
     cfg = EstimatorConfig(functional="ate", basis=BasisSpec("bspline", 1, 4, order=2), m=3,
@@ -642,7 +642,7 @@ def test_haar_emp_evaluates_the_basis_on_no_record(monkeypatch):
     # Haar emp runs in cell space: designs, fits, predictions, Grams and
     # terms read each record's cell, and the basis is evaluated nowhere, in
     # an estimate and in a study with its reference Gram
-    monkeypatch.setattr(Basis, "evaluate_many", lambda *a: pytest.fail("evaluated"))
+    monkeypatch.setattr(BasisSpec, "evaluate_many", lambda *a: pytest.fail("evaluated"))
     scn = SCENARIOS["s2-smooth-d2"]
     cfg = EstimatorConfig(basis=BasisSpec("haar", 2, 4), m=3, nuisance_k_grid=(1, 4, 16))
     estimate(generate(scn, 2000, 5), cfg)
@@ -653,7 +653,7 @@ def test_haar_ac_evaluates_the_basis_on_no_record_or_node(monkeypatch):
     # Haar ac takes its Gram from the density estimate's per-cell values: the
     # basis is evaluated nowhere, in a two-arm cross-fitted estimate and in a
     # study, and one midpoint per cell integrates the estimate exactly
-    monkeypatch.setattr(Basis, "evaluate_many", lambda *a: pytest.fail("evaluated"))
+    monkeypatch.setattr(BasisSpec, "evaluate_many", lambda *a: pytest.fail("evaluated"))
     cfg = EstimatorConfig(functional="ate", basis=BasisSpec("haar", 1, 4), m=3, seed=4,
                           variant="ac", cross_fit=True, nuisance_k_grid=(1, 2, 4))
     rep = estimate(generate(SCENARIOS["s4-ate"], 2000, 31), cfg)

@@ -7,7 +7,7 @@ from hoif import basis as basis_module
 from hoif import gram as gram_module
 from hoif import quadrature as quadrature_module
 from hoif import ustat
-from hoif.basis import Basis, BasisSpec, build_basis
+from hoif.basis import BasisSpec, build_basis
 from hoif.data import Dataset, ValidationError
 from hoif.functionals import expected_cond_cov_spec, mar_mean_spec
 from hoif.gram import (
@@ -159,7 +159,7 @@ def test_over_budget_node_design_refused_before_building(monkeypatch):
     monkeypatch.setattr(ustat, "PLAN_BYTES_MAX", 39936)
     assert node_rows(basis, QUAD)[2].shape == (256, 8)
     monkeypatch.setattr(ustat, "PLAN_BYTES_MAX", 39935)
-    monkeypatch.setattr(Basis, "evaluate_many", lambda self, x: pytest.fail("evaluated"))
+    monkeypatch.setattr(BasisSpec, "evaluate_many", lambda self, x: pytest.fail("evaluated"))
     monkeypatch.setattr(QuadratureSpec, "grid", lambda self, d: pytest.fail("grid built"))
     with pytest.raises(ValidationError, match="the tensor route at k=8 plans a peak of 39936 "
                                               "bytes, over the cap of 39935; its largest group, "
@@ -189,7 +189,7 @@ def test_weighted_gram_of_cells_equals_that_of_rows():
 def test_population_gram_of_haar_evaluates_no_node(monkeypatch):
     basis = build_basis(BasisSpec("haar", 2, 4))
     g = lambda x: 0.5 + x[:, 0] * x[:, 1]
-    monkeypatch.setattr(Basis, "evaluate_many", lambda self, x: pytest.fail("evaluated"))
+    monkeypatch.setattr(BasisSpec, "evaluate_many", lambda self, x: pytest.fail("evaluated"))
     gram = population_gram(basis, g, QUAD)
     assert (gram.entries.shape, gram.source, gram.n_used) == ((16,), "quadrature", 256 ** 2)
     # over the cap, the plan refuses before the grid is built
@@ -414,8 +414,8 @@ def test_truncation_bias_evaluates_the_grid_once(monkeypatch):
     f = lambda x: x[:, 0]
     expected = truncation_bias(basis, uniform, f, f, QUAD)
     calls = []
-    original = Basis.evaluate_many
-    monkeypatch.setattr(Basis, "evaluate_many",
+    original = BasisSpec.evaluate_many
+    monkeypatch.setattr(BasisSpec, "evaluate_many",
                         lambda self, x: calls.append(len(x)) or original(self, x))
     assert truncation_bias(basis, uniform, f, f, QUAD) == expected
     assert calls == [256]

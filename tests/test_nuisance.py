@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hoif.basis import Basis, BasisSpec, build_basis
+from hoif.basis import BasisSpec, build_basis
 from hoif.data import Dataset, ValidationError
 from hoif.functionals import expected_cond_cov_spec, mar_mean_spec
 from hoif.nuisance import (
@@ -210,8 +210,8 @@ def test_series_fit_rows_match_subset():
 
 def test_fit_nuisances_evaluates_each_design_once(monkeypatch):
     calls = []
-    original = Basis.evaluate_many
-    monkeypatch.setattr(Basis, "evaluate_many",
+    original = BasisSpec.evaluate_many
+    monkeypatch.setattr(BasisSpec, "evaluate_many",
                         lambda self, x: calls.append(self.k) or original(self, x))
     data = make_training(400, seed=16)
     designs = series_designs(data.x, build_basis(BasisSpec("bspline", 1, 8, order=2)),

@@ -474,6 +474,42 @@ def test_study_too_small_for_its_basis_refused_before_truth_gram_or_fork(monkeyp
     assert forks == []
 
 
+@pytest.mark.parametrize("scenario,cfg,n,message", [
+    # planned with the scenario's two ate arms, not the config's one mar_mean
+    # arm (1049947528 bytes, under the cap), where both replications had failed
+    ("s4-ate", EstimatorConfig(basis=BasisSpec("bspline", 1, 3072, order=1), m=2), 20000,
+     "the tensor route at k=3072, m=2 plans a peak of 1125445000 bytes"),
+    # refused with the command line's message, where the library had raised a bare IndexError
+    ("s2-smooth-d2", EstimatorConfig(basis=BasisSpec("haar", 1, 4), m=2), 400,
+     "basis.dimension=1 contradicts scenario s2-smooth-d2, which sets basis.dimension=2"),
+    # split_sample takes 4 records; all 20 replications had failed on it
+    ("s2-smooth-d2", EstimatorConfig(basis=BasisSpec("haar", 2, 4), m=1), 3,
+     "need at least 4 records to split"),
+], ids=["ate-arms", "wrong-dimension", "n3"])
+def test_study_the_scenario_cannot_run_refused_before_truth_gram_or_fork(
+        monkeypatch, scenario, cfg, n, message):
+    real_fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    for name in ("true_psi", "_efficiency_bound", "population_gram", "generate"):
+        monkeypatch.setattr(sim, name, lambda *a, **kw: pytest.fail("built"))
+    with pytest.raises(ValidationError, match=message):
+        run_study(SCENARIOS[scenario], cfg, reps=20, seed=1, n=n, threads=2)
+    assert forks == []
+
+
+def test_study_reference_gram_refused_before_its_truth_is_integrated(monkeypatch):
+    # the pre-flight passes at k = 1024 on 2000 training records; the reference
+    # Gram's node grid is over the cap, and is refused before the quadrature
+    # of the truth, which had run first
+    for name in ("true_psi", "_efficiency_bound", "generate"):
+        monkeypatch.setattr(sim, name, lambda *a, **kw: pytest.fail("integrated"))
+    scn = replace(SCENARIOS["s2-smooth-d2"], id="s2-copy")  # off the registry: integrated
+    cfg = EstimatorConfig(basis=BasisSpec("bspline", 2, 32, order=1))
+    with pytest.raises(ValidationError, match="the tensor route at k=1024 plans a peak of "
+                                              "1092616192 bytes.*the node grid"):
+        run_study(scn, cfg, reps=100, seed=0, n=4000)
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
 def test_forked_map_of_many_items_keeps_order_and_does_not_block():
     # 20 000 indices are more than a pipe holds, as the worker's reply may be:
