@@ -125,7 +125,11 @@ class BasisSpec:
         point of an (n, d) array, per axis ``_axis_cells``: the column of the
         point's nonzero entry in a cellwise basis's rows."""
         q = self.per_dim_size
-        return _axis_cells(q, self._points(x)) @ q ** np.arange(self.d - 1, -1, -1)
+        axis = _axis_cells(q, self._points(x))
+        index = axis[:, 0]
+        for j in range(1, self.d):  # multiply-add: numpy has no BLAS for an int64 matmul
+            index = index * q + axis[:, j]
+        return index
 
 
 def _axis_cells(q: int, xs: np.ndarray) -> np.ndarray:
@@ -139,10 +143,29 @@ def _bspline_knots(q: int, s: int) -> np.ndarray:
 
 
 def _bspline_univariate(q: int, s: int, xs: np.ndarray) -> np.ndarray:
-    from scipy.interpolate import BSpline  # imported here so order-0 runs never load scipy
-
+    """sqrt(q) times the q order-s B-splines at ``xs``, by de Boor's recursion
+    (J. Approx. Theory 6, 1972) over each point's s + 1 nonzero splines, in
+    the operation order of FITPACK's fpbspl, so equal bit for bit to scipy's
+    ``BSpline.design_matrix``."""
     t = _bspline_knots(q, s)
-    return BSpline.design_matrix(np.clip(xs, 0.0, 1.0), t, s).toarray() * np.sqrt(q)
+    x = np.clip(xs, 0.0, 1.0)
+    # each point's interval: t[ell] <= x < t[ell + 1], x == 1 in the last
+    ell = np.clip(np.searchsorted(t, x, "right") - 1, s, q - 1)
+    h = np.zeros((s + 1, x.size))
+    h[0] = 1.0
+    for j in range(1, s + 1):
+        hh = h[:j].copy()
+        h[0] = 0.0
+        for n in range(1, j + 1):
+            xb, xa = t[ell + n], t[ell + n - j]  # xb > xa: ell is an interior interval
+            w = hh[n - 1] / (xb - xa)
+            h[n - 1] += w * (xb - x)
+            h[n] = w * (x - xa)
+    rows = np.zeros((x.size, q))
+    first = np.arange(x.size) * q + ell - s  # flat index of each row's first nonzero
+    for i in range(s + 1):
+        rows.flat[first + i] = h[i] * np.sqrt(q)
+    return rows
 
 
 Basis = BasisSpec  # the name perfbench/tracing.py wraps evaluate_many under

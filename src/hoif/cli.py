@@ -3,7 +3,9 @@
 Configuration is plain-text key=value with dotted namespaces; command-line
 ``--set key=value`` entries override the file.  A completed run writes a resolved
 config echo and its artifacts, each headed by the tool version, the resolved
-config hash and the master seed; a run refused or failed before that writes nothing.
+config hash and the master seed, all or none of them; a run refused or failed
+before that writes nothing, and an ``--out`` it could not write is refused
+before it runs.
 
 Exit codes: 0 success, 2 validation error (bad input or configuration, or
 an output path that cannot be written), 3 zero-convention trigger (the
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import hashlib
 import io
 import os
@@ -25,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 import hoif
-from hoif.data import ValidationError, dataset_from_csv, read_text, table_csv, writing
+from hoif.data import (ValidationError, dataset_from_csv, existing_ancestor, read_text,
+                       replacing, staging, table_csv, writing)
 from hoif.estimator import EstimatorConfig, default_tuning, estimate, estimation_size
 from hoif.gram import invert_checked, population_gram, save_gram
 from hoif.quadrature import basis_quadrature
@@ -35,6 +39,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_ZERO_CONVENTION = 3
 EXIT_INTERNAL = 4
+
+ECHO = "resolved_config.txt"
+REPORT = ("report.csv", "report.txt")  # estimate's artifacts
+STUDY = ("replications.csv", "aggregates.csv")  # simulate's
 
 
 def _one_of(*allowed: str):
@@ -127,14 +135,37 @@ def header_lines(cfg: dict) -> tuple[str, ...]:
     return f"hoif {hoif.__version__}", f"config-hash {config_hash(cfg)}", f"seed {cfg['seed']}"
 
 
-def write_run(cfg: dict, out_dir: Path, artifacts: dict[str, str]):
-    """A run's one write: ``out_dir``, the echo of ``cfg``, then each artifact (name -> text)."""
-    lines = [f"# hoif {hoif.__version__}", f"# config-hash {config_hash(cfg)}"]
+def check_out(out_dir: Path, names: tuple[str, ...]):
+    """Refuse, creating nothing, an ``out_dir`` that ``write_run`` could not
+    write the config echo and the artifacts ``names`` into: a file, a path
+    under a file or in a directory this process may not write, or a
+    directory holding one of those names as other than a file."""
     with writing(out_dir):
+        base = existing_ancestor(out_dir)
+        if not base.is_dir():
+            code = errno.EEXIST if base == out_dir.absolute() else errno.ENOTDIR
+            raise OSError(code, os.strerror(code), str(out_dir))
+        if not os.access(base, os.W_OK | os.X_OK):
+            raise OSError(errno.EACCES, os.strerror(errno.EACCES), str(base))
+        for path in (out_dir / name for name in (ECHO, *names)):
+            if path.exists() and not path.is_file():
+                code = errno.EISDIR if path.is_dir() else errno.EEXIST
+                raise OSError(code, os.strerror(code), str(path))
+
+
+def write_run(cfg: dict, out_dir: Path, artifacts: dict[str, str]):
+    """A run's one write, all or nothing: the echo of ``cfg`` and each artifact
+    (name -> text), written in full beside ``out_dir`` and then moved into it.
+    Files of other names in an existing ``out_dir`` stay."""
+    lines = [f"# hoif {hoif.__version__}", f"# config-hash {config_hash(cfg)}"]
+    files = {ECHO: "\n".join(lines + _config_lines(cfg)) + "\n", **artifacts}
+    check_out(out_dir, tuple(artifacts))  # again: the run may have been long
+    with writing(out_dir), staging(out_dir) as stage:
+        for name, text in files.items():
+            (stage / name).write_text(text)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "resolved_config.txt").write_text("\n".join(lines + _config_lines(cfg)) + "\n")
-        for name, text in artifacts.items():
-            (out_dir / name).write_text(text)
+        for name in files:
+            os.replace(stage / name, out_dir / name)
 
 
 def _cfg_text(v):
@@ -175,11 +206,13 @@ def cmd_estimate(args) -> int:
     data = dataset_from_csv(args.input, d=cfg.get("basis.dimension"))
     run_cfg = estimator_config(cfg, data.d, n=data.n)
     echo = {**render_config(run_cfg), "tuning": cfg.get("tuning", "manual")}
+    out_dir = Path(args.out)
+    check_out(out_dir, REPORT)
     report = estimate(data, run_cfg)
     head = header_lines(echo)
-    write_run(echo, Path(args.out), {
-        "report.csv": table_csv(report.CSV_COLUMNS, [report.csv_row()], head),
-        "report.txt": "".join(f"# {h}\n" for h in head) + report.text_block() + "\n"})
+    write_run(echo, out_dir, dict(zip(REPORT, (
+        table_csv(report.CSV_COLUMNS, [report.csv_row()], head),
+        "".join(f"# {h}\n" for h in head) + report.text_block() + "\n"))))
     print(report.text_block())
     if report.zero_convention_applied:
         return EXIT_ZERO_CONVENTION
@@ -203,11 +236,12 @@ def cmd_simulate(args) -> int:
     run_cfg = estimator_config(cfg, scn.d, n=n)
     echo = {**render_config(run_cfg), "tuning": cfg.get("tuning", "manual"),
             "scenario": scn.id, "n": n, "reps": reps}
+    check_out(out_dir, STUDY)
     result = run_study(scn, run_cfg, reps=reps, seed=run_cfg.seed, n=n,
                        threads=args.threads)
     head = header_lines(echo)
-    write_run(echo, out_dir, {"replications.csv": result.rows_csv(head),
-                              "aggregates.csv": result.aggregates_csv(head)})
+    write_run(echo, out_dir, dict(zip(STUDY, (result.rows_csv(head),
+                                              result.aggregates_csv(head)))))
     print(f"scenario {scn.id}: psi_true={result.psi_true:.10g} "
           f"reps={reps} n={n} -> {out_dir}")
     return EXIT_OK
@@ -266,8 +300,8 @@ def cmd_report(args) -> int:
                      [{**row, **slopes[(row["scenario"], row["variant"], row["m"])]}
                       for row in all_rows])
     if args.out:
-        with writing(args.out):
-            Path(args.out).write_text(text)
+        with replacing(args.out) as fh:
+            fh.write(text)
     print(text, end="")
     return EXIT_OK
 

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import re
+import shutil
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -41,7 +45,9 @@ class Dataset:
         return self.x.shape[1]
 
     def subset(self, idx: np.ndarray) -> "Dataset":
-        return Dataset(self.x[idx], self.a[idx], self.y[idx])
+        """The records at the integer indices ``idx``, in that order; ``np.take``
+        gathers the rows of x several times faster than ``x[idx]``."""
+        return Dataset(np.take(self.x, idx, axis=0), self.a[idx], self.y[idx])
 
 
 def read_text(path) -> str:
@@ -61,6 +67,36 @@ def writing(path):
         yield
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
+def existing_ancestor(path) -> Path:
+    """The nearest of ``path`` (absolute) and its parents that exists."""
+    path = Path(path).absolute()
+    return next(p for p in (path, *path.parents) if p.exists())
+
+
+@contextmanager
+def staging(path):
+    """A new empty directory in ``existing_ancestor(path)``, on the same file
+    system as ``path``, for files written in full before ``os.replace`` moves
+    them to ``path``; it is removed on exit with whatever is left in it."""
+    stage = Path(tempfile.mkdtemp(prefix=".hoif-", dir=existing_ancestor(path)))
+    try:
+        yield stage
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
+@contextmanager
+def replacing(path, mode: str = "w"):
+    """A file opened in ``mode`` beside the output ``path`` and moved onto it
+    once written and closed, so ``path`` is either as it was or complete; an
+    OSError is a ValidationError."""
+    path = Path(path)
+    with writing(path), staging(path.parent) as stage:
+        with open(stage / path.name, mode) as fh:
+            yield fh
+        os.replace(stage / path.name, path)
 
 
 def dataset_from_csv(path, d: int | None = None) -> Dataset:

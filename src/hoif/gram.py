@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hoif.basis import BasisSpec
-from hoif.data import Dataset, ValidationError, writing
+from hoif.data import Dataset, ValidationError, replacing
 from hoif.functionals import FunctionalSpec
 from hoif.quadrature import QuadratureSpec
 from hoif.ustat import run_plan
@@ -209,9 +209,10 @@ def truncation_bias(basis: BasisSpec, g, b_err, p_err, quad: QuadratureSpec,
 def save_gram(m: GramMatrix, path):
     """Flat binary dump: 16-byte header (magic, k, source tag), then
     little-endian float64 entries in row-major order; a cell Gram's dense view
-    (``_dense``) is planned and built before the file is opened."""
+    (``_dense``) is planned and built before the file is opened, beside
+    ``path``, which it replaces once complete."""
     view = np.ascontiguousarray(_dense(m), dtype="<f8")
-    with writing(path), open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", m.k, _SOURCE_TAGS[m.source]))
         view.tofile(fh)

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import BSpline
 
 from hoif.basis import (
     Basis,
     BasisSpec,
+    _bspline_knots,
+    _bspline_univariate,
     build_basis,
 )
 from hoif.data import ValidationError
@@ -82,6 +87,23 @@ def test_bspline_partition_of_unity():
     for q, s in ((4, 1), (6, 2), (8, 3)):
         vals = bspline_partition_values(q, s, xs)
         assert np.max(np.abs(vals - 1.0)) < 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda s: st.tuples(st.just(s), st.integers(s + 1, 64))),
+       st.lists(st.floats(0.0, 1.0), max_size=60))
+def test_bspline_rows_are_scipys_bit_for_bit(order_q, xs):
+    # de Boor's recursion in FITPACK's operation order gives the bits of
+    # scipy's design matrix, which computed these rows before: at random
+    # points, every knot, 0 and 1, and the floats either side of each
+    s, q = order_q
+    t = _bspline_knots(q, s)
+    edges = np.concatenate([t, [0.0, 1.0]])
+    xs = np.concatenate([xs, edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)])
+    want = BSpline.design_matrix(np.clip(xs, 0.0, 1.0), t, s).toarray() * np.sqrt(q)
+    got = _bspline_univariate(q, s, xs)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_locality_certified():

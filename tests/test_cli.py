@@ -943,6 +943,9 @@ def test_input_errors_exit_validation(tmp_path, capsys, argv, message):
     assert err.startswith("error: ") and message.format(**fill) in err
     if "is not read by" in message or "simulate" in argv:
         assert not (tmp_path / "o").exists()
+    # an unwritable output is refused before any file is written or staged
+    assert [p.name for p in (tmp_path / "held").iterdir()] == ["report.csv"]
+    assert not list(tmp_path.rglob(".hoif-*"))
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -969,6 +972,52 @@ def test_refused_run_creates_no_output_path(tmp_path, capsys, argv, message):
     assert rc == EXIT_VALIDATION, err
     assert err.startswith("error: ") and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("out", ["file", "file/o", "held"])
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+def test_unwritable_out_refused_before_the_run(tmp_path, monkeypatch, capsys, command, out):
+    # an existing file, a path under it and a directory whose artifact name
+    # is a directory: each had exited 2 only after its estimate or study ran
+    def run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "estimate", run)
+    monkeypatch.setattr(cli, "run_study", run)
+    artifact = {"estimate": "report.csv", "simulate": "aggregates.csv"}[command]
+    (tmp_path / "held" / artifact).mkdir(parents=True)
+    (tmp_path / "file").write_text("kept\n")
+    argv = {"estimate": ["estimate", "--input", str(GOLDEN)],
+            "simulate": ["simulate", "--set", "scenario=s1-smooth-d1", "--set", "n=100",
+                         "--set", "reps=2"]}[command]
+    rc = main(argv + ["--out", str(tmp_path / out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION, err
+    assert err.startswith(f"error: cannot write {tmp_path / out}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "held"]
+    assert (tmp_path / "file").read_text() == "kept\n"
+    assert [p.name for p in (tmp_path / "held").iterdir()] == [artifact]
+
+
+def test_write_run_is_all_or_nothing(tmp_path):
+    # a write that fails part-way (an artifact name under a directory that
+    # does not exist) leaves --out as it was and nothing staged; one that
+    # completes replaces its artifacts and keeps every other file
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "report.csv").write_text("old\n")
+    (out / "notes.txt").write_text("mine\n")
+    for target in (out, tmp_path / "fresh" / "o"):
+        with pytest.raises(ValidationError, match=f"cannot write {target}: "):
+            write_run({"m": 2}, target, {"report.csv": "new\n", "sub/report.txt": "new\n"})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o"]
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "report.csv"]
+    assert (out / "report.csv").read_text() == "old\n"
+    write_run({"m": 2}, out, {"report.csv": "new\n"})
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "report.csv",
+                                                     "resolved_config.txt"]
+    assert [(out / name).read_text() for name in ("notes.txt", "report.csv")] == [
+        "mine\n", "new\n"]
 
 
 def test_bad_ci_level_writes_nothing(tmp_path):

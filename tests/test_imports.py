@@ -440,26 +440,35 @@ def test_only_functionals_calls_the_evaluators():
     assert stray_evaluator_calls(sources) == []
 
 
-def test_haar_estimate_loads_no_scipy(tmp_path):
-    # scipy serves only B-splines of order >= 1; a Haar run, and an order-0
-    # B-spline run at a q no Haar basis has under emp and ac, must not pay
-    # its import
+def test_no_command_loads_scipy(tmp_path):
+    # numpy is the one run-time dependency: no estimate (Haar; an order-0
+    # B-spline at a q no Haar basis has; B-splines of order 1 to 3, each
+    # under emp and ac), no study and no basis-inspect loads scipy
     fixture = Path(__file__).resolve().parent / "fixtures" / "golden_data.csv"
-    order0 = "'--set', 'basis.family=bspline', '--set', 'basis.per_dim_size=14'"
+    estimate = ["estimate", "--input", str(fixture), "--out", str(tmp_path / "e"), "--set", "m=3"]
+    order0 = ["--set", "basis.family=bspline", "--set", "basis.per_dim_size=14"]
+    runs = [estimate, estimate + order0, estimate + order0 + ["--set", "variant=ac"]]
+    runs += [estimate + ["--set", "basis.family=bspline", "--set", f"basis.order={order}",
+                         "--set", f"variant={variant}"]
+             for order in (1, 2, 3) for variant in ("emp", "ac")]
+    runs += [["simulate", "--out", str(tmp_path / "s"), "--set", "scenario=s1-smooth-d1",
+              "--set", "n=400", "--set", "reps=2", "--set", "basis.family=bspline",
+              "--set", "basis.order=2"],
+             ["basis-inspect", "--set", "basis.family=bspline", "--set", "basis.order=3"]]
     script = (
         "import sys\n"
         "from hoif.cli import main\n"
-        f"for extra in ([], [{order0}], [{order0}, '--set', 'variant=ac']):\n"
-        f"    rc = main(['estimate', '--input', {str(fixture)!r}, '--out', {str(tmp_path)!r},"
-        " '--set', 'm=3', *extra])\n"
-        "    assert rc == 0, rc\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"for argv in {runs!r}:\n"
+        "    rc = main(argv)\n"
+        "    assert rc == 0, (argv, rc)\n"
+        "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=120, env=env)
+                          timeout=300, env=env)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip().splitlines()[-1] == "[]"
+    loaded = [line for line in done.stdout.splitlines() if line.startswith("[")]
+    assert loaded == ["[]"] * len(runs)
 
 
 def test_cli_import_loads_no_process_pool():
