@@ -102,6 +102,7 @@ def replacing(path, mode: str = "w"):
 def dataset_from_csv(path, d: int | None = None) -> Dataset:
     """Read a dataset from CSV with columns A, Y, X1..Xd, in any order; d
     counts the columns named X<j> (j >= 1, no leading zero) unless given.
+    A, Y and each X<j> may be named once; other columns may repeat.
 
     Y may be blank on rows with A=0 (missing-at-random input); it is then
     recorded as 0 so that A*Y is stored.  X coordinates outside [0,1] (NaN
@@ -116,8 +117,12 @@ def dataset_from_csv(path, d: int | None = None) -> Dataset:
     if top is None:
         raise ValidationError(f"{path}: empty input")
     header = [c.strip() for c in lines[top].split(",")]
+    covariates = [c for c in header if re.fullmatch("X[1-9][0-9]*", c)]
+    for col in ("A", "Y", *covariates):
+        if header.count(col) > 1:
+            raise ValidationError(f"column {col} named twice")
     if d is None:
-        d = sum(re.fullmatch("X[1-9][0-9]*", c) is not None for c in header)
+        d = len(covariates)
     xcols = [f"X{j}" for j in range(1, d + 1)]
     for col in ("A", "Y", *xcols):
         if col not in header:

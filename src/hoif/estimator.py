@@ -167,11 +167,13 @@ def plan_estimate(cfg: EstimatorConfig, n_est: int, n_tr: int, fitted: bool = Tr
     if cfg.cross_fit:
         n_est = n_tr = max(n_est, n_tr)
     series = fitted and cfg.nuisance_method == "series"
-    candidates = tuple(series_bases(n_tr, basis, cfg.nuisance_k_grid)) if series else ()
+    candidates = tuple(1 if sub.cellwise else k for k, sub in
+                       series_bases(n_tr, basis, cfg.nuisance_k_grid).items()) if series else ()
     grid = cfg.variant == "ac" and not basis.cellwise
     nodes = basis_quadrature(basis).nodes_per_dim ** basis.d if grid else 0
     plan = run_plan(basis.k, basis.d, cfg.m, n_est, n_tr if cfg.variant == "emp" else nodes,
-                    grid, n_tr, candidates, basis.cellwise, len(fn.arm_specs(cfg.functional)) + 1)
+                    grid, n_tr, candidates, cfg.nuisance_folds, basis.cellwise,
+                    len(fn.arm_specs(cfg.functional)) + 1)
     if fold_est < cfg.m:
         raise ValidationError(f"order m={cfg.m} needs at least {cfg.m} estimation records")
     if cfg.m > 1 and cfg.variant == "emp" and basis.k > fold_tr:

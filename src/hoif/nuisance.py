@@ -86,89 +86,45 @@ def series_designs(x: np.ndarray, basis: BasisSpec, k_grid: tuple[int, ...]) -> 
     return {k: (sub, sub.design(x)) for k, sub in series_bases(x.shape[0], basis, k_grid).items()}
 
 
-def _cell_folds(order: np.ndarray, fold_id: np.ndarray, folds: int,
-                response: np.ndarray) -> tuple:
-    """The records of the per-fold cross-validation loop, in the order that
-    loop visits them, for all folds at once: the fold and record of each
-    training entry and its response, fold by fold; the same for each test
-    entry; and where each fold's test entries end."""
-    train_fold, at = np.nonzero(fold_id != np.arange(folds)[:, None])
-    tests = [order[f::folds] for f in range(folds)]  # order[fold_id == f]
-    sizes = [t.shape[0] for t in tests]
-    test = np.concatenate(tests)
-    train = order[at]
-    return (train_fold, train, response[train], np.repeat(np.arange(folds), sizes),
-            test, response[test], np.cumsum(sizes))
-
-
-def _cell_cv_error(k: int, cells: np.ndarray, train_fold, train, train_response,
-                   test_fold, test, test_response, ends):
-    """Squared test error, summed over the folds of ``_cell_folds``, of the
-    per-cell-mean fit on ``k`` cells; None when a training fold leaves a cell
-    without a record.  Bit for bit the per-fold loop: every (fold, cell) bin
-    adds the same values in the same order, and each fold's residuals are
-    one contiguous array, as the loop's are."""
-    bins = train_fold * k + cells[train]
-    counts = np.bincount(bins, minlength=ends.shape[0] * k)
-    if not counts.all():
-        return None
-    coef = np.bincount(bins, train_response, counts.shape[0]) / counts
-    resid = test_response - coef[test_fold * k + cells[test]]
-    err, lo = 0.0, 0
-    for hi in ends.tolist():
-        err += float(resid[lo:hi] @ resid[lo:hi])
-        lo = hi
-    return err
-
-
 def series_scores(designs: dict, response: np.ndarray, folds: int, seed: int,
                   rows=slice(None)) -> dict:
     """Fold-averaged squared error of each candidate size (k -> score).
 
     ``designs`` comes from ``series_designs`` on the training points and
-    ``rows`` selects the records to fit.  Sizes that exceed half the fitted
-    records or hit a singular design have no score.  With fewer than two
-    folds, or fewer than two records per fold, the score is the in-sample
-    error.
+    ``rows`` selects the records to fit.  The folds are split once, ``rows``
+    composed into their indices, and every candidate, cellwise or not, is
+    fitted by ``_least_squares`` on each fold's training records and scored
+    on its test records.  Sizes that exceed half the fitted records or hit a
+    singular design have no score.  With fewer than two folds, or fewer than
+    two records per fold, the one split is (all, all) with no rank check:
+    the score is the in-sample error.
     """
-    response = response[rows]
-    n = response.shape[0]
+    idx = np.arange(response.shape[0])[rows]
+    n = idx.shape[0]
     if n == 0:
         raise ValidationError("empty fitting sample")
     usable = [k for k in designs if k <= max(n // 2, 1)]
     if not usable:
         raise ValidationError("no grid size is a tensor size of the family "
                               "at most half the fitted records")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    fold_id = np.arange(n) % folds
-    plan = None
+    if folds < 2 or n < 2 * folds:
+        splits, checked = [(idx, idx)], False
+    else:  # fold f tests every folds-th record of a permutation, in its order
+        order = idx[np.random.default_rng(seed).permutation(n)]
+        splits = [(np.delete(order, np.s_[f::folds]), order[f::folds]) for f in range(folds)]
+        checked = True
     scores = {}
     for k in usable:
         sub, z = designs[k]
-        z = z[rows]
-        if folds < 2 or n < 2 * folds:
-            coef, _ = _least_squares(sub, z, response)
-            resid = response - _fitted(sub, z, coef)
-            scores[k] = float(resid @ resid) / n
-        elif sub.cellwise:
-            if plan is None:
-                plan = _cell_folds(order, fold_id, folds, response)
-            err = _cell_cv_error(sub.k, z, *plan)
-            if err is not None:
-                scores[k] = err / n
+        err = 0.0
+        for train, test in splits:
+            coef, full_rank = _least_squares(sub, z[train], response[train])
+            if checked and not full_rank:
+                break
+            resid = response[test] - _fitted(sub, z[test], coef)
+            err += float(resid @ resid)
         else:
-            err = 0.0
-            for f in range(folds):
-                test = order[fold_id == f]
-                train = order[fold_id != f]
-                coef, full_rank = _least_squares(sub, z[train], response[train])
-                if not full_rank:
-                    break
-                resid = response[test] - _fitted(sub, z[test], coef)
-                err += float(resid @ resid)
-            else:
-                scores[k] = err / n
+            scores[k] = err / n
     return scores
 
 

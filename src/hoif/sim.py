@@ -513,7 +513,7 @@ def run_study(scn: ScenarioSpec, cfg: EstimatorConfig, reps: int, seed: int,
     if len(errors) > 0.05 * len(rows):
         raise ValidationError(f"{len(errors)}/{len(rows)} replications failed, first: {errors[0]}")
 
-    est = np.array([r["psi_hat"] for r in ok])
+    est = np.array([r["psi_hat"] for r in ok if not r["zero_convention"]])  # estimates only
     cov_vals = [r["covered"] for r in ok if r["covered"] != ""]
     ops = [r["op_dist"] for r in ok if r["op_dist"] is not None]
     agg = {
@@ -521,9 +521,9 @@ def run_study(scn: ScenarioSpec, cfg: EstimatorConfig, reps: int, seed: int,
         "reps_ok": len(ok), "reps_failed": len(errors),
         "zero_convention_count": sum(r["zero_convention"] for r in ok),
         "psi_true": psi, "eff_bound": eff,
-        "bias": float(np.mean(est) - psi),
-        "sd": float(np.std(est, ddof=1)),
-        "rmse": math.sqrt(float(np.mean((est - psi) ** 2))),
+        "bias": float(np.mean(est) - psi) if est.size else None,
+        "sd": float(np.std(est, ddof=1)) if est.size > 1 else None,
+        "rmse": math.sqrt(float(np.mean((est - psi) ** 2))) if est.size else None,
         "coverage": float(np.mean(cov_vals)) if cov_vals else None,
         "mean_op_dist": float(np.mean(ops)) if ops else None,
     }

@@ -52,7 +52,7 @@ from hoif.data import ValidationError
 M_MAX = 6  # highest order: the chain plans grow with Bell(m) partitions
 PLAN_BYTES_MAX = 1 << 30  # the cap on a run's planned peak (``run_plan``)
 CELL_VECTORS = 32  # per cell, the arms' masses and eigenvalues and cell_terms' sums
-CELL_FIT_VECTORS = 20  # per training record, a cellwise series fit's fold arrays
+FIT_VECTORS = 10  # per training record, a fold's response and residuals, the arms' weights
 RECORD_VECTORS = 8  # per estimation record, the arms' nuisance and influence values
 
 
@@ -260,26 +260,28 @@ class RunPlan:
 
 
 def run_plan(k: int, d: int = 1, m: int = 2, n_est: int = 0, design: int = 0,
-             grid: bool = False, n_tr: int = 0, candidates: tuple = (),
+             grid: bool = False, n_tr: int = 0, candidates: tuple = (), folds: int = 2,
              cells: bool = False, grams: int = 2, dense: bool = False) -> RunPlan:
     """The plan of a run at basis size k in d dimensions; a ValidationError
     naming its peak and largest group if the peak passes ``PLAN_BYTES_MAX``.
-    While fitting, a run holds the candidate designs of sizes ``candidates``
-    on n_tr records (and fold copies), the Gram's design of ``design`` records
-    or ``grid`` nodes and the Grams; then the Grams, an inversion, the rows of
-    n_est records and the block tensors; at m = 1 no Gram.  A design point
-    holds its row, a weighted copy, its coordinates, cell and weight; on the
-    cell route (``cells``) its cell, or at a node 3d + 1 doubles, and a
-    ``dense`` view of the cell Gram is one k x k array.  The tensor route's
-    Grams are ``grams`` k x k arrays (arms + 1: the fold's Grams, the inverse in
-    use; the reported fold runs last) and an inversion two more and a mask."""
+    While fitting, a run holds for each of n_tr records the candidate designs
+    (``candidates``: an order-0 candidate's cell, one int64, any other's k
+    doubles), one index per fold of the split, one fold's copy of the
+    largest design and lstsq's, and ``FIT_VECTORS``; the Gram's design of
+    ``design`` records or ``grid`` nodes; and the Grams; then the Grams, an
+    inversion, the rows of n_est records and the block tensors; at m = 1 no
+    Gram.  A design point holds its row, a weighted copy, its coordinates,
+    cell and weight; on the cell route (``cells``) its cell, or at a node
+    3d + 1 doubles, and a ``dense`` view of the cell Gram is one k x k array.
+    The tensor route's Grams are ``grams`` k x k arrays (arms + 1: the fold's
+    Grams, the inverse in use; the reported fold runs last) and an inversion
+    two more and a mask."""
     gram = m > 1
+    fit = sum(candidates) + 2 * max(candidates) + folds + FIT_VECTORS if candidates else 0
     if cells:
-        fit = len(candidates) + CELL_FIT_VECTORS if candidates else 0
         square, inversion, row, tensors = CELL_VECTORS * k + dense * k * k, 0, 1, 0
         point = 3 * d + 1 if grid else 1
     else:
-        fit = sum(candidates) + 2 * max(candidates) if candidates else 0
         square, inversion = grams * k * k, -(-17 * k * k // 8)  # 2 k x k doubles, a mask
         point, row = 2 * k + d + 2, 2 * k + 1  # rows: design, whitened, norms
         tensors = order_plan(n_est, k, m)[2] if gram and n_est else 0

@@ -1,14 +1,14 @@
 """Reference computations that only the tests use.
 
 Exact Hoeffding variance and mean of a U-statistic under a discrete law,
-the unnormalized B-spline partition of unity, the best L2
-approximation error of a basis span, the correction terms of
+the best L2 approximation error of a basis span, the correction terms of
 ``ustat.correction_terms`` by its plan without the distinct-row grouping
 (float64) or over exactly distinct rows (long double), those of
 ``ustat.cell_terms`` partition by partition (long double), the series
 fit of ``nuisance.series_fit`` on dense designs by ``np.linalg.lstsq`` and
-with a cross-validation loop over the folds, and the midpoint integral of ``quadrature.integrate`` with each strip's nodes
-gathered from their flat indices.
+with a cross-validation loop over the folds, and the midpoint integral of
+``quadrature.integrate`` with each strip's nodes gathered from their flat
+indices.
 """
 
 from functools import reduce
@@ -16,11 +16,10 @@ from itertools import combinations, permutations
 from math import comb, factorial, perm
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from hoif import ustat
 from hoif.nuisance import _fitted, _least_squares
-from hoif.basis import BasisSpec, _bspline_knots
+from hoif.basis import BasisSpec
 from hoif.quadrature import STRIP_NODES, QuadratureSpec
 
 
@@ -92,12 +91,6 @@ def u_statistic_mean(kernel: np.ndarray, probs: np.ndarray) -> float:
     for axis in range(kernel.ndim - 1, -1, -1):
         out = np.tensordot(out, probs, axes=([axis], [0]))
     return float(out)
-
-
-def bspline_partition_values(q: int, s: int, xs: np.ndarray) -> np.ndarray:
-    """Sum of the unnormalized univariate B-splines at each point."""
-    dm = BSpline.design_matrix(np.clip(xs, 0.0, 1.0), _bspline_knots(q, s), s).toarray()
-    return dm.sum(axis=1)
 
 
 def l2_approximation_error(basis: BasisSpec, f, quad: QuadratureSpec) -> float:

@@ -14,7 +14,7 @@ from hoif.basis import (
 from hoif.data import ValidationError
 from hoif.gram import population_gram, quadrature_gram
 from hoif.quadrature import QuadratureSpec, basis_quadrature
-from reference import bspline_partition_values, l2_approximation_error
+from reference import l2_approximation_error
 
 
 def uniform(x):
@@ -82,10 +82,11 @@ def test_haar_orthonormal_under_uniform():
 
 
 def test_bspline_partition_of_unity():
+    # the package's rows, scaled by sqrt(q), sum to 1 at every point
     rng = np.random.default_rng(5)
     xs = rng.random(10**6)
     for q, s in ((4, 1), (6, 2), (8, 3)):
-        vals = bspline_partition_values(q, s, xs)
+        vals = BasisSpec("bspline", 1, q, order=s).evaluate_many(xs).sum(axis=1) / np.sqrt(q)
         assert np.max(np.abs(vals - 1.0)) < 1e-12
 
 

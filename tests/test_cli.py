@@ -184,9 +184,10 @@ def test_oversized_ac_basis_refused_before_it_is_built(tmp_path, capsys):
 def test_oversized_haar_ac_refused_by_the_cell_plan(tmp_path, monkeypatch, capsys, q, planned):
     # Haar ac takes its Gram from the density estimate's per-cell values: the
     # cell plan counts its arrays of k doubles and refuses them before any
-    # nuisance fit and any array of k entries; beside them the peak holds the
-    # 3 candidate cells of each of the 250 training records and the fit's 20
-    # fold arrays of them
+    # nuisance fit and any array of k entries; beside them the peak holds, for
+    # each of the 250 training records, its 3 candidate cells, its index in
+    # each of the 2 folds, one fold's 2 copies of a cell and the fit's 10
+    # further vectors
     monkeypatch.setattr(estimator, "fit_nuisances", lambda *a, **kw: pytest.fail("fitted"))
     tracemalloc.start()
     rc = main(["estimate", "--input", str(GOLDEN), "--out", str(tmp_path / "o"),
@@ -194,7 +195,7 @@ def test_oversized_haar_ac_refused_by_the_cell_plan(tmp_path, monkeypatch, capsy
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert rc == EXIT_VALIDATION
-    assert (f"the cell route at k={q}, m=2 plans a peak of {planned + 8 * 250 * 23} bytes, over "
+    assert (f"the cell route at k={q}, m=2 plans a peak of {planned + 8 * 250 * 17} bytes, over "
             f"the cap of 1073741824; its largest group, the cell Gram, takes {planned} bytes"
             ) in capsys.readouterr().err
     assert peak < 8 * 2**22
@@ -221,7 +222,7 @@ def test_oversized_haar_study_refused_before_it_is_built(tmp_path, capsys):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert rc == EXIT_VALIDATION
-    assert ("the cell route at k=67108864, m=2 plans a peak of 17179896784 bytes, over the "
+    assert ("the cell route at k=67108864, m=2 plans a peak of 17179889584 bytes, over the "
             "cap of 1073741824; its largest group, the cell Gram, takes 17179869184 bytes"
             ) in capsys.readouterr().err
     assert peak < 8 * 2**22
@@ -272,13 +273,13 @@ def test_emp_training_design_refused_before_any_fit(monkeypatch):
     # Gram and its inverse (64 MiB) and the 1650 estimation rows are under the cap,
     # but the training design with its weighted copy and three doubles per
     # record, beside the Gram and the candidate designs, bring the run to
-    # 1098900064 bytes, refused before any fit
+    # 1101909664 bytes, refused before any fit
     monkeypatch.setattr(estimator, "fit_nuisances", lambda *a, **kw: pytest.fail("fitted"))
     rng = np.random.default_rng(31)
     data = Dataset(rng.random((33000, 1)), np.ones(33000), np.zeros(33000))
     cfg = EstimatorConfig(basis=BasisSpec("bspline", 1, 2048, order=1), split_fraction=0.05)
     with pytest.raises(ValidationError, match="the tensor route at k=2048, m=2 plans a peak of "
-                                              "1098900064 bytes, over the cap of 1073741824; its "
+                                              "1101909664 bytes, over the cap of 1073741824; its "
                                               "largest group, the training design, takes "
                                               "1028029200 bytes"):
         estimator.estimate(data, cfg)
@@ -953,7 +954,7 @@ def test_input_errors_exit_validation(tmp_path, capsys, argv, message):
       "--set", "reps=200", "--set", "basis.per_dim_size=8"],
      "basis size k=64 exceeds the 20 training records"),
     (["estimate", "--input", str(GOLDEN), "--set", "basis.per_dim_size=67108864"],
-     "the cell route at k=67108864, m=2 plans a peak of 17179917184 bytes"),
+     "the cell route at k=67108864, m=2 plans a peak of 17179905184 bytes"),
     (["estimate", "--input", str(GOLDEN), "--set", "split_fraction=0.999"],
      "basis size k=4 exceeds the 1 training records"),
     # the study's pre-flight passes; its reference Gram's plan refuses the node grid

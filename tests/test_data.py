@@ -61,6 +61,16 @@ def test_missing_columns(tmp_path):
         dataset_from_csv(write(tmp_path, "A,Y\n1,0.5\n"))
     with pytest.raises(ValidationError, match="column X2 absent"):
         dataset_from_csv(write(tmp_path, "A,Y,X1\n1,0.5,0.5\n"), d=2)
+    # a second A, Y or X<j> is refused, whether or not d counts it; a
+    # repeated extra column is read
+    for header, col in (("A,Y,X1,Y", "Y"), ("A,Y,X1,X1", "X1"), ("A,A,Y,X1", "A"),
+                        ("A,Y,X1,X3,X3", "X3")):
+        path = write(tmp_path, f"{header}\n{','.join(['1'] * header.count(','))},1\n")
+        for d in (None, 1):
+            with pytest.raises(ValidationError, match=f"^column {col} named twice$"):
+                dataset_from_csv(path, d=d)
+    data = dataset_from_csv(write(tmp_path, "A,Y,X1,note,note\n1,0.5,0.25,a,b\n"))
+    np.testing.assert_array_equal(data.x, [[0.25]])
 
 
 def test_covariates_are_x1_to_xd_whatever_the_dimension_key(tmp_path):

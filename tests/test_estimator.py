@@ -156,7 +156,7 @@ def test_oversized_cell_gram_refused_before_any_fit(monkeypatch):
     cfg = EstimatorConfig(functional="ate", basis=BasisSpec("haar", 1, 2**23), m=2,
                           variant="ac", cross_fit=True)
     with pytest.raises(ValidationError, match="the cell route at k=8388608, m=2 plans a peak of "
-                       "2147520448 bytes, over the cap of 1073741824; its largest group, the "
+                       "2147510848 bytes, over the cap of 1073741824; its largest group, the "
                        "cell Gram, takes 2147483648 bytes"):
         estimate(data, cfg)
 
@@ -256,6 +256,9 @@ def _dense_ac(k: int, **kw) -> EstimatorConfig:
                      nuisance_k_grid=(1, 4, 16, 64, 256)), 40000),
     (EstimatorConfig(basis=BasisSpec("haar", 1, 64), m=6, cross_fit=True,
                      nuisance_k_grid=(1, 2, 4, 8, 16, 32, 64)), 40000),
+    # the split holds one index per record and fold
+    (EstimatorConfig(basis=BasisSpec("haar", 1, 64), nuisance_folds=10,
+                     nuisance_k_grid=(1, 2, 4, 8, 16, 32, 64)), 40000),
     # the summing half of a dense run: while its terms are summed it holds
     # the Gram, eigh's vectors, their scaled copy and the inverse, then the
     # inverse, np.allclose's two temporaries and mask, then the Cholesky
@@ -270,8 +273,8 @@ def _dense_ac(k: int, **kw) -> EstimatorConfig:
     (_dense_ac(1024, functional="ate"), 2000),
     (_dense_ac(1024, cross_fit=True), 2000),
     (_dense_ac(1024, functional="ate", cross_fit=True), 2000),
-], ids=["candidates", "bspline ac", "haar ac ate", "haar cross-fit", "bspline ac k1024",
-        "bspline ac k2048", "bspline ac ate cross-fit", "bspline ac ate k1024",
+], ids=["candidates", "bspline ac", "haar ac ate", "haar cross-fit", "haar 10 folds",
+        "bspline ac k1024", "bspline ac k2048", "bspline ac ate cross-fit", "bspline ac ate k1024",
         "bspline ac cross-fit k1024", "bspline ac ate cross-fit k1024"])
 def test_traced_peak_within_the_run_plan(cfg, n):
     # the plan estimate_split checks bounds every array it builds, from the

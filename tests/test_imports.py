@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used by that module, every
-private module-level name of the package is used somewhere in it, no
+private module-level name of the package is used somewhere in it, every
+public constant of the package is read in it or in the tests, no
 module-level function or class of the package, nor a method or property of
 one of its classes, serves only the tests, every field of a package
 dataclass is read, every Gram is built by ``gram.weighted_gram`` or read
@@ -219,6 +220,40 @@ def test_reach_scanner_flags_test_only_members():
     assert unreached_definitions({"a.py": source}, {"api", "Basis"}) == [
         "Basis.evaluate (a.py:10)", "Unused (a.py:18)", "Unused.evaluate (a.py:19)",
         "_first (a.py:14)"]
+
+
+def unread_constants(sources: dict[str, str], readers: tuple[str, ...] = ()) -> list[str]:
+    """Public module-level constants (UPPER_CASE names) of ``sources``
+    (module name -> source) that no source in ``sources`` or ``readers``
+    reads, a read being a loaded name or an attribute access."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", 0)]
+            defined += [(t.id, f"{module}:{node.lineno}") for t in targets
+                        if isinstance(t, ast.Name) and t.id.isupper() and not t.id.startswith("_")]
+    for source in (*sources.values(), *readers):
+        read |= _loads(ast.parse(source))
+    return sorted(f"{name} ({at})" for name, at in defined if name not in read)
+
+
+def test_constant_scanner_flags_an_unread_constant():
+    sources = {
+        "a.py": "M_MAX = 6\nCAP: int = 3\nLEFTOVER = 20\n_PRIVATE = 1\nalias = M_MAX\n",
+        "b.py": "import a\nLIMIT = a.CAP\n",
+    }
+    assert unread_constants(sources) == ["LEFTOVER (a.py:3)", "LIMIT (b.py:2)"]
+    assert unread_constants(sources, ("from b import LIMIT\nprint(LIMIT)\n",)) == [
+        "LEFTOVER (a.py:3)"]
+
+
+def test_no_unread_constants_in_package():
+    # a constant that a removed path read, such as a fit's vector count, is flagged
+    tests = Path(__file__).resolve().parent
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    readers = tuple(p.read_text() for p in sorted(tests.glob("*.py")))
+    assert unread_constants(sources, readers) == []
 
 
 def test_no_test_only_code_in_package():

@@ -257,31 +257,44 @@ def test_haar_cell_fit_matches_dense_lstsq(d, n, folds, masked, empty):
 
 @pytest.mark.parametrize("binary", [True, False])
 @pytest.mark.parametrize("folds", [2, 3, 4, 5])
-@pytest.mark.parametrize("masked,lone", [(False, False), (True, False), (True, True)])
-def test_haar_cv_matches_the_fold_loop_bit_for_bit(binary, folds, masked, lone):
-    # the cell route scores all folds from two bincounts; it adds the same
-    # values in the same order as a loop fitting each fold, so the scores,
-    # the chosen k and the predictions are equal, not close.  ``lone`` leaves
-    # one record in a cell of the finest candidate: the fold that tests it
-    # has no training record there, and that candidate gets no score
+@pytest.mark.parametrize("masked,case", [
+    pytest.param(False, "haar", id="False-False"),
+    pytest.param(True, "haar", id="True-False"),
+    pytest.param(True, "lone", id="True-True"),
+    pytest.param(True, "mixed", id="mixed"),
+    pytest.param(False, "in-sample", id="in-sample"),
+])
+def test_haar_cv_matches_the_fold_loop_bit_for_bit(binary, folds, masked, case):
+    # one loop scores every candidate, fold by fold, from the same records in
+    # the same order as a loop over the masked sample, so the scores, the
+    # chosen k and the predictions are equal, not close.  ``lone`` leaves one
+    # record in a cell of the finest Haar candidate: the fold that tests it
+    # has no training record there, and that candidate gets no score.
+    # ``mixed`` fits B-splines whose q = 1 candidate is order 0, cellwise,
+    # beside dense ones; ``in-sample`` has fewer than two records per fold
     rng = np.random.default_rng(70 + folds)
-    n = 700
+    n = 2 * folds - 1 if case == "in-sample" else 700
     x = rng.random((n, 2))
-    if lone:  # the cell [0, 1/8)^2 of the 8x8 grid holds record 0 only
+    if case == "lone":  # the cell [0, 1/8)^2 of the 8x8 grid holds record 0 only
         x[1:] = np.where((x[1:] < 0.125).all(axis=1)[:, None], x[1:] + 0.125, x[1:])
         x[0] = [0.05, 0.05]
     signal = np.sin(4.0 * x[:, 0]) * np.cos(3.0 * x[:, 1])
     y = ((rng.random(n) < 0.5 + 0.4 * signal) if binary
          else signal + 0.3 * rng.normal(size=n)).astype(float)
     rows = rng.random(n) < 0.8 if masked else slice(None)
-    if lone:
+    if case == "lone":
         rows[0] = True
-    designs = series_designs(x, build_basis(BasisSpec("haar", 2, 8)), [1, 4, 16, 64])
+    if case == "mixed":
+        designs = series_designs(x, BasisSpec("bspline", 2, 4, order=2), [1, 4, 9, 16])
+        assert designs[1][0].cellwise and not designs[4][0].cellwise
+    else:
+        designs = series_designs(x, build_basis(BasisSpec("haar", 2, 8)), [1, 4, 16, 64])
     fit, k = series_fit(designs, y, folds, seed=folds, rows=rows)
     ref_fit, ref_k, ref_scores = loop_series_fit(designs, y, folds, seed=folds, rows=rows)
     scores = series_scores(designs, y, folds, seed=folds, rows=rows)
-    assert scores == ref_scores and 16 in scores
-    if lone:
+    assert scores == ref_scores
+    assert {"mixed": {1, 16}, "in-sample": {1}}.get(case, {16}) <= set(scores)
+    if case == "lone":
         assert 64 not in scores
     assert k == ref_k
     pts = (np.indices((16, 16)).reshape(2, -1).T + 0.5) / 16

@@ -673,14 +673,36 @@ def test_op_dist_measures_the_gram_each_estimate_inverted():
 
 def test_run_study_counts_zero_convention_replications():
     # an eigen floor near 1 rejects every Gram: each replication succeeds
-    # with psi_hat = 0, counts in reps_ok and enters bias, sd and rmse
+    # with psi_hat = 0 and counts in reps_ok; no estimate is left for bias,
+    # sd and rmse, whose fields are blank
     cfg = replace(study_cfg(), eigen_floor=0.999)
     result = run_study(SCENARIOS["s4-span-exact"], cfg, reps=6, seed=2, n=300)
     agg = result.aggregate
     assert (agg["reps_ok"], agg["reps_failed"], agg["zero_convention_count"]) == (6, 0, 6)
     assert all(r["zero_convention"] == 1 and r["psi_hat"] == 0.0 for r in result.rows)
-    assert agg["bias"] == -agg["psi_true"] and agg["sd"] == 0.0
-    assert agg["rmse"] == pytest.approx(agg["psi_true"], rel=1e-15)
+    assert (agg["bias"], agg["sd"], agg["rmse"]) == (None, None, None)
+    assert ",6,0,6,0.4499999999999999,,,,,0.15" in result.aggregates_csv()
+
+
+def test_study_aggregates_summarize_estimates_only(monkeypatch):
+    # s2-smooth-d2, Haar k = 64, m = 3, seed 3: 4 of 20 replications at
+    # n = 2000 hit the zero convention.  With their psi_hat = 0 entered, bias,
+    # sd and rmse read -0.0874, 0.178 and 0.194; over the 16 estimates they
+    # read -0.0021, 0.0345 and 0.0335, as coverage already skipped those rows
+    cfg = EstimatorConfig(basis=BasisSpec("haar", 2, 8), m=3)
+    result = run_study(SCENARIOS["s2-smooth-d2"], cfg, reps=20, seed=3, n=2000)
+    agg, psi = result.aggregate, result.psi_true
+    est = np.array([r["psi_hat"] for r in result.rows if not r["zero_convention"]])
+    assert agg["zero_convention_count"] == 4 and est.size == 16
+    assert agg["bias"] == float(np.mean(est) - psi) and abs(agg["bias"]) < 0.005
+    assert agg["sd"] == float(np.std(est, ddof=1)) and agg["sd"] < 0.05
+    assert agg["rmse"] == math.sqrt(float(np.mean((est - psi) ** 2)))
+    # one estimate left: a bias and an rmse, but no sd
+    one = [{**row, "zero_convention": int(row["rep"] > 0)} for row in result.rows[:3]]
+    monkeypatch.setattr(sim, "_map_reps", lambda work, reps, threads: one)
+    agg = run_study(SCENARIOS["s2-smooth-d2"], cfg, reps=3, seed=3, n=2000).aggregate
+    assert agg["bias"] == one[0]["psi_hat"] - psi and agg["sd"] is None
+    assert agg["rmse"] == abs(agg["bias"])
 
 
 def test_run_study_programming_error_fatal():
