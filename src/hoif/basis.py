@@ -17,22 +17,16 @@ One immutable ``BasisSpec`` both configures and evaluates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from hoif.data import ValidationError
 
-# Certification grid resolution per dimension and a cap on its total size.
-CERT_GRID_PER_DIM = 512
-CERT_MEMORY_CAP = 1 << 26  # max univariate grid-by-q element count
-
 
 @dataclass(frozen=True)
 class BasisSpec:
     """Family, dimension and per-dimension size of a tensor basis, and the
-    basis itself.  Equality and hash read these four fields only, so the
-    cached ``locality_constant`` is no part of a spec's identity."""
+    basis itself."""
 
     family: str
     dimension: int
@@ -72,21 +66,15 @@ class BasisSpec:
     def d(self) -> int:
         return self.dimension
 
-    @cached_property
+    @property
     def locality_constant(self) -> float:
-        """A bound on sup_x ||z(x)||^2 / k over a certification grid, computed
-        when first read: the pointwise-boundedness condition the estimator's
-        theory requires of the basis.  For a tensor product the supremum
-        factorizes, so the grid is ``CERT_GRID_PER_DIM`` points on one axis."""
-        if CERT_GRID_PER_DIM * self.per_dim_size > CERT_MEMORY_CAP:
-            raise ValidationError(
-                f"certification grid of {CERT_GRID_PER_DIM} x {self.per_dim_size} "
-                f"exceeds memory cap {CERT_MEMORY_CAP}"
-            )
-        xs = np.linspace(0.0, 1.0, CERT_GRID_PER_DIM)
-        uni = self._univariate(xs)
-        per_dim_max = float(np.max(np.sum(uni * uni, axis=1)))
-        return per_dim_max ** self.d / self.k
+        """sup_x ||z(x)||^2 / k, the pointwise-boundedness constant the
+        estimator's theory requires of the basis: exactly 1.  Each axis's q
+        functions are sqrt(q) times nonnegative functions that sum to 1 (cell
+        indicators at order 0, clamped B-splines otherwise), so their squares
+        sum to at most q, with equality at x = 0 where one function is 1; the
+        tensor product's norm is the product over axes, at most q^d = k."""
+        return 1.0
 
     def _univariate(self, xs: np.ndarray) -> np.ndarray:
         """The q univariate functions at ``xs``; cellwise, sqrt(q) times cell indicators."""

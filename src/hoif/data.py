@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import shutil
@@ -122,13 +123,13 @@ def dataset_from_csv(path, d: int | None = None) -> Dataset:
         if header.count(col) > 1:
             raise ValidationError(f"column {col} named twice")
     if d is None:
-        d = len(covariates)
+        d = len(covariates) or 1  # a header with no X<j> lacks X1
+    elif d < 1:
+        raise ValidationError("dimension must be >= 1")
     xcols = [f"X{j}" for j in range(1, d + 1)]
     for col in ("A", "Y", *xcols):
         if col not in header:
             raise ValidationError(f"column {col} absent")
-    if not xcols:
-        raise ValidationError("column X1 absent")
     ia, iy, *ix = (header.index(c) for c in ("A", "Y", *xcols))
 
     def parse_row(i: int, line: str) -> list[float]:
@@ -147,10 +148,20 @@ def dataset_from_csv(path, d: int | None = None) -> Dataset:
         # numpy's parser takes plain numbers in rows of one width; all else raises
         if not any(ln.strip() for ln in body):
             raise ValueError("no rows")
-        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        csv = {"delimiter": ",", "comments": None, "ndmin": 2}
+        try:
+            table, retried = np.loadtxt(body, **csv), False
+        except ValueError:  # once more, reading the MAR format's blank Y as NaN
+            table, retried = np.loadtxt(body, converters={iy: _y_field}, **csv), True
         if table.shape[1] != len(header):
             raise ValueError("irregular rows")
-        return np.take(table, [ia, iy, *ix], axis=1)
+        table = np.take(table, [ia, iy, *ix], axis=1)
+        if retried:  # a written NaN Y fails the retry, so a NaN here was blank
+            blank = np.isnan(table[:, 1])
+            if np.any(blank & (table[:, 0] != 0.0)):
+                raise ValueError("column Y empty with A=1")  # the row reader names the row
+            table[blank, 1] = 0.0
+        return table
 
     body, start = lines[top + 1:], sum(len(ln) + 1 for ln in lines[:top + 1])
     # numpy skips only empty lines; one C scan per character finds comment and blank lines
@@ -171,6 +182,17 @@ def dataset_from_csv(path, d: int | None = None) -> Dataset:
     if not np.all(np.isfinite(y)):
         raise ValidationError(f"row {int(np.argmin(np.isfinite(y))) + 2}: column Y not finite")
     return Dataset(x=x, a=a, y=y)
+
+
+def _y_field(field: str) -> float:
+    """A Y field on ``dataset_from_csv``'s second parse: NaN if blank, else a
+    finite float.  It runs once per row, so it calls ``math``, not numpy."""
+    if not field.strip():
+        return math.nan
+    y = float(field)
+    if not math.isfinite(y):
+        raise ValueError("column Y not finite")
+    return y
 
 
 def csv_field(v) -> str:

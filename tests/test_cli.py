@@ -92,23 +92,6 @@ def test_config_hash_order_independent():
     assert config_hash({"m": 2}) != config_hash({"m": 3})
 
 
-def test_cached_locality_constant_is_no_part_of_a_config(tmp_path):
-    # a spec caches the constant once read; equal specs stay equal, hash
-    # alike and echo the same resolved config whichever of them has read it
-    read, fresh = BasisSpec("bspline", 2, 4, order=1), BasisSpec("bspline", 2, 4, order=1)
-    assert read.locality_constant > 0
-    assert "locality_constant" in vars(read) and "locality_constant" not in vars(fresh)
-    assert read == fresh and hash(read) == hash(fresh)
-    runs = [EstimatorConfig(basis=read, m=3), EstimatorConfig(basis=fresh, m=3)]
-    assert runs[0] == runs[1] and hash(runs[0]) == hash(runs[1])
-    echoes = [render_config(run) for run in runs]
-    assert config_hash(echoes[0]) == config_hash(echoes[1])
-    for echo, out in zip(echoes, ("read", "fresh")):
-        write_run(echo, tmp_path / out, {})
-    assert ((tmp_path / "read" / "resolved_config.txt").read_bytes()
-            == (tmp_path / "fresh" / "resolved_config.txt").read_bytes())
-
-
 def test_estimator_config_default_tuning():
     cfg = estimator_config({"tuning": "default", "seed": 5}, dimension=1, n=2000)
     assert cfg.m >= 2
@@ -758,6 +741,15 @@ def test_basis_inspect_reads_a_haar_basis_from_its_cells(monkeypatch, capsys):
     assert "uniform Gram eig  : [1, 1]\n" in out
 
 
+def test_basis_inspect_prints_every_line_at_a_large_haar_q(capsys):
+    # the locality constant is 1 by the partition of unity, computed nowhere:
+    # at q = 2^18 a grid search for it had exited 2 after the k line
+    assert main(["basis-inspect", "--set", "basis.per_dim_size=262144"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "k                 : 262144", "locality constant : 1",
+        "uniform Gram eig  : [1, 1]", "condition number  : 1"]
+
+
 def test_basis_inspect_refuses_an_over_cap_dense_view_before_printing(tmp_path, monkeypatch,
                                                                        capsys):
     # a Haar Gram at k = 64 is written as its dense view, one k x k array
@@ -922,6 +914,11 @@ def test_threads_default_to_one():
     (["report", "{agg}", "--out", "{tmp}"], "cannot write {tmp}: "),
     (["estimate", "--input", "{golden}", "--out", "{tmp}/held"],
      "cannot write {tmp}/held: [Errno 21] Is a directory: '{tmp}/held/report.csv'"),
+    # a dimension below 1 had asked for no X column and named X1 absent
+    (["estimate", "--input", "{golden}", "--out", "{tmp}/o", "--set", "basis.dimension=0"],
+     "dimension must be >= 1"),
+    (["estimate", "--input", "{golden}", "--out", "{tmp}/o", "--set", "basis.dimension=-1"],
+     "dimension must be >= 1"),
 ])
 def test_input_errors_exit_validation(tmp_path, capsys, argv, message):
     five = tmp_path / "five.csv"

@@ -61,6 +61,9 @@ def test_missing_columns(tmp_path):
         dataset_from_csv(write(tmp_path, "A,Y\n1,0.5\n"))
     with pytest.raises(ValidationError, match="column X2 absent"):
         dataset_from_csv(write(tmp_path, "A,Y,X1\n1,0.5,0.5\n"), d=2)
+    # a dimension below 1 is refused as such, before any column is looked for
+    with pytest.raises(ValidationError, match="^dimension must be >= 1$"):
+        dataset_from_csv(write(tmp_path, "A,Y,X1\n1,0.5,0.5\n"), d=0)
     # a second A, Y or X<j> is refused, whether or not d counts it; a
     # repeated extra column is read
     for header, col in (("A,Y,X1,Y", "Y"), ("A,Y,X1,X1", "X1"), ("A,A,Y,X1", "A"),
@@ -100,6 +103,33 @@ def test_row_errors_localized(tmp_path):
 def test_blank_y_only_when_missing(tmp_path):
     with pytest.raises(ValidationError, match="Y empty with A=1"):
         dataset_from_csv(write(tmp_path, "A,Y,X1\n1,,0.5\n"))
+
+
+def test_blank_y_file_is_read_by_numpys_parser(tmp_path, monkeypatch):
+    # README's MAR format, Y blank on A = 0 rows: its table comes from
+    # np.loadtxt (a second call reads the blanks), not row by row, and
+    # equals the table of the same records written with zeros, bit for bit
+    data = generate(SCENARIOS["s1-smooth-d1"], 300, 29)
+    zeros = tmp_path / "zeros.csv"
+    dataset_to_csv(data, zeros)
+    lines = zeros.read_text().splitlines()
+    blank = write(tmp_path, "\n".join(lines[:1] + [
+        ",".join(f[:1] + [""] + f[2:]) if f[0] == "0" else ln
+        for ln in lines[1:] for f in [ln.split(",")]]) + "\n", "blank.csv")
+    assert blank.read_text().count(",,") == int(sum(data.a == 0.0)) > 0
+    want = dataset_from_csv(zeros)
+    tables, loadtxt = [], np.loadtxt
+
+    def spy(*args, **kwargs):
+        tables.append(loadtxt(*args, **kwargs))  # a call that raises appends nothing
+        return tables[-1]
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    got = dataset_from_csv(blank)
+    assert [t.shape for t in tables] == [(300, 3)]
+    for field in ("x", "a", "y"):
+        assert np.array_equal(getattr(got, field).view(np.uint64),
+                              getattr(want, field).view(np.uint64))
 
 
 def test_a_must_be_binary(tmp_path):
@@ -166,6 +196,8 @@ MALFORMED = "# made by hand\nA,Y,X1,X2\n0,0,0.5,0.5\n\n# mid\n1,1,0.25,0.75\n  \
     ("1,nan,0.3,0.5", "row 4: column Y not finite"),
     ("1,inf,0.3,0.5", "row 4: column Y not finite"),
     ("0,-inf,0.3,0.5", "row 4: column Y not finite"),
+    # a written NaN is no blank Y, even where A = 0
+    ("0,nan,0.3,0.5", "row 4: column Y not finite"),
 ])
 def test_malformed_row_reported(tmp_path, bad, message):
     path = write(tmp_path, MALFORMED.format(bad=bad))

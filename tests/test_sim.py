@@ -567,28 +567,6 @@ def test_run_study_runs_each_quadrature_once(monkeypatch):
         assert result.aggregate["eff_bound"] == efficiency_bound(scn)
 
 
-def test_run_study_builds_each_basis_once(monkeypatch):
-    # the pipeline never reads the locality constant, so a study evaluates no
-    # certification grid, however many replications build a basis
-    from hoif import basis
-
-    certified = []
-    original = basis._axis_cells  # the cell evaluator of every order-0 row and cell
-
-    def spy(q, xs):
-        if xs.shape[0] == basis.CERT_GRID_PER_DIM:
-            certified.append(q)
-        return original(q, xs)
-
-    monkeypatch.setattr(basis, "_axis_cells", spy)
-    cfg = EstimatorConfig(basis=BasisSpec("haar", 2, 4), m=2,
-                          nuisance_k_grid=(1, 2, 4), nuisance_folds=2)
-    run_study(SCENARIOS["s2-smooth-d2"], cfg, reps=3, seed=3, n=200)
-    assert certified == []
-    assert basis.build_basis(cfg.basis).locality_constant == 1.0  # the spy sees a read
-    assert certified == [4]
-
-
 def test_run_study_rejects_tiny_rep_count():
     with pytest.raises(ValidationError):
         run_study(SCENARIOS["s1-smooth-d1"], study_cfg(), reps=1, seed=1, n=100)
